@@ -1,7 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation at bench scale (DESIGN.md §5 maps each benchmark to its
-// experiment id). Coverage percentages, speedups and mismatch counts
-// are attached to the benchmark output via ReportMetric, so
+// evaluation at bench scale (each benchmark's comment names the
+// internal/exp experiment id it mirrors; the perf ledger proper is
+// bench/, see its README.md). Coverage percentages, speedups and
+// mismatch counts are attached to the benchmark output via
+// ReportMetric, so
 // `go test -bench=. -benchmem` prints the reproduced rows; the
 // full-scale campaign lives in cmd/fuzz-bench.
 package chatfuzz

@@ -1,7 +1,8 @@
 // Command fuzz-bench regenerates every table and figure of the
-// paper's evaluation (DESIGN.md §5: experiments E1–E8 and ablations
-// A1–A3) at the chosen scale, printing paper-style rows next to the
-// paper's reported values.
+// paper's evaluation (PAPER.md; experiments E1–E8 and ablations
+// A1–A3, as named on the internal/exp Suite methods) at the chosen
+// scale, printing paper-style rows next to the paper's reported
+// values.
 //
 // The campaign subcommand instead runs the sharded multi-campaign
 // orchestrator: N concurrent campaigns with a discounted UCB1 bandit

@@ -89,7 +89,7 @@ func TestPipelineStep2ReducesInvalidRate(t *testing.T) {
 	t.Logf("invalid rate: before %.3f after %.3f", before, after)
 	// Eq.1 training must not make generations less legal; at this tiny
 	// scale we assert non-regression (the full-scale trend is
-	// reproduced by experiment E7 and verified in EXPERIMENTS.md).
+	// reproduced by experiment E7, `fuzz-bench -exp training`).
 	if after > before+0.05 {
 		t.Errorf("cleanup increased invalid rate: before %.3f after %.3f", before, after)
 	}

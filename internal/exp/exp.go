@@ -1,8 +1,10 @@
 // Package exp is the experiment harness: it regenerates every table
 // and figure of the paper's evaluation (§V) on the simulated platform,
-// at a configurable scale. DESIGN.md §5 maps experiment ids (E1–E8,
-// A1–A3) to the functions here; EXPERIMENTS.md records paper-vs-
-// measured values.
+// at a configurable scale. Each Suite method's comment names the
+// experiment id (E1–E8, A1–A3) it renders, and every rendered row
+// prints the paper's value (PAPER.md names the source) next to the
+// measured one; cmd/fuzz-bench/README.md lists the -exp names that
+// select them.
 //chatfuzz:deterministic package
 package exp
 

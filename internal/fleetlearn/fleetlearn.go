@@ -87,10 +87,11 @@ type Replica struct {
 }
 
 // NewReplica deep-copies base into a fresh replica. The base model is
-// never mutated: the sampling model and the frozen KL reference are
-// both independent clones.
+// never mutated: the sampling model and the KL reference are both
+// independent clones, the reference frozen so that its forward pass
+// at every barrier builds no gradient buffers.
 func NewReplica(base *nn.GPT, cfg ppo.Config) *Replica {
-	return &Replica{Model: base.Clone(), ref: base.Clone(), cfg: cfg}
+	return &Replica{Model: base.Clone(), ref: base.Clone().Freeze(), cfg: cfg}
 }
 
 // StepRollouts buffers one batch's scored rollouts for the barrier

@@ -1,6 +1,8 @@
 package fleetlearn
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -316,5 +318,53 @@ func TestNewFleetValidates(t *testing.T) {
 	big := NewReplica(nn.NewGPT(bigCfg, rand.New(rand.NewSource(1))), tinyPPO())
 	if _, err := NewFleet(small, big); err == nil {
 		t.Error("NewFleet accepted replicas with different model configs")
+	}
+}
+
+// TestGoldenBarrier pins the barrier's training and merge bit for bit:
+// the SHA-256 of the staged merge of three replicas (one idle, one
+// with two buffered chunks) and of the following round's publication,
+// recorded on the full-row PPO formulation. CI runs it under
+// GOMAXPROCS=1 and 4.
+func TestGoldenBarrier(t *testing.T) {
+	const want = "f7cb4a5672d4723346d49301608380f8726033e01ce641165d8d8fd36655ad8b"
+	base := tinyBase(13)
+	a, b, c := NewReplica(base, tinyPPO()), NewReplica(base, tinyPPO()), NewReplica(base, tinyPPO())
+	f, err := NewFleet(a, b, c)
+	if err != nil {
+		t.Fatalf("NewFleet: %v", err)
+	}
+	a.StepRollouts([]*ppo.Rollout{roll(1.0), roll(-0.5)})
+	c.StepRollouts([]*ppo.Rollout{roll(2.0)})
+	c.StepRollouts([]*ppo.Rollout{roll(0.25), roll(0.5), roll(-1)})
+	f.Barrier(false, false)
+	b.StepRollouts([]*ppo.Rollout{roll(0.75)})
+	f.Barrier(false, false)
+	sum := sha256.Sum256([]byte(nn.EncodeWeights(f.Weights()) + nn.EncodeWeights(f.Staged())))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("published+staged weights: sha256 %s, want %s", got, want)
+	}
+}
+
+// TestReplicaRefStaysFrozen: the KL reference is detached at
+// construction and a training pass leaves it so — no parameter
+// requires gradients or grew a Grad buffer — while the private
+// training clone, cloned from the sampling model, stays trainable.
+func TestReplicaRefStaysFrozen(t *testing.T) {
+	base := tinyBase(17)
+	r := NewReplica(base, tinyPPO())
+	r.trainOn(base.FlattenParams(nil), [][]*ppo.Rollout{{roll(1.0), roll(-0.5)}})
+	for i, p := range r.ref.Params() {
+		if p.Requires() || p.Grad != nil {
+			t.Fatalf("ref parameter %d after trainOn: requires=%v, grad buffer=%v", i, p.Requires(), p.Grad != nil)
+		}
+	}
+	for i, p := range r.train.Params() {
+		if !p.Requires() {
+			t.Fatalf("training clone parameter %d does not require gradients", i)
+		}
+	}
+	if !bitsEqual(r.ref.FlattenParams(nil), base.FlattenParams(nil)) {
+		t.Fatal("reference drifted from the base model")
 	}
 }

@@ -2,6 +2,13 @@
 // LLM-based Input Generator, with a PPO value head, an Adam optimizer,
 // and a KV-cached incremental sampler for fast generation inside the
 // fuzzing loop.
+//
+// Two forward paths share the weights and must agree: the taped batch
+// path (Hidden, then Head/Values on the rows the caller needs) that
+// training differentiates, and the Sampler, which keeps every
+// per-token vector in scratch it owns — the logits Next returns are
+// valid until the next Next — and shares tensor.GELUScalar with the
+// batch path so the sampled and the trained policy cannot drift.
 //chatfuzz:deterministic package
 package nn
 
@@ -121,8 +128,19 @@ func (m *GPT) NumParams() int {
 	return n
 }
 
-// Clone returns a deep copy with detached parameters (used for the
-// frozen PPO reference model).
+// Freeze detaches every parameter from gradient tracking and returns
+// m: a forward pass through a frozen model (PPO's KL reference) builds
+// no gradient buffers and no tape. There is no way back; Clone first
+// to keep a trainable copy.
+func (m *GPT) Freeze() *GPT {
+	for _, p := range m.Params() {
+		p.Detach()
+	}
+	return m
+}
+
+// Clone returns a deep copy with parameters of its own, trainable or
+// frozen as m's are.
 func (m *GPT) Clone() *GPT {
 	c := &GPT{Cfg: m.Cfg}
 	c.TokEmb = m.TokEmb.Clone()
@@ -187,9 +205,14 @@ func (m *GPT) SetFlatParams(w []float64) error {
 	return nil
 }
 
-// hidden runs the transformer backbone over a padded batch. ids is
-// row-major [B][T] flattened; returns hidden states [B*T, D].
-func (m *GPT) hidden(idsFlat []int, batch, seqLen int) *tensor.Tensor {
+// Hidden runs the transformer backbone over a batch of variable-length
+// sequences padded with padID to the longest, T. It returns the final
+// layer-norm states [B*T, D] — row s*T+t is position t of sequence s —
+// and T. Callers apply Head (and VHead/VBias) to the rows they need:
+// every row for the LM loss, the scored rows only for PPO.
+func (m *GPT) Hidden(batchSeqs [][]int, padID int) (*tensor.Tensor, int) {
+	idsFlat, seqLen := pad(batchSeqs, padID)
+	batch := len(batchSeqs)
 	if seqLen > m.Cfg.Ctx {
 		panic("nn: sequence longer than model context")
 	}
@@ -211,7 +234,7 @@ func (m *GPT) hidden(idsFlat []int, batch, seqLen int) *tensor.Tensor {
 		mlp = tensor.AddBias(tensor.MatMul(mlp, b.Wout), b.Bout)
 		x = tensor.Add(x, mlp)
 	}
-	return tensor.LayerNorm(x, m.LNfg, m.LNfb)
+	return tensor.LayerNorm(x, m.LNfg, m.LNfb), seqLen
 }
 
 // pad flattens a batch of variable-length sequences into a padded
@@ -238,19 +261,14 @@ func pad(batchSeqs [][]int, padID int) (idsFlat []int, seqLen int) {
 // Logits runs the model over a padded batch and returns logits
 // [B*T, V] plus the padded sequence length.
 func (m *GPT) Logits(batchSeqs [][]int, padID int) (*tensor.Tensor, int) {
-	idsFlat, seqLen := pad(batchSeqs, padID)
-	h := m.hidden(idsFlat, len(batchSeqs), seqLen)
+	h, seqLen := m.Hidden(batchSeqs, padID)
 	return tensor.MatMul(h, m.Head), seqLen
 }
 
-// LogitsAndValues additionally returns the value head's output
-// [B*T, 1], sharing the backbone computation (PPO actor-critic).
-func (m *GPT) LogitsAndValues(batchSeqs [][]int, padID int) (*tensor.Tensor, *tensor.Tensor, int) {
-	idsFlat, seqLen := pad(batchSeqs, padID)
-	h := m.hidden(idsFlat, len(batchSeqs), seqLen)
-	logits := tensor.MatMul(h, m.Head)
-	values := tensor.AddBias(tensor.MatMul(h, m.VHead), m.VBias)
-	return logits, values, seqLen
+// Values applies the value head to hidden states h ([N, D], rows of
+// Hidden or a gather of them) and returns [N, 1].
+func (m *GPT) Values(h *tensor.Tensor) *tensor.Tensor {
+	return tensor.AddBias(tensor.MatMul(h, m.VHead), m.VBias)
 }
 
 // LMLoss computes the next-token cross-entropy over a batch

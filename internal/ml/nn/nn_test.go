@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,7 +27,8 @@ func TestModelShapesAndParams(t *testing.T) {
 	if logits.R != 6 || logits.C != 17 {
 		t.Errorf("logits shape %dx%d, want 6x17", logits.R, logits.C)
 	}
-	_, values, _ := m.LogitsAndValues([][]int{{1, 2, 3}}, 0)
+	h, _ := m.Hidden([][]int{{1, 2, 3}}, 0)
+	values := m.Values(h)
 	if values.R != 3 || values.C != 1 {
 		t.Errorf("values shape %dx%d, want 3x1", values.R, values.C)
 	}
@@ -102,7 +105,8 @@ func TestSamplerValueMatchesBatchForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := NewGPT(tinyConfig(), rng)
 	seq := []int{5, 11, 2}
-	_, values, _ := m.LogitsAndValues([][]int{seq}, 0)
+	h, _ := m.Hidden([][]int{seq}, 0)
+	values := m.Values(h)
 
 	s := NewSampler(m)
 	for pos, id := range seq {
@@ -251,5 +255,61 @@ func TestEncodeDecodeWeightsBitExact(t *testing.T) {
 	}
 	if _, err := DecodeWeights("AAAA"); err == nil {
 		t.Error("DecodeWeights accepted a length not divisible by 8")
+	}
+}
+
+func weightsSHA(w []float64) string {
+	sum := sha256.Sum256([]byte(EncodeWeights(w)))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestGoldenPretrain pins the pretraining path bit for bit: the
+// SHA-256 of the parameters after 20 LMLoss/Adam steps on a padded
+// mixed-length batch, recorded on the triple-loop matmul. The model
+// is wide enough for its matmuls to cross the parallel threshold; CI
+// runs the test under GOMAXPROCS=1 and 4.
+func TestGoldenPretrain(t *testing.T) {
+	const want = "f2944cc36827138279e981e3b59040a1b07efd2af2e4324f933bfe6e02e30590"
+	rng := rand.New(rand.NewSource(41))
+	m := NewGPT(Config{Vocab: 29, Ctx: 24, Dim: 32, Heads: 4, Layers: 2}, rng)
+	opt := NewAdam(m.Params(), 1e-3)
+	batch := make([][]int, 6)
+	for i := range batch {
+		batch[i] = make([]int, 7+5*(i%4))
+		for j := range batch[i] {
+			batch[i][j] = 1 + rng.Intn(28)
+		}
+	}
+	for step := 0; step < 20; step++ {
+		opt.ZeroGrad()
+		loss, _ := m.LMLoss(batch, 0)
+		tensor.Backward(loss)
+		opt.ClipGradNorm(1)
+		opt.Step()
+	}
+	if got := weightsSHA(m.FlattenParams(nil)); got != want {
+		t.Errorf("parameters after 20 pretraining steps: sha256 %s, want %s", got, want)
+	}
+}
+
+// TestGoldenGenerate pins the sampler bit for bit: tokens, log-probs
+// and values of temperature/top-k generations, recorded before the
+// sampler's scratch moved onto the struct and before top-k used a
+// selection instead of a full sort.
+func TestGoldenGenerate(t *testing.T) {
+	const want = "ff30ce53e9eb75a46ec1b5d089c1c88b2afec88586d43bee17fc3481de8946ad"
+	rng := rand.New(rand.NewSource(42))
+	m := NewGPT(Config{Vocab: 29, Ctx: 24, Dim: 32, Heads: 4, Layers: 2}, rng)
+	var all []float64
+	for i, topK := range []int{0, 1, 5, 28, 29, 40} {
+		res := m.Generate(rng, []int{1, 2 + i}, 20, 0.7+0.2*float64(i), topK, 3)
+		for _, id := range res.Tokens {
+			all = append(all, float64(id))
+		}
+		all = append(all, res.LogProbs...)
+		all = append(all, res.Values...)
+	}
+	if got := weightsSHA(all); got != want {
+		t.Errorf("generations: sha256 %s, want %s", got, want)
 	}
 }

@@ -3,27 +3,41 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"chatfuzz/internal/ml/tensor"
 )
 
 // Sampler runs the model incrementally with per-layer KV caches —
 // generation is O(T²) total instead of O(T³), which keeps the fuzzing
-// loop fast. It shares the model's weights and allocates no tape.
+// loop fast. It shares the model's weights, builds no tape, and after
+// construction allocates only to grow the KV caches: every per-token
+// vector, the logits included, is scratch owned by the Sampler.
 type Sampler struct {
 	m   *GPT
 	k   [][]float64 // [layer] -> appended rows of D keys
 	v   [][]float64
 	pos int
+
+	// Per-token scratch, overwritten by every Next.
+	x, h, attn, proj, mlp []float64 // [D]
+	qkv, fc               []float64 // [3D], [4D]
+	scores                []float64 // [Ctx] attention weights of one head
+	logits                []float64 // [Vocab]
+	sample                []float64 // [2*Vocab] SampleToken's scratch
 }
 
 // NewSampler returns an empty sampler for m.
 func NewSampler(m *GPT) *Sampler {
-	s := &Sampler{m: m}
-	s.k = make([][]float64, m.Cfg.Layers)
-	s.v = make([][]float64, m.Cfg.Layers)
-	return s
+	d, v := m.Cfg.Dim, m.Cfg.Vocab
+	vec := func(n int) []float64 { return make([]float64, n) }
+	return &Sampler{
+		m: m,
+		k: make([][]float64, m.Cfg.Layers),
+		v: make([][]float64, m.Cfg.Layers),
+		x: vec(d), h: vec(d), attn: vec(d), proj: vec(d), mlp: vec(d),
+		qkv: vec(3 * d), fc: vec(4 * d),
+		scores: vec(m.Cfg.Ctx), logits: vec(v), sample: vec(2 * v),
+	}
 }
 
 // Reset clears the cache for a new sequence.
@@ -74,7 +88,8 @@ func layerNormVec(dst, x []float64, g, b *tensor.Tensor) {
 }
 
 // Next consumes one token and returns (logits, value) for the
-// position just consumed.
+// position just consumed. The logits are the Sampler's scratch: valid
+// until the next call of Next, which overwrites them.
 func (s *Sampler) Next(id int) (logits []float64, value float64) {
 	m := s.m
 	d := m.Cfg.Dim
@@ -82,19 +97,13 @@ func (s *Sampler) Next(id int) (logits []float64, value float64) {
 		panic("nn: sampler past model context")
 	}
 
-	x := make([]float64, d)
+	x, h, attn, proj, mlp, qkv, fc := s.x, s.h, s.attn, s.proj, s.mlp, s.qkv, s.fc
 	te := m.TokEmb.Row(id)
 	pe := m.PosEmb.Row(s.pos)
 	for i := range x {
 		x[i] = te[i] + pe[i]
 	}
 
-	h := make([]float64, d)
-	qkv := make([]float64, 3*d)
-	attn := make([]float64, d)
-	proj := make([]float64, d)
-	fc := make([]float64, 4*d)
-	mlp := make([]float64, d)
 	heads := m.Cfg.Heads
 	dh := d / heads
 	scale := 1 / math.Sqrt(float64(dh))
@@ -117,7 +126,7 @@ func (s *Sampler) Next(id int) (logits []float64, value float64) {
 			qh := q[hd*dh : (hd+1)*dh]
 			// Scores over all cached positions.
 			maxScore := math.Inf(-1)
-			scores := make([]float64, T)
+			scores := s.scores[:T]
 			for u := 0; u < T; u++ {
 				kr := s.k[l][u*d+hd*dh : u*d+hd*dh+dh]
 				sum := 0.0
@@ -149,7 +158,7 @@ func (s *Sampler) Next(id int) (logits []float64, value float64) {
 		layerNormVec(h, x, blk.LN2g, blk.LN2b)
 		vecMatInto(fc, h, blk.Wfc)
 		for i := range fc {
-			fc[i] = geluScalar(fc[i] + blk.Bfc.Data[i])
+			fc[i] = tensor.GELUScalar(fc[i] + blk.Bfc.Data[i])
 		}
 		vecMatInto(mlp, fc, blk.Wout)
 		for i := range x {
@@ -158,7 +167,7 @@ func (s *Sampler) Next(id int) (logits []float64, value float64) {
 	}
 
 	layerNormVec(h, x, m.LNfg, m.LNfb)
-	logits = make([]float64, m.Cfg.Vocab)
+	logits = s.logits
 	vecMatInto(logits, h, m.Head)
 	value = m.VBias.Data[0]
 	for i, hv := range h {
@@ -168,33 +177,31 @@ func (s *Sampler) Next(id int) (logits []float64, value float64) {
 	return logits, value
 }
 
-func geluScalar(x float64) float64 {
-	return 0.5 * x * (1 + math.Tanh(0.7978845608028654*(x+0.044715*x*x*x)))
-}
-
 // SampleToken draws from logits with temperature and top-k filtering.
 func SampleToken(rng *rand.Rand, logits []float64, temperature float64, topK int) int {
+	return sampleToken(rng, logits, temperature, topK, make([]float64, 2*len(logits)))
+}
+
+// sampleToken is SampleToken over caller-owned scratch of twice the
+// vocabulary: the scaled logits, softmaxed in place, and the running
+// top k that finds the cut.
+func sampleToken(rng *rand.Rand, logits []float64, temperature float64, topK int, scratch []float64) int {
 	if temperature <= 0 {
 		return argmax(logits)
 	}
-	scaled := make([]float64, len(logits))
+	probs := scratch[:len(logits)]
 	for i, v := range logits {
-		scaled[i] = v / temperature
+		probs[i] = v / temperature
 	}
-	if topK > 0 && topK < len(scaled) {
-		idx := make([]int, len(scaled))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return scaled[idx[a]] > scaled[idx[b]] })
-		cut := scaled[idx[topK-1]]
-		for i := range scaled {
-			if scaled[i] < cut {
-				scaled[i] = math.Inf(-1)
+	if topK > 0 && topK < len(probs) {
+		cut := kthLargest(probs, topK, scratch[len(logits):][:0])
+		for i := range probs {
+			if probs[i] < cut {
+				probs[i] = math.Inf(-1)
 			}
 		}
 	}
-	probs := tensor.Softmax(scaled)
+	tensor.SoftmaxInto(probs, probs)
 	r := rng.Float64()
 	acc := 0.0
 	for i, p := range probs {
@@ -204,6 +211,30 @@ func SampleToken(rng *rand.Rand, logits []float64, temperature float64, topK int
 		}
 	}
 	return len(probs) - 1
+}
+
+// kthLargest returns the k-th largest value of v (1 <= k <= len(v)),
+// keeping the k largest seen so far in descending order in top's
+// storage: cheap for the small k of top-k sampling, where nearly every
+// value is rejected by one comparison. The value does not depend on
+// the order of v, so cutting at it filters exactly what cutting at
+// position k of a full sort does.
+func kthLargest(v []float64, k int, top []float64) float64 {
+	for _, x := range v {
+		if len(top) == k {
+			if x <= top[k-1] {
+				continue
+			}
+			top = top[:k-1]
+		}
+		i := len(top)
+		top = append(top, x)
+		for ; i > 0 && top[i-1] < x; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = x
+	}
+	return top[k-1]
 }
 
 func argmax(v []float64) int {
@@ -239,11 +270,11 @@ func (m *GPT) Generate(rng *rand.Rand, prompt []int, maxNew int, temperature flo
 		logits, value = s.Next(id)
 	}
 	for n := 0; n < maxNew && s.Pos() < m.Cfg.Ctx; n++ {
-		id := SampleToken(rng, logits, temperature, topK)
+		id := sampleToken(rng, logits, temperature, topK, s.sample)
 		// Log-probabilities are always recorded under the untempered
 		// policy: PPO's ratio compares the same measure at rollout and
 		// optimisation time (temperature only shapes exploration).
-		lp := tensor.LogSoftmax(logits)[id]
+		lp := tensor.LogSoftmaxAt(logits, id)
 		res.Tokens = append(res.Tokens, id)
 		res.LogProbs = append(res.LogProbs, lp)
 		res.Values = append(res.Values, value)

@@ -69,17 +69,18 @@ type Trainer struct {
 // NewTrainer clones the policy as the frozen reference and sets up the
 // optimizer.
 func NewTrainer(policy *nn.GPT, cfg Config, rng *rand.Rand) *Trainer {
-	return NewTrainerWithRef(policy, policy.Clone(), cfg, rng)
+	return NewTrainerWithRef(policy, policy.Clone().Freeze(), cfg, rng)
 }
 
 // NewTrainerWithRef builds a trainer over an explicit policy/reference
 // pair instead of cloning the policy. Fleet learning uses it to
 // construct per-shard replicas: the policy is a shard's deep-copied
-// model and ref a frozen copy of the offline-trained base, so every
-// replica's KL penalty stays anchored to the same distribution no
-// matter how the replicas drift between averaging barriers. rng may be
-// nil when the caller only ever feeds externally collected rollouts
-// through StepRollouts (Step is the only sampler of the rng).
+// model and ref a copy of the offline-trained base, frozen (nn.GPT.Freeze)
+// so that the reference pass builds no tape; every replica's KL
+// penalty stays anchored to the same distribution no matter how the
+// replicas drift between averaging barriers. rng may be nil when the
+// caller only ever feeds externally collected rollouts through
+// StepRollouts (Step is the only sampler of the rng).
 func NewTrainerWithRef(policy, ref *nn.GPT, cfg Config, rng *rand.Rand) *Trainer {
 	return &Trainer{
 		Policy: policy,
@@ -133,11 +134,33 @@ func (t *Trainer) Step(prompts [][]int, reward RewardFunc) Stats {
 	return t.StepRollouts(rolls)
 }
 
+// scoredRows returns, in rollout then token order, the rows of a
+// [B*T, ·] padded batch that predict a generated token: row i*T+pos-1
+// predicts Tokens[pos] of rollout i. PPO consumes these rows only, so
+// the heads, the softmax and the loss run on a gather of them.
+func scoredRows(rolls []*Rollout, T int) []int {
+	var rows []int
+	for i, r := range rolls {
+		for g := range r.LogpOld {
+			rows = append(rows, i*T+r.PromptN+g-1)
+		}
+	}
+	return rows
+}
+
 // StepRollouts runs the PPO update on externally collected rollouts.
+// Rollouts with no generated token (a context-exhausted generation)
+// carry nothing to learn from and are dropped.
 func (t *Trainer) StepRollouts(rolls []*Rollout) Stats {
 	cfg := t.Cfg
 	var stats Stats
-	if len(rolls) == 0 {
+	kept := make([]*Rollout, 0, len(rolls))
+	for _, r := range rolls {
+		if len(r.LogpOld) > 0 {
+			kept = append(kept, r)
+		}
+	}
+	if rolls = kept; len(rolls) == 0 {
 		return stats
 	}
 
@@ -146,16 +169,16 @@ func (t *Trainer) StepRollouts(rolls []*Rollout) Stats {
 	for i, r := range rolls {
 		seqs[i] = r.Tokens
 	}
-	refLogits, refT := t.Ref.Logits(seqs, cfg.PadID)
+	refH, T := t.Ref.Hidden(seqs, cfg.PadID)
+	rows := scoredRows(rolls, T)
+	refLogits := tensor.MatMul(tensor.GatherRows(refH, rows), t.Ref.Head)
 	var klSum float64
 	var klCount int
-	for i, r := range rolls {
+	for _, r := range rolls {
 		gen := len(r.LogpOld)
 		r.rewards = make([]float64, gen)
 		for g := 0; g < gen; g++ {
-			pos := r.PromptN + g // index of the generated token
-			row := refLogits.Row((i*refT + pos - 1))
-			refLp := tensor.LogSoftmax(row)[r.Tokens[pos]]
+			refLp := tensor.LogSoftmaxAt(refLogits.Row(klCount), r.Tokens[r.PromptN+g])
 			kl := r.LogpOld[g] - refLp
 			klSum += kl
 			klCount++
@@ -167,9 +190,7 @@ func (t *Trainer) StepRollouts(rolls []*Rollout) Stats {
 	}
 	stats.MeanReward /= float64(len(rolls))
 	stats.MeanLen /= float64(len(rolls))
-	if klCount > 0 {
-		stats.MeanKL = klSum / float64(klCount)
-	}
+	stats.MeanKL = klSum / float64(klCount)
 
 	// --- GAE ---
 	var advMean, advVar float64
@@ -208,7 +229,7 @@ func (t *Trainer) StepRollouts(rolls []*Rollout) Stats {
 
 	// --- Optimisation phase ---
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		pLoss, vLoss, clipFrac := t.optimize(rolls)
+		pLoss, vLoss, clipFrac := t.optimize(rolls, seqs, rows)
 		if epoch == cfg.Epochs-1 {
 			stats.PolicyLoss, stats.ValueLoss, stats.ClipFrac = pLoss, vLoss, clipFrac
 		}
@@ -217,34 +238,30 @@ func (t *Trainer) StepRollouts(rolls []*Rollout) Stats {
 }
 
 // optimize runs one epoch of clipped-surrogate optimisation over the
-// rollouts and returns (policyLoss, valueLoss, clipFraction).
-func (t *Trainer) optimize(rolls []*Rollout) (float64, float64, float64) {
+// rollouts (seqs their token sequences, rows their scoredRows) and
+// returns (policyLoss, valueLoss, clipFraction).
+func (t *Trainer) optimize(rolls []*Rollout, seqs [][]int, rows []int) (float64, float64, float64) {
 	cfg := t.Cfg
-	seqs := make([][]int, len(rolls))
-	for i, r := range rolls {
-		seqs[i] = r.Tokens
-	}
-	logits, values, T := t.Policy.LogitsAndValues(seqs, cfg.PadID)
-	rows := logits.R
+	// Both heads read the same gather of the scored rows, so backward
+	// sums the value head's and then the LM head's gradient into one
+	// row of it before that row reaches the backbone.
+	hidden, _ := t.Policy.Hidden(seqs, cfg.PadID)
+	h := tensor.GatherRows(hidden, rows)
+	logits := tensor.MatMul(h, t.Policy.Head)
+	values := t.Policy.Values(h)
+	count := h.R
 
-	// Per-row target ids, old logps, advantages, returns, mask.
-	ids := make([]int, rows)
-	logpOld := tensor.New(rows, 1)
-	adv := tensor.New(rows, 1)
-	ret := tensor.New(rows, 1)
-	mask := tensor.New(rows, 1)
-	count := 0
-	for i, r := range rolls {
-		for g := range r.LogpOld {
-			pos := r.PromptN + g
-			row := i*T + pos - 1 // logits row that predicts tokens[pos]
-			ids[row] = r.Tokens[pos]
-			logpOld.Data[row] = r.LogpOld[g]
-			adv.Data[row] = r.adv[g]
-			ret.Data[row] = r.returns[g]
-			mask.Data[row] = 1
-			count++
-		}
+	// Per scored row: target id, old logp, advantage, return.
+	ids := make([]int, 0, count)
+	logpOld := tensor.New(count, 1)
+	adv := tensor.New(count, 1)
+	ret := tensor.New(count, 1)
+	for _, r := range rolls {
+		n := len(ids)
+		ids = append(ids, r.Tokens[r.PromptN:r.PromptN+len(r.LogpOld)]...)
+		copy(logpOld.Data[n:], r.LogpOld)
+		copy(adv.Data[n:], r.adv)
+		copy(ret.Data[n:], r.returns)
 	}
 
 	logpNew := tensor.GatherLogSoftmax(logits, ids)
@@ -253,8 +270,7 @@ func (t *Trainer) optimize(rolls []*Rollout) (float64, float64, float64) {
 	s2 := tensor.Mul(tensor.Clamp(ratio, 1-cfg.ClipEps, 1+cfg.ClipEps), adv)
 	policyLoss := tensor.Scale(tensor.Sum(tensor.Min(s1, s2)), -1/float64(count))
 
-	vErr := tensor.Mul(tensor.Square(tensor.Sub(values, ret)), mask)
-	valueLoss := tensor.Scale(tensor.Sum(vErr), 1/float64(count))
+	valueLoss := tensor.Scale(tensor.Sum(tensor.Square(tensor.Sub(values, ret))), 1/float64(count))
 
 	loss := tensor.Add(policyLoss, tensor.Scale(valueLoss, cfg.VFCoef))
 
@@ -266,8 +282,8 @@ func (t *Trainer) optimize(rolls []*Rollout) (float64, float64, float64) {
 	t.Opt.Step()
 
 	clipped := 0
-	for i := 0; i < rows; i++ {
-		if mask.Data[i] == 1 && math.Abs(ratio.Data[i]-1) > cfg.ClipEps {
+	for _, r := range ratio.Data {
+		if math.Abs(r-1) > cfg.ClipEps {
 			clipped++
 		}
 	}

@@ -1,6 +1,8 @@
 package ppo
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -142,6 +144,11 @@ func TestReferenceModelFrozen(t *testing.T) {
 			t.Fatal("reference model was mutated by training")
 		}
 	}
+	for i, p := range tr.Ref.Params() {
+		if p.Requires() || p.Grad != nil {
+			t.Fatalf("reference parameter %d is not frozen: requires=%v, grad buffer=%v", i, p.Requires(), p.Grad != nil)
+		}
+	}
 	// And the policy itself must have moved.
 	moved := false
 	for i, v := range tr.Policy.TokEmb.Data {
@@ -193,5 +200,113 @@ func TestTrainerWithExplicitRef(t *testing.T) {
 	}
 	if !moved {
 		t.Error("policy did not move after StepRollouts")
+	}
+}
+
+// goldenRollouts samples a fixed-seed batch of mixed-length rollouts
+// (prompts of 2, 3 and 5 tokens, generation budgets 3 to 14) from m.
+func goldenRollouts(m *nn.GPT, rng *rand.Rand) []*Rollout {
+	prompts := [][]int{{0, 5}, {0, 6, 3}, {0, 8, 4, 9, 3}, {0, 9}, {0, 4, 7}, {0, 3}}
+	budgets := []int{3, 14, 9, 12, 5, 14}
+	var rolls []*Rollout
+	for i, p := range prompts {
+		res := m.Generate(rng, p, budgets[i], 1.0, 0, 1)
+		rolls = append(rolls, FromGeneration(res, float64(i%3)-0.5))
+	}
+	return rolls
+}
+
+func weightsSHA(m *nn.GPT) string {
+	sum := sha256.Sum256([]byte(nn.EncodeWeights(m.FlattenParams(nil))))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestGoldenStepRollouts pins the PPO update bit for bit: the SHA-256
+// of the policy's parameters after three StepRollouts on one fixed
+// batch was recorded on the full-row formulation (LM head, softmax and
+// loss over every padded row, triple-loop matmul) and every later
+// formulation must reproduce it. The second and third steps replay
+// the batch against a policy that has moved, so ratios leave 1 and
+// clipped (all-zero gradient) rows occur. CI runs it under
+// GOMAXPROCS=1 and 4: the matmul row split must not reach the result.
+func TestGoldenStepRollouts(t *testing.T) {
+	const want = "5b056a8b53e4cfc4957349e8493d445146acedade910076752921c9f0ea18d9c"
+	m, rng := tinyModel(31)
+	cfg := DefaultConfig(1, 2)
+	cfg.LR = 1e-3
+	tr := NewTrainer(m, cfg, nil)
+	rolls := goldenRollouts(m, rng)
+	lens := map[int]bool{}
+	for _, r := range rolls {
+		lens[len(r.Tokens)] = true
+	}
+	if len(lens) < 3 {
+		t.Fatalf("batch is not mixed-length: %v", lens)
+	}
+	var clip float64
+	for step := 0; step < 3; step++ {
+		batch := make([]*Rollout, len(rolls))
+		for i, r := range rolls {
+			batch[i] = &Rollout{Tokens: r.Tokens, PromptN: r.PromptN, LogpOld: r.LogpOld, Values: r.Values, Score: r.Score}
+		}
+		clip += tr.StepRollouts(batch).ClipFrac
+	}
+	if clip == 0 {
+		t.Error("no step clipped a ratio: the batch does not exercise zero-gradient rows")
+	}
+	if got := weightsSHA(m); got != want {
+		t.Errorf("policy after 3 StepRollouts: sha256 %s, want %s", got, want)
+	}
+}
+
+// TestStepRolloutsDropsEmptyRollouts: a rollout with no generated
+// token (FromGeneration of a context-exhausted result) used to index
+// rewards[-1]. It is dropped: a mixed batch trains exactly as the
+// batch without it, and an all-empty batch is a no-op with zero Stats.
+func TestStepRolloutsDropsEmptyRollouts(t *testing.T) {
+	base, rng := tinyModel(22)
+	empty := func() *Rollout {
+		return FromGeneration(nn.GenerateResult{Tokens: []int{0, 3, 4}, PromptN: 3}, 5)
+	}
+	var full []nn.GenerateResult
+	for _, p := range [][]int{{0, 3}, {0, 4, 5}} {
+		full = append(full, base.Generate(rng, p, 6, 1.0, 0, -1))
+	}
+	train := func(withEmpty bool) (Stats, []float64) {
+		m := base.Clone()
+		tr := NewTrainer(m, DefaultConfig(1, 2), nil)
+		var rolls []*Rollout
+		for i, res := range full {
+			if withEmpty {
+				rolls = append(rolls, empty())
+			}
+			rolls = append(rolls, FromGeneration(res, float64(i)))
+		}
+		if withEmpty {
+			rolls = append(rolls, empty())
+		}
+		return tr.StepRollouts(rolls), m.FlattenParams(nil)
+	}
+	wantStats, want := train(false)
+	gotStats, got := train(true)
+	if gotStats != wantStats {
+		t.Errorf("stats with empty rollouts %+v, without %+v", gotStats, wantStats)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("parameter %d differs when empty rollouts ride along", i)
+		}
+	}
+
+	m := base.Clone()
+	tr := NewTrainer(m, DefaultConfig(1, 2), nil)
+	if st := tr.StepRollouts([]*Rollout{empty(), empty()}); st != (Stats{}) {
+		t.Errorf("all-empty batch returned %+v, want zero Stats", st)
+	}
+	after, before := m.FlattenParams(nil), base.FlattenParams(nil)
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatal("all-empty batch moved the policy")
+		}
 	}
 }

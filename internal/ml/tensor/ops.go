@@ -40,10 +40,7 @@ func LayerNorm(x, gamma, beta *Tensor) *Tensor {
 			or[j] = gamma.Data[j]*h + beta.Data[j]
 		}
 	}
-	out.back = func() {
-		ensureGrad(x)
-		ensureGrad(gamma)
-		ensureGrad(beta)
+	out.onBackward(func() {
 		for i := 0; i < x.R; i++ {
 			gr := out.Grad[i*x.C : (i+1)*x.C]
 			xh := xhat[i*x.C : (i+1)*x.C]
@@ -74,7 +71,7 @@ func LayerNorm(x, gamma, beta *Tensor) *Tensor {
 				}
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -88,11 +85,7 @@ func Embedding(table *Tensor, ids []int) *Tensor {
 		}
 		copy(out.Row(i), table.Row(id))
 	}
-	out.back = func() {
-		if !table.requires {
-			return
-		}
-		ensureGrad(table)
+	out.onBackward(func() {
 		for i, id := range ids {
 			gr := out.Grad[i*out.C : (i+1)*out.C]
 			tg := table.Grad[id*table.C : (id+1)*table.C]
@@ -100,7 +93,28 @@ func Embedding(table *Tensor, ids []int) *Tensor {
 				tg[j] += gr[j]
 			}
 		}
+	})
+	return out
+}
+
+// GatherRows selects rows of a by index, producing [len(rows), a.C];
+// indices may repeat and come in any order. Backward adds each output
+// row's gradient into the row it was read from, in output order. PPO
+// uses it to run the heads and the loss on the scored positions of a
+// padded batch only.
+func GatherRows(a *Tensor, rows []int) *Tensor {
+	out := child(len(rows), a.C, a)
+	for i, r := range rows {
+		copy(out.Row(i), a.Row(r))
 	}
+	out.onBackward(func() {
+		for i, r := range rows {
+			ag := a.Grad[r*a.C : (r+1)*a.C]
+			for j, g := range out.Grad[i*a.C : (i+1)*a.C] {
+				ag[j] += g
+			}
+		}
+	})
 	return out
 }
 
@@ -124,25 +138,28 @@ func CausalSelfAttention(qkv *Tensor, heads, seqLen int) *Tensor {
 	scale := 1 / math.Sqrt(float64(dh))
 
 	out := child(qkv.R, d, qkv)
-	// probs[s][h] is the [T,T] post-softmax attention matrix.
+	// probs[s][h] is the [T,T] post-softmax attention matrix, kept for
+	// backward; a forward that needs no gradients reuses one matrix.
 	probs := make([][][]float64, b)
-
-	qAt := func(s, t, h, j int) float64 { return qkv.Data[(s*seqLen+t)*qkv.C+h*dh+j] }
-	kAt := func(s, t, h, j int) float64 { return qkv.Data[(s*seqLen+t)*qkv.C+d+h*dh+j] }
-	vAt := func(s, t, h, j int) float64 { return qkv.Data[(s*seqLen+t)*qkv.C+2*d+h*dh+j] }
+	var p []float64
 
 	for s := 0; s < b; s++ {
 		probs[s] = make([][]float64, heads)
+		seq := qkv.Data[s*seqLen*qkv.C : (s+1)*seqLen*qkv.C]
 		for h := 0; h < heads; h++ {
-			p := make([]float64, seqLen*seqLen)
+			if p == nil || out.requires {
+				p = make([]float64, seqLen*seqLen)
+			}
 			for t := 0; t < seqLen; t++ {
+				q := seq[t*qkv.C+h*dh : t*qkv.C+h*dh+dh]
 				// Scores over keys 0..t.
 				maxScore := math.Inf(-1)
 				row := p[t*seqLen : (t+1)*seqLen]
 				for u := 0; u <= t; u++ {
+					k := seq[u*qkv.C+d+h*dh : u*qkv.C+d+h*dh+dh]
 					sum := 0.0
-					for j := 0; j < dh; j++ {
-						sum += qAt(s, t, h, j) * kAt(s, u, h, j)
+					for j, qv := range q {
+						sum += qv * k[j]
 					}
 					row[u] = sum * scale
 					if row[u] > maxScore {
@@ -158,14 +175,15 @@ func CausalSelfAttention(qkv *Tensor, heads, seqLen int) *Tensor {
 					row[u] /= z
 				}
 				// Output = P·V.
-				or := out.Row(s*seqLen + t)
+				or := out.Data[(s*seqLen+t)*d+h*dh : (s*seqLen+t)*d+h*dh+dh]
 				for u := 0; u <= t; u++ {
 					pu := row[u]
 					if pu == 0 {
 						continue
 					}
-					for j := 0; j < dh; j++ {
-						or[h*dh+j] += pu * vAt(s, u, h, j)
+					v := seq[u*qkv.C+2*d+h*dh : u*qkv.C+2*d+h*dh+dh]
+					for j := range or {
+						or[j] += pu * v[j]
 					}
 				}
 			}
@@ -173,28 +191,24 @@ func CausalSelfAttention(qkv *Tensor, heads, seqLen int) *Tensor {
 		}
 	}
 
-	out.back = func() {
-		if !qkv.requires {
-			return
-		}
-		ensureGrad(qkv)
-		gq := func(s, t, h, j int, v float64) { qkv.Grad[(s*seqLen+t)*qkv.C+h*dh+j] += v }
-		gk := func(s, t, h, j int, v float64) { qkv.Grad[(s*seqLen+t)*qkv.C+d+h*dh+j] += v }
-		gv := func(s, t, h, j int, v float64) { qkv.Grad[(s*seqLen+t)*qkv.C+2*d+h*dh+j] += v }
-
+	out.onBackward(func() {
+		dp := make([]float64, seqLen)
 		for s := 0; s < b; s++ {
+			seq := qkv.Data[s*seqLen*qkv.C : (s+1)*seqLen*qkv.C]
+			gseq := qkv.Grad[s*seqLen*qkv.C : (s+1)*seqLen*qkv.C]
 			for h := 0; h < heads; h++ {
 				p := probs[s][h]
 				for t := 0; t < seqLen; t++ {
 					do := out.Grad[(s*seqLen+t)*d+h*dh : (s*seqLen+t)*d+h*dh+dh]
 					row := p[t*seqLen : (t+1)*seqLen]
 					// dV and dP.
-					dp := make([]float64, t+1)
 					for u := 0; u <= t; u++ {
+						v := seq[u*qkv.C+2*d+h*dh : u*qkv.C+2*d+h*dh+dh]
+						gv := gseq[u*qkv.C+2*d+h*dh : u*qkv.C+2*d+h*dh+dh]
 						var sum float64
-						for j := 0; j < dh; j++ {
-							gv(s, u, h, j, row[u]*do[j])
-							sum += do[j] * vAt(s, u, h, j)
+						for j, g := range do {
+							gv[j] += row[u] * g
+							sum += g * v[j]
 						}
 						dp[u] = sum
 					}
@@ -203,20 +217,24 @@ func CausalSelfAttention(qkv *Tensor, heads, seqLen int) *Tensor {
 					for u := 0; u <= t; u++ {
 						dot += dp[u] * row[u]
 					}
+					q := seq[t*qkv.C+h*dh : t*qkv.C+h*dh+dh]
+					gq := gseq[t*qkv.C+h*dh : t*qkv.C+h*dh+dh]
 					for u := 0; u <= t; u++ {
 						ds := row[u] * (dp[u] - dot) * scale
 						if ds == 0 {
 							continue
 						}
-						for j := 0; j < dh; j++ {
-							gq(s, t, h, j, ds*kAt(s, u, h, j))
-							gk(s, u, h, j, ds*qAt(s, t, h, j))
+						k := seq[u*qkv.C+d+h*dh : u*qkv.C+d+h*dh+dh]
+						gk := gseq[u*qkv.C+d+h*dh : u*qkv.C+d+h*dh+dh]
+						for j := range gq {
+							gq[j] += ds * k[j]
+							gk[j] += ds * q[j]
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -237,18 +255,17 @@ func CrossEntropy(logits *Tensor, targets []int) *Tensor {
 		}
 		row := logits.Row(i)
 		sm := soft[i*logits.C : (i+1)*logits.C]
-		softmaxInto(sm, row)
+		SoftmaxInto(sm, row)
 		loss += -math.Log(math.Max(sm[targets[i]], 1e-300))
 		count++
 	}
 	if count > 0 {
 		out.Data[0] = loss / float64(count)
 	}
-	out.back = func() {
-		if !logits.requires || count == 0 {
+	out.onBackward(func() {
+		if count == 0 {
 			return
 		}
-		ensureGrad(logits)
 		g := out.Grad[0] / float64(count)
 		for i := 0; i < logits.R; i++ {
 			if targets[i] < 0 {
@@ -261,7 +278,7 @@ func CrossEntropy(logits *Tensor, targets []int) *Tensor {
 			}
 			lg[targets[i]] -= g
 		}
-	}
+	})
 	return out
 }
 
@@ -277,14 +294,10 @@ func GatherLogSoftmax(logits *Tensor, ids []int) *Tensor {
 	for i := 0; i < logits.R; i++ {
 		row := logits.Row(i)
 		sm := soft[i*logits.C : (i+1)*logits.C]
-		softmaxInto(sm, row)
+		SoftmaxInto(sm, row)
 		out.Data[i] = math.Log(math.Max(sm[ids[i]], 1e-300))
 	}
-	out.back = func() {
-		if !logits.requires {
-			return
-		}
-		ensureGrad(logits)
+	out.onBackward(func() {
 		for i := 0; i < logits.R; i++ {
 			g := out.Grad[i]
 			if g == 0 {
@@ -297,12 +310,13 @@ func GatherLogSoftmax(logits *Tensor, ids []int) *Tensor {
 			}
 			lg[ids[i]] += g
 		}
-	}
+	})
 	return out
 }
 
-// softmaxInto writes softmax(src) into dst (no autograd).
-func softmaxInto(dst, src []float64) {
+// SoftmaxInto writes softmax(src) into dst, which may be src itself
+// (no autograd).
+func SoftmaxInto(dst, src []float64) {
 	maxV := math.Inf(-1)
 	for _, v := range src {
 		if v > maxV {
@@ -320,16 +334,9 @@ func softmaxInto(dst, src []float64) {
 	}
 }
 
-// Softmax returns softmax over a slice (no autograd; sampling helper).
-func Softmax(src []float64) []float64 {
-	out := make([]float64, len(src))
-	softmaxInto(out, src)
-	return out
-}
-
-// LogSoftmax returns log-softmax over a slice (no autograd).
-func LogSoftmax(src []float64) []float64 {
-	out := make([]float64, len(src))
+// LogSoftmaxAt returns entry id of log-softmax(src) without building
+// the vector (no autograd): the log-probability of one token.
+func LogSoftmaxAt(src []float64, id int) float64 {
 	maxV := math.Inf(-1)
 	for _, v := range src {
 		if v > maxV {
@@ -340,9 +347,5 @@ func LogSoftmax(src []float64) []float64 {
 	for _, v := range src {
 		z += math.Exp(v - maxV)
 	}
-	lz := math.Log(z) + maxV
-	for i, v := range src {
-		out[i] = v - lz
-	}
-	return out
+	return src[id] - (math.Log(z) + maxV)
 }

@@ -6,8 +6,21 @@
 // scatters gradients into its parents; Backward topologically sorts
 // the tape and runs the closures. Ops are specialised for the
 // transformer workload (matmul, layer norm, GELU, fused causal
-// attention, embedding gather, cross-entropy) rather than offering
-// general broadcasting.
+// attention, embedding and row gathers, cross-entropy) rather than
+// offering general broadcasting. An op whose inputs require no
+// gradients returns a plain value and records nothing, so a frozen
+// model's forward pass costs its arithmetic and nothing else.
+//
+// Matrix products run as three kernels, one per form autograd needs:
+// A×B forward (mulAB), dOut×Bᵀ for the input gradient (mulABt) and
+// Aᵀ×dOut for the weight gradient (mulAtB). All three share one
+// guarantee, which the fleet's bit-identical trajectories rest on:
+// an output element is the sum of its k products added one at a time
+// in ascending inner index, on top of what the destination held, with
+// the products of a zero left-hand factor skipped — exactly the order
+// of the naive triple loop (matmulRef in the tests). Blocking, register
+// accumulation and the parallel row split only change which elements
+// are in flight together, never the order within one.
 //chatfuzz:deterministic package
 package tensor
 
@@ -54,6 +67,13 @@ func FromSlice(r, c int, data []float64) *Tensor {
 // Requires reports whether the tensor participates in gradients.
 func (t *Tensor) Requires() bool { return t.requires }
 
+// Detach turns a parameter into a constant: it stops requiring
+// gradients and drops its gradient buffer.
+func (t *Tensor) Detach() {
+	t.requires = false
+	t.Grad = nil
+}
+
 // At returns element (i, j).
 func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.C+j] }
 
@@ -82,26 +102,29 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // child creates the result tensor of an op over parents, inheriting
-// gradient participation.
+// gradient participation. A result none of whose parents requires
+// gradients is a plain value: no Grad buffer, no link to its parents
+// and (onBackward) no backward step, so a forward pass over frozen
+// parameters leaves no tape behind and its intermediates are garbage
+// as soon as the next op has read them.
 func child(r, c int, parents ...*Tensor) *Tensor {
 	t := New(r, c)
 	for _, p := range parents {
 		if p.requires {
 			t.requires = true
+			t.Grad = make([]float64, r*c)
+			t.prev = parents
 			break
 		}
 	}
-	if t.requires {
-		t.Grad = make([]float64, r*c)
-	}
-	t.prev = parents
 	return t
 }
 
-// ensureGrad allocates the gradient buffer of an intermediate node.
-func ensureGrad(t *Tensor) {
-	if t.requires && t.Grad == nil {
-		t.Grad = make([]float64, len(t.Data))
+// onBackward registers an op's backward step, which adds t.Grad into
+// the parents that require gradients, unless t takes no part in them.
+func (t *Tensor) onBackward(back func()) {
+	if t.requires {
+		t.back = back
 	}
 }
 
@@ -158,9 +181,7 @@ func binOp(a, b *Tensor, f func(x, y float64) float64,
 	for i := range out.Data {
 		out.Data[i] = f(a.Data[i], b.Data[i])
 	}
-	out.back = func() {
-		ensureGrad(a)
-		ensureGrad(b)
+	out.onBackward(func() {
 		for i, g := range out.Grad {
 			if a.requires {
 				a.Grad[i] += g * dfa(a.Data[i], b.Data[i])
@@ -169,7 +190,7 @@ func binOp(a, b *Tensor, f func(x, y float64) float64,
 				b.Grad[i] += g * dfb(a.Data[i], b.Data[i])
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -179,15 +200,11 @@ func unOp(a *Tensor, f, df func(x float64) float64) *Tensor {
 	for i := range out.Data {
 		out.Data[i] = f(a.Data[i])
 	}
-	out.back = func() {
-		ensureGrad(a)
-		if !a.requires {
-			return
-		}
+	out.onBackward(func() {
 		for i, g := range out.Grad {
 			a.Grad[i] += g * df(a.Data[i])
 		}
-	}
+	})
 	return out
 }
 
@@ -277,7 +294,10 @@ func Clamp(a *Tensor, lo, hi float64) *Tensor {
 // geluCoef is sqrt(2/pi) of the tanh GELU approximation.
 var geluCoef = math.Sqrt(2 / math.Pi)
 
-func geluF(x float64) float64 {
+// GELUScalar is the tanh-approximated GELU of one value: the single
+// definition behind the GELU op and the incremental sampler, so the
+// sampled and the trained policy cannot drift apart.
+func GELUScalar(x float64) float64 {
 	return 0.5 * x * (1 + math.Tanh(geluCoef*(x+0.044715*x*x*x)))
 }
 
@@ -290,7 +310,7 @@ func geluDF(x float64) float64 {
 
 // GELU applies the Gaussian error linear unit (tanh approximation, as
 // in GPT-2).
-func GELU(a *Tensor) *Tensor { return unOp(a, geluF, geluDF) }
+func GELU(a *Tensor) *Tensor { return unOp(a, GELUScalar, geluDF) }
 
 // Mean reduces to a scalar [1,1].
 func Mean(a *Tensor) *Tensor {
@@ -301,16 +321,12 @@ func Mean(a *Tensor) *Tensor {
 	}
 	n := float64(len(a.Data))
 	out.Data[0] = sum / n
-	out.back = func() {
-		ensureGrad(a)
-		if !a.requires {
-			return
-		}
+	out.onBackward(func() {
 		g := out.Grad[0] / n
 		for i := range a.Grad {
 			a.Grad[i] += g
 		}
-	}
+	})
 	return out
 }
 
@@ -322,16 +338,12 @@ func Sum(a *Tensor) *Tensor {
 		s += v
 	}
 	out.Data[0] = s
-	out.back = func() {
-		ensureGrad(a)
-		if !a.requires {
-			return
-		}
+	out.onBackward(func() {
 		g := out.Grad[0]
 		for i := range a.Grad {
 			a.Grad[i] += g
 		}
-	}
+	})
 	return out
 }
 
@@ -348,79 +360,166 @@ func MatMul(a, b *Tensor) *Tensor {
 	}
 	m, k, n := a.R, a.C, b.C
 	out := child(m, n, a, b)
-	matmulInto(out.Data, a.Data, b.Data, m, k, n, false, false)
-	out.back = func() {
-		ensureGrad(a)
-		ensureGrad(b)
+	matmulInto(mulAB, out.Data, a.Data, b.Data, m, k, n)
+	out.onBackward(func() {
 		if a.requires {
-			// dA = dOut × Bᵀ
-			matmulInto(a.Grad, out.Grad, b.Data, m, n, k, false, true)
+			matmulInto(mulABt, a.Grad, out.Grad, b.Data, m, n, k)
 		}
 		if b.requires {
-			// dB = Aᵀ × dOut
-			matmulInto(b.Grad, a.Data, out.Grad, k, m, n, true, false)
+			matmulInto(mulAtB, b.Grad, a.Data, out.Grad, k, m, n)
 		}
-	}
+	})
 	return out
 }
 
-// matmulInto computes dst += A×B (with optional transposes) where the
-// logical shapes after transposition are [m,k]×[k,n]. dst is
-// accumulated into, allowing gradient accumulation.
-func matmulInto(dst, a, b []float64, m, k, n int, transA, transB bool) {
-	work := m * k * n
-	rows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			di := dst[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				var av float64
-				if transA {
-					av = a[p*m+i]
-				} else {
-					av = a[i*k+p]
-				}
-				if av == 0 {
-					continue
-				}
-				if transB {
-					for j := 0; j < n; j++ {
-						di[j] += av * b[j*k+p]
-					}
-				} else {
-					bp := b[p*n : p*n+n]
-					for j := 0; j < n; j++ {
-						di[j] += av * bp[j]
-					}
-				}
-			}
-		}
-	}
-	if work < matmulThreshold {
-		rows(0, m)
-		return
-	}
+// matmulInto runs kern over the m rows of dst ([m,n], accumulated
+// into, so gradients add up), in parallel row ranges once the m*k*n
+// multiply-adds pass matmulThreshold. Every element of dst belongs to
+// exactly one range and a kernel adds its k products in ascending p,
+// skipping those whose A-side factor is zero, so the bits of the
+// result do not depend on the worker count.
+func matmulInto(kern func(dst, a, b []float64, m, k, n, lo, hi int), dst, a, b []float64, m, k, n int) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > m {
 		workers = m
 	}
+	if m*k*n < matmulThreshold || workers < 2 {
+		kern(dst, a, b, m, k, n, 0, m)
+		return
+	}
 	var wg sync.WaitGroup
 	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < m; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			rows(lo, hi)
-		}(lo, hi)
+			kern(dst, a, b, m, k, n, lo, hi)
+		}(lo, min(lo+chunk, m))
 	}
 	wg.Wait()
+}
+
+// mulAB is the forward kernel, dst += A×B with A [m,k] and B [k,n]:
+// a row of dst takes the rows of B scaled by its row of A.
+func mulAB(dst, a, b []float64, m, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		di, ai := dst[i*n:(i+1)*n], a[i*k:(i+1)*k]
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			axpy4(di, ai[p], ai[p+1], ai[p+2], ai[p+3], b[p*n:(p+4)*n])
+		}
+		for ; p < k; p++ {
+			axpy(di, ai[p], b[p*n:(p+1)*n])
+		}
+	}
+}
+
+// mulABt is the input-gradient kernel, dst += A×Bᵀ with A [m,k] (the
+// output gradient) and B [n,k] (the weights): each element is a dot
+// product of two contiguous rows, accumulated in a register on top of
+// what dst held, four columns at a time so the additions of one
+// element stay in order while those of its neighbours overlap.
+func mulABt(dst, a, b []float64, m, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		ai := a[i*k : (i+1)*k]
+		if allZero(ai) {
+			continue
+		}
+		di := dst[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0, b1 := b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k]
+			b2, b3 := b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k]
+			s0, s1, s2, s3 := di[j], di[j+1], di[j+2], di[j+3]
+			for p, av := range ai {
+				if av != 0 {
+					s0 += av * b0[p]
+					s1 += av * b1[p]
+					s2 += av * b2[p]
+					s3 += av * b3[p]
+				}
+			}
+			di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			bj, s := b[j*k:(j+1)*k], di[j]
+			for p, av := range ai {
+				if av != 0 {
+					s += av * bj[p]
+				}
+			}
+			di[j] = s
+		}
+	}
+}
+
+// mulAtB is the weight-gradient kernel, dst += Aᵀ×B with A stored
+// [k,m] (the activations) and B [k,n] (the output gradient). p is the
+// outer loop, so B streams through once while the range's rows of dst
+// stay cached, and rows of B that are all zero (padded or clipped
+// positions) are skipped once instead of being multiplied into every
+// row of dst: their ±0 products would leave every sum as it is.
+func mulAtB(dst, a, b []float64, m, k, n, lo, hi int) {
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		bp := b[p*n : (p+4)*n]
+		if allZero(bp) {
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			axpy4(dst[i*n:(i+1)*n], a[p*m+i], a[(p+1)*m+i], a[(p+2)*m+i], a[(p+3)*m+i], bp)
+		}
+	}
+	for ; p < k; p++ {
+		if bp := b[p*n : (p+1)*n]; !allZero(bp) {
+			for i := lo; i < hi; i++ {
+				axpy(dst[i*n:(i+1)*n], a[p*m+i], bp)
+			}
+		}
+	}
+}
+
+// axpy computes dst += a*x unless a is zero.
+func axpy(dst []float64, a float64, x []float64) {
+	if a == 0 {
+		return
+	}
+	x = x[:len(dst)]
+	for j := range dst {
+		dst[j] += a * x[j]
+	}
+}
+
+// axpy4 is four axpys in a row, of the four rows of x: when no factor
+// is zero, in one pass that holds each element of dst in a register
+// while it takes its four products in order.
+func axpy4(dst []float64, a0, a1, a2, a3 float64, x []float64) {
+	n := len(dst)
+	x0, x1, x2, x3 := x[:n], x[n:2*n], x[2*n:3*n], x[3*n:4*n]
+	if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+		axpy(dst, a0, x0)
+		axpy(dst, a1, x1)
+		axpy(dst, a2, x2)
+		axpy(dst, a3, x3)
+		return
+	}
+	for j := range dst {
+		d := dst[j]
+		d += a0 * x0[j]
+		d += a1 * x1[j]
+		d += a2 * x2[j]
+		d += a3 * x3[j]
+		dst[j] = d
+	}
+}
+
+func allZero(v []float64) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // AddBias adds a [1,C] bias row to every row of a [R,C] tensor.
@@ -435,9 +534,7 @@ func AddBias(a, bias *Tensor) *Tensor {
 			or[j] = ar[j] + bias.Data[j]
 		}
 	}
-	out.back = func() {
-		ensureGrad(a)
-		ensureGrad(bias)
+	out.onBackward(func() {
 		for i := 0; i < a.R; i++ {
 			gr := out.Grad[i*a.C : (i+1)*a.C]
 			if a.requires {
@@ -452,6 +549,6 @@ func AddBias(a, bias *Tensor) *Tensor {
 				}
 			}
 		}
-	}
+	})
 	return out
 }

@@ -233,7 +233,8 @@ func TestSoftmaxProperties(t *testing.T) {
 			}
 			vals[i] = math.Mod(vals[i], 50)
 		}
-		sm := Softmax(vals)
+		sm := make([]float64, len(vals))
+		SoftmaxInto(sm, vals)
 		sum := 0.0
 		for _, v := range sm {
 			if v < 0 || v > 1 {
@@ -280,5 +281,134 @@ func TestCloneDetaches(t *testing.T) {
 	}
 	if c.prev != nil {
 		t.Error("clone must be detached from the tape")
+	}
+}
+
+func TestGradGatherRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	a := randParam(rng, 5, 3)
+	w := randParam(rng, 3, 2)
+	rows := []int{4, 1, 1, 0, 4, 4} // repeated and out of order; rows 2 and 3 unread
+	gradCheck(t, "gatherrows", []*Tensor{a},
+		func() *Tensor { return Mean(Square(GatherRows(a, rows))) }, 1e-6)
+	// Two consumers of one gather, as PPO's two heads are.
+	gradCheck(t, "gatherrows-shared", []*Tensor{a, w}, func() *Tensor {
+		g := GatherRows(a, rows)
+		return Add(Mean(MatMul(g, w)), Mean(Square(g)))
+	}, 1e-5)
+}
+
+// matmulRef is the triple loop matmulInto was before it became three
+// kernels, kept as the oracle of their addition order: dst += A×B for
+// logical shapes [m,k]×[k,n], p ascending per element, products whose
+// A-side factor is zero skipped.
+func matmulRef(dst, a, b []float64, m, k, n int, transA, transB bool) {
+	for i := 0; i < m; i++ {
+		di := dst[i*n : (i+1)*n]
+		for p := 0; p < k; p++ {
+			var av float64
+			if transA {
+				av = a[p*m+i]
+			} else {
+				av = a[i*k+p]
+			}
+			if av == 0 {
+				continue
+			}
+			if transB {
+				for j := 0; j < n; j++ {
+					di[j] += av * b[j*k+p]
+				}
+			} else {
+				bp := b[p*n : p*n+n]
+				for j := 0; j < n; j++ {
+					di[j] += av * bp[j]
+				}
+			}
+		}
+	}
+}
+
+// TestMatmulKernelsBitExact asserts Float64bits equality of the three
+// kernels against matmulRef: random shapes on both sides of
+// matmulThreshold (so both the serial and the row-split path run; CI
+// repeats it under GOMAXPROCS=1 and 4), operands with scattered zeros
+// and whole zero rows, and a dst that already holds non-zero values.
+func TestMatmulKernelsBitExact(t *testing.T) {
+	forms := []struct {
+		name           string
+		kern           func(dst, a, b []float64, m, k, n, lo, hi int)
+		transA, transB bool
+	}{
+		{"A×B", mulAB, false, false},
+		{"A×Bᵀ", mulABt, false, true},
+		{"Aᵀ×B", mulAtB, true, false},
+	}
+	rng := rand.New(rand.NewSource(14))
+	fill := func(rows, cols int) []float64 {
+		v := make([]float64, rows*cols)
+		for i := range v {
+			if rng.Intn(5) > 0 {
+				v[i] = rng.NormFloat64()
+			}
+		}
+		for r := 0; r < rows; r++ {
+			if rng.Intn(4) == 0 {
+				clear(v[r*cols : (r+1)*cols])
+			}
+		}
+		return v
+	}
+	for trial := 0; trial < 60; trial++ {
+		hi := 12
+		if trial%2 == 1 {
+			hi = 72 // up to 72³ multiply-adds: most trials cross 1<<16
+		}
+		m, k, n := 1+rng.Intn(hi), 1+rng.Intn(hi), 1+rng.Intn(hi)
+		for _, f := range forms {
+			// Stored shapes: A is [k,m] when transposed, B [n,k].
+			a, b := fill(m, k), fill(k, n)
+			if f.transA {
+				a = fill(k, m)
+			}
+			if f.transB {
+				b = fill(n, k)
+			}
+			got := make([]float64, m*n)
+			for i := range got {
+				got[i] = rng.NormFloat64()
+			}
+			want := append([]float64(nil), got...)
+			matmulRef(want, a, b, m, k, n, f.transA, f.transB)
+			matmulInto(f.kern, got, a, b, m, k, n)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s %dx%dx%d (work %d): element %d = %x, reference %x",
+						f.name, m, k, n, m*k*n, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestFrozenForwardBuildsNoTape: an op over inputs that require no
+// gradients returns a plain value — no Grad, no parents, no backward
+// closure keeping its inputs alive.
+func TestFrozenForwardBuildsNoTape(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	x, w, g, b := randParam(rng, 4, 6), randParam(rng, 6, 6), randParam(rng, 1, 6), randParam(rng, 1, 6)
+	for _, p := range []*Tensor{x, w, g, b} {
+		p.Detach()
+	}
+	outs := []*Tensor{
+		MatMul(x, w), AddBias(x, g), LayerNorm(x, g, b), GELU(x), Add(x, x), Sum(x), Mean(x),
+		Embedding(w, []int{0, 5}), GatherRows(x, []int{3, 3}), CausalSelfAttention(x, 1, 2),
+		CrossEntropy(x, []int{0, 1, 2, 3}), GatherLogSoftmax(x, []int{0, 1, 2, 3}),
+	}
+	for i, o := range outs {
+		if o.Requires() || o.Grad != nil || o.prev != nil || o.back != nil {
+			t.Errorf("op %d over detached inputs left a tape: requires=%v grad=%v prev=%d back=%v",
+				i, o.Requires(), o.Grad != nil, len(o.prev), o.back != nil)
+		}
 	}
 }

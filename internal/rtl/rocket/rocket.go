@@ -5,7 +5,8 @@
 // coverage.
 //
 // The model deliberately contains the five RocketCore findings the
-// paper reports (see DESIGN.md §4):
+// paper reports (PAPER.md; `fuzz-bench -exp findings` renders the
+// detector's view of them):
 //
 //   - Bug1 (CWE-1202): the I-cache is not coherent with stores; only
 //     FENCE.I flushes it, so self-modifying code without FENCE.I
