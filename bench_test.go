@@ -9,7 +9,6 @@
 package chatfuzz
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -282,11 +281,11 @@ func BenchmarkAblationBaselines(b *testing.B) {
 // a single TheHuzz campaign at the same total test budget, reporting
 // the merged fleet coverage, the fleet's virtual wall-clock speedup
 // from sharding, and the real wall-clock speedup of running the fleet
-// on per-shard execution engines versus the seed fork-join loop.
+// on the production executor versus the reference oracle.
 func BenchmarkCampaignOrchestrator(b *testing.B) {
 	p := benchPipeline(b)
 	newFleet := func(serial bool) *campaign.Orchestrator {
-		o, err := campaign.New(campaign.Config{Shards: 4, BatchSize: 16, Seed: 1, Serial: serial},
+		o, err := campaign.New(campaign.Config{Shards: 4, BatchSize: 16, Seed: 1, Exec: campaign.Exec{Serial: serial}},
 			func() rtl.DUT { return rocket.New() },
 			campaign.LLMArm(p),
 			campaign.TheHuzzArm(benchBody),
@@ -416,9 +415,8 @@ func BenchmarkOnlineLearning(b *testing.B) {
 // BOOM's out-of-order core simulates several times slower than
 // Rocket), while the toy core models here run in tens of
 // microseconds. Each run therefore carries a per-test rig latency —
-// still ~100x faster than the modelled VCS rigs, so the scheduling
-// benchmark stays conservative — which makes the fleet heterogeneous
-// the same way a real Rocket+BOOM farm is. rigDUT deliberately does
+// still ~100x faster than the modelled VCS rigs — which makes the
+// fleet heterogeneous the same way a real Rocket+BOOM farm is. rigDUT deliberately does
 // not implement rtl.ReusableDUT: the latency is part of Run.
 type rigDUT struct {
 	rtl.DUT
@@ -432,319 +430,11 @@ func (r *rigDUT) Run(img mem.Image, maxInsts int) rtl.Result {
 	return r.DUT.Run(img, maxInsts)
 }
 
-// BenchmarkFleetPool is the work-stealing acceptance benchmark: the
-// same skewed mixed fleet — Rocket and (slower) BOOM rigs, with the
-// online-learning LLM arm paying its generation and PPO updates on
-// its shard's critical path — timed on per-shard execution pools
-// (PR 2's layout: every shard owns its workers, so a shard's batch
-// simulates serially on its own rig) and on the fleet-level
-// work-stealing pool (one shared scheduler, design-affine workers,
-// helping committers, so idle shards' capacity drains the slow
-// design's queue). Reported metrics: the wall-clock speedup of the
-// fleet pool, its worker utilization (busy time over workers ×
-// elapsed, committer help separately), the shrink in summed barrier
-// wait, and the steal/migration counts. The two runs' trajectories
-// are asserted (not just reported) to be bit-identical, so the ratio
-// measures pure scheduling efficiency.
-//
-// Since PR 9 both timed runs also carry the sub-round pipeline
-// (RoundBatches 2, Inflight 4): feedback-free rounds submit their
-// second batch while the first still simulates and drains through the
-// in-order committer, which keeps the pool's stealable queue full
-// between barriers. A third, untimed run on the seed fork-join loop
-// (Config.Serial — no engines, no pipeline) is the determinism
-// reference: the pipelined fleet pool must reproduce its trajectory
-// and checkpoint bytes bit for bit.
-func BenchmarkFleetPool(b *testing.B) {
-	// Test-scale pipeline: generation stays cheap next to the rig
-	// latency, as in the paper's regime, leaving the PPO update as
-	// the learning shard's unstealable critical-path skew.
-	p := core.NewPipeline(core.TestPipelineConfig())
-	const tests = 512
-	newDUTs := []func() rtl.DUT{
-		func() rtl.DUT { return &rigDUT{DUT: rocket.New(), latency: 8 * time.Millisecond} },
-		func() rtl.DUT { return &rigDUT{DUT: boom.New(), latency: 24 * time.Millisecond} },
-	}
-	arms := []campaign.ArmSpec{
-		campaign.LearningLLMArm(p),
-		campaign.TheHuzzArm(benchBody),
-		campaign.RandInstArm(benchBody),
-		campaign.RandFuzzArm(benchBody),
-	}
-	newFleet := func(fleet, serial bool) *campaign.Orchestrator {
-		// RoundBatches and Inflight are identical across all three runs
-		// (Inflight is execution-only and the serial path ignores it),
-		// so the trajectories stay comparable bit for bit.
-		cfg := campaign.Config{Shards: 8, BatchSize: 16, RoundBatches: 2, Seed: 1, Detect: true,
-			Probe: true, Serial: serial, FleetPool: fleet, Inflight: 4}
-		if fleet {
-			// Rig work is latency-bound, not core-bound: workers beyond
-			// GOMAXPROCS still buy overlap, exactly as they would
-			// against external simulator processes.
-			cfg.PoolWorkers = 12
-		}
-		o, err := campaign.NewMixed(cfg, newDUTs, arms...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return o
-	}
-	ckpt := func(o *campaign.Orchestrator) []byte {
-		var buf bytes.Buffer
-		if err := o.Checkpoint(&buf); err != nil {
-			b.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	// Warm the harness caches and code paths outside the timings.
-	w := newFleet(true, false)
-	w.RunTests(128)
-	w.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		perShard := newFleet(false, false)
-		perShard.RunTests(tests)
-		tShard := time.Since(t0)
-
-		t1 := time.Now()
-		fleet := newFleet(true, false)
-		fleet.RunTests(tests)
-		tFleet := time.Since(t1)
-
-		wantTraj, gotTraj := perShard.Trajectory(), fleet.Trajectory()
-		if len(wantTraj) != len(gotTraj) {
-			b.Fatalf("fleet-pool trajectory has %d points, per-shard has %d", len(gotTraj), len(wantTraj))
-		}
-		for j := range wantTraj {
-			if wantTraj[j] != gotTraj[j] {
-				b.Fatalf("fleet-pool trajectory diverges at round %d: %+v vs %+v", j, gotTraj[j], wantTraj[j])
-			}
-		}
-
-		// The pipelined pool against the seed fork-join loop: the
-		// strongest form of the determinism invariant — no engines, no
-		// window, no pool on the reference side — asserted on both the
-		// trajectory and the checkpoint bytes.
-		serialRef := newFleet(false, true)
-		serialRef.RunTests(tests)
-		refTraj := serialRef.Trajectory()
-		if len(refTraj) != len(gotTraj) {
-			b.Fatalf("serial reference trajectory has %d points, pipelined fleet has %d", len(refTraj), len(gotTraj))
-		}
-		for j := range refTraj {
-			if refTraj[j] != gotTraj[j] {
-				b.Fatalf("pipelined fleet diverges from the serial reference at round %d: %+v vs %+v",
-					j, gotTraj[j], refTraj[j])
-			}
-		}
-		if !bytes.Equal(ckpt(serialRef), ckpt(fleet)) {
-			b.Fatal("pipelined fleet checkpoint differs from the serial reference checkpoint")
-		}
-		serialRef.Close()
-
-		st, ok := fleet.PoolStats()
-		if !ok {
-			b.Fatal("fleet run reported no pool stats")
-		}
-		b.ReportMetric(tShard.Seconds()/tFleet.Seconds(), "fleet_speedup_x")
-		b.ReportMetric(100*st.WorkerBusy.Seconds()/(float64(st.Workers)*tFleet.Seconds()), "pool_util_%")
-		b.ReportMetric(100*st.HelperBusy.Seconds()/tFleet.Seconds(), "helper_busy_%")
-		b.ReportMetric(float64(st.Stolen), "steals")
-		b.ReportMetric(float64(st.Migrations), "migrations")
-		vals := map[string]float64{
-			"fleet_speedup_x": tShard.Seconds() / tFleet.Seconds(),
-			"pool_util_pct":   100 * st.WorkerBusy.Seconds() / (float64(st.Workers) * tFleet.Seconds()),
-			"helper_busy_pct": 100 * st.HelperBusy.Seconds() / tFleet.Seconds(),
-			"steals":          float64(st.Stolen),
-			"migrations":      float64(st.Migrations),
-		}
-		ps, fs := perShard.ProbeSummary(), fleet.ProbeSummary()
-		if fs.BarrierWait > 0 {
-			b.ReportMetric(ps.BarrierWait.Seconds()/fs.BarrierWait.Seconds(), "barrier_shrink_x")
-			vals["barrier_shrink_x"] = ps.BarrierWait.Seconds() / fs.BarrierWait.Seconds()
-		}
-		// The stealable half alone: sim-finish skew, with the learning
-		// step's single-threaded barrier time (identical in both runs)
-		// excluded. This is the ratio the pool is actually responsible
-		// for; BenchmarkOffBarrier gates on it with learning moved off
-		// the barrier entirely.
-		if fs.SimWait > 0 {
-			b.ReportMetric(ps.SimWait.Seconds()/fs.SimWait.Seconds(), "sim_shrink_x")
-			vals["sim_shrink_x"] = ps.SimWait.Seconds() / fs.SimWait.Seconds()
-		}
-		b.ReportMetric(fleet.Coverage(), "fleet_%")
-		vals["fleet_coverage_pct"] = fleet.Coverage()
-		emitBench(b, 5, vals)
-		b.ReportMetric(float64(fs.PipelinedBatches), "pipelined_batches")
-		b.ReportMetric(float64(fs.InflightDepth), "inflight_depth")
-		emitBench(b, 9, map[string]float64{
-			"fleet_speedup_x":   tShard.Seconds() / tFleet.Seconds(),
-			"pipelined_batches": float64(fs.PipelinedBatches),
-			"inflight_depth":    float64(fs.InflightDepth),
-			"snap_hits":         float64(fs.SnapHits),
-			"snap_misses":       float64(fs.SnapMisses),
-		})
-		perShard.Close()
-		fleet.Close()
-	}
-}
-
-// BenchmarkOffBarrier is the off-barrier learning acceptance
-// benchmark, in two parts.
-//
-// Part 1 reruns the skewed mixed rig fleet of BenchmarkFleetPool with
-// the learning arm's PPO training moved off the barrier
-// (Config.OffBarrier): buffered rollouts train on a background
-// goroutine while the next round simulates, so a shard-round costs
-// generation + simulation only and the probe's barrier wait is
-// sim-dominated again. barrier_shrink_x is the summed per-shard
-// barrier wait over the fleet pool's — the PR 5 metric that read 0.91
-// while PPO sat on the critical path — and must clear 1.0 now that
-// the pool's stolen skew is the whole story. The off-barrier fleet's
-// trajectory and checkpoint bytes are asserted bit-identical to a
-// synchronous-barrier fleet on the same pool (weight publication is
-// staged one round late on both paths), and offbarrier_speedup_x
-// reports the wall-clock ratio between the two.
-//
-// Part 2 is the learning-value guard at equal virtual time: the same
-// 2-shard detecting fleet with the trained pipeline, learning
-// (off-barrier) vs frozen LLM arm, reporting merged coverage of both
-// and the delta — virtual-time metrics, so the gate is deterministic.
-func BenchmarkOffBarrier(b *testing.B) {
-	// Part 1 uses the test-scale pipeline: generation stays cheap next
-	// to the rig latency, as in the paper's sim-bound regime.
-	tp := core.NewPipeline(core.TestPipelineConfig())
-	const rigTests = 512
-	newDUTs := []func() rtl.DUT{
-		func() rtl.DUT { return &rigDUT{DUT: rocket.New(), latency: 8 * time.Millisecond} },
-		func() rtl.DUT { return &rigDUT{DUT: boom.New(), latency: 24 * time.Millisecond} },
-	}
-	rigArms := []campaign.ArmSpec{
-		campaign.LearningLLMArm(tp),
-		campaign.TheHuzzArm(benchBody),
-		campaign.RandInstArm(benchBody),
-		campaign.RandFuzzArm(benchBody),
-	}
-	newRig := func(pool, off bool) *campaign.Orchestrator {
-		cfg := campaign.Config{Shards: 8, BatchSize: 16, Seed: 1, Detect: true, Probe: true,
-			FleetPool: pool, OffBarrier: off}
-		if pool {
-			cfg.PoolWorkers = 12
-		}
-		o, err := campaign.NewMixed(cfg, newDUTs, rigArms...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return o
-	}
-	ckpt := func(o *campaign.Orchestrator) []byte {
-		var buf bytes.Buffer
-		if err := o.Checkpoint(&buf); err != nil {
-			b.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	p := benchPipeline(b)
-	const deltaTests = 384
-	deltaArms := func(learn bool) []campaign.ArmSpec {
-		llm := campaign.LLMArm(p)
-		if learn {
-			llm = campaign.LearningLLMArm(p)
-		}
-		return []campaign.ArmSpec{llm, campaign.TheHuzzArm(benchBody)}
-	}
-	newDelta := func(learn bool) *campaign.Orchestrator {
-		// Seed 2: with publication staged one round late the learning
-		// payoff shifts to later rounds, and seed 1's trajectory ends
-		// before it overtakes the frozen arm at this budget.
-		cfg := campaign.Config{Shards: 2, BatchSize: 16, Seed: 2, Detect: true, OffBarrier: learn}
-		o, err := campaign.New(cfg, func() rtl.DUT { return rocket.New() }, deltaArms(learn)...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return o
-	}
-
-	// Warm the harness caches and code paths outside the timings.
-	w := newRig(true, true)
-	w.RunTests(128)
-	w.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Part 1: skewed rig fleet.
-		perShard := newRig(false, true)
-		perShard.RunTests(rigTests)
-
-		t0 := time.Now()
-		fleet := newRig(true, true)
-		fleet.RunTests(rigTests)
-		tOff := time.Since(t0)
-
-		t1 := time.Now()
-		syncRef := newRig(true, false)
-		syncRef.RunTests(rigTests)
-		tSync := time.Since(t1)
-
-		wantTraj, gotTraj := syncRef.Trajectory(), fleet.Trajectory()
-		if len(wantTraj) != len(gotTraj) {
-			b.Fatalf("off-barrier trajectory has %d points, synchronous has %d", len(gotTraj), len(wantTraj))
-		}
-		for j := range wantTraj {
-			if wantTraj[j] != gotTraj[j] {
-				b.Fatalf("off-barrier trajectory diverges from synchronous at round %d: %+v vs %+v",
-					j, gotTraj[j], wantTraj[j])
-			}
-		}
-		if !bytes.Equal(ckpt(fleet), ckpt(syncRef)) {
-			b.Fatal("off-barrier checkpoint differs from the synchronous checkpoint")
-		}
-
-		vals := map[string]float64{"offbarrier_speedup_x": tSync.Seconds() / tOff.Seconds()}
-		ps, fs := perShard.ProbeSummary(), fleet.ProbeSummary()
-		if fs.BarrierWait > 0 {
-			b.ReportMetric(ps.BarrierWait.Seconds()/fs.BarrierWait.Seconds(), "barrier_shrink_x")
-			vals["barrier_shrink_x"] = ps.BarrierWait.Seconds() / fs.BarrierWait.Seconds()
-		}
-		if fs.SimWait > 0 {
-			b.ReportMetric(ps.SimWait.Seconds()/fs.SimWait.Seconds(), "sim_shrink_x")
-			vals["sim_shrink_x"] = ps.SimWait.Seconds() / fs.SimWait.Seconds()
-		}
-		if fs.BarrierWait > 0 {
-			b.ReportMetric(100*fs.LearnWait.Seconds()/fs.BarrierWait.Seconds(), "learn_wait_%")
-			vals["learn_wait_pct"] = 100 * fs.LearnWait.Seconds() / fs.BarrierWait.Seconds()
-		}
-		b.ReportMetric(tSync.Seconds()/tOff.Seconds(), "offbarrier_speedup_x")
-		perShard.Close()
-		fleet.Close()
-		syncRef.Close()
-
-		// Part 2: learning value at equal virtual time.
-		learning := newDelta(true)
-		learning.RunTests(deltaTests)
-		frozen := newDelta(false)
-		frozen.RunTests(deltaTests)
-		h := learning.Hours()
-		if fh := frozen.Hours(); fh < h {
-			h = fh
-		}
-		lc, fc := learning.CoverageAt(h), frozen.CoverageAt(h)
-		b.ReportMetric(lc, "learn_%")
-		b.ReportMetric(fc, "frozen_%")
-		b.ReportMetric(lc-fc, "learn_delta_%")
-		vals["learn_pct"], vals["frozen_pct"], vals["learn_delta_pct"] = lc, fc, lc-fc
-		emitBench(b, 6, vals)
-		learning.Close()
-		frozen.Close()
-	}
-}
-
 // BenchmarkTelemetryOverhead is the observability acceptance
-// benchmark: the skewed mixed rig fleet of BenchmarkFleetPool run on
-// the shared pool with off-barrier learning, timed with telemetry
-// fully disabled and fully armed (flight recorder, metrics registry
-// and probes all on). The two trajectories are asserted bit-identical
+// benchmark: a skewed mixed rig fleet (Rocket and slower BOOM rigs, a
+// learning arm training off the barrier) run on the production path,
+// timed with telemetry fully disabled and fully armed (flight
+// recorder, metrics registry and probes all on). The two trajectories are asserted bit-identical
 // — telemetry is execution-only — and telemetry_overhead_% reports
 // the wall-clock cost of recording, which CI gates below 3%. The rig
 // latencies dominate the timing the way VCS does in the paper's
@@ -763,14 +453,11 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		campaign.RandFuzzArm(benchBody),
 	}
 	run := func(armed bool) (time.Duration, []core.ProgressPoint) {
-		cfg := campaign.Config{Shards: 8, BatchSize: 16, Seed: 1, Detect: true,
-			FleetPool: true, PoolWorkers: 12, OffBarrier: true}
+		cfg := campaign.Config{Shards: 8, BatchSize: 16, Seed: 1, Detect: true}
 		var rec *telemetry.Recorder
 		if armed {
-			cfg.Probe = true
 			rec = telemetry.NewRecorder(io.Discard)
-			cfg.Telemetry = rec
-			cfg.Metrics = telemetry.NewRegistry()
+			cfg.Exec = campaign.Exec{Probe: true, Telemetry: rec, Metrics: telemetry.NewRegistry()}
 		}
 		o, err := campaign.NewMixed(cfg, newDUTs, arms...)
 		if err != nil {
@@ -886,16 +573,17 @@ func BenchmarkPPOStep(b *testing.B) {
 }
 
 // BenchmarkEngine is the execution-engine acceptance benchmark: the
-// same fixed-seed campaign (Rocket, differential detection on,
-// GOMAXPROCS simulation workers) timed on the seed fork-join loop and
-// on the persistent pipelined engine. The speedup_x metric is
-// serial-time over engine-time; the two runs produce bit-identical
-// trajectories (asserted by TestEngineMatchesSerialPath), so the ratio
-// measures pure execution efficiency: persistent workers, reusable
-// per-worker scratch, pooled coverage sets and trace buffers, the
-// per-worker decode cache and golden snapshot tree, and — with the
-// Inflight window — whole batches pipelined through the engine while
-// earlier batches drain through the in-order committer.
+// same fixed-seed campaign (Rocket, differential detection on) timed
+// on the reference oracle — a plain allocating loop — and on the
+// production engine. The speedup_x metric is oracle-time over
+// engine-time; the two runs produce bit-identical trajectories
+// (asserted by TestEngineMatchesSerialPath), so the ratio measures
+// pure execution efficiency: the committer plus GOMAXPROCS−1 pool
+// workers, reusable per-executor scratch, pooled coverage sets and
+// trace buffers, the per-executor decode cache and golden snapshot
+// tree, and — with the Inflight window — whole batches running ahead
+// on the pool while earlier batches drain through the in-order
+// committer.
 func BenchmarkEngine(b *testing.B) {
 	const tests = 640
 	campaign := func(serial bool) time.Duration {

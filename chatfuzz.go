@@ -45,24 +45,26 @@
 //	    chatfuzz.RandInstArm(24), chatfuzz.RandFuzzArm(24))
 //	o2.RunTests(4000)
 //
-// Execution engine: batches run on a persistent, pipelined execution
-// engine by default — a worker pool that lives across rounds with
-// reusable per-worker scratch (platform memory, golden-model ISS,
-// caches, coverage sets, trace buffers), committing results in
-// deterministic input order and double-buffering generation against
-// simulation. Options.Serial (and CampaignConfig.Serial) fall back to
-// the original fork-join loop, and CampaignConfig.FleetPool goes the
-// other way: one fleet-level work-stealing pool shared by every
-// shard, with design-affine workers that steal across shards and
-// designs when their own queue runs dry — the high-utilization layout
-// for skewed fleets (CampaignConfig.Probe records per-round barrier
-// wait — split into the sim-skew wait a pool can steal and the
-// single-threaded learning wait it cannot — plus steal/migration
-// counts, via Orchestrator.Probes and
-// ProbeSummary). All three paths are bit-identical, so the switch
-// only trades throughput. Call Fuzzer.Close (or Orchestrator.Close)
-// when a campaign is finished to release the engine's workers
-// deterministically.
+// Execution: there is one production path. The goroutine driving a
+// Fuzzer (or a fleet shard) is the committer of a persistent engine —
+// it runs its own round's entries on scratch it keeps for life
+// (platform memory, golden-model ISS, caches, coverage sets, trace
+// buffers) and commits results in deterministic input order,
+// double-buffering generation against simulation — and a pool of
+// design-affine workers fills whatever cores the committers leave
+// idle (GOMAXPROCS−1 for a lone Fuzzer, GOMAXPROCS−Shards for a fleet;
+// computed, never configured), stealing across shards and designs.
+// Nothing about pool size or claim order is observable: trajectories
+// and checkpoints are bit-identical to Options.Serial, the allocating
+// reference loop the tests use as their oracle. CampaignConfig's
+// embedded CampaignExec carries what is left of the execution side —
+// the Inflight window, Probe (per-round barrier wait, split into the
+// sim-skew wait spare cores absorb and the learning join, plus
+// steal/migration counts, via Orchestrator.Probes and ProbeSummary),
+// Telemetry and Metrics — and ResumeCampaignExec takes the same value,
+// so a resumed fleet runs and is observed exactly like a fresh one.
+// Call Fuzzer.Close (or Orchestrator.Close) when a campaign is
+// finished to release the pool's workers deterministically.
 //
 // Mixed fleets: NewMixedOrchestrator runs heterogeneous designs in
 // one fleet — shard s simulates newDUTs[s%len(newDUTs)], each design
@@ -82,9 +84,8 @@
 // replicas are averaged deterministically (a fixed-order pairwise
 // tournament, exact mean in real arithmetic) and published one round
 // late — the internal/fleetlearn invariant, making the trajectory a
-// pure function of seeds and shard order. CampaignConfig.OffBarrier
-// overlaps that training with the next round's simulation on a
-// background goroutine, bit-identical to the synchronous path, and
+// pure function of seeds and shard order. The training always overlaps
+// the next round's simulation on a background goroutine, and
 // CampaignConfig.UpdateBudget skips updates while merged coverage is
 // plateaued to buy virtual time for detection fleets. Checkpoints
 // (v4) carry the published and staged weight vectors and each shard's
@@ -167,6 +168,9 @@ type (
 	Orchestrator = campaign.Orchestrator
 	// CampaignConfig parameterises an orchestrated fleet.
 	CampaignConfig = campaign.Config
+	// CampaignExec is how a process runs and observes a fleet (embedded
+	// in CampaignConfig, never checkpointed).
+	CampaignExec = campaign.Exec
 	// ArmSpec names a schedulable generator arm.
 	ArmSpec = campaign.ArmSpec
 	// CampaignReport summarises a fleet run, including per-arm pulls.
@@ -248,6 +252,13 @@ func ResumeCampaignFile(path string, newDUT func() DUT, arms ...ArmSpec) (*Orche
 // newDUTs must reproduce the original shard-to-design mapping.
 func ResumeMixedCampaign(r io.Reader, newDUTs []func() DUT, arms ...ArmSpec) (*Orchestrator, error) {
 	return campaign.ResumeMixed(r, newDUTs, arms...)
+}
+
+// ResumeCampaignExec is the general resume entry: it rebuilds a
+// (possibly heterogeneous) fleet from a checkpoint and runs it under
+// ex, the same value a fresh fleet takes through CampaignConfig.
+func ResumeCampaignExec(r io.Reader, ex CampaignExec, newDUTs []func() DUT, arms ...ArmSpec) (*Orchestrator, error) {
+	return campaign.ResumeExec(r, ex, newDUTs, arms...)
 }
 
 // LLMArm schedules a trained pipeline's model as a frozen generator

@@ -12,21 +12,19 @@
 //	fuzz-bench campaign -resume -checkpoint fleet.json -tests 4000
 //
 // Campaign knobs of note: -dut takes a comma list (e.g.
-// "rocket,boom") to run a mixed fleet whose shards alternate designs;
-// -parallel sets simulation workers per shard; -serial disables the
-// persistent batch execution engine and runs the reference fork-join
-// loop; -fleetpool shares one fleet-level work-stealing execution
-// pool (design-affine workers) across every shard instead of
-// per-shard pools. All three execution paths are bit-identical — the
-// flags exist for benchmarking and debugging. -offbarrier moves the
-// learning arm's PPO training onto a background goroutine overlapped
-// with the next round's simulation (also bit-identical: weight
-// publication is staged one round late either way), and
-// -update-budget skips PPO steps while merged coverage is plateaued.
-// -probe records and prints per-round scheduler statistics (sim and
-// learn barrier waits, steals, per-design migrations), the
-// scale-probe mode for runs like
-// `fuzz-bench campaign -shards 32 -fleetpool -probe`.
+// "rocket,boom") to run a mixed fleet whose shards alternate designs.
+// There is one execution path and nothing to choose: every shard's
+// goroutine runs and commits its own rounds, a shared pool of
+// design-affine workers fills whatever cores the shards leave idle
+// (GOMAXPROCS − shards, computed), and learning-arm PPO training
+// always runs on a background goroutine overlapped with the next
+// round's simulation. -update-budget skips PPO steps while merged
+// coverage is plateaued. -probe records and prints per-round
+// scheduler statistics (sim and learn barrier waits, steals,
+// per-design migrations), the scale-probe mode for runs like
+// `fuzz-bench campaign -shards 32 -probe`. Observation flags (-probe
+// -probe-json -trace -metrics -telemetry-addr) and -inflight apply to
+// fresh and resumed fleets alike.
 // See README.md in this directory for the full campaign flag guide.
 //
 // The submit, status and watch subcommands are the client side of the
@@ -70,15 +68,10 @@ func campaignMain(args []string) {
 		body       = fs.Int("body", 24, "instructions per test")
 		seed       = fs.Int64("seed", 1, "campaign seed")
 		dutNames   = fs.String("dut", "rocket", "designs under test: comma list of rocket/boom; shards alternate designs")
-		parallel   = fs.Int("parallel", 1, "simulation workers per shard (0 = GOMAXPROCS)")
 		inflight   = fs.Int("inflight", 1, "in-flight batch window per shard: >1 overlaps batch generation/simulation with earlier batches' in-order commit for feedback-free arms (bit-identical trajectories; execution-only)")
-		serial     = fs.Bool("serial", false, "run the reference fork-join loop instead of the batch execution engine")
-		fleetPool  = fs.Bool("fleetpool", false, "share one fleet-level work-stealing execution pool across every shard (design-affine workers; bit-identical to -serial and per-shard pools)")
-		poolWork   = fs.Int("pool-workers", 0, "fleet pool workers (0 = GOMAXPROCS; requires -fleetpool)")
-		probe      = fs.Bool("probe", false, "record and print per-round scheduler statistics: barrier wait, spread, steals, helps, per-design migrations")
+		probe      = fs.Bool("probe", false, "record and print per-round scheduler statistics: barrier wait, spread, steals, committer-run entries, per-design migrations")
 		llm        = fs.Bool("llm", false, "train a pipeline and schedule the frozen LLM arm")
 		learn      = fs.Bool("learn", false, "train a pipeline and schedule the online-learning LLM arm (per-shard replicas, staged pairwise weight averaging); reports the coverage delta over an identical frozen-LLM fleet")
-		offBarrier = fs.Bool("offbarrier", false, "run learning-arm PPO updates on a background goroutine, overlapped with the next round's simulation (one-round-late publication either way, so trajectories are bit-identical; requires -learn to matter)")
 		budget     = fs.Int("update-budget", 0, "skip learning-arm PPO updates after this many consecutive zero-new-coverage rounds, until coverage moves again (0 = never skip)")
 		quickPipe  = fs.Bool("quickpipe", false, "train the tiny test-scale pipeline instead of the default one (smoke runs)")
 		mweight    = fs.Float64("mismatch-weight", 0, "bandit reward weight of the mismatch-rate term, 0..1 (enables -detect style steering; requires detection)")
@@ -156,68 +149,75 @@ func campaignMain(args []string) {
 	}
 
 	// Observability plumbing (execution-only: none of it can move a
-	// trajectory bit). Built before the fleet so the recorder and
-	// registry reach every layer at construction; the deferred closers
-	// run after the orchestrator's own deferred Close, so spans from
-	// off-barrier training joined at Close still land in the trace.
+	// trajectory bit). Built before the fleet — fresh or resumed — so the
+	// recorder and registry reach every layer at construction; the
+	// deferred closers run after the orchestrator's own deferred Close,
+	// so spans from off-barrier training joined at Close still land in
+	// the trace.
 	var rec *telemetry.Recorder
 	var reg *telemetry.Registry
-	if *resume {
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{{*traceFile != "", "trace"}, {*metricsF != "", "metrics"}, {*telemAddr != "", "telemetry-addr"}, {*probeJSON != "", "probe-json"}} {
-			if f.set {
-				fmt.Printf("warning: -%s is ignored with -resume (telemetry wires at fleet construction, which resume rebuilds from the checkpoint)\n", f.name)
+	if *traceFile != "" {
+		tf, err := os.Create(*traceFile)
+		if err != nil {
+			log.Fatalf("trace: %v", err)
+		}
+		rec = telemetry.NewRecorder(tf)
+		defer func() {
+			if err := rec.Close(); err != nil {
+				log.Printf("trace: %v", err)
 			}
-		}
-	} else {
-		if *traceFile != "" {
-			tf, err := os.Create(*traceFile)
-			if err != nil {
-				log.Fatalf("trace: %v", err)
+			if n := rec.Dropped(); n > 0 {
+				fmt.Printf("trace: %d events dropped to ring overwrites (rings drain per round; shorten rounds or expect gaps)\n", n)
 			}
-			rec = telemetry.NewRecorder(tf)
-			defer func() {
-				if err := rec.Close(); err != nil {
-					log.Printf("trace: %v", err)
-				}
-				if n := rec.Dropped(); n > 0 {
-					fmt.Printf("trace: %d events dropped to ring overwrites (rings drain per round; shorten rounds or expect gaps)\n", n)
-				}
-				tf.Close()
-				fmt.Printf("trace written to %s\n", *traceFile)
-			}()
-		}
-		if *metricsF != "" || *telemAddr != "" {
-			reg = telemetry.NewRegistry()
-		}
-		if *metricsF != "" {
-			mf, err := os.Create(*metricsF)
-			if err != nil {
-				log.Fatalf("metrics: %v", err)
-			}
-			snap := telemetry.NewSnapshotter(mf, reg, *metricsDt)
-			defer func() {
-				if err := snap.Stop(); err != nil {
-					log.Printf("metrics: %v", err)
-				}
-				mf.Close()
-				fmt.Printf("metrics snapshots written to %s\n", *metricsF)
-			}()
-		}
-		if *telemAddr != "" {
-			addr, closeSrv, err := telemetry.Serve(*telemAddr, reg)
-			if err != nil {
-				log.Fatalf("telemetry-addr: %v", err)
-			}
-			fmt.Printf("telemetry endpoint on http://%s (/metrics, /debug/vars, /debug/pprof)\n", addr)
-			defer closeSrv()
-		}
+			tf.Close()
+			fmt.Printf("trace written to %s\n", *traceFile)
+		}()
 	}
-	// Probe-derived metrics and the probe dump both need the per-round
-	// probes recorded.
-	wantProbe := *probe || (!*resume && (*metricsF != "" || *probeJSON != ""))
+	if *metricsF != "" || *telemAddr != "" {
+		reg = telemetry.NewRegistry()
+	}
+	if *metricsF != "" {
+		mf, err := os.Create(*metricsF)
+		if err != nil {
+			log.Fatalf("metrics: %v", err)
+		}
+		snap := telemetry.NewSnapshotter(mf, reg, *metricsDt)
+		defer func() {
+			if err := snap.Stop(); err != nil {
+				log.Printf("metrics: %v", err)
+			}
+			mf.Close()
+			fmt.Printf("metrics snapshots written to %s\n", *metricsF)
+		}()
+	}
+	if *telemAddr != "" {
+		addr, closeSrv, err := telemetry.Serve(*telemAddr, reg)
+		if err != nil {
+			log.Fatalf("telemetry-addr: %v", err)
+		}
+		fmt.Printf("telemetry endpoint on http://%s (/metrics, /debug/vars, /debug/pprof)\n", addr)
+		defer closeSrv()
+	}
+	// How this process runs and observes the fleet; the same value for a
+	// fresh and a resumed one. Probe-derived metrics and the probe dump
+	// both need the per-round probes recorded.
+	exec := campaign.Exec{
+		Inflight:  *inflight,
+		Probe:     *probe || *metricsF != "" || *probeJSON != "",
+		Telemetry: rec,
+		Metrics:   reg,
+	}
+	// What the fleet is. On -resume the checkpoint's values win.
+	cfg := campaign.Config{
+		Shards:         *shards,
+		BatchSize:      *batch,
+		RoundBatches:   *roundBatch,
+		Seed:           *seed,
+		Detect:         *detect,
+		MismatchWeight: *mweight,
+		UpdateBudget:   *budget,
+		Exec:           exec,
+	}
 
 	var o *campaign.Orchestrator
 	var err error
@@ -226,42 +226,22 @@ func campaignMain(args []string) {
 		// scheduling flags below would otherwise be silently ignored.
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "shards", "batch", "round-batches", "seed", "parallel", "detect", "mismatch-weight", "update-budget":
+			case "shards", "batch", "round-batches", "seed", "detect", "mismatch-weight", "update-budget":
 				fmt.Printf("warning: -%s is ignored with -resume (the checkpoint's value is used)\n", f.Name)
-			case "serial":
-				fmt.Println("warning: -serial is ignored with -resume (resumed fleets run on the engine path)")
-			case "fleetpool", "pool-workers", "probe", "inflight":
-				fmt.Printf("warning: -%s is ignored with -resume (execution details are not checkpointed; resumed fleets run per-shard engines)\n", f.Name)
 			}
 		})
-		o, err = campaign.ResumeMixedFile(*checkpoint, newDUTs, arms...)
+		f, ferr := os.Open(*checkpoint)
+		if ferr != nil {
+			log.Fatalf("resume: %v", ferr)
+		}
+		o, err = campaign.ResumeExec(f, exec, newDUTs, arms...)
+		f.Close()
 		if err != nil {
 			log.Fatalf("resume: %v", err)
 		}
-		// OffBarrier is a pure execution detail (publication is staged one
-		// round late either way), so unlike the pool flags it can be
-		// honored on the resumed fleet without touching the trajectory.
-		o.Cfg.OffBarrier = *offBarrier
 		fmt.Printf("resumed at round %d, %d tests, %.2f%% coverage\n", o.Rounds(), o.Tests(), o.Coverage())
 	} else {
-		o, err = campaign.NewMixed(campaign.Config{
-			Shards:         *shards,
-			BatchSize:      *batch,
-			RoundBatches:   *roundBatch,
-			Seed:           *seed,
-			Parallel:       *parallel,
-			Inflight:       *inflight,
-			Serial:         *serial,
-			FleetPool:      *fleetPool,
-			PoolWorkers:    *poolWork,
-			Probe:          wantProbe,
-			Detect:         *detect,
-			MismatchWeight: *mweight,
-			OffBarrier:     *offBarrier,
-			UpdateBudget:   *budget,
-			Telemetry:      rec,
-			Metrics:        reg,
-		}, newDUTs, arms...)
+		o, err = campaign.NewMixed(cfg, newDUTs, arms...)
 		if err != nil {
 			log.Fatalf("campaign: %v", err)
 		}
@@ -292,14 +272,13 @@ func campaignMain(args []string) {
 	}
 	signal.Stop(sigC)
 	fmt.Print(o.Report())
-	if *probe && !*resume {
+	if *probe {
 		fmt.Println(o.ProbeSummary())
-		if st, ok := o.PoolStats(); ok {
-			fmt.Printf("fleet pool: %d workers, %d jobs (%d stolen, %d helped), %d migrations\n",
-				st.Workers, st.Submitted, st.Stolen, st.Helped, st.Migrations)
-		}
+		st := o.PoolStats()
+		fmt.Printf("pool: %d workers, %d tests (%d run by workers, %d stolen across designs, %d by the shards' own committers), %d migrations\n",
+			st.Workers, st.Submitted, st.Executed, st.Stolen, st.Helped, st.Migrations)
 	}
-	if *probeJSON != "" && !*resume {
+	if *probeJSON != "" {
 		if err := writeProbeJSON(*probeJSON, o.Probes()); err != nil {
 			log.Fatalf("probe-json: %v", err)
 		}
@@ -333,19 +312,11 @@ func campaignMain(args []string) {
 		if !*llm {
 			frozenArms = append([]campaign.ArmSpec{campaign.LLMArm(p)}, frozenArms...)
 		}
-		fo, err := campaign.NewMixed(campaign.Config{
-			Shards:         *shards,
-			BatchSize:      *batch,
-			RoundBatches:   *roundBatch,
-			Seed:           *seed,
-			Parallel:       *parallel,
-			Inflight:       *inflight,
-			Serial:         *serial,
-			FleetPool:      *fleetPool,
-			PoolWorkers:    *poolWork,
-			Detect:         *detect,
-			MismatchWeight: *mweight,
-		}, newDUTs, frozenArms...)
+		// Same fleet, observation cleared: the twin must not write into
+		// the main run's trace, metrics or probes.
+		fcfg := cfg
+		fcfg.Exec = campaign.Exec{Inflight: *inflight}
+		fo, err := campaign.NewMixed(fcfg, newDUTs, frozenArms...)
 		if err != nil {
 			log.Fatalf("frozen twin: %v", err)
 		}

@@ -23,30 +23,38 @@
 // curves from Trajectory() reflect fleet wall-clock, not the sum of
 // per-rig time.
 //
-// Each shard executes its batches on a persistent pipelined engine
-// (internal/engine) with Config.Parallel workers and reusable scratch;
-// Config.Serial falls back to the fork-join reference loop, with
-// bit-identical results either way. Config.FleetPool goes the other
-// direction: every shard submits into one fleet-level work-stealing
-// pool whose workers keep design-affine scratch and steal across
-// shards and designs, raising utilization on skewed fleets — still
-// bit-identical, because in-order commit per shard is preserved and
-// all randomness stays in the per-shard armSeed streams. Fleets may
-// be heterogeneous: NewMixed assigns designs to shards round-robin
-// (e.g. Rocket+BOOM), each design keeping its own fleet-merged
-// coverage bitmap while the bandit, virtual clock and TheHuzz pool
-// sync span the whole fleet. Call Close when done to release the
-// shard engines (and the fleet pool, which the orchestrator owns).
+// There is one way a fleet executes. Each shard's goroutine is the
+// committer of its own engine (internal/engine): it runs its round's
+// entries on scratch bound to its design for life and commits them in
+// input order. All shard engines submit to one pool the orchestrator
+// owns, whose workers exist only to fill the cores the shards do not
+// — engine.SpareWorkers(Shards), computed, never configured — keeping
+// design-affine scratch and stealing across shards and designs. With
+// at least as many shards as cores there are no workers and every
+// shard is an inline loop; a shard that finishes early then idles at
+// the barrier. Everything is bit-identical to the reference oracle
+// (Exec.Serial, for tests), because in-order commit per shard is
+// preserved and all randomness stays in the per-shard armSeed
+// streams. Fleets may be heterogeneous: NewMixed assigns designs to
+// shards round-robin (e.g. Rocket+BOOM), each design keeping its own
+// fleet-merged coverage bitmap while the bandit, virtual clock and
+// TheHuzz pool sync span the whole fleet. Call Close when done to
+// release the shard engines and the pool.
 //
 // Learning arms ride an off-barrier learning plane (internal/
-// fleetlearn): shards buffer their PPO rollouts during the round, the
-// barrier launches training over the buffers and publishes the
-// previous barrier's merge one round late — so PPO never sits on a
-// shard's critical path, and Config.OffBarrier can overlap the
-// training with the next round's simulation without changing a single
-// trajectory bit. Config.UpdateBudget adaptively skips updates while
-// merged coverage is plateaued. Checkpoints (v4) carry the published
-// and staged weight vectors, making resume bit-exact even mid-lag.
+// fleetlearn): shards buffer their PPO rollouts during the round, and
+// the barrier publishes the previous barrier's merge one round late
+// and launches training over the buffers on a background goroutine,
+// overlapped with the next round's simulation — so PPO never sits on
+// a shard's critical path. Config.UpdateBudget adaptively skips
+// updates while merged coverage is plateaued. Checkpoints (v4) carry
+// the published and staged weight vectors, making resume bit-exact
+// even mid-lag.
+//
+// Config is what a fleet *is* — the scheduling parameters a
+// checkpoint records. Its embedded Exec is how one process runs and
+// observes it; Exec never reaches the wire format, and New* and
+// Resume* accept the same one.
 //chatfuzz:deterministic package
 package campaign
 
@@ -128,76 +136,48 @@ type Config struct {
 	// checkpoint/resume without being stored. Scheduling semantics,
 	// not an execution detail: checkpointed.
 	UpdateBudget int
-	// Parallel bounds simulation workers inside each shard (default
-	// 1: the shards themselves are the parallelism). Ignored with
-	// FleetPool.
-	Parallel int
+	// Exec is how this process runs and observes the fleet. It is not
+	// part of the checkpoint; ResumeExec takes one of its own.
+	Exec
+}
+
+// Exec holds a fleet's execution-side settings: none of them can move
+// a trajectory bit, none is checkpointed, and New* (through
+// Config.Exec) and ResumeExec accept the same value — a resumed fleet
+// runs and is observed exactly like a fresh one.
+type Exec struct {
 	// Inflight bounds each shard's in-flight batch window (default 1:
 	// strictly alternating generate/commit). With Inflight > 1,
 	// RoundBatches > 1 and a feedback-free arm, a shard generates and
 	// submits its next batch while earlier batches still simulate and
 	// drain in order — the sub-round pipeline. Commit order, scoring
 	// and every trajectory bit are unchanged (the pipeline disengages
-	// for feedback-coupled arms like chatfuzz-learn), so like Serial
-	// and FleetPool it is an execution detail excluded from
-	// checkpoints; pass it again when resuming.
-	Inflight int `json:"-"`
-	// OffBarrier moves learning-arm PPO training onto a background
-	// goroutine: each round's buffered rollouts train while the next
-	// round simulates, and the merged weights are published at the
-	// following barrier. Publication is one round late either way —
-	// that staging is the fleet-learning semantics, not a toggle — so
-	// trajectories, learned weights and checkpoints are bit-identical
-	// with OffBarrier on or off; only wall-clock placement of the
-	// training work changes. Like Serial and FleetPool it is an
-	// execution detail excluded from checkpoints; pass it again when
-	// resuming to keep training off the barrier.
-	OffBarrier bool `json:"-"`
-	// FleetPool replaces the per-shard execution pools with one
-	// fleet-level work-stealing pool shared by every shard: shards
-	// submit their rounds into per-design queues and the pool's
-	// workers — keyed by DUT design so reusable scratch keeps
-	// affinity — execute whatever still queues, stealing across
-	// designs when their own runs dry. Scheduling, commit order and
-	// every trajectory stay bit-identical to the per-shard and serial
-	// paths; only wall-clock utilization changes. Like Serial it is
-	// an execution detail excluded from checkpoints; resumed fleets
-	// run per-shard engines.
-	FleetPool bool `json:"-"`
-	// PoolWorkers bounds the fleet pool's workers (0 = GOMAXPROCS).
-	// Only meaningful with FleetPool.
-	PoolWorkers int `json:"-"`
+	// for feedback-coupled arms like chatfuzz-learn).
+	Inflight int
 	// Probe records per-round scheduler statistics — barrier wait,
-	// finish-time spread, steal/help/migration counts — retrievable
-	// via Probes(). Measurement only; trajectories are unaffected.
-	Probe bool `json:"-"`
-	// Serial disables the persistent batch execution engine inside
-	// every shard and runs the original fork-join loop instead. Both
-	// paths are bit-identical; Serial exists for determinism tests and
-	// benchmarks. It is an execution detail, not a scheduling
-	// parameter, so it is excluded from checkpoints (an engine run's
-	// checkpoint is byte-identical to a serial run's); resumed fleets
-	// therefore always run on the engine path.
-	Serial bool `json:"-"`
+	// finish-time spread, steal/committer/migration counts —
+	// retrievable via Probes(). Measurement only.
+	Probe bool
+	// Serial runs every shard on the reference oracle (core.Options.
+	// Serial) instead of the engine. It exists for the determinism
+	// tests, which assert the oracle and production write identical
+	// checkpoint bytes; it is not a user-facing mode.
+	Serial bool
 	// Telemetry, when non-nil, wires a span flight recorder through
-	// every layer of the fleet: per-worker build/sim/golden spans and
-	// steal/help/migrate events in the engines and the fleet pool,
-	// generate/commit spans per shard, round/barrier spans on the
-	// orchestrator's track and train spans on each learning arm's.
-	// The rings drain (Flush) at every round barrier. Telemetry
-	// observes and never steers: trajectories, weights and checkpoint
-	// bytes are bit-identical with it on or off, which is why — like
-	// Serial and FleetPool — it is an execution detail excluded from
-	// checkpoints.
-	Telemetry *telemetry.Recorder `json:"-"`
+	// every layer of the fleet: per-executor build/sim/golden spans and
+	// steal/migrate events in the engines and the pool, generate/commit
+	// spans per shard, round/barrier spans on the orchestrator's track
+	// and train spans on each learning arm's. The rings drain (Flush)
+	// at every round barrier. Telemetry observes and never steers.
+	Telemetry *telemetry.Recorder
 	// Metrics, when non-nil, receives a fleet-state metrics update at
 	// every round barrier (coverage, tests, virtual hours, per-design
 	// coverage, per-arm bandit pulls and rewards, mismatch cluster
 	// counts, pool scheduling counters, probe wait histograms; see
 	// README.md's Observability section for the series names).
-	// Execution-only, like Telemetry. Implies nothing about Probe —
-	// but probe-derived series are only recorded when Probe is set.
-	Metrics *telemetry.Registry `json:"-"`
+	// Implies nothing about Probe — but probe-derived series are only
+	// recorded when Probe is set.
+	Metrics *telemetry.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -218,9 +198,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MismatchHalf <= 0 {
 		c.MismatchHalf = 3
-	}
-	if c.Parallel <= 0 {
-		c.Parallel = 1
 	}
 	return c
 }
@@ -247,9 +224,8 @@ type Orchestrator struct {
 	// fleets[i] aggregates spec i's per-shard model replicas for
 	// barrier weight averaging; nil for non-learning arms.
 	fleets []*fleetlearn.Fleet
-	// pool is the fleet-level work-stealing execution pool
-	// (Config.FleetPool); the orchestrator owns it and closes it
-	// after the shard engines.
+	// pool is the execution pool every shard engine submits to; the
+	// orchestrator owns it and closes it after the shard engines.
 	pool *engine.FleetPool
 	// track carries the orchestrator's round/barrier spans (nil when
 	// telemetry is off).
@@ -257,7 +233,7 @@ type Orchestrator struct {
 	probes []RoundProbe
 	// prevPipe holds each shard engine's cumulative pipeline counters
 	// as of the previous probed round, so RoundProbe can report
-	// per-round deltas (Config.Probe; nil until the first probed round).
+	// per-round deltas (Exec.Probe; nil until the first probed round).
 	prevPipe []engine.PipeStats
 	merged []core.ProgressPoint
 	round  int
@@ -300,18 +276,13 @@ func NewMixed(cfg Config, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestr
 		}
 		seen[sp.Name] = true
 	}
-	if cfg.FleetPool && cfg.Serial {
-		return nil, fmt.Errorf("campaign: FleetPool requires the engine path (drop Serial)")
-	}
 	o := &Orchestrator{
 		Cfg:     cfg,
 		specs:   specs,
 		bandit:  NewUCB1(len(specs), cfg.ExploreC),
 		globals: make(map[string]*cov.Set),
 		track:   cfg.Telemetry.NewTrack("orchestrator"),
-	}
-	if cfg.FleetPool {
-		o.pool = engine.NewFleetPool(engine.FleetConfig{Workers: cfg.PoolWorkers, Telemetry: cfg.Telemetry})
+		pool:    engine.NewFleetPool(engine.SpareWorkers(cfg.Shards), cfg.Telemetry),
 	}
 	replicas := make([][]*fleetlearn.Replica, len(specs))
 	for s := 0; s < cfg.Shards; s++ {
@@ -345,7 +316,6 @@ func NewMixed(cfg Config, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestr
 		fuz := core.NewFuzzer(rec[0], dut, core.Options{
 			BatchSize:      cfg.BatchSize,
 			Detect:         cfg.Detect,
-			Parallel:       cfg.Parallel,
 			Inflight:       cfg.Inflight,
 			Serial:         cfg.Serial,
 			Pool:           o.pool,
@@ -387,10 +357,9 @@ func NewMixed(cfg Config, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestr
 }
 
 // Close joins any in-flight off-barrier training, releases every
-// shard's execution engine, then the fleet pool when one is shared
-// (the orchestrator owns the pool, the shards only submit into it).
-// The orchestrator's reports and trajectory stay readable; no further
-// rounds may run.
+// shard's execution engine, then the pool (the orchestrator owns it,
+// the shards only submit into it). The orchestrator's reports and
+// trajectory stay readable; no further rounds may run.
 func (o *Orchestrator) Close() {
 	for _, fl := range o.fleets {
 		if fl != nil {
@@ -400,9 +369,7 @@ func (o *Orchestrator) Close() {
 	for _, s := range o.shards {
 		s.fuz.Close()
 	}
-	if o.pool != nil {
-		o.pool.Close()
-	}
+	o.pool.Close()
 }
 
 // armSeed derives the per-(shard, round) generator seed as a pure
@@ -448,9 +415,7 @@ func (o *Orchestrator) RunRound() error {
 	if o.Cfg.Probe {
 		probe = &RoundProbe{Round: o.round}
 		finished = make([]time.Time, n)
-		if o.pool != nil {
-			stats0 = o.pool.Stats()
-		}
+		stats0 = o.pool.Stats()
 	}
 	var wg sync.WaitGroup
 	for i, s := range o.shards {
@@ -502,13 +467,11 @@ func (o *Orchestrator) RunRound() error {
 			probe.SimWait += last.Sub(ts)
 		}
 		probe.Spread = last.Sub(first)
-		if o.pool != nil {
-			st := o.pool.Stats()
-			probe.Steals = st.Stolen - stats0.Stolen
-			probe.Helped = st.Helped - stats0.Helped
-			probe.Migrations = st.Migrations - stats0.Migrations
-			probe.MigrationsByDesign = migrationDelta(st.MigrationsByDesign, stats0.MigrationsByDesign)
-		}
+		st := o.pool.Stats()
+		probe.Steals = st.Stolen - stats0.Stolen
+		probe.Helped = st.Helped - stats0.Helped
+		probe.Migrations = st.Migrations - stats0.Migrations
+		probe.MigrationsByDesign = migrationDelta(st.MigrationsByDesign, stats0.MigrationsByDesign)
 		// Pipeline signals, per-round deltas against the engines'
 		// cumulative counters (shard order; execution-only reads).
 		if o.prevPipe == nil {
@@ -565,12 +528,11 @@ func (o *Orchestrator) RunRound() error {
 	}
 	// Fleet learning step: join the training launched last barrier,
 	// publish its merge (one round late, see fleetlearn), and launch
-	// this round's training — on a background goroutine overlapped
-	// with the next round's simulation when Cfg.OffBarrier is set,
-	// inline otherwise; the bits are identical either way. Replicas
-	// are visited in shard order and reduce under a fixed pairwise
-	// schedule, so the merged weights are reproducible and a
-	// checkpoint needs only the published/staged vector pair per arm.
+	// this round's training on a background goroutine overlapped with
+	// the next round's simulation. Replicas are visited in shard order
+	// and reduce under a fixed pairwise schedule, so the merged weights
+	// are reproducible and a checkpoint needs only the published/staged
+	// vector pair per arm.
 	if roundAdded == 0 {
 		o.plateau++
 	} else {
@@ -584,7 +546,7 @@ func (o *Orchestrator) RunRound() error {
 	}
 	for _, fl := range o.fleets {
 		if fl != nil {
-			fl.Barrier(o.Cfg.OffBarrier, skip)
+			fl.Barrier(true, skip)
 		}
 	}
 	if probe != nil {
@@ -665,17 +627,14 @@ func (o *Orchestrator) recordMetrics(roundAdded int, probe *RoundProbe) {
 		g.Gauge("engine/snap_hits").Set(float64(pipe.SnapHits))
 		g.Gauge("engine/snap_misses").Set(float64(pipe.SnapMisses))
 	}
-	if o.pool != nil {
-		st := o.pool.Stats()
-		g.Gauge("pool/workers").Set(float64(st.Workers))
-		g.Gauge("pool/submitted").Set(float64(st.Submitted))
-		g.Gauge("pool/executed").Set(float64(st.Executed))
-		g.Gauge("pool/helped").Set(float64(st.Helped))
-		g.Gauge("pool/steals").Set(float64(st.Stolen))
-		g.Gauge("pool/migrations").Set(float64(st.Migrations))
-		g.Gauge("pool/worker_busy_ms").Set(float64(st.WorkerBusy) / float64(time.Millisecond))
-		g.Gauge("pool/helper_busy_ms").Set(float64(st.HelperBusy) / float64(time.Millisecond))
-	}
+	st := o.pool.Stats()
+	g.Gauge("pool/workers").Set(float64(st.Workers))
+	g.Gauge("pool/submitted").Set(float64(st.Submitted))
+	g.Gauge("pool/executed").Set(float64(st.Executed))
+	g.Gauge("pool/helped").Set(float64(st.Helped))
+	g.Gauge("pool/steals").Set(float64(st.Stolen))
+	g.Gauge("pool/migrations").Set(float64(st.Migrations))
+	g.Gauge("pool/worker_busy_ms").Set(float64(st.WorkerBusy) / float64(time.Millisecond))
 	if probe != nil {
 		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 		g.Histogram("probe/sim_wait_ms", probeWaitBounds...).Observe(ms(probe.SimWait))

@@ -31,13 +31,12 @@ const checkpointVersion = 4
 // mis-parameterised resume fails loudly instead of silently diverging.
 // Generator rng state is deliberately absent: per-round seeds are a
 // pure function of (Config.Seed, shard, round), so Round is enough to
-// replay the remaining stream exactly. Execution details (the
-// engine/serial switch) are likewise absent: the checkpoint captures
-// scheduling state only, so it is byte-identical across execution
-// paths.
+// replay the remaining stream exactly. Execution details (Exec) are
+// likewise absent: the checkpoint captures scheduling state only, so
+// it is byte-identical however the fleet was run.
 type checkpointFile struct {
 	Version int
-	Config  Config
+	Config  wireConfig
 	Round   int
 	Tests   int
 	// Designs records each shard's DUT name, in shard order; Resume
@@ -57,11 +56,52 @@ type checkpointFile struct {
 	// learnState vector pair: training always restarts from a fresh
 	// trainer over explicit weights, so no optimizer moments are
 	// needed. Any in-flight off-barrier training is joined before
-	// encoding, which is why checkpoints stay byte-identical across
-	// the synchronous and off-barrier execution paths.
+	// encoding, so the bytes do not depend on how far it had got.
 	Learn  map[string]learnState `json:",omitempty"`
 	Merged []core.ProgressPoint
 	Shards []shardState
+}
+
+// wireConfig is Config as checkpoint v4 spells it: exactly these keys
+// in exactly this order. It is its own struct so that reshaping Config
+// cannot move checkpoint bytes. Parallel is a format constant: v4 files
+// carried a per-shard worker count (default 1) that no longer exists;
+// it is written as 1 and ignored when read.
+type wireConfig struct {
+	Shards         int
+	BatchSize      int
+	RoundBatches   int
+	Seed           int64
+	ExploreC       float64
+	RewardHalf     float64
+	BanditDecay    float64
+	NoSync         bool
+	Detect         bool
+	MismatchWeight float64
+	MismatchHalf   float64
+	UpdateBudget   int
+	Parallel       int
+}
+
+func (c Config) wire() wireConfig {
+	return wireConfig{
+		Shards: c.Shards, BatchSize: c.BatchSize, RoundBatches: c.RoundBatches, Seed: c.Seed,
+		ExploreC: c.ExploreC, RewardHalf: c.RewardHalf, BanditDecay: c.BanditDecay,
+		NoSync: c.NoSync, Detect: c.Detect,
+		MismatchWeight: c.MismatchWeight, MismatchHalf: c.MismatchHalf,
+		UpdateBudget: c.UpdateBudget, Parallel: 1,
+	}
+}
+
+// config rebuilds the Config a checkpoint recorded, to be run under ex.
+func (w wireConfig) config(ex Exec) Config {
+	return Config{
+		Shards: w.Shards, BatchSize: w.BatchSize, RoundBatches: w.RoundBatches, Seed: w.Seed,
+		ExploreC: w.ExploreC, RewardHalf: w.RewardHalf, BanditDecay: w.BanditDecay,
+		NoSync: w.NoSync, Detect: w.Detect,
+		MismatchWeight: w.MismatchWeight, MismatchHalf: w.MismatchHalf,
+		UpdateBudget: w.UpdateBudget, Exec: ex,
+	}
 }
 
 // learnState is one learning arm's checkpointed weights
@@ -103,7 +143,7 @@ type shardState struct {
 func (o *Orchestrator) Checkpoint(w io.Writer) error {
 	cf := checkpointFile{
 		Version: checkpointVersion,
-		Config:  o.Cfg,
+		Config:  o.Cfg.wire(),
 		Round:   o.round,
 		Tests:   o.tests,
 		Designs: o.designs,
@@ -194,21 +234,31 @@ func (o *Orchestrator) CheckpointFile(path string) error {
 	return atomicio.WriteFile(path, o.Checkpoint)
 }
 
-// Resume rebuilds a homogeneous fleet from a checkpoint. The caller
-// supplies the same DUT constructor and arm specs as the original run
-// (functions cannot be serialized); Resume validates the arm names
-// against the checkpoint and restores bandit state, per-shard
-// coverage, clocks and arm state, so the continued run's merged
-// trajectory is bit-identical to an uninterrupted one.
+// Resume rebuilds a homogeneous fleet from a checkpoint, with the zero
+// Exec; see ResumeExec.
 func Resume(r io.Reader, newDUT func() rtl.DUT, specs ...ArmSpec) (*Orchestrator, error) {
-	return ResumeMixed(r, []func() rtl.DUT{newDUT}, specs...)
+	return ResumeExec(r, Exec{}, []func() rtl.DUT{newDUT}, specs...)
 }
 
 // ResumeMixed rebuilds a (possibly heterogeneous) fleet from a
-// checkpoint; newDUTs must reproduce the original shard-to-design
-// mapping (shard s gets newDUTs[s % len(newDUTs)]), which is validated
-// against the checkpoint's per-shard design names.
+// checkpoint, with the zero Exec; see ResumeExec.
 func ResumeMixed(r io.Reader, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestrator, error) {
+	return ResumeExec(r, Exec{}, newDUTs, specs...)
+}
+
+// ResumeExec is the general resume entry: it rebuilds a (possibly
+// heterogeneous) fleet from a checkpoint and runs it under ex — the
+// same Exec a fresh fleet takes through Config.Exec, so a resumed
+// fleet is pipelined, probed and traced exactly like a new one. The
+// caller supplies the same DUT constructors and arm specs as the
+// original run (functions cannot be serialized); newDUTs must
+// reproduce the original shard-to-design mapping (shard s gets
+// newDUTs[s % len(newDUTs)]). ResumeExec validates the arm signatures
+// and per-shard design names against the checkpoint and restores
+// bandit state, per-shard coverage, clocks and arm state, so the
+// continued run's merged trajectory is bit-identical to an
+// uninterrupted one.
+func ResumeExec(r io.Reader, ex Exec, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestrator, error) {
 	cf, err := decodeCheckpoint(r)
 	if err != nil {
 		return nil, err
@@ -221,7 +271,7 @@ func ResumeMixed(r io.Reader, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orch
 			return nil, fmt.Errorf("campaign: arm %d is %q in checkpoint, %q in specs", i, sig, specs[i].sig)
 		}
 	}
-	o, err := NewMixed(cf.Config, newDUTs, specs...)
+	o, err := NewMixed(cf.Config.config(ex), newDUTs, specs...)
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +407,7 @@ func ReadCheckpointInfo(path string) (CheckpointInfo, error) {
 	if err != nil {
 		return CheckpointInfo{}, err
 	}
-	return CheckpointInfo{Config: cf.Config, Round: cf.Round, Tests: cf.Tests, Designs: cf.Designs, Bins: cf.Bins, Arms: cf.Arms}, nil
+	return CheckpointInfo{Config: cf.Config.config(Exec{}), Round: cf.Round, Tests: cf.Tests, Designs: cf.Designs, Bins: cf.Bins, Arms: cf.Arms}, nil
 }
 
 // ResumeFile reads a checkpoint from path.

@@ -5,6 +5,7 @@ package campaign
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,10 +19,10 @@ func newBoom() rtl.DUT { return boom.New() }
 // the execution engine at fleet scope: a fixed-seed run produces a
 // byte-identical checkpoint (trajectory, bandit state, per-shard
 // clocks and bitmaps) whether shards execute on the engine or on the
-// reference fork-join loop.
+// reference oracle.
 func TestEngineFleetCheckpointMatchesSerial(t *testing.T) {
 	checkpoint := func(serial bool) []byte {
-		o, err := New(Config{Shards: 3, BatchSize: 8, Seed: 21, Detect: true, Serial: serial},
+		o, err := New(Config{Shards: 3, BatchSize: 8, Seed: 21, Detect: true, Exec: Exec{Serial: serial}},
 			newRocket, testArms()...)
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -41,11 +42,23 @@ func TestEngineFleetCheckpointMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardEnginesUnderConcurrency runs a fleet whose shards each own
-// a multi-worker engine with detection on — the maximum-concurrency
-// shape — mainly for the -race CI job.
+// withProcs sets GOMAXPROCS for the rest of the test. The pool is sized
+// from it (engine.SpareWorkers), so this is how a test chooses between
+// a fleet with spare-core workers and one without — the same way an
+// operator does, by the machine it runs on.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestShardEnginesUnderConcurrency runs a fleet with detection on and
+// two more cores than shards — committers and pool workers racing for
+// the same rounds' entries, the maximum-concurrency shape — mainly for
+// the -race CI job.
 func TestShardEnginesUnderConcurrency(t *testing.T) {
-	o, err := New(Config{Shards: 3, BatchSize: 8, Seed: 23, Detect: true, Parallel: 2},
+	withProcs(t, 3+2)
+	o, err := New(Config{Shards: 3, BatchSize: 8, Seed: 23, Detect: true},
 		newRocket, testArms()...)
 	if err != nil {
 		t.Fatalf("New: %v", err)

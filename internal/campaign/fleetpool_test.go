@@ -1,8 +1,8 @@
 package campaign
 
-// Tests for the fleet-level work-stealing execution pool: the
-// three-way execution-path determinism tables, the scale/skew probe,
-// and the mismatch-novelty reward.
+// Tests for the fleet's single executor: the oracle-vs-production
+// determinism table, the spare-core skew probe, and the
+// mismatch-novelty reward.
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"chatfuzz/internal/core"
+	"chatfuzz/internal/engine"
 	"chatfuzz/internal/isa"
 	"chatfuzz/internal/mem"
 	"chatfuzz/internal/mismatch"
@@ -20,55 +21,45 @@ import (
 	"chatfuzz/internal/trace"
 )
 
-// execPath names one of the three execution paths a fleet can run on.
-type execPath struct {
-	name string
-	set  func(*Config)
-}
+// oracle is the reference every production run is compared against.
+var oracle = Exec{Serial: true}
 
-var execPaths = []execPath{
-	{"serial", func(c *Config) { c.Serial = true }},
-	{"per-shard-pool", func(c *Config) {}},
-	{"fleet-pool", func(c *Config) { c.FleetPool = true; c.PoolWorkers = 3 }},
-	// Off-barrier learning on top of the fleet pool: PPO training runs
-	// on a background goroutine overlapped with the next round, yet
-	// trajectories and checkpoint bytes must match the serial loop.
-	{"off-barrier", func(c *Config) { c.FleetPool = true; c.PoolWorkers = 3; c.OffBarrier = true }},
-	// The sub-round pipeline on top of the off-barrier fleet pool:
-	// feedback-free arms overlap batch generation with earlier batches'
-	// simulation inside each round (the window stays closed for
-	// learning arms), yet every trajectory bit and checkpoint byte must
-	// match the strictly alternating serial loop.
-	{"pipelined", func(c *Config) {
-		c.FleetPool = true
-		c.PoolWorkers = 3
-		c.OffBarrier = true
-		c.Inflight = 3
-	}},
-	// Full observability on top of everything: flight recorder, metrics
-	// registry and probes all armed. Telemetry is execution-only, so the
-	// trajectory AND the checkpoint bytes must still match the serial
-	// loop bit for bit — the acceptance property of the telemetry plane.
-	{"telemetry", func(c *Config) {
-		c.FleetPool = true
-		c.PoolWorkers = 3
-		c.OffBarrier = true
-		c.Probe = true
-		c.Telemetry = telemetry.NewRecorder(io.Discard)
-		c.Metrics = telemetry.NewRegistry()
+// production lists the ways the one production path can be run and
+// watched. None of it may move a trajectory bit or a checkpoint byte.
+var production = []struct {
+	name string
+	exec func() Exec
+}{
+	{"production", func() Exec { return Exec{} }},
+	// The sub-round pipeline: feedback-free arms overlap batch
+	// generation with earlier batches' simulation inside each round
+	// (the window stays closed for learning arms).
+	{"pipelined", func() Exec { return Exec{Inflight: 3} }},
+	// Full observability: flight recorder, metrics registry and probes
+	// all armed — the acceptance property of the telemetry plane.
+	{"observed", func() Exec {
+		return Exec{
+			Probe:     true,
+			Telemetry: telemetry.NewRecorder(io.Discard),
+			Metrics:   telemetry.NewRegistry(),
+		}
 	}},
 }
 
 // TestFleetPoolDeterminismTable is the acceptance property of the
-// fleet pool: across shard counts, homogeneous and mixed fleets, and
-// frozen and learning arms, the serial loop, the per-shard pools and
-// the fleet-level work-stealing pool produce bit-identical merged
-// trajectories and byte-identical checkpoints.
+// executor: across shard counts, homogeneous and mixed fleets, and
+// frozen and learning arms, production — plain, pipelined and fully
+// observed — produces the oracle's merged trajectory bit for bit and
+// its checkpoint byte for byte. Every cell runs twice: with three more
+// cores than shards, so pool workers exist, race the committers and
+// steal across designs, and with no more cores than shards, so the
+// pool is empty and every shard is an inline loop.
 func TestFleetPoolDeterminismTable(t *testing.T) {
 	duts := map[string][]func() rtl.DUT{
 		"homogeneous": {newRocket},
 		"mixed":       {newRocket, newBoom},
 	}
+	stolen := 0 // worker steals over the mixed cells that have workers
 	for _, shards := range []int{1, 4, 16} {
 		for fleetName, newDUTs := range duts {
 			for _, learn := range []bool{false, true} {
@@ -78,12 +69,17 @@ func TestFleetPoolDeterminismTable(t *testing.T) {
 					if shards == 16 {
 						rounds = 2 // keep the big fleets cheap
 					}
-					run := func(p execPath) ([]core.ProgressPoint, []byte, int64) {
+					type result struct {
+						traj      []core.ProgressPoint
+						ckpt      []byte
+						pool      engine.FleetStats
+						pipelined int64
+					}
+					run := func(label string, ex Exec) result {
 						// RoundBatches 2 gives the pipelined path real overlap
 						// to exercise: with one batch per round the in-flight
 						// window never holds more than one batch.
-						cfg := Config{Shards: shards, BatchSize: 4, RoundBatches: 2, Seed: 33, Detect: true}
-						p.set(&cfg)
+						cfg := Config{Shards: shards, BatchSize: 4, RoundBatches: 2, Seed: 33, Detect: true, Exec: ex}
 						var arms []ArmSpec
 						if learn {
 							arms = learnArms(learnPipeline())
@@ -92,47 +88,70 @@ func TestFleetPoolDeterminismTable(t *testing.T) {
 						}
 						o, err := NewMixed(cfg, newDUTs, arms...)
 						if err != nil {
-							t.Fatalf("%s: NewMixed: %v", p.name, err)
+							t.Fatalf("%s: NewMixed: %v", label, err)
 						}
 						defer o.Close()
 						o.RunRounds(rounds)
 						var buf bytes.Buffer
 						if err := o.Checkpoint(&buf); err != nil {
-							t.Fatalf("%s: Checkpoint: %v", p.name, err)
+							t.Fatalf("%s: Checkpoint: %v", label, err)
 						}
-						pipelined := int64(0)
+						res := result{traj: o.Trajectory(), ckpt: buf.Bytes(), pool: o.PoolStats()}
 						for s := 0; s < shards; s++ {
 							if st, ok := o.Shard(s).EngineStats(); ok {
-								pipelined += st.PipelinedRounds
+								res.pipelined += st.PipelinedRounds
 							}
 						}
-						return o.Trajectory(), buf.Bytes(), pipelined
+						if res.pool.Submitted != o.Tests() && !ex.Serial {
+							t.Errorf("%s: pool saw %d entries for %d tests", label, res.pool.Submitted, o.Tests())
+						}
+						return res
 					}
-					wantTraj, wantCkpt, _ := run(execPaths[0])
-					for _, p := range execPaths[1:] {
-						traj, ckpt, pipelined := run(p)
-						// Guard the pipelined axis against silently
-						// degenerating: the free arms (randinst, randfuzz)
-						// must have overlapped batches at least once.
-						if p.name == "pipelined" && !learn && pipelined == 0 {
-							t.Errorf("%s ran but the sub-round pipeline never engaged", p.name)
-						}
-						if len(traj) != len(wantTraj) {
-							t.Fatalf("%s trajectory has %d points, serial has %d", p.name, len(traj), len(wantTraj))
-						}
-						for i := range wantTraj {
-							if traj[i] != wantTraj[i] {
-								t.Fatalf("%s trajectory diverges from serial at round %d: %+v vs %+v",
-									p.name, i, traj[i], wantTraj[i])
+					want := run("oracle", oracle)
+					for _, procs := range []int{shards + 3, min(shards, 2)} {
+						withProcs(t, procs)
+						for _, p := range production {
+							label := fmt.Sprintf("%s/GOMAXPROCS=%d", p.name, procs)
+							got := run(label, p.exec())
+							st := got.pool
+							if workers := max(0, procs-shards); st.Workers != workers {
+								t.Errorf("%s: pool has %d workers, want %d", label, st.Workers, workers)
 							}
-						}
-						if !bytes.Equal(ckpt, wantCkpt) {
-							t.Errorf("%s checkpoint differs from the serial checkpoint", p.name)
+							if st.Executed+st.Helped != st.Submitted {
+								t.Errorf("%s: pool ran %d+%d of %d entries", label, st.Executed, st.Helped, st.Submitted)
+							}
+							if st.Workers == 0 && st.Executed+st.Stolen != 0 {
+								t.Errorf("%s: an empty pool executed %d and stole %d entries", label, st.Executed, st.Stolen)
+							}
+							if fleetName == "mixed" {
+								stolen += st.Stolen
+							}
+							// Guard the pipelined axis against silently
+							// degenerating: the free arms (randinst, randfuzz)
+							// must have overlapped batches at least once.
+							if p.name == "pipelined" && !learn && got.pipelined == 0 {
+								t.Errorf("%s ran but the sub-round pipeline never engaged", label)
+							}
+							if len(got.traj) != len(want.traj) {
+								t.Fatalf("%s trajectory has %d points, the oracle has %d", label, len(got.traj), len(want.traj))
+							}
+							for i := range want.traj {
+								if got.traj[i] != want.traj[i] {
+									t.Fatalf("%s trajectory diverges from the oracle at round %d: %+v vs %+v",
+										label, i, got.traj[i], want.traj[i])
+								}
+							}
+							if !bytes.Equal(got.ckpt, want.ckpt) {
+								t.Errorf("%s checkpoint differs from the oracle's", label)
+							}
 						}
 					}
 				})
 			}
 		}
+	}
+	if stolen == 0 {
+		t.Error("no pool worker ever stole across designs in the mixed fleets; the steal path went untested")
 	}
 }
 
@@ -152,93 +171,73 @@ func (s *slowDUT) Run(img mem.Image, maxInsts int) rtl.Result {
 	return s.DUT.Run(img, maxInsts)
 }
 
-// TestFleetPoolShrinksBarrierWait is the skew probe: on a fleet whose
-// shards alternate a fast and a deliberately slow design, the shared
-// work-stealing pool must cut the time shards idle at the aggregation
-// barrier versus per-shard pools, because idle shards' committers and
-// the pool's workers execute the slow design's queue concurrently.
-// The test observes wall-clock, but the sleep-based skew (2ms per
-// slow test, 8 tests per shard-round) keeps scheduling noise far
-// below the signal, and sleeps overlap even on a single-core runner.
+// TestFleetPoolShrinksBarrierWait is the skew probe, and the sizing
+// rule's trade made visible: on a fleet whose shards alternate a fast
+// and a deliberately slow design, spare cores must cut the time shards
+// idle at the aggregation barrier, because the pool's workers run the
+// slow design's entries alongside its committers — while with no more
+// cores than shards the pool is empty and the fast shards simply wait.
+// The test observes wall-clock, but the sleep-based skew (2ms per slow
+// test, 8 tests per shard-round) keeps scheduling noise far below the
+// signal, and sleeps overlap even on a single-core runner.
 func TestFleetPoolShrinksBarrierWait(t *testing.T) {
 	newSlow := func() rtl.DUT { return &slowDUT{DUT: newRocket(), delay: 2 * time.Millisecond} }
-	run := func(fleet bool) (ProbeSummary, []core.ProgressPoint) {
-		cfg := Config{Shards: 4, BatchSize: 8, Seed: 35, Probe: true}
-		if fleet {
-			cfg.FleetPool = true
-			cfg.PoolWorkers = 4
-		}
+	const shards, batch, rounds = 4, 8, 3
+	run := func(spare int) (ProbeSummary, []core.ProgressPoint) {
+		withProcs(t, shards+spare)
+		cfg := Config{Shards: shards, BatchSize: batch, Seed: 35, Exec: Exec{Probe: true}}
 		o, err := NewMixed(cfg, []func() rtl.DUT{newRocket, newSlow}, testArms()...)
 		if err != nil {
 			t.Fatalf("NewMixed: %v", err)
 		}
 		defer o.Close()
-		o.RunRounds(3)
+		o.RunRounds(rounds)
 		return o.ProbeSummary(), o.Trajectory()
 	}
 
-	perShard, shardTraj := run(false)
-	fleet, fleetTraj := run(true)
-	t.Logf("per-shard pools: %v", perShard)
-	t.Logf("fleet pool:      %v", fleet)
+	none, noneTraj := run(0)
+	spare, spareTraj := run(4)
+	t.Logf("no spare cores:   %v", none)
+	t.Logf("four spare cores: %v", spare)
 
-	// The skew is real in both runs; the pool must absorb it. The
+	// The skew is real in both runs; spare cores must absorb it. The
 	// typical shrink is ~2x; asserting only a 25% cut keeps scheduler
 	// noise on loaded CI runners out of the verdict. SimWait is the
 	// pool's own metric — the stealable sim-finish skew — though with
 	// frozen arms LearnWait is zero and BarrierWait would read the same.
-	if fleet.SimWait >= perShard.SimWait*3/4 {
-		t.Errorf("fleet pool sim wait %v did not shrink vs per-shard %v (want < 3/4)",
-			fleet.SimWait, perShard.SimWait)
+	if spare.SimWait >= none.SimWait*3/4 {
+		t.Errorf("sim wait with spare cores %v did not shrink vs none %v (want < 3/4)",
+			spare.SimWait, none.SimWait)
 	}
-	if fleet.Steals+fleet.Helped == 0 {
-		t.Error("fleet run recorded no steals or helps; the pool was idle")
+	if spare.Helped >= shards*batch*rounds {
+		t.Error("committers ran every entry despite four pool workers; the pool was idle")
 	}
-	if perShard.Steals != 0 || perShard.Helped != 0 {
-		t.Error("per-shard run recorded pool activity")
+	if none.Steals != 0 || none.Helped != shards*batch*rounds {
+		t.Errorf("empty pool: %d steals, %d of %d entries committer-run", none.Steals, none.Helped, shards*batch*rounds)
 	}
-	// Probing and pooling must not perturb the trajectory.
-	if len(shardTraj) != len(fleetTraj) {
-		t.Fatalf("trajectories have %d vs %d points", len(shardTraj), len(fleetTraj))
+	// Probing and pool size must not perturb the trajectory.
+	if len(noneTraj) != len(spareTraj) {
+		t.Fatalf("trajectories have %d vs %d points", len(noneTraj), len(spareTraj))
 	}
-	for i := range shardTraj {
-		if shardTraj[i] != fleetTraj[i] {
-			t.Errorf("trajectory diverges at round %d under the fleet pool", i)
+	for i := range noneTraj {
+		if noneTraj[i] != spareTraj[i] {
+			t.Errorf("trajectory diverges at round %d with spare cores", i)
 		}
 	}
 }
 
-// TestFleetPoolConfigValidation: the fleet pool is an engine-path
-// feature and must refuse the serial loop rather than silently
-// ignoring one of the two flags.
-func TestFleetPoolConfigValidation(t *testing.T) {
-	_, err := New(Config{Serial: true, FleetPool: true}, newRocket, testArms()...)
-	if err == nil {
-		t.Fatal("New accepted Serial together with FleetPool")
-	}
-}
-
-// TestPoolStatsAccessor: PoolStats reports only when a fleet pool is
-// actually running.
+// TestPoolStatsAccessor: every fleet has a pool, and it accounts for
+// every test the fleet ran.
 func TestPoolStatsAccessor(t *testing.T) {
-	o, err := New(Config{Shards: 2, BatchSize: 4, Seed: 37, FleetPool: true}, newRocket, testArms()...)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	o := mustNew(t, Config{Shards: 2, BatchSize: 4, Seed: 37})
+	defer o.Close()
 	o.RunRounds(2)
-	st, ok := o.PoolStats()
-	if !ok {
-		t.Fatal("PoolStats reported no pool on a FleetPool fleet")
-	}
+	st := o.PoolStats()
 	if st.Submitted != 2*2*4 {
-		t.Errorf("pool saw %d jobs, want %d", st.Submitted, 2*2*4)
+		t.Errorf("pool saw %d entries, want %d", st.Submitted, 2*2*4)
 	}
-	o.Close()
-
-	o2 := mustNew(t, Config{Shards: 2, BatchSize: 4, Seed: 37})
-	defer o2.Close()
-	if _, ok := o2.PoolStats(); ok {
-		t.Error("PoolStats reported a pool on a per-shard fleet")
+	if st.Executed+st.Helped != st.Submitted {
+		t.Errorf("executed %d + committer-run %d != submitted %d", st.Executed, st.Helped, st.Submitted)
 	}
 }
 

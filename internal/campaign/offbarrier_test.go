@@ -125,15 +125,17 @@ func TestPlateauOf(t *testing.T) {
 }
 
 // TestOffBarrierResumeUnderLag is the checkpoint-v4 acceptance
-// property: a learning fleet running off-barrier is checkpointed
-// mid-lag — after a barrier published one merge while the next
-// round's training was still conceptually in flight — and the resumed
-// run must reproduce the uninterrupted synchronous run's trajectory,
-// published weights and final checkpoint bytes, across shard counts
-// and with and without the fleet pool. A single-arm spec keeps every
-// shard on the learning arm every round, so the lag is always
-// populated and the checkpoint must carry both halves of the
-// stale/fresh weight pair.
+// property: a learning fleet is checkpointed mid-lag — after a barrier
+// published one merge while the next round's training was still
+// conceptually in flight — and the resumed run must reproduce the
+// uninterrupted run's trajectory, published weights and final
+// checkpoint bytes, across shard counts, and with the fleet's pool
+// empty (fleetpool=false: no more cores than shards) and staffed
+// (fleetpool=true: three spare cores). The uninterrupted reference
+// runs on the serial oracle. A single-arm spec keeps every shard on
+// the learning arm every round, so the lag is always populated and
+// the checkpoint must carry both halves of the stale/fresh weight
+// pair.
 func TestOffBarrierResumeUnderLag(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		for _, fleetPool := range []bool{false, true} {
@@ -141,11 +143,15 @@ func TestOffBarrierResumeUnderLag(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				if raceEnabled && shards == 16 {
 					// The race detector makes the 16-shard learning fleet
-					// minutes-slow; the async/sync race surface is already
-					// covered at 16 shards by TestFleetPoolDeterminismTable's
-					// off-barrier path, and this test's full table runs in
-					// the regular suite.
+					// minutes-slow; the async-training race surface is already
+					// covered at 16 shards by TestFleetPoolDeterminismTable,
+					// and this test's full table runs in the regular suite.
 					t.Skip("16-shard resume table skipped under -race")
+				}
+				if fleetPool {
+					withProcs(t, shards+3)
+				} else {
+					withProcs(t, min(shards, 2))
 				}
 				half := 3
 				if shards == 16 {
@@ -154,8 +160,10 @@ func TestOffBarrierResumeUnderLag(t *testing.T) {
 				cfg := Config{Shards: shards, BatchSize: 4, Seed: 47}
 				arms := func() []ArmSpec { return []ArmSpec{LearningLLMArm(learnPipeline())} }
 
-				// Reference: uninterrupted synchronous run.
-				full, err := New(cfg, newRocket, arms()...)
+				// Reference: uninterrupted run on the oracle.
+				ocfg := cfg
+				ocfg.Serial = true
+				full, err := New(ocfg, newRocket, arms()...)
 				if err != nil {
 					t.Fatalf("New full: %v", err)
 				}
@@ -168,14 +176,8 @@ func TestOffBarrierResumeUnderLag(t *testing.T) {
 					t.Fatalf("full checkpoint: %v", err)
 				}
 
-				// Paused off-barrier run, checkpointed mid-lag.
-				hcfg := cfg
-				hcfg.OffBarrier = true
-				if fleetPool {
-					hcfg.FleetPool = true
-					hcfg.PoolWorkers = 3
-				}
-				paused, err := New(hcfg, newRocket, arms()...)
+				// Paused production run, checkpointed mid-lag.
+				paused, err := New(cfg, newRocket, arms()...)
 				if err != nil {
 					t.Fatalf("New paused: %v", err)
 				}
@@ -196,7 +198,6 @@ func TestOffBarrierResumeUnderLag(t *testing.T) {
 					t.Fatalf("Resume: %v", err)
 				}
 				defer resumed.Close()
-				resumed.Cfg.OffBarrier = true // stays a pure execution detail after resume too
 				if err := resumed.RunRounds(half); err != nil {
 					t.Fatalf("resumed run: %v", err)
 				}
@@ -224,7 +225,7 @@ func TestOffBarrierResumeUnderLag(t *testing.T) {
 					t.Fatalf("resumed checkpoint: %v", err)
 				}
 				if !bytes.Equal(resCkpt.Bytes(), fullCkpt.Bytes()) {
-					t.Error("resumed off-barrier checkpoint differs from the uninterrupted synchronous one")
+					t.Error("resumed checkpoint differs from the uninterrupted oracle's")
 				}
 			})
 		}

@@ -9,11 +9,12 @@ import (
 	"chatfuzz/internal/engine"
 )
 
-// RoundProbe is one round's scheduler measurement (Config.Probe): how
-// long shards idled at the aggregation barrier and how much the fleet
-// pool stole, helped and migrated to keep them from idling. Probes
-// are wall-clock observations only — they never influence scheduling,
-// so probed and unprobed runs produce identical trajectories.
+// RoundProbe is one round's scheduler measurement (Exec.Probe): how
+// long shards idled at the aggregation barrier, how the round's
+// entries split between committers and pool workers, and how much the
+// workers stole and migrated to keep cores from idling. Probes are
+// wall-clock observations only — they never influence scheduling, so
+// probed and unprobed runs produce identical trajectories.
 type RoundProbe struct {
 	Round int
 	// SimWait is the summed time shards spent finished-but-waiting for
@@ -22,12 +23,10 @@ type RoundProbe struct {
 	// — the idle skew a work-stealing pool can actually reclaim.
 	SimWait time.Duration
 	// LearnWait is the single-threaded time the orchestrator barrier
-	// spent in the learning step (joining the previous round's
-	// training and, on the synchronous path, training this round's).
-	// With OffBarrier the training overlaps the next round's
-	// simulation and LearnWait collapses toward the join cost. No pool
-	// can steal it; it must be moved, which is what the off-barrier
-	// plane does.
+	// spent in the learning step: joining the previous round's
+	// training, which ran overlapped with this round's simulation, so
+	// it is the join cost and whatever training outlasted the round.
+	// No pool can steal it; the off-barrier plane moved it instead.
 	LearnWait time.Duration
 	// BarrierWait is SimWait + LearnWait, the round's total barrier
 	// cost. Earlier probes reported only this sum, which conflated the
@@ -36,8 +35,10 @@ type RoundProbe struct {
 	BarrierWait time.Duration
 	// Spread is last finish − first finish: the skew of the round.
 	Spread time.Duration
-	// Steals, Helped and Migrations are the fleet pool's per-round
-	// scheduling deltas (zero on the per-shard and serial paths).
+	// Steals and Migrations are the pool workers' per-round cross-
+	// design claims and scratch re-binds; Helped counts the entries run
+	// by the shards' own committers (all of them when the pool has no
+	// workers, none on the Serial oracle).
 	Steals     int
 	Helped     int
 	Migrations int
@@ -80,7 +81,7 @@ func migrationDelta(cur, prev map[string]int) map[string]int {
 }
 
 // Probes returns the per-round scheduler measurements recorded so far
-// (Config.Probe only). The probes are fully independent copies: the
+// (Exec.Probe only). The probes are fully independent copies: the
 // MigrationsByDesign maps are cloned per round, not aliased, so a
 // caller mutating a returned probe (or holding it across later rounds)
 // cannot corrupt the orchestrator's record — a plain copy() would
@@ -103,14 +104,9 @@ func (o *Orchestrator) Probes() []RoundProbe {
 	return out
 }
 
-// PoolStats returns the fleet pool's cumulative scheduling counters,
-// or false when the fleet runs on per-shard engines.
-func (o *Orchestrator) PoolStats() (engine.FleetStats, bool) {
-	if o.pool == nil {
-		return engine.FleetStats{}, false
-	}
-	return o.pool.Stats(), true
-}
+// PoolStats returns the execution pool's cumulative scheduling
+// counters.
+func (o *Orchestrator) PoolStats() engine.FleetStats { return o.pool.Stats() }
 
 // ProbeSummary aggregates the recorded probes.
 type ProbeSummary struct {
@@ -163,7 +159,7 @@ func (o *Orchestrator) ProbeSummary() ProbeSummary {
 // String renders the summary as a short report.
 func (s ProbeSummary) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "probe: %d rounds, barrier wait %v (sim %v + learn %v, spread %v), %d steals, %d helped, %d migrations",
+	fmt.Fprintf(&b, "probe: %d rounds, barrier wait %v (sim %v + learn %v, spread %v), %d steals, %d committer-run, %d migrations",
 		s.Rounds, s.BarrierWait.Round(time.Microsecond),
 		s.SimWait.Round(time.Microsecond), s.LearnWait.Round(time.Microsecond),
 		s.Spread.Round(time.Microsecond), s.Steals, s.Helped, s.Migrations)

@@ -31,17 +31,17 @@ func traceNames(t *testing.T, b []byte) map[string]bool {
 	return names
 }
 
-// TestTelemetryTraceCoversEveryLayer: a learning fleet on the shared
-// pool with off-barrier training must leave spans from every
-// instrumented layer in its trace — generation and commit from the
-// shard fuzzers, build/sim/golden from the engine workers, round and
-// barrier from the orchestrator, train from the off-barrier learner.
+// TestTelemetryTraceCoversEveryLayer: a learning fleet must leave
+// spans from every instrumented layer in its trace — generation and
+// commit from the shard fuzzers, build/sim/golden from the engines'
+// executors, round and barrier from the orchestrator, train from the
+// off-barrier learner.
 func TestTelemetryTraceCoversEveryLayer(t *testing.T) {
+	withProcs(t, 4+3)
 	var buf bytes.Buffer
 	cfg := Config{
 		Shards: 4, BatchSize: 4, Seed: 41, Detect: true,
-		FleetPool: true, PoolWorkers: 3, OffBarrier: true,
-		Telemetry: telemetry.NewRecorder(&buf),
+		Exec: Exec{Telemetry: telemetry.NewRecorder(&buf)},
 	}
 	o, err := NewMixed(cfg, []func() rtl.DUT{newRocket, newBoom}, learnArms(learnPipeline())...)
 	if err != nil {
@@ -71,11 +71,11 @@ func TestTelemetryTraceCoversEveryLayer(t *testing.T) {
 // must agree with the orchestrator's own accessors — the metrics plane
 // observes, it does not recompute.
 func TestMetricsMatchOrchestratorState(t *testing.T) {
+	withProcs(t, 4+3)
 	reg := telemetry.NewRegistry()
 	cfg := Config{
 		Shards: 4, BatchSize: 4, Seed: 43, Detect: true,
-		FleetPool: true, PoolWorkers: 3, Probe: true,
-		Metrics: reg,
+		Exec: Exec{Probe: true, Metrics: reg},
 	}
 	o, err := NewMixed(cfg, []func() rtl.DUT{newRocket, newBoom}, testArms()...)
 	if err != nil {
@@ -104,10 +104,8 @@ func TestMetricsMatchOrchestratorState(t *testing.T) {
 		check("arm/"+a.Name+"/pulls", float64(a.Pulls))
 		check("arm/"+a.Name+"/mean_reward", a.MeanReward)
 	}
-	st, ok := o.PoolStats()
-	if !ok {
-		t.Fatal("no pool stats on a FleetPool fleet")
-	}
+	st := o.PoolStats()
+	check("pool/workers", 3)
 	check("pool/submitted", float64(st.Submitted))
 	check("pool/steals", float64(st.Stolen))
 	// Probe was on, so the wait histograms must have one sample per round.
@@ -125,7 +123,8 @@ func TestMetricsMatchOrchestratorState(t *testing.T) {
 // including its MigrationsByDesign map — must not reach the
 // orchestrator's own record. A shallow slice copy aliased the maps.
 func TestProbesAreDeepCopies(t *testing.T) {
-	o, err := NewMixed(Config{Shards: 4, BatchSize: 4, Seed: 45, FleetPool: true, PoolWorkers: 2, Probe: true},
+	withProcs(t, 4+2)
+	o, err := NewMixed(Config{Shards: 4, BatchSize: 4, Seed: 45, Exec: Exec{Probe: true}},
 		[]func() rtl.DUT{newRocket, newBoom}, testArms()...)
 	if err != nil {
 		t.Fatalf("NewMixed: %v", err)
@@ -140,7 +139,7 @@ func TestProbesAreDeepCopies(t *testing.T) {
 		t.Fatalf("recorded %d probes, want 2", len(got))
 	}
 	if got[0].MigrationsByDesign == nil {
-		t.Fatal("fleet-pool probe has no MigrationsByDesign map")
+		t.Fatal("probe has no MigrationsByDesign map")
 	}
 	before := o.Probes()
 	got[0].MigrationsByDesign["poisoned"] = 999
@@ -157,7 +156,7 @@ func TestProbesAreDeepCopies(t *testing.T) {
 // TestProbeSummaryZeroRounds: a probed fleet that never ran a round
 // must summarise (and render) cleanly, not panic on empty state.
 func TestProbeSummaryZeroRounds(t *testing.T) {
-	o := mustNew(t, Config{Shards: 2, BatchSize: 4, Probe: true})
+	o := mustNew(t, Config{Shards: 2, BatchSize: 4, Exec: Exec{Probe: true}})
 	defer o.Close()
 	s := o.ProbeSummary()
 	if s.Rounds != 0 || s.Steals != 0 || s.BarrierWait != 0 {
@@ -168,5 +167,86 @@ func TestProbeSummaryZeroRounds(t *testing.T) {
 	}
 	if probes := o.Probes(); len(probes) != 0 {
 		t.Errorf("zero rounds recorded %d probes", len(probes))
+	}
+}
+
+// TestResumeHonoursExec: Resume* takes the same Exec as New*. A fleet
+// resumed under a recorder, a registry and probes produces spans,
+// metrics and probes for the rounds it runs after the resume, and —
+// observation being execution-only — ends on the checkpoint bytes of
+// the same fleet run unobserved and uninterrupted.
+func TestResumeHonoursExec(t *testing.T) {
+	duts := []func() rtl.DUT{newRocket, newBoom}
+	cfg := Config{Shards: 4, BatchSize: 4, RoundBatches: 2, Seed: 49, Detect: true}
+	checkpoint := func(o *Orchestrator) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := o.Checkpoint(&buf); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		return buf.Bytes()
+	}
+
+	full, err := NewMixed(cfg, duts, testArms()...)
+	if err != nil {
+		t.Fatalf("NewMixed: %v", err)
+	}
+	defer full.Close()
+	if err := full.RunRounds(4); err != nil {
+		t.Fatalf("full run: %v", err)
+	}
+	want := checkpoint(full)
+
+	half, err := NewMixed(cfg, duts, testArms()...)
+	if err != nil {
+		t.Fatalf("NewMixed: %v", err)
+	}
+	if err := half.RunRounds(2); err != nil {
+		t.Fatalf("half run: %v", err)
+	}
+	paused := checkpoint(half)
+	half.Close()
+
+	var trace bytes.Buffer
+	ex := Exec{
+		Inflight:  3,
+		Probe:     true,
+		Telemetry: telemetry.NewRecorder(&trace),
+		Metrics:   telemetry.NewRegistry(),
+	}
+	resumed, err := ResumeExec(bytes.NewReader(paused), ex, duts, testArms()...)
+	if err != nil {
+		t.Fatalf("ResumeExec: %v", err)
+	}
+	if err := resumed.RunRounds(2); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	got := checkpoint(resumed)
+	resumed.Close()
+	if err := ex.Telemetry.Close(); err != nil {
+		t.Fatalf("recorder Close: %v", err)
+	}
+
+	if !bytes.Equal(got, want) {
+		t.Error("observed resumed fleet's checkpoint differs from the unobserved uninterrupted one")
+	}
+	if n := len(resumed.Probes()); n != 2 {
+		t.Errorf("resumed fleet recorded %d probes for 2 rounds", n)
+	}
+	names := traceNames(t, trace.Bytes())
+	for _, span := range []string{telemetry.SpanGenerate, telemetry.SpanSim, telemetry.SpanCommit, telemetry.SpanRound, telemetry.SpanBarrier} {
+		if !names[span] {
+			t.Errorf("resumed fleet's trace has no %q span", span)
+		}
+	}
+	s := ex.Metrics.Snapshot()
+	if got := s.Gauges["fleet/rounds"]; got != 4 {
+		t.Errorf("fleet/rounds = %v after resume, want 4", got)
+	}
+	if got := s.Histograms["probe/sim_wait_ms"].Count; got != 2 {
+		t.Errorf("probe/sim_wait_ms has %d samples after resume, want 2", got)
+	}
+	if resumed.Cfg.Inflight != 3 {
+		t.Errorf("resumed fleet runs with Inflight %d, want the Exec's 3", resumed.Cfg.Inflight)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // buffer sneaking back into cov or mismatch fails it.
 func TestSteadyStateCommitAllocFree(t *testing.T) {
 	dut := rocket.New()
-	f := NewFuzzer(randfuzz.New(3, 16), dut, Options{BatchSize: 4, Detect: true, Parallel: 1})
+	f := NewFuzzer(randfuzz.New(3, 16), dut, Options{BatchSize: 4, Detect: true})
 	defer f.Close()
 
 	// Straight-line addi body: DUT and golden model agree, so the

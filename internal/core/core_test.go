@@ -153,7 +153,7 @@ func TestFuzzerDetectsFindingsWithLLM(t *testing.T) {
 func TestFuzzerDeterminism(t *testing.T) {
 	run := func() (float64, int) {
 		g := randfuzz.New(3, 16)
-		f := NewFuzzer(g, rocket.New(), Options{BatchSize: 8, Parallel: 4})
+		f := NewFuzzer(g, rocket.New(), Options{BatchSize: 8})
 		f.RunTests(48)
 		return f.Coverage(), f.Tests
 	}

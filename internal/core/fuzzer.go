@@ -1,9 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-
 	"chatfuzz/internal/cov"
 	"chatfuzz/internal/engine"
 	"chatfuzz/internal/mem"
@@ -32,9 +29,6 @@ type Options struct {
 	Detect bool
 	// Clock, when nil, defaults to the calibrated VCS clock.
 	Clock *vtime.Clock
-	// Parallel bounds simulation workers (0 = GOMAXPROCS). Ignored
-	// when Pool is set.
-	Parallel int
 	// Inflight bounds submitted-but-uncommitted rounds per shard
 	// (<= 0 means 1, no sub-round pipelining). With Inflight N and a
 	// FeedbackFree generator, RunBatches/RunTests keep up to N rounds
@@ -43,20 +37,20 @@ type Options struct {
 	// accounting stream is bit-identical to Inflight 1 — and inert on
 	// the Serial path.
 	Inflight int
-	// Pool, when non-nil, makes the fuzzer's engine a lightweight
-	// submitter into a shared fleet-level work-stealing pool instead
-	// of owning workers. Ownership does not transfer: Close releases
-	// the fuzzer's engine but never the pool, which belongs to
-	// whoever built it (typically the campaign orchestrator, which
-	// closes it after every shard). Ignored with Serial.
+	// Pool is the execution pool the fuzzer's engine submits its rounds
+	// to. Ownership does not transfer: Close never releases a pool that
+	// was handed in, which belongs to whoever built it (the campaign
+	// orchestrator, which closes it after every shard). When nil, the
+	// fuzzer builds a private pool filling the cores its own committer
+	// leaves idle (engine.SpareWorkers(1)) and closes it with Close.
+	// Ignored with Serial.
 	Pool *engine.FleetPool
-	// Serial disables the persistent batch execution engine and runs
-	// the original fork-join loop: a goroutine pool spawned per round,
-	// per-test scratch allocation, and generation strictly serialized
-	// against simulation. The two paths produce bit-identical
-	// trajectories, detector output and checkpoints; Serial exists as
-	// the reference implementation for determinism tests and as the
-	// baseline for the engine benchmarks.
+	// Serial replaces the engine with the reference oracle for tests: a
+	// plain loop that builds and simulates each program in turn with
+	// freshly allocated scratch, then commits in order. Production and
+	// the oracle produce bit-identical trajectories, detector output
+	// and checkpoints — that equality is what the determinism tests
+	// assert; nothing else should set it.
 	Serial bool
 	// Telemetry, when non-nil, records the fuzzer's generate and
 	// commit spans on its own flight-recorder track (and is handed to
@@ -85,10 +79,12 @@ type FeedbackFree interface {
 // the Mismatch Detector compares traces, and scores feed back to the
 // generator.
 //
-// Unless Options.Serial is set, batch execution is delegated to the
-// persistent pipelined engine (internal/engine): a worker pool that
-// lives across rounds with reusable per-worker scratch, committing
-// results in deterministic input order.
+// Batch execution is delegated to the persistent engine
+// (internal/engine): the fuzzer's goroutine is the committer — it runs
+// its own round's entries on scratch it keeps for life and commits
+// them in deterministic input order — and the pool's workers, if the
+// machine has cores to spare, run ahead of it. Options.Serial swaps in
+// the allocating reference loop the tests compare against.
 type Fuzzer struct {
 	Gen  Generator
 	DUT  rtl.DUT
@@ -100,10 +96,10 @@ type Fuzzer struct {
 	Tests     int
 	Progress  []ProgressPoint
 
-	parallel int
 	inflight int
 	eng      *engine.Engine
-	track    *telemetry.Track // generate/commit spans (nil = disabled)
+	pool     *engine.FleetPool // private pool (Options.Pool was nil); closed by Close
+	track    *telemetry.Track  // generate/commit spans (nil = disabled)
 	closed   bool
 
 	// Windowed-pipeline scratch, reused across RunBatches/RunTests
@@ -133,7 +129,6 @@ func NewFuzzer(gen Generator, dut rtl.DUT, opts Options) *Fuzzer {
 		Calc:      cov.NewCalculator(dut.Space()),
 		Clk:       clk,
 		BatchSize: opts.BatchSize,
-		parallel:  opts.Parallel,
 		inflight:  opts.Inflight,
 	}
 	if f.inflight < 1 {
@@ -148,27 +143,36 @@ func NewFuzzer(gen Generator, dut rtl.DUT, opts Options) *Fuzzer {
 	}
 	f.track = opts.Telemetry.NewTrack(label)
 	if !opts.Serial {
+		pool := opts.Pool
+		if pool == nil {
+			f.pool = engine.NewFleetPool(engine.SpareWorkers(1), opts.Telemetry)
+			pool = f.pool
+		}
 		f.eng = engine.New(dut, engine.Config{
-			Workers:   opts.Parallel,
 			Inflight:  f.inflight,
 			Detect:    opts.Detect,
-			Pool:      opts.Pool,
+			Pool:      pool,
 			Telemetry: opts.Telemetry,
 		})
 	}
 	return f
 }
 
-// Close releases the execution engine's worker pool. The fuzzer's
-// results (Progress, Det, Calc) stay readable, but no further batches
-// may run. Close is optional — an abandoned engine is reclaimed by a
-// finalizer — but deterministic release is cheaper than waiting on
-// the garbage collector.
+// Close releases the execution engine and, if the fuzzer built its
+// own, the pool's workers. The fuzzer's results (Progress, Det, Calc)
+// stay readable, but no further batches may run. Close is optional —
+// an abandoned private pool is reclaimed by a finalizer — but
+// deterministic release is cheaper than waiting on the garbage
+// collector.
 func (f *Fuzzer) Close() {
 	f.closed = true
 	if f.eng != nil {
 		f.eng.Close()
 		f.eng = nil
+	}
+	if f.pool != nil {
+		f.pool.Close()
+		f.pool = nil
 	}
 }
 
@@ -219,7 +223,7 @@ func (f *Fuzzer) commitOne(buildErr error, res rtl.Result, golden []trace.Entry)
 }
 
 // runOne simulates one program on the DUT (and the golden model when
-// detection is on) — the serial path's per-test body.
+// detection is on) — the oracle's per-test body.
 func (f *Fuzzer) runOne(p prog.Program) (rtl.Result, []trace.Entry, error) {
 	img, _, err := prog.Build(p)
 	if err != nil {
@@ -243,8 +247,8 @@ func (f *Fuzzer) runOne(p prog.Program) (rtl.Result, []trace.Entry, error) {
 // returned for the next call.
 func (f *Fuzzer) runBatch(k int, pre []prog.Program, nextK int) ([]cov.Scores, []prog.Program) {
 	if f.closed {
-		// Fail loudly on both execution paths: without this, a closed
-		// engine fuzzer would silently fall back to the serial loop.
+		// Fail loudly on production and oracle alike: without this, a
+		// closed engine fuzzer would silently fall back to the oracle.
 		panic("core: RunBatch after Close")
 	}
 	progs := pre
@@ -273,39 +277,16 @@ func (f *Fuzzer) runBatch(k int, pre []prog.Program, nextK int) ([]cov.Scores, [
 		})
 		f.track.Span(telemetry.SpanCommit, t)
 	} else {
+		// The oracle: simulate everything, then account in order.
 		type outcome struct {
 			res    rtl.Result
 			golden []trace.Entry
 			err    error
 		}
 		outs := make([]outcome, len(progs))
-
-		workers := f.parallel
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
+		for i, p := range progs {
+			outs[i].res, outs[i].golden, outs[i].err = f.runOne(p)
 		}
-		if workers > len(progs) {
-			workers = len(progs)
-		}
-		var wg sync.WaitGroup
-		nextIdx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range nextIdx {
-					res, golden, err := f.runOne(progs[i])
-					outs[i] = outcome{res, golden, err}
-				}
-			}()
-		}
-		for i := range progs {
-			nextIdx <- i
-		}
-		close(nextIdx)
-		wg.Wait()
-
-		// Deterministic, in-order accounting.
 		f.Calc.BeginBatch()
 		t := f.track.Start()
 		for i, o := range outs {

@@ -7,6 +7,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"chatfuzz/internal/baseline/randfuzz"
@@ -143,10 +144,11 @@ func TestDetectorTestIndexMatchesTrajectory(t *testing.T) {
 
 // TestEngineMatchesSerialPath is the engine's determinism contract: a
 // fixed-seed campaign produces a bit-identical coverage trajectory and
-// detector state on the engine and the serial fork-join loop, for both
-// a feedback-free generator (which exercises the generation/simulation
+// detector state on the engine and the serial oracle, for both a
+// feedback-free generator (which exercises the generation/simulation
 // double buffer) and a feedback-consuming one (TheHuzz, whose pool
-// admission depends on scores).
+// admission depends on scores) — with no spare core (GOMAXPROCS 1: the
+// committer runs every entry) and with three pool workers racing it.
 func TestEngineMatchesSerialPath(t *testing.T) {
 	type maker func() Generator
 	cases := []struct {
@@ -158,26 +160,28 @@ func TestEngineMatchesSerialPath(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(serial bool, parallel int) *Fuzzer {
+			run := func(serial bool) *Fuzzer {
 				f := NewFuzzer(c.gen(), rocket.New(), Options{
-					BatchSize: 8, Detect: true, Serial: serial, Parallel: parallel,
+					BatchSize: 8, Detect: true, Serial: serial,
 				})
 				f.RunTests(52) // deliberately not a multiple of the batch size
 				f.Close()
 				return f
 			}
-			want := run(true, 1)
-			for _, parallel := range []int{1, 4} {
-				got := run(false, parallel)
+			want := run(true)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				got := run(false)
 				if !reflect.DeepEqual(got.Progress, want.Progress) {
-					t.Errorf("parallel=%d: engine trajectory diverged from serial path", parallel)
+					t.Errorf("GOMAXPROCS=%d: engine trajectory diverged from serial path", procs)
 				}
 				if got.Coverage() != want.Coverage() {
-					t.Errorf("parallel=%d: coverage %.6f vs serial %.6f", parallel, got.Coverage(), want.Coverage())
+					t.Errorf("GOMAXPROCS=%d: coverage %.6f vs serial %.6f", procs, got.Coverage(), want.Coverage())
 				}
 				if got.Det.RawCount != want.Det.RawCount || got.Det.FilteredRaw != want.Det.FilteredRaw {
-					t.Errorf("parallel=%d: detector counts (%d,%d) vs serial (%d,%d)",
-						parallel, got.Det.RawCount, got.Det.FilteredRaw, want.Det.RawCount, want.Det.FilteredRaw)
+					t.Errorf("GOMAXPROCS=%d: detector counts (%d,%d) vs serial (%d,%d)",
+						procs, got.Det.RawCount, got.Det.FilteredRaw, want.Det.RawCount, want.Det.FilteredRaw)
 				}
 			}
 		})

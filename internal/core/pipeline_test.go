@@ -23,7 +23,7 @@ func TestPipelinedRunMatchesUnpipelined(t *testing.T) {
 	}
 	run := func(inflight int, tests int) result {
 		f := NewFuzzer(randfuzz.New(7, 12), rocket.New(), Options{
-			BatchSize: 5, Detect: true, Parallel: 1, Inflight: inflight,
+			BatchSize: 5, Detect: true, Inflight: inflight,
 		})
 		defer f.Close()
 		if tests > 0 {

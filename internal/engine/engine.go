@@ -1,51 +1,49 @@
-// Package engine implements the persistent, pipelined batch execution
-// engine behind the fuzzing loop: the component that turns a batch of
+// Package engine implements the persistent batch execution engine
+// behind the fuzzing loop: the component that turns a batch of
 // generated programs into simulation outcomes as fast as the hardware
 // allows, while keeping every observable result bit-identical to a
 // strictly serial execution.
 //
-// The seed implementation of core.Fuzzer.RunBatch spawned and joined a
-// fresh goroutine pool every round, allocated a new platform memory,
-// ISS, coverage set and trace buffers for every golden-model run, and
-// serialized all accounting behind the round barrier. The engine
-// replaces that fork-join body with:
+// There is one executor. An Engine submits rounds to a pool (the
+// campaign orchestrator's shared FleetPool, or the private one a
+// standalone core.Fuzzer builds and closes), and a Round carries one
+// atomic next index that every executor claims from:
 //
-//   - a worker pool that lives for the whole campaign (workers are
-//     spawned once and fed rounds over a channel, not re-created per
-//     round);
-//   - per-worker reusable scratch: a platform memory for the golden
-//     model, and — when the DUT implements rtl.ReusableDUT — a
-//     worker-private rtl.Runner whose caches, predictors and memory
-//     are reset instead of re-allocated, plus pooled coverage sets and
-//     trace buffers recycled at commit, so the steady-state loop is
-//     allocation-free;
-//   - in-order commit: Round.Each hands outcomes to the caller in
-//     input order as soon as each becomes ready, so scoring, mismatch
-//     detection and virtual-clock accounting overlap the simulation of
-//     later entries instead of waiting for the whole round.
+//   - the committer — the engine owner's goroutine inside Round.Each —
+//     is always an executor. When the entry it must commit next is not
+//     ready it runs its own round's next unclaimed entry, on scratch
+//     bound to its own design for life, instead of sleeping; it sleeps
+//     only once every entry of its round is claimed;
+//   - pool workers exist only to fill the cores the committers leave
+//     idle (see SpareWorkers). They keep design-affine scratch and
+//     steal from the design with the most unclaimed entries.
 //
-// Determinism: workers only compute; every stateful side effect
+// With no spare cores the pool has no workers and this is a plain
+// inline loop: each committer executes entry i, commits it, executes
+// entry i+1 — one executed-but-uncommitted outcome per engine, which
+// is what keeps a wide fleet's memory flat. With spare cores, workers
+// run ahead of the committers inside the rounds already submitted.
+//
+// Scratch is reusable everywhere: a platform memory for the golden
+// model, a private rtl.Runner per (executor, design) when the DUT
+// implements rtl.ReusableDUT, and pooled coverage sets and trace
+// buffers recycled at commit, so the steady-state loop is
+// allocation-free. Round.Each hands outcomes to the caller in input
+// order as soon as each becomes ready, so scoring, mismatch detection
+// and virtual-clock accounting overlap the simulation of later
+// entries.
+//
+// Determinism: executors only compute; every stateful side effect
 // (coverage merge, detector, clock, trajectory) happens in the
 // caller's goroutine in input order, exactly as the serial loop
-// performed it. A fixed-seed campaign therefore produces bit-identical
-// trajectories, detector output and checkpoints on the engine and the
-// serial path, regardless of worker count or scheduling.
-//
-// With a single worker (the default inside campaign shards, where the
-// shards themselves are the parallelism) the engine short-circuits the
-// channels entirely and executes jobs inline during Each, keeping the
-// scratch-reuse benefits without any cross-goroutine traffic.
-//
-// Sharded fleets can go one step further and share a single
-// fleet-level work-stealing pool across every shard engine
-// (Config.Pool; see the FleetPool documentation in fleetpool.go for
-// the affinity queues, steal policy, helping committers and the
-// commit-order invariant that keeps stealing bit-identical).
+// performs it. A fixed-seed campaign therefore produces bit-identical
+// trajectories, detector output and checkpoints whatever the worker
+// count, claim order or stealing (see fleetpool.go for the pool side
+// of the contract).
 //chatfuzz:deterministic package
 package engine
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -60,34 +58,28 @@ import (
 
 // Config parameterises an engine.
 type Config struct {
-	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
-	// Ignored when Pool is set: the fleet pool's workers execute
-	// every round.
-	Workers int
-	// Inflight bounds concurrently in-flight rounds (<= 0 means 1, the
-	// pre-pipelining behaviour: one round must be fully drained with
-	// Each before the next Submit). With Inflight N, a caller may keep
-	// up to N submitted-but-undrained rounds open, so round N+1
-	// simulates while round N's in-order committer drains — the
-	// sub-round pipeline. Rounds must still be drained in submission
-	// order; each Round's Each commits in input order, so the observable
-	// accounting stream is identical to Inflight 1.
+	// Inflight bounds concurrently in-flight rounds (<= 0 means 1: one
+	// round must be fully drained with Each before the next Submit).
+	// With Inflight N, a caller may keep up to N submitted-but-undrained
+	// rounds open, so pool workers simulate round N+1 while round N's
+	// in-order committer drains — the sub-round pipeline. Rounds must
+	// still be drained in submission order; each Round's Each commits in
+	// input order, so the observable accounting stream is identical to
+	// Inflight 1.
 	Inflight int
 	// Detect additionally runs every test on the golden-model ISS.
 	Detect bool
-	// Pool, when non-nil, turns the engine into a lightweight
-	// submitter into the shared fleet-level work-stealing pool: the
-	// engine spawns no workers of its own, and Close releases only
-	// the engine, never the pool (the pool is owned by whoever built
-	// it). See the FleetPool documentation for the affinity, commit
-	// order and determinism contract.
+	// Pool is the pool the engine submits its rounds to (required; a
+	// pool may have zero workers, and then the committer runs every
+	// entry itself). The pool is owned by whoever built it: Close
+	// releases only the engine. See the FleetPool documentation for the
+	// affinity, commit order and determinism contract.
 	Pool *FleetPool
 	// Telemetry, when non-nil, records per-job build/sim/golden spans
-	// on per-worker flight-recorder tracks. Execution-only: spans
+	// on per-executor flight-recorder tracks. Execution-only: spans
 	// observe the run and never reach scheduling or checkpointed
 	// state; nil disables recording at the cost of one branch per
-	// span. In fleet mode the pool's recorder is used when this one
-	// is nil.
+	// span. The pool's recorder is used when this one is nil.
 	Telemetry *telemetry.Recorder
 }
 
@@ -133,26 +125,22 @@ func (p *pool[T]) put(it T) {
 	p.mu.Unlock()
 }
 
-// shared is the engine state workers reference. It deliberately
-// excludes *Engine itself so that idle worker goroutines do not keep
-// an abandoned engine reachable: once the engine (and its owner) are
-// garbage, the Close finalizer fires, stops the workers, and the
-// shared state is collected with them.
+// shared is the engine state executors reference through a Round.
 //
-// The scratch pools (coverage sets, trace buffers) stay per engine
-// even under a fleet pool: a cov.Set is bound to its shard's coverage
-// Space (the calculator merges by Space identity), so sets must not
-// wander between shards. The expensive design-level scratch — the
-// rtl.Runner and the golden-model memory — lives on the workers
-// instead, keyed by design name.
+// The scratch pools (coverage sets, trace buffers) are per engine: a
+// cov.Set is bound to its shard's coverage Space (the calculator
+// merges by Space identity), so sets must not wander between shards.
+// The expensive design-level scratch — the rtl.Runner and the
+// golden-model memory — lives on the executors instead, keyed by
+// design name.
 type shared struct {
-	dut    rtl.DUT
-	design string // dut.Name(), the fleet pool's affinity key
-	detect bool
-	rec    *telemetry.Recorder // nil = telemetry disabled
-	pool   *poolState          // nil outside fleet mode
-	helper *worker             // committer-side scratch (fleet mode; only the
-	// engine's single committer goroutine touches it)
+	dut       rtl.DUT
+	design    string // dut.Name(), the pool's affinity key
+	detect    bool
+	rec       *telemetry.Recorder // nil = telemetry disabled
+	pool      *poolState
+	committer *worker // the engine's own executor: scratch bound to
+	// design for life, touched only by the owner goroutine inside Each
 
 	sets    pool[*cov.Set]
 	traces  pool[[]trace.Entry]
@@ -160,14 +148,12 @@ type shared struct {
 
 	// Round window state. Submit and Each are only ever called from
 	// the engine owner's single goroutine (the fuzzer/shard loop), so
-	// the free list and live counter need no lock; they live here
-	// rather than on Engine so Rounds never reference the Engine
-	// itself (see the finalizer note above).
+	// the free list and live counter need no lock.
 	freeRounds []*Round
 	liveRounds int
 
 	// Pipelining and golden snapshot-tree counters (see PipeStats).
-	// Atomic: snapshot hits/misses are bumped by concurrent workers;
+	// Atomic: snapshot hits/misses are bumped by concurrent executors;
 	// the depth counters only by the owner goroutine, but PipeStats
 	// may be read from another goroutine (probes).
 	pipelined  atomic.Int64
@@ -193,13 +179,14 @@ type PipeStats struct {
 	SnapMisses int64
 }
 
-// worker is one simulation context: reusable scratch bound to one
-// design at a time. The golden-model platform memory is design-
-// independent and lives for the worker's whole life; runners are
-// design-specific and cached per design on first build, so a
-// migration back to a previously served design re-binds for free.
+// worker is one executor's simulation context — a pool worker's or a
+// committer's: reusable scratch bound to one design at a time. The
+// golden-model platform memory is design-independent and lives for
+// the worker's whole life; runners are design-specific and cached per
+// design on first build, so a migration back to a previously served
+// design re-binds for free (committers never migrate).
 type worker struct {
-	cur     string // claim-time design affinity (fleet pool scheduling)
+	cur     string // claim-time design affinity (pool workers only)
 	bound   string // design of the currently bound runner
 	runner  rtl.Runner
 	runners map[string]rtl.Runner // design → cached runner (nil entries
@@ -215,15 +202,9 @@ type worker struct {
 	trees  map[string]*snapTree
 }
 
-func newWorker(sh *shared) *worker {
-	w := &worker{track: sh.rec.NewTrack(sh.design + "/worker")}
-	w.bind(sh)
-	return w
-}
-
 // bind points the worker's scratch at sh's design, building the
 // design's runner on first encounter. Only a change of design does
-// any work — the migration the fleet pool's steal policy minimises.
+// any work — the migration the pool's steal policy minimises.
 func (w *worker) bind(sh *shared) {
 	if w.bound == sh.design && w.runners != nil {
 		return
@@ -244,8 +225,8 @@ func (w *worker) bind(sh *shared) {
 // exec runs one program end to end: build, DUT simulation, and (when
 // detection is on) the golden-model reference run. All scratch that
 // outlives exec (the coverage set and trace buffers referenced by the
-// Outcome) comes from the submitting engine's pools; the worker-owned
-// runner and golden memory are reset per run.
+// Outcome) comes from the submitting engine's free lists; the
+// worker-owned runner and golden memory are reset per run.
 func (w *worker) exec(r *Round, i int) {
 	sh := r.sh
 	o := &r.outs[i]
@@ -306,78 +287,31 @@ func (w *worker) exec(r *Round, i int) {
 	r.markReady(i)
 }
 
-// jobRef addresses one entry of an in-flight round.
-type jobRef struct {
-	r *Round
-	i int
-}
-
 // Engine executes rounds of programs against one DUT. One engine
 // serves one fuzzing campaign (a core.Fuzzer or a campaign shard) for
-// its whole lifetime; its workers and scratch persist across rounds.
+// its whole lifetime; its committer scratch and free lists persist
+// across rounds. An engine owns no goroutines — those belong to the
+// pool it submits to.
 type Engine struct {
 	sh       *shared
-	workers  int
 	inflight int // round window bound (>= 1)
-
-	jobs chan jobRef
-	stop chan struct{}
-	once sync.Once
-
-	inline *worker // Workers == 1: synchronous path, no goroutines
+	closed   bool
 }
 
-// New builds an engine over dut and starts its workers.
-//
-// Engines hold goroutines (when Workers > 1); release them with Close.
-// A finalizer closes abandoned engines as a safety net, so a leaked
-// engine degrades to garbage, not to a goroutine leak.
+// New builds an engine over dut submitting to cfg.Pool.
 func New(dut rtl.DUT, cfg Config) *Engine {
-	e := &Engine{
-		sh:       &shared{dut: dut, design: dut.Name(), detect: cfg.Detect, rec: cfg.Telemetry},
-		stop:     make(chan struct{}),
-		inflight: cfg.Inflight,
+	sh := &shared{dut: dut, design: dut.Name(), detect: cfg.Detect, rec: cfg.Telemetry, pool: cfg.Pool.ps}
+	if sh.rec == nil {
+		sh.rec = sh.pool.rec
 	}
+	sh.committer = &worker{track: sh.rec.NewTrack(sh.design + "/committer")}
+	sh.committer.bind(sh)
+	e := &Engine{sh: sh, inflight: cfg.Inflight}
 	if e.inflight < 1 {
 		e.inflight = 1
 	}
-	if cfg.Pool != nil {
-		// Fleet mode: the engine is a submitter; the shared pool's
-		// workers (and this engine's helping committer) execute the
-		// rounds. No goroutines are owned, so Close releases nothing
-		// but the Submit guard.
-		e.sh.pool = cfg.Pool.ps
-		if e.sh.rec == nil {
-			e.sh.rec = e.sh.pool.rec
-		}
-		// The helper's claim affinity starts at the engine's own
-		// design so a committer's first help prefers its own round's
-		// queue instead of stealing from the longest one.
-		e.sh.helper = &worker{cur: e.sh.design,
-			track: e.sh.rec.NewTrack(e.sh.design + "/committer")}
-		e.workers = cfg.Pool.Workers()
-		runtime.SetFinalizer(e, (*Engine).Close)
-		return e
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e.workers = workers
-	if workers == 1 {
-		e.inline = newWorker(e.sh)
-	} else {
-		e.jobs = make(chan jobRef)
-		for i := 0; i < workers; i++ {
-			go workerLoop(e.sh, e.jobs, e.stop)
-		}
-	}
-	runtime.SetFinalizer(e, (*Engine).Close)
 	return e
 }
-
-// Workers returns the worker count the engine resolved to.
-func (e *Engine) Workers() int { return e.workers }
 
 // Inflight returns the engine's round window bound.
 func (e *Engine) Inflight() int { return e.inflight }
@@ -393,43 +327,24 @@ func (e *Engine) PipeStats() PipeStats {
 	}
 }
 
-func workerLoop(sh *shared, jobs <-chan jobRef, stop <-chan struct{}) {
-	w := newWorker(sh)
-	for {
-		select {
-		case <-stop:
-			return
-		case j := <-jobs:
-			w.exec(j.r, j.i)
-		}
-	}
-}
+// Close retires the engine: any later Submit panics. The pool is not
+// the engine's to release. Close is idempotent and must not be called
+// while a round is in flight (between Submit and the end of Each).
+func (e *Engine) Close() { e.closed = true }
 
-// Close stops the workers. The engine must not be used afterwards.
-// Close is idempotent and must not be called while a round is in
-// flight (between Submit and the end of Each).
-func (e *Engine) Close() {
-	e.once.Do(func() {
-		runtime.SetFinalizer(e, nil)
-		close(e.stop)
-	})
-}
-
-// Submit starts executing a round of programs and returns its handle.
+// Submit hands a round of programs to the pool and returns its handle.
 // At most Config.Inflight rounds may be in flight per engine; past the
 // window the oldest round must be drained with Each first. In-flight
 // rounds must be drained in submission order (each Round's Each
 // commits in input order), so pipelined execution stays observably
 // identical to one-round-at-a-time execution. Submit and Each must be
-// called from the same goroutine. The progs slice is read by workers
+// called from the same goroutine. The progs slice is read by executors
 // until Each returns and must not be mutated in between — the caller
 // is free to generate later rounds' programs concurrently, which is
 // exactly how the fuzzer overlaps generation with simulation.
 func (e *Engine) Submit(progs []prog.Program) *Round {
-	select {
-	case <-e.stop:
+	if e.closed {
 		panic("engine: Submit after Close")
-	default:
 	}
 	if e.sh.liveRounds >= e.inflight {
 		panic("engine: Submit past the in-flight round window (drain with Each)")
@@ -440,7 +355,7 @@ func (e *Engine) Submit(progs []prog.Program) *Round {
 		e.sh.freeRounds[k-1] = nil
 		e.sh.freeRounds = e.sh.freeRounds[:k-1]
 	} else {
-		r = &Round{sh: e.sh, inline: e.inline}
+		r = &Round{sh: e.sh}
 		r.cond = sync.NewCond(&r.mu)
 	}
 	e.sh.liveRounds++
@@ -458,93 +373,90 @@ func (e *Engine) Submit(progs []prog.Program) *Round {
 	}
 	r.outs = r.outs[:n]
 	r.ready = r.ready[:n]
-	for i := range r.ready {
-		r.ready[i] = false
-	}
-	r.inFlight = true
-	switch {
-	case e.sh.pool != nil:
-		// Fleet mode: enqueue the whole round on the design's queue in
-		// one shot; Submit returns immediately and the caller is free
-		// to generate the next round while workers drain this one.
-		e.sh.pool.submit(r)
-	case e.inline == nil:
-		// Feed the pool without blocking Submit: the caller's goroutine
-		// is the generator/committer and must stay available.
-		go func() {
-			for i := 0; i < n; i++ {
-				select {
-				case e.jobs <- jobRef{r, i}:
-				case <-e.stop:
-					return
-				}
-			}
-		}()
-	}
+	clear(r.ready)
+	r.next.Store(0)
+	// Submit returns immediately: pool workers (if the pool has any)
+	// start on the round while the caller generates the next one, and
+	// the committer picks up whatever is still unclaimed inside Each.
+	e.sh.pool.submit(r)
 	return r
 }
 
 // Round is one in-flight batch of programs, recycled through the
-// engine's free list across submissions. It references only the
-// engine's shared state (not the Engine itself), so an abandoned
-// engine stays collectible and its Close finalizer can fire.
+// engine's free list across submissions.
 type Round struct {
-	sh     *shared
-	inline *worker
-	progs  []prog.Program
-	outs   []Outcome
+	sh    *shared
+	progs []prog.Program
+	outs  []Outcome
+
+	// next is the round's next unclaimed entry. Every executor — pool
+	// worker or committer — claims entry next.Add(1)-1, so an entry
+	// runs exactly once whoever gets there first.
+	next atomic.Int64
 
 	mu    sync.Mutex
 	cond  *sync.Cond
 	ready []bool
-
-	inFlight bool
 }
 
 func (r *Round) markReady(i int) {
-	if r.inline != nil {
-		return
-	}
 	r.mu.Lock()
 	r.ready[i] = true
 	r.mu.Unlock()
 	r.cond.Broadcast()
 }
 
-// Each hands every outcome to fn in input order, blocking per entry
-// until it is ready. The Outcome (including Res.Coverage, Res.Trace
-// and Golden) is only valid for the duration of the callback: the
-// engine recycles the backing scratch as soon as fn returns, so fn
-// must copy anything it keeps (the calculator merges and the detector
-// copies entries by value, so the fuzzing loop needs no copies).
+func (r *Round) isReady(i int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ready[i]
+}
+
+// await sleeps until entry i, already claimed by a pool worker, is ready.
+func (r *Round) await(i int) {
+	r.mu.Lock()
+	for !r.ready[i] {
+		r.cond.Wait()
+	}
+	r.mu.Unlock()
+}
+
+// Each hands every outcome to fn in input order. The calling
+// goroutine — the committer — is itself an executor: while entry i is
+// not ready it claims and runs its own round's next unclaimed entry on
+// its own design-bound scratch, and it sleeps only when every entry is
+// claimed and entry i is still running on a pool worker. It never
+// executes another shard's entries: crossing shards would need a
+// second set of scratch per committer and would let one shard's
+// committer hold another's outcomes uncommitted.
+//
+// The Outcome (including Res.Coverage, Res.Trace and Golden) is only
+// valid for the duration of the callback: the engine recycles the
+// backing scratch as soon as fn returns, so fn must copy anything it
+// keeps (the calculator merges and the detector copies entries by
+// value, so the fuzzing loop needs no copies).
 func (r *Round) Each(fn func(i int, o *Outcome)) {
+	sh, n, ran := r.sh, len(r.outs), 0
 	for i := range r.outs {
-		switch {
-		case r.inline != nil:
-			r.inline.exec(r, i)
-		case r.sh.pool != nil:
-			// Fleet mode: help execute still-queued jobs (any shard,
-			// own design first) instead of sleeping while entry i is
-			// in flight.
-			r.sh.pool.await(r, i)
-		default:
-			r.mu.Lock()
-			for !r.ready[i] {
-				r.cond.Wait()
+		for !r.isReady(i) {
+			if j := int(r.next.Add(1) - 1); j < n {
+				sh.committer.exec(r, j)
+				ran++
+			} else {
+				r.await(i)
 			}
-			r.mu.Unlock()
 		}
 		o := &r.outs[i]
 		fn(i, o)
-		r.sh.recycle(o)
+		sh.recycle(o)
 	}
+	sh.pool.retire(r, ran)
 	r.progs = nil
-	r.inFlight = false
 	// Same-goroutine as Submit by contract, so the window bookkeeping
 	// needs no lock. The Round goes back on the free list; the caller
 	// must not retain it.
-	r.sh.liveRounds--
-	r.sh.freeRounds = append(r.sh.freeRounds, r)
+	sh.liveRounds--
+	sh.freeRounds = append(sh.freeRounds, r)
 }
 
 // recycle returns an outcome's pooled scratch to the free lists.

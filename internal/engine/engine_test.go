@@ -41,18 +41,32 @@ func reference(dut rtl.DUT, p prog.Program) (rtl.Result, []trace.Entry) {
 	return res, g.Run(budget)
 }
 
-// TestEngineOutcomesMatchDirectRun drives rounds through engines of
-// several worker counts — including the inline single-worker path and
-// the pooled multi-worker path — and checks every outcome against the
-// allocating reference execution, across multiple rounds so the
-// scratch (memories, caches, coverage sets, trace buffers) is actually
-// reused and must prove it resets cleanly.
+// newEngine builds an engine over a private pool with an explicit
+// worker count (0 = the committer runs everything), both released at
+// test cleanup.
+func newEngine(t *testing.T, dut rtl.DUT, workers int, cfg engine.Config) *engine.Engine {
+	t.Helper()
+	pool := engine.NewFleetPool(workers, nil)
+	cfg.Pool = pool
+	e := engine.New(dut, cfg)
+	t.Cleanup(func() {
+		e.Close()
+		pool.Close()
+	})
+	return e
+}
+
+// TestEngineOutcomesMatchDirectRun drives rounds through engines over
+// a pool with no workers (the committer runs every entry inline) and
+// one with spare workers racing the committer for entries, and checks
+// every outcome against the allocating reference execution, across
+// multiple rounds so the scratch (memories, caches, coverage sets,
+// trace buffers) is actually reused and must prove it resets cleanly.
 func TestEngineOutcomesMatchDirectRun(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{0, 3} {
 		dut := rocket.New()
 		ref := rocket.New()
-		e := engine.New(dut, engine.Config{Workers: workers, Detect: true})
-		defer e.Close()
+		e := newEngine(t, dut, workers, engine.Config{Detect: true})
 
 		for round := 0; round < 3; round++ {
 			progs := testProgs(int64(100*workers+round), 8, 20)
@@ -84,8 +98,7 @@ func TestEngineOutcomesMatchDirectRun(t *testing.T) {
 // Outcome.Err in its input slot, with the other entries unaffected.
 func TestEngineReportsBuildErrors(t *testing.T) {
 	dut := rocket.New()
-	e := engine.New(dut, engine.Config{Workers: 2, Detect: true})
-	defer e.Close()
+	e := newEngine(t, dut, 1, engine.Config{Detect: true})
 
 	progs := testProgs(7, 4, 12)
 	progs[2] = prog.Program{Body: make([]uint32, prog.MaxBodyInstructions+1)}
@@ -109,9 +122,10 @@ func TestEngineReportsBuildErrors(t *testing.T) {
 	})
 }
 
-// TestConcurrentEngines runs several engines at once (the campaign
-// orchestrator's shape: one engine per shard) to exercise the pools
-// and worker loops under the race detector.
+// TestConcurrentEngines runs several engines at once, each over its
+// own one-worker pool (the shape of several standalone fuzzers in one
+// process), to exercise the free lists and worker loops under the race
+// detector.
 func TestConcurrentEngines(t *testing.T) {
 	var wg sync.WaitGroup
 	for s := 0; s < 3; s++ {
@@ -119,8 +133,7 @@ func TestConcurrentEngines(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			dut := rocket.New()
-			e := engine.New(dut, engine.Config{Workers: 2, Detect: true})
-			defer e.Close()
+			e := newEngine(t, dut, 1, engine.Config{Detect: true})
 			for round := 0; round < 2; round++ {
 				progs := testProgs(int64(1000+10*s+round), 6, 16)
 				got := 0

@@ -14,13 +14,13 @@ import (
 )
 
 // TestFleetPoolOutcomesMatchDirectRun drives a mixed-design fleet of
-// submitter engines over one shared work-stealing pool and checks
-// every outcome against the allocating reference execution — the
-// fleet-mode analogue of TestEngineOutcomesMatchDirectRun, proving
-// that stealing, design migration and helping committers leave every
-// observable result bit-identical.
+// engines over one shared pool and checks every outcome against the
+// allocating reference execution — the fleet analogue of
+// TestEngineOutcomesMatchDirectRun, proving that stealing, design
+// migration and committers racing workers for their own entries leave
+// every observable result bit-identical.
 func TestFleetPoolOutcomesMatchDirectRun(t *testing.T) {
-	pool := engine.NewFleetPool(engine.FleetConfig{Workers: 3})
+	pool := engine.NewFleetPool(3, nil)
 	defer pool.Close()
 
 	duts := []rtl.DUT{rocket.New(), boom.New(), rocket.New(), boom.New()}
@@ -74,15 +74,15 @@ func TestFleetPoolOutcomesMatchDirectRun(t *testing.T) {
 
 // TestFleetPoolStealStress is the steal-path race test: many shards ×
 // tiny batches × forced migrations (a single pool worker bouncing
-// between designs, plus every committer helping), with the scratch-
-// ownership checker armed, asserting no runner, golden memory,
+// between designs, every committer racing it for its own round's
+// entries), with the scratch-ownership checker armed, asserting no runner, golden memory,
 // coverage set or trace buffer is ever observed by two execution
 // contexts concurrently. Run under -race in CI.
 func TestFleetPoolStealStress(t *testing.T) {
 	stop := engine.EnableScratchCheck()
 	violations := func() []string { return stop() }
 
-	pool := engine.NewFleetPool(engine.FleetConfig{Workers: 1})
+	pool := engine.NewFleetPool(1, nil)
 	const shards, rounds, batch = 8, 6, 3
 
 	var wg sync.WaitGroup
@@ -91,7 +91,7 @@ func TestFleetPoolStealStress(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			// Alternate designs shard-by-shard so the lone pool worker
-			// (and every helping committer) migrates constantly.
+			// migrates constantly.
 			var dut rtl.DUT
 			if s%2 == 0 {
 				dut = rocket.New()
@@ -133,7 +133,7 @@ func TestFleetPoolStealStress(t *testing.T) {
 // the scratch checker stays clean across the re-binds.
 func TestFleetPoolForcedMigrations(t *testing.T) {
 	stop := engine.EnableScratchCheck()
-	pool := engine.NewFleetPool(engine.FleetConfig{Workers: 1})
+	pool := engine.NewFleetPool(1, nil)
 
 	engines := []*engine.Engine{
 		engine.New(rocket.New(), engine.Config{Detect: true, Pool: pool}),
@@ -143,8 +143,8 @@ func TestFleetPoolForcedMigrations(t *testing.T) {
 		e := engines[round%2]
 		r := e.Submit(testProgs(int64(3000+round), 3, 10))
 		// Give the pool worker the whole round: with the committer
-		// asleep, nothing helps, so the worker claims every job and
-		// migrates at each design flip.
+		// asleep, the worker claims every entry and migrates at each
+		// design flip.
 		time.Sleep(100 * time.Millisecond)
 		got := 0
 		r.Each(func(i int, o *engine.Outcome) {
@@ -178,8 +178,9 @@ func TestFleetPoolForcedMigrations(t *testing.T) {
 }
 
 // TestFleetPoolMatchesPerShardEngines: the same fixed batches produce
-// byte-identical coverage and traces whether each engine owns its
-// workers or all engines share a fleet pool.
+// byte-identical coverage and traces whether each engine runs its
+// rounds alone on its committer (a worker-less pool) or all engines
+// share a pool whose workers steal across them.
 func TestFleetPoolMatchesPerShardEngines(t *testing.T) {
 	type key struct{ shard, round, i int }
 	run := func(pool *engine.FleetPool) map[key][]uint64 {
@@ -190,11 +191,7 @@ func TestFleetPoolMatchesPerShardEngines(t *testing.T) {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				cfg := engine.Config{Workers: 2}
-				if pool != nil {
-					cfg = engine.Config{Pool: pool}
-				}
-				e := engine.New(rocket.New(), cfg)
+				e := engine.New(rocket.New(), engine.Config{Pool: pool})
 				defer e.Close()
 				for round := 0; round < 2; round++ {
 					progs := testProgs(int64(40+10*s+round), 5, 14)
@@ -210,8 +207,10 @@ func TestFleetPoolMatchesPerShardEngines(t *testing.T) {
 		return out
 	}
 
-	perShard := run(nil)
-	pool := engine.NewFleetPool(engine.FleetConfig{Workers: 2})
+	alone := engine.NewFleetPool(0, nil)
+	defer alone.Close()
+	perShard := run(alone)
+	pool := engine.NewFleetPool(2, nil)
 	defer pool.Close()
 	fleet := run(pool)
 
@@ -229,7 +228,7 @@ func TestFleetPoolMatchesPerShardEngines(t *testing.T) {
 // pool running for its siblings, and submitting into a closed pool
 // panics loudly.
 func TestFleetPoolCloseSemantics(t *testing.T) {
-	pool := engine.NewFleetPool(engine.FleetConfig{Workers: 1})
+	pool := engine.NewFleetPool(1, nil)
 	a := engine.New(rocket.New(), engine.Config{Pool: pool})
 	b := engine.New(rocket.New(), engine.Config{Pool: pool})
 
@@ -256,10 +255,10 @@ func TestFleetPoolCloseSemantics(t *testing.T) {
 	c.Submit(progs)
 }
 
-// TestFleetPoolUtilizationStats: the busy clocks and worker count a
+// TestFleetPoolUtilizationStats: the busy clock and worker count a
 // benchmark needs for its utilization metric are populated.
 func TestFleetPoolUtilizationStats(t *testing.T) {
-	pool := engine.NewFleetPool(engine.FleetConfig{Workers: 2})
+	pool := engine.NewFleetPool(2, nil)
 	defer pool.Close()
 	if pool.Workers() != 2 {
 		t.Fatalf("Workers() = %d, want 2", pool.Workers())
@@ -267,10 +266,14 @@ func TestFleetPoolUtilizationStats(t *testing.T) {
 	e := engine.New(rocket.New(), engine.Config{Pool: pool})
 	defer e.Close()
 	for round := 0; round < 2; round++ {
-		e.Submit(testProgs(int64(round), 8, 16)).Each(func(int, *engine.Outcome) {})
+		// Leave the round to the workers before draining it, so the
+		// committer cannot win every claim.
+		r := e.Submit(testProgs(int64(round), 8, 16))
+		time.Sleep(20 * time.Millisecond)
+		r.Each(func(int, *engine.Outcome) {})
 	}
 	st := pool.Stats()
-	if st.WorkerBusy+st.HelperBusy <= 0 {
+	if st.WorkerBusy <= 0 {
 		t.Error("no busy time accumulated")
 	}
 	if st.Workers != 2 {

@@ -1,57 +1,66 @@
-// Fleet-level work-stealing execution pool.
+// The execution pool: spare-core workers over the rounds of many
+// engines.
 //
-// A FleetPool replaces the per-shard worker pools of a sharded
-// campaign with one shared scheduler: every shard engine becomes a
-// lightweight submitter (Engine with Config.Pool set), and one fixed
-// set of workers executes all shards' rounds. At high shard counts
-// with skewed batch latencies — heterogeneous fleets, learning arms
-// paying PPO updates on their shard's critical path — per-shard pools
-// leave cores idle while other shards still queue work; the shared
-// pool keeps every worker busy on whatever round still has entries.
+// Every engine submits its rounds to a FleetPool — a sharded campaign
+// shares one across all shard engines, a standalone fuzzer owns a
+// private one. The committers (the goroutines inside Round.Each) are
+// the pool's first executors and always run their own rounds; the
+// pool's worker goroutines only fill the cores the committers leave
+// idle. At high shard counts with skewed batch latencies —
+// heterogeneous fleets, a slow design next to a fast one — the workers
+// keep every spare core busy on whatever round still has unclaimed
+// entries.
+//
+// # Sizing
+//
+// SpareWorkers is the sizing rule: max(0, GOMAXPROCS − committers),
+// computed where the pool is built and never configured. A fleet of S
+// shards on C cores gets C−S workers, a lone fuzzer C−1. With S ≥ C
+// there are no workers at all and each shard is an inline loop on its
+// own committer; the known trade is that a shard which finishes its
+// round early then idles at the aggregation barrier rather than
+// helping a slower shard — committers never cross shards (see
+// Round.Each), so only spare cores absorb skew.
+//
+// # Claim order
+//
+// A Round carries one atomic next index. Whoever executes an entry —
+// a pool worker or the round's own committer — first claims
+// next.Add(1)-1, so entries run exactly once, in roughly input order,
+// with no queue of per-entry jobs. The pool only tracks which rounds
+// are live, per design.
 //
 // # Affinity and stealing
 //
-// Jobs queue per DUT design name, and each worker keeps its reusable
-// scratch — the rtl.Runner with its platform memory, caches and
-// predictors, plus the golden-model ISS memory — bound to the design
-// it last served. A worker prefers its own design's queue; only when
-// that queue is empty does it steal from the design with the most
-// queued jobs, re-binding its scratch (a migration). Runners are
-// cached per design on first build, so migrating back to a design the
-// worker has served before costs nothing but cache warmth. Two DUTs
-// submitted under the same design name must therefore be
-// interchangeable (built by the same constructor): a runner built
-// from one shard's DUT executes another shard's jobs, which is sound
-// because runners reset all state per run and coverage bins are
-// recorded by index, identically across structurally equal spaces.
-//
-// # Helping committers
-//
-// A shard's committer goroutine (the one inside Round.Each) does not
-// sleep while its next entry is in flight: if any job is still
-// queued, the committer claims and executes it with its own cached
-// scratch — its own round's design first, then stealing like a
-// worker. This keeps a fleet on few cores from paying cross-goroutine
-// handoff for work the committer could have done itself, and on many
-// cores it turns every blocked shard goroutine into an extra worker
-// exactly when the fleet is skewed.
+// Each worker keeps its reusable scratch — the rtl.Runner with its
+// platform memory, caches and predictors, plus the golden-model ISS
+// memory — bound to the design it last served. A worker prefers its
+// own design's live rounds; only when none has an unclaimed entry
+// does it steal from the design with the most unclaimed entries,
+// re-binding its scratch (a migration). Runners are cached per design
+// on first build, so migrating back to a design the worker has served
+// before costs nothing but cache warmth. Two DUTs submitted under the
+// same design name must therefore be interchangeable (built by the
+// same constructor): a runner built from one shard's DUT executes
+// another shard's entries, which is sound because runners reset all
+// state per run and coverage bins are recorded by index, identically
+// across structurally equal spaces.
 //
 // # Commit order and determinism
 //
-// Stealing never reorders observable effects. Workers and helpers
-// only compute and mark entries ready; every stateful side effect
-// (coverage merge, detector, clock, trajectory) still happens in the
-// owning shard's goroutine, in input order, inside Round.Each — the
-// same in-order commit the per-shard engine performs. Which worker
-// executes an entry, and on which design-bound scratch, is
-// unobservable: a fixed-seed campaign produces bit-identical
-// trajectories, detector output and checkpoints on the serial path,
-// the per-shard pool path and the fleet pool, regardless of worker
-// count, stealing or scheduling.
+// Stealing never reorders observable effects. Executors only compute
+// and mark entries ready; every stateful side effect (coverage merge,
+// detector, clock, trajectory) still happens in the owning shard's
+// goroutine, in input order, inside Round.Each. Which executor runs an
+// entry, and on which design-bound scratch, is unobservable: a
+// fixed-seed campaign produces bit-identical trajectories, detector
+// output and checkpoints on the serial oracle and on this pool,
+// regardless of worker count, stealing or scheduling.
 package engine
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,99 +68,69 @@ import (
 	"chatfuzz/internal/telemetry"
 )
 
-// FleetConfig parameterises a FleetPool.
-type FleetConfig struct {
-	// Workers bounds concurrent simulations across the whole fleet
-	// (0 = GOMAXPROCS).
-	Workers int
-	// Telemetry, when non-nil, gives every pool worker a flight-
-	// recorder track carrying its build/sim/golden spans and
-	// steal/help/migrate instant events, and is inherited by
-	// submitting engines' helping committers. Execution-only.
-	Telemetry *telemetry.Recorder
+// SpareWorkers is the pool sizing rule: the cores left over once each
+// of the given number of committers has one, never negative.
+func SpareWorkers(committers int) int {
+	return max(0, runtime.GOMAXPROCS(0)-committers)
 }
 
 // FleetStats is a snapshot of a pool's scheduling counters.
 type FleetStats struct {
 	// Workers is the pool's worker count.
 	Workers int
-	// Submitted counts jobs enqueued since the pool started.
+	// Submitted counts entries submitted since the pool started.
 	Submitted int
-	// Executed counts jobs run by pool workers.
+	// Executed counts entries run by pool workers.
 	Executed int
-	// Helped counts jobs run by committer goroutines inside
-	// Round.Each while they waited for an in-flight entry.
+	// Helped counts entries run by committers — each shard's own
+	// goroutine inside Round.Each, on its own round. Counted when a
+	// round retires, so Executed+Helped equals Submitted between rounds.
 	Helped int
-	// Stolen counts claims that crossed design queues: an already-
-	// affine claimer's own queue was empty and it took a job from
-	// another design (a fresh worker's first claim is not a steal).
+	// Stolen counts worker claims that crossed designs: an already-
+	// affine worker's own design had nothing unclaimed and it took an
+	// entry from another design (a fresh worker's first claim is not a
+	// steal).
 	Stolen int
-	// Migrations counts scratch re-binds: a steal by a claimer whose
-	// scratch was bound to a different design (a claimer that never
-	// bound scratch has nothing to migrate).
+	// Migrations counts scratch re-binds: a steal by a worker whose
+	// scratch was bound to a different design.
 	Migrations int
 	// MigrationsByDesign counts migrations per destination design.
 	MigrationsByDesign map[string]int
-	// WorkerBusy and HelperBusy accumulate execution time spent by
-	// pool workers and helping committers; WorkerBusy over
-	// (Workers × elapsed) is the pool's utilization.
+	// WorkerBusy accumulates execution time spent by pool workers;
+	// WorkerBusy over (Workers × elapsed) is the pool's utilization.
 	WorkerBusy time.Duration
-	HelperBusy time.Duration
 }
 
-// designQueue is one design's FIFO of pending jobs. Popping advances
-// a head index instead of re-slicing so the backing array is reused
-// once the queue drains.
-type designQueue struct {
-	jobs []jobRef
-	head int
-}
-
-func (q *designQueue) len() int { return len(q.jobs) - q.head }
-
-func (q *designQueue) push(j jobRef) { q.jobs = append(q.jobs, j) }
-
-func (q *designQueue) pop() jobRef {
-	j := q.jobs[q.head]
-	q.jobs[q.head] = jobRef{}
-	q.head++
-	if q.head == len(q.jobs) {
-		q.jobs = q.jobs[:0]
-		q.head = 0
-	}
-	return j
-}
-
-// FleetPool is a shared work-stealing scheduler over the rounds of
-// many engines. Construct with NewFleetPool, hand it to each shard
-// engine via Config.Pool, and Close it after the engines: the pool is
-// owned by whoever built it (the campaign orchestrator), never by an
-// individual engine or fuzzer.
+// FleetPool is the owner's handle on an execution pool. Construct with
+// NewFleetPool, hand it to each engine via Config.Pool, and Close it
+// after the engines: the pool is owned by whoever built it (the
+// campaign orchestrator, or a standalone core.Fuzzer), never by an
+// engine.
 //
-// FleetPool is only the owner's handle; the scheduler state workers
-// reference lives in poolState. The split matters for the finalizer:
-// worker goroutines must not keep the handle reachable, or an
-// abandoned pool could never be collected and the safety net below
-// would be dead code (the same trick Engine plays with shared).
+// FleetPool is only the handle; the scheduler state workers reference
+// lives in poolState. The split matters for the finalizer: worker
+// goroutines must not keep the handle reachable, or an abandoned pool
+// could never be collected and the safety net below would be dead
+// code.
 type FleetPool struct {
 	ps   *poolState
 	once sync.Once
 }
 
-// poolState is the scheduler state shared by workers, submitting
-// engines and helping committers.
+// poolState is the scheduler state shared by workers and submitting
+// engines.
 type poolState struct {
 	workers int
 	rec     *telemetry.Recorder // nil = telemetry disabled
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queues map[string]*designQueue
-	order  []string // design registration order, for the victim scan
+	live   map[string][]*Round // design → submitted-but-undrained rounds, oldest first
+	order  []string            // design registration order, for the victim scan
 	closed bool
 	wg     sync.WaitGroup
 
-	// Scheduling counters (guarded by mu), plus atomic busy clocks.
+	// Scheduling counters (guarded by mu), plus the atomic busy clock.
 	submitted  int
 	executed   int
 	helped     int
@@ -159,24 +138,23 @@ type poolState struct {
 	migrations int
 	perDesign  map[string]int
 	workerBusy atomic.Int64
-	helperBusy atomic.Int64
 }
 
-// NewFleetPool builds a pool and starts its workers.
+// NewFleetPool builds a pool and starts its workers; size it with
+// SpareWorkers. Zero workers is a valid pool: the committers then run
+// everything. rec, when non-nil, gives every worker a flight-recorder
+// track carrying its build/sim/golden spans and steal/migrate instant
+// events, and is inherited by submitting engines (execution-only).
 //
 // Pools hold goroutines; release them with Close once every engine
 // submitting to the pool has been closed. A finalizer closes
 // abandoned pools as a safety net, so a leaked pool degrades to
 // garbage, not to a goroutine leak.
-func NewFleetPool(cfg FleetConfig) *FleetPool {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func NewFleetPool(workers int, rec *telemetry.Recorder) *FleetPool {
 	ps := &poolState{
 		workers:   workers,
-		rec:       cfg.Telemetry,
-		queues:    make(map[string]*designQueue),
+		rec:       rec,
+		live:      make(map[string][]*Round),
 		perDesign: make(map[string]int),
 	}
 	ps.cond = sync.NewCond(&ps.mu)
@@ -192,9 +170,8 @@ func NewFleetPool(cfg FleetConfig) *FleetPool {
 // Workers returns the pool's worker count.
 func (p *FleetPool) Workers() int { return p.ps.workers }
 
-// Close stops the workers after the queues drain. No engine may have
-// a round in flight, and no further Submits may race with Close.
-// Close is idempotent.
+// Close stops the workers. No engine may have a round in flight, and
+// no further Submits may race with Close. Close is idempotent.
 func (p *FleetPool) Close() {
 	p.once.Do(func() {
 		runtime.SetFinalizer(p, nil)
@@ -227,11 +204,10 @@ func (p *FleetPool) Stats() FleetStats {
 		Migrations:         ps.migrations,
 		MigrationsByDesign: by,
 		WorkerBusy:         time.Duration(ps.workerBusy.Load()),
-		HelperBusy:         time.Duration(ps.helperBusy.Load()),
 	}
 }
 
-// submit enqueues every entry of a round on its design's queue.
+// submit makes a round visible to the workers.
 func (ps *poolState) submit(r *Round) {
 	design := r.sh.design
 	ps.mu.Lock()
@@ -239,44 +215,79 @@ func (ps *poolState) submit(r *Round) {
 		ps.mu.Unlock()
 		panic("engine: Submit on a closed FleetPool")
 	}
-	q := ps.queues[design]
-	if q == nil {
-		q = &designQueue{}
-		ps.queues[design] = q
+	ps.submitted += len(r.outs)
+	if _, known := ps.live[design]; !known {
 		ps.order = append(ps.order, design)
 	}
-	n := len(r.outs)
-	for i := 0; i < n; i++ {
-		q.push(jobRef{r, i})
-	}
-	ps.submitted += n
+	ps.live[design] = append(ps.live[design], r)
 	ps.mu.Unlock()
 	ps.cond.Broadcast()
 }
 
-// claim pops the next job for w: its affinity queue first, then a
-// steal from the design with the most queued jobs. A steal is a
-// cross-design claim by an already-affine claimer (a fresh worker's
-// first claim is not one), and a migration additionally requires
-// scratch to have been bound to some other design — which is why the
-// counters consult w.cur and w.bound separately. helper distinguishes
-// committer claims from pool-worker claims in the stats. Must be
-// called with ps.mu held; returns false when nothing is queued.
-func (ps *poolState) claim(w *worker, helper bool) (jobRef, bool) {
-	q := ps.queues[w.cur]
-	if q == nil || q.len() == 0 {
-		// Steal: scan for the longest queue, first registration wins
-		// ties. The scan is O(designs), and fleets have few designs.
+// retire removes a fully committed round from the live set, so the
+// pool holds exactly the rounds in flight, and credits the entries the
+// round's committer ran itself.
+func (ps *poolState) retire(r *Round, helped int) {
+	ps.mu.Lock()
+	ps.helped += helped
+	q := ps.live[r.sh.design]
+	k := slices.Index(q, r)
+	ps.live[r.sh.design] = slices.Delete(q, k, k+1)
+	ps.mu.Unlock()
+}
+
+// unclaimed counts a design's submitted-but-unclaimed entries.
+func (ps *poolState) unclaimed(design string) int {
+	n := 0
+	for _, r := range ps.live[design] {
+		if u := len(r.outs) - int(r.next.Load()); u > 0 {
+			n += u
+		}
+	}
+	return n
+}
+
+// claimFrom claims the next entry of the design's oldest round that
+// still has one. Committers advance next concurrently, so a round that
+// looked open may turn out exhausted; the claim itself decides.
+func (ps *poolState) claimFrom(design string) (*Round, int, bool) {
+	for _, r := range ps.live[design] {
+		if int(r.next.Load()) >= len(r.outs) {
+			continue
+		}
+		if i := int(r.next.Add(1) - 1); i < len(r.outs) {
+			return r, i, true
+		}
+	}
+	return nil, 0, false
+}
+
+// claim is the pool workers' claim loop: the worker's affinity design
+// first, then a steal from the design with the most unclaimed entries
+// (first registration wins ties; the scan is O(designs), and fleets
+// have few designs). A steal is a cross-design claim by an already-
+// affine worker (a fresh worker's first claim is not one), and a
+// migration additionally requires scratch to have been bound to some
+// other design — which is why the counters consult w.cur and w.bound
+// separately. Must be called with ps.mu held; returns false when
+// nothing is claimable.
+func (ps *poolState) claim(w *worker) (*Round, int, bool) {
+	r, i, ok := ps.claimFrom(w.cur)
+	for !ok {
 		best, victim := 0, ""
 		for _, name := range ps.order {
-			if n := ps.queues[name].len(); n > best {
+			if n := ps.unclaimed(name); n > best {
 				best, victim = n, name
 			}
 		}
 		if best == 0 {
-			return jobRef{}, false
+			return nil, 0, false
 		}
-		q = ps.queues[victim]
+		// No Submit can interleave (mu is held), so a lost race against
+		// the victim's committers only shrinks the next scan.
+		if r, i, ok = ps.claimFrom(victim); !ok {
+			continue
+		}
 		if w.cur != "" {
 			ps.stolen++
 			w.track.Instant(telemetry.EventSteal)
@@ -288,13 +299,8 @@ func (ps *poolState) claim(w *worker, helper bool) (jobRef, bool) {
 		}
 		w.cur = victim
 	}
-	if helper {
-		ps.helped++
-		w.track.Instant(telemetry.EventHelp)
-	} else {
-		ps.executed++
-	}
-	return q.pop(), true
+	ps.executed++
+	return r, i, true
 }
 
 func (ps *poolState) workerLoop() {
@@ -302,58 +308,23 @@ func (ps *poolState) workerLoop() {
 	w := &worker{track: ps.rec.NewTrack("pool/worker")}
 	for {
 		ps.mu.Lock()
-		j, ok := ps.claim(w, false)
+		r, i, ok := ps.claim(w)
 		for !ok {
 			if ps.closed {
 				ps.mu.Unlock()
 				return
 			}
 			ps.cond.Wait()
-			j, ok = ps.claim(w, false)
+			r, i, ok = ps.claim(w)
 		}
 		ps.mu.Unlock()
 		// Execution-only: busy-time counters feed FleetStats/probes,
 		// which are never checkpointed and never influence scheduling.
 		//lint:allow wallclock pool utilization timing is execution-only
 		t0 := time.Now()
-		w.bind(j.r.sh)
-		w.exec(j.r, j.i)
+		w.bind(r.sh)
+		w.exec(r, i)
 		//lint:allow wallclock pool utilization timing is execution-only
 		ps.workerBusy.Add(int64(time.Since(t0)))
-	}
-}
-
-// await blocks until round r's entry i is ready, lending the calling
-// committer goroutine to the pool while it waits: any still-queued
-// job — r's own design first — is claimed and executed with the
-// engine's helper scratch. Only when nothing is claimable (so entry i
-// is already running on some worker) does the committer sleep on the
-// round's condition variable.
-func (ps *poolState) await(r *Round, i int) {
-	h := r.sh.helper
-	for {
-		r.mu.Lock()
-		ready := r.ready[i]
-		r.mu.Unlock()
-		if ready {
-			return
-		}
-		ps.mu.Lock()
-		j, ok := ps.claim(h, true)
-		ps.mu.Unlock()
-		if !ok {
-			r.mu.Lock()
-			for !r.ready[i] {
-				r.cond.Wait()
-			}
-			r.mu.Unlock()
-			return
-		}
-		//lint:allow wallclock pool utilization timing is execution-only
-		t0 := time.Now()
-		h.bind(j.r.sh)
-		h.exec(j.r, j.i)
-		//lint:allow wallclock pool utilization timing is execution-only
-		ps.helperBusy.Add(int64(time.Since(t0)))
 	}
 }

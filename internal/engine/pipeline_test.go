@@ -15,12 +15,12 @@ import (
 // TestEnginePipelinedRoundsMatchDirectRun: with Inflight > 1 the
 // engine holds several undrained rounds at once; draining them in
 // submission order must reproduce the allocating reference exactly,
-// on both the inline single-worker path and the pooled path.
+// with and without pool workers running ahead of the committer.
 func TestEnginePipelinedRoundsMatchDirectRun(t *testing.T) {
-	for _, workers := range []int{1, 3} {
+	for _, workers := range []int{0, 2} {
 		dut := rocket.New()
 		ref := rocket.New()
-		e := engine.New(dut, engine.Config{Workers: workers, Detect: true, Inflight: 3})
+		e := newEngine(t, dut, workers, engine.Config{Detect: true, Inflight: 3})
 
 		var rounds []*engine.Round
 		var batches [][]prog.Program
@@ -49,15 +49,13 @@ func TestEnginePipelinedRoundsMatchDirectRun(t *testing.T) {
 			t.Errorf("workers=%d: window never overlapped (pipelined=%d, depth=%d)",
 				workers, st.PipelinedRounds, st.MaxInflight)
 		}
-		e.Close()
 	}
 }
 
 // TestEngineSubmitPastWindowPanics: the round window is a hard
 // contract — submitting past it without draining is caller error.
 func TestEngineSubmitPastWindowPanics(t *testing.T) {
-	e := engine.New(rocket.New(), engine.Config{Workers: 1, Inflight: 2})
-	defer e.Close()
+	e := newEngine(t, rocket.New(), 0, engine.Config{Inflight: 2})
 	r1 := e.Submit(testProgs(1, 2, 8))
 	r2 := e.Submit(testProgs(2, 2, 8))
 	func() {
@@ -80,12 +78,13 @@ func TestEngineSubmitPastWindowPanics(t *testing.T) {
 
 // TestEnginePipelinedSubmitCommitStress is the submit/commit overlap
 // race test: many shards, each keeping a full in-flight window against
-// a single shared pool worker (maximum steal/help pressure), with the
-// scratch-ownership checker armed. Run under -race in CI.
+// a single shared pool worker (maximum steal pressure, every committer
+// racing it for its own entries), with the scratch-ownership checker
+// armed. Run under -race in CI.
 func TestEnginePipelinedSubmitCommitStress(t *testing.T) {
 	stop := engine.EnableScratchCheck()
 
-	pool := engine.NewFleetPool(engine.FleetConfig{Workers: 1})
+	pool := engine.NewFleetPool(1, nil)
 	const shards, rounds, batch, window = 6, 6, 3, 3
 
 	var wg sync.WaitGroup

@@ -1,11 +1,11 @@
 package lint
 
 // All returns every analyzer of the determinism suite, in report
-// order: the five custom rules encoding the fleet's bit-exactness
-// invariants, then the native ports of the stock concurrency vet
-// passes. (The stock nilness pass needs golang.org/x/tools/go/ssa,
-// which this offline build cannot vendor; it joins the suite when the
-// dependency can land.)
+// order: the five rules encoding the fleet's bit-exactness invariants.
+// Generic concurrency passes (copylocks, atomic) are `go vet`'s job.
+// (The stock nilness pass needs golang.org/x/tools/go/ssa, which this
+// offline build cannot vendor; it joins the suite when the dependency
+// can land.)
 func All() []*Analyzer {
 	return []*Analyzer{
 		Mapiter,
@@ -13,8 +13,6 @@ func All() []*Analyzer {
 		Globalrand,
 		Floatorder,
 		Errdrop,
-		Copylocks,
-		Atomic,
 	}
 }
 

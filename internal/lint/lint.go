@@ -11,8 +11,7 @@
 // tests, but a runtime test cannot see a freshly introduced unordered
 // map range or a stray wall-clock read until it flakes. The analyzers
 // in this package (see mapiter.go, wallclock.go, globalrand.go,
-// floatorder.go, errdrop.go, copylocks.go, atomicassign.go) move that
-// enforcement to compile time; cmd/fuzzlint is the multichecker that
+// floatorder.go, errdrop.go) move that enforcement to compile time; cmd/fuzzlint is the multichecker that
 // runs them over the module.
 //
 // # Annotation grammar
@@ -25,8 +24,8 @@
 //	//chatfuzz:deterministic file      → this file only (explicit form)
 //
 // The package form conventionally sits directly above the package
-// clause of the package's doc file. Unscoped analyzers (errdrop,
-// copylocks, atomic) run over every file regardless of annotation.
+// clause of the package's doc file. Unscoped analyzers (errdrop) run
+// over every file regardless of annotation.
 //
 // Individual findings are silenced with an explicit, reasoned escape:
 //
@@ -42,9 +41,10 @@
 //
 // The framework is stdlib-only on purpose: the build environment has
 // no module proxy, so golang.org/x/tools (and with it the stock
-// nilness pass, which needs its SSA package) cannot be vendored.
-// copylocks and atomic are reimplemented natively below; nilness is
-// deferred until x/tools can be pulled in.
+// nilness pass, which needs its SSA package) cannot be vendored;
+// nilness is deferred until x/tools can be pulled in. The stock
+// copylocks and atomic passes are not reimplemented here: CI's
+// `go vet ./...` step already runs the originals.
 package lint
 
 import (

@@ -31,14 +31,6 @@ func TestErrdrop(t *testing.T) {
 	linttest.Run(t, "testdata/src", "errdrop", lint.Errdrop)
 }
 
-func TestCopylocks(t *testing.T) {
-	linttest.Run(t, "testdata/src", "copylocks", lint.Copylocks)
-}
-
-func TestAtomic(t *testing.T) {
-	linttest.Run(t, "testdata/src", "atomicuse", lint.Atomic)
-}
-
 // TestAllowDirectives exercises the annotation grammar: live allows
 // suppress silently, dead allows and malformed directives are
 // "directive" findings.

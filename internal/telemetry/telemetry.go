@@ -69,13 +69,11 @@ const (
 	// SpanTrain covers one fleet PPO training pass (fleetlearn), on
 	// the barrier or overlapped with the next round.
 	SpanTrain = "train"
-	// EventSteal marks a cross-design job claim by the pool's steal
-	// policy; EventHelp a committer executing a queued job while it
-	// waits; EventMigrate a scratch re-bind to a new design.
+	// EventSteal marks a cross-design claim by a pool worker's steal
+	// policy; EventMigrate a scratch re-bind to a new design.
 	// EventPipeline marks a round submission that overlapped an
 	// undrained earlier round (the sub-round pipeline engaging).
 	EventSteal    = "steal"
-	EventHelp     = "help"
 	EventMigrate  = "migrate"
 	EventPipeline = "pipeline"
 )

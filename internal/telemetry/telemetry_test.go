@@ -102,7 +102,7 @@ func TestRingOverwritesOldestAndCountsDrops(t *testing.T) {
 	tr := rec.NewTrack("hot")
 	const extra = 7
 	for i := 0; i < trackCap+extra; i++ {
-		tr.Instant(EventHelp)
+		tr.Instant(EventMigrate)
 	}
 	if got := rec.Dropped(); got != extra {
 		t.Fatalf("Dropped = %d, want %d", got, extra)
@@ -114,7 +114,7 @@ func TestRingOverwritesOldestAndCountsDrops(t *testing.T) {
 	events := decodeTrace(t, buf.Bytes())
 	n := 0
 	for _, e := range events {
-		if e["name"] == EventHelp {
+		if e["name"] == EventMigrate {
 			n++
 		}
 	}
