@@ -544,16 +544,22 @@ func BenchmarkGoldenISS(b *testing.B) {
 	}
 }
 
-// BenchmarkLMGeneration measures sampler throughput (tokens/op in the
-// fuzzing loop's generation path).
+// BenchmarkLMGeneration measures generation as a campaign runs it: a
+// frozen LLMGenerator completing corpus prompt windows into 16-test
+// batches on its one sampler. tokens/s counts the tokens of the
+// emitted programs, two parcels an instruction, prompt windows
+// included.
 func BenchmarkLMGeneration(b *testing.B) {
 	p := benchPipeline(b)
-	rng := rand.New(rand.NewSource(1))
-	prompt := []int{0, 4, 5, 6, 7}
+	g := core.NewLLMGenerator(p, rocket.New().Space().NumBins(), false, 1)
+	tokens := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Model.Generate(rng, prompt, 48, 1.0, 16, 1)
+		for _, pr := range g.GenerateBatch(16) {
+			tokens += 2 * len(pr.Body)
+		}
 	}
+	b.ReportMetric(float64(tokens)/b.Elapsed().Seconds(), "tokens/s")
 }
 
 // BenchmarkPPOStep measures one PPO optimisation step.

@@ -37,7 +37,13 @@ type RolloutSink interface {
 // loop: it samples test vectors from the trained model and — when
 // Online or Sink is set — keeps improving the model from the Coverage
 // Calculator's scores, exactly as Fig. 1a's feedback arrow describes.
+// Only then does generation record what PPO needs (each sampled
+// token's log-probability and value, one rollout per generation): a
+// FeedbackFree generator records nothing and samples the same programs
+// from the same RNG draws.
 type LLMGenerator struct {
+	// Model is sampled through a sampler bound to it at construction;
+	// training updates its weights in place.
 	Model  *nn.GPT
 	Tok    *tok.Tokenizer
 	Corpus *corpus.Corpus
@@ -57,6 +63,7 @@ type LLMGenerator struct {
 	TopK        int
 
 	rng       *rand.Rand
+	sampler   *nn.Sampler // reset by every generation
 	lastRolls []*ppo.Rollout
 	rollTest  []int // test index of each rollout chunk
 	binsTotal int
@@ -74,6 +81,7 @@ func NewLLMGenerator(p *Pipeline, binsTotal int, online bool, seed int64) *LLMGe
 		Temperature: 1.0,
 		TopK:        16, // cut the low-probability tail: fewer illegal parcel pairings
 		rng:         rand.New(rand.NewSource(seed)),
+		sampler:     nn.NewSampler(p.Model),
 		binsTotal:   binsTotal,
 	}
 	if online {
@@ -99,6 +107,7 @@ func NewReplicaGenerator(p *Pipeline, model *nn.GPT, sink RolloutSink, binsTotal
 		Temperature: 1.0,
 		TopK:        16,
 		rng:         rand.New(rand.NewSource(seed)),
+		sampler:     nn.NewSampler(model),
 		binsTotal:   binsTotal,
 	}
 	return g
@@ -125,6 +134,7 @@ func (g *LLMGenerator) FeedbackFree() bool { return g.Online == nil && g.Sink ==
 // instructions per test, as the paper's comparison requires.
 func (g *LLMGenerator) GenerateBatch(n int) []prog.Program {
 	progs := make([]prog.Program, n)
+	record := !g.FeedbackFree()
 	g.lastRolls = g.lastRolls[:0]
 	g.rollTest = g.rollTest[:0]
 	for i := 0; i < n; i++ {
@@ -134,7 +144,7 @@ func (g *LLMGenerator) GenerateBatch(n int) []prog.Program {
 			promptWords := corpus.Window(g.rng, fn)
 			promptToks := append([]int{tok.BOS}, g.Tok.EncodeBody(promptWords)...)
 			budget := 2 * (g.BodyInstrs - len(body))
-			res := g.Model.Generate(g.rng, promptToks, budget, g.Temperature, g.TopK, tok.EOS)
+			res := g.sampler.Generate(g.rng, promptToks, budget, g.Temperature, g.TopK, tok.EOS, record)
 			words := g.Tok.Decode(res.Tokens)
 			if len(words) == 0 {
 				break
@@ -157,7 +167,7 @@ func (g *LLMGenerator) GenerateBatch(n int) []prog.Program {
 // learning is enabled (via the built-in trainer or an external sink).
 // Every generation chunk of a test inherits the test's coverage reward.
 func (g *LLMGenerator) Feedback(scores []cov.Scores) {
-	if g.Online == nil && g.Sink == nil {
+	if g.FeedbackFree() {
 		return
 	}
 	rolls := make([]*ppo.Rollout, 0, len(g.lastRolls))

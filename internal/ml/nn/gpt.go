@@ -7,8 +7,22 @@
 // path (Hidden, then Head/Values on the rows the caller needs) that
 // training differentiates, and the Sampler, which keeps every
 // per-token vector in scratch it owns — the logits Next returns are
-// valid until the next Next — and shares tensor.GELUScalar with the
-// batch path so the sampled and the trained policy cannot drift.
+// valid until the next Next — and shares tensor.GELUScalar and the
+// forward matmul kernel (tensor.VecMatInto) with the batch path so the
+// sampled and the trained policy cannot drift.
+//
+// Generation pays per position for what is read there, as the batch
+// path pays per row. A prompt position costs the backbone: nobody
+// samples from its logits. A sampled position adds the LM head and a
+// softmax over the top-k survivors. The sampled token's log-probability
+// under the untempered policy and the value are PPO's rollout-time
+// inputs, so they are taken only for a caller that trains on them
+// (GPT.Generate always; a core.LLMGenerator when it has a learner).
+// A token that ends a generation — eos, the last of the budget, the
+// one that fills the context — is never fed forward. Each shortcut
+// drops work whose result was unread, so tokens, recorded statistics
+// and the RNG stream are bit for bit what the full computation gives
+// (TestGeneratePromptEdges holds Generate to that computation).
 //chatfuzz:deterministic package
 package nn
 

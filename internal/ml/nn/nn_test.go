@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"chatfuzz/internal/ml/tensor"
@@ -90,13 +92,30 @@ func TestSamplerMatchesBatchForward(t *testing.T) {
 	}
 
 	s := NewSampler(m)
+	// split runs the backbone alone up to a position and the heads only
+	// there, as Generate does over a prompt: the heads of the earlier
+	// positions must not be something the later ones depend on.
+	split := NewSampler(m)
 	for pos, id := range seq {
-		row, _ := s.Next(id)
+		row, value := s.Next(id)
 		for j := range row {
 			if math.Abs(row[j]-logits.At(pos, j)) > 1e-9 {
 				t.Fatalf("pos %d logit %d: incremental %.12f vs batch %.12f",
 					pos, j, row[j], logits.At(pos, j))
 			}
+		}
+		split.Reset()
+		for _, prev := range seq[:pos+1] {
+			split.step(prev)
+		}
+		late := split.lmHead()
+		for j := range row {
+			if math.Float64bits(late[j]) != math.Float64bits(row[j]) {
+				t.Fatalf("pos %d logit %d: backbone-then-head %v vs Next %v", pos, j, late[j], row[j])
+			}
+		}
+		if v := split.value(); math.Float64bits(v) != math.Float64bits(value) {
+			t.Fatalf("pos %d value: backbone-then-head %v vs Next %v", pos, v, value)
 		}
 	}
 }
@@ -158,8 +177,9 @@ func TestGenerateRespectsEOSAndContext(t *testing.T) {
 func TestSampleTokenTemperatureZeroIsArgmax(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	logits := []float64{0.1, 2.5, -1, 2.4}
+	scratch := make([]float64, 2*len(logits))
 	for i := 0; i < 10; i++ {
-		if id := SampleToken(rng, logits, 0, 0); id != 1 {
+		if id := sampleToken(rng, logits, 0, 0, scratch); id != 1 {
 			t.Fatalf("argmax sampling returned %d", id)
 		}
 	}
@@ -168,10 +188,200 @@ func TestSampleTokenTemperatureZeroIsArgmax(t *testing.T) {
 func TestSampleTokenTopKRestriction(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	logits := []float64{10, 9, -50, -50, -50}
+	scratch := make([]float64, 2*len(logits))
 	for i := 0; i < 100; i++ {
-		id := SampleToken(rng, logits, 1.0, 2)
+		id := sampleToken(rng, logits, 1.0, 2, scratch)
 		if id != 0 && id != 1 {
 			t.Fatalf("top-2 sampling escaped the top set: %d", id)
+		}
+	}
+}
+
+// sampleTokenRef is top-k sampling written out in full: mask what is
+// below the k-th largest scaled logit to -Inf, softmax the whole
+// vocabulary, walk the cumulative distribution.
+func sampleTokenRef(rng *rand.Rand, logits []float64, temperature float64, topK int) int {
+	if temperature <= 0 {
+		return argmax(logits)
+	}
+	probs := make([]float64, len(logits))
+	for i, v := range logits {
+		probs[i] = v / temperature
+	}
+	if topK > 0 && topK < len(probs) {
+		sorted := append([]float64(nil), probs...)
+		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+		for i := range probs {
+			if probs[i] < sorted[topK-1] {
+				probs[i] = math.Inf(-1)
+			}
+		}
+	}
+	tensor.SoftmaxInto(probs, probs)
+	r := rng.Float64()
+	acc := 0.0
+	for i, p := range probs {
+		acc += p
+		if r < acc {
+			return i
+		}
+	}
+	return len(probs) - 1
+}
+
+// TestSampleTokenMatchesFullSoftmax: exponentiating only the top-k
+// survivors draws the same index from the same RNG position as the
+// softmax over the whole masked vocabulary — with ties at the cut, a
+// cut that keeps everything, no cut, and greedy decoding.
+func TestSampleTokenMatchesFullSoftmax(t *testing.T) {
+	const V = 37
+	gen := rand.New(rand.NewSource(16))
+	scratch := make([]float64, 2*V)
+	for trial := 0; trial < 400; trial++ {
+		logits := make([]float64, V)
+		for i := range logits {
+			// A coarse grid, so that values repeat and the cut is often tied.
+			logits[i] = float64(gen.Intn(12)) / 2
+			if trial%2 == 0 {
+				logits[i] += gen.NormFloat64()
+			}
+		}
+		for _, topK := range []int{0, 1, 2, 16, V - 1, V, V + 5} {
+			for _, temperature := range []float64{0, 0.5, 1, 1.7} {
+				seed := gen.Int63()
+				a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				got := sampleToken(a, logits, temperature, topK, scratch)
+				want := sampleTokenRef(b, logits, temperature, topK)
+				if got != want {
+					t.Fatalf("trial %d topK %d temperature %v: index %d, full softmax %d", trial, topK, temperature, got, want)
+				}
+				if a.Int63() != b.Int63() {
+					t.Fatalf("trial %d topK %d temperature %v: RNG left at a different draw", trial, topK, temperature)
+				}
+			}
+		}
+	}
+}
+
+// generateRef is generation written on Next alone: both heads at every
+// position, prompt included, and every sampled token but eos fed back
+// whether or not anything is sampled after it. Generate skips the work
+// nothing reads and must return exactly this.
+func generateRef(m *GPT, rng *rand.Rand, prompt []int, maxNew int, temperature float64, topK, eos int) GenerateResult {
+	s := NewSampler(m)
+	res := GenerateResult{PromptN: len(prompt), Tokens: append([]int(nil), prompt...)}
+	var logits []float64
+	var value float64
+	for _, id := range prompt {
+		logits, value = s.Next(id)
+	}
+	for n := 0; len(prompt) > 0 && n < maxNew && s.Pos() < m.Cfg.Ctx; n++ {
+		id := sampleTokenRef(rng, logits, temperature, topK)
+		res.Tokens = append(res.Tokens, id)
+		res.LogProbs = append(res.LogProbs, tensor.LogSoftmaxAt(logits, id))
+		res.Values = append(res.Values, value)
+		if id == eos {
+			break
+		}
+		logits, value = s.Next(id)
+	}
+	return res
+}
+
+// TestGeneratePromptEdges walks the prompt lengths around the two
+// limits: an empty prompt generates nothing, a prompt that fills the
+// context generates nothing, one token short of it generates one, and
+// one token past it panics in the sampler. Every case that returns
+// must equal generateRef bit for bit, recording or not, and leave the
+// RNG where generateRef leaves it.
+func TestGeneratePromptEdges(t *testing.T) {
+	cfg := tinyConfig()
+	m := NewGPT(cfg, rand.New(rand.NewSource(17)))
+	promptOf := func(n int) []int {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = 1 + i%(cfg.Vocab-1)
+		}
+		return p
+	}
+	cases := []struct {
+		name    string
+		prompt  []int
+		maxNew  int
+		eos     int
+		wantGen int // generated tokens; -1 when only generateRef knows
+		panics  bool
+	}{
+		{name: "empty", prompt: nil, maxNew: 8, eos: -1, wantGen: 0},
+		{name: "one token to the context", prompt: promptOf(1), maxNew: 100, eos: -1, wantGen: cfg.Ctx - 1},
+		{name: "budget", prompt: promptOf(3), maxNew: 5, eos: -1, wantGen: 5},
+		{name: "no budget", prompt: promptOf(3), maxNew: 0, eos: -1, wantGen: 0},
+		{name: "eos", prompt: promptOf(2), maxNew: 12, eos: 4, wantGen: -1},
+		{name: "Ctx-1", prompt: promptOf(cfg.Ctx - 1), maxNew: 8, eos: -1, wantGen: 1},
+		{name: "exactly Ctx", prompt: promptOf(cfg.Ctx), maxNew: 8, eos: -1, wantGen: 0},
+		{name: "Ctx+1", prompt: promptOf(cfg.Ctx + 1), maxNew: 8, eos: -1, panics: true},
+	}
+	s := NewSampler(m) // shared: a generation must not depend on the one before
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.panics {
+				defer func() {
+					if r := recover(); r != "nn: sampler past model context" {
+						t.Errorf("recovered %v, want the sampler's context panic", r)
+					}
+				}()
+				m.Generate(rand.New(rand.NewSource(1)), c.prompt, c.maxNew, 0.9, 5, c.eos)
+				t.Fatal("no panic")
+			}
+			for seed := int64(1); seed <= 20; seed++ {
+				a, b, q := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				want := generateRef(m, a, c.prompt, c.maxNew, 0.9, 5, c.eos)
+				got := s.Generate(b, c.prompt, c.maxNew, 0.9, 5, c.eos, true)
+				quiet := s.Generate(q, c.prompt, c.maxNew, 0.9, 5, c.eos, false)
+				gen := len(got.Tokens) - got.PromptN
+				if c.wantGen >= 0 && gen != c.wantGen {
+					t.Fatalf("seed %d: generated %d tokens, want %d", seed, gen, c.wantGen)
+				}
+				if got.PromptN != len(c.prompt) || !slices.Equal(got.Tokens, want.Tokens) || !slices.Equal(quiet.Tokens, want.Tokens) {
+					t.Fatalf("seed %d: tokens %v (unrecorded %v), reference %v", seed, got.Tokens, quiet.Tokens, want.Tokens)
+				}
+				if len(got.LogProbs) != gen || len(got.Values) != gen || quiet.LogProbs != nil || quiet.Values != nil {
+					t.Fatalf("seed %d: %d log-probs and %d values for %d tokens; unrecorded %d and %d",
+						seed, len(got.LogProbs), len(got.Values), gen, len(quiet.LogProbs), len(quiet.Values))
+				}
+				for i := range want.LogProbs {
+					if math.Float64bits(got.LogProbs[i]) != math.Float64bits(want.LogProbs[i]) ||
+						math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
+						t.Fatalf("seed %d token %d: (logp, value) = (%v, %v), reference (%v, %v)",
+							seed, i, got.LogProbs[i], got.Values[i], want.LogProbs[i], want.Values[i])
+					}
+				}
+				if x, y, z := a.Int63(), b.Int63(), q.Int63(); x != y || x != z {
+					t.Fatalf("seed %d: RNG left at a different draw", seed)
+				}
+			}
+		})
+	}
+}
+
+// TestGenerateAllocatesOnlyItsResult pins the steady-state allocation
+// budget of a generation on a reused Sampler: the token slice, and for
+// a learner the log-probability and value slices — no per-call
+// scratch, no K/V growth.
+func TestGenerateAllocatesOnlyItsResult(t *testing.T) {
+	m := NewGPT(tinyConfig(), rand.New(rand.NewSource(18)))
+	s := NewSampler(m)
+	rng := rand.New(rand.NewSource(19))
+	prompt := []int{1, 5, 9}
+	for _, c := range []struct {
+		record bool
+		want   float64
+	}{{false, 1}, {true, 3}} {
+		got := testing.AllocsPerRun(100, func() {
+			s.Generate(rng, prompt, 10, 1.0, 4, -1, c.record)
+		})
+		if got != c.want {
+			t.Errorf("record=%v: %.1f allocations per generation, want %.0f", c.record, got, c.want)
 		}
 	}
 }

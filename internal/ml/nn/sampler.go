@@ -10,27 +10,37 @@ import (
 // Sampler runs the model incrementally with per-layer KV caches —
 // generation is O(T²) total instead of O(T³), which keeps the fuzzing
 // loop fast. It shares the model's weights, builds no tape, and after
-// construction allocates only to grow the KV caches: every per-token
-// vector, the logits included, is scratch owned by the Sampler.
+// construction allocates nothing: the K/V caches are sized to the
+// context and every per-token vector, the logits included, is scratch
+// owned by the Sampler. One Sampler serves any number of generations,
+// one at a time (Generate resets it).
+//
+// A position costs what is read from it. step is the backbone alone —
+// embedding, the blocks (appending the position's K/V), the final
+// layer norm — and leaves the position's state in h; lmHead and value
+// are the two heads over h. A prompt position pays step only: its
+// logits would be sampled by nobody. A position that is sampled from
+// pays step and lmHead. The log-probability of the sampled token and
+// the value are PPO's inputs, so only a caller that records them for
+// a learner pays for them (see Generate).
 type Sampler struct {
-	m   *GPT
-	k   [][]float64 // [layer] -> appended rows of D keys
-	v   [][]float64
-	pos int
+	m    *GPT
+	k, v [][]float64 // [layer] -> [Ctx*D], rows below pos filled
+	pos  int
 
-	// Per-token scratch, overwritten by every Next.
-	x, h, attn, proj, mlp []float64 // [D]
+	// Per-token scratch, overwritten by every step.
+	x, h, attn, proj, mlp []float64 // [D]; h holds the final layer-norm state after step
 	qkv, fc               []float64 // [3D], [4D]
 	scores                []float64 // [Ctx] attention weights of one head
 	logits                []float64 // [Vocab]
-	sample                []float64 // [2*Vocab] SampleToken's scratch
+	sample                []float64 // [2*Vocab] sampleToken's scratch
 }
 
 // NewSampler returns an empty sampler for m.
 func NewSampler(m *GPT) *Sampler {
 	d, v := m.Cfg.Dim, m.Cfg.Vocab
 	vec := func(n int) []float64 { return make([]float64, n) }
-	return &Sampler{
+	s := &Sampler{
 		m: m,
 		k: make([][]float64, m.Cfg.Layers),
 		v: make([][]float64, m.Cfg.Layers),
@@ -38,35 +48,18 @@ func NewSampler(m *GPT) *Sampler {
 		qkv: vec(3 * d), fc: vec(4 * d),
 		scores: vec(m.Cfg.Ctx), logits: vec(v), sample: vec(2 * v),
 	}
+	for l := range s.k {
+		s.k[l], s.v[l] = vec(m.Cfg.Ctx*d), vec(m.Cfg.Ctx*d)
+	}
+	return s
 }
 
-// Reset clears the cache for a new sequence.
-func (s *Sampler) Reset() {
-	for l := range s.k {
-		s.k[l] = s.k[l][:0]
-		s.v[l] = s.v[l][:0]
-	}
-	s.pos = 0
-}
+// Reset rewinds the sampler for a new sequence; the caches are
+// overwritten as it advances.
+func (s *Sampler) Reset() { s.pos = 0 }
 
 // Pos returns the number of tokens consumed.
 func (s *Sampler) Pos() int { return s.pos }
-
-func vecMatInto(dst, x []float64, w *tensor.Tensor) {
-	out := w.C
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := w.Data[i*out : (i+1)*out]
-		for j, wv := range row {
-			dst[j] += xv * wv
-		}
-	}
-}
 
 func layerNormVec(dst, x []float64, g, b *tensor.Tensor) {
 	n := float64(len(x))
@@ -87,10 +80,12 @@ func layerNormVec(dst, x []float64, g, b *tensor.Tensor) {
 	}
 }
 
-// Next consumes one token and returns (logits, value) for the
-// position just consumed. The logits are the Sampler's scratch: valid
-// until the next call of Next, which overwrites them.
-func (s *Sampler) Next(id int) (logits []float64, value float64) {
+// step consumes one token through the backbone: it appends the
+// position's keys and values to the caches and leaves the final
+// layer-norm state in s.h for the heads. The matvecs are the tensor
+// package's forward kernel at one row, which adds a sum's products in
+// ascending inner index and skips zero factors of the vector.
+func (s *Sampler) step(id int) {
 	m := s.m
 	d := m.Cfg.Dim
 	if s.pos >= m.Cfg.Ctx {
@@ -107,17 +102,18 @@ func (s *Sampler) Next(id int) (logits []float64, value float64) {
 	heads := m.Cfg.Heads
 	dh := d / heads
 	scale := 1 / math.Sqrt(float64(dh))
+	T := s.pos + 1
 
 	for l, blk := range m.Blocks {
 		layerNormVec(h, x, blk.LN1g, blk.LN1b)
-		vecMatInto(qkv, h, blk.Wqkv)
+		tensor.VecMatInto(qkv, h, blk.Wqkv)
 		for i := range qkv {
 			qkv[i] += blk.Bqkv.Data[i]
 		}
 		q := qkv[:d]
-		s.k[l] = append(s.k[l], qkv[d:2*d]...)
-		s.v[l] = append(s.v[l], qkv[2*d:]...)
-		T := s.pos + 1
+		keys, vals := s.k[l][:T*d], s.v[l][:T*d]
+		copy(keys[s.pos*d:], qkv[d:2*d])
+		copy(vals[s.pos*d:], qkv[2*d:])
 
 		for i := range attn {
 			attn[i] = 0
@@ -128,7 +124,7 @@ func (s *Sampler) Next(id int) (logits []float64, value float64) {
 			maxScore := math.Inf(-1)
 			scores := s.scores[:T]
 			for u := 0; u < T; u++ {
-				kr := s.k[l][u*d+hd*dh : u*d+hd*dh+dh]
+				kr := keys[u*d+hd*dh : u*d+hd*dh+dh]
 				sum := 0.0
 				for j := range qh {
 					sum += qh[j] * kr[j]
@@ -145,67 +141,98 @@ func (s *Sampler) Next(id int) (logits []float64, value float64) {
 			}
 			for u := 0; u < T; u++ {
 				p := scores[u] / z
-				vr := s.v[l][u*d+hd*dh : u*d+hd*dh+dh]
+				vr := vals[u*d+hd*dh : u*d+hd*dh+dh]
 				for j := 0; j < dh; j++ {
 					attn[hd*dh+j] += p * vr[j]
 				}
 			}
 		}
-		vecMatInto(proj, attn, blk.Wproj)
+		tensor.VecMatInto(proj, attn, blk.Wproj)
 		for i := range x {
 			x[i] += proj[i] + blk.Bproj.Data[i]
 		}
 		layerNormVec(h, x, blk.LN2g, blk.LN2b)
-		vecMatInto(fc, h, blk.Wfc)
+		tensor.VecMatInto(fc, h, blk.Wfc)
 		for i := range fc {
 			fc[i] = tensor.GELUScalar(fc[i] + blk.Bfc.Data[i])
 		}
-		vecMatInto(mlp, fc, blk.Wout)
+		tensor.VecMatInto(mlp, fc, blk.Wout)
 		for i := range x {
 			x[i] += mlp[i] + blk.Bout.Data[i]
 		}
 	}
 
 	layerNormVec(h, x, m.LNfg, m.LNfb)
-	logits = s.logits
-	vecMatInto(logits, h, m.Head)
-	value = m.VBias.Data[0]
-	for i, hv := range h {
-		value += hv * m.VHead.Data[i]
-	}
 	s.pos++
-	return logits, value
 }
 
-// SampleToken draws from logits with temperature and top-k filtering.
-func SampleToken(rng *rand.Rand, logits []float64, temperature float64, topK int) int {
-	return sampleToken(rng, logits, temperature, topK, make([]float64, 2*len(logits)))
+// lmHead returns the logits of the position step last consumed. They
+// are the Sampler's scratch: valid until the next lmHead.
+func (s *Sampler) lmHead() []float64 {
+	tensor.VecMatInto(s.logits, s.h, s.m.Head)
+	return s.logits
 }
 
-// sampleToken is SampleToken over caller-owned scratch of twice the
-// vocabulary: the scaled logits, softmaxed in place, and the running
-// top k that finds the cut.
+// value returns the value head at the position step last consumed.
+func (s *Sampler) value() float64 {
+	value := s.m.VBias.Data[0]
+	for i, hv := range s.h {
+		value += hv * s.m.VHead.Data[i]
+	}
+	return value
+}
+
+// Next consumes one token and returns (logits, value) for the
+// position just consumed: the backbone and both heads, the per-token
+// counterpart of the batch forward. The logits are the Sampler's
+// scratch: valid until the next call of Next, which overwrites them.
+func (s *Sampler) Next(id int) (logits []float64, value float64) {
+	s.step(id)
+	return s.lmHead(), s.value()
+}
+
+// sampleToken draws from logits with temperature and top-k filtering,
+// over caller-owned scratch of twice the vocabulary: the scaled
+// logits, exponentiated in place, and the running top k that finds
+// the cut. Only the entries at or above the cut are exponentiated and
+// accumulated, in index order. The others would enter a softmax over
+// the whole vocabulary as exp(-Inf) = 0: they add nothing to the
+// normaliser or to the running sum the draw is compared with, so the
+// draw lands on the same index as over the full vector.
 func sampleToken(rng *rand.Rand, logits []float64, temperature float64, topK int, scratch []float64) int {
 	if temperature <= 0 {
 		return argmax(logits)
 	}
 	probs := scratch[:len(logits)]
+	maxV := math.Inf(-1)
 	for i, v := range logits {
-		probs[i] = v / temperature
-	}
-	if topK > 0 && topK < len(probs) {
-		cut := kthLargest(probs, topK, scratch[len(logits):][:0])
-		for i := range probs {
-			if probs[i] < cut {
-				probs[i] = math.Inf(-1)
-			}
+		v /= temperature
+		probs[i] = v
+		if v > maxV {
+			maxV = v
 		}
 	}
-	tensor.SoftmaxInto(probs, probs)
+	cut := math.Inf(-1)
+	if topK > 0 && topK < len(probs) {
+		cut = kthLargest(probs, topK, scratch[len(logits):][:0])
+	}
+	var z float64
+	for i, v := range probs {
+		if v < cut {
+			probs[i] = 0
+			continue
+		}
+		e := math.Exp(v - maxV)
+		probs[i] = e
+		z += e
+	}
 	r := rng.Float64()
 	acc := 0.0
-	for i, p := range probs {
-		acc += p
+	for i, e := range probs {
+		if e == 0 {
+			continue
+		}
+		acc += e / z
 		if r < acc {
 			return i
 		}
@@ -257,31 +284,59 @@ type GenerateResult struct {
 }
 
 // Generate samples a continuation of prompt until maxNew tokens, the
-// eos token, or the context limit. Temperature and topK control the
-// distribution.
+// eos token, or the context limit, recording every generated token's
+// log-probability and value for PPO. Temperature and topK control the
+// distribution. An empty prompt gives nothing to condition on and
+// returns with no generated token, which PPO treats as nothing to
+// learn from; a prompt longer than the context panics with the
+// sampler's "past model context".
 func (m *GPT) Generate(rng *rand.Rand, prompt []int, maxNew int, temperature float64, topK, eos int) GenerateResult {
-	s := NewSampler(m)
-	res := GenerateResult{PromptN: len(prompt)}
-	res.Tokens = append(res.Tokens, prompt...)
+	return NewSampler(m).Generate(rng, prompt, maxNew, temperature, topK, eos, true)
+}
 
-	var logits []float64
-	var value float64
+// Generate is GPT.Generate on this sampler's scratch: it resets the
+// sampler, so one Sampler serves a generator's every generation and
+// nothing but the result is allocated. record says whether a learner
+// will read LogProbs and Values; without it they stay nil, the value
+// head never runs and no log-softmax is taken. The tokens and the
+// draws taken from rng are the same either way.
+//
+// The prompt runs through the backbone only, the LM head runs only at
+// a position about to be sampled from, and a sampled token is fed back
+// only when its successor will be sampled too — the last token of the
+// budget or of the context is appended unfed, as eos always was.
+func (s *Sampler) Generate(rng *rand.Rand, prompt []int, maxNew int, temperature float64, topK, eos int, record bool) GenerateResult {
+	s.Reset()
 	for _, id := range prompt {
-		logits, value = s.Next(id)
+		s.step(id)
 	}
-	for n := 0; n < maxNew && s.Pos() < m.Cfg.Ctx; n++ {
+	budget := 0 // positions left to sample from; none after an empty prompt
+	if len(prompt) > 0 {
+		budget = max(0, min(maxNew, s.m.Cfg.Ctx-s.pos))
+	}
+	res := GenerateResult{PromptN: len(prompt), Tokens: make([]int, len(prompt), len(prompt)+budget)}
+	copy(res.Tokens, prompt)
+	if record {
+		res.LogProbs = make([]float64, 0, budget)
+		res.Values = make([]float64, 0, budget)
+	}
+	for n := 0; n < budget; n++ {
+		if n > 0 {
+			s.step(res.Tokens[len(res.Tokens)-1])
+		}
+		logits := s.lmHead()
 		id := sampleToken(rng, logits, temperature, topK, s.sample)
-		// Log-probabilities are always recorded under the untempered
-		// policy: PPO's ratio compares the same measure at rollout and
-		// optimisation time (temperature only shapes exploration).
-		lp := tensor.LogSoftmaxAt(logits, id)
 		res.Tokens = append(res.Tokens, id)
-		res.LogProbs = append(res.LogProbs, lp)
-		res.Values = append(res.Values, value)
+		if record {
+			// Log-probabilities are always recorded under the untempered
+			// policy: PPO's ratio compares the same measure at rollout and
+			// optimisation time (temperature only shapes exploration).
+			res.LogProbs = append(res.LogProbs, tensor.LogSoftmaxAt(logits, id))
+			res.Values = append(res.Values, s.value())
+		}
 		if id == eos {
 			break
 		}
-		logits, value = s.Next(id)
 	}
 	return res
 }

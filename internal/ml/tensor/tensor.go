@@ -414,6 +414,18 @@ func mulAB(dst, a, b []float64, m, k, n, lo, hi int) {
 	}
 }
 
+// VecMatInto writes x×W into dst for x [W.R] and dst [W.C] (no
+// autograd): the forward kernel at m = 1, for the incremental sampler,
+// so a sampled position and the same row of a batch forward add the
+// same products in the same order.
+func VecMatInto(dst, x []float64, w *Tensor) {
+	if len(x) != w.R || len(dst) != w.C {
+		panic(fmt.Sprintf("tensor: vecmat %d × %dx%d into %d", len(x), w.R, w.C, len(dst)))
+	}
+	clear(dst)
+	mulAB(dst, x, w.Data, 1, w.R, w.C, 0, 1)
+}
+
 // mulABt is the input-gradient kernel, dst += A×Bᵀ with A [m,k] (the
 // output gradient) and B [n,k] (the weights): each element is a dot
 // product of two contiguous rows, accumulated in a register on top of

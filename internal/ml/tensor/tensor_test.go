@@ -334,6 +334,9 @@ func matmulRef(dst, a, b []float64, m, k, n int, transA, transB bool) {
 // matmulThreshold (so both the serial and the row-split path run; CI
 // repeats it under GOMAXPROCS=1 and 4), operands with scattered zeros
 // and whole zero rows, and a dst that already holds non-zero values.
+// VecMatInto, the sampler's entry to the forward kernel, runs on each
+// trial's k and n (most k are no multiple of 4) and must overwrite
+// what its dst held.
 func TestMatmulKernelsBitExact(t *testing.T) {
 	forms := []struct {
 		name           string
@@ -386,6 +389,19 @@ func TestMatmulKernelsBitExact(t *testing.T) {
 					t.Fatalf("%s %dx%dx%d (work %d): element %d = %x, reference %x",
 						f.name, m, k, n, m*k*n, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 				}
+			}
+		}
+		x, w := fill(1, k), FromSlice(k, n, fill(k, n))
+		got, want := make([]float64, n), make([]float64, n)
+		for i := range got {
+			got[i] = rng.NormFloat64()
+		}
+		matmulRef(want, x, w.Data, 1, k, n, false, false)
+		VecMatInto(got, x, w)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("VecMatInto %dx%d: element %d = %x, reference %x",
+					k, n, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
 	}
