@@ -32,6 +32,7 @@ import (
 	"chatfuzz/internal/rtl/boom"
 	"chatfuzz/internal/rtl/rocket"
 	"chatfuzz/internal/telemetry"
+	"chatfuzz/internal/trace"
 )
 
 // emitBench mirrors a benchmark's ReportMetric values into the bench
@@ -500,48 +501,56 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 // ---- Component throughput benchmarks ----
 
-// BenchmarkRocketSimulation measures DUT simulation throughput.
-func BenchmarkRocketSimulation(b *testing.B) {
-	r := rocket.New()
-	c := corpus.Generate(corpus.Config{Seed: 1, Functions: 32, MinLen: 20, MaxLen: 40})
+// simImages builds the corpus the component benchmarks simulate.
+func simImages(seed int64) []mem.Image {
+	c := corpus.Generate(corpus.Config{Seed: seed, Functions: 32, MinLen: 20, MaxLen: 40})
 	imgs := make([]mem.Image, len(c.Functions))
 	for i, fn := range c.Functions {
 		imgs[i], _ = prog.MustBuild(prog.Program{Body: fn})
 	}
+	return imgs
+}
+
+// benchRunScratch times a DUT the way a fleet worker drives it: one
+// runner, one coverage set and one trace buffer, reset per test.
+func benchRunScratch(b *testing.B, dut rtl.ReusableDUT, imgs []mem.Image) {
+	runner := dut.NewRunner()
+	set := dut.Space().NewSet()
+	var tr []trace.Entry
+	insts := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Run(imgs[i%len(imgs)], 2000)
+		set.Reset()
+		tr = runner.RunScratch(imgs[i%len(imgs)], 2000, set, tr).Trace
+		insts += len(tr)
 	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 }
+
+// BenchmarkRocketSimulation measures DUT simulation throughput.
+func BenchmarkRocketSimulation(b *testing.B) { benchRunScratch(b, rocket.New(), simImages(1)) }
 
 // BenchmarkBoomSimulation measures OoO model throughput.
-func BenchmarkBoomSimulation(b *testing.B) {
-	bm := boom.New()
-	c := corpus.Generate(corpus.Config{Seed: 2, Functions: 32, MinLen: 20, MaxLen: 40})
-	imgs := make([]mem.Image, len(c.Functions))
-	for i, fn := range c.Functions {
-		imgs[i], _ = prog.MustBuild(prog.Program{Body: fn})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bm.Run(imgs[i%len(imgs)], 2000)
-	}
-}
+func BenchmarkBoomSimulation(b *testing.B) { benchRunScratch(b, boom.New(), simImages(2)) }
 
-// BenchmarkGoldenISS measures golden-model throughput.
+// BenchmarkGoldenISS measures golden-model throughput over one reset
+// memory and trace buffer, as the engine's golden path runs it.
 func BenchmarkGoldenISS(b *testing.B) {
-	c := corpus.Generate(corpus.Config{Seed: 3, Functions: 32, MinLen: 20, MaxLen: 40})
-	imgs := make([]mem.Image, len(c.Functions))
-	for i, fn := range c.Functions {
-		imgs[i], _ = prog.MustBuild(prog.Program{Body: fn})
-	}
+	imgs := simImages(3)
+	gmem := mem.Platform()
+	var tr []trace.Entry
+	insts := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := mem.Platform()
-		m.Load(imgs[i%len(imgs)])
-		s := iss.New(m, imgs[i%len(imgs)].Entry)
-		s.Run(2000)
+		img := imgs[i%len(imgs)]
+		gmem.Reset()
+		gmem.Load(img)
+		tr = iss.New(gmem, img.Entry).RunAppend(tr, 2000)
+		insts += len(tr)
 	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 }
 
 // BenchmarkLMGeneration measures generation as a campaign runs it: a

@@ -2,6 +2,7 @@
 // instructions with no feedback loop at all (or, in Raw mode, fully
 // random 32-bit words, which mostly decode as illegal — the weakest
 // possible generator and a useful ablation floor).
+//
 //chatfuzz:deterministic package
 package randfuzz
 

@@ -2,6 +2,7 @@
 // generator both baselines share. Like TheHuzz's generator, it knows
 // the valid encodings of every instruction but has no notion of
 // meaningful sequencing (the gap ChatFuzz's LLM fills).
+//
 //chatfuzz:deterministic package
 package randinst
 

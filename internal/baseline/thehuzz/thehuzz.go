@@ -4,6 +4,7 @@
 // (bit/byte flipping, swapping, deleting, cloning, operand and opcode
 // mutation) guided by coverage feedback — inputs that achieve new
 // coverage points enter the seed pool and are mutated further.
+//
 //chatfuzz:deterministic package
 package thehuzz
 

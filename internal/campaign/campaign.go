@@ -55,6 +55,7 @@
 // checkpoint records. Its embedded Exec is how one process runs and
 // observes it; Exec never reaches the wire format, and New* and
 // Resume* accept the same one.
+//
 //chatfuzz:deterministic package
 package campaign
 
@@ -235,9 +236,9 @@ type Orchestrator struct {
 	// as of the previous probed round, so RoundProbe can report
 	// per-round deltas (Exec.Probe; nil until the first probed round).
 	prevPipe []engine.PipeStats
-	merged []core.ProgressPoint
-	round  int
-	tests  int
+	merged   []core.ProgressPoint
+	round    int
+	tests    int
 	// plateau counts consecutive rounds whose barrier merged zero new
 	// coverage bins (drives Config.UpdateBudget). Derivable from the
 	// merged trajectory, so resume recomputes it instead of storing it.
@@ -587,11 +588,11 @@ func (o *Orchestrator) recordMetrics(roundAdded int, probe *RoundProbe) {
 	g.Gauge("fleet/coverage_pct").Set(o.Coverage())
 	g.Counter("coverage/new_bins").Add(int64(roundAdded))
 	for _, n := range o.names {
-		g.Gauge("coverage/"+n+"_pct").Set(o.globals[n].Percent())
+		g.Gauge("coverage/" + n + "_pct").Set(o.globals[n].Percent())
 	}
 	for i, sp := range o.specs {
-		g.Gauge("arm/"+sp.Name+"/pulls").Set(float64(o.bandit.Pulls[i]))
-		g.Gauge("arm/"+sp.Name+"/mean_reward").Set(o.bandit.Mean(i))
+		g.Gauge("arm/" + sp.Name + "/pulls").Set(float64(o.bandit.Pulls[i]))
+		g.Gauge("arm/" + sp.Name + "/mean_reward").Set(o.bandit.Mean(i))
 	}
 	if o.Cfg.Detect {
 		novel, raw, filtered := 0, 0, 0

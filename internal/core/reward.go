@@ -3,6 +3,7 @@
 // the disassembler, PPO coverage optimisation against the DUT), the
 // LLM-based input generator, and the coverage-guided fuzzing loop with
 // differential mismatch detection — the paper's primary contribution.
+//
 //chatfuzz:deterministic package
 package core
 

@@ -14,6 +14,7 @@
 // instructions within one function are interdependent and data/control
 // flow entangled, and operand diversity is bounded so the 16-bit
 // parcel tokenizer's vocabulary stays compact.
+//
 //chatfuzz:deterministic package
 package corpus
 
@@ -73,10 +74,10 @@ type gen struct {
 
 func (g *gen) emit(ws ...uint32) { g.code = append(g.code, ws...) }
 
-func (g *gen) reg() isa.Reg   { return regPool[g.rng.Intn(len(regPool))] }
-func (g *gen) base() isa.Reg  { return basePool[g.rng.Intn(len(basePool))] }
-func (g *gen) imm() int64     { return immPool[g.rng.Intn(len(immPool))] }
-func (g *gen) memOff() int64  { return int64(g.rng.Intn(32)) * 8 }
+func (g *gen) reg() isa.Reg  { return regPool[g.rng.Intn(len(regPool))] }
+func (g *gen) base() isa.Reg { return basePool[g.rng.Intn(len(basePool))] }
+func (g *gen) imm() int64    { return immPool[g.rng.Intn(len(immPool))] }
+func (g *gen) memOff() int64 { return int64(g.rng.Intn(32)) * 8 }
 
 // arithChain emits 3..8 dependent ALU operations through one register.
 func (g *gen) arithChain() {

@@ -6,6 +6,7 @@
 // (modelled) RTL. Like Synopsys VCS condition coverage, each point has
 // two bins — the condition observed true and observed false — and the
 // coverage percentage is hit bins over total bins.
+//
 //chatfuzz:deterministic package
 package cov
 

@@ -40,6 +40,7 @@
 // trajectories, detector output and checkpoints whatever the worker
 // count, claim order or stealing (see fleetpool.go for the pool side
 // of the contract).
+//
 //chatfuzz:deterministic package
 package engine
 

@@ -5,6 +5,7 @@
 // prints the paper's value (PAPER.md names the source) next to the
 // measured one; cmd/fuzz-bench/README.md lists the -exp names that
 // select them.
+//
 //chatfuzz:deterministic package
 package exp
 

@@ -48,6 +48,7 @@
 // wall-clock, RNG or optimizer state needs to survive the pause
 // (training always starts from a fresh trainer over an explicit
 // start vector).
+//
 //chatfuzz:deterministic package
 package fleetlearn
 

@@ -6,6 +6,7 @@
 // Sharing this logic guarantees that ISS-vs-DUT divergences can only
 // come from the deliberately injected findings (cache staleness, trace
 // bugs, exception-priority inversion), never from accidental CSR drift.
+//
 //chatfuzz:deterministic package
 package hart
 

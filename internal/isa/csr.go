@@ -124,8 +124,8 @@ func (p Priv) String() string {
 
 // mstatus bit positions used by the simulators.
 const (
-	MStatusMIE  uint64 = 1 << 3
-	MStatusMPIE uint64 = 1 << 7
-	MStatusMPPShift     = 11
+	MStatusMIE      uint64 = 1 << 3
+	MStatusMPIE     uint64 = 1 << 7
+	MStatusMPPShift        = 11
 	MStatusMPPMask  uint64 = 3 << MStatusMPPShift
 )

@@ -11,7 +11,7 @@ type encMeta struct {
 	f7     uint32 // funct7 for R, funct5<<2 for AMO, imm12 for Sys
 }
 
-var encTable = map[Op]encMeta{
+var encTable = [NumOps]encMeta{
 	OpLUI:    {0x37, 0, 0},
 	OpAUIPC:  {0x17, 0, 0},
 	OpJAL:    {0x6F, 0, 0},
@@ -118,8 +118,11 @@ var encTable = map[Op]encMeta{
 // OpIllegal or out-of-range fields; it is a programming-error API used
 // by the corpus generator and tests, not a fuzz-input path.
 func Encode(i Inst) uint32 {
-	em, ok := encTable[i.Op]
-	if !ok {
+	var em encMeta
+	if int(i.Op) < NumOps {
+		em = encTable[i.Op]
+	}
+	if em.opcode == 0 { // every real major opcode has its low two bits set
 		panic(fmt.Sprintf("isa: cannot encode op %v", i.Op))
 	}
 	rd := uint32(i.Rd) & 31

@@ -25,7 +25,7 @@ func FuzzDecodeEncodeRoundTrip(f *testing.F) {
 		Enc(OpSRAIW, 9, 10, 0, 31),
 		Enc(OpSD, 0, 11, 12, 2047),
 		Enc(OpBEQ, 0, 1, 2, -4096),
-		Enc(OpLUI, 3, 0, 0, -1 << 31),
+		Enc(OpLUI, 3, 0, 0, -1<<31),
 		Enc(OpJAL, 1, 0, 0, 1<<19-2),
 		EncCSR(OpCSRRW, 1, 2, 0x300),
 		EncCSR(OpCSRRSI, 4, 31, 0xC00),

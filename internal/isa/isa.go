@@ -7,6 +7,7 @@
 // disassembler" reward agent of ChatFuzz's training step 2, the decoder
 // of both simulated cores, and the assembler used by the synthetic
 // corpus generator.
+//
 //chatfuzz:deterministic package
 package isa
 
@@ -20,12 +21,12 @@ const NumRegs = 32
 
 // Commonly used ABI register names.
 const (
-	Zero Reg = 0  // hardwired zero
-	RA   Reg = 1  // return address
-	SP   Reg = 2  // stack pointer
-	GP   Reg = 3  // global pointer
-	TP   Reg = 4  // thread pointer
-	T0   Reg = 5  // temporaries
+	Zero Reg = 0 // hardwired zero
+	RA   Reg = 1 // return address
+	SP   Reg = 2 // stack pointer
+	GP   Reg = 3 // global pointer
+	TP   Reg = 4 // thread pointer
+	T0   Reg = 5 // temporaries
 	T1   Reg = 6
 	T2   Reg = 7
 	S0   Reg = 8 // saved / frame pointer

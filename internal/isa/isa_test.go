@@ -21,7 +21,7 @@ func TestOpMetadataComplete(t *testing.T) {
 		if opTable[op].name == "" {
 			t.Errorf("op %d has no table entry", op)
 		}
-		if _, ok := encTable[op]; !ok {
+		if encTable[op].opcode == 0 {
 			t.Errorf("op %v has no encoder entry", op)
 		}
 	}
@@ -33,29 +33,29 @@ func TestDecodeKnownWords(t *testing.T) {
 		raw  uint32
 		want string
 	}{
-		{0x00000013, "addi zero, zero, 0"},      // canonical NOP
-		{0x00A28293, "addi t0, t0, 10"},         // addi x5, x5, 10
-		{0x00B50633, "add a2, a0, a1"},          // add x12, x10, x11
-		{0x40B50633, "sub a2, a0, a1"},          // sub
-		{0x02B50633, "mul a2, a0, a1"},          // mul
-		{0x0000006F, "jal zero, 0"},             // jal .
-		{0xFE0008E3, "beq zero, zero, -16"},     // beq backwards
-		{0x00052503, "lw a0, 0(a0)"},            // lw x10, 0(x10)
-		{0x00A53023, "sd a0, 0(a0)"},            // sd x10, 0(x10)
-		{0x000280E7, "jalr ra, 0(t0)"},          // jalr x1, 0(x5)
-		{0x12345037, "lui zero, 0x12345"},       // lui
-		{0x00000073, "ecall"},                   //
-		{0x00100073, "ebreak"},                  //
-		{0x30200073, "mret"},                    //
-		{0x10500073, "wfi"},                     //
-		{0x0000100F, "fence.i"},                 //
-		{0x30529073, "csrrw zero, mtvec, t0"},   // csrrw x0, mtvec, x5
-		{0x342025F3, "csrrs a1, mcause, zero"},  // csrr a1, mcause
-		{0x4105B52F, "amoor.d a0, a6, (a1)"},    // amoor.d x10, x16, (x11)
-		{0x1005252F, "lr.w a0, (a0)"},           //
-		{0x0020D093, "srli ra, ra, 2"},          //
-		{0x4020D093, "srai ra, ra, 2"},          //
-		{0x02B55533, "divu a0, a0, a1"},         //
+		{0x00000013, "addi zero, zero, 0"},     // canonical NOP
+		{0x00A28293, "addi t0, t0, 10"},        // addi x5, x5, 10
+		{0x00B50633, "add a2, a0, a1"},         // add x12, x10, x11
+		{0x40B50633, "sub a2, a0, a1"},         // sub
+		{0x02B50633, "mul a2, a0, a1"},         // mul
+		{0x0000006F, "jal zero, 0"},            // jal .
+		{0xFE0008E3, "beq zero, zero, -16"},    // beq backwards
+		{0x00052503, "lw a0, 0(a0)"},           // lw x10, 0(x10)
+		{0x00A53023, "sd a0, 0(a0)"},           // sd x10, 0(x10)
+		{0x000280E7, "jalr ra, 0(t0)"},         // jalr x1, 0(x5)
+		{0x12345037, "lui zero, 0x12345"},      // lui
+		{0x00000073, "ecall"},                  //
+		{0x00100073, "ebreak"},                 //
+		{0x30200073, "mret"},                   //
+		{0x10500073, "wfi"},                    //
+		{0x0000100F, "fence.i"},                //
+		{0x30529073, "csrrw zero, mtvec, t0"},  // csrrw x0, mtvec, x5
+		{0x342025F3, "csrrs a1, mcause, zero"}, // csrr a1, mcause
+		{0x4105B52F, "amoor.d a0, a6, (a1)"},   // amoor.d x10, x16, (x11)
+		{0x1005252F, "lr.w a0, (a0)"},          //
+		{0x0020D093, "srli ra, ra, 2"},         //
+		{0x4020D093, "srai ra, ra, 2"},         //
+		{0x02B55533, "divu a0, a0, a1"},        //
 	}
 	for _, c := range cases {
 		got := Disassemble(c.raw)
@@ -162,6 +162,21 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 
 // TestDecodeEncodeRoundtrip is the dual property: any word that decodes
 // as valid re-encodes to the identical word.
+// TestEncodeRejectsUnencodableOps: OpIllegal and anything past the op
+// table have no encoder entry and must panic, not encode as zero.
+func TestEncodeRejectsUnencodableOps(t *testing.T) {
+	for _, op := range []Op{OpIllegal, Op(NumOps), Op(NumOps + 100)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Encode(op %d) did not panic", op)
+				}
+			}()
+			Encode(Inst{Op: op})
+		}()
+	}
+}
+
 func TestDecodeEncodeRoundtrip(t *testing.T) {
 	f := func(raw uint32) bool {
 		inst := Decode(raw)
@@ -217,15 +232,15 @@ func TestWritesRd(t *testing.T) {
 
 func TestALUBasics(t *testing.T) {
 	cases := []struct {
-		op      Op
-		a, b    uint64
-		want    uint64
+		op   Op
+		a, b uint64
+		want uint64
 	}{
 		{OpADD, 2, 3, 5},
 		{OpSUB, 2, 3, ^uint64(0)},
 		{OpSLL, 1, 63, 1 << 63},
-		{OpSLT, ^uint64(0), 0, 1},       // -1 < 0 signed
-		{OpSLTU, ^uint64(0), 0, 0},      // max > 0 unsigned
+		{OpSLT, ^uint64(0), 0, 1},  // -1 < 0 signed
+		{OpSLTU, ^uint64(0), 0, 0}, // max > 0 unsigned
 		{OpXOR, 0xF0, 0x0F, 0xFF},
 		{OpSRL, 1 << 63, 63, 1},
 		{OpSRA, 1 << 63, 63, ^uint64(0)},
@@ -251,11 +266,11 @@ func TestMulSemantics(t *testing.T) {
 		want uint64
 	}{
 		{OpMUL, 7, 6, 42},
-		{OpMULH, ^uint64(0), ^uint64(0), 0},                  // -1 * -1 = 1, high = 0
-		{OpMULH, 1 << 63, 2, ^uint64(0)},                     // min * 2 high = -1
-		{OpMULHU, ^uint64(0), ^uint64(0), ^uint64(0) - 1},    // (2^64-1)^2 >> 64
-		{OpMULHSU, ^uint64(0), ^uint64(0), ^uint64(0)},       // -1 * max unsigned, high = -1
-		{OpMULW, 0x100000000 | 3, 5, 15},                     // truncates to 32 bits first
+		{OpMULH, ^uint64(0), ^uint64(0), 0},               // -1 * -1 = 1, high = 0
+		{OpMULH, 1 << 63, 2, ^uint64(0)},                  // min * 2 high = -1
+		{OpMULHU, ^uint64(0), ^uint64(0), ^uint64(0) - 1}, // (2^64-1)^2 >> 64
+		{OpMULHSU, ^uint64(0), ^uint64(0), ^uint64(0)},    // -1 * max unsigned, high = -1
+		{OpMULW, 0x100000000 | 3, 5, 15},                  // truncates to 32 bits first
 	}
 	for _, c := range cases {
 		if got := ALU(c.op, c.a, c.b); got != c.want {
@@ -280,8 +295,8 @@ func TestDivSemanticsSpecCorners(t *testing.T) {
 		{OpDIV, minI64, ^uint64(0), minI64},
 		{OpREM, minI64, ^uint64(0), 0},
 		// Normal cases.
-		{OpDIV, ^uint64(0) - 6, 2, uint64(^uint64(0)-2)}, // -7/2 = -3
-		{OpREM, ^uint64(0) - 6, 2, ^uint64(0)},           // -7%2 = -1
+		{OpDIV, ^uint64(0) - 6, 2, uint64(^uint64(0) - 2)}, // -7/2 = -3
+		{OpREM, ^uint64(0) - 6, 2, ^uint64(0)},             // -7%2 = -1
 		// 32-bit corners.
 		{OpDIVW, 0x80000000, ^uint64(0), 0xFFFFFFFF80000000},
 		{OpREMW, 0x80000000, ^uint64(0), 0},
@@ -319,9 +334,9 @@ func TestBranchTaken(t *testing.T) {
 
 func TestAMOApply(t *testing.T) {
 	cases := []struct {
-		op        Op
-		old, src  uint64
-		want      uint64
+		op       Op
+		old, src uint64
+		want     uint64
 	}{
 		{OpAMOSWAPD, 1, 2, 2},
 		{OpAMOADDD, 1, 2, 3},

@@ -5,6 +5,7 @@
 //
 // The ISS produces one trace.Entry per retired instruction; the
 // Mismatch Detector compares this golden trace against the DUT trace.
+//
 //chatfuzz:deterministic package
 package iss
 

@@ -87,7 +87,7 @@ func TestArithmeticProgram(t *testing.T) {
 
 func TestX0AlwaysZero(t *testing.T) {
 	body := []uint32{
-		isa.Enc(isa.OpADDI, 0, 0, 0, 123),       // addi zero, zero, 123
+		isa.Enc(isa.OpADDI, 0, 0, 0, 123),        // addi zero, zero, 123
 		isa.Enc(isa.OpLUI, 0, 0, 0, 0x7000_0000), // lui zero, ...
 		isa.Enc(isa.OpADD, isa.A0, 0, 0, 0),      // a0 = zero + zero
 	}
@@ -211,13 +211,13 @@ func TestPrivilegeTransitionUModeECall(t *testing.T) {
 	// Drop to U-mode via MRET, then ecall from U (cause 8) returns to M.
 	// mepc <- target (pc-relative via auipc), clear MPP, mret.
 	body := []uint32{
-		isa.Enc(isa.OpAUIPC, isa.A0, 0, 0, 0),             // a0 = pc
-		isa.Enc(isa.OpADDI, isa.A0, isa.A0, 0, 20),        // a0 = pc+20 (u_code)
-		isa.EncCSR(isa.OpCSRRW, 0, isa.A0, isa.CSRMEPC),   // mepc = u_code
-		isa.EncCSR(isa.OpCSRRWI, 0, 0, isa.CSRMStatus),    // MPP=U, MIE=0
-		isa.Encode(isa.Inst{Op: isa.OpMRET}),              // enter U-mode
-		isa.Enc(isa.OpADDI, isa.A2, 0, 0, 55),             // u_code: runs in U
-		isa.Encode(isa.Inst{Op: isa.OpECALL}),             // cause 8, ends test
+		isa.Enc(isa.OpAUIPC, isa.A0, 0, 0, 0),           // a0 = pc
+		isa.Enc(isa.OpADDI, isa.A0, isa.A0, 0, 20),      // a0 = pc+20 (u_code)
+		isa.EncCSR(isa.OpCSRRW, 0, isa.A0, isa.CSRMEPC), // mepc = u_code
+		isa.EncCSR(isa.OpCSRRWI, 0, 0, isa.CSRMStatus),  // MPP=U, MIE=0
+		isa.Encode(isa.Inst{Op: isa.OpMRET}),            // enter U-mode
+		isa.Enc(isa.OpADDI, isa.A2, 0, 0, 55),           // u_code: runs in U
+		isa.Encode(isa.Inst{Op: isa.OpECALL}),           // cause 8, ends test
 	}
 	s, entries := runBody(t, body)
 	var uEntries, ecallU int
@@ -304,9 +304,9 @@ func TestReadOnlyCSRWriteTraps(t *testing.T) {
 
 func TestLRSCSuccessAndFailure(t *testing.T) {
 	body := []uint32{
-		isa.EncAMO(isa.OpLRD, isa.A1, isa.A0, 0, false, false),       // reserve
-		isa.EncAMO(isa.OpSCD, isa.A2, isa.A0, isa.A5, false, false),  // success -> 0
-		isa.EncAMO(isa.OpSCD, isa.A3, isa.A0, isa.A5, false, false),  // no res -> 1
+		isa.EncAMO(isa.OpLRD, isa.A1, isa.A0, 0, false, false),      // reserve
+		isa.EncAMO(isa.OpSCD, isa.A2, isa.A0, isa.A5, false, false), // success -> 0
+		isa.EncAMO(isa.OpSCD, isa.A3, isa.A0, isa.A5, false, false), // no res -> 1
 		isa.Enc(isa.OpLD, isa.A4, isa.A0, 0, 0),
 	}
 	s, _ := runBody(t, body)
@@ -371,12 +371,12 @@ func TestJALRClearsLowBitAndMisalignedTarget(t *testing.T) {
 	// jalr to an address with bit0 set is fine (bit cleared); bit1 set
 	// traps with instruction-address-misaligned attributed to the jump.
 	body := []uint32{
-		isa.Enc(isa.OpAUIPC, isa.A0, 0, 0, 0),        // a0 = pc
-		isa.Enc(isa.OpADDI, isa.A0, isa.A0, 0, 13),   // target pc+13 -> bit0 set, cleared -> pc+12
-		isa.Enc(isa.OpJALR, isa.RA, isa.A0, 0, 0),    // lands on next inst
-		isa.Enc(isa.OpADDI, isa.A1, 0, 0, 21),        // pc+12: executed
-		isa.Enc(isa.OpADDI, isa.A0, isa.A0, 0, 2),    // a0 = pc+14 (bit1 set)
-		isa.Enc(isa.OpJALR, isa.RA, isa.A0, 0, 0),    // traps, cause 0
+		isa.Enc(isa.OpAUIPC, isa.A0, 0, 0, 0),      // a0 = pc
+		isa.Enc(isa.OpADDI, isa.A0, isa.A0, 0, 13), // target pc+13 -> bit0 set, cleared -> pc+12
+		isa.Enc(isa.OpJALR, isa.RA, isa.A0, 0, 0),  // lands on next inst
+		isa.Enc(isa.OpADDI, isa.A1, 0, 0, 21),      // pc+12: executed
+		isa.Enc(isa.OpADDI, isa.A0, isa.A0, 0, 2),  // a0 = pc+14 (bit1 set)
+		isa.Enc(isa.OpJALR, isa.RA, isa.A0, 0, 0),  // traps, cause 0
 	}
 	s, entries := runBody(t, body)
 	if s.X[isa.A1] != 21 {
@@ -400,10 +400,10 @@ func TestSelfModifyingCodeGoldenModel(t *testing.T) {
 	// Overwrite the upcoming "addi a1,zero,1" with "addi a1,zero,2".
 	patch := isa.Enc(isa.OpADDI, isa.A1, 0, 0, 2)
 	body := []uint32{
-		isa.Enc(isa.OpAUIPC, isa.A0, 0, 0, 0),      // a0 = pc
-		isa.Enc(isa.OpLW, isa.T1, isa.S0, 0, 0),    // t1 = patch word (pre-placed)
-		isa.Enc(isa.OpSW, 0, isa.A0, isa.T1, 12),   // overwrite pc+12
-		isa.Enc(isa.OpADDI, isa.A1, 0, 0, 1),       // will be patched to 2
+		isa.Enc(isa.OpAUIPC, isa.A0, 0, 0, 0),    // a0 = pc
+		isa.Enc(isa.OpLW, isa.T1, isa.S0, 0, 0),  // t1 = patch word (pre-placed)
+		isa.Enc(isa.OpSW, 0, isa.A0, isa.T1, 12), // overwrite pc+12
+		isa.Enc(isa.OpADDI, isa.A1, 0, 0, 1),     // will be patched to 2
 	}
 	img, _ := prog.MustBuild(prog.Program{Body: body})
 	m := mem.Platform()

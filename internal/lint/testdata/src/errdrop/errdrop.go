@@ -6,9 +6,9 @@ package errdrop
 
 type fleet struct{}
 
-func (f *fleet) RunRound() error          { return nil }
-func (f *fleet) RunRounds(n int) error    { return nil }
-func (f *fleet) RunTests(n int) error     { return nil }
+func (f *fleet) RunRound() error       { return nil }
+func (f *fleet) RunRounds(n int) error { return nil }
+func (f *fleet) RunTests(n int) error  { return nil }
 
 type set struct{}
 
@@ -21,8 +21,8 @@ type core struct{}
 func (c *core) RunTests(n int) {}
 
 func drops(f *fleet, s *set) {
-	f.RunRound()       // want "RunRound returns a fleet-poisoning error that is discarded"
-	_ = f.RunRounds(3) // want "RunRounds error assigned to _"
+	f.RunRound()                  // want "RunRound returns a fleet-poisoning error that is discarded"
+	_ = f.RunRounds(3)            // want "RunRounds error assigned to _"
 	added, _ := s.MergeWords(nil) // want "MergeWords error assigned to _"
 	_ = added
 }

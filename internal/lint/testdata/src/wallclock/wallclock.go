@@ -12,7 +12,7 @@ func reads() time.Duration {
 }
 
 func timers(d time.Duration) {
-	<-time.After(d)      // want "time.After reads the wall clock"
+	<-time.After(d)       // want "time.After reads the wall clock"
 	_ = time.NewTicker(d) // want "time.NewTicker reads the wall clock"
 }
 

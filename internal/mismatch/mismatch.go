@@ -5,6 +5,7 @@
 // automated clustering of raw mismatches into unique signatures, and
 // classification of signatures into the known findings (Bug1, Bug2,
 // Findings 1–3).
+//
 //chatfuzz:deterministic package
 package mismatch
 
@@ -61,13 +62,13 @@ type Finding int
 
 // The paper's findings plus the unknown/false-positive buckets.
 const (
-	FindingUnknown Finding = iota
-	FindingBug1            // FENCE.I / I-cache coherency (CWE-1202)
-	FindingBug2            // tracer omits MUL/DIV writeback (CWE-440)
-	Finding1               // exception priority inversion
-	Finding2               // AMO with rd=x0 visible in trace
-	Finding3               // load to x0 visible in trace
-	FindingFalsePositive   // filtered (e.g. cycle CSR reads)
+	FindingUnknown       Finding = iota
+	FindingBug1                  // FENCE.I / I-cache coherency (CWE-1202)
+	FindingBug2                  // tracer omits MUL/DIV writeback (CWE-440)
+	Finding1                     // exception priority inversion
+	Finding2                     // AMO with rd=x0 visible in trace
+	Finding3                     // load to x0 visible in trace
+	FindingFalsePositive         // filtered (e.g. cycle CSR reads)
 )
 
 // String returns the paper's name for the finding.
@@ -136,9 +137,9 @@ type Detector struct {
 	filters []Filter
 	unique  map[string]*Record
 
-	Tests        int
-	RawCount     int
-	FilteredRaw  int
+	Tests       int
+	RawCount    int
+	FilteredRaw int
 }
 
 // NewDetector returns a detector with the default filter set.

@@ -23,6 +23,7 @@
 // drops work whose result was unread, so tokens, recorded statistics
 // and the RNG stream are bit for bit what the full computation gives
 // (TestGeneratePromptEdges holds Generate to that computation).
+//
 //chatfuzz:deterministic package
 package nn
 

@@ -5,6 +5,7 @@
 // against a frozen reference model, and KL/reward/loss monitoring
 // ("we monitored the PPO algorithm's loss, the Kullback-Leibler
 // divergence between optimization policies, and the mean rewards").
+//
 //chatfuzz:deterministic package
 package ppo
 
@@ -199,7 +200,7 @@ func (t *Trainer) StepRollouts(rolls []*Rollout) Stats {
 		gen := len(r.rewards)
 		r.adv = make([]float64, gen)
 		r.returns = make([]float64, gen)
-		next := 0.0     // V(s_{T}) = 0 at episode end
+		next := 0.0 // V(s_{T}) = 0 at episode end
 		nextAdv := 0.0
 		for g := gen - 1; g >= 0; g-- {
 			delta := r.rewards[g] + cfg.Gamma*next - r.Values[g]

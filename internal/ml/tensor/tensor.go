@@ -21,6 +21,7 @@
 // of the naive triple loop (matmulRef in the tests). Blocking, register
 // accumulation and the parallel row split only change which elements
 // are in flight together, never the order within one.
+//
 //chatfuzz:deterministic package
 package tensor
 

@@ -7,6 +7,7 @@
 // This representation is what makes training step 2 meaningful: the
 // model must learn to pair parcels into legal encodings, and the
 // disassembler reward penalises illegal pairings.
+//
 //chatfuzz:deterministic package
 package tok
 

@@ -4,6 +4,7 @@
 // a reset stub that installs a trap handler and gives every register a
 // deterministic, "interesting" value, the generated body, and an
 // epilogue that ends the test via a tohost store.
+//
 //chatfuzz:deterministic package
 package prog
 

@@ -15,6 +15,7 @@
 // issue queue and store queue — drives the condition coverage and the
 // cycle count. This is the standard functional-executor + timing-model
 // simulator split.
+//
 //chatfuzz:deterministic package
 package boom
 
@@ -62,9 +63,9 @@ type points struct {
 	bundleFull, bundleHasBranch                 cov.PointID
 	btbHit, bhtPredTaken, rasEmpty, rasOverflow cov.PointID
 	// Decode / rename.
-	illegal, compressed                      cov.PointID
+	illegal, compressed                         cov.PointID
 	freelistEmpty, rdX0Skip, src1Busy, src2Busy cov.PointID
-	opSeen                                   [isa.NumOps]cov.PointID
+	opSeen                                      [isa.NumOps]cov.PointID
 	// ROB / issue.
 	robFull, robEmpty, commitBundleFull cov.PointID
 	flushMispredict, flushException     cov.PointID
@@ -73,17 +74,17 @@ type points struct {
 	brTaken, brMispredict, brBackward cov.PointID
 	jalrRet, jalrCall                 cov.PointID
 	// LSU / D-cache.
-	sqFull, loadForward, partialOverlap            cov.PointID
-	dcacheHit, dcacheEvictDirty                    cov.PointID
-	memMisaligned, memFault                        cov.PointID
+	sqFull, loadForward, partialOverlap                  cov.PointID
+	dcacheHit, dcacheEvictDirty                          cov.PointID
+	memMisaligned, memFault                              cov.PointID
 	scSuccess, resValidAtSC, storeBreaksRes, tohostWrite cov.PointID
 	// MUL/DIV.
 	divByZero, divOverflow, mdWord, mdSigned cov.PointID
 	// Traps, privilege, CSR.
 	trapTaken, trapFromU, inUMode, mppIsM cov.PointID
-	trapCause                             map[uint64]cov.PointID
+	trapCause                             []cov.PointID // parallel to trapCauses
 	csrPrivViol, csrReadOnly              cov.PointID
-	csrAddr                               map[uint16]cov.PointID
+	csrAddr                               []cov.PointID // parallel to isa.KnownCSRs
 	// Tied-off conditions (no interrupt/debug stimulus).
 	tieFalse []cov.PointID
 }
@@ -157,15 +158,13 @@ func New() *Boom {
 	p.trapFromU = s.Define("trap.from_umode")
 	p.inUMode = s.Define("priv.in_umode")
 	p.mppIsM = s.Define("priv.mret_mpp_is_m")
-	p.trapCause = make(map[uint64]cov.PointID, len(trapCauses))
 	for _, c := range trapCauses {
-		p.trapCause[c] = s.Define("trap.cause." + isa.ExcName(c))
+		p.trapCause = append(p.trapCause, s.Define("trap.cause."+isa.ExcName(c)))
 	}
 	p.csrPrivViol = s.Define("csr.privilege_violation")
 	p.csrReadOnly = s.Define("csr.write_to_readonly")
-	p.csrAddr = make(map[uint16]cov.PointID, len(isa.KnownCSRs))
 	for _, a := range isa.KnownCSRs {
-		p.csrAddr[a] = s.Define("csr.addr." + isa.CSRName(a))
+		p.csrAddr = append(p.csrAddr, s.Define("csr.addr."+isa.CSRName(a)))
 	}
 
 	for _, name := range []string{
@@ -188,6 +187,30 @@ func (b *Boom) Name() string { return "boom" }
 
 // Space implements rtl.DUT.
 func (b *Boom) Space() *cov.Space { return b.space }
+
+// ring is a fixed-capacity FIFO over a backing array allocated once.
+// Callers never push onto a full ring.
+type ring[T any] struct {
+	buf     []T
+	head, n int
+}
+
+func newRing[T any](capacity int) ring[T] { return ring[T]{buf: make([]T, capacity)} }
+
+// at returns the i-th oldest element, i <= n.
+func (r *ring[T]) at(i int) *T {
+	if i += r.head; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return &r.buf[i]
+}
+
+func (r *ring[T]) push(v T) { *r.at(r.n) = v; r.n++ }
+
+// pop drops the oldest element.
+func (r *ring[T]) pop() { r.head = (r.head + 1) % len(r.buf); r.n-- }
+
+func (r *ring[T]) reset() { r.head, r.n = 0, 0 }
 
 // inflight is one ROB entry in the timing model.
 type inflight struct {
@@ -228,11 +251,11 @@ type run struct {
 	exitCode uint64
 
 	// Timing model.
-	rob       []inflight
-	sq        []pendingStore
-	busyReg   [32]uint64 // cycle at which the architectural reg is ready
-	fetchBuf  int        // instructions left in the current fetch bundle
-	lastIssue uint64     // cycle of the previous issue (dual-issue cond)
+	rob       ring[inflight]     // capacity robSize
+	sq        ring[pendingStore] // capacity sqSize
+	busyReg   [32]uint64         // cycle at which the architectural reg is ready
+	fetchBuf  int                // instructions left in the current fetch bundle
+	lastIssue uint64             // cycle of the previous issue (dual-issue cond)
 
 	amoRdVal uint64
 }
@@ -266,6 +289,8 @@ func (b *Boom) Run(img mem.Image, maxInsts int) rtl.Result {
 		btb: uarch.NewBTB(btbEntries),
 		ras: uarch.NewRAS(rasDepth),
 		set: b.space.NewSet(),
+		rob: newRing[inflight](robSize),
+		sq:  newRing[pendingStore](sqSize),
 	}
 	return st.exec(maxInsts)
 }
@@ -287,8 +312,11 @@ func (st *run) exec(maxInsts int) rtl.Result {
 }
 
 // runner is a reusable execution context: platform memory, the cache
-// and predictor blocks, and the ROB/store-queue backing arrays are
-// allocated once and reset per run.
+// and predictor blocks, and the ROB and store-queue rings are allocated
+// once and reset per run. The coverage set and trace buffer come from
+// the caller, so once the memory has a page for every address the tests
+// touch and the trace buffer has grown to the longest run, RunScratch
+// allocates nothing (TestRunScratchAllocFree).
 type runner struct {
 	b   *Boom
 	m   *mem.Memory
@@ -297,6 +325,8 @@ type runner struct {
 	bht *uarch.BHT
 	btb *uarch.BTB
 	ras *uarch.RAS
+	rob ring[inflight]     // always empty: each run works on a copy
+	sq  ring[pendingStore] // over the same backing array
 	st  run
 }
 
@@ -310,6 +340,8 @@ func (b *Boom) NewRunner() rtl.Runner {
 		bht: uarch.NewBHT(bhtEntries),
 		btb: uarch.NewBTB(btbEntries),
 		ras: uarch.NewRAS(rasDepth),
+		rob: newRing[inflight](robSize),
+		sq:  newRing[pendingStore](sqSize),
 	}
 }
 
@@ -336,8 +368,8 @@ func (w *runner) RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr []trac
 		ras: w.ras,
 		set: set,
 		tr:  tr[:0],
-		rob: w.st.rob[:0],
-		sq:  w.st.sq[:0],
+		rob: w.rob,
+		sq:  w.sq,
 	}
 	return w.st.exec(maxInsts)
 }
@@ -349,8 +381,8 @@ func (st *run) charge(c uint64) { st.cycles += c; st.csr.Cycle += c }
 func (st *run) retire() {
 	p := &st.b.p
 	committed := 0
-	for len(st.rob) > 0 && st.rob[0].done <= st.cycles && committed < commitWidth {
-		st.rob = st.rob[1:]
+	for st.rob.n > 0 && st.rob.at(0).done <= st.cycles && committed < commitWidth {
+		st.rob.pop()
 		committed++
 	}
 	if committed > 0 {
@@ -363,14 +395,14 @@ func (st *run) retire() {
 func (st *run) dispatch(lat uint64, isStore bool) {
 	p := &st.b.p
 	st.retire()
-	if st.set.Cond(p.robFull, len(st.rob) >= robSize) {
+	if st.set.Cond(p.robFull, st.rob.n >= robSize) {
 		// Stall until the oldest entry commits.
-		st.charge(st.rob[0].done - st.cycles + 1)
+		st.charge(st.rob.at(0).done - st.cycles + 1)
 		st.retire()
 	}
-	st.set.Cond(p.robEmpty, len(st.rob) == 0)
-	st.set.Cond(p.iqFull, len(st.rob) >= iqSize) // issue window is a ROB prefix here
-	st.rob = append(st.rob, inflight{done: st.cycles + lat, isStore: isStore})
+	st.set.Cond(p.robEmpty, st.rob.n == 0)
+	st.set.Cond(p.iqFull, st.rob.n >= iqSize) // issue window is a ROB prefix here
+	st.rob.push(inflight{done: st.cycles + lat, isStore: isStore})
 }
 
 // flush squashes all in-flight state (mispredict or exception).
@@ -378,8 +410,8 @@ func (st *run) flush(mispredict bool) {
 	p := &st.b.p
 	st.set.Cond(p.flushMispredict, mispredict)
 	st.set.Cond(p.flushException, !mispredict)
-	st.rob = st.rob[:0]
-	st.sq = st.sq[:0]
+	st.rob.reset()
+	st.sq.reset()
 	st.fetchBuf = 0
 	st.charge(flushPenalty)
 }
@@ -388,8 +420,8 @@ func (st *run) trap(e *trace.Entry, cause, tval uint64) {
 	p := &st.b.p
 	e.Trap, e.Cause, e.TVal = true, cause, tval
 	st.set.Cond(p.trapFromU, st.prv == isa.PrivU)
-	for _, c := range trapCauses {
-		st.set.Cond(p.trapCause[c], c == cause)
+	for i, c := range trapCauses {
+		st.set.Cond(p.trapCause[i], c == cause)
 	}
 	st.pc, st.prv = st.csr.TakeTrap(st.pc, cause, tval, st.prv)
 	st.resValid = false
@@ -408,10 +440,10 @@ func resGranule(addr uint64) uint64 { return addr &^ 7 }
 // conditions for subsequent loads.
 func (st *run) noteStore(addr uint64, width int) {
 	p := &st.b.p
-	if st.set.Cond(p.sqFull, len(st.sq) >= sqSize) {
-		st.sq = st.sq[1:]
+	if st.set.Cond(p.sqFull, st.sq.n >= sqSize) {
+		st.sq.pop()
 	}
-	st.sq = append(st.sq, pendingStore{addr: addr, width: width})
+	st.sq.push(pendingStore{addr: addr, width: width})
 }
 
 // observeLoad records store-to-load forwarding conditions against the
@@ -419,7 +451,8 @@ func (st *run) noteStore(addr uint64, width int) {
 func (st *run) observeLoad(addr uint64, width int) {
 	p := &st.b.p
 	forward, partial := false, false
-	for _, s := range st.sq {
+	for i := 0; i < st.sq.n; i++ {
+		s := st.sq.at(i)
 		if s.addr == addr && s.width == width {
 			forward = true
 		} else if addr < s.addr+uint64(s.width) && s.addr < addr+uint64(width) {
@@ -436,8 +469,8 @@ func (st *run) step() {
 	st.charge(1)
 	st.retire()
 
-	e := trace.Entry{PC: st.pc, Priv: st.prv}
-	defer func() { st.tr = append(st.tr, e) }()
+	st.tr = append(st.tr, trace.Entry{PC: st.pc, Priv: st.prv})
+	e := &st.tr[len(st.tr)-1]
 
 	c.Cond(p.inUMode, st.prv == isa.PrivU)
 
@@ -449,7 +482,7 @@ func (st *run) step() {
 	st.fetchBuf--
 	if c.Cond(p.fetchFault, !st.m.Mapped(st.pc, 4)) {
 		c.Cond(p.trapTaken, true)
-		st.trap(&e, isa.ExcInstAccessFault, st.pc)
+		st.trap(e, isa.ExcInstAccessFault, st.pc)
 		return
 	}
 	raw, hit := st.ic.Fetch(st.pc, st.m)
@@ -466,12 +499,12 @@ func (st *run) step() {
 	c.Cond(p.compressed, raw&3 != 3)
 	if c.Cond(p.illegal, !inst.Valid()) {
 		c.Cond(p.trapTaken, true)
-		st.trap(&e, isa.ExcIllegalInstruction, uint64(raw))
+		st.trap(e, isa.ExcIllegalInstruction, uint64(raw))
 		return
 	}
 	c.Cond(p.bundleHasBranch, inst.Op.IsAny(isa.ClassBranch|isa.ClassJump))
 	c.Cond(p.rdX0Skip, inst.Rd == 0 && inst.WritesRd())
-	c.Cond(p.freelistEmpty, len(st.rob) >= robSize-1)
+	c.Cond(p.freelistEmpty, st.rob.n >= robSize-1)
 	src1Busy := inst.Rs1 != 0 && st.busyReg[inst.Rs1] > st.cycles
 	src2Busy := inst.Rs2 != 0 && st.busyReg[inst.Rs2] > st.cycles
 	c.Cond(p.src1Busy, src1Busy)
@@ -492,7 +525,7 @@ func (st *run) step() {
 	doTrap := func(cause, tval uint64) {
 		trapped = true
 		c.Cond(p.trapTaken, true)
-		st.trap(&e, cause, tval)
+		st.trap(e, cause, tval)
 	}
 
 	switch {
@@ -603,7 +636,7 @@ func (st *run) step() {
 			st.halted, st.exitCode = true, b
 		}
 	case op.Is(isa.ClassAMO):
-		if !st.execAMO(inst, &e, doTrap) {
+		if !st.execAMO(inst, e, doTrap) {
 			return
 		}
 		rdWrite, rdVal = true, st.amoRdVal
@@ -716,12 +749,8 @@ func (st *run) observeMulDiv(op isa.Op, a, b uint64) {
 func (st *run) observeCSR(inst isa.Inst) {
 	p := &st.b.p
 	c := st.set
-	// Each entry sets its own distinct coverage bit from a pure
-	// predicate of the instruction; iteration order cannot reach the
-	// bitmap. (Bin IDs were defined in fixed slice order at build.)
-	//lint:allow mapiter order-insensitive per-bin condition probes
-	for addr, id := range p.csrAddr {
-		c.Cond(id, addr == inst.CSR)
+	for i, addr := range isa.KnownCSRs {
+		c.Cond(p.csrAddr[i], addr == inst.CSR)
 	}
 	_, readable := st.csr.Read(inst.CSR, st.prv)
 	_, readableM := st.csr.Read(inst.CSR, isa.PrivM)

@@ -1,0 +1,21 @@
+package boom
+
+import (
+	"testing"
+
+	"chatfuzz/internal/simtest"
+)
+
+// TestGoldenSimulation pins every trace entry, cycle count, register,
+// exit state and coverage bit of the simtest program set, through the
+// allocating Run and through one reused runner. The digest was recorded
+// on the commit before the memory hierarchy moved to page tables and
+// line fills (PR 16's parent).
+func TestGoldenSimulation(t *testing.T) {
+	simtest.CheckGoldenDUT(t, New(), "131c3b14cfef2b7429985c548daecba8ec692893a8a964f99f45fce43d4da3a5")
+}
+
+// TestRunScratchAllocFree holds the runner to its doc comment.
+func TestRunScratchAllocFree(t *testing.T) {
+	simtest.CheckRunScratchAllocFree(t, New())
+}

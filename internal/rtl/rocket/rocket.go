@@ -17,10 +17,13 @@
 //     exceptions (the spec and the ISS do the opposite).
 //   - Finding2: AMOs with rd=x0 report a write to x0 in the trace.
 //   - Finding3: loads with rd=x0 report a write to x0 in the trace.
+//
 //chatfuzz:deterministic package
 package rocket
 
 import (
+	"slices"
+
 	"chatfuzz/internal/cov"
 	"chatfuzz/internal/hart"
 	"chatfuzz/internal/isa"
@@ -33,18 +36,18 @@ import (
 // Cycle costs of microarchitectural events (approximate RocketCore
 // latencies; they drive the virtual wall-clock of the experiments).
 const (
-	cycBase        = 1
-	cycICacheMiss  = 18
-	cycDCacheMiss  = 24
-	cycWriteback   = 6
-	cycMispredict  = 3
-	cycLoadUse     = 1
-	cycMul         = 4
-	cycDiv         = 33
-	cycCSR         = 3
-	cycTrap        = 5
-	cycAMO         = 9
-	cycFenceI      = 12
+	cycBase       = 1
+	cycICacheMiss = 18
+	cycDCacheMiss = 24
+	cycWriteback  = 6
+	cycMispredict = 3
+	cycLoadUse    = 1
+	cycMul        = 4
+	cycDiv        = 33
+	cycCSR        = 3
+	cycTrap       = 5
+	cycAMO        = 9
+	cycFenceI     = 12
 )
 
 // trapCauses are the synchronous causes this platform can raise; each
@@ -56,12 +59,17 @@ var trapCauses = []uint64{
 	isa.ExcECallFromM,
 }
 
+// uTrapCauses are the causes U-mode can raise, in trapCauses order.
+var uTrapCauses = slices.DeleteFunc(slices.Clone(trapCauses), func(c uint64) bool {
+	return c == isa.ExcECallFromM
+})
+
 // points holds every condition-point id of the Rocket coverage space.
 type points struct {
 	// Frontend.
-	icacheHit, fetchFault, fenceiFlush               cov.PointID
-	btbHit, bhtPredTaken, rasOverflow, rasEmpty      cov.PointID
-	rasCorrect                                       cov.PointID
+	icacheHit, fetchFault, fenceiFlush          cov.PointID
+	btbHit, bhtPredTaken, rasOverflow, rasEmpty cov.PointID
+	rasCorrect                                  cov.PointID
 	// Decode.
 	illegal, compressed, rdX0, rs1X0, rs2X0, immNeg cov.PointID
 	opSeen                                          [isa.NumOps]cov.PointID
@@ -80,33 +88,27 @@ type points struct {
 	aluZero, shamtZero, opsEqual cov.PointID
 	// Traps, privilege, CSR.
 	trapTaken, trapFromU, inUMode, mppIsM cov.PointID
-	trapCause                             map[uint64]cov.PointID
+	trapCause                             []cov.PointID // parallel to trapCauses
 	csrPrivViol, csrReadOnly              cov.PointID
-	csrAddr                               map[uint16]cov.PointID
+	csrAddr                               []cov.PointID // parallel to isa.KnownCSRs
 	// Deep sequence-dependent families: these are the conditions that
 	// separate entangled generators from random ones.
 	opFwd         [isa.NumOps]cov.PointID // result of op X consumed by the next instruction
-	brTakenOp     map[isa.Op]cov.PointID  // per-branch-opcode taken
-	brBackTakenOp map[isa.Op]cov.PointID  // per-branch-opcode taken backward (loops)
+	brTakenOp     [isa.NumOps]cov.PointID // per-branch-opcode taken
+	brBackTakenOp [isa.NumOps]cov.PointID // per-branch-opcode taken backward (loops)
 	loadFromText  cov.PointID
 	loadFromData  cov.PointID
 	storeToText   cov.PointID // self-modifying store (the Bug1 path)
 	storeToData   cov.PointID
 	memUnmapped   cov.PointID
-	trapCauseU    map[uint64]cov.PointID // cause raised while in U-mode
-	csrOpAddr     map[csrOpKey]cov.PointID
-	opInU         map[isa.Op]cov.PointID // op retired while in U-mode
+	trapCauseU    []cov.PointID           // cause raised while in U-mode, parallel to uTrapCauses
+	csrOpAddr     []cov.PointID           // csrProductOps × csrProductAddrs, op-major
+	opInU         [isa.NumOps]cov.PointID // op retired while in U-mode (uModeOps only)
 
 	// Tied-off-but-evaluated conditions (false every cycle on this
 	// platform: no interrupts, no debug module, no ECC errors). Their
 	// true bins are unreachable, exactly like the corresponding RTL.
 	tieFalse []cov.PointID
-}
-
-// csrOpKey indexes the CSR instruction × CSR address product family.
-type csrOpKey struct {
-	op  isa.Op
-	csr uint16
 }
 
 // csrProductAddrs are the CSRs tracked in the op×address family.
@@ -204,22 +206,18 @@ func New() *Rocket {
 	p.trapFromU = s.Define("trap.from_umode")
 	p.inUMode = s.Define("priv.in_umode")
 	p.mppIsM = s.Define("priv.mret_mpp_is_m")
-	p.trapCause = make(map[uint64]cov.PointID, len(trapCauses))
 	for _, c := range trapCauses {
-		p.trapCause[c] = s.Define("trap.cause." + isa.ExcName(c))
+		p.trapCause = append(p.trapCause, s.Define("trap.cause."+isa.ExcName(c)))
 	}
 	p.csrPrivViol = s.Define("csr.privilege_violation")
 	p.csrReadOnly = s.Define("csr.write_to_readonly")
-	p.csrAddr = make(map[uint16]cov.PointID, len(isa.KnownCSRs))
 	for _, a := range isa.KnownCSRs {
-		p.csrAddr[a] = s.Define("csr.addr." + isa.CSRName(a))
+		p.csrAddr = append(p.csrAddr, s.Define("csr.addr."+isa.CSRName(a)))
 	}
 
 	for op := isa.Op(1); int(op) < isa.NumOps; op++ {
 		p.opFwd[op] = s.Define("pipe.fwd.op." + op.String())
 	}
-	p.brTakenOp = make(map[isa.Op]cov.PointID)
-	p.brBackTakenOp = make(map[isa.Op]cov.PointID)
 	for _, op := range []isa.Op{isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU} {
 		p.brTakenOp[op] = s.Define("branch.taken." + op.String())
 		p.brBackTakenOp[op] = s.Define("branch.taken_backward." + op.String())
@@ -229,20 +227,14 @@ func New() *Rocket {
 	p.storeToText = s.Define("lsu.store_to_text")
 	p.storeToData = s.Define("lsu.store_to_data")
 	p.memUnmapped = s.Define("lsu.addr_unmapped_region")
-	p.trapCauseU = make(map[uint64]cov.PointID, len(trapCauses))
-	for _, c := range trapCauses {
-		if c == isa.ExcECallFromM {
-			continue // cannot be raised from U-mode
-		}
-		p.trapCauseU[c] = s.Define("trap.umode_cause." + isa.ExcName(c))
+	for _, c := range uTrapCauses {
+		p.trapCauseU = append(p.trapCauseU, s.Define("trap.umode_cause."+isa.ExcName(c)))
 	}
-	p.csrOpAddr = make(map[csrOpKey]cov.PointID)
 	for _, op := range csrProductOps {
 		for _, addr := range csrProductAddrs {
-			p.csrOpAddr[csrOpKey{op, addr}] = s.Define("csr.access." + op.String() + "." + isa.CSRName(addr))
+			p.csrOpAddr = append(p.csrOpAddr, s.Define("csr.access."+op.String()+"."+isa.CSRName(addr)))
 		}
 	}
-	p.opInU = make(map[isa.Op]cov.PointID, len(uModeOps))
 	for _, op := range uModeOps {
 		p.opInU[op] = s.Define("priv.umode_op." + op.String())
 	}
@@ -368,9 +360,11 @@ func (st *run) exec(maxInsts int) rtl.Result {
 }
 
 // runner is a reusable execution context: platform memory and the
-// microarchitectural blocks are allocated once and reset per run, so a
-// simulation worker's steady state allocates nothing but what escapes
-// through the Result (which RunScratch takes from the caller).
+// microarchitectural blocks are allocated once and reset per run. The
+// coverage set and trace buffer come from the caller, so once the
+// memory has a page for every address the tests touch and the trace
+// buffer has grown to the longest run, RunScratch allocates nothing
+// (TestRunScratchAllocFree).
 type runner struct {
 	r   *Rocket
 	m   *mem.Memory
@@ -428,16 +422,12 @@ func (st *run) trap(e *trace.Entry, cause, tval uint64) {
 	p := &st.r.p
 	e.Trap, e.Cause, e.TVal = true, cause, tval
 	st.set.Cond(p.trapFromU, st.prv == isa.PrivU)
-	for _, c := range trapCauses {
-		st.set.Cond(p.trapCause[c], c == cause)
+	for i, c := range trapCauses {
+		st.set.Cond(p.trapCause[i], c == cause)
 	}
 	if st.prv == isa.PrivU {
-		// Each entry sets its own distinct coverage bit from a pure
-		// predicate of (cause); no entry reads another's effect, so
-		// iteration order cannot reach the bitmap.
-		//lint:allow mapiter order-insensitive per-bin condition probes
-		for c, id := range p.trapCauseU {
-			st.set.Cond(id, c == cause)
+		for i, c := range uTrapCauses {
+			st.set.Cond(p.trapCauseU[i], c == cause)
 		}
 	}
 	st.pc, st.prv = st.csr.TakeTrap(st.pc, cause, tval, st.prv)
@@ -459,15 +449,15 @@ func (st *run) step() {
 	c := st.set
 	st.charge(cycBase)
 
-	e := trace.Entry{PC: st.pc, Priv: st.prv}
-	defer func() { st.tr = append(st.tr, e) }()
+	st.tr = append(st.tr, trace.Entry{PC: st.pc, Priv: st.prv})
+	e := &st.tr[len(st.tr)-1]
 
 	c.Cond(p.inUMode, st.prv == isa.PrivU)
 
 	// --- Fetch ---
 	if c.Cond(p.fetchFault, !st.m.Mapped(st.pc, 4)) {
 		st.set.Cond(p.trapTaken, true)
-		st.trap(&e, isa.ExcInstAccessFault, st.pc)
+		st.trap(e, isa.ExcInstAccessFault, st.pc)
 		return
 	}
 	raw, hit := st.ic.Fetch(st.pc, st.m) // Bug1: possibly stale bytes
@@ -488,7 +478,7 @@ func (st *run) step() {
 	c.Cond(p.compressed, raw&3 != 3)
 	if c.Cond(p.illegal, !inst.Valid()) {
 		c.Cond(p.trapTaken, true)
-		st.trap(&e, isa.ExcIllegalInstruction, uint64(raw))
+		st.trap(e, isa.ExcIllegalInstruction, uint64(raw))
 		return
 	}
 	c.Cond(p.rdX0, inst.Rd == 0)
@@ -531,7 +521,7 @@ func (st *run) step() {
 	doTrap := func(cause, tval uint64) {
 		trapped = true
 		c.Cond(p.trapTaken, true)
-		st.trap(&e, cause, tval)
+		st.trap(e, cause, tval)
 	}
 
 	switch {
@@ -642,7 +632,7 @@ func (st *run) step() {
 			st.halted, st.exitCode = true, b
 		}
 	case op.Is(isa.ClassAMO):
-		if !st.execAMO(inst, &e, doTrap) {
+		if !st.execAMO(inst, e, doTrap) {
 			return
 		}
 		rdWrite, rdVal = true, st.amoRdVal
@@ -715,7 +705,7 @@ func (st *run) step() {
 	if rdWrite {
 		st.setReg(inst.Rd, rdVal)
 		c.Cond(p.wbX0, inst.Rd == 0)
-		st.emitRdWrite(&e, inst, rdVal)
+		st.emitRdWrite(e, inst, rdVal)
 	}
 
 	st.pc = nextPC
@@ -829,16 +819,15 @@ func (st *run) observeRegion(addr uint64, write bool) {
 func (st *run) observeCSR(inst isa.Inst) {
 	p := &st.r.p
 	c := st.set
-	// Each entry sets its own distinct coverage bit from a pure
-	// predicate of the instruction; iteration order cannot reach the
-	// bitmap. (Bin IDs were defined in fixed slice order at build.)
-	//lint:allow mapiter order-insensitive per-bin condition probes
-	for addr, id := range p.csrAddr {
-		c.Cond(id, addr == inst.CSR)
+	for i, addr := range isa.KnownCSRs {
+		c.Cond(p.csrAddr[i], addr == inst.CSR)
 	}
-	//lint:allow mapiter order-insensitive per-bin condition probes
-	for k, id := range p.csrOpAddr {
-		c.Cond(id, k.op == inst.Op && k.csr == inst.CSR)
+	ids := p.csrOpAddr
+	for _, op := range csrProductOps {
+		for i, addr := range csrProductAddrs {
+			c.Cond(ids[i], op == inst.Op && addr == inst.CSR)
+		}
+		ids = ids[len(csrProductAddrs):]
 	}
 	_, readable := st.csr.Read(inst.CSR, st.prv)
 	_, readableM := st.csr.Read(inst.CSR, isa.PrivM)

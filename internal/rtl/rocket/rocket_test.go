@@ -53,7 +53,7 @@ func cleanBody(rng *rand.Rand, n int) []uint32 {
 	// rd pool avoids x0 and harness-critical regs (none needed mid-body).
 	rd := func() isa.Reg { return isa.Reg(10 + rng.Intn(8)) }  // a0..a7
 	rs := func() isa.Reg { return isa.Reg(10 + rng.Intn(12)) } // a0..s3
-	base := []isa.Reg{isa.S0, isa.S2} // mapped, aligned data pointers outside the rd pool
+	base := []isa.Reg{isa.S0, isa.S2}                          // mapped, aligned data pointers outside the rd pool
 
 	var body []uint32
 	for len(body) < n {

@@ -3,6 +3,7 @@
 // substitute). A DUT executes a test image cycle-by-cycle, emits a
 // commit trace, and records condition coverage into a fresh set per
 // run.
+//
 //chatfuzz:deterministic package
 package rtl
 

@@ -7,8 +7,18 @@
 // The blocks are deliberately free of coverage hooks; the core models
 // observe their outcomes and record the condition points, so each core
 // has its own coverage space over the same structures.
+//
+// Both caches keep their lines in one flat sets×ways array, way w of
+// set s at s*Ways+w, so a lookup walks one contiguous run and Reset is
+// a single clear. The I-cache fills a missing line with one line-sized
+// read of backing memory (MemReader.ReadLine): the same bytes, in the
+// same order, that a byte-at-a-time fill would copy, taken at the same
+// point of the fetch — which is all Bug1's stale lines depend on.
+//
 //chatfuzz:deterministic package
 package uarch
+
+import "encoding/binary"
 
 // CacheConfig sizes a set-associative cache.
 type CacheConfig struct {
@@ -24,45 +34,32 @@ func (c CacheConfig) lineAddr(addr uint64) (uint64, int) {
 	return la, set
 }
 
+// line is the bookkeeping of one cache way.
+type line struct {
+	tag   uint64
+	lru   uint64
+	valid bool
+	dirty bool
+}
+
 // TimingCache models hit/miss/eviction behaviour only; data always
 // flows to and from backing memory, so it is architecturally coherent.
 // Used for the D-cache.
 type TimingCache struct {
 	cfg   CacheConfig
-	tags  [][]uint64
-	valid [][]bool
-	dirty [][]bool
-	lru   [][]uint64
+	lines []line
 	tick  uint64
 }
 
 // NewTimingCache returns an empty timing cache.
 func NewTimingCache(cfg CacheConfig) *TimingCache {
-	t := &TimingCache{cfg: cfg}
-	t.tags = make([][]uint64, cfg.Sets)
-	t.valid = make([][]bool, cfg.Sets)
-	t.dirty = make([][]bool, cfg.Sets)
-	t.lru = make([][]uint64, cfg.Sets)
-	for s := 0; s < cfg.Sets; s++ {
-		t.tags[s] = make([]uint64, cfg.Ways)
-		t.valid[s] = make([]bool, cfg.Ways)
-		t.dirty[s] = make([]bool, cfg.Ways)
-		t.lru[s] = make([]uint64, cfg.Ways)
-	}
-	return t
+	return &TimingCache{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways)}
 }
 
 // Reset invalidates every line and rewinds the LRU clock, restoring
-// the freshly-constructed state without re-allocating the arrays.
+// the freshly-constructed state without re-allocating the array.
 func (t *TimingCache) Reset() {
-	for s := range t.valid {
-		for w := range t.valid[s] {
-			t.valid[s][w] = false
-			t.dirty[s][w] = false
-			t.tags[s][w] = 0
-			t.lru[s][w] = 0
-		}
-	}
+	clear(t.lines)
 	t.tick = 0
 }
 
@@ -78,42 +75,38 @@ type AccessResult struct {
 func (t *TimingCache) Access(addr uint64, write bool) AccessResult {
 	t.tick++
 	la, set := t.cfg.lineAddr(addr)
-	for w := 0; w < t.cfg.Ways; w++ {
-		if t.valid[set][w] && t.tags[set][w] == la {
-			t.lru[set][w] = t.tick
+	ways := t.lines[set*t.cfg.Ways:][:t.cfg.Ways]
+	for w := range ways {
+		if ln := &ways[w]; ln.valid && ln.tag == la {
+			ln.lru = t.tick
 			if write {
-				t.dirty[set][w] = true
+				ln.dirty = true
 			}
 			return AccessResult{Hit: true}
 		}
 	}
 	// Miss: pick invalid way, else LRU.
-	victim := 0
-	for w := 0; w < t.cfg.Ways; w++ {
-		if !t.valid[set][w] {
-			victim = w
-			t.valid[set][victim] = true
-			t.tags[set][victim] = la
-			t.dirty[set][victim] = write
-			t.lru[set][victim] = t.tick
+	for w := range ways {
+		if !ways[w].valid {
+			ways[w] = line{tag: la, lru: t.tick, valid: true, dirty: write}
 			return AccessResult{Hit: false}
 		}
 	}
-	for w := 1; w < t.cfg.Ways; w++ {
-		if t.lru[set][w] < t.lru[set][victim] {
-			victim = w
+	victim := &ways[0]
+	for w := 1; w < len(ways); w++ {
+		if ways[w].lru < victim.lru {
+			victim = &ways[w]
 		}
 	}
-	res := AccessResult{Hit: false, Evicted: true, WritebackReq: t.dirty[set][victim]}
-	t.tags[set][victim] = la
-	t.dirty[set][victim] = write
-	t.lru[set][victim] = t.tick
+	res := AccessResult{Hit: false, Evicted: true, WritebackReq: victim.dirty}
+	*victim = line{tag: la, lru: t.tick, valid: true, dirty: write}
 	return res
 }
 
-// MemReader is the backing-memory read interface the ICache fills from.
+// MemReader is the backing-memory read interface the ICache fills from:
+// ReadLine copies len(dst) bytes starting at addr into dst.
 type MemReader interface {
-	LoadByte(addr uint64) byte
+	ReadLine(addr uint64, dst []byte)
 }
 
 // ICache holds actual copies of instruction lines. Crucially, it is
@@ -124,30 +117,15 @@ type MemReader interface {
 // (CWE-1202).
 type ICache struct {
 	cfg   CacheConfig
-	tags  [][]uint64
-	valid [][]bool
-	lru   [][]uint64
-	data  [][][]byte
+	lines []line
+	data  []byte // LineBytes per way, in lines order
 	tick  uint64
 }
 
 // NewICache returns an empty instruction cache.
 func NewICache(cfg CacheConfig) *ICache {
-	c := &ICache{cfg: cfg}
-	c.tags = make([][]uint64, cfg.Sets)
-	c.valid = make([][]bool, cfg.Sets)
-	c.lru = make([][]uint64, cfg.Sets)
-	c.data = make([][][]byte, cfg.Sets)
-	for s := 0; s < cfg.Sets; s++ {
-		c.tags[s] = make([]uint64, cfg.Ways)
-		c.valid[s] = make([]bool, cfg.Ways)
-		c.lru[s] = make([]uint64, cfg.Ways)
-		c.data[s] = make([][]byte, cfg.Ways)
-		for w := 0; w < cfg.Ways; w++ {
-			c.data[s][w] = make([]byte, cfg.LineBytes)
-		}
-	}
-	return c
+	n := cfg.Sets * cfg.Ways
+	return &ICache{cfg: cfg, lines: make([]line, n), data: make([]byte, n*cfg.LineBytes)}
 }
 
 // Fetch reads a 32-bit word at addr through the cache, filling the
@@ -156,43 +134,42 @@ func NewICache(cfg CacheConfig) *ICache {
 func (c *ICache) Fetch(addr uint64, m MemReader) (word uint32, hit bool) {
 	c.tick++
 	la, set := c.cfg.lineAddr(addr)
+	base := set * c.cfg.Ways
+	ways := c.lines[base:][:c.cfg.Ways]
 	way := -1
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == la {
+	for w := range ways {
+		if ways[w].valid && ways[w].tag == la {
 			way, hit = w, true
 			break
 		}
 	}
 	if way < 0 {
 		way = 0
-		for w := 0; w < c.cfg.Ways; w++ {
-			if !c.valid[set][w] {
+		for w := range ways {
+			if !ways[w].valid {
 				way = w
 				break
 			}
-			if c.lru[set][w] < c.lru[set][way] {
+			if ways[w].lru < ways[way].lru {
 				way = w
 			}
 		}
-		for i := 0; i < c.cfg.LineBytes; i++ {
-			c.data[set][way][i] = m.LoadByte(la + uint64(i))
-		}
-		c.tags[set][way] = la
-		c.valid[set][way] = true
+		m.ReadLine(la, c.lineData(base+way))
+		ways[way].tag, ways[way].valid = la, true
 	}
-	c.lru[set][way] = c.tick
-	off := int(addr - la)
-	d := c.data[set][way]
-	word = uint32(d[off]) | uint32(d[off+1])<<8 | uint32(d[off+2])<<16 | uint32(d[off+3])<<24
-	return word, hit
+	ways[way].lru = c.tick
+	return binary.LittleEndian.Uint32(c.lineData(base + way)[addr-la:]), hit
+}
+
+// lineData returns the data bytes of the i-th line.
+func (c *ICache) lineData(i int) []byte {
+	return c.data[i*c.cfg.LineBytes:][:c.cfg.LineBytes]
 }
 
 // Flush invalidates every line (FENCE.I).
 func (c *ICache) Flush() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-		}
+	for i := range c.lines {
+		c.lines[i].valid = false
 	}
 }
 
@@ -200,13 +177,7 @@ func (c *ICache) Flush() {
 // every line invalid, LRU clock rewound. Stale line data is kept — an
 // invalid line is refilled before it is ever read.
 func (c *ICache) Reset() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-			c.tags[s][w] = 0
-			c.lru[s][w] = 0
-		}
-	}
+	clear(c.lines)
 	c.tick = 0
 }
 
@@ -252,11 +223,9 @@ func NewBTB(n int) *BTB {
 
 // Reset invalidates every entry.
 func (b *BTB) Reset() {
-	for i := range b.valid {
-		b.valid[i] = false
-		b.tags[i] = 0
-		b.targets[i] = 0
-	}
+	clear(b.valid)
+	clear(b.tags)
+	clear(b.targets)
 }
 
 func (b *BTB) index(pc uint64) int { return int(pc>>2) & (len(b.tags) - 1) }

@@ -9,7 +9,11 @@ import (
 // fakeMem is a trivial MemReader for ICache tests.
 type fakeMem map[uint64]byte
 
-func (f fakeMem) LoadByte(addr uint64) byte { return f[addr] }
+func (f fakeMem) ReadLine(addr uint64, dst []byte) {
+	for i := range dst {
+		dst[i] = f[addr+uint64(i)]
+	}
+}
 
 func TestTimingCacheHitAfterFill(t *testing.T) {
 	c := NewTimingCache(CacheConfig{Sets: 4, Ways: 2, LineBytes: 64})

@@ -3,6 +3,7 @@
 // Mismatch Detector. One Entry is emitted per retired (or trapping)
 // instruction, mirroring Spike's commit log and RocketCore's tracer
 // port.
+//
 //chatfuzz:deterministic package
 package trace
 

@@ -5,6 +5,7 @@
 // (Fig. 2, time-to-75 %, the 49-minute BOOM run) deterministic and
 // hardware-independent while preserving the relative speed of the
 // fuzzers ("ChatFuzz and TheHuzz incur similar runtime overhead").
+//
 //chatfuzz:deterministic package
 package vtime
 
