@@ -11,7 +11,6 @@ package chatfuzz
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -23,6 +22,7 @@ import (
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/corpus"
+	"chatfuzz/internal/cov"
 	"chatfuzz/internal/iss"
 	"chatfuzz/internal/mem"
 	"chatfuzz/internal/ml/nn"
@@ -571,20 +571,42 @@ func BenchmarkLMGeneration(b *testing.B) {
 	b.ReportMetric(float64(tokens)/b.Elapsed().Seconds(), "tokens/s")
 }
 
-// BenchmarkPPOStep measures one PPO optimisation step.
+// rolloutTap is a core.RolloutSink that keeps the batch Feedback hands it.
+type rolloutTap struct{ rolls []*ppo.Rollout }
+
+func (t *rolloutTap) StepRollouts(rolls []*ppo.Rollout) ppo.Stats {
+	t.rolls = rolls
+	return ppo.Stats{}
+}
+
+// BenchmarkPPOStep measures one PPO optimisation step on a campaign's
+// own kind of batch: 16 rollouts a replica generator recorded — prompt
+// windows and generations of mixed length, so a padded batch would be
+// part padding — replayed through StepRollouts on a clone of the model.
+// rows/step is the batch's token count, the rows of its packed forward.
 func BenchmarkPPOStep(b *testing.B) {
 	p := benchPipeline(b)
-	model := p.Model.Clone()
-	rng := rand.New(rand.NewSource(2))
-	cfg := ppo.DefaultConfig(1, 2)
-	cfg.MaxNewTokens = 24
-	tr := ppo.NewTrainer(model, cfg, rng)
-	prompts := [][]int{{0, 4, 5}, {0, 6, 7}, {0, 8, 9}, {0, 10, 11}}
-	reward := func(tokens []int, promptN int) float64 { return float64(len(tokens) - promptN) }
+	tap := &rolloutTap{}
+	g := core.NewReplicaGenerator(p, p.Model, tap, rocket.New().Space().NumBins(), 2)
+	g.GenerateBatch(16)
+	g.Feedback(make([]cov.Scores, 16))
+	recorded := tap.rolls[:min(16, len(tap.rolls))]
+	rows := 0
+	for _, r := range recorded {
+		rows += len(r.Tokens)
+	}
+	tr := ppo.NewTrainer(p.Model.Clone(), p.OnlinePPOConfig(), nil)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Step(prompts, reward)
+		// StepRollouts writes advantages into the rollouts it is given.
+		batch := make([]*ppo.Rollout, len(recorded))
+		for j, r := range recorded {
+			batch[j] = &ppo.Rollout{Tokens: r.Tokens, PromptN: r.PromptN, LogpOld: r.LogpOld, Values: r.Values, Score: float64(j%3) - 0.5}
+		}
+		tr.StepRollouts(batch)
 	}
+	b.ReportMetric(float64(rows), "rows/step")
 }
 
 // BenchmarkEngine is the execution-engine acceptance benchmark: the

@@ -156,7 +156,7 @@ func (p *Pipeline) Pretrain() []float64 {
 			batch[i] = seq
 		}
 		opt.ZeroGrad()
-		loss, val := p.Model.LMLoss(batch, tok.PAD)
+		loss, val := p.Model.LMLoss(batch)
 		tensor.Backward(loss)
 		opt.ClipGradNorm(1)
 		opt.Step()
@@ -182,7 +182,7 @@ func (p *Pipeline) prompts(n int) [][]int {
 }
 
 func (p *Pipeline) ppoConfig() ppo.Config {
-	cfg := ppo.DefaultConfig(tok.EOS, tok.PAD)
+	cfg := ppo.DefaultConfig(tok.EOS)
 	cfg.MaxNewTokens = 2 * p.Cfg.BodyInstrs
 	cfg.KLCoef = p.Cfg.KLCoef
 	cfg.LR = p.Cfg.PPOLr

@@ -17,7 +17,7 @@ func tinyBase(seed int64) *nn.GPT {
 }
 
 func tinyPPO() ppo.Config {
-	cfg := ppo.DefaultConfig(1, 2)
+	cfg := ppo.DefaultConfig(1)
 	cfg.LR = 1e-3
 	return cfg
 }

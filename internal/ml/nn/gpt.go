@@ -4,12 +4,17 @@
 // fuzzing loop.
 //
 // Two forward paths share the weights and must agree: the taped batch
-// path (Hidden, then Head/Values on the rows the caller needs) that
+// path (Hidden, then Head/Values on the rows it returns) that
 // training differentiates, and the Sampler, which keeps every
 // per-token vector in scratch it owns — the logits Next returns are
 // valid until the next Next — and shares tensor.GELUScalar and the
 // forward matmul kernel (tensor.VecMatInto) with the batch path so the
 // sampled and the trained policy cannot drift.
+//
+// The batch path pays per row for what the loss reads: a batch is
+// packed, one row per token and no padding, and from the last block's
+// attention on only the rows the caller names are computed (PPO reads
+// about a quarter of a batch). See Hidden.
 //
 // Generation pays per position for what is read there, as the batch
 // path pays per row. A prompt position costs the backbone: nobody
@@ -221,83 +226,80 @@ func (m *GPT) SetFlatParams(w []float64) error {
 }
 
 // Hidden runs the transformer backbone over a batch of variable-length
-// sequences padded with padID to the longest, T. It returns the final
-// layer-norm states [B*T, D] — row s*T+t is position t of sequence s —
-// and T. Callers apply Head (and VHead/VBias) to the rows they need:
-// every row for the LM loss, the scored rows only for PPO.
-func (m *GPT) Hidden(batchSeqs [][]int, padID int) (*tensor.Tensor, int) {
-	idsFlat, seqLen := pad(batchSeqs, padID)
-	batch := len(batchSeqs)
-	if seqLen > m.Cfg.Ctx {
-		panic("nn: sequence longer than model context")
-	}
-	posIDs := make([]int, batch*seqLen)
-	for s := 0; s < batch; s++ {
-		for t := 0; t < seqLen; t++ {
-			posIDs[s*seqLen+t] = t
+// sequences, packed: one row per token and nothing else, sequence after
+// sequence, so row Σ len(batchSeqs[:s]) + t is position t of sequence
+// s. It returns the final layer-norm states of the rows the caller will
+// read — rows, ascending packed-row indices; nil (not empty) means
+// every row — as [len(rows), D] in that order. Callers apply Head (and
+// VHead/VBias) to them: every row for the LM loss, the scored rows for
+// PPO.
+//
+// Rows only matter from the last block's attention on: its keys and
+// values still come from every row (later queries of a sequence need
+// them), but the queries, the projection, the residual, the MLP and the
+// final layer norm run on rows alone. A row left out had no reader, so
+// its gradient was an exact zero and the rows kept are bit for bit the
+// rows of the full computation, forward and backward
+// (TestPackedMatchesPaddedBitExact).
+func (m *GPT) Hidden(batchSeqs [][]int, rows []int) *tensor.Tensor {
+	offs := make([]int, 1, len(batchSeqs)+1)
+	var ids, posIDs []int
+	for _, seq := range batchSeqs {
+		if len(seq) > m.Cfg.Ctx {
+			panic("nn: sequence longer than model context")
 		}
+		ids = append(ids, seq...)
+		for t := range seq {
+			posIDs = append(posIDs, t)
+		}
+		offs = append(offs, len(ids))
 	}
-	x := tensor.Add(tensor.Embedding(m.TokEmb, idsFlat), tensor.Embedding(m.PosEmb, posIDs))
-	for _, b := range m.Blocks {
+	x := tensor.Add(tensor.Embedding(m.TokEmb, ids), tensor.Embedding(m.PosEmb, posIDs))
+	if rows != nil && len(m.Blocks) == 0 {
+		x = tensor.GatherRows(x, rows)
+	}
+	for l, b := range m.Blocks {
+		var queries []int // nil: every row
+		if l == len(m.Blocks)-1 {
+			queries = rows
+		}
 		h := tensor.LayerNorm(x, b.LN1g, b.LN1b)
 		qkv := tensor.AddBias(tensor.MatMul(h, b.Wqkv), b.Bqkv)
-		att := tensor.CausalSelfAttention(qkv, m.Cfg.Heads, seqLen)
+		att := tensor.CausalSelfAttention(qkv, m.Cfg.Heads, offs, queries)
 		att = tensor.AddBias(tensor.MatMul(att, b.Wproj), b.Bproj)
+		if queries != nil {
+			x = tensor.GatherRows(x, queries)
+		}
 		x = tensor.Add(x, att)
 		h2 := tensor.LayerNorm(x, b.LN2g, b.LN2b)
 		mlp := tensor.GELU(tensor.AddBias(tensor.MatMul(h2, b.Wfc), b.Bfc))
 		mlp = tensor.AddBias(tensor.MatMul(mlp, b.Wout), b.Bout)
 		x = tensor.Add(x, mlp)
 	}
-	return tensor.LayerNorm(x, m.LNfg, m.LNfb), seqLen
+	return tensor.LayerNorm(x, m.LNfg, m.LNfb)
 }
 
-// pad flattens a batch of variable-length sequences into a padded
-// [B, T] layout, returning the flat ids and T. padID fills the tail.
-func pad(batchSeqs [][]int, padID int) (idsFlat []int, seqLen int) {
-	for _, s := range batchSeqs {
-		if len(s) > seqLen {
-			seqLen = len(s)
-		}
-	}
-	idsFlat = make([]int, len(batchSeqs)*seqLen)
-	for i, s := range batchSeqs {
-		for t := 0; t < seqLen; t++ {
-			if t < len(s) {
-				idsFlat[i*seqLen+t] = s[t]
-			} else {
-				idsFlat[i*seqLen+t] = padID
-			}
-		}
-	}
-	return idsFlat, seqLen
-}
-
-// Logits runs the model over a padded batch and returns logits
-// [B*T, V] plus the padded sequence length.
-func (m *GPT) Logits(batchSeqs [][]int, padID int) (*tensor.Tensor, int) {
-	h, seqLen := m.Hidden(batchSeqs, padID)
-	return tensor.MatMul(h, m.Head), seqLen
+// Logits runs the model over a packed batch (see Hidden) and returns
+// the logits [Σ len, V] of every row.
+func (m *GPT) Logits(batchSeqs [][]int) *tensor.Tensor {
+	return tensor.MatMul(m.Hidden(batchSeqs, nil), m.Head)
 }
 
 // Values applies the value head to hidden states h ([N, D], rows of
-// Hidden or a gather of them) and returns [N, 1].
+// Hidden) and returns [N, 1].
 func (m *GPT) Values(h *tensor.Tensor) *tensor.Tensor {
 	return tensor.AddBias(tensor.MatMul(h, m.VHead), m.VBias)
 }
 
 // LMLoss computes the next-token cross-entropy over a batch
-// (training step 1). Padding and positions beyond each sequence's end
-// are ignored. Returns the loss node and its scalar value.
-func (m *GPT) LMLoss(batchSeqs [][]int, padID int) (*tensor.Tensor, float64) {
-	logits, seqLen := m.Logits(batchSeqs, padID)
-	targets := make([]int, logits.R)
-	for i := range targets {
-		targets[i] = -1
-	}
-	for s, seq := range batchSeqs {
-		for t := 0; t+1 < len(seq); t++ {
-			targets[s*seqLen+t] = seq[t+1]
+// (training step 1): every position but a sequence's last predicts its
+// successor. Returns the loss node and its scalar value.
+func (m *GPT) LMLoss(batchSeqs [][]int) (*tensor.Tensor, float64) {
+	logits := m.Logits(batchSeqs)
+	targets := make([]int, 0, logits.R)
+	for _, seq := range batchSeqs {
+		if len(seq) > 0 {
+			targets = append(append(targets, seq[1:]...), -1)
 		}
 	}
 	loss := tensor.CrossEntropy(logits, targets)

@@ -2,7 +2,9 @@ package nn
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 	"math/rand"
 	"slices"
@@ -22,14 +24,11 @@ func TestModelShapesAndParams(t *testing.T) {
 	if got := m.NumParams(); got <= 0 {
 		t.Fatal("no parameters")
 	}
-	logits, T := m.Logits([][]int{{1, 2, 3}, {4, 5}}, 0)
-	if T != 3 {
-		t.Errorf("padded length = %d, want 3", T)
+	logits := m.Logits([][]int{{1, 2, 3}, {4, 5}})
+	if logits.R != 5 || logits.C != 17 {
+		t.Errorf("logits shape %dx%d, want 5x17: one row per token", logits.R, logits.C)
 	}
-	if logits.R != 6 || logits.C != 17 {
-		t.Errorf("logits shape %dx%d, want 6x17", logits.R, logits.C)
-	}
-	h, _ := m.Hidden([][]int{{1, 2, 3}}, 0)
+	h := m.Hidden([][]int{{1, 2, 3}}, nil)
 	values := m.Values(h)
 	if values.R != 3 || values.C != 1 {
 		t.Errorf("values shape %dx%d, want 3x1", values.R, values.C)
@@ -52,7 +51,7 @@ func TestOverfitTinyCorpus(t *testing.T) {
 	var first, last float64
 	for step := 0; step < 150; step++ {
 		opt.ZeroGrad()
-		loss, val := m.LMLoss(batch, 0)
+		loss, val := m.LMLoss(batch)
 		if step == 0 {
 			first = val
 		}
@@ -86,10 +85,7 @@ func TestSamplerMatchesBatchForward(t *testing.T) {
 	m := NewGPT(tinyConfig(), rng)
 	seq := []int{3, 9, 1, 14, 7, 2}
 
-	logits, T := m.Logits([][]int{seq}, 0)
-	if T != len(seq) {
-		t.Fatal("unexpected padding")
-	}
+	logits := m.Logits([][]int{seq})
 
 	s := NewSampler(m)
 	// split runs the backbone alone up to a position and the heads only
@@ -124,7 +120,7 @@ func TestSamplerValueMatchesBatchForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := NewGPT(tinyConfig(), rng)
 	seq := []int{5, 11, 2}
-	h, _ := m.Hidden([][]int{seq}, 0)
+	h := m.Hidden([][]int{seq}, nil)
 	values := m.Values(h)
 
 	s := NewSampler(m)
@@ -147,8 +143,8 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 	// Both produce identical outputs until the original diverges.
 	m.TokEmb.Data[0] -= 42
-	a, _ := m.Logits([][]int{{1, 2}}, 0)
-	b, _ := c.Logits([][]int{{1, 2}}, 0)
+	a := m.Logits([][]int{{1, 2}})
+	b := c.Logits([][]int{{1, 2}})
 	for i := range a.Data {
 		if math.Abs(a.Data[i]-b.Data[i]) > 1e-12 {
 			t.Fatal("clone diverges from original")
@@ -468,6 +464,12 @@ func TestEncodeDecodeWeightsBitExact(t *testing.T) {
 	}
 }
 
+func hashU64(h hash.Hash, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	h.Write(b[:])
+}
+
 func weightsSHA(w []float64) string {
 	sum := sha256.Sum256([]byte(EncodeWeights(w)))
 	return hex.EncodeToString(sum[:])
@@ -492,7 +494,7 @@ func TestGoldenPretrain(t *testing.T) {
 	}
 	for step := 0; step < 20; step++ {
 		opt.ZeroGrad()
-		loss, _ := m.LMLoss(batch, 0)
+		loss, _ := m.LMLoss(batch)
 		tensor.Backward(loss)
 		opt.ClipGradNorm(1)
 		opt.Step()
@@ -521,5 +523,283 @@ func TestGoldenGenerate(t *testing.T) {
 	}
 	if got := weightsSHA(all); got != want {
 		t.Errorf("generations: sha256 %s, want %s", got, want)
+	}
+}
+
+// hiddenPaddedRef is the batch forward as it was before batches were
+// packed, kept as the oracle of the packed one: every sequence padded
+// with padTok to the longest, T, positions 0..T-1 in each, every block in
+// full on all B*T rows. Row s*T+t of the result is position t of
+// sequence s. Uniform offsets make the attention the fixed-seqLen one
+// (internal/ml/tensor's TestAttentionMatchesPaddedBitExact holds it to
+// the old op).
+func hiddenPaddedRef(m *GPT, seqs [][]int, padTok int) (*tensor.Tensor, int) {
+	T := 0
+	for _, seq := range seqs {
+		T = max(T, len(seq))
+	}
+	var ids, posIDs []int
+	offs := []int{0}
+	for _, seq := range seqs {
+		for t := 0; t < T; t++ {
+			id := padTok
+			if t < len(seq) {
+				id = seq[t]
+			}
+			ids, posIDs = append(ids, id), append(posIDs, t)
+		}
+		offs = append(offs, len(ids))
+	}
+	x := tensor.Add(tensor.Embedding(m.TokEmb, ids), tensor.Embedding(m.PosEmb, posIDs))
+	for _, b := range m.Blocks {
+		h := tensor.LayerNorm(x, b.LN1g, b.LN1b)
+		qkv := tensor.AddBias(tensor.MatMul(h, b.Wqkv), b.Bqkv)
+		att := tensor.CausalSelfAttention(qkv, m.Cfg.Heads, offs, nil)
+		x = tensor.Add(x, tensor.AddBias(tensor.MatMul(att, b.Wproj), b.Bproj))
+		h2 := tensor.LayerNorm(x, b.LN2g, b.LN2b)
+		mlp := tensor.GELU(tensor.AddBias(tensor.MatMul(h2, b.Wfc), b.Bfc))
+		x = tensor.Add(x, tensor.AddBias(tensor.MatMul(mlp, b.Wout), b.Bout))
+	}
+	return tensor.LayerNorm(x, m.LNfg, m.LNfb), T
+}
+
+// paddedRows maps packed rows of seqs (nil = all) to their rows in the
+// [B*T] layout.
+func paddedRows(seqs [][]int, rows []int, T int) []int {
+	var all []int
+	for s, seq := range seqs {
+		for t := range seq {
+			all = append(all, s*T+t)
+		}
+	}
+	if rows == nil {
+		return all
+	}
+	out := make([]int, len(rows))
+	for i, r := range rows {
+		out[i] = all[r]
+	}
+	return out
+}
+
+// packedVsPadded runs seqs through Hidden (packed, the rows given) on
+// one clone of m and through hiddenPaddedRef plus a gather of the same
+// positions on another, differentiates the seeded scalar loss Σ h⊙w
+// (a quarter of w's rows zero, as a clipped PPO row's gradient is)
+// through both, and fails on the first bit that differs in a hidden
+// state or in any parameter's gradient. It returns the packed side's
+// hidden states followed by its gradients.
+func packedVsPadded(t testing.TB, m *GPT, seqs [][]int, rows []int, padTok int, seed int64) []float64 {
+	t.Helper()
+	packedM, paddedM := m.Clone(), m.Clone()
+	packed := packedM.Hidden(seqs, rows)
+	full, T := hiddenPaddedRef(paddedM, seqs, padTok)
+	padded := tensor.GatherRows(full, paddedRows(seqs, rows, T))
+	if packed.R != padded.R || packed.C != padded.C {
+		t.Fatalf("packed hidden is %dx%d, padded gather %dx%d", packed.R, packed.C, padded.R, padded.C)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	w := tensor.New(packed.R, packed.C)
+	for i := 0; i < w.R; i++ {
+		if rng.Intn(4) > 0 {
+			for j := range w.Row(i) {
+				w.Row(i)[j] = rng.NormFloat64()
+			}
+		}
+	}
+	tensor.Backward(tensor.Sum(tensor.Mul(packed, w)))
+	tensor.Backward(tensor.Sum(tensor.Mul(padded, w)))
+	out := append([]float64(nil), packed.Data...)
+	for i, v := range packed.Data {
+		if math.Float64bits(v) != math.Float64bits(padded.Data[i]) {
+			t.Fatalf("hidden row %d col %d: packed %v, padded %v", i/packed.C, i%packed.C, v, padded.Data[i])
+		}
+	}
+	want := paddedM.Params()
+	for pi, p := range packedM.Params() {
+		for i, g := range p.Grad {
+			if math.Float64bits(g) != math.Float64bits(want[pi].Grad[i]) {
+				t.Fatalf("parameter %d gradient %d: packed %v, padded %v", pi, i, g, want[pi].Grad[i])
+			}
+		}
+		out = append(out, p.Grad...)
+	}
+	return out
+}
+
+// scoredStyleRows picks, as PPO does, the rows that predict the tokens
+// after a random prompt in every sequence of two tokens or more.
+func scoredStyleRows(rng *rand.Rand, seqs [][]int) []int {
+	rows := []int{}
+	off := 0
+	for _, seq := range seqs {
+		if len(seq) >= 2 {
+			promptN := 1 + rng.Intn(len(seq)-1)
+			for pos := promptN; pos < len(seq); pos++ {
+				rows = append(rows, off+pos-1)
+			}
+		}
+		off += len(seq)
+	}
+	return rows
+}
+
+func allRows(seqs [][]int) []int {
+	rows := []int{}
+	for _, seq := range seqs {
+		for range seq {
+			rows = append(rows, len(rows))
+		}
+	}
+	return rows
+}
+
+// TestPackedMatchesPaddedBitExact holds the packed forward and its
+// row-restricted last block to the padded full computation: seeded
+// ragged batches (lengths 1 to Ctx, a batch of one, equal lengths, a
+// one-token sequence, a sequence that fills the context), 1 to 3
+// layers, one shape wide enough for its matmuls to split across
+// workers (CI runs this under GOMAXPROCS=1 and 4), and for each the row
+// subsets nil, empty, all and scored-style — hidden states of every
+// requested row and every parameter's gradient, bit for bit. The digest
+// over all of them was recorded on the commit before batches were
+// packed, from its own Hidden and a GatherRows of the same positions.
+func TestPackedMatchesPaddedBitExact(t *testing.T) {
+	const want = "17854251818dea0baed82c9839ca8b5068f90e69615feaa9283535ef785cd8ea"
+	rng := rand.New(rand.NewSource(43))
+	digest := sha256.New()
+	for _, cfg := range []Config{
+		{Vocab: 23, Ctx: 12, Dim: 16, Heads: 2, Layers: 1},
+		{Vocab: 23, Ctx: 12, Dim: 16, Heads: 2, Layers: 2},
+		{Vocab: 23, Ctx: 12, Dim: 16, Heads: 4, Layers: 3},
+		{Vocab: 29, Ctx: 24, Dim: 48, Heads: 4, Layers: 2},
+	} {
+		m := NewGPT(cfg, rng)
+		for _, lens := range [][]int{
+			{1 + rng.Intn(cfg.Ctx), 1 + rng.Intn(cfg.Ctx), 1 + rng.Intn(cfg.Ctx), 1 + rng.Intn(cfg.Ctx), 1 + rng.Intn(cfg.Ctx)},
+			{2 + rng.Intn(cfg.Ctx-1)},
+			{7, 7, 7},
+			{5, 1, 9, 1},
+			{3, cfg.Ctx, 1, cfg.Ctx - 1, 2, 6, 11, 4},
+		} {
+			seqs := make([][]int, len(lens))
+			for s, n := range lens {
+				seqs[s] = make([]int, n)
+				for i := range seqs[s] {
+					seqs[s][i] = rng.Intn(cfg.Vocab)
+				}
+			}
+			for _, rows := range [][]int{nil, {}, allRows(seqs), scoredStyleRows(rng, seqs)} {
+				for _, v := range packedVsPadded(t, m, seqs, rows, rng.Intn(cfg.Vocab), rng.Int63()) {
+					hashU64(digest, math.Float64bits(v))
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(digest.Sum(nil)); got != want {
+		t.Errorf("hidden states and gradients: sha256 %s, want %s", got, want)
+	}
+}
+
+// FuzzPackedMatchesPadded is packedVsPadded over arbitrary sequence
+// lengths (one byte each, up to eight sequences of 1..Ctx tokens) and
+// row masks (bit r of mask keeps packed row r; no mask = nil rows).
+func FuzzPackedMatchesPadded(f *testing.F) {
+	f.Add([]byte{3, 0, 11}, []byte(nil), int64(1))
+	f.Add([]byte{0}, []byte{1}, int64(2))
+	f.Add([]byte{5, 5, 5}, []byte{0xff, 0xff}, int64(3))
+	f.Add([]byte{11, 1, 7, 0, 2}, []byte{0b10100100, 0b00010011, 0b1000}, int64(4))
+	f.Add([]byte{4, 9}, []byte{0, 0}, int64(5))
+	cfg := Config{Vocab: 19, Ctx: 12, Dim: 16, Heads: 2, Layers: 2}
+	m := NewGPT(cfg, rand.New(rand.NewSource(44)))
+	f.Fuzz(func(t *testing.T, lens, mask []byte, seed int64) {
+		if len(lens) == 0 || len(lens) > 8 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		seqs := make([][]int, len(lens))
+		total := 0
+		for s, b := range lens {
+			seqs[s] = make([]int, 1+int(b)%cfg.Ctx)
+			for i := range seqs[s] {
+				seqs[s][i] = rng.Intn(cfg.Vocab)
+			}
+			total += len(seqs[s])
+		}
+		var rows []int
+		if len(mask) > 0 {
+			rows = []int{}
+			for r := 0; r < total && r/8 < len(mask); r++ {
+				if mask[r/8]>>(r%8)&1 == 1 {
+					rows = append(rows, r)
+				}
+			}
+		}
+		packedVsPadded(t, m, seqs, rows, rng.Intn(cfg.Vocab), seed)
+	})
+}
+
+// TestHiddenRowsIsAGatherOfHidden: asking Hidden for some rows returns
+// those rows of the call that asks for all, bit for bit.
+func TestHiddenRowsIsAGatherOfHidden(t *testing.T) {
+	seqs := [][]int{{1, 2, 3, 4, 5}, {6}, {7, 8, 9}, {10, 11, 12, 13, 14, 15, 16}}
+	rows := []int{0, 3, 4, 5, 7, 9, 10, 14}
+	for _, layers := range []int{1, 2} {
+		cfg := tinyConfig()
+		cfg.Layers = layers
+		m := NewGPT(cfg, rand.New(rand.NewSource(45)))
+		all, some := m.Hidden(seqs, nil), m.Hidden(seqs, rows)
+		if some.R != len(rows) || all.R != 16 {
+			t.Fatalf("%d layers: %d rows for %d asked, %d for all 16", layers, some.R, len(rows), all.R)
+		}
+		for i, r := range rows {
+			for j, v := range some.Row(i) {
+				if math.Float64bits(v) != math.Float64bits(all.At(r, j)) {
+					t.Fatalf("%d layers: row %d col %d = %v, the full call has %v", layers, r, j, v, all.At(r, j))
+				}
+			}
+		}
+	}
+}
+
+func TestHiddenPanicsOnLongSequence(t *testing.T) {
+	cfg := tinyConfig()
+	m := NewGPT(cfg, rand.New(rand.NewSource(46)))
+	defer func() {
+		if r := recover(); r != "nn: sequence longer than model context" {
+			t.Errorf("recovered %v, want the context panic", r)
+		}
+	}()
+	m.Hidden([][]int{{1, 2}, make([]int, cfg.Ctx+1)}, nil)
+	t.Fatal("no panic")
+}
+
+// TestLMLossMatchesPaddedOracle: the packed loss is the cross-entropy
+// of the padded oracle's logits with padding and each sequence's last
+// position masked out — also when the longest sequence fills Ctx.
+func TestLMLossMatchesPaddedOracle(t *testing.T) {
+	cfg := tinyConfig()
+	m := NewGPT(cfg, rand.New(rand.NewSource(47)))
+	for _, lens := range [][]int{{3, 9, 1, 6}, {cfg.Ctx, 2, cfg.Ctx - 1}, {4, 4}} {
+		seqs := make([][]int, len(lens))
+		for s, n := range lens {
+			seqs[s] = make([]int, n)
+			for i := range seqs[s] {
+				seqs[s][i] = (3*s + 5*i) % cfg.Vocab
+			}
+		}
+		_, got := m.LMLoss(seqs)
+		h, T := hiddenPaddedRef(m, seqs, 0)
+		targets := make([]int, h.R)
+		for i := range targets {
+			targets[i] = -1
+		}
+		for s, seq := range seqs {
+			copy(targets[s*T:], seq[1:])
+		}
+		want := tensor.CrossEntropy(tensor.MatMul(h, m.Head), targets).Data[0]
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("lengths %v: packed loss %v, padded oracle %v", lens, got, want)
+		}
 	}
 }

@@ -6,10 +6,15 @@
 // ("we monitored the PPO algorithm's loss, the Kullback-Leibler
 // divergence between optimization policies, and the mean rewards").
 //
+// A step runs the reference and the policy over the rollouts' token
+// sequences as a packed batch (nn.GPT.Hidden: no padding) and asks each
+// for the rows that predict a generated token, the only ones it reads.
+//
 //chatfuzz:deterministic package
 package ppo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -31,15 +36,14 @@ type Config struct {
 	TopK         int     // top-k sampling filter (0 = off)
 	GradClip     float64 // global gradient-norm clip
 	EOS          int     // end-of-sequence token id
-	PadID        int     // padding token id
 }
 
 // DefaultConfig returns TRL-like defaults.
-func DefaultConfig(eos, pad int) Config {
+func DefaultConfig(eos int) Config {
 	return Config{
 		LR: 3e-4, ClipEps: 0.2, KLCoef: 0.1, VFCoef: 0.5,
 		Gamma: 1.0, Lambda: 0.95, Epochs: 2, MaxNewTokens: 48,
-		Temperature: 1.0, TopK: 0, GradClip: 1.0, EOS: eos, PadID: pad,
+		Temperature: 1.0, TopK: 0, GradClip: 1.0, EOS: eos,
 	}
 }
 
@@ -135,31 +139,44 @@ func (t *Trainer) Step(prompts [][]int, reward RewardFunc) Stats {
 	return t.StepRollouts(rolls)
 }
 
-// scoredRows returns, in rollout then token order, the rows of a
-// [B*T, ·] padded batch that predict a generated token: row i*T+pos-1
-// predicts Tokens[pos] of rollout i. PPO consumes these rows only, so
-// the heads, the softmax and the loss run on a gather of them.
-func scoredRows(rolls []*Rollout, T int) []int {
+// scoredRows returns, in rollout then token order, the rows of the
+// packed batch of the rollouts' token sequences (nn.GPT.Hidden) that
+// predict a generated token: with rollout i starting at row off, row
+// off+pos-1 predicts its Tokens[pos]. PPO reads these rows only, so
+// the backbone's last block, the heads, the softmax and the loss run
+// on them alone.
+func scoredRows(rolls []*Rollout) []int {
 	var rows []int
-	for i, r := range rolls {
+	off := 0
+	for _, r := range rolls {
 		for g := range r.LogpOld {
-			rows = append(rows, i*T+r.PromptN+g-1)
+			rows = append(rows, off+r.PromptN+g-1)
 		}
+		off += len(r.Tokens)
 	}
 	return rows
 }
 
 // StepRollouts runs the PPO update on externally collected rollouts.
 // Rollouts with no generated token (a context-exhausted generation)
-// carry nothing to learn from and are dropped.
+// carry nothing to learn from and are dropped. Any other must have a
+// prompt, its generated tokens inside Tokens and a value per generated
+// token — what Generate returns; a hand-filled Rollout that does not is
+// a caller's bug and panics here rather than train on a neighbour's row.
 func (t *Trainer) StepRollouts(rolls []*Rollout) Stats {
 	cfg := t.Cfg
 	var stats Stats
 	kept := make([]*Rollout, 0, len(rolls))
-	for _, r := range rolls {
-		if len(r.LogpOld) > 0 {
-			kept = append(kept, r)
+	for i, r := range rolls {
+		gen := len(r.LogpOld)
+		if gen == 0 {
+			continue
 		}
+		if r.PromptN < 1 || r.PromptN+gen > len(r.Tokens) || len(r.Values) != gen {
+			panic(fmt.Sprintf("ppo: rollout %d is malformed: prompt of %d and %d generated tokens in %d tokens, %d values",
+				i, r.PromptN, gen, len(r.Tokens), len(r.Values)))
+		}
+		kept = append(kept, r)
 	}
 	if rolls = kept; len(rolls) == 0 {
 		return stats
@@ -170,9 +187,8 @@ func (t *Trainer) StepRollouts(rolls []*Rollout) Stats {
 	for i, r := range rolls {
 		seqs[i] = r.Tokens
 	}
-	refH, T := t.Ref.Hidden(seqs, cfg.PadID)
-	rows := scoredRows(rolls, T)
-	refLogits := tensor.MatMul(tensor.GatherRows(refH, rows), t.Ref.Head)
+	rows := scoredRows(rolls)
+	refLogits := tensor.MatMul(t.Ref.Hidden(seqs, rows), t.Ref.Head)
 	var klSum float64
 	var klCount int
 	for _, r := range rolls {
@@ -243,11 +259,10 @@ func (t *Trainer) StepRollouts(rolls []*Rollout) Stats {
 // returns (policyLoss, valueLoss, clipFraction).
 func (t *Trainer) optimize(rolls []*Rollout, seqs [][]int, rows []int) (float64, float64, float64) {
 	cfg := t.Cfg
-	// Both heads read the same gather of the scored rows, so backward
-	// sums the value head's and then the LM head's gradient into one
-	// row of it before that row reaches the backbone.
-	hidden, _ := t.Policy.Hidden(seqs, cfg.PadID)
-	h := tensor.GatherRows(hidden, rows)
+	// Both heads read the same scored rows, so backward sums the value
+	// head's and the LM head's gradient into one row of h before that
+	// row reaches the backbone.
+	h := t.Policy.Hidden(seqs, rows)
 	logits := tensor.MatMul(h, t.Policy.Head)
 	values := t.Policy.Values(h)
 	count := h.R

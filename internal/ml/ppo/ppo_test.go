@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"chatfuzz/internal/ml/nn"
@@ -21,7 +22,7 @@ func tinyModel(seed int64) (*nn.GPT, *rand.Rand) {
 // rise substantially — the canonical PPO smoke test.
 func TestRewardIncreasesOnBandit(t *testing.T) {
 	m, rng := tinyModel(1)
-	cfg := DefaultConfig(1 /*eos*/, 2 /*pad*/)
+	cfg := DefaultConfig(1 /*eos*/)
 	cfg.MaxNewTokens = 8
 	cfg.KLCoef = 0.02
 	cfg.LR = 1e-3
@@ -56,7 +57,7 @@ func TestRewardIncreasesOnBandit(t *testing.T) {
 
 func TestKLStaysFiniteAndMonitored(t *testing.T) {
 	m, rng := tinyModel(2)
-	cfg := DefaultConfig(1, 2)
+	cfg := DefaultConfig(1)
 	cfg.MaxNewTokens = 6
 	tr := NewTrainer(m, cfg, rng)
 	reward := func(tokens []int, promptN int) float64 { return 1 }
@@ -75,7 +76,7 @@ func TestKLPenaltyRestrainsDrift(t *testing.T) {
 	// With a huge KL coefficient and zero task reward, the policy
 	// should stay close to the reference: KL remains small.
 	m, rng := tinyModel(3)
-	cfg := DefaultConfig(1, 2)
+	cfg := DefaultConfig(1)
 	cfg.MaxNewTokens = 6
 	cfg.KLCoef = 5.0
 	tr := NewTrainer(m, cfg, rng)
@@ -94,7 +95,7 @@ func TestValueHeadLearnsConstantReward(t *testing.T) {
 	// With constant terminal reward, the value loss should shrink as
 	// the critic learns the return.
 	m, rng := tinyModel(4)
-	cfg := DefaultConfig(1, 2)
+	cfg := DefaultConfig(1)
 	cfg.MaxNewTokens = 5
 	cfg.KLCoef = 0
 	cfg.LR = 2e-3
@@ -115,7 +116,7 @@ func TestValueHeadLearnsConstantReward(t *testing.T) {
 
 func TestStatsShape(t *testing.T) {
 	m, rng := tinyModel(5)
-	cfg := DefaultConfig(1, 2)
+	cfg := DefaultConfig(1)
 	cfg.MaxNewTokens = 4
 	tr := NewTrainer(m, cfg, rng)
 	st := tr.Step([][]int{{0, 3}}, func(tokens []int, promptN int) float64 { return 1 })
@@ -132,7 +133,7 @@ func TestStatsShape(t *testing.T) {
 
 func TestReferenceModelFrozen(t *testing.T) {
 	m, rng := tinyModel(6)
-	cfg := DefaultConfig(1, 2)
+	cfg := DefaultConfig(1)
 	cfg.MaxNewTokens = 4
 	tr := NewTrainer(m, cfg, rng)
 	refBefore := append([]float64(nil), tr.Ref.TokEmb.Data...)
@@ -171,7 +172,7 @@ func TestTrainerWithExplicitRef(t *testing.T) {
 	base, rng := tinyModel(21)
 	policy := base.Clone()
 	ref := base.Clone()
-	tr := NewTrainerWithRef(policy, ref, DefaultConfig(1, 2), nil)
+	tr := NewTrainerWithRef(policy, ref, DefaultConfig(1), nil)
 
 	// Collect rollouts with a seeded rng, then feed them through the
 	// rng-free update path.
@@ -232,7 +233,7 @@ func weightsSHA(m *nn.GPT) string {
 func TestGoldenStepRollouts(t *testing.T) {
 	const want = "5b056a8b53e4cfc4957349e8493d445146acedade910076752921c9f0ea18d9c"
 	m, rng := tinyModel(31)
-	cfg := DefaultConfig(1, 2)
+	cfg := DefaultConfig(1)
 	cfg.LR = 1e-3
 	tr := NewTrainer(m, cfg, nil)
 	rolls := goldenRollouts(m, rng)
@@ -274,7 +275,7 @@ func TestStepRolloutsDropsEmptyRollouts(t *testing.T) {
 	}
 	train := func(withEmpty bool) (Stats, []float64) {
 		m := base.Clone()
-		tr := NewTrainer(m, DefaultConfig(1, 2), nil)
+		tr := NewTrainer(m, DefaultConfig(1), nil)
 		var rolls []*Rollout
 		for i, res := range full {
 			if withEmpty {
@@ -299,7 +300,7 @@ func TestStepRolloutsDropsEmptyRollouts(t *testing.T) {
 	}
 
 	m := base.Clone()
-	tr := NewTrainer(m, DefaultConfig(1, 2), nil)
+	tr := NewTrainer(m, DefaultConfig(1), nil)
 	if st := tr.StepRollouts([]*Rollout{empty(), empty()}); st != (Stats{}) {
 		t.Errorf("all-empty batch returned %+v, want zero Stats", st)
 	}
@@ -308,5 +309,46 @@ func TestStepRolloutsDropsEmptyRollouts(t *testing.T) {
 		if after[i] != before[i] {
 			t.Fatal("all-empty batch moved the policy")
 		}
+	}
+}
+
+// TestStepRolloutsRejectsMalformedRollouts: Rollout is an exported
+// struct callers fill field by field, and StepRollouts indexes rows by
+// its shape. A rollout with generated tokens but no prompt scored row
+// -1 — a panic deep in the gather for the first rollout, silently the
+// previous rollout's last row for any other — so shapes Generate cannot
+// produce are refused by name before anything is computed.
+func TestStepRolloutsRejectsMalformedRollouts(t *testing.T) {
+	base, rng := tinyModel(23)
+	good := func() *Rollout { return FromGeneration(base.Generate(rng, []int{0, 3}, 4, 1.0, 0, -1), 1) }
+	for _, c := range []struct {
+		name   string
+		mangle func(r *Rollout)
+	}{
+		{"no prompt", func(r *Rollout) { r.PromptN = 0 }},
+		{"generated tokens past Tokens", func(r *Rollout) { r.Tokens = r.Tokens[:len(r.Tokens)-1] }},
+		{"fewer values than log-probs", func(r *Rollout) { r.Values = r.Values[:len(r.Values)-1] }},
+		{"more values than log-probs", func(r *Rollout) { r.Values = append(r.Values, 0) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := base.Clone()
+			tr := NewTrainer(m, DefaultConfig(1), nil)
+			bad := good()
+			c.mangle(bad)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "ppo: rollout 1 is malformed") {
+					t.Errorf("recovered %q, want a message naming rollout 1", msg)
+				}
+				after, before := m.FlattenParams(nil), base.FlattenParams(nil)
+				for i := range before {
+					if after[i] != before[i] {
+						t.Fatal("a refused batch moved the policy")
+					}
+				}
+			}()
+			tr.StepRollouts([]*Rollout{good(), bad, good()})
+			t.Fatal("no panic")
+		})
 	}
 }

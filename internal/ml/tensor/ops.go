@@ -41,6 +41,7 @@ func LayerNorm(x, gamma, beta *Tensor) *Tensor {
 		}
 	}
 	out.onBackward(func() {
+		dxh := make([]float64, x.C)
 		for i := 0; i < x.R; i++ {
 			gr := out.Grad[i*x.C : (i+1)*x.C]
 			xh := xhat[i*x.C : (i+1)*x.C]
@@ -57,7 +58,6 @@ func LayerNorm(x, gamma, beta *Tensor) *Tensor {
 			if x.requires {
 				// dxhat = dy * gamma
 				var meanDx, meanDxXh float64
-				dxh := make([]float64, x.C)
 				for j := range gr {
 					dxh[j] = gr[j] * gamma.Data[j]
 					meanDx += dxh[j]
@@ -99,9 +99,9 @@ func Embedding(table *Tensor, ids []int) *Tensor {
 
 // GatherRows selects rows of a by index, producing [len(rows), a.C];
 // indices may repeat and come in any order. Backward adds each output
-// row's gradient into the row it was read from, in output order. PPO
-// uses it to run the heads and the loss on the scored positions of a
-// padded batch only.
+// row's gradient into the row it was read from, in output order. The
+// model's last block uses it to carry on with the residual stream of
+// the rows its caller will read only.
 func GatherRows(a *Tensor, rows []int) *Tensor {
 	out := child(len(rows), a.C, a)
 	for i, r := range rows {
@@ -118,11 +118,17 @@ func GatherRows(a *Tensor, rows []int) *Tensor {
 	return out
 }
 
-// CausalSelfAttention is the fused multi-head attention of a GPT
-// block. qkv is [B*T, 3D] (the concatenated Q,K,V projections), heads
-// divides D, and seqLen is T. Rows are grouped per sequence: rows
-// [s*T, (s+1)*T) belong to sequence s. A causal mask is applied.
-func CausalSelfAttention(qkv *Tensor, heads, seqLen int) *Tensor {
+// CausalSelfAttention is the fused multi-head attention of a GPT block
+// over a packed batch. qkv is [N, 3D] (the concatenated Q,K,V
+// projections), heads divides D, and offs has one entry per sequence
+// plus one: rows offs[s]..offs[s+1] are sequence s, so offs starts at 0
+// and ends at N. A query attends to the rows of its own sequence up to
+// and including itself. queries names, ascending, the rows to compute
+// an output for (nil = every row); the result has one row per query,
+// in that order. Every row supplies keys and values whether or not it
+// is a query, so the K/V gradients of an unqueried row are those later
+// queries of its sequence send it.
+func CausalSelfAttention(qkv *Tensor, heads int, offs, queries []int) *Tensor {
 	if qkv.C%3 != 0 {
 		panic("tensor: attention qkv width not divisible by 3")
 	}
@@ -130,117 +136,141 @@ func CausalSelfAttention(qkv *Tensor, heads, seqLen int) *Tensor {
 	if d%heads != 0 {
 		panic("tensor: attention dim not divisible by heads")
 	}
-	if qkv.R%seqLen != 0 {
-		panic("tensor: attention rows not divisible by seqLen")
+	if len(offs) == 0 || offs[0] != 0 || offs[len(offs)-1] != qkv.R {
+		panic("tensor: attention offsets do not span the rows")
 	}
-	b := qkv.R / seqLen
-	dh := d / heads
+	dh, w := d/heads, qkv.C
 	scale := 1 / math.Sqrt(float64(dh))
 
-	out := child(qkv.R, d, qkv)
-	// probs[s][h] is the [T,T] post-softmax attention matrix, kept for
-	// backward; a forward that needs no gradients reuses one matrix.
-	probs := make([][][]float64, b)
-	var p []float64
+	if queries == nil {
+		queries = make([]int, qkv.R)
+		for i := range queries {
+			queries[i] = i
+		}
+	}
+	out := child(len(queries), d, qkv)
 
-	for s := 0; s < b; s++ {
-		probs[s] = make([][]float64, heads)
-		seq := qkv.Data[s*seqLen*qkv.C : (s+1)*seqLen*qkv.C]
-		for h := 0; h < heads; h++ {
-			if p == nil || out.requires {
-				p = make([]float64, seqLen*seqLen)
-			}
-			for t := 0; t < seqLen; t++ {
-				q := seq[t*qkv.C+h*dh : t*qkv.C+h*dh+dh]
-				// Scores over keys 0..t.
-				maxScore := math.Inf(-1)
-				row := p[t*seqLen : (t+1)*seqLen]
-				for u := 0; u <= t; u++ {
-					k := seq[u*qkv.C+d+h*dh : u*qkv.C+d+h*dh+dh]
-					sum := 0.0
-					for j, qv := range q {
-						sum += qv * k[j]
-					}
-					row[u] = sum * scale
-					if row[u] > maxScore {
-						maxScore = row[u]
-					}
-				}
-				var z float64
-				for u := 0; u <= t; u++ {
-					row[u] = math.Exp(row[u] - maxScore)
-					z += row[u]
-				}
-				for u := 0; u <= t; u++ {
-					row[u] /= z
-				}
-				// Output = P·V.
-				or := out.Data[(s*seqLen+t)*d+h*dh : (s*seqLen+t)*d+h*dh+dh]
-				for u := 0; u <= t; u++ {
-					pu := row[u]
-					if pu == 0 {
-						continue
-					}
-					v := seq[u*qkv.C+2*d+h*dh : u*qkv.C+2*d+h*dh+dh]
-					for j := range or {
-						or[j] += pu * v[j]
+	// ends[s] is one past the last output row whose query lies in
+	// sequence s; kept counts the probabilities of one head, t+1 for a
+	// query at position t of its sequence.
+	ends := make([]int, len(offs)-1)
+	o, kept, longest := 0, 0, 0
+	for s := range ends {
+		lo, hi := offs[s], offs[s+1]
+		for ; o < len(queries) && lo <= queries[o] && queries[o] < hi; o++ {
+			kept += queries[o] - lo + 1
+		}
+		ends[s] = o
+		longest = max(longest, hi-lo)
+	}
+	if o != len(queries) {
+		panic("tensor: attention queries are not ascending rows of the batch")
+	}
+	// Backward needs every query's post-softmax row; a forward that
+	// needs no gradients reuses one.
+	probs := make([]float64, longest)
+	if out.requires {
+		probs = make([]float64, heads*kept)
+	}
+	// each visits (sequence, head, query) in that nesting — the order
+	// backward adds K/V gradients in — and hands fn the sequence's first
+	// row, the head's first column, the query's position t in its
+	// sequence, its output row and its t+1 probabilities.
+	each := func(fn func(lo, hc, t, o int, p []float64)) {
+		first, pi := 0, 0
+		for s, end := range ends {
+			for h := 0; h < heads; h++ {
+				for o := first; o < end; o++ {
+					t := queries[o] - offs[s]
+					fn(offs[s], h*dh, t, o, probs[pi:pi+t+1])
+					if out.requires {
+						pi += t + 1
 					}
 				}
 			}
-			probs[s][h] = p
+			first = end
 		}
 	}
 
-	out.onBackward(func() {
-		dp := make([]float64, seqLen)
-		for s := 0; s < b; s++ {
-			seq := qkv.Data[s*seqLen*qkv.C : (s+1)*seqLen*qkv.C]
-			gseq := qkv.Grad[s*seqLen*qkv.C : (s+1)*seqLen*qkv.C]
-			for h := 0; h < heads; h++ {
-				p := probs[s][h]
-				for t := 0; t < seqLen; t++ {
-					do := out.Grad[(s*seqLen+t)*d+h*dh : (s*seqLen+t)*d+h*dh+dh]
-					row := p[t*seqLen : (t+1)*seqLen]
-					// dV and dP.
-					for u := 0; u <= t; u++ {
-						v := seq[u*qkv.C+2*d+h*dh : u*qkv.C+2*d+h*dh+dh]
-						gv := gseq[u*qkv.C+2*d+h*dh : u*qkv.C+2*d+h*dh+dh]
-						var sum float64
-						for j, g := range do {
-							gv[j] += row[u] * g
-							sum += g * v[j]
-						}
-						dp[u] = sum
-					}
-					// Softmax backward: ds = p ⊙ (dp - Σ dp⊙p).
-					var dot float64
-					for u := 0; u <= t; u++ {
-						dot += dp[u] * row[u]
-					}
-					q := seq[t*qkv.C+h*dh : t*qkv.C+h*dh+dh]
-					gq := gseq[t*qkv.C+h*dh : t*qkv.C+h*dh+dh]
-					for u := 0; u <= t; u++ {
-						ds := row[u] * (dp[u] - dot) * scale
-						if ds == 0 {
-							continue
-						}
-						k := seq[u*qkv.C+d+h*dh : u*qkv.C+d+h*dh+dh]
-						gk := gseq[u*qkv.C+d+h*dh : u*qkv.C+d+h*dh+dh]
-						for j := range gq {
-							gq[j] += ds * k[j]
-							gk[j] += ds * q[j]
-						}
-					}
-				}
+	each(func(lo, hc, t, o int, p []float64) {
+		q := qkv.Data[(lo+t)*w+hc : (lo+t)*w+hc+dh]
+		// Scores over keys 0..t.
+		maxScore := math.Inf(-1)
+		for u := range p {
+			k := qkv.Data[(lo+u)*w+d+hc : (lo+u)*w+d+hc+dh]
+			sum := 0.0
+			for j, qv := range q {
+				sum += qv * k[j]
+			}
+			p[u] = sum * scale
+			if p[u] > maxScore {
+				maxScore = p[u]
 			}
 		}
+		var z float64
+		for u := range p {
+			p[u] = math.Exp(p[u] - maxScore)
+			z += p[u]
+		}
+		for u := range p {
+			p[u] /= z
+		}
+		// Output = P·V.
+		or := out.Data[o*d+hc : o*d+hc+dh]
+		for u, pu := range p {
+			if pu == 0 {
+				continue
+			}
+			v := qkv.Data[(lo+u)*w+2*d+hc : (lo+u)*w+2*d+hc+dh]
+			for j := range or {
+				or[j] += pu * v[j]
+			}
+		}
+	})
+
+	out.onBackward(func() {
+		dp := make([]float64, longest)
+		each(func(lo, hc, t, o int, p []float64) {
+			do := out.Grad[o*d+hc : o*d+hc+dh]
+			// dV and dP.
+			for u := range p {
+				v := qkv.Data[(lo+u)*w+2*d+hc : (lo+u)*w+2*d+hc+dh]
+				gv := qkv.Grad[(lo+u)*w+2*d+hc : (lo+u)*w+2*d+hc+dh]
+				var sum float64
+				for j, g := range do {
+					gv[j] += p[u] * g
+					sum += g * v[j]
+				}
+				dp[u] = sum
+			}
+			// Softmax backward: ds = p ⊙ (dp - Σ dp⊙p).
+			var dot float64
+			for u := range p {
+				dot += dp[u] * p[u]
+			}
+			q := qkv.Data[(lo+t)*w+hc : (lo+t)*w+hc+dh]
+			gq := qkv.Grad[(lo+t)*w+hc : (lo+t)*w+hc+dh]
+			for u := range p {
+				ds := p[u] * (dp[u] - dot) * scale
+				if ds == 0 {
+					continue
+				}
+				k := qkv.Data[(lo+u)*w+d+hc : (lo+u)*w+d+hc+dh]
+				gk := qkv.Grad[(lo+u)*w+d+hc : (lo+u)*w+d+hc+dh]
+				for j := range gq {
+					gq[j] += ds * k[j]
+					gk[j] += ds * q[j]
+				}
+			}
+		})
 	})
 	return out
 }
 
 // CrossEntropy computes the mean negative log-likelihood of targets
 // under row-wise softmax of logits [N,V]. Rows with target < 0 are
-// ignored (padding). Returns a scalar tensor.
+// ignored (a sequence's last position has no successor to predict).
+// Returns a scalar tensor.
 func CrossEntropy(logits *Tensor, targets []int) *Tensor {
 	if len(targets) != logits.R {
 		panic("tensor: cross-entropy target length")

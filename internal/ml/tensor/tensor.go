@@ -6,8 +6,9 @@
 // scatters gradients into its parents; Backward topologically sorts
 // the tape and runs the closures. Ops are specialised for the
 // transformer workload (matmul, layer norm, GELU, fused causal
-// attention, embedding and row gathers, cross-entropy) rather than
-// offering general broadcasting. An op whose inputs require no
+// attention over a packed batch — sequences of any lengths end to end,
+// delimited by row offsets — embedding and row gathers, cross-entropy)
+// rather than offering general broadcasting. An op whose inputs require no
 // gradients returns a plain value and records nothing, so a frozen
 // model's forward pass costs its arithmetic and nothing else.
 //
@@ -20,7 +21,11 @@
 // the products of a zero left-hand factor skipped — exactly the order
 // of the naive triple loop (matmulRef in the tests). Blocking, register
 // accumulation and the parallel row split only change which elements
-// are in flight together, never the order within one.
+// are in flight together, never the order within one. It follows that a
+// batch row nothing reads — its output gradient is +0 throughout — adds
+// only ±0 terms to sums that start at +0, so leaving such rows out of a
+// batch (nn.GPT.Hidden: no padding, a last block on the rows read)
+// cannot move a bit of any gradient.
 //
 //chatfuzz:deterministic package
 package tensor
@@ -469,7 +474,7 @@ func mulABt(dst, a, b []float64, m, k, n, lo, hi int) {
 // mulAtB is the weight-gradient kernel, dst += Aᵀ×B with A stored
 // [k,m] (the activations) and B [k,n] (the output gradient). p is the
 // outer loop, so B streams through once while the range's rows of dst
-// stay cached, and rows of B that are all zero (padded or clipped
+// stay cached, and rows of B that are all zero (unscored or clipped
 // positions) are skipped once instead of being multiplied into every
 // row of dst: their ±0 products would leave every sum as it is.
 func mulAtB(dst, a, b []float64, m, k, n, lo, hi int) {

@@ -123,10 +123,27 @@ func TestGradGatherLogSoftmax(t *testing.T) {
 
 func TestGradCausalSelfAttention(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	const T, D, H = 4, 6, 2
-	qkv := randParam(rng, 2*T, 3*D) // two sequences
+	const D, H = 6, 2
+	offs := []int{0, 4, 5, 8} // three sequences: 4, 1 and 3 rows
+	qkv := randParam(rng, 8, 3*D)
 	gradCheck(t, "attention", []*Tensor{qkv},
-		func() *Tensor { return Mean(CausalSelfAttention(qkv, H, T)) }, 1e-4)
+		func() *Tensor { return Mean(CausalSelfAttention(qkv, H, offs, nil)) }, 1e-4)
+	// A query subset: row 0 gets a gradient only as a key and value of
+	// the later queries of its sequence; rows 4, 6 and 7 are no query
+	// and precede none, so they get none (gradCheck leaves the analytic
+	// gradient in Grad).
+	gradCheck(t, "attention-queries", []*Tensor{qkv},
+		func() *Tensor { return Mean(Square(CausalSelfAttention(qkv, H, offs, []int{1, 2, 3, 5}))) }, 1e-4)
+	for _, r := range []int{4, 6, 7} {
+		for j, g := range qkv.Grad[r*3*D : (r+1)*3*D] {
+			if g != 0 {
+				t.Fatalf("row %d is no query and precedes none, yet its gradient %d is %v", r, j, g)
+			}
+		}
+	}
+	if allZero(qkv.Grad[:3*D]) {
+		t.Fatal("row 0 got no gradient from the queries it is a key of")
+	}
 }
 
 func TestGradComposite(t *testing.T) {
@@ -148,21 +165,56 @@ func TestGradComposite(t *testing.T) {
 func TestCausalMaskNoFutureLeak(t *testing.T) {
 	// Changing a future token's K/V must not change an earlier output.
 	const T, D, H = 3, 4, 1
+	offs := []int{0, T}
 	qkv := New(T, 3*D)
 	rng := rand.New(rand.NewSource(11))
 	for i := range qkv.Data {
 		qkv.Data[i] = rng.NormFloat64()
 	}
-	out1 := CausalSelfAttention(qkv, H, T)
+	out1 := CausalSelfAttention(qkv, H, offs, nil)
 	row0a := append([]float64(nil), out1.Row(0)...)
 	// Perturb the last token's entire qkv row.
 	for j := 0; j < 3*D; j++ {
 		qkv.Set(T-1, j, qkv.At(T-1, j)+5)
 	}
-	out2 := CausalSelfAttention(qkv, H, T)
+	out2 := CausalSelfAttention(qkv, H, offs, nil)
 	for j, v := range out2.Row(0) {
 		if math.Abs(v-row0a[j]) > 1e-12 {
 			t.Fatalf("future token leaked into position 0 (col %d)", j)
+		}
+	}
+}
+
+// TestAttentionNoCrossSequenceLeak: the rows of one sequence of a
+// packed batch are no keys or values of another's queries — changing
+// all of sequence 0 leaves sequence 1's outputs bit-equal, whole or as
+// a query subset.
+func TestAttentionNoCrossSequenceLeak(t *testing.T) {
+	const D, H = 4, 2
+	offs := []int{0, 3, 7}
+	rng := rand.New(rand.NewSource(16))
+	qkv := New(7, 3*D)
+	for i := range qkv.Data {
+		qkv.Data[i] = rng.NormFloat64()
+	}
+	before := CausalSelfAttention(qkv, H, offs, nil)
+	beforeSub := CausalSelfAttention(qkv, H, offs, []int{4, 6})
+	for i := range qkv.Data[:3*3*D] {
+		qkv.Data[i] += 5
+	}
+	after := CausalSelfAttention(qkv, H, offs, nil)
+	afterSub := CausalSelfAttention(qkv, H, offs, []int{4, 6})
+	for i := 3 * D; i < len(before.Data); i++ {
+		if math.Float64bits(before.Data[i]) != math.Float64bits(after.Data[i]) {
+			t.Fatalf("sequence 0 leaked into sequence 1 (row %d col %d)", i/D, i%D)
+		}
+	}
+	for i := range beforeSub.Data {
+		if math.Float64bits(beforeSub.Data[i]) != math.Float64bits(afterSub.Data[i]) {
+			t.Fatalf("sequence 0 leaked into query %d of sequence 1 (col %d)", i/D, i%D)
+		}
+		if want := before.Data[[]int{4, 6}[i/D]*D+i%D]; math.Float64bits(beforeSub.Data[i]) != math.Float64bits(want) {
+			t.Fatalf("query subset row %d col %d = %v, the full call's row has %v", i/D, i%D, beforeSub.Data[i], want)
 		}
 	}
 }
@@ -298,6 +350,224 @@ func TestGradGatherRows(t *testing.T) {
 	}, 1e-5)
 }
 
+// TestAttentionRejectsBadLayout: offsets that do not span the rows and
+// queries that are not ascending rows of the batch panic instead of
+// reading another sequence's rows.
+func TestAttentionRejectsBadLayout(t *testing.T) {
+	qkv := New(5, 6)
+	for name, call := range map[string]func(){
+		"offsets short of the rows": func() { CausalSelfAttention(qkv, 1, []int{0, 3}, nil) },
+		"offsets not from 0":        func() { CausalSelfAttention(qkv, 1, []int{1, 5}, nil) },
+		"query past the last row":   func() { CausalSelfAttention(qkv, 1, []int{0, 3, 5}, []int{1, 5}) },
+		"negative query":            func() { CausalSelfAttention(qkv, 1, []int{0, 3, 5}, []int{-1, 2}) },
+		"queries descending":        func() { CausalSelfAttention(qkv, 1, []int{0, 3, 5}, []int{4, 1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// causalSelfAttentionPadded is the attention op as it was before
+// batches were packed, kept as the oracle of the packed one: qkv is
+// [B*T, 3D], rows [s*T, (s+1)*T) are sequence s, a [T,T] probability
+// matrix is kept per (sequence, head).
+func causalSelfAttentionPadded(qkv *Tensor, heads, seqLen int) *Tensor {
+	if qkv.C%3 != 0 {
+		panic("tensor: attention qkv width not divisible by 3")
+	}
+	d := qkv.C / 3
+	if d%heads != 0 {
+		panic("tensor: attention dim not divisible by heads")
+	}
+	if qkv.R%seqLen != 0 {
+		panic("tensor: attention rows not divisible by seqLen")
+	}
+	b := qkv.R / seqLen
+	dh := d / heads
+	scale := 1 / math.Sqrt(float64(dh))
+
+	out := child(qkv.R, d, qkv)
+	// probs[s][h] is the [T,T] post-softmax attention matrix, kept for
+	// backward; a forward that needs no gradients reuses one matrix.
+	probs := make([][][]float64, b)
+	var p []float64
+
+	for s := 0; s < b; s++ {
+		probs[s] = make([][]float64, heads)
+		seq := qkv.Data[s*seqLen*qkv.C : (s+1)*seqLen*qkv.C]
+		for h := 0; h < heads; h++ {
+			if p == nil || out.requires {
+				p = make([]float64, seqLen*seqLen)
+			}
+			for t := 0; t < seqLen; t++ {
+				q := seq[t*qkv.C+h*dh : t*qkv.C+h*dh+dh]
+				// Scores over keys 0..t.
+				maxScore := math.Inf(-1)
+				row := p[t*seqLen : (t+1)*seqLen]
+				for u := 0; u <= t; u++ {
+					k := seq[u*qkv.C+d+h*dh : u*qkv.C+d+h*dh+dh]
+					sum := 0.0
+					for j, qv := range q {
+						sum += qv * k[j]
+					}
+					row[u] = sum * scale
+					if row[u] > maxScore {
+						maxScore = row[u]
+					}
+				}
+				var z float64
+				for u := 0; u <= t; u++ {
+					row[u] = math.Exp(row[u] - maxScore)
+					z += row[u]
+				}
+				for u := 0; u <= t; u++ {
+					row[u] /= z
+				}
+				// Output = P·V.
+				or := out.Data[(s*seqLen+t)*d+h*dh : (s*seqLen+t)*d+h*dh+dh]
+				for u := 0; u <= t; u++ {
+					pu := row[u]
+					if pu == 0 {
+						continue
+					}
+					v := seq[u*qkv.C+2*d+h*dh : u*qkv.C+2*d+h*dh+dh]
+					for j := range or {
+						or[j] += pu * v[j]
+					}
+				}
+			}
+			probs[s][h] = p
+		}
+	}
+
+	out.onBackward(func() {
+		dp := make([]float64, seqLen)
+		for s := 0; s < b; s++ {
+			seq := qkv.Data[s*seqLen*qkv.C : (s+1)*seqLen*qkv.C]
+			gseq := qkv.Grad[s*seqLen*qkv.C : (s+1)*seqLen*qkv.C]
+			for h := 0; h < heads; h++ {
+				p := probs[s][h]
+				for t := 0; t < seqLen; t++ {
+					do := out.Grad[(s*seqLen+t)*d+h*dh : (s*seqLen+t)*d+h*dh+dh]
+					row := p[t*seqLen : (t+1)*seqLen]
+					// dV and dP.
+					for u := 0; u <= t; u++ {
+						v := seq[u*qkv.C+2*d+h*dh : u*qkv.C+2*d+h*dh+dh]
+						gv := gseq[u*qkv.C+2*d+h*dh : u*qkv.C+2*d+h*dh+dh]
+						var sum float64
+						for j, g := range do {
+							gv[j] += row[u] * g
+							sum += g * v[j]
+						}
+						dp[u] = sum
+					}
+					// Softmax backward: ds = p ⊙ (dp - Σ dp⊙p).
+					var dot float64
+					for u := 0; u <= t; u++ {
+						dot += dp[u] * row[u]
+					}
+					q := seq[t*qkv.C+h*dh : t*qkv.C+h*dh+dh]
+					gq := gseq[t*qkv.C+h*dh : t*qkv.C+h*dh+dh]
+					for u := 0; u <= t; u++ {
+						ds := row[u] * (dp[u] - dot) * scale
+						if ds == 0 {
+							continue
+						}
+						k := seq[u*qkv.C+d+h*dh : u*qkv.C+d+h*dh+dh]
+						gk := gseq[u*qkv.C+d+h*dh : u*qkv.C+d+h*dh+dh]
+						for j := range gq {
+							gq[j] += ds * k[j]
+							gk[j] += ds * q[j]
+						}
+					}
+				}
+			}
+		}
+	})
+	return out
+}
+
+// TestAttentionMatchesPaddedBitExact holds CausalSelfAttention to the
+// padded op on ragged batches: each sequence's rows are copied out of a
+// [B*T] padded qkv into a packed one, the loss Σ out⊙w is
+// differentiated through both — w zero on the padded op's padding rows
+// and, with a query subset, on the rows that are no query, which is all
+// an unread row's output gradient can be — and outputs and qkv
+// gradients of the real rows must agree bit for bit. Equal lengths make
+// the offsets uniform: the packed op is then the padded op itself.
+func TestAttentionMatchesPaddedBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 60; trial++ {
+		heads := 1 + rng.Intn(3)
+		d := heads * (1 + rng.Intn(5))
+		lens := make([]int, 1+rng.Intn(5))
+		T := 0
+		for s := range lens {
+			lens[s] = 1 + rng.Intn(9)
+			if trial%5 == 0 {
+				lens[s] = 4 // equal lengths: no padding
+			}
+			T = max(T, lens[s])
+		}
+		padded := randParam(rng, len(lens)*T, 3*d)
+		offs := []int{0}
+		var real []int // padded row of each packed row
+		for s, n := range lens {
+			for u := 0; u < n; u++ {
+				real = append(real, s*T+u)
+			}
+			offs = append(offs, len(real))
+		}
+		packed := Param(len(real), 3*d)
+		for i, r := range real {
+			copy(packed.Row(i), padded.Row(r))
+		}
+		var queries []int // nil on every third trial
+		outRow := real    // padded row of each output row
+		if trial%3 != 0 {
+			queries, outRow = []int{}, nil
+			for i, r := range real {
+				if rng.Intn(3) == 0 {
+					queries, outRow = append(queries, i), append(outRow, r)
+				}
+			}
+		}
+
+		want := causalSelfAttentionPadded(padded, heads, T)
+		got := CausalSelfAttention(packed, heads, offs, queries)
+		wPadded, wPacked := New(want.R, d), New(got.R, d)
+		for i, r := range outRow {
+			for j := 0; j < d; j++ {
+				v := rng.NormFloat64()
+				wPadded.Set(r, j, v)
+				wPacked.Set(i, j, v)
+			}
+		}
+		Backward(Sum(Mul(want, wPadded)))
+		Backward(Sum(Mul(got, wPacked)))
+		for i, r := range outRow {
+			for j, v := range got.Row(i) {
+				if math.Float64bits(v) != math.Float64bits(want.At(r, j)) {
+					t.Fatalf("trial %d lens %v queries %v: output row %d col %d = %v, padded op %v", trial, lens, queries, i, j, v, want.At(r, j))
+				}
+			}
+		}
+		for i, r := range real {
+			for j, g := range packed.Grad[i*3*d : (i+1)*3*d] {
+				if pg := padded.Grad[r*3*d+j]; math.Float64bits(g) != math.Float64bits(pg) {
+					t.Fatalf("trial %d lens %v queries %v: qkv gradient row %d col %d = %v, padded op %v", trial, lens, queries, i, j, g, pg)
+				}
+			}
+		}
+	}
+}
+
 // matmulRef is the triple loop matmulInto was before it became three
 // kernels, kept as the oracle of their addition order: dst += A×B for
 // logical shapes [m,k]×[k,n], p ascending per element, products whose
@@ -418,7 +688,7 @@ func TestFrozenForwardBuildsNoTape(t *testing.T) {
 	}
 	outs := []*Tensor{
 		MatMul(x, w), AddBias(x, g), LayerNorm(x, g, b), GELU(x), Add(x, x), Sum(x), Mean(x),
-		Embedding(w, []int{0, 5}), GatherRows(x, []int{3, 3}), CausalSelfAttention(x, 1, 2),
+		Embedding(w, []int{0, 5}), GatherRows(x, []int{3, 3}), CausalSelfAttention(x, 1, []int{0, 2, 4}, []int{1, 3}),
 		CrossEntropy(x, []int{0, 1, 2, 3}), GatherLogSoftmax(x, []int{0, 1, 2, 3}),
 	}
 	for i, o := range outs {
