@@ -5,6 +5,10 @@
 // mutation) guided by coverage feedback — inputs that achieve new
 // coverage points enter the seed pool and are mutated further.
 //
+// A pooled body is immutable: mutate works on a copy and splice only
+// reads, so pools may share bodies (AdoptPool) while State and SetState
+// still hand over deep copies.
+//
 //chatfuzz:deterministic package
 package thehuzz
 
@@ -17,13 +21,6 @@ import (
 	"chatfuzz/internal/isa"
 	"chatfuzz/internal/prog"
 )
-
-// poolEntry is a saved interesting input.
-type poolEntry struct {
-	body  []uint32
-	score int // incremental coverage when first run
-	age   int
-}
 
 // Gen is the TheHuzz-style generator.
 type Gen struct {
@@ -40,7 +37,7 @@ type Gen struct {
 	MutationsPerInput int
 
 	rng   *rand.Rand
-	pool  []poolEntry
+	pool  []PoolEntry
 	last  []prog.Program
 	round int
 }
@@ -71,7 +68,7 @@ func (g *Gen) GenerateBatch(n int) []prog.Program {
 		// Prefer higher-scoring pool entries (rank selection over the
 		// sorted pool's top half).
 		idx := g.rng.Intn((len(g.pool) + 1) / 2)
-		out[i] = prog.Program{Body: g.mutate(g.pool[idx].body)}
+		out[i] = prog.Program{Body: g.mutate(g.pool[idx].Body)}
 	}
 	g.last = out
 	return out
@@ -86,16 +83,14 @@ func (g *Gen) Feedback(scores []cov.Scores) {
 	}
 	for i, sc := range scores {
 		if sc.Incremental > 0 {
-			body := make([]uint32, len(g.last[i].Body))
-			copy(body, g.last[i].Body)
-			g.pool = append(g.pool, poolEntry{body: body, score: sc.Incremental, age: g.round})
+			g.pool = append(g.pool, PoolEntry{Body: cloneBody(g.last[i].Body), Score: sc.Incremental, Age: g.round})
 		}
 	}
 	sort.SliceStable(g.pool, func(a, b int) bool {
-		if g.pool[a].score != g.pool[b].score {
-			return g.pool[a].score > g.pool[b].score
+		if g.pool[a].Score != g.pool[b].Score {
+			return g.pool[a].Score > g.pool[b].Score
 		}
-		return g.pool[a].age > g.pool[b].age // prefer recent on ties
+		return g.pool[a].Age > g.pool[b].Age // prefer recent on ties
 	})
 	if len(g.pool) > g.PoolCap {
 		g.pool = g.pool[:g.PoolCap]
@@ -112,10 +107,10 @@ func (g *Gen) PoolSize() int { return len(g.pool) }
 // needs to survive a checkpoint.
 func (g *Gen) Reseed(seed int64) { g.rng = rand.New(rand.NewSource(seed)) }
 
-// PoolEntry is the serializable form of one seed-pool entry.
+// PoolEntry is a saved interesting input, in its serializable form.
 type PoolEntry struct {
 	Body  []uint32
-	Score int
+	Score int // incremental coverage when first run
 	Age   int
 }
 
@@ -129,24 +124,42 @@ type State struct {
 
 // State snapshots the seed pool for checkpointing.
 func (g *Gen) State() State {
-	st := State{Round: g.round, Pool: make([]PoolEntry, len(g.pool))}
-	for i, e := range g.pool {
-		body := make([]uint32, len(e.body))
-		copy(body, e.body)
-		st.Pool[i] = PoolEntry{Body: body, Score: e.score, Age: e.age}
-	}
-	return st
+	return State{Round: g.round, Pool: clonePool(g.pool)}
 }
 
 // SetState restores a snapshot taken with State.
 func (g *Gen) SetState(st State) {
 	g.round = st.Round
-	g.pool = make([]poolEntry, len(st.Pool))
-	for i, e := range st.Pool {
-		body := make([]uint32, len(e.Body))
-		copy(body, e.Body)
-		g.pool[i] = poolEntry{body: body, score: e.Score, age: e.Age}
+	g.pool = clonePool(st.Pool)
+	g.last = nil
+}
+
+// clonePool deep-copies a pool. Neither the pool nor a body comes out
+// nil, so an empty one still encodes as [] in a checkpoint.
+func clonePool(pool []PoolEntry) []PoolEntry {
+	out := make([]PoolEntry, len(pool))
+	for i, e := range pool {
+		e.Body = cloneBody(e.Body)
+		out[i] = e
 	}
+	return out
+}
+
+func cloneBody(b []uint32) []uint32 { return append(make([]uint32, 0, len(b)), b...) }
+
+// VisitPool calls f on every pool entry, best first. The bodies are the
+// pool's own and must not be written.
+func (g *Gen) VisitPool(f func(PoolEntry)) {
+	for _, e := range g.pool {
+		f(e)
+	}
+}
+
+// AdoptPool is SetState without the deep copy: the generator copies the
+// entries and shares their bodies, which nobody may write afterwards.
+func (g *Gen) AdoptPool(round int, pool []PoolEntry) {
+	g.round = round
+	g.pool = append(g.pool[:0], pool...)
 	g.last = nil
 }
 
@@ -201,7 +214,7 @@ func (g *Gen) mutate(body []uint32) []uint32 {
 			out[i] = randinst.Random(g.rng)
 		case 9: // splice: crossover with another pool entry
 			if len(g.pool) > 0 {
-				other := g.pool[g.rng.Intn(len(g.pool))].body
+				other := g.pool[g.rng.Intn(len(g.pool))].Body
 				if len(other) > 0 {
 					cut := g.rng.Intn(len(out))
 					keep := out[:cut]

@@ -60,7 +60,9 @@
 package campaign
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -245,7 +247,8 @@ type Orchestrator struct {
 	plateau int
 	// err poisons the fleet after a barrier failure: every subsequent
 	// Run* call returns it instead of running on inconsistent state.
-	err error
+	err   error
+	pools poolSync
 }
 
 // New builds a homogeneous fleet: one DUT per shard via newDUT, one
@@ -695,32 +698,41 @@ func (c Config) reward(covRate, misRate float64) float64 {
 // pool fed by the full fleet throughput and by every generator's
 // discoveries. Deterministic: shards are visited in order and the
 // merge reuses TheHuzz's own (score, age) ordering.
+//
+// The barrier copies no body: pooled bodies are immutable (see package
+// thehuzz), so the merged pool's entries are handed to every generator
+// as they are, and the gather buffers, the dedupe map and its key
+// buffer are the orchestrator's, reused every round.
 func (o *Orchestrator) syncPools() {
-	var gens []*huzzArm
-	var all []thehuzz.PoolEntry
+	ps := &o.pools
+	ps.gens, ps.all = ps.gens[:0], ps.all[:0]
+	if ps.seen == nil {
+		ps.seen = make(map[string]bool)
+	}
+	clear(ps.seen)
 	// Post-sync pools are identical across shards, so collecting them
 	// all would add Shards-1 duplicate copies of every entry and — once
 	// truncated to PoolCap — collapse pool diversity by the shard
 	// count. Dedupe by body while gathering.
-	seen := make(map[string]bool)
 	add := func(e thehuzz.PoolEntry) {
-		k := bodyKey(e.Body)
-		if !seen[k] {
-			seen[k] = true
-			all = append(all, e)
+		ps.key = ps.key[:0]
+		for _, w := range e.Body {
+			ps.key = binary.LittleEndian.AppendUint32(ps.key, w)
+		}
+		if !ps.seen[string(ps.key)] { // the lookup does not allocate
+			ps.seen[string(ps.key)] = true
+			ps.all = append(ps.all, e)
 		}
 	}
 	for _, s := range o.shards {
 		for _, a := range s.arms {
 			if ha, ok := a.(*huzzArm); ok {
-				gens = append(gens, ha)
-				for _, e := range ha.Gen.State().Pool {
-					add(e)
-				}
+				ps.gens = append(ps.gens, ha)
+				ha.Gen.VisitPool(add)
 			}
 		}
 	}
-	if len(gens) == 0 {
+	if len(ps.gens) == 0 {
 		return
 	}
 	for _, s := range o.shards {
@@ -731,33 +743,30 @@ func (o *Orchestrator) syncPools() {
 			}
 		}
 	}
-	if len(all) == 0 {
+	if len(ps.all) == 0 {
 		return
 	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].Score != all[b].Score {
-			return all[a].Score > all[b].Score
+	slices.SortStableFunc(ps.all, func(a, b thehuzz.PoolEntry) int {
+		if a.Score != b.Score {
+			return b.Score - a.Score
 		}
-		return all[a].Age > all[b].Age
+		return b.Age - a.Age
 	})
-	if cap := gens[0].Gen.PoolCap; len(all) > cap {
+	all := ps.all
+	if cap := ps.gens[0].Gen.PoolCap; len(all) > cap {
 		all = all[:cap]
 	}
-	for _, g := range gens {
-		g.Gen.SetState(thehuzz.State{Round: o.round + 1, Pool: all})
+	for _, g := range ps.gens {
+		g.Gen.AdoptPool(o.round+1, all)
 	}
 }
 
-// bodyKey renders a program body as a map key for pool deduplication.
-func bodyKey(body []uint32) string {
-	buf := make([]byte, 4*len(body))
-	for i, w := range body {
-		buf[4*i] = byte(w)
-		buf[4*i+1] = byte(w >> 8)
-		buf[4*i+2] = byte(w >> 16)
-		buf[4*i+3] = byte(w >> 24)
-	}
-	return string(buf)
+// poolSync is syncPools' scratch, kept across barriers.
+type poolSync struct {
+	gens []*huzzArm
+	all  []thehuzz.PoolEntry
+	seen map[string]bool
+	key  []byte
 }
 
 // RunRounds executes n scheduling rounds, stopping at the first

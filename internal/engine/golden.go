@@ -11,11 +11,13 @@ import (
 )
 
 // Every image the fuzzers build shares one harness layout, and its
-// init section (trap-vector setup plus the ~170-instruction register
-// init) is program-independent: straight-line, store-free, identical
-// PCs and values on every run. Re-executing it on the golden model for
-// every test therefore buys nothing — the DUT models do need it (cache
-// and predictor warmup is part of their coverage), the ISS does not.
+// init section (trap-vector setup plus the register init, 109
+// instructions) is program-independent: straight-line, store-free,
+// identical PCs and values on every run. Re-executing it on the golden
+// model for every test therefore buys nothing. The DUT models need its
+// state (cache and predictor warmup is part of their coverage), which
+// their runners checkpoint (mem.Image.Body); the ISS needs only the
+// registers.
 // The prologue state below is computed once per entry PC: the
 // architectural snapshot at the first body instruction, and the
 // prologue's commit-trace entries, which every golden run replays by

@@ -237,7 +237,9 @@ func (m *Memory) Reset() {
 	m.gen++
 }
 
-// Segment is one contiguous chunk of an Image.
+// Segment is one contiguous chunk of an Image. Data is read-only: Load
+// only reads it, and images built by internal/prog share the harness
+// segments' arrays.
 type Segment struct {
 	Base uint64
 	Data []byte
@@ -246,7 +248,11 @@ type Segment struct {
 // Image is a loadable program: segments plus the entry PC. It is the
 // unit the fuzzers hand to both simulators.
 type Image struct {
-	Entry    uint64
+	Entry uint64
+	// Body is the PC of the first program-specific instruction, 0 when
+	// unknown: a DUT runner may checkpoint its state there (rtl.Runner).
+	// It never changes what a run computes.
+	Body     uint64
 	Segments []Segment
 }
 

@@ -5,10 +5,16 @@
 // deterministic, "interesting" value, the generated body, and an
 // epilogue that ends the test via a tohost store.
 //
+// The stub and the handler are the same bytes in every image: they are
+// assembled once and every image's first two segments share them
+// read-only; Build encodes the body and the epilogue. Image.Body marks
+// where the shared part ends, for simulators that checkpoint there.
+//
 //chatfuzz:deterministic package
 package prog
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -139,19 +145,17 @@ func MustBuild(p Program) (mem.Image, Layout) {
 	return img, layout
 }
 
-// The init and handler sections depend only on the (fixed) harness
-// layout, not on the fuzzed body, so they are assembled exactly once
-// and shared read-only across every built image. Before this cache the
-// per-register emitLI expansion dominated the fuzzing loop's
-// allocation profile (>90 % of allocated objects): Build runs once per
-// generated test, and only the body+epilogue section actually varies.
+// The init and handler segments depend only on the (fixed) harness
+// layout, not on the fuzzed body, so they are assembled — words and
+// bytes — exactly once and shared read-only by every built image
+// (mem.Segment.Data is never written): Build runs once per generated
+// test and encodes only the body and epilogue.
 var (
-	harnessOnce    sync.Once
-	harnessInit    []uint32
-	harnessHandler []uint32
+	harnessOnce sync.Once
+	harness     [2]mem.Segment // init, handler
 )
 
-func harnessSections() ([]uint32, []uint32) {
+func harnessSections() [2]mem.Segment {
 	harnessOnce.Do(func() {
 		layout := Layout{
 			InitBase:    mem.TextBase,
@@ -199,9 +203,12 @@ func harnessSections() ([]uint32, []uint32) {
 		if len(initCode)*4 > handlerOff {
 			panic("prog: init code overflows its slot")
 		}
-		harnessInit, harnessHandler = initCode, handler
+		var img mem.Image
+		img.AddWords(layout.InitBase, initCode)
+		img.AddWords(layout.HandlerBase, handler)
+		harness = [2]mem.Segment(img.Segments)
 	})
-	return harnessInit, harnessHandler
+	return harness
 }
 
 func build(p Program) (mem.Image, Layout) {
@@ -212,23 +219,27 @@ func build(p Program) (mem.Image, Layout) {
 	}
 	layout.Epilogue = layout.BodyBase + uint64(4*len(p.Body))
 
-	initCode, handler := harnessSections()
-
 	// --- Body + epilogue (the only per-program section) ---
-	text := make([]uint32, 0, len(p.Body)+8)
-	text = append(text, p.Body...)
-	epiPC := layout.Epilogue
-	text = append(text, isa.Enc(isa.OpADDI, isa.T0, 0, 0, 1))
-	text = append(text, emitLA(isa.T1, epiPC+4, mem.Tohost)...)
-	text = append(text, isa.Enc(isa.OpSD, 0, isa.T1, isa.T0, 0))
-	text = append(text, isa.Enc(isa.OpJAL, 0, 0, 0, 0)) // j . (safety net)
+	la := emitLA(isa.T1, layout.Epilogue+4, mem.Tohost)
+	text := make([]byte, 0, 4*(len(p.Body)+5))
+	for _, w := range p.Body {
+		text = binary.LittleEndian.AppendUint32(text, w)
+	}
+	for _, w := range [...]uint32{
+		isa.Enc(isa.OpADDI, isa.T0, 0, 0, 1),
+		la[0], la[1],
+		isa.Enc(isa.OpSD, 0, isa.T1, isa.T0, 0),
+		isa.Enc(isa.OpJAL, 0, 0, 0, 0), // j . (safety net)
+	} {
+		text = binary.LittleEndian.AppendUint32(text, w)
+	}
 
-	var img mem.Image
-	img.Entry = layout.InitBase
-	img.AddWords(layout.InitBase, initCode)
-	img.AddWords(layout.HandlerBase, handler)
-	img.AddWords(layout.BodyBase, text)
-	return img, layout
+	h := harnessSections()
+	return mem.Image{
+		Entry:    layout.InitBase,
+		Body:     layout.BodyBase,
+		Segments: []mem.Segment{h[0], h[1], {Base: layout.BodyBase, Data: text}},
+	}, layout
 }
 
 // MaxBodyInstructions bounds body length so the epilogue stays inside

@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -143,4 +144,88 @@ func TestBuildRejectsOversizedBody(t *testing.T) {
 		}
 	}()
 	MustBuild(Program{Body: make([]uint32, MaxBodyInstructions+1)})
+}
+
+// referenceBuild is the assembly Build did before the harness segments
+// were shared: every section encoded from scratch, word by word, into
+// bytes of its own.
+func referenceBuild(p Program) mem.Image {
+	layout := Layout{InitBase: mem.TextBase, HandlerBase: mem.TextBase + handlerOff, BodyBase: mem.TextBase + bodyOff}
+	layout.Epilogue = layout.BodyBase + uint64(4*len(p.Body))
+
+	handler := []uint32{
+		isa.EncCSR(isa.OpCSRRS, isa.T6, 0, isa.CSRMCause),
+		isa.Enc(isa.OpADDI, isa.T6, isa.T6, 0, 1),
+		isa.Enc(isa.OpSLLI, isa.T6, isa.T6, 0, 1),
+		isa.Enc(isa.OpORI, isa.T6, isa.T6, 0, 1),
+	}
+	handler = append(handler, emitLA(isa.T5, layout.HandlerBase+uint64(4*len(handler)), mem.Tohost)...)
+	handler = append(handler, isa.Enc(isa.OpSD, 0, isa.T5, isa.T6, 0), isa.Enc(isa.OpJAL, 0, 0, 0, 0))
+
+	initCode := emitLA(isa.T0, layout.InitBase, layout.HandlerBase)
+	initCode = append(initCode, isa.EncCSR(isa.OpCSRRW, 0, isa.T0, isa.CSRMTVec))
+	vals := InitialRegs(layout)
+	for r := isa.Reg(1); r < 32; r++ {
+		if r != isa.T0 {
+			initCode = append(initCode, emitLI(r, vals[r])...)
+		}
+	}
+	initCode = append(initCode, emitLI(isa.T0, vals[isa.T0])...)
+	jalPC := layout.InitBase + uint64(4*len(initCode))
+	initCode = append(initCode, isa.Enc(isa.OpJAL, 0, 0, 0, int64(layout.BodyBase-jalPC)))
+
+	text := append([]uint32{}, p.Body...)
+	text = append(text, isa.Enc(isa.OpADDI, isa.T0, 0, 0, 1))
+	text = append(text, emitLA(isa.T1, layout.Epilogue+4, mem.Tohost)...)
+	text = append(text, isa.Enc(isa.OpSD, 0, isa.T1, isa.T0, 0), isa.Enc(isa.OpJAL, 0, 0, 0, 0))
+
+	img := mem.Image{Entry: layout.InitBase}
+	img.AddWords(layout.InitBase, initCode)
+	img.AddWords(layout.HandlerBase, handler)
+	img.AddWords(layout.BodyBase, text)
+	return img
+}
+
+// TestBuildSharesHarnessBytes: every image's init and handler segments
+// are the one read-only array assembled at first use, an image's bytes
+// are what a from-scratch assembly produces, and loading an image
+// leaves the shared bytes alone.
+func TestBuildSharesHarnessBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var first mem.Image
+	for i := 0; i < 20; i++ {
+		body := make([]uint32, rng.Intn(40))
+		for j := range body {
+			body[j] = rng.Uint32()
+		}
+		img, layout := MustBuild(Program{Body: body})
+		want := referenceBuild(Program{Body: body})
+		if img.Entry != want.Entry || img.Body != layout.BodyBase || len(img.Segments) != len(want.Segments) {
+			t.Fatalf("image %d: entry %#x body %#x, %d segments", i, img.Entry, img.Body, len(img.Segments))
+		}
+		for s, seg := range img.Segments {
+			if seg.Base != want.Segments[s].Base || !bytes.Equal(seg.Data, want.Segments[s].Data) {
+				t.Fatalf("image %d: segment %d differs from the from-scratch assembly", i, s)
+			}
+		}
+		if i == 0 {
+			first = img
+		}
+		for s := 0; s < 2; s++ {
+			if &img.Segments[s].Data[0] != &first.Segments[s].Data[0] {
+				t.Errorf("image %d: harness segment %d has bytes of its own", i, s)
+			}
+		}
+		if &img.Segments[2].Data[0] == &first.Segments[2].Data[0] && i > 0 {
+			t.Errorf("image %d shares its body segment", i)
+		}
+		m := mem.Platform()
+		m.Load(img)
+		m.WriteUint(mem.TextBase, ^uint64(0), 8) // a self-modifying store lands in the memory, not the image
+		for s := 0; s < 2; s++ {
+			if !bytes.Equal(img.Segments[s].Data, want.Segments[s].Data) {
+				t.Fatalf("image %d: loading and running wrote harness segment %d", i, s)
+			}
+		}
+	}
 }

@@ -212,6 +212,14 @@ func (r *ring[T]) pop() { r.head = (r.head + 1) % len(r.buf); r.n-- }
 
 func (r *ring[T]) reset() { r.head, r.n = 0, 0 }
 
+// onto returns a ring with r's contents over buf, which has r's
+// capacity.
+func (r ring[T]) onto(buf []T) ring[T] {
+	copy(buf, r.buf)
+	r.buf = buf
+	return r
+}
+
 // inflight is one ROB entry in the timing model.
 type inflight struct {
 	done    uint64 // completion cycle
@@ -235,11 +243,7 @@ type run struct {
 	resValid bool
 	resAddr  uint64
 
-	ic  *uarch.ICache
-	dc  *uarch.TimingCache
-	bht *uarch.BHT
-	btb *uarch.BTB
-	ras *uarch.RAS
+	uarch.Core
 
 	set     *cov.Set
 	cycles  uint64
@@ -273,29 +277,39 @@ const (
 	rasDepth   = 8
 )
 
-// Run implements rtl.DUT.
+func newCore() uarch.Core {
+	return uarch.NewCore(cacheCfgI, cacheCfgD, bhtEntries, btbEntries, rasDepth)
+}
+
+// Run implements rtl.DUT: the from-reset oracle, every block, ring and
+// the memory freshly allocated.
 func (b *Boom) Run(img mem.Image, maxInsts int) rtl.Result {
 	m := mem.Platform()
 	m.Load(img)
-	st := &run{
-		b:   b,
-		m:   m,
-		pc:  img.Entry,
-		prv: isa.PrivM,
-		csr: hart.CSRFile{MPP: isa.PrivU},
-		ic:  uarch.NewICache(cacheCfgI),
-		dc:  uarch.NewTimingCache(cacheCfgD),
-		bht: uarch.NewBHT(bhtEntries),
-		btb: uarch.NewBTB(btbEntries),
-		ras: uarch.NewRAS(rasDepth),
-		set: b.space.NewSet(),
-		rob: newRing[inflight](robSize),
-		sq:  newRing[pendingStore](sqSize),
-	}
+	st := b.reset(m, img.Entry, newCore(), newRing[inflight](robSize), newRing[pendingStore](sqSize), b.space.NewSet(), nil)
 	return st.exec(maxInsts)
 }
 
-// exec drives the timing model to completion and packages the result.
+// reset returns the state of a core out of reset about to fetch entry,
+// over empty rings.
+func (b *Boom) reset(m *mem.Memory, entry uint64, core uarch.Core, rob ring[inflight], sq ring[pendingStore],
+	set *cov.Set, tr []trace.Entry) run {
+	return run{
+		b:    b,
+		m:    m,
+		pc:   entry,
+		prv:  isa.PrivM,
+		csr:  hart.CSRFile{MPP: isa.PrivU},
+		Core: core,
+		set:  set,
+		tr:   tr[:0],
+		rob:  rob,
+		sq:   sq,
+	}
+}
+
+// exec drives the timing model for up to maxInsts more instructions and
+// packages the result.
 func (st *run) exec(maxInsts int) rtl.Result {
 	for i := 0; i < maxInsts && !st.halted; i++ {
 		st.step()
@@ -317,61 +331,69 @@ func (st *run) exec(maxInsts int) rtl.Result {
 // the caller, so once the memory has a page for every address the tests
 // touch and the trace buffer has grown to the longest run, RunScratch
 // allocates nothing (TestRunScratchAllocFree).
+//
+// A runner keeps at most one checkpoint. The first image with Body != 0
+// runs from reset to pc == Body, and the state there — ROB and store
+// queue included — is kept iff the prologue was clean (uarch.Capture);
+// the verdict, either way, is final. A later run resumes from the copy
+// iff its Entry and Body are the checkpoint's, its budget reaches past
+// the prologue and its freshly loaded memory equals every checkpointed
+// I-cache line (uarch.Checkpoint.Usable); any other run goes from reset.
 type runner struct {
-	b   *Boom
-	m   *mem.Memory
-	ic  *uarch.ICache
-	dc  *uarch.TimingCache
-	bht *uarch.BHT
-	btb *uarch.BTB
-	ras *uarch.RAS
-	rob ring[inflight]     // always empty: each run works on a copy
-	sq  ring[pendingStore] // over the same backing array
-	st  run
+	b    *Boom
+	m    *mem.Memory
+	core uarch.Core
+	rob  ring[inflight]     // always empty: each run works on a copy
+	sq   ring[pendingStore] // over the same backing array
+	st   run
+
+	ck      *uarch.Checkpoint // nil until an image with a Body has run
+	ckRun   run               // st at ck, over rings of its own
+	resumes int               // runs that started from ck
 }
 
 // NewRunner implements rtl.ReusableDUT.
 func (b *Boom) NewRunner() rtl.Runner {
 	return &runner{
-		b:   b,
-		m:   mem.Platform(),
-		ic:  uarch.NewICache(cacheCfgI),
-		dc:  uarch.NewTimingCache(cacheCfgD),
-		bht: uarch.NewBHT(bhtEntries),
-		btb: uarch.NewBTB(btbEntries),
-		ras: uarch.NewRAS(rasDepth),
-		rob: newRing[inflight](robSize),
-		sq:  newRing[pendingStore](sqSize),
+		b:    b,
+		m:    mem.Platform(),
+		core: newCore(),
+		rob:  newRing[inflight](robSize),
+		sq:   newRing[pendingStore](sqSize),
 	}
 }
 
 // RunScratch implements rtl.Runner. Behaviour is bit-identical to Run:
-// the reset scratch is observationally a fresh core.
+// the reset scratch is observationally a fresh core, and the checkpoint
+// is the state that core reaches at img.Body.
 func (w *runner) RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr []trace.Entry) rtl.Result {
 	w.m.Reset()
 	w.m.Load(img)
-	w.ic.Reset()
-	w.dc.Reset()
-	w.bht.Reset()
-	w.btb.Reset()
-	w.ras.Reset()
-	w.st = run{
-		b:   w.b,
-		m:   w.m,
-		pc:  img.Entry,
-		prv: isa.PrivM,
-		csr: hart.CSRFile{MPP: isa.PrivU},
-		ic:  w.ic,
-		dc:  w.dc,
-		bht: w.bht,
-		btb: w.btb,
-		ras: w.ras,
-		set: set,
-		tr:  tr[:0],
-		rob: w.rob,
-		sq:  w.sq,
+	if w.ck.Usable(img.Entry, img.Body, maxInsts, w.m) {
+		w.st = w.ckRun
+		w.st.rob, w.st.sq = w.ckRun.rob.onto(w.rob.buf), w.ckRun.sq.onto(w.sq.buf)
+		w.st.set, w.st.tr = set, w.ck.Restore(w.core, set, tr)
+		w.resumes++
+		return w.st.exec(maxInsts - len(w.st.tr))
 	}
-	return w.st.exec(maxInsts)
+	w.core.Reset()
+	w.st = w.b.reset(w.m, img.Entry, w.core, w.rob, w.sq, set, tr)
+	n := 0
+	if w.ck == nil && img.Body != 0 {
+		// The prologue records into a set of its own, so the checkpoint
+		// holds its coverage alone whatever the caller's set held.
+		w.st.set = w.b.space.NewSet()
+		for ; n < maxInsts && !w.st.halted && w.st.pc != img.Body; n++ {
+			w.st.step()
+		}
+		w.ck = uarch.Capture(w.core, img.Entry, img.Body, !w.st.halted && w.st.pc == img.Body, w.st.set, set, w.st.tr)
+		w.st.set = set
+		w.ckRun = w.st
+		w.ckRun.set, w.ckRun.tr = nil, nil // the caller's
+		w.ckRun.rob = w.st.rob.onto(make([]inflight, robSize))
+		w.ckRun.sq = w.st.sq.onto(make([]pendingStore, sqSize))
+	}
+	return w.st.exec(maxInsts - n)
 }
 
 func (st *run) charge(c uint64) { st.cycles += c; st.csr.Cycle += c }
@@ -485,7 +507,7 @@ func (st *run) step() {
 		st.trap(e, isa.ExcInstAccessFault, st.pc)
 		return
 	}
-	raw, hit := st.ic.Fetch(st.pc, st.m)
+	raw, hit := st.IC.Fetch(st.pc, st.m)
 	if !c.Cond(p.icacheHit, hit) {
 		st.charge(latMiss)
 	}
@@ -541,7 +563,7 @@ func (st *run) step() {
 			return
 		}
 		if inst.Rd == isa.RA {
-			c.Cond(p.rasOverflow, st.ras.Push(st.pc+4))
+			c.Cond(p.rasOverflow, st.RAS.Push(st.pc+4))
 		}
 		rdWrite, rdVal = true, st.pc+4
 		nextPC = target
@@ -551,7 +573,7 @@ func (st *run) step() {
 		c.Cond(p.jalrRet, isRet)
 		c.Cond(p.jalrCall, inst.Rd == isa.RA)
 		if isRet {
-			pred, ok := st.ras.Pop()
+			pred, ok := st.RAS.Pop()
 			c.Cond(p.rasEmpty, !ok)
 			if ok && pred != target {
 				st.flush(true)
@@ -560,7 +582,7 @@ func (st *run) step() {
 			st.btbObserve(target)
 		}
 		if inst.Rd == isa.RA {
-			c.Cond(p.rasOverflow, st.ras.Push(st.pc+4))
+			c.Cond(p.rasOverflow, st.RAS.Push(st.pc+4))
 		}
 		if target%4 != 0 {
 			doTrap(isa.ExcInstAddrMisaligned, target)
@@ -570,14 +592,14 @@ func (st *run) step() {
 		nextPC = target
 	case op.Is(isa.ClassBranch):
 		taken := isa.BranchTaken(op, a, b)
-		pred := st.bht.Predict(st.pc)
+		pred := st.BHT.Predict(st.pc)
 		c.Cond(p.bhtPredTaken, pred)
 		c.Cond(p.brTaken, taken)
 		c.Cond(p.brBackward, inst.Imm < 0)
 		if c.Cond(p.brMispredict, pred != taken) {
 			st.flush(true)
 		}
-		st.bht.Update(st.pc, taken)
+		st.BHT.Update(st.pc, taken)
 		if taken {
 			target := st.pc + uint64(inst.Imm)
 			st.btbObserve(target)
@@ -669,7 +691,7 @@ func (st *run) step() {
 		lat = latFence
 	case op == isa.OpFENCEI:
 		c.Cond(p.fenceiFlush, true)
-		st.ic.Flush()
+		st.IC.Flush()
 		lat = latFence
 	case op == isa.OpECALL:
 		if st.prv == isa.PrivM {
@@ -710,7 +732,7 @@ func (st *run) step() {
 }
 
 func (st *run) dcAccess(addr uint64, write bool) bool {
-	res := st.dc.Access(addr, write)
+	res := st.DC.Access(addr, write)
 	if st.set.Cond(st.b.p.dcacheEvictDirty, res.WritebackReq) {
 		st.charge(3)
 	}
@@ -719,12 +741,12 @@ func (st *run) dcAccess(addr uint64, write bool) bool {
 
 func (st *run) btbObserve(target uint64) {
 	p := &st.b.p
-	predTarget, hit := st.btb.Lookup(st.pc)
+	predTarget, hit := st.BTB.Lookup(st.pc)
 	st.set.Cond(p.btbHit, hit)
 	if !hit || predTarget != target {
 		st.charge(2)
 	}
-	st.btb.Update(st.pc, target)
+	st.BTB.Update(st.pc, target)
 }
 
 func (st *run) observeMulDiv(op isa.Op, a, b uint64) {

@@ -3,6 +3,7 @@ package rocket
 import (
 	"testing"
 
+	"chatfuzz/internal/rtl"
 	"chatfuzz/internal/simtest"
 )
 
@@ -18,4 +19,10 @@ func TestGoldenSimulation(t *testing.T) {
 // TestRunScratchAllocFree holds the runner to its doc comment.
 func TestRunScratchAllocFree(t *testing.T) {
 	simtest.CheckRunScratchAllocFree(t, New())
+}
+
+// TestResumeMatchesReset holds the runner's post-prologue checkpoint to
+// the from-reset oracle, and to resuming exactly when it says it does.
+func TestResumeMatchesReset(t *testing.T) {
+	simtest.CheckResumeMatchesReset(t, New(), func(r rtl.Runner) int { return r.(*runner).resumes })
 }

@@ -282,11 +282,7 @@ type run struct {
 	resValid bool
 	resAddr  uint64
 
-	ic  *uarch.ICache
-	dc  *uarch.TimingCache
-	bht *uarch.BHT
-	btb *uarch.BTB
-	ras *uarch.RAS
+	uarch.Core
 
 	set      *cov.Set
 	cycles   uint64
@@ -323,27 +319,35 @@ const (
 	rasDepth   = 4
 )
 
-// Run implements rtl.DUT.
+func newCore() uarch.Core {
+	return uarch.NewCore(cacheCfgI, cacheCfgD, bhtEntries, btbEntries, rasDepth)
+}
+
+// Run implements rtl.DUT: the from-reset oracle, every block and the
+// memory freshly allocated.
 func (r *Rocket) Run(img mem.Image, maxInsts int) rtl.Result {
 	m := mem.Platform()
 	m.Load(img)
-	st := &run{
-		r:   r,
-		m:   m,
-		pc:  img.Entry,
-		prv: isa.PrivM,
-		csr: hart.CSRFile{MPP: isa.PrivU},
-		ic:  uarch.NewICache(cacheCfgI),
-		dc:  uarch.NewTimingCache(cacheCfgD),
-		bht: uarch.NewBHT(bhtEntries),
-		btb: uarch.NewBTB(btbEntries),
-		ras: uarch.NewRAS(rasDepth),
-		set: r.space.NewSet(),
-	}
+	st := r.reset(m, img.Entry, newCore(), r.space.NewSet(), nil)
 	return st.exec(maxInsts)
 }
 
-// exec drives the pipeline model to completion and packages the result.
+// reset returns the state of a core out of reset about to fetch entry.
+func (r *Rocket) reset(m *mem.Memory, entry uint64, core uarch.Core, set *cov.Set, tr []trace.Entry) run {
+	return run{
+		r:    r,
+		m:    m,
+		pc:   entry,
+		prv:  isa.PrivM,
+		csr:  hart.CSRFile{MPP: isa.PrivU},
+		Core: core,
+		set:  set,
+		tr:   tr[:0],
+	}
+}
+
+// exec drives the pipeline model for up to maxInsts more instructions
+// and packages the result.
 func (st *run) exec(maxInsts int) rtl.Result {
 	for i := 0; i < maxInsts && !st.halted; i++ {
 		st.step()
@@ -365,55 +369,58 @@ func (st *run) exec(maxInsts int) rtl.Result {
 // memory has a page for every address the tests touch and the trace
 // buffer has grown to the longest run, RunScratch allocates nothing
 // (TestRunScratchAllocFree).
+//
+// A runner keeps at most one checkpoint. The first image with Body != 0
+// runs from reset to pc == Body, and the state there is kept iff the
+// prologue was clean (uarch.Capture); the verdict, either way, is final.
+// A later run resumes from the copy iff its Entry and Body are the
+// checkpoint's, its budget reaches past the prologue and its freshly
+// loaded memory equals every checkpointed I-cache line
+// (uarch.Checkpoint.Usable); any other run goes from reset.
 type runner struct {
-	r   *Rocket
-	m   *mem.Memory
-	ic  *uarch.ICache
-	dc  *uarch.TimingCache
-	bht *uarch.BHT
-	btb *uarch.BTB
-	ras *uarch.RAS
-	st  run
+	r    *Rocket
+	m    *mem.Memory
+	core uarch.Core
+	st   run
+
+	ck      *uarch.Checkpoint // nil until an image with a Body has run
+	ckRun   run               // st at ck
+	resumes int               // runs that started from ck
 }
 
 // NewRunner implements rtl.ReusableDUT.
 func (r *Rocket) NewRunner() rtl.Runner {
-	return &runner{
-		r:   r,
-		m:   mem.Platform(),
-		ic:  uarch.NewICache(cacheCfgI),
-		dc:  uarch.NewTimingCache(cacheCfgD),
-		bht: uarch.NewBHT(bhtEntries),
-		btb: uarch.NewBTB(btbEntries),
-		ras: uarch.NewRAS(rasDepth),
-	}
+	return &runner{r: r, m: mem.Platform(), core: newCore()}
 }
 
 // RunScratch implements rtl.Runner. Behaviour is bit-identical to Run:
-// the reset scratch is observationally a fresh core.
+// the reset scratch is observationally a fresh core, and the checkpoint
+// is the state that core reaches at img.Body.
 func (w *runner) RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr []trace.Entry) rtl.Result {
 	w.m.Reset()
 	w.m.Load(img)
-	w.ic.Reset()
-	w.dc.Reset()
-	w.bht.Reset()
-	w.btb.Reset()
-	w.ras.Reset()
-	w.st = run{
-		r:   w.r,
-		m:   w.m,
-		pc:  img.Entry,
-		prv: isa.PrivM,
-		csr: hart.CSRFile{MPP: isa.PrivU},
-		ic:  w.ic,
-		dc:  w.dc,
-		bht: w.bht,
-		btb: w.btb,
-		ras: w.ras,
-		set: set,
-		tr:  tr[:0],
+	if w.ck.Usable(img.Entry, img.Body, maxInsts, w.m) {
+		w.st = w.ckRun
+		w.st.set, w.st.tr = set, w.ck.Restore(w.core, set, tr)
+		w.resumes++
+		return w.st.exec(maxInsts - len(w.st.tr))
 	}
-	return w.st.exec(maxInsts)
+	w.core.Reset()
+	w.st = w.r.reset(w.m, img.Entry, w.core, set, tr)
+	n := 0
+	if w.ck == nil && img.Body != 0 {
+		// The prologue records into a set of its own, so the checkpoint
+		// holds its coverage alone whatever the caller's set held.
+		w.st.set = w.r.space.NewSet()
+		for ; n < maxInsts && !w.st.halted && w.st.pc != img.Body; n++ {
+			w.st.step()
+		}
+		w.ck = uarch.Capture(w.core, img.Entry, img.Body, !w.st.halted && w.st.pc == img.Body, w.st.set, set, w.st.tr)
+		w.st.set = set
+		w.ckRun = w.st
+		w.ckRun.set, w.ckRun.tr = nil, nil // the caller's
+	}
+	return w.st.exec(maxInsts - n)
 }
 
 func (st *run) charge(c uint64) { st.cycles += c; st.csr.Cycle += c }
@@ -460,7 +467,7 @@ func (st *run) step() {
 		st.trap(e, isa.ExcInstAccessFault, st.pc)
 		return
 	}
-	raw, hit := st.ic.Fetch(st.pc, st.m) // Bug1: possibly stale bytes
+	raw, hit := st.IC.Fetch(st.pc, st.m) // Bug1: possibly stale bytes
 	if !c.Cond(p.icacheHit, hit) {
 		st.charge(cycICacheMiss)
 	}
@@ -537,7 +544,7 @@ func (st *run) step() {
 			return
 		}
 		if inst.Rd == isa.RA {
-			c.Cond(p.rasOverflow, st.ras.Push(st.pc+4))
+			c.Cond(p.rasOverflow, st.RAS.Push(st.pc+4))
 		}
 		rdWrite, rdVal = true, st.pc+4
 		nextPC = target
@@ -548,7 +555,7 @@ func (st *run) step() {
 		c.Cond(p.jalrRet, isRet)
 		c.Cond(p.jalrCall, isCall)
 		if isRet {
-			pred, ok := st.ras.Pop()
+			pred, ok := st.RAS.Pop()
 			c.Cond(p.rasEmpty, !ok)
 			if ok && !c.Cond(p.rasCorrect, pred == target) {
 				st.charge(cycMispredict)
@@ -557,7 +564,7 @@ func (st *run) step() {
 			st.btbObserve(target)
 		}
 		if isCall {
-			c.Cond(p.rasOverflow, st.ras.Push(st.pc+4))
+			c.Cond(p.rasOverflow, st.RAS.Push(st.pc+4))
 		}
 		if target%4 != 0 {
 			doTrap(isa.ExcInstAddrMisaligned, target)
@@ -567,7 +574,7 @@ func (st *run) step() {
 		nextPC = target
 	case op.Is(isa.ClassBranch):
 		taken := isa.BranchTaken(op, a, b)
-		pred := st.bht.Predict(st.pc)
+		pred := st.BHT.Predict(st.pc)
 		c.Cond(p.bhtPredTaken, pred)
 		c.Cond(p.brTaken, taken)
 		c.Cond(p.brBackward, inst.Imm < 0)
@@ -578,7 +585,7 @@ func (st *run) step() {
 		if c.Cond(p.brMispredict, pred != taken) {
 			st.charge(cycMispredict)
 		}
-		st.bht.Update(st.pc, taken)
+		st.BHT.Update(st.pc, taken)
 		if taken {
 			target := st.pc + uint64(inst.Imm)
 			st.btbObserve(target)
@@ -674,7 +681,7 @@ func (st *run) step() {
 		// Ordering no-op on this single-hart platform.
 	case op == isa.OpFENCEI:
 		c.Cond(p.fenceiFlush, true)
-		st.ic.Flush()
+		st.IC.Flush()
 		st.charge(cycFenceI)
 	case op == isa.OpECALL:
 		if st.prv == isa.PrivM {
@@ -753,7 +760,7 @@ func (st *run) prevWasMulDiv() bool { return st.lastWasMulDiv }
 // transfer and trains the BTB.
 func (st *run) btbObserve(target uint64) {
 	p := &st.r.p
-	predTarget, hit := st.btb.Lookup(st.pc)
+	predTarget, hit := st.BTB.Lookup(st.pc)
 	st.set.Cond(p.btbHit, hit)
 	if hit {
 		if st.set.Cond(p.btbWrongTarget, predTarget != target) {
@@ -762,13 +769,13 @@ func (st *run) btbObserve(target uint64) {
 	} else {
 		st.charge(cycMispredict)
 	}
-	st.btb.Update(st.pc, target)
+	st.BTB.Update(st.pc, target)
 }
 
 // dcacheAccess runs the timing D-cache and records its conditions.
 func (st *run) dcacheAccess(addr uint64, write bool) {
 	p := &st.r.p
-	res := st.dc.Access(addr, write)
+	res := st.DC.Access(addr, write)
 	if !st.set.Cond(p.dcacheHit, res.Hit) {
 		st.charge(cycDCacheMiss)
 	}

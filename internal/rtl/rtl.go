@@ -47,13 +47,22 @@ type DUT interface {
 // memory, microarchitectural state and a coverage set per call — a
 // Runner keeps that scratch alive across calls and resets it, so the
 // steady-state fuzzing loop is allocation-free. A Runner is not
-// goroutine-safe; concurrent workers each hold their own.
+// goroutine-safe; concurrent workers each hold their own. DUT.Run stays
+// the from-reset oracle the runners are tested against.
 type Runner interface {
 	// RunScratch simulates exactly like DUT.Run but records coverage
-	// into set (which must be empty and belong to the DUT's Space) and
-	// appends the commit trace to tr[:0]. The returned Result references
-	// set and the appended trace, so both stay owned by the caller and
-	// can be pooled once the result has been consumed.
+	// into set and appends the commit trace to tr[:0]. set must be
+	// empty and belong to the DUT's Space or a structurally identical
+	// one: the engine keeps one runner per design name and hands it
+	// sets of every same-named DUT instance, so what a runner keeps of
+	// coverage across calls it keeps as raw words. The returned Result
+	// references set and the appended trace, so both stay owned by the
+	// caller and can be pooled once the result has been consumed.
+	//
+	// When img.Body is set, a runner may start from a copy of the state
+	// an earlier run reached there, having checked that this image's
+	// prologue reads the same bytes (rocket's and boom's runner): the
+	// Result is still the one a run from reset returns, bit for bit.
 	RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr []trace.Entry) Result
 }
 

@@ -15,6 +15,10 @@
 // same order, that a byte-at-a-time fill would copy, taken at the same
 // point of the fetch — which is all Bug1's stale lines depend on.
 //
+// Core bundles a model's five blocks; Checkpoint is the copy of them a
+// runner resumes from after the harness prologue, and holds, once for
+// both models, the conditions under which that is exact.
+//
 //chatfuzz:deterministic package
 package uarch
 
@@ -62,6 +66,9 @@ func (t *TimingCache) Reset() {
 	clear(t.lines)
 	t.tick = 0
 }
+
+// CopyFrom makes t an exact copy of a same-sized cache.
+func (t *TimingCache) CopyFrom(src *TimingCache) { t.tick = src.tick; copy(t.lines, src.lines) }
 
 // AccessResult describes one cache access.
 type AccessResult struct {
@@ -120,6 +127,7 @@ type ICache struct {
 	lines []line
 	data  []byte // LineBytes per way, in lines order
 	tick  uint64
+	fills int // line fills since Reset
 }
 
 // NewICache returns an empty instruction cache.
@@ -156,6 +164,7 @@ func (c *ICache) Fetch(addr uint64, m MemReader) (word uint32, hit bool) {
 		}
 		m.ReadLine(la, c.lineData(base+way))
 		ways[way].tag, ways[way].valid = la, true
+		c.fills++
 	}
 	ways[way].lru = c.tick
 	return binary.LittleEndian.Uint32(c.lineData(base + way)[addr-la:]), hit
@@ -178,7 +187,18 @@ func (c *ICache) Flush() {
 // invalid line is refilled before it is ever read.
 func (c *ICache) Reset() {
 	clear(c.lines)
-	c.tick = 0
+	c.tick, c.fills = 0, 0
+}
+
+// CopyFrom makes c observationally a copy of a same-sized cache whose
+// valid lines are the ones valid lists: an invalid line's data is never
+// read, so only theirs is copied.
+func (c *ICache) CopyFrom(src *ICache, valid []int) {
+	copy(c.lines, src.lines)
+	c.tick, c.fills = src.tick, src.fills
+	for _, i := range valid {
+		copy(c.lineData(i), src.lineData(i))
+	}
 }
 
 // BHT is a table of 2-bit saturating counters.
@@ -191,6 +211,9 @@ func NewBHT(n int) *BHT { return &BHT{counters: make([]uint8, n)} }
 
 // Reset returns every counter to weakly not-taken.
 func (b *BHT) Reset() { clear(b.counters) }
+
+// CopyFrom makes b an exact copy of a same-sized table.
+func (b *BHT) CopyFrom(src *BHT) { copy(b.counters, src.counters) }
 
 func (b *BHT) index(pc uint64) int { return int(pc>>2) & (len(b.counters) - 1) }
 
@@ -228,6 +251,13 @@ func (b *BTB) Reset() {
 	clear(b.targets)
 }
 
+// CopyFrom makes b an exact copy of a same-sized buffer.
+func (b *BTB) CopyFrom(src *BTB) {
+	copy(b.valid, src.valid)
+	copy(b.tags, src.tags)
+	copy(b.targets, src.targets)
+}
+
 func (b *BTB) index(pc uint64) int { return int(pc>>2) & (len(b.tags) - 1) }
 
 // Lookup returns the predicted target for pc, if any.
@@ -256,6 +286,9 @@ func NewRAS(depth int) *RAS { return &RAS{depth: depth} }
 
 // Reset empties the stack, keeping its backing array.
 func (r *RAS) Reset() { r.stack = r.stack[:0] }
+
+// CopyFrom makes r an exact copy of a stack of the same depth.
+func (r *RAS) CopyFrom(src *RAS) { r.stack = append(r.stack[:0], src.stack...) }
 
 // Push records a return address; reports whether the stack overflowed
 // (oldest entry dropped).
