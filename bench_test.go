@@ -568,6 +568,7 @@ func BenchmarkLMGeneration(b *testing.B) {
 	p := benchPipeline(b)
 	g := core.NewLLMGenerator(p, rocket.New().Space().NumBins(), false, 1)
 	tokens := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pr := range g.GenerateBatch(16) {

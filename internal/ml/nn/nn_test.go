@@ -216,13 +216,17 @@ func sampleTokenRef(rng *rand.Rand, logits []float64, temperature float64, topK 
 	tensor.SoftmaxInto(probs, probs)
 	r := rng.Float64()
 	acc := 0.0
+	last := 0
 	for i, p := range probs {
 		acc += p
 		if r < acc {
 			return i
 		}
+		if p > 0 {
+			last = i
+		}
 	}
-	return len(probs) - 1
+	return last
 }
 
 // TestSampleTokenMatchesFullSoftmax: exponentiating only the top-k
@@ -256,6 +260,28 @@ func TestSampleTokenMatchesFullSoftmax(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// constSource is a rand.Source that returns one value for ever.
+type constSource int64
+
+func (c constSource) Int63() int64 { return int64(c) }
+func (constSource) Seed(int64)     {}
+
+// TestSampleTokenRoundingStaysInsideTopK: ten equal survivors have
+// probability 0.1 each, and ten 0.1s sum to 1 - 2^-53 — the largest
+// value Float64 can return, so that draw is below no running sum. It
+// must take the last survivor (9), not the last index of the
+// vocabulary (11), which top-k removed.
+func TestSampleTokenRoundingStaysInsideTopK(t *testing.T) {
+	logits := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, -5, -5}
+	rng := rand.New(constSource(1<<63 - 1024))
+	if r := rng.Float64(); r != 1-1.0/(1<<53) {
+		t.Fatalf("the constant source draws %v, not 1 - 2^-53", r)
+	}
+	if id := sampleToken(rng, logits, 1, 10, make([]float64, 2*len(logits))); id != 9 {
+		t.Fatalf("sampled index %d; the top 10 are indices 0-9", id)
 	}
 }
 

@@ -198,7 +198,9 @@ func (s *Sampler) Next(id int) (logits []float64, value float64) {
 // accumulated, in index order. The others would enter a softmax over
 // the whole vocabulary as exp(-Inf) = 0: they add nothing to the
 // normaliser or to the running sum the draw is compared with, so the
-// draw lands on the same index as over the full vector.
+// draw lands on the same index as over the full vector. The quotients
+// can sum to a little under 1; a draw between that sum and 1 takes the
+// last entry that was accumulated, never one the cut removed.
 func sampleToken(rng *rand.Rand, logits []float64, temperature float64, topK int, scratch []float64) int {
 	if temperature <= 0 {
 		return argmax(logits)
@@ -228,6 +230,7 @@ func sampleToken(rng *rand.Rand, logits []float64, temperature float64, topK int
 	}
 	r := rng.Float64()
 	acc := 0.0
+	last := 0 // the survivor a draw takes that rounding left at or above the whole sum
 	for i, e := range probs {
 		if e == 0 {
 			continue
@@ -236,8 +239,9 @@ func sampleToken(rng *rand.Rand, logits []float64, temperature float64, topK int
 		if r < acc {
 			return i
 		}
+		last = i
 	}
-	return len(probs) - 1
+	return last
 }
 
 // kthLargest returns the k-th largest value of v (1 <= k <= len(v)),

@@ -12,20 +12,33 @@
 // gradients returns a plain value and records nothing, so a frozen
 // model's forward pass costs its arithmetic and nothing else.
 //
-// Matrix products run as three kernels, one per form autograd needs:
-// A×B forward (mulAB), dOut×Bᵀ for the input gradient (mulABt) and
-// Aᵀ×dOut for the weight gradient (mulAtB). All three share one
-// guarantee, which the fleet's bit-identical trajectories rest on:
-// an output element is the sum of its k products added one at a time
-// in ascending inner index, on top of what the destination held, with
-// the products of a zero left-hand factor skipped — exactly the order
-// of the naive triple loop (matmulRef in the tests). Blocking, register
-// accumulation and the parallel row split only change which elements
-// are in flight together, never the order within one. It follows that a
+// Matrix products run as two forms over one inner loop: A×B (mulAB) for
+// the forward pass and, on a weight matrix transposed once per call, for
+// the input gradient dOut×Bᵀ; Aᵀ×dOut (mulAtB) for the weight gradient.
+// Both share one guarantee, which the fleet's bit-identical trajectories
+// rest on: an output element is the sum of its k products added one at
+// a time in ascending inner index, on top of what the destination held,
+// with the products of a zero left-hand factor skipped — exactly the
+// order of the naive triple loop (matmulRef in the tests). Blocking, the
+// parallel row split and the transpose only change which elements are
+// in flight together, never the order within one. It follows that a
 // batch row nothing reads — its output gradient is +0 throughout — adds
 // only ±0 terms to sums that start at +0, so leaving such rows out of a
 // batch (nn.GPT.Hidden: no padding, a last block on the rows read)
 // cannot move a bit of any gradient.
+//
+// The inner loop is axpy4: dst += a0·x0 + a1·x1 + a2·x2 + a3·x3, each
+// element of dst taking its four products in that order. On amd64 with
+// AVX2 it runs in assembly (axpy_amd64.s), adjacent elements of dst in
+// the lanes of one register: a lane does to its element what the Go
+// loop does — multiply, round, add, round, four times in order — and
+// lanes do not interact, so the bits are those of the Go loop, which
+// stays as the path everywhere else and as the oracle of the tests.
+// The kernel multiplies then adds and never fuses the two: a fused
+// multiply-add rounds once where the Go loop on amd64 rounds twice. (The
+// Go compiler itself fuses x*y + z on arm64, and on amd64 when built
+// with GOAMD64=v3, so the recorded goldens are those of the default
+// amd64 build.)
 //
 //chatfuzz:deterministic package
 package tensor
@@ -369,7 +382,7 @@ func MatMul(a, b *Tensor) *Tensor {
 	matmulInto(mulAB, out.Data, a.Data, b.Data, m, k, n)
 	out.onBackward(func() {
 		if a.requires {
-			matmulInto(mulABt, a.Grad, out.Grad, b.Data, m, n, k)
+			matmulInto(mulAB, a.Grad, out.Grad, transpose(b.Data, k, n), m, n, k)
 		}
 		if b.requires {
 			matmulInto(mulAtB, b.Grad, a.Data, out.Grad, k, m, n)
@@ -406,10 +419,14 @@ func matmulInto(kern func(dst, a, b []float64, m, k, n, lo, hi int), dst, a, b [
 }
 
 // mulAB is the forward kernel, dst += A×B with A [m,k] and B [k,n]:
-// a row of dst takes the rows of B scaled by its row of A.
+// a row of dst takes the rows of B scaled by its row of A, and stays as
+// it is under a row of zeros (an unscored row of an output gradient).
 func mulAB(dst, a, b []float64, m, k, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		di, ai := dst[i*n:(i+1)*n], a[i*k:(i+1)*k]
+		if allZero(ai) {
+			continue
+		}
 		p := 0
 		for ; p+4 <= k; p += 4 {
 			axpy4(di, ai[p], ai[p+1], ai[p+2], ai[p+3], b[p*n:(p+4)*n])
@@ -432,43 +449,17 @@ func VecMatInto(dst, x []float64, w *Tensor) {
 	mulAB(dst, x, w.Data, 1, w.R, w.C, 0, 1)
 }
 
-// mulABt is the input-gradient kernel, dst += A×Bᵀ with A [m,k] (the
-// output gradient) and B [n,k] (the weights): each element is a dot
-// product of two contiguous rows, accumulated in a register on top of
-// what dst held, four columns at a time so the additions of one
-// element stay in order while those of its neighbours overlap.
-func mulABt(dst, a, b []float64, m, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ai := a[i*k : (i+1)*k]
-		if allZero(ai) {
-			continue
-		}
-		di := dst[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0, b1 := b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k]
-			b2, b3 := b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k]
-			s0, s1, s2, s3 := di[j], di[j+1], di[j+2], di[j+3]
-			for p, av := range ai {
-				if av != 0 {
-					s0 += av * b0[p]
-					s1 += av * b1[p]
-					s2 += av * b2[p]
-					s3 += av * b3[p]
-				}
-			}
-			di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			bj, s := b[j*k:(j+1)*k], di[j]
-			for p, av := range ai {
-				if av != 0 {
-					s += av * bj[p]
-				}
-			}
-			di[j] = s
+// transpose returns the [c,r] transpose of a [r,c]: the input gradient
+// dOut×Bᵀ is mulAB over it — element (i, j) still adds dOut[i][p]·B[j][p]
+// for ascending p — at O(rc) beside the product's O(m·rc).
+func transpose(a []float64, r, c int) []float64 {
+	t := make([]float64, len(a))
+	for i := 0; i < r; i++ {
+		for j, v := range a[i*c : (i+1)*c] {
+			t[j*r+i] = v
 		}
 	}
+	return t
 }
 
 // mulAtB is the weight-gradient kernel, dst += Aᵀ×B with A stored
@@ -510,7 +501,8 @@ func axpy(dst []float64, a float64, x []float64) {
 
 // axpy4 is four axpys in a row, of the four rows of x: when no factor
 // is zero, in one pass that holds each element of dst in a register
-// while it takes its four products in order.
+// while it takes its four products in order — in axpy4avx's vector
+// registers where the CPU has AVX2, to the same bits.
 func axpy4(dst []float64, a0, a1, a2, a3 float64, x []float64) {
 	n := len(dst)
 	x0, x1, x2, x3 := x[:n], x[n:2*n], x[2*n:3*n], x[3*n:4*n]
@@ -519,6 +511,10 @@ func axpy4(dst []float64, a0, a1, a2, a3 float64, x []float64) {
 		axpy(dst, a1, x1)
 		axpy(dst, a2, x2)
 		axpy(dst, a3, x3)
+		return
+	}
+	if hasAVX2 {
+		axpy4avx(dst, a0, a1, a2, a3, x)
 		return
 	}
 	for j := range dst {

@@ -250,6 +250,10 @@ func TestMatMulCorrectness(t *testing.T) {
 }
 
 func TestParallelMatMulMatchesSerial(t *testing.T) {
+	eachAxpyPath(t, testParallelMatMulMatchesSerial)
+}
+
+func testParallelMatMulMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	// Big enough to cross matmulThreshold.
 	a, b := New(64, 64), New(64, 64)
@@ -568,6 +572,19 @@ func TestAttentionMatchesPaddedBitExact(t *testing.T) {
 	}
 }
 
+// eachAxpyPath runs f once per axpy4 implementation this machine has:
+// "vector" as built where the CPU has AVX2, and "scalar" on the Go loop,
+// which is every other machine's path.
+func eachAxpyPath(t *testing.T, f func(t *testing.T)) {
+	if hasAVX2 {
+		t.Run("vector", f)
+	}
+	t.Run("scalar", func(t *testing.T) {
+		defer forceScalar()()
+		f(t)
+	})
+}
+
 // matmulRef is the triple loop matmulInto was before it became three
 // kernels, kept as the oracle of their addition order: dst += A×B for
 // logical shapes [m,k]×[k,n], p ascending per element, products whose
@@ -600,21 +617,26 @@ func matmulRef(dst, a, b []float64, m, k, n int, transA, transB bool) {
 }
 
 // TestMatmulKernelsBitExact asserts Float64bits equality of the three
-// kernels against matmulRef: random shapes on both sides of
+// products against matmulRef: random shapes on both sides of
 // matmulThreshold (so both the serial and the row-split path run; CI
 // repeats it under GOMAXPROCS=1 and 4), operands with scattered zeros
 // and whole zero rows, and a dst that already holds non-zero values.
 // VecMatInto, the sampler's entry to the forward kernel, runs on each
 // trial's k and n (most k are no multiple of 4) and must overwrite
-// what its dst held.
-func TestMatmulKernelsBitExact(t *testing.T) {
+// what its dst held. It runs once per axpy4 path the machine has, so
+// the vector kernel and the Go loop are pinned to the same reference.
+func TestMatmulKernelsBitExact(t *testing.T) { eachAxpyPath(t, testMatmulKernelsBitExact) }
+
+func testMatmulKernelsBitExact(t *testing.T) {
 	forms := []struct {
 		name           string
 		kern           func(dst, a, b []float64, m, k, n, lo, hi int)
 		transA, transB bool
 	}{
 		{"A×B", mulAB, false, false},
-		{"A×Bᵀ", mulABt, false, true},
+		{"A×Bᵀ", func(dst, a, b []float64, m, k, n, lo, hi int) {
+			mulAB(dst, a, transpose(b, n, k), m, k, n, lo, hi)
+		}, false, true},
 		{"Aᵀ×B", mulAtB, true, false},
 	}
 	rng := rand.New(rand.NewSource(14))
@@ -677,6 +699,103 @@ func TestMatmulKernelsBitExact(t *testing.T) {
 	}
 }
 
+// mulABtRef is the input-gradient kernel as it was before the gradient
+// moved onto the forward kernel, verbatim, kept as the oracle of the
+// transposed form: dst += A×Bᵀ with A [m,k] (the output gradient) and
+// B [n,k] (the weights), each element a dot product of two contiguous
+// rows accumulated in a register on top of what dst held.
+func mulABtRef(dst, a, b []float64, m, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		ai := a[i*k : (i+1)*k]
+		if allZero(ai) {
+			continue
+		}
+		di := dst[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0, b1 := b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k]
+			b2, b3 := b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k]
+			s0, s1, s2, s3 := di[j], di[j+1], di[j+2], di[j+3]
+			for p, av := range ai {
+				if av != 0 {
+					s0 += av * b0[p]
+					s1 += av * b1[p]
+					s2 += av * b2[p]
+					s3 += av * b3[p]
+				}
+			}
+			di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			bj, s := b[j*k:(j+1)*k], di[j]
+			for p, av := range ai {
+				if av != 0 {
+					s += av * bj[p]
+				}
+			}
+			di[j] = s
+		}
+	}
+}
+
+// TestInputGradientMatchesDotKernel differentiates MatMul with respect
+// to its left operand and holds the gradient — the forward kernel over
+// the transposed weights — to the dot-product kernel it replaced, bit
+// for bit: inner and outer sizes that are no multiple of 4, shapes on
+// both sides of matmulThreshold, output-gradient rows that are all
+// zero, zero factors that sit beside infinite weights (skipped, or the
+// sum is NaN) and a gradient buffer that already holds a contribution.
+func TestInputGradientMatchesDotKernel(t *testing.T) {
+	eachAxpyPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for _, sh := range [][3]int{{1, 32, 96}, {2, 1, 1}, {3, 4, 4}, {5, 7, 9}, {6, 9, 2}, {9, 32, 67}, {40, 33, 50}, {64, 32, 128}} {
+			m, k, n := sh[0], sh[1], sh[2] // a [m,k] × w [k,n]
+			for trial := 0; trial < 8; trial++ {
+				a, w := randParam(rng, m, k), New(k, n)
+				for i := range w.Data {
+					w.Data[i] = rng.NormFloat64()
+				}
+				out := MatMul(a, w)
+				for i := range out.Grad {
+					if rng.Intn(5) > 0 {
+						out.Grad[i] = rng.NormFloat64()
+					}
+				}
+				for i := 0; i < m; i++ {
+					if rng.Intn(3) == 0 {
+						clear(out.Grad[i*n : (i+1)*n])
+					}
+				}
+				// An output column nothing flows back through, under
+				// weights that would turn a ±0 factor into NaN.
+				for p := 0; p < n; p++ {
+					if rng.Intn(4) > 0 {
+						continue
+					}
+					for i := 0; i < m; i++ {
+						out.Grad[i*n+p] = 0
+					}
+					for j := 0; j < k; j++ {
+						w.Data[j*n+p] = math.Inf(1 - 2*rng.Intn(2))
+					}
+				}
+				for i := range a.Grad {
+					a.Grad[i] = rng.NormFloat64()
+				}
+				want := append([]float64(nil), a.Grad...)
+				mulABtRef(want, out.Grad, w.Data, m, n, k, 0, m)
+				Backward(out)
+				for i := range want {
+					if math.Float64bits(a.Grad[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("[%d,%d]×[%d,%d] trial %d: input gradient %d = %x, the dot kernel gives %x",
+							m, k, k, n, trial, i, math.Float64bits(a.Grad[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestFrozenForwardBuildsNoTape: an op over inputs that require no
 // gradients returns a plain value — no Grad, no parents, no backward
 // closure keeping its inputs alive.
@@ -696,5 +815,60 @@ func TestFrozenForwardBuildsNoTape(t *testing.T) {
 			t.Errorf("op %d over detached inputs left a tape: requires=%v grad=%v prev=%d back=%v",
 				i, o.Requires(), o.Grad != nil, len(o.prev), o.back != nil)
 		}
+	}
+}
+
+// BenchmarkMatmulKernels times the products a campaign on the test-scale
+// model runs (core.TestPipelineConfig: Dim 32, vocabulary up to 512):
+// the sampler's matvecs — LM head, QKV projection, MLP output — and the
+// trainer's LM head over a few hundred scored rows with its two
+// gradients, each on the vector kernel and on the Go loop. m, k, n are
+// the logical shape dst[m,n] += A[m,k]×B[k,n]; the input gradient stores
+// B as [n,k] and pays its transpose here as it does in MatMul.
+func BenchmarkMatmulKernels(b *testing.B) {
+	const d, v, rows = 32, 512, 256
+	vecMat := func(dst, a, w []float64, m, k, n int) { VecMatInto(dst, a, FromSlice(k, n, w)) }
+	for _, c := range []struct {
+		name    string
+		m, k, n int
+		run     func(dst, a, b []float64, m, k, n int)
+	}{
+		{"head-1x32x512", 1, d, v, vecMat},
+		{"qkv-1x32x96", 1, d, 3 * d, vecMat},
+		{"mlp-1x128x32", 1, 4 * d, d, vecMat},
+		{"train-forward-256x32x512", rows, d, v, func(dst, a, b []float64, m, k, n int) {
+			matmulInto(mulAB, dst, a, b, m, k, n)
+		}},
+		{"train-input-grad-256x512x32", rows, v, d, func(dst, a, b []float64, m, k, n int) {
+			matmulInto(mulAB, dst, a, transpose(b, n, k), m, k, n)
+		}},
+		{"train-weight-grad-32x256x512", d, rows, v, func(dst, a, b []float64, m, k, n int) {
+			matmulInto(mulAtB, dst, a, b, m, k, n)
+		}},
+	} {
+		rng := rand.New(rand.NewSource(22))
+		dst, x, y := make([]float64, c.m*c.n), make([]float64, c.m*c.k), make([]float64, c.k*c.n)
+		for _, v := range [][]float64{x, y} {
+			for i := range v {
+				v[i] = rng.NormFloat64()
+			}
+		}
+		run := func(b *testing.B) {
+			b.SetBytes(int64(8 * (len(dst) + len(x) + len(y))))
+			clear(dst)
+			for i := 0; i < b.N; i++ {
+				c.run(dst, x, y, c.m, c.k, c.n)
+			}
+			b.ReportMetric(float64(b.N)*float64(c.m*c.k*c.n)/float64(b.Elapsed().Nanoseconds()), "muladds/ns")
+		}
+		b.Run(c.name, func(b *testing.B) {
+			if hasAVX2 {
+				b.Run("vector", run)
+			}
+			b.Run("scalar", func(b *testing.B) {
+				defer forceScalar()()
+				run(b)
+			})
+		})
 	}
 }
