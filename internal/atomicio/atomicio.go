@@ -16,11 +16,18 @@
 package atomicio
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 )
+
+// tempSuffix follows path's base name in the name of its staging files,
+// ahead of CreateTemp's random digits.
+const tempSuffix = ".tmp"
 
 // WriteFile atomically replaces path with the bytes that write
 // produces. The data is staged in a temporary file next to path
@@ -30,7 +37,7 @@ import (
 // removed and path is left exactly as it was.
 func WriteFile(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	f, err := os.CreateTemp(dir, filepath.Base(path)+tempSuffix+"*")
 	if err != nil {
 		return fmt.Errorf("atomicio: stage %s: %w", path, err)
 	}
@@ -75,6 +82,28 @@ func WriteFileBytes(path string, data []byte) error {
 		_, err := w.Write(data)
 		return err
 	})
+}
+
+// RemoveTemps deletes the staging files that WriteFile calls on path
+// left behind when their process was killed between creating the file
+// and renaming it; nothing else ever removes them. Only the sole writer
+// of path may call it, and not during a write: to anyone else a staging
+// file may be a write in flight.
+func RemoveTemps(path string) error {
+	dir, prefix := filepath.Dir(path), filepath.Base(path)+tempSuffix
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("atomicio: list %s: %w", dir, err)
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), prefix) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("atomicio: stale temp: %w", err)
+		}
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed entry is durable.

@@ -108,6 +108,42 @@ func TestWriteFileSurvivesStaleTemp(t *testing.T) {
 	}
 }
 
+// TestRemoveTempsDeletesOnlyStagingFiles: the debris of killed writes
+// goes, the target, its neighbours and another file's staging do not,
+// and a directory with nothing to remove is not an error.
+func TestRemoveTempsDeletesOnlyStagingFiles(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt.json")
+	if err := WriteFileBytes(path, []byte("gen-1")); err != nil {
+		t.Fatalf("WriteFileBytes: %v", err)
+	}
+	keep := []string{"ckpt.json.bak", "other.json.tmp1", "ckpt.jso.tmp2"}
+	for _, name := range append([]string{"ckpt.json.tmp123456", "ckpt.json.tmp9"}, keep...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("half"), 0o600); err != nil {
+			t.Fatalf("plant %s: %v", name, err)
+		}
+	}
+	for call := 1; call <= 2; call++ {
+		if err := RemoveTemps(path); err != nil {
+			t.Fatalf("RemoveTemps call %d: %v", call, err)
+		}
+	}
+	if tmps := listTemps(t, path); len(tmps) != 0 {
+		t.Errorf("staging files left: %v", tmps)
+	}
+	if got := readFile(t, path); got != "gen-1" {
+		t.Errorf("target now holds %q", got)
+	}
+	for _, name := range keep {
+		if got := readFile(t, filepath.Join(dir, name)); got != "half" {
+			t.Errorf("%s was touched", name)
+		}
+	}
+	if err := RemoveTemps(filepath.Join(dir, "no-such-dir", "out")); err == nil {
+		t.Error("RemoveTemps in a missing directory succeeded")
+	}
+}
+
 func TestFsync(t *testing.T) {
 	// Non-syncable writers are a no-op, not an error.
 	var sb strings.Builder

@@ -1,6 +1,10 @@
 package thehuzz
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
 	"testing"
 
 	"chatfuzz/internal/cov"
@@ -112,4 +116,90 @@ func TestStateRoundTripPreservesPool(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkAppendState holds AppendState to its contract on g's current
+// pool: the bytes of json.Marshal(State()), appended without touching
+// what dst already held.
+func checkAppendState(t *testing.T, g *Gen) {
+	t.Helper()
+	want, err := json.Marshal(g.State())
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	if got := g.AppendState(nil); !bytes.Equal(got, want) {
+		t.Fatalf("AppendState(nil) = %s\nwant json.Marshal(State()) = %s", got, want)
+	}
+	prefix := []byte(`{"x":`)
+	got := g.AppendState(append(make([]byte, 0, 8), prefix...))
+	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("AppendState onto %q = %s\nwant the prefix, then %s", prefix, got, want)
+	}
+}
+
+func TestAppendStateMatchesMarshal(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		round int
+		pool  []PoolEntry
+	}{
+		{"fresh generator", 0, nil},
+		{"emptied pool", 7, []PoolEntry{}},
+		{"nil and empty bodies", 3, []PoolEntry{{Body: nil, Score: 1, Age: 1}, {Body: []uint32{}, Score: 2, Age: 2}}},
+		{"word extremes", 1, []PoolEntry{{Body: []uint32{0, math.MaxUint32, 0x80000000, 19}, Score: math.MaxInt, Age: math.MaxInt32}}},
+		{"negative fields", -4, []PoolEntry{{Body: []uint32{1}, Score: -1, Age: -9}, {Body: []uint32{2, 3}, Score: math.MinInt, Age: 0}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := New(1, 8)
+			g.round, g.pool = tc.round, tc.pool
+			checkAppendState(t, g)
+		})
+	}
+
+	// And on a pool the generator grew itself.
+	g := New(3, 24)
+	for r := 0; r < 6; r++ {
+		scores := make([]cov.Scores, len(g.GenerateBatch(16)))
+		for i := range scores {
+			scores[i].Incremental = (i + r) % 3
+		}
+		g.Feedback(scores)
+	}
+	if g.PoolSize() == 0 {
+		t.Fatal("feedback left the pool empty")
+	}
+	checkAppendState(t, g)
+}
+
+// FuzzAppendStateMatchesMarshal turns the input into a pool — a round,
+// then entries of a score, an age, a body length and that many words,
+// for as long as bytes last — and holds AppendState to encoding/json on it.
+func FuzzAppendStateMatchesMarshal(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(bytes.Repeat([]byte{0xff}, 8+17+3*4))
+	f.Add(append(make([]byte, 8+16), 0, 2, 0, 0, 0, 0, 0, 0, 0, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func(n int) []byte {
+			chunk := make([]byte, n)
+			data = data[copy(chunk, data):]
+			return chunk
+		}
+		g := New(1, 8)
+		g.round = int(int64(binary.LittleEndian.Uint64(next(8))))
+		for len(data) > 0 {
+			e := PoolEntry{
+				Score: int(int64(binary.LittleEndian.Uint64(next(8)))),
+				Age:   int(int64(binary.LittleEndian.Uint64(next(8)))),
+			}
+			if n := int(next(1)[0]) % 34; n > 0 { // 0: a nil body
+				e.Body = make([]uint32, n-1)
+				for i := range e.Body {
+					e.Body[i] = binary.LittleEndian.Uint32(next(4))
+				}
+			}
+			g.pool = append(g.pool, e)
+		}
+		checkAppendState(t, g)
+	})
 }

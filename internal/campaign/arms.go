@@ -24,10 +24,11 @@ type arm interface {
 }
 
 // statefulArm additionally carries checkpoint state beyond the rng
-// (e.g. TheHuzz's seed pool).
+// (e.g. TheHuzz's seed pool). appendArmState appends the state's JSON
+// encoding to dst — compact, one value — and armRestore reads it back.
 type statefulArm interface {
 	arm
-	armState() (json.RawMessage, error)
+	appendArmState(dst []byte) []byte
 	armRestore(json.RawMessage) error
 }
 
@@ -207,9 +208,7 @@ func (r *recorded) drain() []thehuzz.PoolEntry {
 // huzzArm adapts thehuzz.Gen, adding checkpoint marshalling.
 type huzzArm struct{ *thehuzz.Gen }
 
-func (a *huzzArm) armState() (json.RawMessage, error) {
-	return json.Marshal(a.Gen.State())
-}
+func (a *huzzArm) appendArmState(dst []byte) []byte { return a.Gen.AppendState(dst) }
 
 func (a *huzzArm) armRestore(raw json.RawMessage) error {
 	var st thehuzz.State

@@ -249,6 +249,9 @@ type Orchestrator struct {
 	// Run* call returns it instead of running on inconsistent state.
 	err   error
 	pools poolSync
+	// ckptBuf is the checkpoint encoder's buffer, kept between
+	// checkpoints so a durable round does not regrow it.
+	ckptBuf []byte
 }
 
 // New builds a homogeneous fleet: one DUT per shard via newDUT, one

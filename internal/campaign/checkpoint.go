@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/core"
@@ -140,28 +141,92 @@ type shardState struct {
 // the writer; JSON is used so checkpoints stay diffable and float64
 // fields round-trip exactly (Go marshals the shortest representation
 // that parses back to the same value).
+//
+// The bytes are exactly what json.NewEncoder(w).Encode of a
+// checkpointFile would write — checkpointFile stays the decoder and the
+// tests keep that encoder as the oracle — but they are produced in one
+// pass by appendCheckpoint. Written by hand are only the fixed key
+// skeleton and integers in strconv's decimal digits, which is all the
+// bulk of a checkpoint is: the coverage bitmaps (cov.Set.AppendJSON)
+// and the TheHuzz seed pools (statefulArm.appendArmState), both read
+// from the live state without a copy. Everything whose spelling
+// encoding/json decides — floats, strings, map-key order, omitempty:
+// Config, Designs, Bins, Arms, Bandit, Learn, Merged, each shard's
+// Seconds and Det — is json.Marshal of the same wire structs, appended
+// verbatim: a nested value encodes to the bytes of its own Marshal.
+//
+// The encoding lands in one buffer the orchestrator owns and reuses, so
+// the slice handed to w.Write is valid only during that call.
 func (o *Orchestrator) Checkpoint(w io.Writer) error {
-	cf := checkpointFile{
-		Version: checkpointVersion,
-		Config:  o.Cfg.wire(),
-		Round:   o.round,
-		Tests:   o.tests,
-		Designs: o.designs,
-		Bins:    make(map[string]int, len(o.names)),
-		Bandit:  banditState{Pulls: o.bandit.Pulls, W: o.bandit.W, Sums: o.bandit.Sums, T: o.bandit.T},
-		Globals: make(map[string][]uint64, len(o.names)),
-		Merged:  o.merged,
+	buf, err := o.encodeCheckpoint()
+	if err != nil {
+		return err
 	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// encodeCheckpoint encodes the fleet into the orchestrator's checkpoint
+// buffer; the result is overwritten by the next call.
+func (o *Orchestrator) encodeCheckpoint() ([]byte, error) {
+	buf, err := o.appendCheckpoint(o.ckptBuf[:0])
+	o.ckptBuf = buf[:0]
+	if err != nil {
+		return nil, fmt.Errorf("campaign: encode checkpoint: %w", err)
+	}
+	return buf, nil
+}
+
+// ckptEncoder appends a checkpoint piece by piece. The first Marshal
+// error sticks and turns the later marshals into no-ops.
+type ckptEncoder struct {
+	buf []byte
+	err error
+}
+
+func (e *ckptEncoder) raw(s string) { e.buf = append(e.buf, s...) }
+
+func (e *ckptEncoder) num(n int) { e.buf = strconv.AppendInt(e.buf, int64(n), 10) }
+
+func (e *ckptEncoder) marshal(v any) {
+	if e.err != nil {
+		return
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		e.err = err
+		return
+	}
+	e.buf = append(e.buf, b...)
+}
+
+// appendCheckpoint appends the fleet's v4 checkpoint to dst, trailing
+// newline included, in checkpointFile's field order.
+func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
+	e := ckptEncoder{buf: dst}
+	e.raw(`{"Version":`)
+	e.num(checkpointVersion)
+	e.raw(`,"Config":`)
+	e.marshal(o.Cfg.wire())
+	e.raw(`,"Round":`)
+	e.num(o.round)
+	e.raw(`,"Tests":`)
+	e.num(o.tests)
+	e.raw(`,"Designs":`)
+	e.marshal(o.designs)
+
+	bins := make(map[string]int, len(o.names))
 	for _, n := range o.names {
-		cf.Bins[n] = o.globals[n].Space().NumBins()
-		cf.Globals[n] = o.globals[n].Snapshot()
+		bins[n] = o.globals[n].Space().NumBins()
 	}
+	e.raw(`,"Bins":`)
+	e.marshal(bins)
+
+	var sigs []string
+	learn := make(map[string]learnState)
 	for i, sp := range o.specs {
-		cf.Arms = append(cf.Arms, sp.sig)
+		sigs = append(sigs, sp.sig)
 		if fl := o.fleets[i]; fl != nil {
-			if cf.Learn == nil {
-				cf.Learn = make(map[string]learnState)
-			}
 			// Join any in-flight off-barrier training first, so the
 			// staged half is final and the encoded bytes match what the
 			// synchronous path would have written.
@@ -170,33 +235,63 @@ func (o *Orchestrator) Checkpoint(w io.Writer) error {
 			if staged := fl.Staged(); staged != nil {
 				st.Staged = nn.EncodeWeights(staged)
 			}
-			cf.Learn[sp.Name] = st
+			learn[sp.Name] = st
 		}
 	}
-	for _, s := range o.shards {
-		st := shardState{
-			Tests:   s.fuz.Tests,
-			Seconds: s.fuz.Clk.Seconds(),
-			Cov:     s.fuz.Calc.Total().Snapshot(),
-			Arms:    make([]json.RawMessage, len(s.arms)),
+	e.raw(`,"Arms":`)
+	e.marshal(sigs)
+	e.raw(`,"Bandit":`)
+	e.marshal(banditState{Pulls: o.bandit.Pulls, W: o.bandit.W, Sums: o.bandit.Sums, T: o.bandit.T})
+
+	// o.names is sorted, which is the order encoding/json writes map keys in.
+	e.raw(`,"Globals":{`)
+	for i, n := range o.names {
+		if i > 0 {
+			e.raw(`,`)
 		}
-		if s.fuz.Det != nil {
-			det := s.fuz.Det.State()
-			st.Det = &det
+		e.marshal(n)
+		e.raw(`:`)
+		e.buf = o.globals[n].AppendJSON(e.buf)
+	}
+	e.raw(`}`)
+	if len(learn) > 0 {
+		e.raw(`,"Learn":`)
+		e.marshal(learn)
+	}
+	e.raw(`,"Merged":`)
+	e.marshal(o.merged)
+
+	e.raw(`,"Shards":[`)
+	for si, s := range o.shards {
+		if si > 0 {
+			e.raw(`,`)
 		}
+		e.raw(`{"Tests":`)
+		e.num(s.fuz.Tests)
+		e.raw(`,"Seconds":`)
+		e.marshal(s.fuz.Clk.Seconds())
+		e.raw(`,"Cov":`)
+		e.buf = s.fuz.Calc.Total().AppendJSON(e.buf)
+		e.raw(`,"Arms":[`)
 		for i, a := range s.arms {
+			if i > 0 {
+				e.raw(`,`)
+			}
 			if sa, ok := a.(statefulArm); ok {
-				raw, err := sa.armState()
-				if err != nil {
-					return fmt.Errorf("campaign: checkpoint arm %q: %w", o.specs[i].Name, err)
-				}
-				st.Arms[i] = raw
+				e.buf = sa.appendArmState(e.buf)
+			} else {
+				e.raw(`null`)
 			}
 		}
-		cf.Shards = append(cf.Shards, st)
+		e.raw(`]`)
+		if s.fuz.Det != nil {
+			e.raw(`,"Det":`)
+			e.marshal(s.fuz.Det.State())
+		}
+		e.raw(`}`)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&cf)
+	e.raw("]}\n")
+	return e.buf, e.err
 }
 
 // decodeCheckpoint reads a checkpoint, probing the version before the
@@ -231,7 +326,11 @@ func decodeCheckpoint(r io.Reader) (checkpointFile, error) {
 // checkpoint — which is what lets the farm daemon resume any job from
 // its last durable checkpoint no matter when the process died.
 func (o *Orchestrator) CheckpointFile(path string) error {
-	return atomicio.WriteFile(path, o.Checkpoint)
+	buf, err := o.encodeCheckpoint()
+	if err != nil {
+		return err
+	}
+	return atomicio.WriteFileBytes(path, buf)
 }
 
 // Resume rebuilds a homogeneous fleet from a checkpoint, with the zero

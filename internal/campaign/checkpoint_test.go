@@ -2,11 +2,299 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"chatfuzz/internal/ml/nn"
+	"chatfuzz/internal/rtl"
 )
+
+// checkpointRef is the checkpoint writer appendCheckpoint replaced,
+// kept as its oracle: fill a checkpointFile from copies of the fleet's
+// state and let encoding/json write it.
+func checkpointRef(o *Orchestrator) ([]byte, error) {
+	cf := checkpointFile{
+		Version: checkpointVersion,
+		Config:  o.Cfg.wire(),
+		Round:   o.round,
+		Tests:   o.tests,
+		Designs: o.designs,
+		Bins:    make(map[string]int, len(o.names)),
+		Bandit:  banditState{Pulls: o.bandit.Pulls, W: o.bandit.W, Sums: o.bandit.Sums, T: o.bandit.T},
+		Globals: make(map[string][]uint64, len(o.names)),
+		Merged:  o.merged,
+	}
+	for _, n := range o.names {
+		cf.Bins[n] = o.globals[n].Space().NumBins()
+		cf.Globals[n] = o.globals[n].Snapshot()
+	}
+	for i, sp := range o.specs {
+		cf.Arms = append(cf.Arms, sp.sig)
+		if fl := o.fleets[i]; fl != nil {
+			if cf.Learn == nil {
+				cf.Learn = make(map[string]learnState)
+			}
+			fl.Sync()
+			st := learnState{Pub: nn.EncodeWeights(fl.Weights())}
+			if staged := fl.Staged(); staged != nil {
+				st.Staged = nn.EncodeWeights(staged)
+			}
+			cf.Learn[sp.Name] = st
+		}
+	}
+	for _, s := range o.shards {
+		st := shardState{
+			Tests:   s.fuz.Tests,
+			Seconds: s.fuz.Clk.Seconds(),
+			Cov:     s.fuz.Calc.Total().Snapshot(),
+			Arms:    make([]json.RawMessage, len(s.arms)),
+		}
+		if s.fuz.Det != nil {
+			det := s.fuz.Det.State()
+			st.Det = &det
+		}
+		for i, a := range s.arms {
+			switch a := a.(type) {
+			case *huzzArm:
+				raw, err := json.Marshal(a.Gen.State())
+				if err != nil {
+					return nil, err
+				}
+				st.Arms[i] = raw
+			case statefulArm:
+				return nil, fmt.Errorf("checkpointRef does not know stateful arm %T", a)
+			}
+		}
+		cf.Shards = append(cf.Shards, st)
+	}
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(&cf)
+	return buf.Bytes(), err
+}
+
+// checkAppendCheckpoint holds the paused fleet's checkpoint to the
+// oracle's bytes through every way of asking for it, and returns them.
+func checkAppendCheckpoint(t *testing.T, o *Orchestrator) []byte {
+	t.Helper()
+	want, err := checkpointRef(o)
+	if err != nil {
+		t.Fatalf("checkpointRef: %v", err)
+	}
+	got, err := o.appendCheckpoint(nil)
+	if err != nil {
+		t.Fatalf("appendCheckpoint: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		at := firstDiff(got, want)
+		t.Fatalf("appendCheckpoint differs from encoding/json at byte %d of %d/%d:\n got …%s\nwant …%s",
+			at, len(got), len(want), around(got, at), around(want, at))
+	}
+	prefix := []byte("keep\n")
+	if onto, err := o.appendCheckpoint(append([]byte(nil), prefix...)); err != nil || !bytes.Equal(onto, append(prefix, want...)) {
+		t.Fatalf("appendCheckpoint onto a prefix (err %v) did not leave it alone", err)
+	}
+	// The public writer, twice: the second call runs in the reused buffer.
+	for call := 1; call <= 2; call++ {
+		var buf bytes.Buffer
+		if err := o.Checkpoint(&buf); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("Checkpoint call %d differs from encoding/json", call)
+		}
+	}
+	// Decoding the new bytes and encoding them the old way is the identity.
+	cf, err := decodeCheckpoint(bytes.NewReader(got))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(&cf); err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), got) {
+		t.Fatal("decode then encoding/json is not the identity on the new bytes")
+	}
+	return got
+}
+
+func firstDiff(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+func around(b []byte, i int) []byte { return b[max(0, i-40):min(len(b), i+40)] }
+
+// farmJobsFleet is the fleet a bench farm_jobs job runs: rocket+boom,
+// 4 shards of 16-test batches, detection on, the three mutation arms
+// at body 24 — 200 rounds to its 12 800-test budget.
+func farmJobsFleet(tb testing.TB) *Orchestrator {
+	tb.Helper()
+	o, err := NewMixed(Config{Shards: 4, BatchSize: 16, Seed: 1, Detect: true}, []func() rtl.DUT{newRocket, newBoom},
+		TheHuzzArm(24), RandInstArm(24), RandFuzzArm(24))
+	if err != nil {
+		tb.Fatalf("NewMixed: %v", err)
+	}
+	return o
+}
+
+// TestAppendCheckpointMatchesEncodingJSON: the single-pass writer is
+// byte for byte the encoding/json writer it replaced, on every shape of
+// fleet state the format has a spelling for.
+func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
+	for _, c := range goldenCells {
+		t.Run(fmt.Sprintf("golden/shards=%d/mixed=%v/learn=%v", c.shards, c.mixed, c.learn), func(t *testing.T) {
+			duts := []func() rtl.DUT{newRocket}
+			if c.mixed {
+				duts = append(duts, newBoom)
+			}
+			arms := testArms()
+			if c.learn {
+				arms = learnArms(learnPipeline())
+			}
+			o, err := NewMixed(Config{Shards: c.shards, BatchSize: 4, RoundBatches: 2, Seed: 33, Detect: true}, duts, arms...)
+			if err != nil {
+				t.Fatalf("NewMixed: %v", err)
+			}
+			defer o.Close()
+			if err := o.RunRounds(3); err != nil {
+				t.Fatalf("RunRounds: %v", err)
+			}
+			if got := sha256Hex(checkAppendCheckpoint(t, o)); got != c.sha {
+				t.Errorf("checkpoint sha256 = %s, want the parent's %s", got, c.sha)
+			}
+		})
+	}
+
+	t.Run("before the first round", func(t *testing.T) {
+		o := mustNew(t, Config{Shards: 2, BatchSize: 8, Seed: 5, Detect: true})
+		defer o.Close()
+		got := checkAppendCheckpoint(t, o)
+		for _, want := range []string{`"Merged":null`, `"Pool":[]`, `"Records":null`} {
+			if !bytes.Contains(got, []byte(want)) {
+				t.Errorf("a fleet that has not run carries no %s", want)
+			}
+		}
+	})
+
+	t.Run("detection off", func(t *testing.T) {
+		o := mustNew(t, Config{Shards: 2, BatchSize: 8, Seed: 5})
+		defer o.Close()
+		if err := o.RunRounds(3); err != nil {
+			t.Fatalf("RunRounds: %v", err)
+		}
+		if got := checkAppendCheckpoint(t, o); bytes.Contains(got, []byte(`"Det"`)) {
+			t.Error("a fleet without detection wrote a Det key")
+		}
+	})
+
+	t.Run("stateless arms", func(t *testing.T) {
+		o, err := New(Config{Shards: 2, BatchSize: 8, Seed: 5, Detect: true}, newRocket, RandInstArm(testBody), RandFuzzArm(testBody))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer o.Close()
+		if err := o.RunRounds(2); err != nil {
+			t.Fatalf("RunRounds: %v", err)
+		}
+		if got := checkAppendCheckpoint(t, o); !bytes.Contains(got, []byte(`"Arms":[null,null]`)) {
+			t.Error("stateless arms are not written as null")
+		}
+	})
+
+	t.Run("learning fleet", func(t *testing.T) {
+		o, err := New(Config{Shards: 2, BatchSize: 4, Seed: 47}, newRocket, LearningLLMArm(learnPipeline()))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer o.Close()
+		if got := checkAppendCheckpoint(t, o); !bytes.Contains(got, []byte(`"Learn"`)) || bytes.Contains(got, []byte(`"Staged"`)) {
+			t.Error("an untrained learning fleet should carry published weights and no staged half")
+		}
+		if err := o.RunRounds(2); err != nil {
+			t.Fatalf("RunRounds: %v", err)
+		}
+		if got := checkAppendCheckpoint(t, o); !bytes.Contains(got, []byte(`"Staged"`)) {
+			t.Error("mid-lag checkpoint carries no staged half")
+		}
+	})
+
+	t.Run("farm_jobs shape", func(t *testing.T) {
+		o := farmJobsFleet(t)
+		defer o.Close()
+		for _, rounds := range []int{1, 10, 200} {
+			if err := o.RunRounds(rounds - o.Rounds()); err != nil {
+				t.Fatalf("RunRounds: %v", err)
+			}
+			checkAppendCheckpoint(t, o)
+		}
+		if o.Tests() != 12800 {
+			t.Errorf("200 rounds committed %d tests, want the farm job's 12800", o.Tests())
+		}
+	})
+}
+
+// TestCheckpointMarshalErrorSurfaces: a value encoding/json refuses is
+// an error from both writers, not a truncated file.
+func TestCheckpointMarshalErrorSurfaces(t *testing.T) {
+	o := mustNew(t, Config{Shards: 1, BatchSize: 8, Seed: 5})
+	defer o.Close()
+	o.bandit.T = math.Inf(1)
+	if err := o.Checkpoint(io.Discard); err == nil || !strings.Contains(err.Error(), "encode checkpoint") {
+		t.Errorf("Checkpoint of an unencodable fleet: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	if err := o.CheckpointFile(path); err == nil {
+		t.Error("CheckpointFile of an unencodable fleet succeeded")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("a failed encode left %s behind (%v)", path, err)
+	}
+}
+
+// BenchmarkCheckpoint encodes a farm_jobs-shaped fleet 200 rounds in —
+// what a CheckpointEvery 1 job pays per round before the file write —
+// with the writer in use and with the encoding/json writer it replaced.
+func BenchmarkCheckpoint(b *testing.B) {
+	o := farmJobsFleet(b)
+	defer o.Close()
+	if err := o.RunRounds(200); err != nil {
+		b.Fatalf("RunRounds: %v", err)
+	}
+	ref, err := checkpointRef(o)
+	if err != nil {
+		b.Fatalf("checkpointRef: %v", err)
+	}
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(ref)))
+		for b.Loop() {
+			if err := o.Checkpoint(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encodingjson", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(ref)))
+		for b.Loop() {
+			if _, err := checkpointRef(o); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
 
 // checkpointBytes runs a small fleet and returns its checkpoint.
 func checkpointBytes(t *testing.T) []byte {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -141,6 +142,21 @@ func (c *Set) Snapshot() []uint64 {
 	out := make([]uint64, len(c.bits))
 	copy(out, c.bits)
 	return out
+}
+
+// AppendJSON appends the JSON encoding of Snapshot() — an array of
+// decimal words, [] when the space has no bins — straight from the live
+// bitmap, for checkpoint writers that would only encode the copy and
+// drop it.
+func (c *Set) AppendJSON(dst []byte) []byte {
+	dst = append(dst, '[')
+	for i, w := range c.bits {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, w, 10)
+	}
+	return append(dst, ']')
 }
 
 // LoadSnapshot replaces the set's bits with a snapshot taken from a

@@ -6,11 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
+	"chatfuzz/internal/telemetry"
 )
 
 // testSpec is small enough for CI but long enough (15 rounds at the
@@ -184,7 +187,7 @@ func TestFarmKillRecoverBitIdentical(t *testing.T) {
 	spec := testSpec(240)
 	wantReps, wantCkpt := directRun(t, spec)
 
-	cfg := Config{Dir: t.TempDir()}
+	cfg := Config{Dir: t.TempDir(), Metrics: telemetry.NewRegistry()}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -203,6 +206,12 @@ func TestFarmKillRecoverBitIdentical(t *testing.T) {
 	}
 	if got := readCheckpoint(t, s2, st.ID); !bytes.Equal(got, wantCkpt) {
 		t.Errorf("recovered checkpoint bytes differ from uninterrupted run")
+	}
+	// Both daemons count into cfg.Metrics. A round the kill caught
+	// between its barrier and its checkpoint is run twice; every
+	// generation is still written once.
+	if got := cfg.Metrics.Counter("farm/checkpoints").Value(); got != int64(len(wantReps)) {
+		t.Errorf("%d checkpoints across the crash for %d rounds", got, len(wantReps))
 	}
 }
 
@@ -243,7 +252,7 @@ func TestFarmGracefulStopParksAndResumes(t *testing.T) {
 	spec := testSpec(240)
 	wantReps, wantCkpt := directRun(t, spec)
 
-	cfg := Config{Dir: t.TempDir()}
+	cfg := Config{Dir: t.TempDir(), Metrics: telemetry.NewRegistry()}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -272,6 +281,135 @@ func TestFarmGracefulStopParksAndResumes(t *testing.T) {
 	}
 	if got := readCheckpoint(t, s2, st.ID); !bytes.Equal(got, wantCkpt) {
 		t.Errorf("parked+resumed checkpoint bytes differ from uninterrupted run")
+	}
+	// The park found its barrier already durable and the resume found it
+	// on disk: neither rewrote it.
+	if got, rounds := cfg.Metrics.Counter("farm/checkpoints").Value(), cfg.Metrics.Counter("farm/rounds").Value(); got != rounds || rounds != int64(len(wantReps)) {
+		t.Errorf("%d checkpoints for %d rounds run, trajectory of %d", got, rounds, len(wantReps))
+	}
+}
+
+// TestFarmWritesEachGenerationOnce: a job's last round is a cadence
+// checkpoint and the final artifact at once, and is one write.
+func TestFarmWritesEachGenerationOnce(t *testing.T) {
+	for _, tc := range []struct{ every, want int }{
+		{1, 6}, // every round; the final write repeats round 6
+		{4, 2}, // round 4, then the final write
+		{6, 1}, // the cadence lands on the last round
+	} {
+		spec := testSpec(96) // 6 rounds
+		spec.CheckpointEvery = tc.every
+		_, wantCkpt := directRun(t, spec)
+
+		reg := telemetry.NewRegistry()
+		s, err := Open(Config{Dir: t.TempDir(), Metrics: reg})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		final := waitDone(t, s, st.ID)
+		if final.Summary.Rounds != 6 {
+			t.Fatalf("job ran %d rounds, want 6", final.Summary.Rounds)
+		}
+		if got := reg.Counter("farm/checkpoints").Value(); got != int64(tc.want) {
+			t.Errorf("CheckpointEvery %d: %d checkpoints, want %d", tc.every, got, tc.want)
+		}
+		if got := readCheckpoint(t, s, st.ID); !bytes.Equal(got, wantCkpt) {
+			t.Errorf("CheckpointEvery %d: final checkpoint differs from direct run", tc.every)
+		}
+		if err := s.Stop(); err != nil {
+			t.Fatalf("Stop: %v", err)
+		}
+	}
+}
+
+// TestFarmUnreadableCheckpointFailsJob: only a missing checkpoint means
+// a fresh job. Something at the path that cannot even be stat'ed — here
+// a symlink to itself — fails the job and is left as found; the daemon
+// used to restart such a job from round 0 and rename over the evidence.
+func TestFarmUnreadableCheckpointFailsJob(t *testing.T) {
+	cfg := Config{Dir: t.TempDir()}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	st, err := s.Submit(testSpec(240))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	s.Kill() // the job stays open in the queue log, started or not
+
+	ckpt := s.checkpointPath(st.ID)
+	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
+		t.Fatalf("MkdirAll: %v", err)
+	}
+	if err := os.Remove(ckpt); err != nil && !os.IsNotExist(err) {
+		t.Fatalf("Remove: %v", err)
+	}
+	if err := os.Symlink(filepath.Base(ckpt), ckpt); err != nil {
+		t.Skipf("cannot plant a symlink: %v", err)
+	}
+
+	s2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("re-Open: %v", err)
+	}
+	defer s2.Stop()
+	var got JobStatus
+	waitUntil(t, st.ID+" terminal", func() bool {
+		got, _ = s2.Job(st.ID)
+		return got.State == JobDone || got.State == JobFailed
+	})
+	if got.State != JobFailed || !strings.Contains(got.Error, syscall.ELOOP.Error()) || !strings.Contains(got.Error, ckpt) {
+		t.Errorf("job ended %s (%q), want failed with the stat error on %s", got.State, got.Error, ckpt)
+	}
+	if target, err := os.Readlink(ckpt); err != nil || target != filepath.Base(ckpt) {
+		t.Errorf("checkpoint path was touched: now %q, %v", target, err)
+	}
+}
+
+// TestFarmRemovesStaleCheckpointTemps: staging files a killed daemon
+// left in a job directory go when the job next starts, and do not
+// change what it writes.
+func TestFarmRemovesStaleCheckpointTemps(t *testing.T) {
+	spec := testSpec(96)
+	_, wantCkpt := directRun(t, spec)
+
+	s, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Stop()
+	ckpt := s.checkpointPath("job-1")
+	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
+		t.Fatalf("MkdirAll: %v", err)
+	}
+	for _, name := range []string{ckpt + ".tmp123456", ckpt + ".tmp654321"} {
+		if err := os.WriteFile(name, wantCkpt[:len(wantCkpt)/2], 0o600); err != nil {
+			t.Fatalf("plant %s: %v", name, err)
+		}
+	}
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st.ID != "job-1" {
+		t.Fatalf("first job is %s", st.ID)
+	}
+	waitDone(t, s, st.ID)
+
+	entries, err := os.ReadDir(filepath.Dir(ckpt))
+	if err != nil {
+		t.Fatalf("ReadDir: %v", err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(ckpt) {
+		t.Errorf("job directory holds %v, want only %s", entries, filepath.Base(ckpt))
+	}
+	if got := readCheckpoint(t, s, st.ID); !bytes.Equal(got, wantCkpt) {
+		t.Error("checkpoint differs from the undisturbed run")
 	}
 }
 

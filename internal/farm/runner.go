@@ -1,9 +1,12 @@
 package farm
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 
+	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
 )
@@ -48,8 +51,19 @@ func (s *Server) runJob(id string) {
 		return
 	}
 
+	// The worker is the only writer of the job directory, so a staging
+	// file in it is debris of a daemon killed mid-write, never a write
+	// in flight.
+	if err := atomicio.RemoveTemps(ckpt); err != nil {
+		s.finishJob(id, nil, fmt.Errorf("farm: %s: %w", id, err))
+		return
+	}
+
 	var o *campaign.Orchestrator
-	if _, statErr := os.Stat(ckpt); statErr == nil {
+	// durable is the round of the checkpoint generation on disk.
+	durable := -1
+	switch _, statErr := os.Stat(ckpt); {
+	case statErr == nil:
 		// Recovery: the checkpoint is atomic, so if the file exists it
 		// is a complete generation. ResumeMixedFile validates the spec
 		// against it (arm signatures, designs, coverage spaces).
@@ -58,15 +72,36 @@ func (s *Server) runJob(id string) {
 			s.finishJob(id, nil, fmt.Errorf("farm: resume %s: %w", id, err))
 			return
 		}
+		durable = o.Rounds()
 		s.publishRecovered(id, o.Trajectory())
-	} else {
+	case errors.Is(statErr, fs.ErrNotExist):
 		o, err = campaign.NewMixed(cfg, duts, arms...)
 		if err != nil {
 			s.finishJob(id, nil, err)
 			return
 		}
+	default:
+		// Something is at the path and cannot be read (ELOOP, EACCES,
+		// EIO): starting over would overwrite it with round 0's progress.
+		s.finishJob(id, nil, fmt.Errorf("farm: %s checkpoint: %w", id, statErr))
+		return
 	}
 	defer o.Close()
+
+	// checkpoint makes the current barrier durable, unless it already
+	// is: the last round of a job is both a cadence and the final
+	// write, and a job parked or resumed on a barrier has it on disk.
+	checkpoint := func() error {
+		if o.Rounds() == durable {
+			return nil
+		}
+		if err := o.CheckpointFile(ckpt); err != nil {
+			return err
+		}
+		durable = o.Rounds()
+		s.cfg.Metrics.Counter("farm/checkpoints").Add(1)
+		return nil
+	}
 
 	for o.Tests() < spec.Tests {
 		if s.stopRequested() {
@@ -78,7 +113,7 @@ func (s *Server) runJob(id string) {
 			}
 			// Graceful park: make the current barrier durable and hand
 			// the job back to the queue for the next daemon.
-			if err := o.CheckpointFile(ckpt); err != nil {
+			if err := checkpoint(); err != nil {
 				s.finishJob(id, nil, fmt.Errorf("farm: park checkpoint: %w", err))
 				return
 			}
@@ -91,7 +126,7 @@ func (s *Server) runJob(id string) {
 		}
 		s.publishRound(id, o)
 		if o.Rounds()%spec.CheckpointEvery == 0 {
-			if err := o.CheckpointFile(ckpt); err != nil {
+			if err := checkpoint(); err != nil {
 				s.finishJob(id, nil, fmt.Errorf("farm: checkpoint: %w", err))
 				return
 			}
@@ -100,7 +135,7 @@ func (s *Server) runJob(id string) {
 	// The final checkpoint is the job's durable artifact (the
 	// trajectory endpoint reads it after restarts, and the e2e test
 	// byte-compares it against an uninterrupted run's).
-	if err := o.CheckpointFile(ckpt); err != nil {
+	if err := checkpoint(); err != nil {
 		s.finishJob(id, nil, fmt.Errorf("farm: final checkpoint: %w", err))
 		return
 	}
