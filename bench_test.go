@@ -615,45 +615,3 @@ func BenchmarkPPOStep(b *testing.B) {
 	}
 	b.ReportMetric(float64(rows), "rows/step")
 }
-
-// BenchmarkEngine is the execution-engine acceptance benchmark: the
-// same fixed-seed campaign (Rocket, differential detection on) timed
-// on the reference oracle — a plain allocating loop — and on the
-// production engine. The speedup_x metric is oracle-time over
-// engine-time; the two runs produce bit-identical trajectories
-// (asserted by TestEngineMatchesSerialPath), so the ratio measures
-// pure execution efficiency: the committer plus GOMAXPROCS−1 pool
-// workers, reusable per-executor scratch, pooled coverage sets and
-// trace buffers, the per-executor decode cache and golden snapshot
-// tree, and — with the Inflight window — whole batches running ahead
-// on the pool while earlier batches drain through the in-order
-// committer.
-func BenchmarkEngine(b *testing.B) {
-	const tests = 640
-	campaign := func(serial bool) time.Duration {
-		g := randfuzz.New(21, benchBody)
-		f := core.NewFuzzer(g, rocket.New(), core.Options{BatchSize: 16, Detect: true, Serial: serial, Inflight: 4})
-		defer f.Close()
-		t0 := time.Now()
-		f.RunTests(tests)
-		return time.Since(t0)
-	}
-	campaign(false) // warm the harness caches outside the timings
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tSerial := campaign(true)
-		tEngine := campaign(false)
-		b.ReportMetric(tSerial.Seconds()/tEngine.Seconds(), "speedup_x")
-		b.ReportMetric(float64(tests)/tEngine.Seconds(), "engine_tests/s")
-		b.ReportMetric(float64(tests)/tSerial.Seconds(), "serial_tests/s")
-		emitBench(b, 3, map[string]float64{
-			"engine_speedup_x":   tSerial.Seconds() / tEngine.Seconds(),
-			"engine_tests_per_s": float64(tests) / tEngine.Seconds(),
-			"serial_tests_per_s": float64(tests) / tSerial.Seconds(),
-		})
-		emitBench(b, 9, map[string]float64{
-			"engine_speedup_x":   tSerial.Seconds() / tEngine.Seconds(),
-			"engine_tests_per_s": float64(tests) / tEngine.Seconds(),
-		})
-	}
-}

@@ -58,7 +58,7 @@
 // and checkpoints are bit-identical to Options.Serial, the allocating
 // reference loop the tests use as their oracle. CampaignConfig's
 // embedded CampaignExec carries what is left of the execution side —
-// the Inflight window, Probe (per-round barrier wait, split into the
+// Probe (per-round barrier wait, split into the
 // sim-skew wait spare cores absorb and the learning join, plus
 // steal/migration counts, via Orchestrator.Probes and ProbeSummary),
 // Telemetry and Metrics — and ResumeCampaignExec takes the same value,

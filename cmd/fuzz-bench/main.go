@@ -23,8 +23,8 @@
 // scheduler statistics (sim and learn barrier waits, steals,
 // per-design migrations), the scale-probe mode for runs like
 // `fuzz-bench campaign -shards 32 -probe`. Observation flags (-probe
-// -probe-json -trace -metrics -telemetry-addr) and -inflight apply to
-// fresh and resumed fleets alike.
+// -probe-json -trace -metrics -telemetry-addr) apply to fresh and
+// resumed fleets alike.
 // See README.md in this directory for the full campaign flag guide.
 //
 // The submit, status and watch subcommands are the client side of the
@@ -44,6 +44,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -64,11 +65,10 @@ func campaignMain(args []string) {
 		shards     = fs.Int("shards", 4, "concurrent campaigns")
 		tests      = fs.Int("tests", 2000, "total fleet test budget")
 		batch      = fs.Int("batch", 16, "tests per round per shard")
-		roundBatch = fs.Int("round-batches", 1, "batches per shard between aggregation barriers (amortises the barrier at coarser bandit feedback; >1 gives -inflight batches to overlap)")
+		roundBatch = fs.Int("round-batches", 1, "batches per shard between aggregation barriers (amortises the barrier at coarser bandit feedback)")
 		body       = fs.Int("body", 24, "instructions per test")
 		seed       = fs.Int64("seed", 1, "campaign seed")
 		dutNames   = fs.String("dut", "rocket", "designs under test: comma list of rocket/boom; shards alternate designs")
-		inflight   = fs.Int("inflight", 1, "in-flight batch window per shard: >1 overlaps batch generation/simulation with earlier batches' in-order commit for feedback-free arms (bit-identical trajectories; execution-only)")
 		probe      = fs.Bool("probe", false, "record and print per-round scheduler statistics: barrier wait, spread, steals, committer-run entries, per-design migrations")
 		llm        = fs.Bool("llm", false, "train a pipeline and schedule the frozen LLM arm")
 		learn      = fs.Bool("learn", false, "train a pipeline and schedule the online-learning LLM arm (per-shard replicas, staged pairwise weight averaging); reports the coverage delta over an identical frozen-LLM fleet")
@@ -202,7 +202,6 @@ func campaignMain(args []string) {
 	// fresh and a resumed one. Probe-derived metrics and the probe dump
 	// both need the per-round probes recorded.
 	exec := campaign.Exec{
-		Inflight:  *inflight,
 		Probe:     *probe || *metricsF != "" || *probeJSON != "",
 		Telemetry: rec,
 		Metrics:   reg,
@@ -315,7 +314,7 @@ func campaignMain(args []string) {
 		// Same fleet, observation cleared: the twin must not write into
 		// the main run's trace, metrics or probes.
 		fcfg := cfg
-		fcfg.Exec = campaign.Exec{Inflight: *inflight}
+		fcfg.Exec = campaign.Exec{}
 		fo, err := campaign.NewMixed(fcfg, newDUTs, frozenArms...)
 		if err != nil {
 			log.Fatalf("frozen twin: %v", err)
@@ -358,6 +357,23 @@ func writeProbeJSON(path string, probes []campaign.RoundProbe) error {
 	})
 }
 
+// experiments are the names -exp accepts.
+var experiments = []string{"fig2", "budget", "speedup", "boom", "findings", "training", "a1", "a2", "a3", "all"}
+
+// parseExps turns the -exp comma list into a set, rejecting any name
+// that is not an experiment.
+func parseExps(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, w := range strings.Split(list, ",") {
+		w = strings.TrimSpace(w)
+		if !slices.Contains(experiments, w) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", w, strings.Join(experiments, ","))
+		}
+		want[w] = true
+	}
+	return want, nil
+}
+
 func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
@@ -380,6 +396,11 @@ func main() {
 		which     = flag.String("exp", "all", "comma list: fig2,budget,speedup,boom,findings,training,a1,a2,a3 or all")
 	)
 	flag.Parse()
+	want, err := parseExps(*which)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fuzz-bench:", err)
+		os.Exit(2)
+	}
 
 	var sc exp.Scale
 	switch *scaleName {
@@ -391,10 +412,6 @@ func main() {
 		log.Fatalf("unknown scale %q", *scaleName)
 	}
 
-	want := map[string]bool{}
-	for _, w := range strings.Split(*which, ",") {
-		want[strings.TrimSpace(w)] = true
-	}
 	all := want["all"]
 
 	s := exp.NewSuite(sc, os.Stdout)

@@ -151,41 +151,23 @@ func LearningLLMArm(p *core.Pipeline) ArmSpec {
 // which admits its own discoveries; otherwise found would grow
 // unboundedly with nothing ever draining it.
 //
-// Generated batches queue in a FIFO until their scores arrive: under
-// the sub-round pipeline (core.Options.Inflight > 1) generation runs
-// ahead of commit, so pairing Feedback with "the most recent batch"
-// would attribute scores to the wrong programs. Feedback always
-// consumes the oldest pending batch — the order commits drain in.
+// A shard's round is a loop of RunBatch, so the scores Feedback
+// receives are always those of the last batch generated.
 type recorded struct {
 	arm
 	capture bool
-	pending [][]prog.Program
+	last    []prog.Program
 	found   []thehuzz.PoolEntry
 }
 
 func (r *recorded) GenerateBatch(n int) []prog.Program {
 	batch := r.arm.GenerateBatch(n)
-	r.pending = append(r.pending, batch)
+	r.last = batch
 	return batch
 }
 
-// FeedbackFree forwards the wrapped arm's pipelining capability: the
-// capture path only records scored programs for the barrier drain, it
-// never steers generation mid-round, so the wrapper is exactly as
-// feedback-free as the arm it wraps.
-func (r *recorded) FeedbackFree() bool {
-	ff, ok := r.arm.(core.FeedbackFree)
-	return ok && ff.FeedbackFree()
-}
-
 func (r *recorded) Feedback(scores []cov.Scores) {
-	var batch []prog.Program
-	if len(r.pending) > 0 {
-		batch = r.pending[0]
-		copy(r.pending, r.pending[1:])
-		r.pending[len(r.pending)-1] = nil
-		r.pending = r.pending[:len(r.pending)-1]
-	}
+	batch := r.last
 	if r.capture {
 		for i, sc := range scores {
 			if sc.Incremental > 0 && i < len(batch) {
@@ -238,10 +220,6 @@ func (a *randInstArm) GenerateBatch(n int) []prog.Program {
 
 func (a *randInstArm) Feedback([]cov.Scores) {}
 
-// FeedbackFree marks the arm safe for the sub-round pipeline: its
-// Feedback is a no-op, so generation never depends on scores.
-func (a *randInstArm) FeedbackFree() bool { return true }
-
 func (a *randInstArm) Reseed(seed int64) { a.rng = rand.New(rand.NewSource(seed)) }
 
 // randFuzzArm wraps randfuzz in raw mode; reseeding rebuilds the
@@ -256,9 +234,6 @@ func (a *randFuzzArm) Name() string { return "randfuzz" }
 func (a *randFuzzArm) GenerateBatch(n int) []prog.Program { return a.gen.GenerateBatch(n) }
 
 func (a *randFuzzArm) Feedback(s []cov.Scores) { a.gen.Feedback(s) }
-
-// FeedbackFree delegates to the current generator (rebuilt on Reseed).
-func (a *randFuzzArm) FeedbackFree() bool { return a.gen.FeedbackFree() }
 
 func (a *randFuzzArm) Reseed(seed int64) {
 	g := randfuzz.New(seed, a.body)
@@ -279,10 +254,6 @@ func (a *llmArm) Name() string { return "chatfuzz" }
 func (a *llmArm) GenerateBatch(n int) []prog.Program { return a.gen.GenerateBatch(n) }
 
 func (a *llmArm) Feedback(s []cov.Scores) { a.gen.Feedback(s) }
-
-// FeedbackFree delegates to the current generator wrapper: the frozen
-// arm has no online trainer or sink, so this reports true.
-func (a *llmArm) FeedbackFree() bool { return a.gen.FeedbackFree() }
 
 func (a *llmArm) Reseed(seed int64) {
 	a.gen = core.NewLLMGenerator(a.p, a.bins, false, seed)
@@ -306,11 +277,6 @@ func (a *learnArm) Name() string { return "chatfuzz-learn" }
 func (a *learnArm) GenerateBatch(n int) []prog.Program { return a.gen.GenerateBatch(n) }
 
 func (a *learnArm) Feedback(s []cov.Scores) { a.gen.Feedback(s) }
-
-// FeedbackFree delegates to the replica generator, which reports
-// false: PPO rewards feed the next batch, so the learning arm must
-// run feedback-coupled (the pipeline stays disengaged for it).
-func (a *learnArm) FeedbackFree() bool { return a.gen.FeedbackFree() }
 
 func (a *learnArm) Reseed(seed int64) {
 	a.gen = core.NewReplicaGenerator(a.p, a.rep.Model, a.rep, a.bins, seed)

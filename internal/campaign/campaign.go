@@ -149,14 +149,6 @@ type Config struct {
 // Config.Exec) and ResumeExec accept the same value — a resumed fleet
 // runs and is observed exactly like a fresh one.
 type Exec struct {
-	// Inflight bounds each shard's in-flight batch window (default 1:
-	// strictly alternating generate/commit). With Inflight > 1,
-	// RoundBatches > 1 and a feedback-free arm, a shard generates and
-	// submits its next batch while earlier batches still simulate and
-	// drain in order — the sub-round pipeline. Commit order, scoring
-	// and every trajectory bit are unchanged (the pipeline disengages
-	// for feedback-coupled arms like chatfuzz-learn).
-	Inflight int
 	// Probe records per-round scheduler statistics — barrier wait,
 	// finish-time spread, steal/committer/migration counts —
 	// retrievable via Probes(). Measurement only.
@@ -234,13 +226,9 @@ type Orchestrator struct {
 	// telemetry is off).
 	track  *telemetry.Track
 	probes []RoundProbe
-	// prevPipe holds each shard engine's cumulative pipeline counters
-	// as of the previous probed round, so RoundProbe can report
-	// per-round deltas (Exec.Probe; nil until the first probed round).
-	prevPipe []engine.PipeStats
-	merged   []core.ProgressPoint
-	round    int
-	tests    int
+	merged []core.ProgressPoint
+	round  int
+	tests  int
 	// plateau counts consecutive rounds whose barrier merged zero new
 	// coverage bins (drives Config.UpdateBudget). Derivable from the
 	// merged trajectory, so resume recomputes it instead of storing it.
@@ -323,7 +311,6 @@ func NewMixed(cfg Config, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestr
 		fuz := core.NewFuzzer(rec[0], dut, core.Options{
 			BatchSize:      cfg.BatchSize,
 			Detect:         cfg.Detect,
-			Inflight:       cfg.Inflight,
 			Serial:         cfg.Serial,
 			Pool:           o.pool,
 			Telemetry:      cfg.Telemetry,
@@ -438,9 +425,6 @@ func (o *Orchestrator) RunRound() error {
 				// noisy divergence repeating one signature pays once.
 				m0 = d.NovelSignatures()
 			}
-			// RunBatches engages the sub-round pipeline (Cfg.Inflight > 1,
-			// feedback-free arm) or degenerates to RoundBatches serial
-			// RunBatch calls — bit-identical accounting either way.
 			s.fuz.RunBatches(o.Cfg.RoundBatches)
 			deltas[i] = delta{tests: s.fuz.Tests - t0, hours: s.fuz.Clk.Hours() - h0}
 			if d := s.fuz.Det; d != nil {
@@ -479,27 +463,6 @@ func (o *Orchestrator) RunRound() error {
 		probe.Helped = st.Helped - stats0.Helped
 		probe.Migrations = st.Migrations - stats0.Migrations
 		probe.MigrationsByDesign = migrationDelta(st.MigrationsByDesign, stats0.MigrationsByDesign)
-		// Pipeline signals, per-round deltas against the engines'
-		// cumulative counters (shard order; execution-only reads).
-		if o.prevPipe == nil {
-			o.prevPipe = make([]engine.PipeStats, n)
-		}
-		for i, s := range o.shards {
-			st, ok := s.fuz.EngineStats()
-			if !ok {
-				continue
-			}
-			prev := o.prevPipe[i]
-			probe.PipelinedBatches += int(st.PipelinedRounds - prev.PipelinedRounds)
-			probe.SnapHits += int(st.SnapHits - prev.SnapHits)
-			probe.SnapMisses += int(st.SnapMisses - prev.SnapMisses)
-			// MaxInflight is a high-water mark, not a counter: report
-			// the deepest overlap any shard has reached.
-			if d := int(st.MaxInflight); d > probe.InflightDepth {
-				probe.InflightDepth = d
-			}
-			o.prevPipe[i] = st
-		}
 	}
 
 	// Barrier: merge bitmaps and credit the bandit in shard order.
@@ -612,27 +575,6 @@ func (o *Orchestrator) recordMetrics(roundAdded int, probe *RoundProbe) {
 		g.Gauge("mismatch/novel_signatures").Set(float64(novel))
 		g.Gauge("mismatch/raw").Set(float64(raw))
 		g.Gauge("mismatch/raw_filtered").Set(float64(filtered))
-	}
-	var pipe engine.PipeStats
-	havePipe := false
-	for _, s := range o.shards {
-		st, ok := s.fuz.EngineStats()
-		if !ok {
-			continue
-		}
-		havePipe = true
-		pipe.PipelinedRounds += st.PipelinedRounds
-		pipe.SnapHits += st.SnapHits
-		pipe.SnapMisses += st.SnapMisses
-		if st.MaxInflight > pipe.MaxInflight {
-			pipe.MaxInflight = st.MaxInflight
-		}
-	}
-	if havePipe {
-		g.Gauge("engine/inflight_depth").Set(float64(pipe.MaxInflight))
-		g.Gauge("engine/pipelined_batches").Set(float64(pipe.PipelinedRounds))
-		g.Gauge("engine/snap_hits").Set(float64(pipe.SnapHits))
-		g.Gauge("engine/snap_misses").Set(float64(pipe.SnapMisses))
 	}
 	st := o.pool.Stats()
 	g.Gauge("pool/workers").Set(float64(st.Workers))

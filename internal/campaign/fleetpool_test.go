@@ -31,10 +31,6 @@ var production = []struct {
 	exec func() Exec
 }{
 	{"production", func() Exec { return Exec{} }},
-	// The sub-round pipeline: feedback-free arms overlap batch
-	// generation with earlier batches' simulation inside each round
-	// (the window stays closed for learning arms).
-	{"pipelined", func() Exec { return Exec{Inflight: 3} }},
 	// Full observability: flight recorder, metrics registry and probes
 	// all armed — the acceptance property of the telemetry plane.
 	{"observed", func() Exec {
@@ -48,8 +44,8 @@ var production = []struct {
 
 // TestFleetPoolDeterminismTable is the acceptance property of the
 // executor: across shard counts, homogeneous and mixed fleets, and
-// frozen and learning arms, production — plain, pipelined and fully
-// observed — produces the oracle's merged trajectory bit for bit and
+// frozen and learning arms, production — plain and fully observed —
+// produces the oracle's merged trajectory bit for bit and
 // its checkpoint byte for byte. Every cell runs twice: with three more
 // cores than shards, so pool workers exist, race the committers and
 // steal across designs, and with no more cores than shards, so the
@@ -70,15 +66,13 @@ func TestFleetPoolDeterminismTable(t *testing.T) {
 						rounds = 2 // keep the big fleets cheap
 					}
 					type result struct {
-						traj      []core.ProgressPoint
-						ckpt      []byte
-						pool      engine.FleetStats
-						pipelined int64
+						traj []core.ProgressPoint
+						ckpt []byte
+						pool engine.FleetStats
 					}
 					run := func(label string, ex Exec) result {
-						// RoundBatches 2 gives the pipelined path real overlap
-						// to exercise: with one batch per round the in-flight
-						// window never holds more than one batch.
+						// RoundBatches 2: a round feeds scores back between
+						// its batches, not only at the barrier.
 						cfg := Config{Shards: shards, BatchSize: 4, RoundBatches: 2, Seed: 33, Detect: true, Exec: ex}
 						var arms []ArmSpec
 						if learn {
@@ -97,11 +91,6 @@ func TestFleetPoolDeterminismTable(t *testing.T) {
 							t.Fatalf("%s: Checkpoint: %v", label, err)
 						}
 						res := result{traj: o.Trajectory(), ckpt: buf.Bytes(), pool: o.PoolStats()}
-						for s := 0; s < shards; s++ {
-							if st, ok := o.Shard(s).EngineStats(); ok {
-								res.pipelined += st.PipelinedRounds
-							}
-						}
 						if res.pool.Submitted != o.Tests() && !ex.Serial {
 							t.Errorf("%s: pool saw %d entries for %d tests", label, res.pool.Submitted, o.Tests())
 						}
@@ -125,12 +114,6 @@ func TestFleetPoolDeterminismTable(t *testing.T) {
 							}
 							if fleetName == "mixed" {
 								stolen += st.Stolen
-							}
-							// Guard the pipelined axis against silently
-							// degenerating: the free arms (randinst, randfuzz)
-							// must have overlapped batches at least once.
-							if p.name == "pipelined" && !learn && got.pipelined == 0 {
-								t.Errorf("%s ran but the sub-round pipeline never engaged", label)
 							}
 							if len(got.traj) != len(want.traj) {
 								t.Fatalf("%s trajectory has %d points, the oracle has %d", label, len(got.traj), len(want.traj))

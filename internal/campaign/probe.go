@@ -47,19 +47,6 @@ type RoundProbe struct {
 	// keeps its key — zero-delta rounds report an explicit 0 — so
 	// consumers diffing consecutive probes see a stable key set.
 	MigrationsByDesign map[string]int
-	// InflightDepth is the deepest in-flight batch window any shard's
-	// engine has reached so far (a cumulative high-water mark, not a
-	// per-round delta; 1 means the sub-round pipeline never engaged).
-	InflightDepth int
-	// PipelinedBatches counts this round's batch submissions that
-	// overlapped an undrained earlier batch (Config.Inflight > 1 with
-	// a feedback-free arm).
-	PipelinedBatches int
-	// SnapHits and SnapMisses count this round's golden-model snapshot
-	// -tree lookups that restored a common program prefix vs. replays
-	// from the post-prologue snapshot (Detect only; zero otherwise).
-	SnapHits   int
-	SnapMisses int
 }
 
 // migrationDelta diffs two cumulative per-design migration counters
@@ -120,13 +107,6 @@ type ProbeSummary struct {
 	Migrations  int
 	// MigrationsByDesign sums per-design migrations over all rounds.
 	MigrationsByDesign map[string]int
-	// InflightDepth is the deepest in-flight batch window reached over
-	// the whole run (max over rounds, not a sum).
-	InflightDepth int
-	// PipelinedBatches, SnapHits and SnapMisses sum over rounds.
-	PipelinedBatches int
-	SnapHits         int
-	SnapMisses       int
 }
 
 // ProbeSummary sums the per-round probes into one report.
@@ -140,12 +120,6 @@ func (o *Orchestrator) ProbeSummary() ProbeSummary {
 		s.Steals += p.Steals
 		s.Helped += p.Helped
 		s.Migrations += p.Migrations
-		if p.InflightDepth > s.InflightDepth {
-			s.InflightDepth = p.InflightDepth
-		}
-		s.PipelinedBatches += p.PipelinedBatches
-		s.SnapHits += p.SnapHits
-		s.SnapMisses += p.SnapMisses
 		// Commutative integer sums into a map keyed the same way:
 		// iteration order cannot reach the totals.
 		//lint:allow mapiter order-insensitive commutative sum
@@ -163,8 +137,6 @@ func (s ProbeSummary) String() string {
 		s.Rounds, s.BarrierWait.Round(time.Microsecond),
 		s.SimWait.Round(time.Microsecond), s.LearnWait.Round(time.Microsecond),
 		s.Spread.Round(time.Microsecond), s.Steals, s.Helped, s.Migrations)
-	fmt.Fprintf(&b, "\n  pipeline: depth %d, %d pipelined batches, snapshot tree %d hits / %d misses",
-		s.InflightDepth, s.PipelinedBatches, s.SnapHits, s.SnapMisses)
 	if len(s.MigrationsByDesign) > 0 {
 		names := make([]string, 0, len(s.MigrationsByDesign))
 		for n := range s.MigrationsByDesign {

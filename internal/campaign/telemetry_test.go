@@ -209,7 +209,6 @@ func TestResumeHonoursExec(t *testing.T) {
 
 	var trace bytes.Buffer
 	ex := Exec{
-		Inflight:  3,
 		Probe:     true,
 		Telemetry: telemetry.NewRecorder(&trace),
 		Metrics:   telemetry.NewRegistry(),
@@ -246,7 +245,7 @@ func TestResumeHonoursExec(t *testing.T) {
 	if got := s.Histograms["probe/sim_wait_ms"].Count; got != 2 {
 		t.Errorf("probe/sim_wait_ms has %d samples after resume, want 2", got)
 	}
-	if resumed.Cfg.Inflight != 3 {
-		t.Errorf("resumed fleet runs with Inflight %d, want the Exec's 3", resumed.Cfg.Inflight)
+	if resumed.Cfg.Exec != ex {
+		t.Errorf("resumed fleet runs with Exec %+v, want the one it was given: %+v", resumed.Cfg.Exec, ex)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // test — coverage scoring (batch snapshot reuse via Set.CopyFrom),
 // mismatch analysis on a clean trace, clock charge, progress append —
 // must not grow the heap. This is the regression guard for the
-// pipelined engine's alloc-free commit claim; a Clone or per-commit
+// engine's alloc-free commit claim; a Clone or per-commit
 // buffer sneaking back into cov or mismatch fails it.
 func TestSteadyStateCommitAllocFree(t *testing.T) {
 	dut := rocket.New()

@@ -29,14 +29,6 @@ type Options struct {
 	Detect bool
 	// Clock, when nil, defaults to the calibrated VCS clock.
 	Clock *vtime.Clock
-	// Inflight bounds submitted-but-uncommitted rounds per shard
-	// (<= 0 means 1, no sub-round pipelining). With Inflight N and a
-	// FeedbackFree generator, RunBatches/RunTests keep up to N rounds
-	// in flight: round N+1 generates and simulates while round N's
-	// in-order committer drains. Execution-only — the committed
-	// accounting stream is bit-identical to Inflight 1 — and inert on
-	// the Serial path.
-	Inflight int
 	// Pool is the execution pool the fuzzer's engine submits its rounds
 	// to. Ownership does not transfer: Close never releases a pool that
 	// was handed in, which belongs to whoever built it (the campaign
@@ -96,22 +88,10 @@ type Fuzzer struct {
 	Tests     int
 	Progress  []ProgressPoint
 
-	inflight int
-	eng      *engine.Engine
-	pool     *engine.FleetPool // private pool (Options.Pool was nil); closed by Close
-	track    *telemetry.Track  // generate/commit spans (nil = disabled)
-	closed   bool
-
-	// Windowed-pipeline scratch, reused across RunBatches/RunTests
-	// calls so steady-state rounds commit without heap growth.
-	pend      []pipeSlot
-	scoreFree [][]cov.Scores
-}
-
-// pipeSlot is one submitted-but-uncommitted round of the window.
-type pipeSlot struct {
-	round  *engine.Round
-	scores []cov.Scores
+	eng    *engine.Engine
+	pool   *engine.FleetPool // private pool (Options.Pool was nil); closed by Close
+	track  *telemetry.Track  // generate/commit spans (nil = disabled)
+	closed bool
 }
 
 // NewFuzzer assembles a campaign.
@@ -129,10 +109,6 @@ func NewFuzzer(gen Generator, dut rtl.DUT, opts Options) *Fuzzer {
 		Calc:      cov.NewCalculator(dut.Space()),
 		Clk:       clk,
 		BatchSize: opts.BatchSize,
-		inflight:  opts.Inflight,
-	}
-	if f.inflight < 1 {
-		f.inflight = 1
 	}
 	if opts.Detect {
 		f.Det = mismatch.NewDetector()
@@ -149,7 +125,6 @@ func NewFuzzer(gen Generator, dut rtl.DUT, opts Options) *Fuzzer {
 			pool = f.pool
 		}
 		f.eng = engine.New(dut, engine.Config{
-			Inflight:  f.inflight,
 			Detect:    opts.Detect,
 			Pool:      pool,
 			Telemetry: opts.Telemetry,
@@ -233,8 +208,6 @@ func (f *Fuzzer) runOne(p prog.Program) (rtl.Result, []trace.Entry, error) {
 	res := f.DUT.Run(img, budget)
 	var golden []trace.Entry
 	if f.Det != nil {
-		// Same prologue delta replay as the engine workers, so the two
-		// execution paths stay bit-identical.
 		golden = engine.GoldenRun(mem.Platform(), img, budget, nil)
 	}
 	return res, golden, nil
@@ -311,118 +284,14 @@ func (f *Fuzzer) RunBatch() []cov.Scores {
 	return scores
 }
 
-// window returns the effective in-flight round window: pipelining
-// engages only on the engine path and only when the current generator
-// declares its Feedback a no-op, so the generation stream — which runs
-// ahead of commit by up to window-1 rounds — is identical to the
-// serial order.
-func (f *Fuzzer) window() int {
-	if f.eng == nil || f.inflight <= 1 || !f.feedbackFree() {
-		return 1
-	}
-	return f.inflight
-}
+// EngineStats is a shim kept for bench/fleet.go (fenced), which adds
+// up the two engine.PipeStats fields; it reports nothing and leaves
+// with them in the follow-up benchmark PR.
+func (f *Fuzzer) EngineStats() (engine.PipeStats, bool) { return engine.PipeStats{}, false }
 
-// EngineStats returns the execution engine's cumulative pipelining and
-// snapshot-tree counters; ok is false on the serial path.
-func (f *Fuzzer) EngineStats() (engine.PipeStats, bool) {
-	if f.eng == nil {
-		return engine.PipeStats{}, false
-	}
-	return f.eng.PipeStats(), true
-}
-
-// runWindow is the pipelined round loop: it keeps up to window rounds
-// submitted-but-uncommitted, generating and simulating ahead while the
-// oldest round drains through the in-order committer. nextK returns
-// the size of the next round to submit (0 = no more rounds); it is
-// called in submission order, which runs ahead of f.Tests by the
-// rounds still in flight.
-//
-// Determinism: the generator stream is feedback-independent (window()
-// gates on FeedbackFree), rounds drain in submission order, each
-// round commits in input order, and BeginBatch/commit/Feedback happen
-// in exactly the serial loop's sequence — so the committed accounting
-// stream is bit-identical to the unpipelined path. The score buffers
-// are recycled after Feedback returns: safe because a FeedbackFree
-// generator does not retain them.
-func (f *Fuzzer) runWindow(window int, nextK func() int) {
-	if f.closed {
-		panic("core: RunBatch after Close")
-	}
-	done := false
-	submit := func() bool {
-		if done {
-			return false
-		}
-		k := nextK()
-		if k <= 0 {
-			done = true
-			return false
-		}
-		t := f.track.Start()
-		progs := f.Gen.GenerateBatch(k)
-		f.track.Span(telemetry.SpanGenerate, t)
-		var scores []cov.Scores
-		if n := len(f.scoreFree); n > 0 {
-			scores = f.scoreFree[n-1][:0]
-			f.scoreFree = f.scoreFree[:n-1]
-		}
-		for len(scores) < len(progs) {
-			scores = append(scores, cov.Scores{})
-		}
-		if len(f.pend) > 0 {
-			// The submission overlaps an undrained round: the pipeline
-			// is live. Recorded per shard-round on the fuzzer's track.
-			f.track.Instant(telemetry.EventPipeline)
-		}
-		f.pend = append(f.pend, pipeSlot{round: f.eng.Submit(progs), scores: scores[:len(progs)]})
-		return true
-	}
-	for submit() {
-		if len(f.pend) < window && !done {
-			continue
-		}
-		f.drainOldest()
-	}
-	for len(f.pend) > 0 {
-		f.drainOldest()
-	}
-}
-
-// drainOldest commits the window's oldest in-flight round.
-func (f *Fuzzer) drainOldest() {
-	s := f.pend[0]
-	copy(f.pend, f.pend[1:])
-	f.pend[len(f.pend)-1] = pipeSlot{}
-	f.pend = f.pend[:len(f.pend)-1]
-
-	f.Calc.BeginBatch()
-	t := f.track.Start()
-	s.round.Each(func(i int, o *engine.Outcome) {
-		s.scores[i] = f.commitOne(o.Err, o.Res, o.Golden)
-	})
-	f.track.Span(telemetry.SpanCommit, t)
-	f.Gen.Feedback(s.scores)
-	f.scoreFree = append(f.scoreFree, s.scores)
-}
-
-// RunBatches executes n fuzzing rounds of BatchSize tests. With
-// Options.Inflight > 1 and a FeedbackFree generator the rounds are
-// pipelined through the engine's in-flight window; otherwise this is
-// exactly n RunBatch calls.
+// RunBatches executes n fuzzing rounds of BatchSize tests: exactly n
+// RunBatch calls.
 func (f *Fuzzer) RunBatches(n int) {
-	if w := f.window(); w > 1 && n > 1 {
-		left := n
-		f.runWindow(w, func() int {
-			if left == 0 {
-				return 0
-			}
-			left--
-			return f.BatchSize
-		})
-		return
-	}
 	for i := 0; i < n; i++ {
 		f.RunBatch()
 	}
@@ -435,28 +304,8 @@ func (f *Fuzzer) RunBatches(n int) {
 //
 // On the engine path the loop is double-buffered: while round N
 // simulates, round N+1's programs are generated, provided the
-// generator declares itself FeedbackFree — and with Options.Inflight
-// > 1 whole rounds are pipelined through the engine's window, round
-// N+1 simulating while round N commits.
+// generator declares itself FeedbackFree.
 func (f *Fuzzer) RunTests(n int) {
-	if w := f.window(); w > 1 {
-		// Batch sizes depend only on the planned (submitted) test
-		// count, the same clamped sequence the serial loop derives
-		// from the committed count.
-		planned := f.Tests
-		f.runWindow(w, func() int {
-			k := n - planned
-			if k <= 0 {
-				return 0
-			}
-			if k > f.BatchSize {
-				k = f.BatchSize
-			}
-			planned += k
-			return k
-		})
-		return
-	}
 	var pre []prog.Program
 	for f.Tests < n {
 		k := n - f.Tests

@@ -49,7 +49,6 @@ import (
 	"sync/atomic"
 
 	"chatfuzz/internal/cov"
-	"chatfuzz/internal/iss"
 	"chatfuzz/internal/mem"
 	"chatfuzz/internal/prog"
 	"chatfuzz/internal/rtl"
@@ -59,15 +58,6 @@ import (
 
 // Config parameterises an engine.
 type Config struct {
-	// Inflight bounds concurrently in-flight rounds (<= 0 means 1: one
-	// round must be fully drained with Each before the next Submit).
-	// With Inflight N, a caller may keep up to N submitted-but-undrained
-	// rounds open, so pool workers simulate round N+1 while round N's
-	// in-order committer drains — the sub-round pipeline. Rounds must
-	// still be drained in submission order; each Round's Each commits in
-	// input order, so the observable accounting stream is identical to
-	// Inflight 1.
-	Inflight int
 	// Detect additionally runs every test on the golden-model ISS.
 	Detect bool
 	// Pool is the pool the engine submits its rounds to (required; a
@@ -146,39 +136,12 @@ type shared struct {
 	sets    pool[*cov.Set]
 	traces  pool[[]trace.Entry]
 	goldens pool[[]trace.Entry]
-
-	// Round window state. Submit and Each are only ever called from
-	// the engine owner's single goroutine (the fuzzer/shard loop), so
-	// the free list and live counter need no lock.
-	freeRounds []*Round
-	liveRounds int
-
-	// Pipelining and golden snapshot-tree counters (see PipeStats).
-	// Atomic: snapshot hits/misses are bumped by concurrent executors;
-	// the depth counters only by the owner goroutine, but PipeStats
-	// may be read from another goroutine (probes).
-	pipelined  atomic.Int64
-	maxDepth   atomic.Int64
-	snapHits   atomic.Int64
-	snapMisses atomic.Int64
 }
 
-// PipeStats is a snapshot of an engine's pipelining and golden
-// snapshot-tree counters. All counters are cumulative over the
-// engine's life; campaign probes report per-round deltas.
-type PipeStats struct {
-	// PipelinedRounds counts Submits that overlapped an undrained
-	// earlier round — the sub-round pipeline actually engaging.
-	PipelinedRounds int64
-	// MaxInflight is the high-water mark of concurrently in-flight
-	// rounds (1 when the window never overlapped).
-	MaxInflight int64
-	// SnapHits counts golden runs that replayed a snapshot-tree
-	// prefix; SnapMisses counts tree-eligible golden runs that found
-	// no usable node and executed the body from the prologue snapshot.
-	SnapHits   int64
-	SnapMisses int64
-}
+// PipeStats is a shim: the snapshot tree it counted is gone, and only
+// bench/fleet.go (fenced) still reads these two fields, as zeros. It
+// leaves with core.Fuzzer.EngineStats in the follow-up benchmark PR.
+type PipeStats struct{ SnapHits, SnapMisses int64 }
 
 // worker is one executor's simulation context — a pool worker's or a
 // committer's: reusable scratch bound to one design at a time. The
@@ -194,13 +157,6 @@ type worker struct {
 	// mark designs whose DUT is not reusable)
 	gmem  *mem.Memory      // golden-model platform memory, lazily built
 	track *telemetry.Track // per-worker span ring (nil = disabled)
-
-	// Golden-run acceleration state (see golden.go): the decode cache
-	// is design-independent (it serves the ISS, revalidated per fetch);
-	// the snapshot trees are keyed per design so a shared pool worker
-	// can never cross-replay between designs of a mixed fleet.
-	dcache *iss.DecodeCache
-	trees  map[string]*snapTree
 }
 
 // bind points the worker's scratch at sh's design, building the
@@ -281,7 +237,7 @@ func (w *worker) exec(r *Round, i int) {
 				ck.checkOut(sliceKey(buf), "golden buffer")
 			}
 		}
-		o.Golden = w.goldenRun(sh, img, p.Body, budget, buf)
+		o.Golden = GoldenRun(w.gmem, img, budget, buf)
 		o.pooledGolden = true
 		w.track.Span(telemetry.SpanGolden, t)
 	}
@@ -294,9 +250,9 @@ func (w *worker) exec(r *Round, i int) {
 // across rounds. An engine owns no goroutines — those belong to the
 // pool it submits to.
 type Engine struct {
-	sh       *shared
-	inflight int // round window bound (>= 1)
-	closed   bool
+	sh     *shared
+	round  *Round // the engine's one round, reused by every Submit
+	closed bool
 }
 
 // New builds an engine over dut submitting to cfg.Pool.
@@ -307,25 +263,9 @@ func New(dut rtl.DUT, cfg Config) *Engine {
 	}
 	sh.committer = &worker{track: sh.rec.NewTrack(sh.design + "/committer")}
 	sh.committer.bind(sh)
-	e := &Engine{sh: sh, inflight: cfg.Inflight}
-	if e.inflight < 1 {
-		e.inflight = 1
-	}
-	return e
-}
-
-// Inflight returns the engine's round window bound.
-func (e *Engine) Inflight() int { return e.inflight }
-
-// PipeStats returns the engine's cumulative pipelining and golden
-// snapshot-tree counters. Safe to call concurrently with execution.
-func (e *Engine) PipeStats() PipeStats {
-	return PipeStats{
-		PipelinedRounds: e.sh.pipelined.Load(),
-		MaxInflight:     e.sh.maxDepth.Load(),
-		SnapHits:        e.sh.snapHits.Load(),
-		SnapMisses:      e.sh.snapMisses.Load(),
-	}
+	r := &Round{sh: sh}
+	r.cond = sync.NewCond(&r.mu)
+	return &Engine{sh: sh, round: r}
 }
 
 // Close retires the engine: any later Submit panics. The pool is not
@@ -334,11 +274,8 @@ func (e *Engine) PipeStats() PipeStats {
 func (e *Engine) Close() { e.closed = true }
 
 // Submit hands a round of programs to the pool and returns its handle.
-// At most Config.Inflight rounds may be in flight per engine; past the
-// window the oldest round must be drained with Each first. In-flight
-// rounds must be drained in submission order (each Round's Each
-// commits in input order), so pipelined execution stays observably
-// identical to one-round-at-a-time execution. Submit and Each must be
+// An engine has one round in flight: Each must have drained it before
+// the next Submit, which panics otherwise. Submit and Each must be
 // called from the same goroutine. The progs slice is read by executors
 // until Each returns and must not be mutated in between — the caller
 // is free to generate later rounds' programs concurrently, which is
@@ -347,25 +284,11 @@ func (e *Engine) Submit(progs []prog.Program) *Round {
 	if e.closed {
 		panic("engine: Submit after Close")
 	}
-	if e.sh.liveRounds >= e.inflight {
-		panic("engine: Submit past the in-flight round window (drain with Each)")
+	r := e.round
+	if r.live {
+		panic("engine: Submit before the previous round was drained with Each")
 	}
-	var r *Round
-	if k := len(e.sh.freeRounds); k > 0 {
-		r = e.sh.freeRounds[k-1]
-		e.sh.freeRounds[k-1] = nil
-		e.sh.freeRounds = e.sh.freeRounds[:k-1]
-	} else {
-		r = &Round{sh: e.sh}
-		r.cond = sync.NewCond(&r.mu)
-	}
-	e.sh.liveRounds++
-	if e.sh.liveRounds > 1 {
-		e.sh.pipelined.Add(1)
-	}
-	if d := int64(e.sh.liveRounds); d > e.sh.maxDepth.Load() {
-		e.sh.maxDepth.Store(d)
-	}
+	r.live = true
 	n := len(progs)
 	r.progs = progs
 	if cap(r.outs) < n {
@@ -383,10 +306,11 @@ func (e *Engine) Submit(progs []prog.Program) *Round {
 	return r
 }
 
-// Round is one in-flight batch of programs, recycled through the
-// engine's free list across submissions.
+// Round is one in-flight batch of programs: the engine's one Round
+// value, reused by every Submit.
 type Round struct {
 	sh    *shared
+	live  bool // between Submit and the end of Each (owner goroutine only)
 	progs []prog.Program
 	outs  []Outcome
 
@@ -453,11 +377,8 @@ func (r *Round) Each(fn func(i int, o *Outcome)) {
 	}
 	sh.pool.retire(r, ran)
 	r.progs = nil
-	// Same-goroutine as Submit by contract, so the window bookkeeping
-	// needs no lock. The Round goes back on the free list; the caller
-	// must not retain it.
-	sh.liveRounds--
-	sh.freeRounds = append(sh.freeRounds, r)
+	// Same goroutine as Submit by contract, so no lock is needed.
+	r.live = false
 }
 
 // recycle returns an outcome's pooled scratch to the free lists.

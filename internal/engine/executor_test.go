@@ -53,28 +53,25 @@ func TestZeroWorkerPoolHoldsOneOutcome(t *testing.T) {
 	pool := NewFleetPool(0, nil)
 	defer pool.Close()
 	engines := []*Engine{
-		New(rocket.New(), Config{Detect: true, Pool: pool, Inflight: 2}),
+		New(rocket.New(), Config{Detect: true, Pool: pool}),
 		New(rocket.New(), Config{Detect: true, Pool: pool}),
 	}
-	for _, e := range engines {
-		for round := 0; round < 6; round++ {
-			// Two rounds in flight: the second must wait for its own Each.
-			r1 := e.Submit(randomProgs(rng, 8, 12))
-			var r2 *Round
-			if e.Inflight() > 1 {
-				r2 = e.Submit(randomProgs(rng, 8, 12))
-			}
-			for _, r := range []*Round{r1, r2} {
-				if r == nil {
-					continue
-				}
-				r.Each(func(i int, o *Outcome) {
-					if got := int(r.next.Load()); got != i+1 {
-						t.Fatalf("committing entry %d with %d entries claimed: the committer ran ahead", i, got)
-					}
-				})
-			}
+	for round := 0; round < 6; round++ {
+		// Both engines' rounds are live in the pool at once: each must
+		// still wait for its own Each.
+		var rounds []*Round
+		for _, e := range engines {
+			rounds = append(rounds, e.Submit(randomProgs(rng, 8, 12)))
 		}
+		for _, r := range rounds {
+			r.Each(func(i int, o *Outcome) {
+				if got := int(r.next.Load()); got != i+1 {
+					t.Fatalf("committing entry %d with %d entries claimed: the committer ran ahead", i, got)
+				}
+			})
+		}
+	}
+	for _, e := range engines {
 		sh := e.sh
 		if n := len(sh.sets.items); n > 1 {
 			t.Errorf("coverage-set free list holds %d sets, want <= 1", n)
@@ -95,22 +92,24 @@ func TestZeroWorkerPoolHoldsOneOutcome(t *testing.T) {
 }
 
 // TestPoolRetiresDrainedRounds: a pool with workers tracks exactly the
-// rounds in flight — drained rounds leave the live set at once, so
-// recycled Round objects never appear twice and the set cannot grow
-// with the length of the campaign.
+// rounds in flight — one per engine at most, and a drained round
+// leaves the live set at once, so an engine's reused Round never
+// appears twice and the set cannot grow with the length of the
+// campaign.
 func TestPoolRetiresDrainedRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pool := NewFleetPool(2, nil)
 	defer pool.Close()
-	e := New(rocket.New(), Config{Pool: pool, Inflight: 2})
+	e1 := New(rocket.New(), Config{Pool: pool})
+	e2 := New(rocket.New(), Config{Pool: pool})
 	live := func() int {
 		pool.ps.mu.Lock()
 		defer pool.ps.mu.Unlock()
 		return len(pool.ps.live["rocket"])
 	}
 	for round := 0; round < 8; round++ {
-		r1 := e.Submit(randomProgs(rng, 4, 10))
-		r2 := e.Submit(randomProgs(rng, 4, 10))
+		r1 := e1.Submit(randomProgs(rng, 4, 10))
+		r2 := e2.Submit(randomProgs(rng, 4, 10))
 		if n := live(); n != 2 {
 			t.Fatalf("round %d: %d live rounds with two submitted", round, n)
 		}
@@ -125,5 +124,35 @@ func TestPoolRetiresDrainedRounds(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Executed+st.Helped != st.Submitted {
 		t.Errorf("executed %d + helped %d != submitted %d", st.Executed, st.Helped, st.Submitted)
+	}
+}
+
+// TestEngineSecondSubmitBeforeEachPanics: an engine has one round —
+// submitting again before Each has drained it is caller error.
+func TestEngineSecondSubmitBeforeEachPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pool := NewFleetPool(0, nil)
+	defer pool.Close()
+	e := New(rocket.New(), Config{Pool: pool})
+	r := e.Submit(randomProgs(rng, 2, 8))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second Submit before Each did not panic")
+			}
+		}()
+		e.Submit(randomProgs(rng, 2, 8))
+	}()
+	// The refused Submit left the live round intact, and once it is
+	// drained the engine submits again.
+	for round := 0; round < 2; round++ {
+		n := 0
+		r.Each(func(int, *Outcome) { n++ })
+		if n != 2 {
+			t.Fatalf("round %d drained %d outcomes, want 2", round, n)
+		}
+		if round == 0 {
+			r = e.Submit(randomProgs(rng, 2, 8))
+		}
 	}
 }

@@ -15,10 +15,9 @@ const goldenSimulation = "e7bdf13e0c6a6af9bf0120e15b1a87934c6569f57f172072b01a73
 
 // TestGoldenSimulation pins every trace entry, register and exit state
 // of the simtest program set, through a fresh memory per Run and
-// through one reset memory, trace buffer and decode cache.
+// through one reset memory and trace buffer.
 func TestGoldenSimulation(t *testing.T) {
 	gmem := mem.Platform()
-	cache := NewDecodeCache(mem.TextBase, 1024)
 	var buf []trace.Entry
 	fresh, reused := simtest.NewDigest(), simtest.NewDigest()
 	for _, body := range simtest.Programs() {
@@ -33,7 +32,6 @@ func TestGoldenSimulation(t *testing.T) {
 		gmem.Reset()
 		gmem.Load(img)
 		s = New(gmem, img.Entry)
-		s.Cache = cache
 		buf = s.RunAppend(buf, prog.InstructionBudget(len(body)))
 		reused.Trace(buf)
 		reused.Outcome(s.Halted, s.ExitCode, s.X)

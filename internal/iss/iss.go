@@ -34,58 +34,6 @@ type ISS struct {
 	ExitCode uint64
 
 	amoRd uint64 // rd result of the in-flight AMO (loaded value or SC status)
-
-	// Cache, when non-nil, memoises isa.Decode results per fetch
-	// address. Purely an execution detail: every hit is revalidated
-	// against the freshly fetched raw word, so results are bit-exact
-	// even under self-modifying code. The execution engine installs a
-	// per-worker cache; the serial reference path leaves it nil.
-	Cache *DecodeCache
-}
-
-// DecodeCache memoises instruction decode for a fixed text window,
-// turning the interpreter's per-instruction decode dispatch into a
-// batched table walk over straight-line runs: the first pass through a
-// run decodes and fills the table, every later pass (loop iterations,
-// prefix replays, the shared harness epilogue) re-executes from the
-// pre-decoded entries. An entry is tagged with the raw word it decoded,
-// and a hit requires the tag to match the word just fetched — stores
-// into the window (self-modifying code is a first-class workload here)
-// change the fetched word, miss the tag, and simply re-decode. No
-// invalidation hooks, no coupling to the memory system, and identical
-// results by construction: isa.Decode is a pure function of the word.
-type DecodeCache struct {
-	base uint64
-	raw  []uint32
-	inst []isa.Inst
-	ok   []bool
-}
-
-// NewDecodeCache returns a cache covering words instruction slots
-// starting at base. Fetches outside the window decode uncached.
-func NewDecodeCache(base uint64, words int) *DecodeCache {
-	return &DecodeCache{
-		base: base,
-		raw:  make([]uint32, words),
-		inst: make([]isa.Inst, words),
-		ok:   make([]bool, words),
-	}
-}
-
-// decode returns the decode of raw fetched at addr, memoised when addr
-// falls inside the cache window.
-func (c *DecodeCache) decode(addr uint64, raw uint32) isa.Inst {
-	off := addr - c.base
-	i := off / 4
-	if off%4 != 0 || i >= uint64(len(c.raw)) {
-		return isa.Decode(raw)
-	}
-	if c.ok[i] && c.raw[i] == raw {
-		return c.inst[i]
-	}
-	inst := isa.Decode(raw)
-	c.raw[i], c.inst[i], c.ok[i] = raw, inst, true
-	return inst
 }
 
 // New returns an ISS starting at entry with all registers zero and
@@ -157,12 +105,7 @@ func (s *ISS) Step() (trace.Entry, bool) {
 	raw := s.Mem.ReadWord(s.PC)
 	e.Raw = raw
 
-	var inst isa.Inst
-	if s.Cache != nil {
-		inst = s.Cache.decode(s.PC, raw)
-	} else {
-		inst = isa.Decode(raw)
-	}
+	inst := isa.Decode(raw)
 	e.Op = inst.Op
 	if !inst.Valid() {
 		e.Trap, e.Cause, e.TVal = true, isa.ExcIllegalInstruction, uint64(raw)

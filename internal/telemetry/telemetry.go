@@ -71,11 +71,8 @@ const (
 	SpanTrain = "train"
 	// EventSteal marks a cross-design claim by a pool worker's steal
 	// policy; EventMigrate a scratch re-bind to a new design.
-	// EventPipeline marks a round submission that overlapped an
-	// undrained earlier round (the sub-round pipeline engaging).
-	EventSteal    = "steal"
-	EventMigrate  = "migrate"
-	EventPipeline = "pipeline"
+	EventSteal   = "steal"
+	EventMigrate = "migrate"
 )
 
 // trackCap is each track's preallocated ring capacity. Rings drain at
