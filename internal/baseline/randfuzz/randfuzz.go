@@ -29,6 +29,11 @@ func New(seed int64, bodyInstrs int) *Gen {
 	return &Gen{BodyInstrs: bodyInstrs, rng: rand.New(rand.NewSource(seed))}
 }
 
+// Reseed restarts the generator's random stream at seed: afterwards it
+// generates exactly what New(seed, ...) would. The source is reseeded in
+// place, so a reseed allocates nothing.
+func (g *Gen) Reseed(seed int64) { g.rng.Seed(seed) }
+
 // Name implements the Generator interface.
 func (g *Gen) Name() string {
 	if g.Raw {

@@ -1,6 +1,7 @@
 package randfuzz
 
 import (
+	"reflect"
 	"testing"
 
 	"chatfuzz/internal/cov"
@@ -63,6 +64,24 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		for j := range a[i].Body {
 			if a[i].Body[j] != b[i].Body[j] {
 				t.Fatal("same seed produced different programs")
+			}
+		}
+	}
+}
+
+// TestReseedInPlaceMatchesFresh: a used generator, once reseeded, emits
+// what New(seed) emits, in both modes and for several seeds.
+func TestReseedInPlaceMatchesFresh(t *testing.T) {
+	for _, raw := range []bool{false, true} {
+		used := New(1, 16)
+		used.Raw = raw
+		for _, seed := range []int64{0, 7, -3, 1 << 40, 7} {
+			used.GenerateBatch(3)
+			used.Reseed(seed)
+			fresh := New(seed, 16)
+			fresh.Raw = raw
+			if got, want := used.GenerateBatch(5), fresh.GenerateBatch(5); !reflect.DeepEqual(got, want) {
+				t.Fatalf("raw=%v seed %d: reseeded generator diverges from a fresh one", raw, seed)
 			}
 		}
 	}

@@ -14,6 +14,7 @@ package thehuzz
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -105,8 +106,9 @@ func (g *Gen) PoolSize() int { return len(g.pool) }
 // orchestrator reseeds arms deterministically before every scheduling
 // round, which is what makes checkpoint→resume replay exact: the seed
 // is a pure function of (campaign seed, shard, round), so no rng state
-// needs to survive a checkpoint.
-func (g *Gen) Reseed(seed int64) { g.rng = rand.New(rand.NewSource(seed)) }
+// needs to survive a checkpoint. The source is reseeded in place — its
+// stream is then a fresh one's — so a reseed allocates nothing.
+func (g *Gen) Reseed(seed int64) { g.rng.Seed(seed) }
 
 // PoolEntry is a saved interesting input, in its serializable form.
 type PoolEntry struct {
@@ -183,6 +185,15 @@ func (g *Gen) VisitPool(f func(PoolEntry)) {
 	for _, e := range g.pool {
 		f(e)
 	}
+}
+
+// SamePool reports whether g's pool is h's entry for entry: the same
+// bodies (by identity, as AdoptPool shares them), scores and ages.
+func (g *Gen) SamePool(h *Gen) bool {
+	return slices.EqualFunc(g.pool, h.pool, func(a, b PoolEntry) bool {
+		return a.Score == b.Score && a.Age == b.Age && len(a.Body) == len(b.Body) &&
+			(len(a.Body) == 0 || &a.Body[0] == &b.Body[0])
+	})
 }
 
 // AdoptPool is SetState without the deep copy: the generator copies the

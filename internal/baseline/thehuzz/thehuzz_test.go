@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"chatfuzz/internal/cov"
@@ -202,4 +203,74 @@ func FuzzAppendStateMatchesMarshal(f *testing.F) {
 		}
 		checkAppendState(t, g)
 	})
+}
+
+// TestReseedInPlaceMatchesFresh: a used generator, once reseeded, emits
+// what a fresh generator of that seed and the same pool emits, for
+// several seeds and while its pool grows; a reseed allocates nothing.
+func TestReseedInPlaceMatchesFresh(t *testing.T) {
+	used := New(1, 12)
+	for i, seed := range []int64{0, 7, -3, 1 << 40, 7} {
+		batch := used.GenerateBatch(6)
+		scores := make([]cov.Scores, len(batch))
+		scores[i%len(scores)].Incremental = i + 1
+		used.Feedback(scores)
+
+		used.Reseed(seed)
+		fresh := New(seed, 12)
+		fresh.SetState(used.State())
+		if got, want := used.GenerateBatch(8), fresh.GenerateBatch(8); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d (pool %d): reseeded generator diverges from a fresh one", seed, used.PoolSize())
+		}
+	}
+	if used.PoolSize() == 0 {
+		t.Fatal("the pool never grew; the mutation path went untested")
+	}
+	if n := testing.AllocsPerRun(10, func() { used.Reseed(9) }); n != 0 {
+		t.Errorf("Reseed allocates %.0f times, want 0", n)
+	}
+}
+
+// TestSamePool: pools adopted from one slice are the same; a deep copy
+// of equal contents, a different score or age, or one pool's own
+// admission is not.
+func TestSamePool(t *testing.T) {
+	src := New(1, 8)
+	batch := src.GenerateBatch(6)
+	scores := make([]cov.Scores, len(batch))
+	for i := range scores {
+		scores[i].Incremental = 1 + i%2
+	}
+	src.Feedback(scores)
+	pool := src.State().Pool
+	pool = append(pool, PoolEntry{Body: []uint32{}, Score: 1})
+	a, b := New(2, 8), New(3, 8)
+	a.AdoptPool(4, pool)
+	b.AdoptPool(5, pool)
+	if !a.SamePool(b) || !b.SamePool(a) {
+		t.Fatal("pools adopted from one slice are not the same")
+	}
+	c := New(4, 8)
+	c.SetState(State{Pool: pool})
+	if a.SamePool(c) {
+		t.Error("a deep copy shares no body, yet counts as the same pool")
+	}
+	for _, edit := range []func(*PoolEntry){
+		func(e *PoolEntry) { e.Score++ },
+		func(e *PoolEntry) { e.Age++ },
+		func(e *PoolEntry) { e.Body = e.Body[:len(e.Body)-1] },
+	} {
+		p := append([]PoolEntry(nil), pool...)
+		edit(&p[0])
+		b.AdoptPool(5, p)
+		if a.SamePool(b) {
+			t.Error("pools differing in one entry count as the same")
+		}
+	}
+	b.AdoptPool(5, pool)
+	b.GenerateBatch(len(scores))
+	b.Feedback(scores)
+	if a.SamePool(b) {
+		t.Error("a pool that admitted new entries still counts as the same")
+	}
 }

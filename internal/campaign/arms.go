@@ -84,9 +84,9 @@ func RandFuzzArm(bodyInstrs int) ArmSpec {
 		Name: "randfuzz",
 		sig:  fmt.Sprintf("randfuzz/body=%d", bodyInstrs),
 		build: func(int) arm {
-			a := &randFuzzArm{body: bodyInstrs}
-			a.Reseed(0)
-			return a
+			g := randfuzz.New(0, bodyInstrs)
+			g.Raw = true
+			return &randFuzzArm{g}
 		},
 	}
 }
@@ -220,14 +220,10 @@ func (a *randInstArm) GenerateBatch(n int) []prog.Program {
 
 func (a *randInstArm) Feedback([]cov.Scores) {}
 
-func (a *randInstArm) Reseed(seed int64) { a.rng = rand.New(rand.NewSource(seed)) }
+func (a *randInstArm) Reseed(seed int64) { a.rng.Seed(seed) }
 
-// randFuzzArm wraps randfuzz in raw mode; reseeding rebuilds the
-// stateless generator.
-type randFuzzArm struct {
-	body int
-	gen  *randfuzz.Gen
-}
+// randFuzzArm wraps randfuzz in raw mode.
+type randFuzzArm struct{ gen *randfuzz.Gen }
 
 func (a *randFuzzArm) Name() string { return "randfuzz" }
 
@@ -235,11 +231,7 @@ func (a *randFuzzArm) GenerateBatch(n int) []prog.Program { return a.gen.Generat
 
 func (a *randFuzzArm) Feedback(s []cov.Scores) { a.gen.Feedback(s) }
 
-func (a *randFuzzArm) Reseed(seed int64) {
-	g := randfuzz.New(seed, a.body)
-	g.Raw = true
-	a.gen = g
-}
+func (a *randFuzzArm) Reseed(seed int64) { a.gen.Reseed(seed) }
 
 // llmArm samples from the shared trained model; reseeding rebuilds the
 // lightweight generator wrapper around the (static) weights.

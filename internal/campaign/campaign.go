@@ -672,8 +672,13 @@ func (o *Orchestrator) syncPools() {
 	for _, s := range o.shards {
 		for _, a := range s.arms {
 			if ha, ok := a.(*huzzArm); ok {
+				// A pool that is an earlier one's entry for entry — after a
+				// sync, usually every pool but the first — adds nothing: each
+				// of its bodies would be a dedupe hit.
+				if !slices.ContainsFunc(ps.gens, func(g *huzzArm) bool { return g.Gen.SamePool(ha.Gen) }) {
+					ha.Gen.VisitPool(add)
+				}
 				ps.gens = append(ps.gens, ha)
-				ha.Gen.VisitPool(add)
 			}
 		}
 	}

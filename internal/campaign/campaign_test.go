@@ -2,12 +2,17 @@ package campaign
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"chatfuzz/internal/baseline/randfuzz"
+	"chatfuzz/internal/baseline/randinst"
 	"chatfuzz/internal/baseline/thehuzz"
 	"chatfuzz/internal/core"
+	"chatfuzz/internal/prog"
 	"chatfuzz/internal/rtl"
 	"chatfuzz/internal/rtl/boom"
 	"chatfuzz/internal/rtl/rocket"
@@ -267,5 +272,40 @@ func TestLLMArmSchedules(t *testing.T) {
 	resumed.RunRounds(1)
 	if resumed.Rounds() != 3 {
 		t.Errorf("resumed fleet at round %d, want 3", resumed.Rounds())
+	}
+}
+
+// TestArmReseedInPlaceMatchesFresh: the random arms reseed their
+// existing source, and a used arm, once reseeded, emits the stream a
+// source freshly seeded alike gives: randinst programs for RandInstArm,
+// raw words for RandFuzzArm. A reseed allocates nothing.
+func TestArmReseedInPlaceMatchesFresh(t *testing.T) {
+	fresh := map[string]func(seed int64, n int) []prog.Program{
+		"randinst": func(seed int64, n int) []prog.Program {
+			rng := rand.New(rand.NewSource(seed))
+			out := make([]prog.Program, n)
+			for i := range out {
+				out[i] = prog.Program{Body: randinst.Program(rng, testBody)}
+			}
+			return out
+		},
+		"randfuzz": func(seed int64, n int) []prog.Program {
+			g := randfuzz.New(seed, testBody)
+			g.Raw = true
+			return g.GenerateBatch(n)
+		},
+	}
+	for _, spec := range []ArmSpec{RandInstArm(testBody), RandFuzzArm(testBody)} {
+		a := spec.build(0)
+		for _, seed := range []int64{0, 7, -3, 1 << 40, 7} {
+			a.GenerateBatch(3)
+			a.Reseed(seed)
+			if got, want := a.GenerateBatch(5), fresh[spec.Name](seed, 5); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: reseeded arm diverges from a fresh source", spec.Name, seed)
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() { a.Reseed(9) }); n != 0 {
+			t.Errorf("%s: Reseed allocates %.0f times, want 0", spec.Name, n)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"chatfuzz/internal/baseline/randfuzz"
 	"chatfuzz/internal/prog"
 	"chatfuzz/internal/rtl/rocket"
+	"chatfuzz/internal/trace"
 )
 
 // TestSteadyStateCommitAllocFree pins the commit path's allocation
@@ -33,7 +34,7 @@ func TestSteadyStateCommitAllocFree(t *testing.T) {
 
 	// One warm commit builds any lazily-grown detector/calculator state.
 	f.Calc.BeginBatch()
-	f.commitOne(nil, res, golden)
+	f.commitOne(nil, &res, golden, 0)
 
 	const runs = 200
 	grown := make([]ProgressPoint, len(f.Progress), len(f.Progress)+2*runs+8)
@@ -42,12 +43,32 @@ func TestSteadyStateCommitAllocFree(t *testing.T) {
 
 	avg := testing.AllocsPerRun(runs, func() {
 		f.Calc.BeginBatch()
-		f.commitOne(nil, res, golden)
+		f.commitOne(nil, &res, golden, 0)
 	})
 	if avg != 0 {
 		t.Errorf("steady-state commit allocates %.1f objects/run, want 0", avg)
 	}
 	if f.Det.RawCount != 0 {
 		t.Fatalf("benign trace produced %d raw mismatches; the measurement exercised the wrong path", f.Det.RawCount)
+	}
+
+	// A divergence in an existing cluster allocates nothing either: the
+	// signature is looked up from the detector's own byte buffer, and a
+	// string is made only for a cluster seen for the first time.
+	bad := append([]trace.Entry(nil), res.Trace...)
+	last := &bad[len(bad)-1]
+	last.RdValid, last.Rd, last.RdVal = true, 7, 99
+	res.Trace = bad
+	f.Calc.BeginBatch()
+	f.commitOne(nil, &res, golden, 0)
+	avg = testing.AllocsPerRun(runs, func() {
+		f.Calc.BeginBatch()
+		f.commitOne(nil, &res, golden, 0)
+	})
+	if avg != 0 {
+		t.Errorf("commit of a repeated divergence allocates %.1f objects/run, want 0", avg)
+	}
+	if f.Det.RawCount != runs+2 || len(f.Det.Unique()) != 1 {
+		t.Fatalf("repeated divergence: %d raw in %d clusters, want %d in 1", f.Det.RawCount, len(f.Det.Unique()), runs+2)
 	}
 }

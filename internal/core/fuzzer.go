@@ -166,8 +166,10 @@ func (f *Fuzzer) feedbackFree() bool {
 // and the trajectory sample. buildErr marks a program the harness
 // refused to build — it is scored as invalid (zero standalone and
 // incremental coverage) and charged only the per-test overhead, never
-// run as an empty image that would pollute coverage and reward.
-func (f *Fuzzer) commitOne(buildErr error, res rtl.Result, golden []trace.Entry) cov.Scores {
+// run as an empty image that would pollute coverage and reward. The
+// first same entries of res.Trace and golden are known identical and
+// are not compared again (engine.Outcome.Same).
+func (f *Fuzzer) commitOne(buildErr error, res *rtl.Result, golden []trace.Entry, same int) cov.Scores {
 	var sc cov.Scores
 	if buildErr != nil {
 		sc = f.Calc.ScoreInvalid()
@@ -186,7 +188,7 @@ func (f *Fuzzer) commitOne(buildErr error, res rtl.Result, golden []trace.Entry)
 			// The detector is handed the post-increment test number so
 			// that a finding's Test field matches ProgressPoint.Tests
 			// for the test that produced it (they were off by one).
-			f.Det.Analyze(f.Tests, res.Trace, golden)
+			f.Det.Observe(f.Tests, res.Trace, golden, same)
 		}
 	}
 	f.Progress = append(f.Progress, ProgressPoint{
@@ -246,7 +248,7 @@ func (f *Fuzzer) runBatch(k int, pre []prog.Program, nextK int) ([]cov.Scores, [
 		f.Calc.BeginBatch()
 		t := f.track.Start()
 		round.Each(func(i int, o *engine.Outcome) {
-			scores[i] = f.commitOne(o.Err, o.Res, o.Golden)
+			scores[i] = f.commitOne(o.Err, &o.Res, o.Golden, o.Same)
 		})
 		f.track.Span(telemetry.SpanCommit, t)
 	} else {
@@ -262,8 +264,10 @@ func (f *Fuzzer) runBatch(k int, pre []prog.Program, nextK int) ([]cov.Scores, [
 		}
 		f.Calc.BeginBatch()
 		t := f.track.Start()
-		for i, o := range outs {
-			scores[i] = f.commitOne(o.err, o.res, o.golden)
+		for i := range outs {
+			// The oracle compares every entry: no prefix is taken as known.
+			o := &outs[i]
+			scores[i] = f.commitOne(o.err, &o.res, o.golden, 0)
 		}
 		f.track.Span(telemetry.SpanCommit, t)
 	}

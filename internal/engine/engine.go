@@ -45,6 +45,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -80,6 +81,10 @@ type Outcome struct {
 	Res rtl.Result
 	// Golden is the golden-model commit trace (Detect only).
 	Golden []trace.Entry
+	// Same is a count of leading entries of Res.Trace and Golden known
+	// to be identical — the harness prologue both sides copied from
+	// their checkpoints — which the detector need not compare.
+	Same int
 	// Err reports a program the harness refused to build; the program
 	// executed nothing and must be scored as invalid.
 	Err error
@@ -150,33 +155,65 @@ type PipeStats struct{ SnapHits, SnapMisses int64 }
 // design on first build, so a migration back to a previously served
 // design re-binds for free (committers never migrate).
 type worker struct {
-	cur     string // claim-time design affinity (pool workers only)
-	bound   string // design of the currently bound runner
-	runner  rtl.Runner
-	runners map[string]rtl.Runner // design → cached runner (nil entries
-	// mark designs whose DUT is not reusable)
+	cur   string   // claim-time design affinity (pool workers only)
+	bound string   // design of the currently bound runner
+	b     *binding // the bound design's scratch
+	binds map[string]*binding
 	gmem  *mem.Memory      // golden-model platform memory, lazily built
 	track *telemetry.Track // per-worker span ring (nil = disabled)
+}
+
+// binding is a worker's scratch for one design.
+type binding struct {
+	runner rtl.Runner // nil when the design's DUT is not reusable
+	// prefix is the once-made verdict on whether the entries runner
+	// restores from its checkpoint are the golden prologue's: 0 not
+	// yet checked, 1 they are, -1 they are not (final).
+	prefix int8
 }
 
 // bind points the worker's scratch at sh's design, building the
 // design's runner on first encounter. Only a change of design does
 // any work — the migration the pool's steal policy minimises.
 func (w *worker) bind(sh *shared) {
-	if w.bound == sh.design && w.runners != nil {
+	if w.bound == sh.design && w.binds != nil {
 		return
 	}
-	if w.runners == nil {
-		w.runners = make(map[string]rtl.Runner, 1)
+	if w.binds == nil {
+		w.binds = make(map[string]*binding, 1)
 	}
-	r, ok := w.runners[sh.design]
+	b, ok := w.binds[sh.design]
 	if !ok {
+		b = &binding{}
 		if rd, reusable := sh.dut.(rtl.ReusableDUT); reusable {
-			r = rd.NewRunner()
+			b.runner = rd.NewRunner()
 		}
-		w.runners[sh.design] = r
+		w.binds[sh.design] = b
 	}
-	w.bound, w.runner = sh.design, r
+	w.bound, w.b = sh.design, b
+}
+
+// samePrefix returns how many leading entries of res.Trace and a golden
+// trace that began with the copied prologue pro are identical without
+// comparing them: len(pro) when res restored exactly that many entries
+// from a checkpoint this runner was once seen to restore as pro, entry
+// for entry, else 0. A runner's checkpoint never changes once taken, so
+// the one comparison covers every later resume.
+func (b *binding) samePrefix(res *rtl.Result, pro []trace.Entry) int {
+	n := len(pro)
+	if n == 0 || res.Restored != n {
+		return 0
+	}
+	if b.prefix == 0 {
+		b.prefix = -1
+		if n <= len(res.Trace) && slices.Equal(res.Trace[:n], pro) {
+			b.prefix = 1
+		}
+	}
+	if b.prefix < 0 {
+		return 0
+	}
+	return n
 }
 
 // exec runs one program end to end: build, DUT simulation, and (when
@@ -203,7 +240,7 @@ func (w *worker) exec(r *Round, i int) {
 		defer ck.useEnd(w)
 	}
 	t = w.track.Start()
-	if w.runner != nil {
+	if w.b.runner != nil {
 		set, ok := sh.sets.get()
 		if ok {
 			set.Reset()
@@ -219,7 +256,7 @@ func (w *worker) exec(r *Round, i int) {
 				ck.checkOut(sliceKey(tr), "trace buffer")
 			}
 		}
-		o.Res = w.runner.RunScratch(img, budget, set, tr)
+		o.Res = w.b.runner.RunScratch(img, budget, set, tr)
 		o.pooledRes = true
 	} else {
 		o.Res = sh.dut.Run(img, budget)
@@ -237,7 +274,9 @@ func (w *worker) exec(r *Round, i int) {
 				ck.checkOut(sliceKey(buf), "golden buffer")
 			}
 		}
-		o.Golden = GoldenRun(w.gmem, img, budget, buf)
+		var pro []trace.Entry
+		o.Golden, pro = goldenRun(w.gmem, img, budget, buf)
+		o.Same = w.b.samePrefix(&o.Res, pro)
 		o.pooledGolden = true
 		w.track.Span(telemetry.SpanGolden, t)
 	}

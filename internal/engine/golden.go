@@ -90,10 +90,17 @@ func buildPrologue(entry uint64) *prologue {
 // bit-identical to a from-reset run — non-harness entry points and
 // budgets too small to clear the prologue fall back to one.
 func GoldenRun(m *mem.Memory, img mem.Image, budget int, buf []trace.Entry) []trace.Entry {
+	tr, _ := goldenRun(m, img, budget, buf)
+	return tr
+}
+
+// goldenRun is GoldenRun that also returns the prologue entries it
+// copied into the trace's head: nil when it ran from reset.
+func goldenRun(m *mem.Memory, img mem.Image, budget int, buf []trace.Entry) ([]trace.Entry, []trace.Entry) {
 	pro := prologueFor(img.Entry)
 	m.Load(img)
 	if !pro.ok || budget <= len(pro.trace) {
-		return iss.New(m, img.Entry).RunAppend(buf, budget)
+		return iss.New(m, img.Entry).RunAppend(buf, budget), nil
 	}
 	entries := append(buf[:0], pro.trace...)
 	s := iss.NewFromSnapshot(pro.snap, m)
@@ -107,5 +114,5 @@ func GoldenRun(m *mem.Memory, img mem.Image, budget int, buf []trace.Entry) []tr
 			break
 		}
 	}
-	return entries
+	return entries, pro.trace
 }

@@ -12,6 +12,7 @@ package mismatch
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"chatfuzz/internal/isa"
@@ -136,6 +137,8 @@ type Record struct {
 type Detector struct {
 	filters []Filter
 	unique  map[string]*Record
+	novel   int    // non-filtered records in unique (NovelSignatures)
+	sig     []byte // scratch: the signature being looked up
 
 	Tests       int
 	RawCount    int
@@ -150,27 +153,31 @@ func NewDetector(filters ...Filter) *Detector {
 	return &Detector{filters: filters, unique: make(map[string]*Record)}
 }
 
-// signature builds the clustering key: mismatches with the same kind,
-// opcode, and cause/register fingerprint are instances of the same
-// underlying issue.
-func signature(k Kind, dut, golden trace.Entry) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s", k, golden.Op)
+// appendSignature appends the clustering key to b: mismatches with the
+// same kind, opcode, and cause/register fingerprint are instances of
+// the same underlying issue. A trace-length mismatch has no aligned
+// entry to fingerprint and is keyed by its kind alone.
+func appendSignature(b []byte, k Kind, dut, golden *trace.Entry) []byte {
+	b = append(b, k.String()...)
+	if k == KindLength {
+		return b
+	}
+	b = append(append(b, '|'), golden.Op.String()...)
 	switch k {
 	case KindCause:
-		fmt.Fprintf(&b, "|%d-vs-%d", dut.Cause, golden.Cause)
+		b = strconv.AppendUint(append(b, '|'), dut.Cause, 10)
+		b = strconv.AppendUint(append(b, "-vs-"...), golden.Cause, 10)
 	case KindRdWrite:
-		fmt.Fprintf(&b, "|dut=%v,x%d", dut.RdValid, dut.Rd)
+		b = strconv.AppendBool(append(b, "|dut="...), dut.RdValid)
+		b = strconv.AppendUint(append(b, ",x"...), uint64(dut.Rd), 10)
 	case KindTrap:
-		fmt.Fprintf(&b, "|dut=%v", dut.Trap)
-	case KindStaleFetch, KindControlFlow, KindLength, KindRdValue, KindMemEffect:
-		// opcode-level signature is enough
+		b = strconv.AppendBool(append(b, "|dut="...), dut.Trap)
 	}
-	return b.String()
+	return b
 }
 
 // classify maps a divergence onto the known findings.
-func classify(k Kind, dut, golden trace.Entry) Finding {
+func classify(k Kind, dut, golden *trace.Entry) Finding {
 	op := golden.Op
 	switch k {
 	case KindStaleFetch:
@@ -199,9 +206,9 @@ func classify(k Kind, dut, golden trace.Entry) Finding {
 }
 
 // diffKind determines how two aligned entries diverge.
-func diffKind(d, g trace.Entry) Kind {
+func diffKind(d, g *trace.Entry) Kind {
 	switch {
-	case d == g:
+	case *d == *g:
 		return KindNone
 	case d.PC != g.PC:
 		return KindControlFlow
@@ -234,81 +241,96 @@ func (d *Detector) SkipTest() { d.Tests++ }
 // the remainder of the test is tainted: downstream divergences are
 // cascades of the filtered difference and are filtered too.
 func (d *Detector) Analyze(test int, dut, golden []trace.Entry) []Mismatch {
-	d.Tests++
 	var out []Mismatch
-	tainted := false
+	d.compare(test, dut, golden, 0, &out)
+	return out
+}
 
-	n := len(dut)
-	if len(golden) < n {
-		n = len(golden)
-	}
-	for i := 0; i < n; i++ {
-		k := diffKind(dut[i], golden[i])
+// Observe records what Analyze records and returns nothing — the form
+// for a caller that keeps only the detector's accumulated state. The
+// first same entries of the two traces must be known identical (the
+// harness prologue both simulators copied from their checkpoints), and
+// are not compared again. A signature string is allocated only for a
+// new cluster.
+func (d *Detector) Observe(test int, dut, golden []trace.Entry, same int) {
+	d.compare(test, dut, golden, same, nil)
+}
+
+// compare is the detector's one comparison loop, started at entry i:
+// every entry before it must be equal in both traces. out, when
+// non-nil, collects the raw mismatches.
+func (d *Detector) compare(test int, dut, golden []trace.Entry, i int, out *[]Mismatch) {
+	d.Tests++
+	n := min(len(dut), len(golden))
+	found, tainted := false, false
+	for ; i < n; i++ {
+		dv, gv := &dut[i], &golden[i]
+		k := diffKind(dv, gv)
 		if k == KindNone {
 			continue
 		}
-		filtered := tainted
-		if !filtered {
+		if !tainted {
 			for _, f := range d.filters {
-				if f(dut[i], golden[i]) {
-					filtered = true
+				if f(*dv, *gv) {
 					tainted = true
 					break
 				}
 			}
 		}
-		m := Mismatch{
-			Test: test, Index: i, Kind: k,
-			DUT: dut[i], Golden: golden[i],
-			Filtered: filtered,
-		}
-		m.Signature = signature(k, dut[i], golden[i])
-		if filtered {
-			m.Finding = FindingFalsePositive
-		} else {
-			m.Finding = classify(k, dut[i], golden[i])
-		}
-		out = append(out, m)
-		d.record(m)
+		d.record(test, i, k, dv, gv, tainted, out)
+		found = true
 		// Alignment is lost after control-flow or stale-fetch
 		// divergence: stop comparing this test.
 		if k == KindControlFlow || k == KindStaleFetch {
 			break
 		}
 	}
-	if len(out) == 0 && len(dut) != len(golden) {
-		m := Mismatch{Test: test, Index: n, Kind: KindLength, Filtered: tainted}
+	if !found && len(dut) != len(golden) {
+		var dv, gv trace.Entry
 		if n > 0 {
-			m.DUT, m.Golden = dut[n-1], golden[n-1]
+			dv, gv = dut[n-1], golden[n-1]
 		}
-		m.Signature = "trace-length"
-		if tainted {
-			m.Finding = FindingFalsePositive
-		}
-		out = append(out, m)
-		d.record(m)
+		d.record(test, n, KindLength, &dv, &gv, tainted, out)
 	}
-	return out
 }
 
-func (d *Detector) record(m Mismatch) {
+// record accounts one raw mismatch into its cluster, and appends it to
+// out when out is non-nil.
+func (d *Detector) record(test, index int, k Kind, dut, golden *trace.Entry, filtered bool, out *[]Mismatch) {
 	d.RawCount++
-	if m.Filtered {
+	if filtered {
 		d.FilteredRaw++
 	}
-	r, ok := d.unique[m.Signature]
-	if !ok {
-		r = &Record{Signature: m.Signature, Kind: m.Kind, Finding: m.Finding,
-			Filtered: m.Filtered, Example: m}
-		d.unique[m.Signature] = r
+	d.sig = appendSignature(d.sig[:0], k, dut, golden)
+	r := d.unique[string(d.sig)] // the lookup does not allocate
+	// A non-filtered instance upgrades a previously filtered record.
+	upgrade := r != nil && r.Filtered && !filtered
+	if r == nil || upgrade || out != nil {
+		m := Mismatch{Test: test, Index: index, Kind: k, DUT: *dut, Golden: *golden,
+			Finding: FindingFalsePositive, Filtered: filtered}
+		if !filtered {
+			m.Finding = classify(k, dut, golden)
+		}
+		switch {
+		case r == nil:
+			m.Signature = string(d.sig)
+			r = &Record{Signature: m.Signature, Kind: k, Finding: m.Finding, Filtered: filtered, Example: m}
+			d.unique[m.Signature] = r
+			if !filtered {
+				d.novel++
+			}
+		case upgrade:
+			m.Signature = r.Signature
+			r.Filtered, r.Finding, r.Example = false, m.Finding, m
+			d.novel++
+		default:
+			m.Signature = r.Signature
+		}
+		if out != nil {
+			*out = append(*out, m)
+		}
 	}
 	r.Count++
-	// A non-filtered instance upgrades a previously filtered record.
-	if !m.Filtered && r.Filtered {
-		r.Filtered = false
-		r.Finding = m.Finding
-		r.Example = m
-	}
 }
 
 // State is the detector's serializable form: the counters plus the
@@ -341,9 +363,13 @@ func (d *Detector) SetState(st State) {
 	d.RawCount = st.RawCount
 	d.FilteredRaw = st.FilteredRaw
 	d.unique = make(map[string]*Record, len(st.Records))
+	d.novel = 0
 	for i := range st.Records {
 		r := st.Records[i]
 		d.unique[r.Signature] = &r
+		if !r.Filtered {
+			d.novel++
+		}
 	}
 }
 
@@ -356,17 +382,7 @@ func (d *Detector) SetState(st State) {
 // RawCount every test but NovelSignatures only once. It never
 // decreases, and it is derivable from State, so checkpoints need no
 // extra field.
-func (d *Detector) NovelSignatures() int {
-	n := 0
-	// Commutative count over the cluster set: order cannot reach n.
-	//lint:allow mapiter order-insensitive count
-	for _, r := range d.unique {
-		if !r.Filtered {
-			n++
-		}
-	}
-	return n
-}
+func (d *Detector) NovelSignatures() int { return d.novel }
 
 // Unique returns the clustered mismatch records, most frequent first.
 func (d *Detector) Unique() []*Record {

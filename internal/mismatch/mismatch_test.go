@@ -1,7 +1,9 @@
 package mismatch
 
 import (
+	"bytes"
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -198,7 +200,8 @@ func TestEndToEndFindingDetection(t *testing.T) {
 
 // TestStateRoundTrip: a detector serialized through State/SetState
 // (and through JSON, as campaign checkpoints do) must report
-// identically to the original, and keep accumulating correctly.
+// identically to the original, checkpoint to the same bytes, and keep
+// accumulating correctly.
 func TestStateRoundTrip(t *testing.T) {
 	d := NewDetector()
 	g1 := entry(0x100, isa.OpMUL, 0x02B50533)
@@ -207,6 +210,17 @@ func TestStateRoundTrip(t *testing.T) {
 	d.Analyze(1, []trace.Entry{d1}, []trace.Entry{g1})
 	d.Analyze(2, []trace.Entry{d1}, []trace.Entry{g1})
 	d.SkipTest()
+	// Every kind of cluster, filtered and upgraded ones among them.
+	rng := rand.New(rand.NewSource(3))
+	random := make([][2][]trace.Entry, 80)
+	for i := range random {
+		data := make([]byte, 200)
+		rng.Read(data)
+		random[i][0], random[i][1], _ = tracePair(data, 0)
+	}
+	for _, p := range random[:60] {
+		d.Analyze(d.Tests+1, p[0], p[1])
+	}
 
 	raw, err := json.Marshal(d.State())
 	if err != nil {
@@ -218,6 +232,18 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	d2 := NewDetector()
 	d2.SetState(st)
+	bug2 := func(d *Detector) int {
+		for _, r := range d.Unique() {
+			if r.Signature == "rd-write-presence|mul|dut=false,x0" {
+				return r.Count
+			}
+		}
+		return 0
+	}
+	n := bug2(d)
+	if n < 2 {
+		t.Fatalf("Bug2 cluster counts %d before restore, want at least 2", n)
+	}
 
 	if d2.Tests != d.Tests || d2.RawCount != d.RawCount || d2.FilteredRaw != d.FilteredRaw {
 		t.Errorf("counters differ after restore: %d/%d/%d vs %d/%d/%d",
@@ -226,16 +252,25 @@ func TestStateRoundTrip(t *testing.T) {
 	if d2.Report() != d.Report() {
 		t.Errorf("report differs after restore:\n%s\nvs\n%s", d2.Report(), d.Report())
 	}
+	if got := stateBytes(t, d2); !bytes.Equal(got, raw) {
+		t.Errorf("restored state checkpoints differently:\n%s\nvs\n%s", got, raw)
+	}
 
 	// The restored detector must keep clustering into the same records.
-	d.Analyze(3, []trace.Entry{d1}, []trace.Entry{g1})
-	d2.Analyze(3, []trace.Entry{d1}, []trace.Entry{g1})
+	d.Analyze(d.Tests+1, []trace.Entry{d1}, []trace.Entry{g1})
+	d2.Analyze(d2.Tests+1, []trace.Entry{d1}, []trace.Entry{g1})
 	if d2.Report() != d.Report() {
 		t.Errorf("report diverges after further analysis:\n%s\nvs\n%s", d2.Report(), d.Report())
 	}
-	u := d2.Unique()
-	if len(u) != 1 || u[0].Count != 3 {
-		t.Fatalf("restored detector records = %+v, want one record with count 3", u)
+	if got := bug2(d2); got != n+1 {
+		t.Fatalf("restored detector's Bug2 cluster counts %d, want %d", got, n+1)
+	}
+	for _, p := range random[60:] {
+		d.Analyze(d.Tests+1, p[0], p[1])
+		d2.Analyze(d2.Tests+1, p[0], p[1])
+	}
+	if !bytes.Equal(stateBytes(t, d), stateBytes(t, d2)) {
+		t.Error("restored detector diverged after further analysis")
 	}
 }
 

@@ -374,7 +374,10 @@ func (w *runner) RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr []trac
 		w.st.rob, w.st.sq = w.ckRun.rob.onto(w.rob.buf), w.ckRun.sq.onto(w.sq.buf)
 		w.st.set, w.st.tr = set, w.ck.Restore(w.core, set, tr)
 		w.resumes++
-		return w.st.exec(maxInsts - len(w.st.tr))
+		n := len(w.st.tr)
+		res := w.st.exec(maxInsts - n)
+		res.Restored = n
+		return res
 	}
 	w.core.Reset()
 	w.st = w.b.reset(w.m, img.Entry, w.core, w.rob, w.sq, set, tr)

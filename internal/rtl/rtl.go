@@ -29,6 +29,10 @@ type Result struct {
 	// Regs is the final architectural register file, for differential
 	// debugging and tests.
 	Regs [32]uint64
+	// Restored is how many leading Trace entries a runner copied from
+	// its checkpoint instead of simulating them (RunScratch on resume);
+	// DUT.Run and runs from reset leave it 0.
+	Restored int
 }
 
 // DUT is a simulated processor design.
