@@ -98,7 +98,7 @@ func RandFuzzArm(bodyInstrs int) ArmSpec {
 // LearningLLMArm, which gives each shard a model replica and keeps
 // learning through deterministic barrier averaging; the frozen arm
 // remains the cheaper choice (and the baseline the learning arm is
-// measured against in BenchmarkOnlineLearning).
+// measured against in the ledger's frozen_lm_fleet and learn_fleet).
 func LLMArm(p *core.Pipeline) ArmSpec {
 	m := p.Model.Cfg
 	return ArmSpec{

@@ -143,6 +143,35 @@ func TestLearningResumeBitIdentity(t *testing.T) {
 	}
 }
 
+// TestLearningVsFrozenAtEqualVirtualTime: the same two-shard detecting
+// fleet, once with the online-learning LLM arm and once with the
+// frozen one, compared at the virtual time both reached. On the
+// untrained test-scale pipeline, 384 tests are too few for learning to
+// pay off (the frozen arm leads by eight bins), so both coverages are
+// pinned exactly: a change to either loop moves them.
+func TestLearningVsFrozenAtEqualVirtualTime(t *testing.T) {
+	run := func(llm func(*core.Pipeline) ArmSpec) *Orchestrator {
+		p := learnPipeline()
+		o, err := New(Config{Shards: 2, BatchSize: 16, Seed: 1, Detect: true}, newRocket,
+			llm(p), TheHuzzArm(p.Cfg.BodyInstrs))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		t.Cleanup(o.Close)
+		if err := o.RunTests(384); err != nil {
+			t.Fatalf("RunTests: %v", err)
+		}
+		return o
+	}
+	learn, frozen := run(LearningLLMArm), run(LLMArm)
+	h := min(learn.Hours(), frozen.Hours())
+	const wantLearn, wantFrozen = 71.19700748129675, 72.19451371571073
+	if lc, fc := learn.CoverageAt(h), frozen.CoverageAt(h); lc != wantLearn || fc != wantFrozen {
+		t.Errorf("coverage at %v virtual hours: learn %v%%, frozen %v%%; want %v%%, %v%%",
+			h, lc, fc, wantLearn, wantFrozen)
+	}
+}
+
 // TestResumeRejectsCheckpointWithoutLearnWeights: arm signatures can
 // match while the Learn section is missing only on a corrupted or
 // hand-edited file — that must fail loudly, not silently restart the

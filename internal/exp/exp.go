@@ -57,8 +57,9 @@ func Quick() Scale {
 	}
 }
 
-// Paper returns the full-scale configuration (hours of runtime on one
-// core; intended for cmd/fuzz-bench -scale=paper).
+// Paper returns the full-scale configuration, for cmd/fuzz-bench
+// -scale=paper. It has never run to completion, so its cost is
+// unmeasured; Quick is the scale that has run end to end.
 func Paper() Scale {
 	cfg := core.DefaultPipelineConfig()
 	cfg.Corpus.Functions = 18000 // ~500 K instructions

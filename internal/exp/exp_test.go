@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -71,6 +72,44 @@ func TestSuiteEndToEnd(t *testing.T) {
 	s.TrainingCurves(&out)
 	if !strings.Contains(out.String(), "Eq. 1") {
 		t.Error("training curves missing")
+	}
+
+	out.Reset()
+	s.RunBoom(&out)
+	if !strings.Contains(out.String(), "BOOM condition coverage") || s.Boom.Final <= 0 {
+		t.Errorf("BOOM campaign: %.2f%%, output %q", s.Boom.Final, out.String())
+	}
+
+	out.Reset()
+	s.AblationNoCleanup(&out, 32)
+	wantRows(t, out.String(), "Ablation A1", "full pipeline", "no cleanup")
+
+	out.Reset()
+	s.AblationReward(&out, 32)
+	wantRows(t, out.String(), "Ablation A2", "paper reward", "incremental-only reward")
+
+	out.Reset()
+	s.RunBaselines(&out)
+	wantRows(t, out.String(), "Ablation A3", "random regression", "random raw words")
+}
+
+// wantRows checks that out has the section header and, for each label,
+// a row whose last column is a positive percentage.
+func wantRows(t *testing.T, out, header string, labels ...string) {
+	t.Helper()
+	if !strings.Contains(out, header) {
+		t.Errorf("output missing %q header:\n%s", header, out)
+	}
+	for _, label := range labels {
+		pct := -1.0
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); strings.HasPrefix(line, label) && len(f) > 0 {
+				pct, _ = strconv.ParseFloat(strings.TrimSuffix(f[len(f)-1], "%"), 64)
+			}
+		}
+		if pct <= 0 {
+			t.Errorf("%s: row %q has no positive coverage:\n%s", header, label, out)
+		}
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -107,27 +105,6 @@ func TestSnapshotterWritesLines(t *testing.T) {
 	}
 	if lines < 1 {
 		t.Error("snapshotter wrote no lines")
-	}
-}
-
-func TestWriteBenchFileMerges(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_pr8.json")
-	if err := WriteBenchFile(path, 8, map[string]float64{"speedup_x": 1.5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBenchFile(path, 8, map[string]float64{"overhead_pct": 0.3}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got map[string]any
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatalf("bench file is not JSON: %v", err)
-	}
-	if got["pr"] != float64(8) || got["speedup_x"] != 1.5 || got["overhead_pct"] != 0.3 {
-		t.Errorf("merged file = %v", got)
 	}
 }
 

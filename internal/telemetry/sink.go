@@ -2,9 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -110,33 +108,4 @@ func (s *Snapshotter) Stop() error {
 		err = <-s.done
 	})
 	return err
-}
-
-// WriteBenchFile merges vals into the flat BENCH_*.json snapshot at
-// path: one JSON object with a "pr" tag and sorted keys, the
-// serialization path benchmarks and CI share. Existing keys written
-// by an earlier benchmark of the same PR are preserved unless vals
-// overwrites them, so multi-benchmark PRs accumulate one file.
-func WriteBenchFile(path string, pr int, vals map[string]float64) error {
-	merged := map[string]any{}
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &merged); err != nil {
-			return fmt.Errorf("telemetry: existing %s is not a JSON object: %w", path, err)
-		}
-	}
-	merged["pr"] = pr
-	// Order-insensitive merge into a map; the encoder sorts keys.
-	//lint:allow mapiter order-insensitive map merge
-	for k, v := range vals {
-		merged[k] = v
-	}
-	b, err := json.Marshal(merged)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	// Atomic replace: the file is read back by CI gates (and merged by
-	// the next benchmark of the same PR), so a torn write would fail
-	// the pipeline with a JSON parse error instead of a real signal.
-	return atomicio.WriteFileBytes(path, b)
 }
