@@ -51,16 +51,17 @@
 // (platform memory, golden-model ISS, caches, coverage sets, trace
 // buffers) and commits results in deterministic input order,
 // double-buffering generation against simulation — and a pool of
-// design-affine workers fills whatever cores the committers leave
-// idle (GOMAXPROCS−1 for a lone Fuzzer, GOMAXPROCS−Shards for a fleet;
-// computed, never configured), stealing across shards and designs.
-// Nothing about pool size or claim order is observable: trajectories
-// and checkpoints are bit-identical to Options.Serial, the allocating
-// reference loop the tests use as their oracle. CampaignConfig's
-// embedded CampaignExec carries what is left of the execution side —
-// Probe (per-round barrier wait, split into the
-// sim-skew wait spare cores absorb and the learning join, plus
-// steal/migration counts, via Orchestrator.Probes and ProbeSummary),
+// workers fills whatever cores the committers leave idle
+// (GOMAXPROCS−1 for a lone Fuzzer, GOMAXPROCS−Shards for a fleet;
+// computed, never configured), claiming from the oldest live round
+// first, whatever its shard or design. Nothing about pool size or
+// claim order is observable: trajectories and checkpoints are
+// bit-identical to Options.Serial, the allocating reference loop the
+// tests use as their oracle. CampaignConfig's embedded CampaignExec
+// carries what is left of the execution side — Probe (per-round
+// barrier wait, split into the sim-skew wait spare cores absorb and
+// the learning join, plus committer-run counts, via
+// Orchestrator.Probes and ProbeSummary),
 // Telemetry and Metrics — and ResumeCampaignExec takes the same value,
 // so a resumed fleet runs and is observed exactly like a fresh one.
 // Call Fuzzer.Close (or Orchestrator.Close) when a campaign is

@@ -14,6 +14,7 @@ import (
 	"log"
 	"strings"
 
+	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/farm"
 )
 
@@ -71,12 +72,15 @@ func submitMain(args []string) {
 		dutNames   = fs.String("dut", "rocket", "designs under test: comma list of rocket/boom")
 		armNames   = fs.String("arms", "thehuzz,randinst,randfuzz", "generator arms: comma list of thehuzz/randinst/randfuzz/chatfuzz/chatfuzz-learn")
 		detect     = fs.Bool("detect", false, "enable differential testing in every shard")
-		mweight    = fs.Float64("mismatch-weight", 0, "bandit reward weight of the mismatch-rate term")
+		mweight    = fs.Float64("mismatch-weight", 0, "bandit reward weight of the mismatch-rate term, 0..1 (requires -detect)")
 		budget     = fs.Int("update-budget", 0, "learning-arm PPO skip budget (0 = never skip)")
 		ckptEvery  = fs.Int("checkpoint-every", 1, "durable checkpoint cadence in rounds (a crash re-simulates at most this many rounds)")
 		watch      = fs.Bool("watch", false, "stream round reports until the job finishes")
 	)
 	fs.Parse(args)
+	if err := campaign.CheckMismatchWeight(*mweight, *detect); err != nil {
+		log.Fatalf("submit: -mismatch-weight: %v", err)
+	}
 
 	c := farm.NewClient(*addr)
 	st, err := c.Submit(farm.JobSpec{

@@ -14,15 +14,15 @@
 // Campaign knobs of note: -dut takes a comma list (e.g.
 // "rocket,boom") to run a mixed fleet whose shards alternate designs.
 // There is one execution path and nothing to choose: every shard's
-// goroutine runs and commits its own rounds, a shared pool of
-// design-affine workers fills whatever cores the shards leave idle
-// (GOMAXPROCS − shards, computed), and learning-arm PPO training
-// always runs on a background goroutine overlapped with the next
-// round's simulation. -update-budget skips PPO steps while merged
-// coverage is plateaued. -probe records and prints per-round
-// scheduler statistics (sim and learn barrier waits, steals,
-// per-design migrations), the scale-probe mode for runs like
-// `fuzz-bench campaign -shards 32 -probe`. Observation flags (-probe
+// goroutine runs and commits its own rounds, a shared pool of workers
+// fills whatever cores the shards leave idle (GOMAXPROCS − shards,
+// computed), and learning-arm PPO training always runs on a
+// background goroutine overlapped with the next round's simulation.
+// -update-budget skips PPO steps while merged coverage is plateaued.
+// -probe records and prints per-round scheduler statistics (sim and
+// learn barrier waits, committer- and worker-run entries), the
+// scale-probe mode for runs like `fuzz-bench campaign -shards 32
+// -probe`. Observation flags (-probe
 // -probe-json -trace -metrics -telemetry-addr) apply to fresh and
 // resumed fleets alike.
 // See README.md in this directory for the full campaign flag guide.
@@ -69,7 +69,7 @@ func campaignMain(args []string) {
 		body       = fs.Int("body", 24, "instructions per test")
 		seed       = fs.Int64("seed", 1, "campaign seed")
 		dutNames   = fs.String("dut", "rocket", "designs under test: comma list of rocket/boom; shards alternate designs")
-		probe      = fs.Bool("probe", false, "record and print per-round scheduler statistics: barrier wait, spread, steals, committer-run entries, per-design migrations")
+		probe      = fs.Bool("probe", false, "record and print per-round scheduler statistics: barrier wait, spread, committer-run entries, and the pool's worker-run entries")
 		llm        = fs.Bool("llm", false, "train a pipeline and schedule the frozen LLM arm")
 		learn      = fs.Bool("learn", false, "train a pipeline and schedule the online-learning LLM arm (per-shard replicas, staged pairwise weight averaging); reports the coverage delta over an identical frozen-LLM fleet")
 		budget     = fs.Int("update-budget", 0, "skip learning-arm PPO updates after this many consecutive zero-new-coverage rounds, until coverage moves again (0 = never skip)")
@@ -101,8 +101,8 @@ func campaignMain(args []string) {
 	// Fail fast on a bad checkpoint before any expensive work: with
 	// -llm the pipeline training below takes minutes, and discovering
 	// a missing file or mismatched arm set afterwards wastes all of it.
-	if *mweight > 0 && !*detect {
-		log.Fatal("-mismatch-weight requires -detect (the term rewards new non-filtered mismatches)")
+	if err := campaign.CheckMismatchWeight(*mweight, *detect); err != nil {
+		log.Fatalf("-mismatch-weight: %v", err)
 	}
 	if *resume {
 		if *checkpoint == "" {
@@ -274,8 +274,8 @@ func campaignMain(args []string) {
 	if *probe {
 		fmt.Println(o.ProbeSummary())
 		st := o.PoolStats()
-		fmt.Printf("pool: %d workers, %d tests (%d run by workers, %d stolen across designs, %d by the shards' own committers), %d migrations\n",
-			st.Workers, st.Submitted, st.Executed, st.Stolen, st.Helped, st.Migrations)
+		fmt.Printf("pool: %d workers, %d tests (%d run by workers, %d by the shards' own committers)\n",
+			st.Workers, st.Submitted, st.Executed, st.Helped)
 	}
 	if *probeJSON != "" {
 		if err := writeProbeJSON(*probeJSON, o.Probes()); err != nil {

@@ -28,8 +28,8 @@
 // entries on scratch bound to its design for life and commits them in
 // input order. All shard engines submit to one pool the orchestrator
 // owns, whose workers exist only to fill the cores the shards do not
-// — engine.SpareWorkers(Shards), computed, never configured — keeping
-// design-affine scratch and stealing across shards and designs. With
+// — engine.SpareWorkers(Shards), computed, never configured — claiming
+// from the oldest live round first, whatever its shard or design. With
 // at least as many shards as cores there are no workers and every
 // shard is an inline loop; a shard that finishes early then idles at
 // the barrier. Everything is bit-identical to the reference oracle
@@ -62,6 +62,7 @@ package campaign
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -89,24 +90,6 @@ type Config struct {
 	RoundBatches int
 	// Seed derives every per-round generator seed.
 	Seed int64
-	// ExploreC is the UCB1 exploration constant (default √2).
-	ExploreC float64
-	// RewardHalf is the coverage rate, in new bins per virtual hour,
-	// at which the bandit reward reaches 0.5 (default 60). It only
-	// sets the scale on which arms are compared.
-	RewardHalf float64
-	// BanditDecay is the per-round discount applied to the bandit's
-	// statistics (default 0.9; 1 disables discounting). Fuzzing
-	// rewards are non-stationary, so recent rounds should outweigh
-	// the campaign's history.
-	BanditDecay float64
-	// NoSync disables pushing the merged global bitmap back into each
-	// shard at the barrier. With sync on (the default), a shard's
-	// incremental-coverage scores — and therefore TheHuzz pool
-	// admission and LLM rewards — measure fleet-new coverage, so
-	// shards complement instead of re-discovering each other's bins
-	// (the distributed-fuzzing corpus-sync idea, on bitmaps).
-	NoSync bool
 	// Detect enables differential testing in every shard. Detector
 	// state is checkpointed (v3), so resumed fleets report cumulative
 	// findings across the pause.
@@ -119,14 +102,9 @@ type Config struct {
 	// noisy divergence that keeps firing the same signature is paid
 	// once and cannot farm reward. Detection campaigns set this to
 	// steer scheduling toward trap-heavy generators; it has no effect
-	// without Detect.
+	// without Detect. CheckMismatchWeight is the rule a new fleet's
+	// weight must pass.
 	MismatchWeight float64
-	// MismatchHalf is the novelty rate, in new non-filtered mismatch
-	// signatures per virtual hour, at which the mismatch reward term
-	// reaches 0.5 (default 3; signatures are far rarer than the raw
-	// mismatches they cluster). Like RewardHalf it only sets the
-	// comparison scale.
-	MismatchHalf float64
 	// UpdateBudget adaptively skips learning-arm PPO updates while the
 	// fleet's coverage rate is plateaued: after UpdateBudget
 	// consecutive rounds in which the barrier merged zero new coverage
@@ -150,8 +128,8 @@ type Config struct {
 // runs and is observed exactly like a fresh one.
 type Exec struct {
 	// Probe records per-round scheduler statistics — barrier wait,
-	// finish-time spread, steal/committer/migration counts —
-	// retrievable via Probes(). Measurement only.
+	// finish-time spread, committer-run counts — retrievable via
+	// Probes(). Measurement only.
 	Probe bool
 	// Serial runs every shard on the reference oracle (core.Options.
 	// Serial) instead of the engine. It exists for the determinism
@@ -159,11 +137,11 @@ type Exec struct {
 	// checkpoint bytes; it is not a user-facing mode.
 	Serial bool
 	// Telemetry, when non-nil, wires a span flight recorder through
-	// every layer of the fleet: per-executor build/sim/golden spans and
-	// steal/migrate events in the engines and the pool, generate/commit
-	// spans per shard, round/barrier spans on the orchestrator's track
-	// and train spans on each learning arm's. The rings drain (Flush)
-	// at every round barrier. Telemetry observes and never steers.
+	// every layer of the fleet: per-executor build/sim/golden spans in
+	// the engines and the pool, generate/commit spans per shard,
+	// round/barrier spans on the orchestrator's track and train spans
+	// on each learning arm's. The rings drain (Flush) at every round
+	// barrier. Telemetry observes and never steers.
 	Telemetry *telemetry.Recorder
 	// Metrics, when non-nil, receives a fleet-state metrics update at
 	// every round barrier (coverage, tests, virtual hours, per-design
@@ -185,16 +163,42 @@ func (c Config) withDefaults() Config {
 	if c.RoundBatches <= 0 {
 		c.RoundBatches = 1
 	}
-	if c.RewardHalf <= 0 {
-		c.RewardHalf = 60
-	}
-	if c.BanditDecay <= 0 {
-		c.BanditDecay = 0.9
-	}
-	if c.MismatchHalf <= 0 {
-		c.MismatchHalf = 3
-	}
 	return c
+}
+
+// The bandit's scheduling constants. A checkpoint records each under
+// its own key (see wireConfig) and resumes only with these values.
+const (
+	// exploreC is the UCB1 exploration constant.
+	exploreC = math.Sqrt2
+	// rewardHalf is the coverage rate, in new bins per virtual hour, at
+	// which the bandit reward reaches 0.5. It only sets the scale on
+	// which arms are compared.
+	rewardHalf = 60
+	// banditDecay is the per-round discount applied to the bandit's
+	// statistics. Fuzzing rewards are non-stationary, so recent rounds
+	// should outweigh the campaign's history.
+	banditDecay = 0.9
+	// mismatchHalf is the novelty rate, in new non-filtered mismatch
+	// signatures per virtual hour, at which the mismatch reward term
+	// reaches 0.5 (signatures are far rarer than the raw mismatches
+	// they cluster).
+	mismatchHalf = 3
+)
+
+// CheckMismatchWeight is the rule a new fleet's Config.MismatchWeight
+// must pass: the weight lies in [0, 1], and a weight above 0 requires
+// detection, since the term rewards new detector signatures. Callers
+// apply it where a fleet is asked for — the CLI, a farm submission —
+// and never on resume or replay, which run what was already accepted.
+func CheckMismatchWeight(weight float64, detect bool) error {
+	switch {
+	case !(weight >= 0 && weight <= 1):
+		return fmt.Errorf("campaign: mismatch weight %v is outside [0, 1]", weight)
+	case weight > 0 && !detect:
+		return fmt.Errorf("campaign: mismatch weight %v requires detection (the term rewards new non-filtered mismatch signatures)", weight)
+	}
+	return nil
 }
 
 // shard is one independent campaign.
@@ -274,7 +278,7 @@ func NewMixed(cfg Config, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestr
 	o := &Orchestrator{
 		Cfg:     cfg,
 		specs:   specs,
-		bandit:  NewUCB1(len(specs), cfg.ExploreC),
+		bandit:  NewUCB1(len(specs), exploreC),
 		globals: make(map[string]*cov.Set),
 		track:   cfg.Telemetry.NewTrack("orchestrator"),
 		pool:    engine.NewFleetPool(engine.SpareWorkers(cfg.Shards), cfg.Telemetry),
@@ -294,18 +298,16 @@ func NewMixed(cfg Config, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestr
 			}
 			rec[i] = &recorded{arm: arms[i]}
 		}
-		if !cfg.NoSync {
-			hasHuzz := false
-			for _, a := range arms {
-				if _, ok := a.(*huzzArm); ok {
-					hasHuzz = true
-					break
-				}
+		hasHuzz := false
+		for _, a := range arms {
+			if _, ok := a.(*huzzArm); ok {
+				hasHuzz = true
+				break
 			}
-			for i, a := range arms {
-				if _, ok := a.(*huzzArm); !ok {
-					rec[i].capture = hasHuzz
-				}
+		}
+		for i, a := range arms {
+			if _, ok := a.(*huzzArm); !ok {
+				rec[i].capture = hasHuzz
 			}
 		}
 		fuz := core.NewFuzzer(rec[0], dut, core.Options{
@@ -391,7 +393,7 @@ func (o *Orchestrator) RunRound() error {
 	}
 	roundT := o.track.Start()
 	n := len(o.shards)
-	o.bandit.Discount(o.Cfg.BanditDecay)
+	o.bandit.Discount(banditDecay)
 	picks := make([]int, n)
 	for i := range picks {
 		picks[i] = o.bandit.Select()
@@ -405,11 +407,11 @@ func (o *Orchestrator) RunRound() error {
 	deltas := make([]delta, n)
 	var probe *RoundProbe
 	var finished []time.Time
-	var stats0 engine.FleetStats
+	var helped0 int
 	if o.Cfg.Probe {
 		probe = &RoundProbe{Round: o.round}
 		finished = make([]time.Time, n)
-		stats0 = o.pool.Stats()
+		helped0 = o.pool.Stats().Helped
 	}
 	var wg sync.WaitGroup
 	for i, s := range o.shards {
@@ -452,17 +454,13 @@ func (o *Orchestrator) RunRound() error {
 		}
 		// SimWait only: with learning buffered off the round path, a
 		// shard's finish timestamp marks the end of generation +
-		// simulation, so this is the idle skew an execution pool can
-		// actually steal. The learning pole lands in LearnWait below.
+		// simulation, so this is the idle skew spare-core workers can
+		// actually absorb. The learning pole lands in LearnWait below.
 		for _, ts := range finished {
 			probe.SimWait += last.Sub(ts)
 		}
 		probe.Spread = last.Sub(first)
-		st := o.pool.Stats()
-		probe.Steals = st.Stolen - stats0.Stolen
-		probe.Helped = st.Helped - stats0.Helped
-		probe.Migrations = st.Migrations - stats0.Migrations
-		probe.MigrationsByDesign = migrationDelta(st.MigrationsByDesign, stats0.MigrationsByDesign)
+		probe.Helped = o.pool.Stats().Helped - helped0
 	}
 
 	// Barrier: merge bitmaps and credit the bandit in shard order.
@@ -483,19 +481,22 @@ func (o *Orchestrator) RunRound() error {
 		o.bandit.Reward(picks[i], o.Cfg.reward(covRate, misRate))
 		o.tests += deltas[i].tests
 	}
-	if !o.Cfg.NoSync {
-		snaps := make(map[string][]uint64, len(o.names))
-		for _, n := range o.names {
-			snaps[n] = o.globals[n].Snapshot()
-		}
-		for i, s := range o.shards {
-			if _, err := s.fuz.Calc.Total().MergeWords(snaps[o.designs[i]]); err != nil {
-				o.err = fmt.Errorf("campaign: global sync to shard %d (%s): %w", i, o.designs[i], err)
-				return o.err
-			}
-		}
-		o.syncPools()
+	// Push the merged global bitmap back into each shard: a shard's
+	// incremental-coverage scores — and therefore TheHuzz pool admission
+	// and LLM rewards — then measure fleet-new coverage, so shards
+	// complement instead of re-discovering each other's bins (the
+	// distributed-fuzzing corpus-sync idea, on bitmaps).
+	snaps := make(map[string][]uint64, len(o.names))
+	for _, n := range o.names {
+		snaps[n] = o.globals[n].Snapshot()
 	}
+	for i, s := range o.shards {
+		if _, err := s.fuz.Calc.Total().MergeWords(snaps[o.designs[i]]); err != nil {
+			o.err = fmt.Errorf("campaign: global sync to shard %d (%s): %w", i, o.designs[i], err)
+			return o.err
+		}
+	}
+	o.syncPools()
 	// Fleet learning step: join the training launched last barrier,
 	// publish its merge (one round late, see fleetlearn), and launch
 	// this round's training on a background goroutine overlapped with
@@ -581,8 +582,6 @@ func (o *Orchestrator) recordMetrics(roundAdded int, probe *RoundProbe) {
 	g.Gauge("pool/submitted").Set(float64(st.Submitted))
 	g.Gauge("pool/executed").Set(float64(st.Executed))
 	g.Gauge("pool/helped").Set(float64(st.Helped))
-	g.Gauge("pool/steals").Set(float64(st.Stolen))
-	g.Gauge("pool/migrations").Set(float64(st.Migrations))
 	g.Gauge("pool/worker_busy_ms").Set(float64(st.WorkerBusy) / float64(time.Millisecond))
 	if probe != nil {
 		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -617,18 +616,20 @@ func plateauOf(merged []core.ProgressPoint) int {
 // reward squashes a shard-round's coverage rate (new merged bins per
 // virtual hour) — and, when MismatchWeight is set, its mismatch
 // novelty rate (new non-filtered detector signatures per virtual
-// hour) — into the bandit's [0, 1) reward. RewardHalf and
-// MismatchHalf are the half-saturation points of the two terms.
+// hour) — into the bandit's [0, 1) reward. rewardHalf and
+// mismatchHalf are the half-saturation points of the two terms.
 func (c Config) reward(covRate, misRate float64) float64 {
-	r := covRate / (covRate + c.RewardHalf)
+	r := covRate / (covRate + rewardHalf)
 	// Without detection misRate is identically zero; skipping the blend
 	// (rather than scaling the coverage term by 1-w against a constant
 	// zero) keeps MismatchWeight a true no-op then, as documented.
 	if w := c.MismatchWeight; w > 0 && c.Detect {
+		// CheckMismatchWeight refuses such weights for new fleets, but a
+		// checkpoint or farm queue log written before it may hold one.
 		if w > 1 {
 			w = 1
 		}
-		r = (1-w)*r + w*misRate/(misRate+c.MismatchHalf)
+		r = (1-w)*r + w*misRate/(misRate+mismatchHalf)
 	}
 	return r
 }

@@ -67,7 +67,11 @@ type checkpointFile struct {
 // in exactly this order. It is its own struct so that reshaping Config
 // cannot move checkpoint bytes. Parallel is a format constant: v4 files
 // carried a per-shard worker count (default 1) that no longer exists;
-// it is written as 1 and ignored when read.
+// it is written as 1 and ignored when read. ExploreC, RewardHalf,
+// BanditDecay, NoSync and MismatchHalf record the scheduling constants
+// (exploreC, rewardHalf, banditDecay, always syncing, mismatchHalf):
+// they are written as every v4 file has spelled them, and check
+// refuses a file that recorded any other schedule.
 type wireConfig struct {
 	Shards         int
 	BatchSize      int
@@ -87,20 +91,42 @@ type wireConfig struct {
 func (c Config) wire() wireConfig {
 	return wireConfig{
 		Shards: c.Shards, BatchSize: c.BatchSize, RoundBatches: c.RoundBatches, Seed: c.Seed,
-		ExploreC: c.ExploreC, RewardHalf: c.RewardHalf, BanditDecay: c.BanditDecay,
-		NoSync: c.NoSync, Detect: c.Detect,
-		MismatchWeight: c.MismatchWeight, MismatchHalf: c.MismatchHalf,
+		// Every v4 file spells the exploration constant 0, "the
+		// default"; writing √2 would move the bytes.
+		ExploreC: 0, RewardHalf: rewardHalf, BanditDecay: banditDecay,
+		NoSync: false, Detect: c.Detect,
+		MismatchWeight: c.MismatchWeight, MismatchHalf: mismatchHalf,
 		UpdateBudget: c.UpdateBudget, Parallel: 1,
 	}
+}
+
+// check refuses a checkpoint whose scheduling constants are not this
+// build's: resuming it would silently run a different schedule. Both
+// spellings of the exploration constant, 0 and its value, are accepted.
+func (w wireConfig) check() error {
+	bad := func(key string, v any) error {
+		return fmt.Errorf("campaign: checkpoint records Config.%s %v, a schedule this build does not run", key, v)
+	}
+	switch {
+	case w.ExploreC != 0 && w.ExploreC != exploreC:
+		return bad("ExploreC", w.ExploreC)
+	case w.RewardHalf != rewardHalf:
+		return bad("RewardHalf", w.RewardHalf)
+	case w.BanditDecay != banditDecay:
+		return bad("BanditDecay", w.BanditDecay)
+	case w.NoSync:
+		return bad("NoSync", w.NoSync)
+	case w.MismatchHalf != mismatchHalf:
+		return bad("MismatchHalf", w.MismatchHalf)
+	}
+	return nil
 }
 
 // config rebuilds the Config a checkpoint recorded, to be run under ex.
 func (w wireConfig) config(ex Exec) Config {
 	return Config{
 		Shards: w.Shards, BatchSize: w.BatchSize, RoundBatches: w.RoundBatches, Seed: w.Seed,
-		ExploreC: w.ExploreC, RewardHalf: w.RewardHalf, BanditDecay: w.BanditDecay,
-		NoSync: w.NoSync, Detect: w.Detect,
-		MismatchWeight: w.MismatchWeight, MismatchHalf: w.MismatchHalf,
+		Detect: w.Detect, MismatchWeight: w.MismatchWeight,
 		UpdateBudget: w.UpdateBudget, Exec: ex,
 	}
 }
@@ -315,7 +341,7 @@ func decodeCheckpoint(r io.Reader) (checkpointFile, error) {
 	if err := json.Unmarshal(raw, &cf); err != nil {
 		return cf, fmt.Errorf("campaign: decode checkpoint: %w", err)
 	}
-	return cf, nil
+	return cf, cf.Config.check()
 }
 
 // CheckpointFile writes a checkpoint to path, atomically and durably:

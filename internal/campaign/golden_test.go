@@ -13,7 +13,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"chatfuzz/internal/rtl"
@@ -99,6 +102,47 @@ func TestParentCheckpointRoundTrips(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), raw) {
 		t.Errorf("re-encoded checkpoint differs from the parent's bytes (%d vs %d bytes)", buf.Len(), len(raw))
+	}
+}
+
+// TestCheckpointScheduleConstants: the keys that record the bandit's
+// scheduling constants decode when they hold the value every v4 file
+// holds, and a file that recorded another schedule is refused with an
+// error naming the key. ExploreC is accepted under both of its
+// spellings: 0 ("the default") and √2 itself.
+func TestCheckpointScheduleConstants(t *testing.T) {
+	raw, err := os.ReadFile(parentFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqrt2 := strconv.FormatFloat(math.Sqrt2, 'g', -1, 64)
+	for _, tc := range []struct {
+		key, fixture string // the key and its value in the fixture
+		accept       []string
+		reject       string
+	}{
+		{"ExploreC", "0", []string{"0", sqrt2}, "2"},
+		{"RewardHalf", "60", []string{"60"}, "61"},
+		{"BanditDecay", "0.9", []string{"0.9"}, "1"},
+		{"NoSync", "false", []string{"false"}, "true"},
+		{"MismatchHalf", "3", []string{"3"}, "30"},
+	} {
+		was := []byte(`"` + tc.key + `":` + tc.fixture + `,`)
+		if n := bytes.Count(raw, was); n != 1 {
+			t.Fatalf("fixture holds %s %d times, want once", was, n)
+		}
+		with := func(v string) []byte {
+			return bytes.Replace(raw, was, []byte(`"`+tc.key+`":`+v+`,`), 1)
+		}
+		for _, v := range tc.accept {
+			if _, err := decodeCheckpoint(bytes.NewReader(with(v))); err != nil {
+				t.Errorf("%s %s refused: %v", tc.key, v, err)
+			}
+		}
+		_, err := decodeCheckpoint(bytes.NewReader(with(tc.reject)))
+		if err == nil || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("%s %s: err = %v, want a refusal naming the key", tc.key, tc.reject, err)
+		}
 	}
 }
 

@@ -198,10 +198,34 @@ func TestResumeRejectsCheckpointWithoutLearnWeights(t *testing.T) {
 	}
 }
 
+// TestCheckMismatchWeight: the one rule a new fleet's mismatch weight
+// passes, which the CLI and the farm's submit path both apply.
+func TestCheckMismatchWeight(t *testing.T) {
+	for _, tc := range []struct {
+		weight float64
+		detect bool
+		ok     bool
+	}{
+		{0, false, true},
+		{0, true, true},
+		{0.5, true, true},
+		{1, true, true},
+		{0.5, false, false},
+		{1, false, false},
+		{1.5, true, false},
+		{-0.1, true, false},
+		{math.NaN(), true, false},
+		{math.Inf(1), true, false},
+	} {
+		if err := CheckMismatchWeight(tc.weight, tc.detect); (err == nil) != tc.ok {
+			t.Errorf("CheckMismatchWeight(%v, detect=%v) = %v, want ok=%v", tc.weight, tc.detect, err, tc.ok)
+		}
+	}
+}
+
 // TestRewardMixesMismatchRate: table-driven check of the bandit reward
 // blend behind Config.MismatchWeight.
 func TestRewardMixesMismatchRate(t *testing.T) {
-	base := Config{RewardHalf: 60, MismatchHalf: 30, Detect: true}
 	cases := []struct {
 		name    string
 		weight  float64
@@ -211,17 +235,15 @@ func TestRewardMixesMismatchRate(t *testing.T) {
 		want    float64
 	}{
 		{"coverage only by default", 0, 60, 1e9, true, 0.5},
-		{"pure mismatch at weight 1", 1, 1e9, 30, true, 0.5},
-		{"even blend", 0.5, 60, 30, true, 0.5},
+		{"pure mismatch at weight 1", 1, 1e9, 3, true, 0.5},
+		{"even blend", 0.5, 60, 3, true, 0.5},
 		{"zero rates", 0.5, 0, 0, true, 0},
-		{"weight clamped to 1", 5, 0, 30, true, 0.5},
-		{"no-op without detection", 0.5, 60, 30, false, 0.5},
+		{"weight clamped to 1", 5, 0, 3, true, 0.5},
+		{"no-op without detection", 0.5, 60, 3, false, 0.5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := base
-			cfg.MismatchWeight = tc.weight
-			cfg.Detect = tc.detect
+			cfg := Config{MismatchWeight: tc.weight, Detect: tc.detect}
 			if got := cfg.reward(tc.covRate, tc.misRate); math.Abs(got-tc.want) > 1e-9 {
 				t.Errorf("reward(%v, %v) = %v, want %v", tc.covRate, tc.misRate, got, tc.want)
 			}

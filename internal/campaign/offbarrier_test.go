@@ -1,8 +1,7 @@
 package campaign
 
 // Tests for the off-barrier learning plane: barrier error propagation,
-// the SimWait/LearnWait probe split's migration-delta helper, the
-// plateau counter behind Config.UpdateBudget, and checkpoint-v4 resume
+// the plateau counter behind Config.UpdateBudget, and checkpoint-v4 resume
 // taken mid-lag (between a weight publication and the in-flight
 // training it overlaps).
 
@@ -10,7 +9,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -53,40 +51,6 @@ func TestBarrierMergeErrorPropagates(t *testing.T) {
 	}
 	if err2 := o.RunTests(1 << 20); err2 != err {
 		t.Errorf("poisoned RunTests returned %v, want the original %v", err2, err)
-	}
-}
-
-// TestMigrationDeltaKeepsStableKeys: the per-round migration delta
-// must keep every design key of the cumulative counter — including
-// zero-delta rounds — so summary key sets cannot flicker between
-// rounds (the old `d > 0` filter dropped quiet designs).
-func TestMigrationDeltaKeepsStableKeys(t *testing.T) {
-	cases := []struct {
-		name      string
-		cur, prev map[string]int
-		want      map[string]int
-	}{
-		{"zero delta keeps the key",
-			map[string]int{"rocket": 5, "boom": 2},
-			map[string]int{"rocket": 5, "boom": 1},
-			map[string]int{"rocket": 0, "boom": 1}},
-		{"first round, nil prev",
-			map[string]int{"rocket": 3}, nil,
-			map[string]int{"rocket": 3}},
-		{"design appears mid-run",
-			map[string]int{"rocket": 4, "boom": 1},
-			map[string]int{"rocket": 4},
-			map[string]int{"rocket": 0, "boom": 1}},
-		{"no migrations ever",
-			map[string]int{}, map[string]int{},
-			map[string]int{}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := migrationDelta(tc.cur, tc.prev); !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("migrationDelta(%v, %v) = %v, want %v", tc.cur, tc.prev, got, tc.want)
-			}
-		})
 	}
 }
 

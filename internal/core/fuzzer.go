@@ -27,8 +27,6 @@ type Options struct {
 	BatchSize int
 	// Detect enables differential testing against the golden model.
 	Detect bool
-	// Clock, when nil, defaults to the calibrated VCS clock.
-	Clock *vtime.Clock
 	// Pool is the execution pool the fuzzer's engine submits its rounds
 	// to. Ownership does not transfer: Close never releases a pool that
 	// was handed in, which belongs to whoever built it (the campaign
@@ -99,15 +97,11 @@ func NewFuzzer(gen Generator, dut rtl.DUT, opts Options) *Fuzzer {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = 16
 	}
-	clk := opts.Clock
-	if clk == nil {
-		clk = vtime.NewVCS()
-	}
 	f := &Fuzzer{
 		Gen:       gen,
 		DUT:       dut,
 		Calc:      cov.NewCalculator(dut.Space()),
-		Clk:       clk,
+		Clk:       vtime.NewVCS(),
 		BatchSize: opts.BatchSize,
 	}
 	if opts.Detect {

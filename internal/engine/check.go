@@ -10,14 +10,15 @@ import (
 
 // Scratch-ownership checker: a test hook that verifies no reusable
 // scratch object is ever observed by two execution contexts at once.
-// The engine's correctness under work stealing rests on two ownership
-// rules — a pooled object (coverage set, trace buffer) has exactly
-// one holder between get and put, and a worker's design-bound scratch
-// (runner, golden memory) is entered by exactly one goroutine at a
-// time. The checker turns a violation of either rule into a recorded
-// report instead of silent state corruption, and is how the -race
-// stress tests assert the steal path's isolation. Production builds
-// pay a single atomic nil-load per event.
+// The engine's correctness with pool workers and committers sharing
+// rounds rests on two ownership rules — a pooled object (coverage set,
+// trace buffer) has exactly one holder between get and put, and a
+// worker's design-bound scratch (runner, golden memory) is entered by
+// exactly one goroutine at a time. The checker turns a violation of
+// either rule into a recorded report instead of silent state
+// corruption, and is how the -race stress tests assert the worker
+// path's isolation. Production builds pay a single atomic nil-load per
+// event.
 
 // scratchState is the pool-tracking state of one scratch object.
 type scratchState int8
@@ -105,7 +106,7 @@ func (ck *scratchChecker) checkIn(key any, what string) {
 
 // useBegin marks an execution context (a worker and its design-bound
 // runner and golden memory) as entered; a second concurrent entry is
-// the work-stealing bug this checker exists to catch.
+// the shared-execution bug this checker exists to catch.
 func (ck *scratchChecker) useBegin(key any, what string) {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()

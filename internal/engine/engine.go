@@ -15,8 +15,8 @@
 //     bound to its own design for life, instead of sleeping; it sleeps
 //     only once every entry of its round is claimed;
 //   - pool workers exist only to fill the cores the committers leave
-//     idle (see SpareWorkers). They keep design-affine scratch and
-//     steal from the design with the most unclaimed entries.
+//     idle (see SpareWorkers). They claim from the oldest live round,
+//     whatever its design, binding their scratch to that design.
 //
 // With no spare cores the pool has no workers and this is a plain
 // inline loop: each committer executes entry i, commits it, executes
@@ -38,8 +38,8 @@
 // caller's goroutine in input order, exactly as the serial loop
 // performs it. A fixed-seed campaign therefore produces bit-identical
 // trajectories, detector output and checkpoints whatever the worker
-// count, claim order or stealing (see fleetpool.go for the pool side
-// of the contract).
+// count or claim order (see fleetpool.go for the pool side of the
+// contract).
 //
 //chatfuzz:deterministic package
 package engine
@@ -65,7 +65,7 @@ type Config struct {
 	// pool may have zero workers, and then the committer runs every
 	// entry itself). The pool is owned by whoever built it: Close
 	// releases only the engine. See the FleetPool documentation for the
-	// affinity, commit order and determinism contract.
+	// claim order, commit order and determinism contract.
 	Pool *FleetPool
 	// Telemetry, when non-nil, records per-job build/sim/golden spans
 	// on per-executor flight-recorder tracks. Execution-only: spans
@@ -131,7 +131,7 @@ func (p *pool[T]) put(it T) {
 // design name.
 type shared struct {
 	dut       rtl.DUT
-	design    string // dut.Name(), the pool's affinity key
+	design    string // dut.Name(), the key executors cache runners under
 	detect    bool
 	rec       *telemetry.Recorder // nil = telemetry disabled
 	pool      *poolState
@@ -152,10 +152,9 @@ type PipeStats struct{ SnapHits, SnapMisses int64 }
 // committer's: reusable scratch bound to one design at a time. The
 // golden-model platform memory is design-independent and lives for
 // the worker's whole life; runners are design-specific and cached per
-// design on first build, so a migration back to a previously served
-// design re-binds for free (committers never migrate).
+// design on first build, so returning to a previously served design
+// re-binds for free (committers never change design).
 type worker struct {
-	cur   string   // claim-time design affinity (pool workers only)
 	bound string   // design of the currently bound runner
 	b     *binding // the bound design's scratch
 	binds map[string]*binding
@@ -174,7 +173,7 @@ type binding struct {
 
 // bind points the worker's scratch at sh's design, building the
 // design's runner on first encounter. Only a change of design does
-// any work — the migration the pool's steal policy minimises.
+// any work.
 func (w *worker) bind(sh *shared) {
 	if w.bound == sh.design && w.binds != nil {
 		return

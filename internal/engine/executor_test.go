@@ -82,7 +82,7 @@ func TestZeroWorkerPoolHoldsOneOutcome(t *testing.T) {
 		if n := len(sh.goldens.items); n > 1 {
 			t.Errorf("golden free list holds %d buffers, want <= 1", n)
 		}
-		if n := len(sh.pool.live[sh.design]); n != 0 {
+		if n := len(sh.pool.live); n != 0 {
 			t.Errorf("pool still tracks %d rounds after every round drained", n)
 		}
 	}
@@ -105,7 +105,7 @@ func TestPoolRetiresDrainedRounds(t *testing.T) {
 	live := func() int {
 		pool.ps.mu.Lock()
 		defer pool.ps.mu.Unlock()
-		return len(pool.ps.live["rocket"])
+		return len(pool.ps.live)
 	}
 	for round := 0; round < 8; round++ {
 		r1 := e1.Submit(randomProgs(rng, 4, 10))

@@ -16,8 +16,8 @@ import (
 // TestFleetPoolOutcomesMatchDirectRun drives a mixed-design fleet of
 // engines over one shared pool and checks every outcome against the
 // allocating reference execution — the fleet analogue of
-// TestEngineOutcomesMatchDirectRun, proving that stealing, design
-// migration and committers racing workers for their own entries leave
+// TestEngineOutcomesMatchDirectRun, proving that workers switching
+// designs and committers racing workers for their own entries leave
 // every observable result bit-identical.
 func TestFleetPoolOutcomesMatchDirectRun(t *testing.T) {
 	pool := engine.NewFleetPool(3, nil)
@@ -72,12 +72,13 @@ func TestFleetPoolOutcomesMatchDirectRun(t *testing.T) {
 	}
 }
 
-// TestFleetPoolStealStress is the steal-path race test: many shards ×
-// tiny batches × forced migrations (a single pool worker bouncing
-// between designs, every committer racing it for its own round's
-// entries), with the scratch-ownership checker armed, asserting no runner, golden memory,
-// coverage set or trace buffer is ever observed by two execution
-// contexts concurrently. Run under -race in CI.
+// TestFleetPoolStealStress is the worker-path race test: many shards ×
+// tiny batches, a single pool worker claiming first in, first out and
+// so switching between designs, every committer racing it for its own
+// round's entries, with the scratch-ownership checker armed, asserting
+// no runner, golden memory, coverage set or trace buffer is ever
+// observed by two execution contexts concurrently. Run under -race in
+// CI.
 func TestFleetPoolStealStress(t *testing.T) {
 	stop := engine.EnableScratchCheck()
 	violations := func() []string { return stop() }
@@ -91,7 +92,7 @@ func TestFleetPoolStealStress(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			// Alternate designs shard-by-shard so the lone pool worker
-			// migrates constantly.
+			// re-binds its scratch constantly.
 			var dut rtl.DUT
 			if s%2 == 0 {
 				dut = rocket.New()
@@ -126,61 +127,10 @@ func TestFleetPoolStealStress(t *testing.T) {
 	}
 }
 
-// TestFleetPoolForcedMigrations starves the committers (they sleep
-// between Submit and Each) so the single pool worker must execute
-// alternating rocket and boom rounds itself, re-binding its scratch
-// on every design flip; asserts migrations are counted per design and
-// the scratch checker stays clean across the re-binds.
-func TestFleetPoolForcedMigrations(t *testing.T) {
-	stop := engine.EnableScratchCheck()
-	pool := engine.NewFleetPool(1, nil)
-
-	engines := []*engine.Engine{
-		engine.New(rocket.New(), engine.Config{Detect: true, Pool: pool}),
-		engine.New(boom.New(), engine.Config{Detect: true, Pool: pool}),
-	}
-	for round := 0; round < 6; round++ {
-		e := engines[round%2]
-		r := e.Submit(testProgs(int64(3000+round), 3, 10))
-		// Give the pool worker the whole round: with the committer
-		// asleep, the worker claims every entry and migrates at each
-		// design flip.
-		time.Sleep(100 * time.Millisecond)
-		got := 0
-		r.Each(func(i int, o *engine.Outcome) {
-			if o.Err == nil && o.Res.Cycles > 0 {
-				got++
-			}
-		})
-		if got != 3 {
-			t.Fatalf("round %d: %d/3 outcomes", round, got)
-		}
-	}
-	st := pool.Stats()
-	for _, e := range engines {
-		e.Close()
-	}
-	pool.Close()
-
-	if st.Migrations == 0 {
-		t.Error("alternating designs forced no migrations")
-	}
-	byDesign := 0
-	for _, n := range st.MigrationsByDesign {
-		byDesign += n
-	}
-	if byDesign != st.Migrations {
-		t.Errorf("per-design migration counts sum to %d, total is %d", byDesign, st.Migrations)
-	}
-	for _, v := range stop() {
-		t.Errorf("scratch ownership violated: %s", v)
-	}
-}
-
 // TestFleetPoolMatchesPerShardEngines: the same fixed batches produce
 // byte-identical coverage and traces whether each engine runs its
 // rounds alone on its committer (a worker-less pool) or all engines
-// share a pool whose workers steal across them.
+// share a pool whose workers claim across them.
 func TestFleetPoolMatchesPerShardEngines(t *testing.T) {
 	type key struct{ shard, round, i int }
 	run := func(pool *engine.FleetPool) map[key][]uint64 {

@@ -6,10 +6,7 @@
 // private one. The committers (the goroutines inside Round.Each) are
 // the pool's first executors and always run their own rounds; the
 // pool's worker goroutines only fill the cores the committers leave
-// idle. At high shard counts with skewed batch latencies —
-// heterogeneous fleets, a slow design next to a fast one — the workers
-// keep every spare core busy on whatever round still has unclaimed
-// entries.
+// idle, on whatever round still has unclaimed entries.
 //
 // # Sizing
 //
@@ -27,35 +24,30 @@
 // A Round carries one atomic next index. Whoever executes an entry —
 // a pool worker or the round's own committer — first claims
 // next.Add(1)-1, so entries run exactly once, in roughly input order,
-// with no queue of per-entry jobs. The pool only tracks which rounds
-// are live, per design.
+// with no queue of per-entry jobs. The pool keeps only the live rounds,
+// in submission order, and a worker claims the next entry of the oldest
+// one that still has one: first in, first out, whatever the design.
 //
-// # Affinity and stealing
-//
-// Each worker keeps its reusable scratch — the rtl.Runner with its
+// The worker then binds its reusable scratch — the rtl.Runner with its
 // platform memory, caches and predictors, plus the golden-model ISS
-// memory — bound to the design it last served. A worker prefers its
-// own design's live rounds; only when none has an unclaimed entry
-// does it steal from the design with the most unclaimed entries,
-// re-binding its scratch (a migration). Runners are cached per design
-// on first build, so migrating back to a design the worker has served
-// before costs nothing but cache warmth. Two DUTs submitted under the
-// same design name must therefore be interchangeable (built by the
-// same constructor): a runner built from one shard's DUT executes
-// another shard's entries, which is sound because runners reset all
-// state per run and coverage bins are recorded by index, identically
-// across structurally equal spaces.
+// memory — to that round's design. Runners are cached per design on
+// first build, so returning to a design the worker has served before
+// costs nothing but cache warmth. Two DUTs submitted under the same
+// design name must therefore be interchangeable (built by the same
+// constructor): a runner built from one shard's DUT executes another
+// shard's entries, which is sound because runners reset all state per
+// run and coverage bins are recorded by index, identically across
+// structurally equal spaces.
 //
 // # Commit order and determinism
 //
-// Stealing never reorders observable effects. Executors only compute
-// and mark entries ready; every stateful side effect (coverage merge,
-// detector, clock, trajectory) still happens in the owning shard's
-// goroutine, in input order, inside Round.Each. Which executor runs an
-// entry, and on which design-bound scratch, is unobservable: a
-// fixed-seed campaign produces bit-identical trajectories, detector
-// output and checkpoints on the serial oracle and on this pool,
-// regardless of worker count, stealing or scheduling.
+// Executors only compute and mark entries ready; every stateful side
+// effect (coverage merge, detector, clock, trajectory) still happens in
+// the owning shard's goroutine, in input order, inside Round.Each.
+// Which executor runs an entry, and on which design-bound scratch, is
+// unobservable: a fixed-seed campaign produces bit-identical
+// trajectories, detector output and checkpoints on the serial oracle
+// and on this pool, regardless of worker count or scheduling.
 package engine
 
 import (
@@ -86,16 +78,6 @@ type FleetStats struct {
 	// goroutine inside Round.Each, on its own round. Counted when a
 	// round retires, so Executed+Helped equals Submitted between rounds.
 	Helped int
-	// Stolen counts worker claims that crossed designs: an already-
-	// affine worker's own design had nothing unclaimed and it took an
-	// entry from another design (a fresh worker's first claim is not a
-	// steal).
-	Stolen int
-	// Migrations counts scratch re-binds: a steal by a worker whose
-	// scratch was bound to a different design.
-	Migrations int
-	// MigrationsByDesign counts migrations per destination design.
-	MigrationsByDesign map[string]int
 	// WorkerBusy accumulates execution time spent by pool workers;
 	// WorkerBusy over (Workers × elapsed) is the pool's utilization.
 	WorkerBusy time.Duration
@@ -125,8 +107,7 @@ type poolState struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	live   map[string][]*Round // design → submitted-but-undrained rounds, oldest first
-	order  []string            // design registration order, for the victim scan
+	live   []*Round // submitted-but-undrained rounds, oldest first
 	closed bool
 	wg     sync.WaitGroup
 
@@ -134,29 +115,21 @@ type poolState struct {
 	submitted  int
 	executed   int
 	helped     int
-	stolen     int
-	migrations int
-	perDesign  map[string]int
 	workerBusy atomic.Int64
 }
 
 // NewFleetPool builds a pool and starts its workers; size it with
 // SpareWorkers. Zero workers is a valid pool: the committers then run
 // everything. rec, when non-nil, gives every worker a flight-recorder
-// track carrying its build/sim/golden spans and steal/migrate instant
-// events, and is inherited by submitting engines (execution-only).
+// track carrying its build/sim/golden spans, and is inherited by
+// submitting engines (execution-only).
 //
 // Pools hold goroutines; release them with Close once every engine
 // submitting to the pool has been closed. A finalizer closes
 // abandoned pools as a safety net, so a leaked pool degrades to
 // garbage, not to a goroutine leak.
 func NewFleetPool(workers int, rec *telemetry.Recorder) *FleetPool {
-	ps := &poolState{
-		workers:   workers,
-		rec:       rec,
-		live:      make(map[string][]*Round),
-		perDesign: make(map[string]int),
-	}
+	ps := &poolState{workers: workers, rec: rec}
 	ps.cond = sync.NewCond(&ps.mu)
 	ps.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -189,37 +162,24 @@ func (p *FleetPool) Stats() FleetStats {
 	ps := p.ps
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	by := make(map[string]int, len(ps.perDesign))
-	// Verbatim map→map copy: iteration order cannot reach the result.
-	//lint:allow mapiter order-insensitive map copy
-	for k, v := range ps.perDesign {
-		by[k] = v
-	}
 	return FleetStats{
-		Workers:            ps.workers,
-		Submitted:          ps.submitted,
-		Executed:           ps.executed,
-		Helped:             ps.helped,
-		Stolen:             ps.stolen,
-		Migrations:         ps.migrations,
-		MigrationsByDesign: by,
-		WorkerBusy:         time.Duration(ps.workerBusy.Load()),
+		Workers:    ps.workers,
+		Submitted:  ps.submitted,
+		Executed:   ps.executed,
+		Helped:     ps.helped,
+		WorkerBusy: time.Duration(ps.workerBusy.Load()),
 	}
 }
 
 // submit makes a round visible to the workers.
 func (ps *poolState) submit(r *Round) {
-	design := r.sh.design
 	ps.mu.Lock()
 	if ps.closed {
 		ps.mu.Unlock()
 		panic("engine: Submit on a closed FleetPool")
 	}
 	ps.submitted += len(r.outs)
-	if _, known := ps.live[design]; !known {
-		ps.order = append(ps.order, design)
-	}
-	ps.live[design] = append(ps.live[design], r)
+	ps.live = append(ps.live, r)
 	ps.mu.Unlock()
 	ps.cond.Broadcast()
 }
@@ -230,77 +190,27 @@ func (ps *poolState) submit(r *Round) {
 func (ps *poolState) retire(r *Round, helped int) {
 	ps.mu.Lock()
 	ps.helped += helped
-	q := ps.live[r.sh.design]
-	k := slices.Index(q, r)
-	ps.live[r.sh.design] = slices.Delete(q, k, k+1)
+	k := slices.Index(ps.live, r)
+	ps.live = slices.Delete(ps.live, k, k+1)
 	ps.mu.Unlock()
 }
 
-// unclaimed counts a design's submitted-but-unclaimed entries.
-func (ps *poolState) unclaimed(design string) int {
-	n := 0
-	for _, r := range ps.live[design] {
-		if u := len(r.outs) - int(r.next.Load()); u > 0 {
-			n += u
-		}
-	}
-	return n
-}
-
-// claimFrom claims the next entry of the design's oldest round that
-// still has one. Committers advance next concurrently, so a round that
-// looked open may turn out exhausted; the claim itself decides.
-func (ps *poolState) claimFrom(design string) (*Round, int, bool) {
-	for _, r := range ps.live[design] {
+// claim is the pool workers' claim loop: the next entry of the oldest
+// live round that still has one. Committers advance next concurrently,
+// so a round that looked open may turn out exhausted; the claim itself
+// decides. Must be called with ps.mu held; returns false when nothing
+// is claimable.
+func (ps *poolState) claim() (*Round, int, bool) {
+	for _, r := range ps.live {
 		if int(r.next.Load()) >= len(r.outs) {
 			continue
 		}
 		if i := int(r.next.Add(1) - 1); i < len(r.outs) {
+			ps.executed++
 			return r, i, true
 		}
 	}
 	return nil, 0, false
-}
-
-// claim is the pool workers' claim loop: the worker's affinity design
-// first, then a steal from the design with the most unclaimed entries
-// (first registration wins ties; the scan is O(designs), and fleets
-// have few designs). A steal is a cross-design claim by an already-
-// affine worker (a fresh worker's first claim is not one), and a
-// migration additionally requires scratch to have been bound to some
-// other design — which is why the counters consult w.cur and w.bound
-// separately. Must be called with ps.mu held; returns false when
-// nothing is claimable.
-func (ps *poolState) claim(w *worker) (*Round, int, bool) {
-	r, i, ok := ps.claimFrom(w.cur)
-	for !ok {
-		best, victim := 0, ""
-		for _, name := range ps.order {
-			if n := ps.unclaimed(name); n > best {
-				best, victim = n, name
-			}
-		}
-		if best == 0 {
-			return nil, 0, false
-		}
-		// No Submit can interleave (mu is held), so a lost race against
-		// the victim's committers only shrinks the next scan.
-		if r, i, ok = ps.claimFrom(victim); !ok {
-			continue
-		}
-		if w.cur != "" {
-			ps.stolen++
-			w.track.Instant(telemetry.EventSteal)
-		}
-		if w.bound != "" && w.bound != victim {
-			ps.migrations++
-			ps.perDesign[victim]++
-			w.track.Instant(telemetry.EventMigrate)
-		}
-		w.cur = victim
-	}
-	ps.executed++
-	return r, i, true
 }
 
 func (ps *poolState) workerLoop() {
@@ -308,14 +218,14 @@ func (ps *poolState) workerLoop() {
 	w := &worker{track: ps.rec.NewTrack("pool/worker")}
 	for {
 		ps.mu.Lock()
-		r, i, ok := ps.claim(w)
+		r, i, ok := ps.claim()
 		for !ok {
 			if ps.closed {
 				ps.mu.Unlock()
 				return
 			}
 			ps.cond.Wait()
-			r, i, ok = ps.claim(w)
+			r, i, ok = ps.claim()
 		}
 		ps.mu.Unlock()
 		// Execution-only: busy-time counters feed FleetStats/probes,

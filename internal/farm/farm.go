@@ -124,8 +124,13 @@ func (s JobSpec) withDefaults() JobSpec {
 }
 
 // Validate rejects specs the farm cannot run, before anything is
-// logged: unknown designs or arms, duplicate arms.
+// logged: unknown designs or arms, duplicate arms, a mismatch weight
+// campaign.CheckMismatchWeight refuses. Queue-log replay never calls
+// it: a logged spec was accepted once and runs as logged.
 func (s JobSpec) Validate() error {
+	if err := campaign.CheckMismatchWeight(s.MismatchWeight, s.Detect); err != nil {
+		return err
+	}
 	for _, d := range s.DUTs {
 		if _, err := dutConstructor(d); err != nil {
 			return err

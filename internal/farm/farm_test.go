@@ -3,6 +3,7 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -423,6 +424,9 @@ func TestFarmSubmitValidation(t *testing.T) {
 		{Arms: []string{"nonsense"}},
 		{Arms: []string{"thehuzz", "thehuzz"}},
 		{DUTs: []string{"cray-1"}},
+		{MismatchWeight: 0.5},
+		{MismatchWeight: 1.5, Detect: true},
+		{MismatchWeight: -0.1, Detect: true},
 	} {
 		if _, err := s.Submit(spec); err == nil {
 			t.Errorf("Submit accepted invalid spec %+v", spec)
@@ -431,6 +435,67 @@ func TestFarmSubmitValidation(t *testing.T) {
 	if got := len(s.Jobs()); got != 0 {
 		t.Fatalf("invalid submissions left %d jobs behind", got)
 	}
+}
+
+// TestFarmHTTPRefusesMismatchWeightWithoutDetect: the spec `fuzz-bench
+// campaign` refuses is refused over HTTP too, with a 400, before the
+// queue log sees it.
+func TestFarmHTTPRefusesMismatchWeightWithoutDetect(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir(), Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Stop()
+	spec := testSpec(48)
+	spec.MismatchWeight = 0.5
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+s.Addr()+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("submit answered %s, want 400", resp.Status)
+	}
+	if got := len(s.Jobs()); got != 0 {
+		t.Errorf("refused submission left %d jobs behind", got)
+	}
+}
+
+// TestFarmReplaysLoggedSpecWithoutValidating: a queue log written
+// before a validation rule existed may hold a spec the rule refuses;
+// replay runs it as logged instead of refusing to open.
+func TestFarmReplaysLoggedSpecWithoutValidating(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(48).withDefaults()
+	spec.MismatchWeight = 0.5 // without Detect: Submit would refuse it
+	if spec.Validate() == nil {
+		t.Fatal("the planted spec passes Validate; it tests nothing")
+	}
+	w, _, err := openWAL(filepath.Join(dir, "queue.log"))
+	if err != nil {
+		t.Fatalf("openWAL: %v", err)
+	}
+	raw, err := json.Marshal(walRecord{Op: "submit", ID: "job-1", Spec: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(raw); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open over a log holding the spec: %v", err)
+	}
+	defer s.Stop()
+	waitDone(t, s, "job-1")
 }
 
 // TestFarmHTTPRoundTrip drives the whole client surface against a real

@@ -17,7 +17,7 @@ import (
 // whose methods return immediately.
 //
 // Series names are slash-scoped, e.g. "fleet/coverage_pct",
-// "arm/chatfuzz-learn/pulls", "pool/steals"; README.md's
+// "arm/chatfuzz-learn/pulls", "pool/executed"; README.md's
 // Observability section tables the names the campaign layer emits.
 type Registry struct {
 	mu       sync.Mutex

@@ -45,7 +45,7 @@ import (
 	"time"
 )
 
-// Span and instant-event names recorded by the instrumented layers.
+// Span names recorded by the instrumented layers.
 // One vocabulary across engine, campaign and fleetlearn keeps traces
 // and the CI validator in agreement.
 const (
@@ -69,10 +69,6 @@ const (
 	// SpanTrain covers one fleet PPO training pass (fleetlearn), on
 	// the barrier or overlapped with the next round.
 	SpanTrain = "train"
-	// EventSteal marks a cross-design claim by a pool worker's steal
-	// policy; EventMigrate a scratch re-bind to a new design.
-	EventSteal   = "steal"
-	EventMigrate = "migrate"
 )
 
 // trackCap is each track's preallocated ring capacity. Rings drain at
@@ -80,14 +76,12 @@ const (
 // execution context, not the campaign's.
 const trackCap = 4096
 
-// event is one recorded trace event: a completed span (phase 'X') or
-// an instant (phase 'i'). Timestamps are microseconds since the
-// recorder's start.
+// event is one recorded trace event, a completed span. Timestamps are
+// microseconds since the recorder's start.
 type event struct {
 	name string
-	ph   byte
 	ts   int64 // µs
-	dur  int64 // µs, spans only
+	dur  int64 // µs
 }
 
 // Recorder owns the flight recorder: the track registry, the shared
@@ -245,15 +239,7 @@ func (t *Track) Span(name string, start int64) {
 	if t == nil {
 		return
 	}
-	t.push(event{name: name, ph: 'X', ts: start, dur: t.rec.now() - start})
-}
-
-// Instant records a point event (a steal, a help, a migration).
-func (t *Track) Instant(name string) {
-	if t == nil {
-		return
-	}
-	t.push(event{name: name, ph: 'i', ts: t.rec.now()})
+	t.push(event{name: name, ts: start, dur: t.rec.now() - start})
 }
 
 // push appends to the ring, overwriting the oldest event when full.

@@ -26,7 +26,6 @@ func TestRecorderEmitsValidChromeTrace(t *testing.T) {
 
 	s := w.Start()
 	w.Span(SpanSim, s)
-	w.Instant(EventSteal)
 	s = o.Start()
 	o.Span(SpanBarrier, s)
 
@@ -43,7 +42,7 @@ func TestRecorderEmitsValidChromeTrace(t *testing.T) {
 		byName[n] = e
 		names = append(names, n)
 	}
-	for _, want := range []string{SpanSim, EventSteal, SpanBarrier, "thread_name"} {
+	for _, want := range []string{SpanSim, SpanBarrier, "thread_name"} {
 		if byName[want] == nil {
 			t.Errorf("trace has no %q event (got %v)", want, names)
 		}
@@ -53,9 +52,6 @@ func TestRecorderEmitsValidChromeTrace(t *testing.T) {
 	}
 	if _, ok := byName[SpanSim]["dur"]; !ok {
 		t.Error("span event has no dur")
-	}
-	if ph := byName[EventSteal]["ph"]; ph != "i" {
-		t.Errorf("instant phase = %v, want i", ph)
 	}
 	// Distinct tracks get distinct thread ids.
 	if byName[SpanSim]["tid"] == byName[SpanBarrier]["tid"] {
@@ -86,7 +82,6 @@ func TestNilRecorderAndTrackAreInert(t *testing.T) {
 		t.Errorf("nil track Start = %d, want 0", s)
 	}
 	tr.Span(SpanSim, s)
-	tr.Instant(EventSteal)
 	rec.Flush()
 	if err := rec.Close(); err != nil {
 		t.Errorf("nil recorder Close: %v", err)
@@ -102,7 +97,7 @@ func TestRingOverwritesOldestAndCountsDrops(t *testing.T) {
 	tr := rec.NewTrack("hot")
 	const extra = 7
 	for i := 0; i < trackCap+extra; i++ {
-		tr.Instant(EventMigrate)
+		tr.Span(SpanSim, tr.Start())
 	}
 	if got := rec.Dropped(); got != extra {
 		t.Fatalf("Dropped = %d, want %d", got, extra)
@@ -114,7 +109,7 @@ func TestRingOverwritesOldestAndCountsDrops(t *testing.T) {
 	events := decodeTrace(t, buf.Bytes())
 	n := 0
 	for _, e := range events {
-		if e["name"] == EventMigrate {
+		if e["name"] == SpanSim {
 			n++
 		}
 	}
@@ -127,15 +122,15 @@ func TestFlushMidRunKeepsStreamAppendable(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
 	tr := rec.NewTrack("w")
-	tr.Instant(EventSteal)
+	tr.Span(SpanSim, tr.Start())
 	rec.Flush()
-	tr.Instant(EventMigrate)
+	tr.Span(SpanGolden, tr.Start())
 	rec.Flush()
 	if err := rec.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	events := decodeTrace(t, buf.Bytes())
-	// thread_name + two instants.
+	// thread_name + two spans.
 	if len(events) != 3 {
 		t.Fatalf("got %d events, want 3: %v", len(events), events)
 	}
@@ -145,7 +140,7 @@ func TestTrackNameReachesThreadMetadata(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
 	tr := rec.NewTrack("rocket/worker")
-	tr.Instant(EventSteal)
+	tr.Span(SpanSim, tr.Start())
 	rec.Close()
 	if !strings.Contains(buf.String(), `"rocket/worker"`) {
 		t.Errorf("trace lacks the track's thread name: %s", buf.String())

@@ -5,10 +5,9 @@ import "strconv"
 // Chrome trace-event serialization: the recorder streams one JSON
 // array of trace events in the "JSON Array Format" both Perfetto and
 // chrome://tracing load directly. Spans are complete events
-// (ph "X": ts + dur), instants are thread-scoped "i" events, and each
-// track contributes one "M" thread_name metadata record the first
-// time it drains. All events share pid 1 — the fleet is one process;
-// tracks are the threads.
+// (ph "X": ts + dur), and each track contributes one "M" thread_name
+// metadata record the first time it drains. All events share pid 1 —
+// the fleet is one process; tracks are the threads.
 //
 // Events are hand-serialized: the writers run inside Flush with small
 // fixed shapes, and strconv-based encoding avoids per-event
@@ -47,20 +46,12 @@ func (r *Recorder) writeEvent(tid int, e *event) {
 	var b []byte
 	b = append(b, `{"name":`...)
 	b = strconv.AppendQuote(b, e.name)
-	switch e.ph {
-	case 'X':
-		b = append(b, `,"ph":"X","pid":1,"tid":`...)
-		b = strconv.AppendInt(b, int64(tid), 10)
-		b = append(b, `,"ts":`...)
-		b = strconv.AppendInt(b, e.ts, 10)
-		b = append(b, `,"dur":`...)
-		b = strconv.AppendInt(b, e.dur, 10)
-	default: // 'i': thread-scoped instant
-		b = append(b, `,"ph":"i","s":"t","pid":1,"tid":`...)
-		b = strconv.AppendInt(b, int64(tid), 10)
-		b = append(b, `,"ts":`...)
-		b = strconv.AppendInt(b, e.ts, 10)
-	}
+	b = append(b, `,"ph":"X","pid":1,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	b = append(b, `,"ts":`...)
+	b = strconv.AppendInt(b, e.ts, 10)
+	b = append(b, `,"dur":`...)
+	b = strconv.AppendInt(b, e.dur, 10)
 	b = append(b, '}')
 	if _, err := r.bw.Write(b); err != nil && r.werr == nil {
 		r.werr = err
