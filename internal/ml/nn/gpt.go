@@ -7,12 +7,13 @@
 // path (Hidden, then Head/Values on the rows it returns) that
 // training differentiates, and the Sampler, which keeps every
 // per-token vector in scratch it owns — the logits Next returns are
-// valid until the next Next — and shares tensor.GELUScalar and the
-// forward matmul kernel (tensor.VecMatInto, and for its attention over
-// the K/V caches tensor.VecMatAdd) with the batch path so the sampled
-// and the trained policy cannot drift. The caches are laid out for that
-// kernel; see Sampler for the layout and why skipping zero factors
-// there moves no bit.
+// valid until the next Next — and shares the GELU and softmax rows
+// (tensor.GELUInto, tensor.SoftmaxInto) and the forward matmul kernel
+// (tensor.VecMatInto, and for its attention over the K/V caches
+// tensor.VecMatAdd) with the batch path so the sampled and the trained
+// policy cannot drift. The caches are laid out for that kernel; see
+// Sampler for the layout and why skipping zero factors there moves no
+// bit.
 //
 // The batch path pays per row for what the loss reads: a batch is
 // packed, one row per token and no padding, and from the last block's

@@ -138,21 +138,10 @@ func (s *Sampler) step(id int) {
 			scores := s.scores[:T]
 			clear(scores)
 			tensor.VecMatAdd(scores, qkv[hd*dh:(hd+1)*dh], kT[hd*dh*ctx:], ctx)
-			maxScore := math.Inf(-1)
 			for u := range scores {
 				scores[u] *= scale
-				if scores[u] > maxScore {
-					maxScore = scores[u]
-				}
 			}
-			var z float64
-			for u := range scores {
-				scores[u] = math.Exp(scores[u] - maxScore)
-				z += scores[u]
-			}
-			for u := range scores {
-				scores[u] /= z
-			}
+			tensor.SoftmaxInto(scores, scores)
 			tensor.VecMatAdd(attn[hd*dh:(hd+1)*dh], scores, vals[hd*ctx*dh:], dh)
 		}
 		tensor.VecMatInto(proj, attn, blk.Wproj)
@@ -162,8 +151,9 @@ func (s *Sampler) step(id int) {
 		layerNormVec(h, x, blk.LN2g, blk.LN2b)
 		tensor.VecMatInto(fc, h, blk.Wfc)
 		for i := range fc {
-			fc[i] = tensor.GELUScalar(fc[i] + blk.Bfc.Data[i])
+			fc[i] += blk.Bfc.Data[i]
 		}
+		tensor.GELUInto(fc, fc)
 		tensor.VecMatInto(mlp, fc, blk.Wout)
 		for i := range x {
 			x[i] += mlp[i] + blk.Bout.Data[i]

@@ -10,12 +10,13 @@ import (
 	"testing"
 )
 
-// forceScalar switches axpy4 to its Go loop, which is what a machine
-// without AVX2 runs, and returns the call that switches it back.
+// forceScalar switches every kernel to its Go loop, which is what a
+// machine without AVX2 runs, and returns the call that switches them
+// back.
 func forceScalar() (restore func()) {
-	was := hasAVX2
-	hasAVX2 = false
-	return func() { hasAVX2 = was }
+	was, body := hasAVX2, expBody
+	hasAVX2, expBody = false, expGo
+	return func() { hasAVX2, expBody = was, body }
 }
 
 // axpyEdgeValues are the operands rounding, overflow and NaN handling
@@ -142,7 +143,7 @@ func FuzzAxpy4MatchesScalar(f *testing.F) {
 }
 
 // TestCPUDetectionMatchesKernel: the CPUID/XGETBV probe and the kernel's
-// own view of the CPU agree on AVX2.
+// own view of the CPU agree on AVX2 and FMA.
 func TestCPUDetectionMatchesKernel(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("/proc/cpuinfo is Linux's")
@@ -156,12 +157,16 @@ func TestCPUDetectionMatchesKernel(t *testing.T) {
 		t.Skip("/proc/cpuinfo has no flags line")
 	}
 	flags, _, _ = strings.Cut(flags, "\n")
-	listed := false
+	listed := map[string]bool{}
 	for _, flag := range strings.Fields(flags) {
-		listed = listed || flag == "avx2"
+		listed[flag] = true
 	}
-	if got := cpuHasAVX2(); got != listed {
-		t.Fatalf("cpuHasAVX2() = %v, /proc/cpuinfo lists avx2: %v", got, listed)
+	avx2, fma := cpuFeatures()
+	if avx2 != listed["avx2"] {
+		t.Errorf("cpuFeatures() avx2 = %v, /proc/cpuinfo lists avx2: %v", avx2, listed["avx2"])
+	}
+	if want := listed["avx"] && listed["fma"]; fma != want {
+		t.Errorf("cpuFeatures() fma = %v, /proc/cpuinfo lists avx and fma: %v", fma, want)
 	}
 }
 

@@ -195,7 +195,6 @@ func CausalSelfAttention(qkv *Tensor, heads int, offs, queries []int) *Tensor {
 	each(func(lo, hc, t, o int, p []float64) {
 		q := qkv.Data[(lo+t)*w+hc : (lo+t)*w+hc+dh]
 		// Scores over keys 0..t.
-		maxScore := math.Inf(-1)
 		for u := range p {
 			k := qkv.Data[(lo+u)*w+d+hc : (lo+u)*w+d+hc+dh]
 			sum := 0.0
@@ -203,18 +202,8 @@ func CausalSelfAttention(qkv *Tensor, heads int, offs, queries []int) *Tensor {
 				sum += qv * k[j]
 			}
 			p[u] = sum * scale
-			if p[u] > maxScore {
-				maxScore = p[u]
-			}
 		}
-		var z float64
-		for u := range p {
-			p[u] = math.Exp(p[u] - maxScore)
-			z += p[u]
-		}
-		for u := range p {
-			p[u] /= z
-		}
+		SoftmaxInto(p, p)
 		// Output = P·V.
 		or := out.Data[o*d+hc : o*d+hc+dh]
 		for u, pu := range p {
@@ -344,38 +333,24 @@ func GatherLogSoftmax(logits *Tensor, ids []int) *Tensor {
 	return out
 }
 
-// SoftmaxInto writes softmax(src) into dst, which may be src itself
-// (no autograd).
+// SoftmaxInto writes softmax(src) into dst, which may be src itself and
+// is as long (no autograd): the maximum, the exps of the row less it
+// summed in index order, then each divided by the sum.
 func SoftmaxInto(dst, src []float64) {
-	maxV := math.Inf(-1)
-	for _, v := range src {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var z float64
-	for i, v := range src {
-		e := math.Exp(v - maxV)
-		dst[i] = e
-		z += e
-	}
-	for i := range dst {
-		dst[i] /= z
-	}
+	divRow(dst, expShiftSum(dst, src, rowMax(src), 0))
 }
 
 // LogSoftmaxAt returns entry id of log-softmax(src) without building
-// the vector (no autograd): the log-probability of one token.
+// the vector (no autograd): the log-probability of one token. The exps
+// pass through a buffer on the stack, a chunk of the row at a time.
 func LogSoftmaxAt(src []float64, id int) float64 {
-	maxV := math.Inf(-1)
-	for _, v := range src {
-		if v > maxV {
-			maxV = v
-		}
-	}
+	maxV := rowMax(src)
+	var buf [128]float64
 	var z float64
-	for _, v := range src {
-		z += math.Exp(v - maxV)
+	for rest := src; len(rest) > 0; {
+		n := min(len(rest), len(buf))
+		z = expShiftSum(buf[:n], rest, maxV, z)
+		rest = rest[n:]
 	}
 	return src[id] - (math.Log(z) + maxV)
 }

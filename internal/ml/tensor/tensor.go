@@ -36,16 +36,34 @@
 // pays one load and one store of dst instead of one per four rows. Aᵀ×B
 // runs on axpy4, dst += a0·x0 + a1·x1 + a2·x2 + a3·x3, four rows at a
 // time over a whole row of dst (axpy_amd64.s), which is also the Go
-// loop of mulRow. In both kernels adjacent elements of dst sit in the
-// lanes of one register, and a lane does to its element what the Go
-// loop does — multiply, round, add, round, one product after another —
-// and lanes do not interact, so the bits are those of the Go loops,
-// which stay as the path everywhere else and as the oracle of the
-// tests. The kernels multiply then add and never fuse the two: a fused
-// multiply-add rounds once where the Go loop on amd64 rounds twice. (The
-// Go compiler itself fuses x*y + z on arm64, and on amd64 when built
-// with GOAMD64=v3, so the recorded goldens are those of the default
-// amd64 build.)
+// loop of mulRow.
+//
+// The third kernel is math.Exp four lanes at a time (exp_amd64.s), under
+// every softmax row (SoftmaxInto, LogSoftmaxAt, so cross-entropy, the
+// PPO log-policy, attention and the sampler's scores) and every GELU row
+// (GELUInto, the GELU op's forward and backward), whose tanh is
+// math.tanh's three branches computed lane-wise and blended. Beside it
+// run a lane-wise maximum and divide for the softmax rows.
+//
+// In every kernel adjacent elements sit in the lanes of one register,
+// a lane does to its element exactly what the kernel's scalar reference
+// does, and lanes do not interact, so the bits are the reference's. For
+// the matrix kernels the reference is the Go loop — multiply, round,
+// add, round, one product after another — which stays as the path
+// everywhere else and as the oracle of the tests; they never fuse a
+// multiply and an add, since a fused multiply-add rounds once where the
+// Go loop on amd64 rounds twice. The exp kernel's reference is
+// math.archExp, which fuses exactly where math.useFMA holds (a CPU with
+// AVX and FMA); the kernel has both of its bodies and runs the one
+// math.Exp takes, checked against it at start-up. The softmax sums stay
+// sequential, one element at a time in index order.
+//
+// Two things outside this package fix the recorded goldens. The Go
+// compiler itself fuses x*y + z on arm64, and on amd64 when built with
+// GOAMD64=v3, so they are those of the default amd64 build. And
+// math.Exp differs in the last bit of some results between archExp's
+// FMA and SSE2 bodies, so they are those of a CPU with AVX and FMA
+// (TestExpPathMatchesGoldens fails plainly on any other).
 //
 //chatfuzz:deterministic package
 package tensor
@@ -322,7 +340,8 @@ var geluCoef = math.Sqrt(2 / math.Pi)
 
 // GELUScalar is the tanh-approximated GELU of one value: the single
 // definition behind the GELU op and the incremental sampler, so the
-// sampled and the trained policy cannot drift apart.
+// sampled and the trained policy cannot drift apart. Both reach it
+// through GELUInto, which computes it lane by lane.
 func GELUScalar(x float64) float64 {
 	return 0.5 * x * (1 + math.Tanh(geluCoef*(x+0.044715*x*x*x)))
 }
@@ -335,8 +354,13 @@ func geluDF(x float64) float64 {
 }
 
 // GELU applies the Gaussian error linear unit (tanh approximation, as
-// in GPT-2).
-func GELU(a *Tensor) *Tensor { return unOp(a, GELUScalar, geluDF) }
+// in GPT-2): GELUInto forward, geluBack backward, over the whole tensor.
+func GELU(a *Tensor) *Tensor {
+	out := child(a.R, a.C, a)
+	GELUInto(out.Data, a.Data)
+	out.onBackward(func() { geluBack(a.Grad, out.Grad, a.Data) })
+	return out
+}
 
 // Mean reduces to a scalar [1,1].
 func Mean(a *Tensor) *Tensor {
