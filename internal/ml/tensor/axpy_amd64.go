@@ -2,15 +2,17 @@ package tensor
 
 import "math"
 
-// hasAVX2 selects the vector loops of axpy4 and mulRow, and with
-// expBody those of the softmax and GELU rows. It is read once at
-// start-up from the CPU; only tests write it, to run the Go loops on the
-// same machine.
+// hasAVX2 selects the vector loops of axpy4 and mulRow. It is read once
+// at start-up from the CPU; only tests write it, to run the Go loops on
+// the same machine.
 var hasAVX2, hasFMA = cpuFeatures()
 
-// expBody is the body of the exp kernel whose bits are math.Exp's on
-// this CPU (exp_amd64.s).
-var expBody = pickExpBody()
+// hasExp selects the exp kernel (exp_amd64.s) under the softmax and
+// GELU rows. The kernel is archExp's AVX+FMA body, the one math.Exp
+// takes on a CPU with AVX and FMA (math.useFMA's rule), so it runs on
+// such a CPU once it has left math.Exp's bits on every input of
+// expProbe. Elsewhere the rows are their Go loops, which call math.Exp.
+var hasExp = hasAVX2 && hasFMA && expKernelMatches()
 
 // axpy4avx is axpy4's loop four elements of dst at a time (axpy_amd64.s),
 // for non-zero factors and an x of four rows of len(dst): axpy4 checks both.
@@ -25,76 +27,45 @@ func axpy4avx(dst []float64, a0, a1, a2, a3 float64, x []float64)
 //go:noescape
 func mulRowAVX(dst, x, w []float64, stride int)
 
-// expShiftSumAVX is expShiftSum's loop four elements at a time, with
-// archExp's FMA body or its SSE2 body, up to the first block with a lane
-// off archExp's main path (exp_amd64.s). src is at least as long as dst.
+// expShiftSumAVX is expShiftSum's loop four elements at a time, up to
+// the first block with a lane off archExp's main path (exp_amd64.s). src
+// is at least as long as dst.
 //
 //go:noescape
-func expShiftSumAVX(dst, src []float64, shift, z float64, fma bool) (done int, sum float64)
+func expShiftSumAVX(dst, src []float64, shift, z float64) (done int, sum float64)
 
-// geluAVX is GELUInto's loop four elements at a time, its tanh's exp
-// taking the body fma names, over a len(dst) that is a multiple of four
-// and a src at least as long (exp_amd64.s).
+// geluAVX is GELUInto's loop four elements at a time over a len(dst)
+// that is a multiple of four and a src at least as long (exp_amd64.s).
 //
 //go:noescape
-func geluAVX(dst, src []float64, coef float64, fma bool)
+func geluAVX(dst, src []float64, coef float64)
 
 // geluBackAVX is geluBack's loop four elements at a time, like geluAVX,
 // over a len(grad) that is a multiple of four and a g and x at least as
 // long (exp_amd64.s).
 //
 //go:noescape
-func geluBackAVX(grad, g, x []float64, coef float64, fma bool)
-
-// maxAVX is rowMax over a len(src) that is a positive multiple of 16.
-//
-//go:noescape
-func maxAVX(src []float64) float64
-
-// divAVX divides dst by z over a len(dst) that is a multiple of four.
-//
-//go:noescape
-func divAVX(dst []float64, z float64)
+func geluBackAVX(grad, g, x []float64, coef float64)
 
 // cpuFeatures reports whether the CPU and the OS let the vector kernels
 // run (AVX2 with the YMM state saved) and whether the CPU has FMA, which
 // with AVX is math.useFMA's rule for archExp's body.
 func cpuFeatures() (avx2, fma bool)
 
-// pickExpBody returns the exp kernel body that math.Exp takes on this
-// CPU by math's own rule — FMA where the CPU has AVX and FMA, else SSE2
-// — once it has checked the body against math.Exp on expProbe; if that
-// body fails, the other one, where the CPU can run it; if neither
-// matches, the Go loop.
-func pickExpBody() int {
-	if !hasAVX2 {
-		return expGo
-	}
-	bodies := []int{expSSE2}
-	if hasFMA {
-		bodies = []int{expFMA, expSSE2}
-	}
-	for _, body := range bodies {
-		if expBodyMatches(body) {
-			return body
-		}
-	}
-	return expGo
-}
-
-// expProbe is what pickExpBody checks a body against math.Exp on. The
-// first four inputs round differently under archExp's two bodies, so
-// only the body math.Exp takes passes.
+// expProbe is what hasExp checks the kernel against math.Exp on. The
+// first four inputs round differently under archExp's two bodies, so the
+// check fails where math.Exp takes the SSE2 body on a CPU with FMA
+// (GODEBUG=cpu.fma=off).
 var expProbe = [...]float64{
 	226.19463546765758, 111.96164072103329, -119.03469857012249, 442.65458677181687,
 	0, -1, 0.5, -700,
 }
 
-// expBodyMatches reports whether the kernel with the given body leaves
-// math.Exp's bits on every input of expProbe.
-func expBodyMatches(body int) bool {
+// expKernelMatches reports whether the exp kernel leaves math.Exp's bits
+// on every input of expProbe.
+func expKernelMatches() bool {
 	var got [len(expProbe)]float64
-	done, _ := expShiftSumAVX(got[:], expProbe[:], 0, 0, body == expFMA)
+	done, _ := expShiftSumAVX(got[:], expProbe[:], 0, 0)
 	if done != len(got) {
 		return false
 	}

@@ -14,9 +14,9 @@ import (
 // machine without AVX2 runs, and returns the call that switches them
 // back.
 func forceScalar() (restore func()) {
-	was, body := hasAVX2, expBody
-	hasAVX2, expBody = false, expGo
-	return func() { hasAVX2, expBody = was, body }
+	was, exp := hasAVX2, hasExp
+	hasAVX2, hasExp = false, false
+	return func() { hasAVX2, hasExp = was, exp }
 }
 
 // axpyEdgeValues are the operands rounding, overflow and NaN handling

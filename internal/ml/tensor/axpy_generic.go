@@ -5,10 +5,7 @@ package tensor
 // No vector kernel on this GOARCH: axpy4, mulRow and the softmax and
 // GELU rows are their Go loops, and the branches that would call the
 // assembly are dead code the compiler drops.
-const (
-	hasAVX2 = false
-	expBody = expGo
-)
+const hasAVX2, hasExp = false, false
 
 func axpy4avx(dst []float64, a0, a1, a2, a3 float64, x []float64) {
 	panic("tensor: axpy4avx without a vector kernel")
@@ -18,22 +15,14 @@ func mulRowAVX(dst, x, w []float64, stride int) {
 	panic("tensor: mulRowAVX without a vector kernel")
 }
 
-func expShiftSumAVX(dst, src []float64, shift, z float64, fma bool) (done int, sum float64) {
+func expShiftSumAVX(dst, src []float64, shift, z float64) (done int, sum float64) {
 	panic("tensor: expShiftSumAVX without a vector kernel")
 }
 
-func geluAVX(dst, src []float64, coef float64, fma bool) {
+func geluAVX(dst, src []float64, coef float64) {
 	panic("tensor: geluAVX without a vector kernel")
 }
 
-func geluBackAVX(grad, g, x []float64, coef float64, fma bool) {
+func geluBackAVX(grad, g, x []float64, coef float64) {
 	panic("tensor: geluBackAVX without a vector kernel")
-}
-
-func maxAVX(src []float64) float64 {
-	panic("tensor: maxAVX without a vector kernel")
-}
-
-func divAVX(dst []float64, z float64) {
-	panic("tensor: divAVX without a vector kernel")
 }

@@ -9,11 +9,11 @@
 // squarings and a multiply by 2^n. It has two bodies: with AVX and FMA
 // (math.useFMA) the reduction, the polynomial and the last squaring are
 // fused multiply-adds, otherwise every product is rounded before its
-// add. A lane here runs one body's instructions in their order, with
-// its constants, so it leaves the bits that body leaves; the caller
-// (pickExpBody) names the body math.Exp takes on this CPU, and checks
-// the claim at start-up. The fused multiply-adds are archExp's own:
-// nothing here fuses what its scalar reference does not.
+// add. A lane here runs the AVX+FMA body's instructions in their order,
+// with its constants, so it leaves the bits that body leaves; the
+// kernel runs only where math.Exp takes that body, which the caller
+// (hasExp) checks at start-up. The fused multiply-adds are archExp's
+// own: nothing here fuses what its scalar reference does not.
 //
 // archExp leaves its main path for a non-finite x, for x above
 // 709.78 and where the result's exponent n+1023 falls outside
@@ -57,9 +57,8 @@ ROW(736, $2.23548839060100448583e3)
 ROW(768, $4.84406305325125486048e3)
 ROW(800, $0x7fffffffffffffff) // |x|
 ROW(832, $0x8000000000000000) // sign of x
-ROW(864, $0xfff0000000000000) // -Inf, the max of nothing
-ROW(896, $0.134145)           // 3·0.044715 of geluDF
-GLOBL expc<>(SB), RODATA, $928
+ROW(864, $0.134145)           // 3·0.044715 of geluDF
+GLOBL expc<>(SB), RODATA, $896
 
 #define LOG2E expc<>+0(SB)
 #define LN2U expc<>+32(SB)
@@ -88,8 +87,7 @@ GLOBL expc<>(SB), RODATA, $928
 #define Q2 expc<>+768(SB)
 #define ABS expc<>+800(SB)
 #define SIGN expc<>+832(SB)
-#define NEGINF expc<>+864(SB)
-#define SLOPE expc<>+896(SB)
+#define SLOPE expc<>+864(SB)
 
 // EXP_N: Y0 = x. Leaves n = round(x·log2e) as four int32s in X2 and as
 // float64s in Y1 (CVTSD2SL and CVTSL2SD, lane-wise).
@@ -107,9 +105,8 @@ GLOBL expc<>(SB), RODATA, $928
 	VMOVMSKPD Y4, BX;              \
 	XORL      $15, BX
 
-// EXP_FMA and EXP_SSE2: Y0 = x, Y1 = n. Leave in Y0 archExp's result
-// before its multiply by 2^n, clobbering Y3. The first is archExp's
-// avxfma body, the second its SSE2 body.
+// EXP_FMA: Y0 = x, Y1 = n. Leaves in Y0 archExp's result before its
+// multiply by 2^n, clobbering Y3: archExp's avxfma body.
 #define EXP_FMA \
 	VFNMADD231PD LN2U, Y1, Y0; \
 	VFNMADD231PD LN2L, Y1, Y0; \
@@ -132,37 +129,6 @@ GLOBL expc<>(SB), RODATA, $928
 	VADDPD       TWO, Y0, Y3;  \
 	VFMADD213PD  ONE, Y3, Y0
 
-#define EXP_SSE2 \
-	VMULPD LN2U, Y1, Y3;      \
-	VSUBPD Y3, Y0, Y0;        \
-	VMULPD LN2L, Y1, Y3;      \
-	VSUBPD Y3, Y0, Y0;        \
-	VMULPD SIXTEENTH, Y0, Y0; \
-	VMULPD C8, Y0, Y3;        \
-	VADDPD C7, Y3, Y3;        \
-	VMULPD Y0, Y3, Y3;        \
-	VADDPD C6, Y3, Y3;        \
-	VMULPD Y0, Y3, Y3;        \
-	VADDPD C5, Y3, Y3;        \
-	VMULPD Y0, Y3, Y3;        \
-	VADDPD C4, Y3, Y3;        \
-	VMULPD Y0, Y3, Y3;        \
-	VADDPD C3, Y3, Y3;        \
-	VMULPD Y0, Y3, Y3;        \
-	VADDPD HALF, Y3, Y3;      \
-	VMULPD Y0, Y3, Y3;        \
-	VADDPD ONE, Y3, Y3;       \
-	VMULPD Y3, Y0, Y0;        \
-	VADDPD TWO, Y0, Y3;       \
-	VMULPD Y3, Y0, Y0;        \
-	VADDPD TWO, Y0, Y3;       \
-	VMULPD Y3, Y0, Y0;        \
-	VADDPD TWO, Y0, Y3;       \
-	VMULPD Y3, Y0, Y0;        \
-	VADDPD TWO, Y0, Y3;       \
-	VMULPD Y3, Y0, Y0;        \
-	VADDPD ONE, Y0, Y0
-
 // EXP_SCALE: Y0 ·= 2^n for the n of X2 (archExp's lastStep), clobbering
 // Y2.
 #define EXP_SCALE \
@@ -171,20 +137,19 @@ GLOBL expc<>(SB), RODATA, $928
 	VPSLLQ    $52, Y2, Y2;  \
 	VMULPD    Y2, Y0, Y0
 
-// func expShiftSumAVX(dst, src []float64, shift, z float64, fma bool) (done int, sum float64)
+// func expShiftSumAVX(dst, src []float64, shift, z float64) (done int, sum float64)
 //
 // dst[i] = exp(src[i]-shift), four at a time over the whole blocks of
 // dst, with sum = z + dst[0] + dst[1] + ... added one element at a time,
 // in index order, as the Go loop adds them. It stops before the first
 // block with a lane off archExp's main path and returns how many
 // elements it wrote, a multiple of four.
-TEXT ·expShiftSumAVX(SB), NOSPLIT, $0-88
+TEXT ·expShiftSumAVX(SB), NOSPLIT, $0-80
 	MOVQ         dst_base+0(FP), DI
 	MOVQ         dst_len+8(FP), CX
 	MOVQ         src_base+24(FP), SI
 	VBROADCASTSD shift+48(FP), Y15
 	VMOVSD       z+56(FP), X14
-	MOVBLZX      fma+64(FP), DX
 	ANDQ         $~3, CX
 	XORQ         AX, AX
 
@@ -196,15 +161,7 @@ block:
 	EXP_N
 	EXP_OFFPATH
 	JNZ     done
-	TESTL   DX, DX
-	JZ      sse2
 	EXP_FMA
-	JMP     scale
-
-sse2:
-	EXP_SSE2
-
-scale:
 	EXP_SCALE
 	VMOVUPD Y0, (DI)(AX*8)
 	VADDSD  X0, X14, X14
@@ -218,13 +175,13 @@ scale:
 	JMP     block
 
 done:
-	MOVQ   AX, done+72(FP)
-	VMOVSD X14, sum+80(FP)
+	MOVQ   AX, done+64(FP)
+	VMOVSD X14, sum+72(FP)
 	VZEROUPPER
 	RET
 
-// GELU_TANH_IN, an exp body, then GELU_TANH_OUT: Y9 = u. Leave
-// math.Tanh(u) in Y10, clobbering Y0-Y7, Y11 and Y12. Every lane computes math.tanh's three branches and keeps the
+// GELU_TANH: Y9 = u. Leaves math.Tanh(u) in Y10, clobbering Y0-Y7, Y11
+// and Y12. Every lane computes math.tanh's three branches and keeps the
 // one its |u| selects: ±1 above 0.5·MAXLOG; 1 - 2/(exp(2|u|)+1), signed
 // as u, from 0.625 up; below that the rational approximation. The two
 // divisions share one VDIVPD, their operands blended per lane first.
@@ -232,7 +189,7 @@ done:
 // so it never leaves archExp's main path (2|u| ≤ 88.03, n ≤ 127). The
 // small branch does not special-case u = ±0 as math.tanh does: it
 // returns +0 for -0 there, which 1+tanh and 1-tanh² cannot tell apart.
-#define GELU_TANH_IN \
+#define GELU_TANH \
 	VANDPD    ABS, Y9, Y6;           \
 	VANDPD    SIGN, Y9, Y7;          \
 	VCMPPD    $0x1e, TANHBIG, Y6, Y11; \
@@ -240,9 +197,8 @@ done:
 	VANDNPD   Y12, Y11, Y12;         \
 	VADDPD    Y6, Y6, Y0;            \
 	VANDPD    Y12, Y0, Y0;           \
-	EXP_N
-
-#define GELU_TANH_OUT \
+	EXP_N;                           \
+	EXP_FMA;                         \
 	EXP_SCALE;                       \
 	VADDPD    ONE, Y0, Y0;           \
 	VMULPD    Y9, Y9, Y1;            \
@@ -277,16 +233,15 @@ done:
 	VADDPD Y9, Y8, Y9;    \
 	VMULPD Y13, Y9, Y9
 
-// func geluAVX(dst, src []float64, coef float64, fma bool)
+// func geluAVX(dst, src []float64, coef float64)
 //
 // dst[i] = GELUScalar(src[i]) = 0.5·x·(1 + tanh(u)), four at a time over
 // len(dst), a multiple of four. dst may be src.
-TEXT ·geluAVX(SB), NOSPLIT, $0-57
+TEXT ·geluAVX(SB), NOSPLIT, $0-56
 	MOVQ         dst_base+0(FP), DI
 	MOVQ         dst_len+8(FP), CX
 	MOVQ         src_base+24(FP), SI
 	VBROADCASTSD coef+48(FP), Y13
-	MOVBLZX      fma+56(FP), DX
 	XORQ         AX, AX
 
 block:
@@ -294,19 +249,7 @@ block:
 	JGE     done
 	VMOVUPD (SI)(AX*8), Y8
 	GELU_U
-	TESTL   DX, DX
-	JZ      sse2
-	GELU_TANH_IN
-	EXP_FMA
-	GELU_TANH_OUT
-	JMP     out
-
-sse2:
-	GELU_TANH_IN
-	EXP_SSE2
-	GELU_TANH_OUT
-
-out:
+	GELU_TANH
 	VADDPD  ONE, Y10, Y10
 	VMULPD  HALF, Y8, Y0
 	VMULPD  Y10, Y0, Y0
@@ -318,18 +261,17 @@ done:
 	VZEROUPPER
 	RET
 
-// func geluBackAVX(grad, g, x []float64, coef float64, fma bool)
+// func geluBackAVX(grad, g, x []float64, coef float64)
 //
 // grad[i] += g[i]·geluDF(x[i]), four at a time over len(grad), a multiple
 // of four, g and x at least as long: geluDF's order, 0.5·(1+t) +
 // 0.5·x·(1-t·t)·geluCoef·(1 + 0.134145·x·x) for t = tanh(u).
-TEXT ·geluBackAVX(SB), NOSPLIT, $0-81
+TEXT ·geluBackAVX(SB), NOSPLIT, $0-80
 	MOVQ         grad_base+0(FP), DI
 	MOVQ         grad_len+8(FP), CX
 	MOVQ         g_base+24(FP), R8
 	MOVQ         x_base+48(FP), SI
 	VBROADCASTSD coef+72(FP), Y13
-	MOVBLZX      fma+80(FP), DX
 	XORQ         AX, AX
 
 block:
@@ -337,19 +279,7 @@ block:
 	JGE     done
 	VMOVUPD (SI)(AX*8), Y8
 	GELU_U
-	TESTL   DX, DX
-	JZ      sse2
-	GELU_TANH_IN
-	EXP_FMA
-	GELU_TANH_OUT
-	JMP     out
-
-sse2:
-	GELU_TANH_IN
-	EXP_SSE2
-	GELU_TANH_OUT
-
-out:
+	GELU_TANH
 	VMULPD  Y10, Y10, Y0
 	VMOVUPD ONE, Y1
 	VSUBPD  Y0, Y1, Y1
@@ -366,70 +296,6 @@ out:
 	VMULPD  (R8)(AX*8), Y2, Y2
 	VADDPD  (DI)(AX*8), Y2, Y2
 	VMOVUPD Y2, (DI)(AX*8)
-	ADDQ    $4, AX
-	JMP     block
-
-done:
-	VZEROUPPER
-	RET
-
-// func maxAVX(src []float64) float64
-//
-// The largest of src as the loop `if v > m { m = v }` from m = -Inf
-// finds it, over a len(src) that is a positive multiple of 16. VMAXPD
-// passes on its first operand where it is greater and its second
-// otherwise, NaN included, so with the data first a NaN never enters the
-// four running maxima, and any order of combining them yields the loop's
-// value; only a tie of +0 and -0 can leave the other zero.
-TEXT ·maxAVX(SB), NOSPLIT, $0-32
-	MOVQ    src_base+0(FP), SI
-	MOVQ    src_len+8(FP), CX
-	VMOVUPD NEGINF, Y0
-	VMOVUPD Y0, Y1
-	VMOVUPD Y0, Y2
-	VMOVUPD Y0, Y3
-	XORQ    AX, AX
-
-block:
-	VMOVUPD (SI)(AX*8), Y4
-	VMAXPD  Y0, Y4, Y0
-	VMOVUPD 32(SI)(AX*8), Y5
-	VMAXPD  Y1, Y5, Y1
-	VMOVUPD 64(SI)(AX*8), Y6
-	VMAXPD  Y2, Y6, Y2
-	VMOVUPD 96(SI)(AX*8), Y7
-	VMAXPD  Y3, Y7, Y3
-	ADDQ    $16, AX
-	CMPQ    AX, CX
-	JLT     block
-
-	VMAXPD       Y1, Y0, Y0
-	VMAXPD       Y3, Y2, Y2
-	VMAXPD       Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VMAXPD       X1, X0, X0
-	VUNPCKHPD    X0, X0, X1
-	VMAXSD       X1, X0, X0
-	VMOVSD       X0, ret+24(FP)
-	VZEROUPPER
-	RET
-
-// func divAVX(dst []float64, z float64)
-//
-// dst[i] /= z, four at a time over len(dst), a multiple of four. VDIVPD
-// is DIVSD lane by lane.
-TEXT ·divAVX(SB), NOSPLIT, $0-32
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), CX
-	VBROADCASTSD z+24(FP), Y1
-	XORQ         AX, AX
-
-block:
-	CMPQ    AX, CX
-	JGE     done
-	VMOVUPD (DI)(AX*8), Y0
-	VDIVPD  Y1, Y0, Y0
-	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ    $4, AX
 	JMP     block
 

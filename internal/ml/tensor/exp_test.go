@@ -8,128 +8,14 @@ import (
 	"testing"
 )
 
-// archExp's constants, as $GOROOT/src/math/exp_amd64.s writes them.
-const (
-	expLog2e    = 1.4426950408889634073599246810018920
-	expLn2U     = 0.69314718055966295651160180568695068359375
-	expLn2L     = 0.28235290563031577122588448175013436025525412068e-12
-	expOverflow = 7.09782712893384e+02
-)
-
-// expTaylor are the polynomial's coefficients, highest degree first.
-var expTaylor = [...]float64{
-	2.4801587301587301587e-5, 1.9841269841269841270e-4, 1.3888888888888888889e-3,
-	8.3333333333333333333e-3, 4.1666666666666666667e-2, 1.6666666666666666667e-1,
-	0.5, 1.0,
-}
-
-// cvtsd2sl is CVTSD2SL under the default rounding: to nearest, ties to
-// even, and the integer indefinite 0x80000000 for NaN and anything out
-// of range.
-func cvtsd2sl(x float64) int32 {
-	r := math.RoundToEven(x)
-	if !(r >= math.MinInt32 && r <= math.MaxInt32) {
-		return math.MinInt32
-	}
-	return int32(r)
-}
-
-// archExpRef is archExp transliterated around one of its two bodies:
-// the checks before it, n = round(x·log2e), and the multiply by 2^n
-// after, with the detours for an overflowing, denormal or vanishing
-// result.
-func archExpRef(x float64, body func(x, n float64) float64) float64 {
-	switch {
-	case math.IsNaN(x) || math.IsInf(x, 1):
-		return x
-	case math.IsInf(x, -1):
-		return 0
-	case x > expOverflow:
-		return math.Inf(1)
-	}
-	n := cvtsd2sl(expLog2e * x)
-	fr := body(x, float64(n))
-	b := n + 0x3ff
-	switch {
-	case b <= 0:
-		if b < -52 {
-			return 0
-		}
-		fr *= math.Float64frombits(uint64(b+0x3fe) << 52)
-		b = 1
-	case b >= 0x7ff:
-		return math.Inf(1)
-	}
-	return fr * math.Float64frombits(uint64(b)<<52)
-}
-
-// expFMARef is archExp's AVX+FMA body: the reduction, the polynomial
-// and the last squaring fused (math.FMA rounds once, as VFMADD does).
-func expFMARef(x float64) float64 {
-	return archExpRef(x, func(x, n float64) float64 {
-		r := math.FMA(-n, expLn2U, x)
-		r = math.FMA(-n, expLn2L, r)
-		r *= 0.0625
-		p := expTaylor[0]
-		for _, c := range expTaylor[1:] {
-			p = math.FMA(p, r, c)
-		}
-		r *= p
-		for i := 0; i < 3; i++ {
-			r *= r + 2
-		}
-		return math.FMA(r+2, r, 1)
-	})
-}
-
-// expSSE2Ref is archExp's SSE2 body: every product rounded before its
-// add (the conversions forbid the compiler to fuse them).
-func expSSE2Ref(x float64) float64 {
-	return archExpRef(x, func(x, n float64) float64 {
-		r := x - float64(n*expLn2U)
-		r -= float64(n * expLn2L)
-		r *= 0.0625
-		p := expTaylor[0]
-		for _, c := range expTaylor[1:] {
-			p = float64(p*r) + c
-		}
-		r *= p
-		for i := 0; i < 4; i++ {
-			r *= r + 2
-		}
-		return r + 1
-	})
-}
+// expOverflow is archExp's overflow threshold: math.Exp is +Inf above it.
+const expOverflow = 7.09782712893384e+02
 
 // sameBits reports whether a and b are the same float64, any NaN being
 // as good as another: which of two NaN operands an instruction passes on
 // depends on their order, which the compiler does not keep.
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
-}
-
-// TestExpPathMatchesGoldens names a dependence every recorded golden
-// has: math.Exp takes archExp's FMA body on a CPU with AVX and FMA and
-// its SSE2 body elsewhere, the two differ in the last bit of some
-// results, and the goldens (the checkpoint hashes, the nn and ppo
-// digests) were recorded under FMA.
-func TestExpPathMatchesGoldens(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	x := 0.0
-	for expFMARef(x) == expSSE2Ref(x) {
-		x = rng.Float64()*40 - 20
-	}
-	fma, sse2, got := expFMARef(x), expSSE2Ref(x), math.Exp(x)
-	switch got {
-	case fma:
-	case sse2:
-		t.Fatalf("math.Exp(%v) = %#x, archExp's SSE2 body (no AVX+FMA on this CPU), not its FMA body's %#x: "+
-			"the recorded goldens assume the FMA body and cannot hold here", x, math.Float64bits(got), math.Float64bits(fma))
-	default:
-		t.Fatalf("math.Exp(%v) = %#x, neither archExp's FMA body (%#x) nor its SSE2 body (%#x): "+
-			"this is not amd64's math.Exp, and the recorded goldens cannot hold here",
-			x, math.Float64bits(got), math.Float64bits(fma), math.Float64bits(sse2))
-	}
 }
 
 // expSpecials are the inputs around archExp's detours: zeros, the

@@ -337,7 +337,10 @@ func GatherLogSoftmax(logits *Tensor, ids []int) *Tensor {
 // is as long (no autograd): the maximum, the exps of the row less it
 // summed in index order, then each divided by the sum.
 func SoftmaxInto(dst, src []float64) {
-	divRow(dst, expShiftSum(dst, src, rowMax(src), 0))
+	z := expShiftSum(dst, src, rowMax(src), 0)
+	for i := range dst {
+		dst[i] /= z
+	}
 }
 
 // LogSoftmaxAt returns entry id of log-softmax(src) without building

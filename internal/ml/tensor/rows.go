@@ -2,27 +2,19 @@ package tensor
 
 import "math"
 
-// The bodies of the exp kernel (exp_amd64.s): which of archExp's two
-// paths its lanes run, or none.
-const (
-	expGo   = iota // no kernel: math.Exp, one element at a time
-	expSSE2        // archExp's SSE2 body
-	expFMA         // archExp's AVX+FMA body
-)
-
 // expShiftSum writes dst[i] = math.Exp(src[i]-shift) and returns z plus
 // their sum, added one element at a time in index order. src is at
-// least as long as dst. Where expBody names a kernel, it takes four
+// least as long as dst. Where hasExp holds, the kernel takes four
 // elements at a time and leaves a block with a lane off archExp's main
 // path — overflow, underflow, a denormal result, a non-finite input —
 // to math.Exp.
 func expShiftSum(dst, src []float64, shift, z float64) float64 {
 	src = src[:len(dst)]
 	i := 0
-	if expBody != expGo {
+	if hasExp {
 		for {
 			var n int
-			n, z = expShiftSumAVX(dst[i:], src[i:], shift, z, expBody == expFMA)
+			n, z = expShiftSumAVX(dst[i:], src[i:], shift, z)
 			if i += n; len(dst)-i < 4 {
 				break
 			}
@@ -39,18 +31,11 @@ func expShiftSum(dst, src []float64, shift, z float64) float64 {
 	return z
 }
 
-// rowMax returns the value the loop `if v > m { m = v }` from m = -Inf
-// leaves: the largest of src, NaN skipped, -Inf for a row of nothing
-// else. The kernel may return the other zero of a +0/-0 tie, which no
-// caller can tell apart: x-(±0) and exp(±0) = 1 come out the same, and
-// log z ≥ +0 absorbs either zero.
+// rowMax returns the largest of src, NaN skipped, -Inf for a row of
+// nothing else.
 func rowMax(src []float64) float64 {
-	m, i := math.Inf(-1), 0
-	if hasAVX2 && len(src) >= 16 {
-		i = len(src) &^ 15
-		m = maxAVX(src[:i])
-	}
-	for _, v := range src[i:] {
+	m := math.Inf(-1)
+	for _, v := range src {
 		if v > m {
 			m = v
 		}
@@ -58,26 +43,14 @@ func rowMax(src []float64) float64 {
 	return m
 }
 
-// divRow divides every element of dst by z.
-func divRow(dst []float64, z float64) {
-	i := 0
-	if hasAVX2 {
-		i = len(dst) &^ 3
-		divAVX(dst[:i], z)
-	}
-	for ; i < len(dst); i++ {
-		dst[i] /= z
-	}
-}
-
 // GELUInto writes GELUScalar(src[i]) into dst[i]; dst may be src, and
 // src is at least as long as dst.
 func GELUInto(dst, src []float64) {
 	src = src[:len(dst)]
 	i := 0
-	if expBody != expGo {
+	if hasExp {
 		i = len(dst) &^ 3
-		geluAVX(dst[:i], src[:i], geluCoef, expBody == expFMA)
+		geluAVX(dst[:i], src[:i], geluCoef)
 	}
 	for ; i < len(dst); i++ {
 		dst[i] = GELUScalar(src[i])
@@ -89,9 +62,9 @@ func GELUInto(dst, src []float64) {
 func geluBack(grad, g, x []float64) {
 	g, x = g[:len(grad)], x[:len(grad)]
 	i := 0
-	if expBody != expGo {
+	if hasExp {
 		i = len(grad) &^ 3
-		geluBackAVX(grad[:i], g[:i], x[:i], geluCoef, expBody == expFMA)
+		geluBackAVX(grad[:i], g[:i], x[:i], geluCoef)
 	}
 	for ; i < len(grad); i++ {
 		grad[i] += g[i] * geluDF(x[i])

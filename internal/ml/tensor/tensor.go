@@ -42,8 +42,7 @@
 // every softmax row (SoftmaxInto, LogSoftmaxAt, so cross-entropy, the
 // PPO log-policy, attention and the sampler's scores) and every GELU row
 // (GELUInto, the GELU op's forward and backward), whose tanh is
-// math.tanh's three branches computed lane-wise and blended. Beside it
-// run a lane-wise maximum and divide for the softmax rows.
+// math.tanh's three branches computed lane-wise and blended.
 //
 // In every kernel adjacent elements sit in the lanes of one register,
 // a lane does to its element exactly what the kernel's scalar reference
@@ -54,9 +53,10 @@
 // multiply and an add, since a fused multiply-add rounds once where the
 // Go loop on amd64 rounds twice. The exp kernel's reference is
 // math.archExp, which fuses exactly where math.useFMA holds (a CPU with
-// AVX and FMA); the kernel has both of its bodies and runs the one
-// math.Exp takes, checked against it at start-up. The softmax sums stay
-// sequential, one element at a time in index order.
+// AVX and FMA); the kernel is archExp's AVX+FMA body and runs only where
+// math.Exp takes that body, checked against it at start-up (hasExp);
+// elsewhere the rows call math.Exp. The softmax sums stay sequential,
+// one element at a time in index order.
 //
 // Two things outside this package fix the recorded goldens. The Go
 // compiler itself fuses x*y + z on arm64, and on amd64 when built with
