@@ -105,7 +105,7 @@ func BenchmarkGoldenISS(b *testing.B) {
 // included.
 func BenchmarkLMGeneration(b *testing.B) {
 	p := benchPipeline(b)
-	g := core.NewLLMGenerator(p, rocket.New().Space().NumBins(), false, 1)
+	g := core.NewLLMGenerator(p, rocket.New().Space().NumBins(), 1)
 	tokens := 0
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -5,25 +5,26 @@
 // RTL condition coverage, fuzzing simulated RocketCore/BOOM designs
 // with differential mismatch detection against a golden-model ISS.
 //
-// Quickstart (single campaign):
+// Every campaign runs on the orchestrator. Quickstart (one campaign:
+// a one-shard fleet with one arm, the model learning as it fuzzes):
 //
 //	cfg := chatfuzz.DefaultPipelineConfig()
 //	p := chatfuzz.NewPipeline(cfg)
 //	p.Run(chatfuzz.NewRocket())                      // 3-step training
-//	dut := chatfuzz.NewRocket()
-//	gen := chatfuzz.NewLLMGenerator(p, dut.Space().NumBins(), true, 1)
-//	f := chatfuzz.NewFuzzer(gen, dut, chatfuzz.Options{BatchSize: 16, Detect: true})
-//	f.RunTests(500)
-//	fmt.Println(f.Coverage(), f.Det.Report())
+//	o, err := chatfuzz.NewOrchestrator(
+//	    chatfuzz.CampaignConfig{Shards: 1, BatchSize: 16, Seed: 1, Detect: true},
+//	    chatfuzz.NewRocket, chatfuzz.LearningLLMArm(p))
+//	defer o.Close()
+//	err = o.RunTests(512)
+//	fmt.Println(o.Coverage(), o.Shard(0).Det.Report())
 //
-// Campaign orchestrator quickstart (sharded fleet): instead of one
-// fuzzer, run N concurrent campaigns — each with its own DUT instance
-// and virtual clock — and let a discounted UCB1 bandit allocate each
-// round's batches among generator arms, rewarded by incremental merged
-// coverage per virtual hour. Shard coverage bitmaps are aggregated into
-// a fleet-global snapshot every round, and TheHuzz mutation pools are
-// synced across shards and seeded with every arm's coverage-advancing
-// programs:
+// Sharded fleet: run N concurrent campaigns — each with its own DUT
+// instance and virtual clock — and let a discounted UCB1 bandit
+// allocate each round's batches among generator arms, rewarded by
+// incremental merged coverage per virtual hour. Shard coverage bitmaps
+// are aggregated into a fleet-global snapshot every round, and TheHuzz
+// mutation pools are synced across shards and seeded with every arm's
+// coverage-advancing programs:
 //
 //	o, err := chatfuzz.NewOrchestrator(
 //	    chatfuzz.CampaignConfig{Shards: 4, BatchSize: 16, Seed: 1},
@@ -45,27 +46,25 @@
 //	    chatfuzz.RandInstArm(24), chatfuzz.RandFuzzArm(24))
 //	o2.RunTests(4000)
 //
-// Execution: there is one production path. The goroutine driving a
-// Fuzzer (or a fleet shard) is the committer of a persistent engine —
-// it runs its own round's entries on scratch it keeps for life
-// (platform memory, golden-model ISS, caches, coverage sets, trace
-// buffers) and commits results in deterministic input order,
-// double-buffering generation against simulation — and a pool of
-// workers fills whatever cores the committers leave idle
-// (GOMAXPROCS−1 for a lone Fuzzer, GOMAXPROCS−Shards for a fleet;
-// computed, never configured), claiming from the oldest live round
-// first, whatever its shard or design. Nothing about pool size or
-// claim order is observable: trajectories and checkpoints are
-// bit-identical to Options.Serial, the allocating reference loop the
-// tests use as their oracle. CampaignConfig's embedded CampaignExec
+// Execution: there is one production path. Each shard's goroutine is
+// the committer of a persistent engine — it runs its own round's
+// entries on scratch it keeps for life (platform memory, golden-model
+// ISS, caches, coverage sets, trace buffers) and commits results in
+// deterministic input order — and a pool of workers fills whatever
+// cores the committers leave idle (GOMAXPROCS−Shards; computed, never
+// configured), claiming from the oldest live round first, whatever its
+// shard or design. Nothing about pool size or claim order is
+// observable: trajectories and checkpoints are bit-identical to the
+// allocating reference loop the tests use as their oracle.
+// CampaignConfig's embedded CampaignExec
 // carries what is left of the execution side — Probe (per-round
 // barrier wait, split into the sim-skew wait spare cores absorb and
 // the learning join, plus committer-run counts, via
 // Orchestrator.Probes and ProbeSummary),
 // Telemetry and Metrics — and ResumeCampaignExec takes the same value,
 // so a resumed fleet runs and is observed exactly like a fresh one.
-// Call Fuzzer.Close (or Orchestrator.Close) when a campaign is
-// finished to release the pool's workers deterministically.
+// Call Orchestrator.Close when a campaign is finished to release the
+// pool's workers deterministically.
 //
 // Mixed fleets: NewMixedOrchestrator runs heterogeneous designs in
 // one fleet — shard s simulates newDUTs[s%len(newDUTs)], each design
@@ -112,8 +111,6 @@ package chatfuzz
 import (
 	"io"
 
-	"chatfuzz/internal/baseline/randfuzz"
-	"chatfuzz/internal/baseline/thehuzz"
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/cov"
@@ -131,14 +128,6 @@ type (
 	Pipeline = core.Pipeline
 	// PipelineConfig parameterises training.
 	PipelineConfig = core.PipelineConfig
-	// Fuzzer drives the coverage-guided fuzzing loop.
-	Fuzzer = core.Fuzzer
-	// Options configures a fuzzing campaign.
-	Options = core.Options
-	// Generator produces batches of test programs.
-	Generator = core.Generator
-	// LLMGenerator is the model-backed generator.
-	LLMGenerator = core.LLMGenerator
 	// ProgressPoint samples the coverage trajectory.
 	ProgressPoint = core.ProgressPoint
 	// RewardWeights shapes the coverage reward.
@@ -197,30 +186,12 @@ func DefaultPipelineConfig() PipelineConfig { return core.DefaultPipelineConfig(
 // NewPipeline builds corpus, tokenizer and model.
 func NewPipeline(cfg PipelineConfig) *Pipeline { return core.NewPipeline(cfg) }
 
-// NewFuzzer assembles a fuzzing campaign.
-func NewFuzzer(gen Generator, dut DUT, opts Options) *Fuzzer {
-	return core.NewFuzzer(gen, dut, opts)
-}
-
-// NewLLMGenerator wires a trained pipeline into the fuzzing loop.
-func NewLLMGenerator(p *Pipeline, binsTotal int, online bool, seed int64) *LLMGenerator {
-	return core.NewLLMGenerator(p, binsTotal, online, seed)
-}
-
 // NewRocket returns the RocketCore DUT model (with the paper's five
 // injected findings).
 func NewRocket() DUT { return rocket.New() }
 
 // NewBoom returns the BOOM DUT model.
 func NewBoom() DUT { return boom.New() }
-
-// NewTheHuzz returns the TheHuzz-style mutation baseline.
-func NewTheHuzz(seed int64, bodyInstrs int) Generator { return thehuzz.New(seed, bodyInstrs) }
-
-// NewRandomRegression returns the random-regression baseline.
-func NewRandomRegression(seed int64, bodyInstrs int) Generator {
-	return randfuzz.New(seed, bodyInstrs)
-}
 
 // NewOrchestrator builds a sharded fleet: one DUT per shard via
 // newDUT, one instance of every arm per shard, and a shared discounted

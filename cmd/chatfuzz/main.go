@@ -1,8 +1,9 @@
 // Command chatfuzz runs the ChatFuzz fuzzing loop against a simulated
-// DUT: the LLM-based input generator produces test vectors, the DUT
-// and the golden-model ISS execute them, the Coverage Calculator
-// scores them (optionally feeding online PPO updates), and the
-// Mismatch Detector reports findings.
+// DUT as a one-shard campaign fleet: the LLM-based input generator
+// produces test vectors, the DUT and the golden-model ISS execute them,
+// the Coverage Calculator scores them (optionally feeding PPO updates
+// into the shard's model replica), and the Mismatch Detector reports
+// findings.
 package main
 
 import (
@@ -11,6 +12,7 @@ import (
 	"log"
 	"os"
 
+	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/rtl"
 	"chatfuzz/internal/rtl/boom"
@@ -30,12 +32,12 @@ func main() {
 	)
 	flag.Parse()
 
-	var dut rtl.DUT
+	var newDUT func() rtl.DUT
 	switch *dutName {
 	case "rocket":
-		dut = rocket.New()
+		newDUT = func() rtl.DUT { return rocket.New() }
 	case "boom":
-		dut = boom.New()
+		newDUT = func() rtl.DUT { return boom.New() }
 	default:
 		log.Fatalf("unknown DUT %q", *dutName)
 	}
@@ -53,25 +55,35 @@ func main() {
 		fmt.Println("no checkpoint given: running the training pipeline first")
 		p.Pretrain()
 		p.Cleanup()
-		p.CoverageTune(dut)
+		p.CoverageTune(newDUT())
 	}
 
-	gen := core.NewLLMGenerator(p, dut.Space().NumBins(), *online, *seed+1)
-	f := core.NewFuzzer(gen, dut, core.Options{BatchSize: *batch, Detect: *detect})
+	arm := campaign.LLMArm(p)
+	if *online {
+		arm = campaign.LearningLLMArm(p)
+	}
+	o, err := campaign.New(campaign.Config{Shards: 1, BatchSize: *batch, Seed: *seed, Detect: *detect}, newDUT, arm)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer o.Close()
 
-	fmt.Printf("fuzzing %s for %d tests (batch %d, online=%v)\n", dut.Name(), *tests, *batch, *online)
+	fmt.Printf("fuzzing %s for %d tests (batch %d, online=%v)\n", *dutName, *tests, *batch, *online)
 	lastReport := 0
-	for f.Tests < *tests {
-		f.RunBatch()
-		if f.Tests-lastReport >= 500 {
+	for o.Tests() < *tests {
+		if err := o.RunRound(); err != nil {
+			log.Fatal(err)
+		}
+		if o.Tests()-lastReport >= 500 {
 			fmt.Printf("  %6d tests  %6.2f%% coverage  %6.2f virtual hours\n",
-				f.Tests, f.Coverage(), f.Clk.Hours())
-			lastReport = f.Tests
+				o.Tests(), o.Coverage(), o.Hours())
+			lastReport = o.Tests()
 		}
 	}
 
 	fmt.Printf("\nfinal: %.2f%% condition coverage after %d tests (%.2f virtual hours)\n",
-		f.Coverage(), f.Tests, f.Clk.Hours())
+		o.Coverage(), o.Tests(), o.Hours())
+	f := o.Shard(0)
 	if *detect {
 		fmt.Println()
 		fmt.Print(f.Det.Report())

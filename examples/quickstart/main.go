@@ -1,9 +1,12 @@
 // Quickstart: train a small ChatFuzz pipeline, fuzz the Rocket model
-// for a few hundred tests, and print coverage plus detected findings.
+// for a few hundred tests as a one-shard campaign fleet whose model
+// keeps learning from coverage, and print coverage plus detected
+// findings.
 package main
 
 import (
 	"fmt"
+	"log"
 
 	"chatfuzz"
 )
@@ -22,15 +25,22 @@ func main() {
 	p.Cleanup()
 	fmt.Printf("invalid-instruction rate: %.1f%%\n", 100*p.InvalidRate(20))
 
-	dut := chatfuzz.NewRocket()
-	gen := chatfuzz.NewLLMGenerator(p, dut.Space().NumBins(), true, 1)
-	f := chatfuzz.NewFuzzer(gen, dut, chatfuzz.Options{BatchSize: 16, Detect: true})
+	// Swap in chatfuzz.NewBoom to fuzz the out-of-order core instead.
+	o, err := chatfuzz.NewOrchestrator(
+		chatfuzz.CampaignConfig{Shards: 1, BatchSize: 16, Seed: 1, Detect: true},
+		chatfuzz.NewRocket, chatfuzz.LearningLLMArm(p))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer o.Close()
 
 	fmt.Println("fuzzing RocketCore for 320 tests...")
-	f.RunTests(320)
+	if err := o.RunTests(320); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("\ncondition coverage: %.2f%% after %d tests (%.1f virtual minutes)\n",
-		f.Coverage(), f.Tests, f.Clk.Hours()*60)
+		o.Coverage(), o.Tests(), o.Hours()*60)
 	fmt.Println()
-	fmt.Print(f.Det.Report())
+	fmt.Print(o.Shard(0).Det.Report())
 }

@@ -61,9 +61,3 @@ func (g *Gen) GenerateBatch(n int) []prog.Program {
 
 // Feedback implements Generator (random regression ignores feedback).
 func (g *Gen) Feedback([]cov.Scores) {}
-
-// FeedbackFree marks the generator safe for the execution engine's
-// generation/simulation double buffering: Feedback is a no-op, so
-// generating round N+1 before round N's scores commit cannot perturb
-// the stream.
-func (g *Gen) FeedbackFree() bool { return true }

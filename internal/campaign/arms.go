@@ -107,7 +107,7 @@ func LLMArm(p *core.Pipeline) ArmSpec {
 		sig: fmt.Sprintf("chatfuzz/ctx=%d,dim=%d,heads=%d,layers=%d,vocab=%d,body=%d",
 			m.Ctx, m.Dim, m.Heads, m.Layers, m.Vocab, p.Cfg.BodyInstrs),
 		build: func(binsTotal int) arm {
-			return &llmArm{core.NewLLMGenerator(p, binsTotal, false, 0)}
+			return &llmArm{core.NewLLMGenerator(p, binsTotal, 0)}
 		},
 	}
 }

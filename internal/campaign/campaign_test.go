@@ -60,7 +60,7 @@ func TestFourShardsBeatSingleCampaignAtEqualBudget(t *testing.T) {
 	var singles []float64
 	for seed := int64(1); seed <= 5; seed++ {
 		single := core.NewFuzzer(thehuzz.New(seed, testBody), rocket.New(), core.Options{BatchSize: 16})
-		single.RunTests(budget)
+		single.RunBatches(budget / 16)
 		singles = append(singles, single.Coverage())
 	}
 	sort.Float64s(singles)
@@ -309,7 +309,7 @@ func TestArmReseedInPlaceMatchesFresh(t *testing.T) {
 			return g.GenerateBatch(n)
 		}},
 		{LLMArm(p).build(0), func(seed int64, n int) []prog.Program {
-			return core.NewLLMGenerator(p, 0, false, seed).GenerateBatch(n)
+			return core.NewLLMGenerator(p, 0, seed).GenerateBatch(n)
 		}},
 		{learner, func(seed int64, n int) []prog.Program {
 			g := core.NewReplicaGenerator(p, rep.Model, freshTap, 0, seed)

@@ -20,7 +20,7 @@ type ProgressPoint struct {
 	Coverage float64 // cumulative condition coverage %
 }
 
-// Options configures a fuzzing campaign.
+// Options configures a fuzzer.
 type Options struct {
 	// BatchSize is the number of test inputs per fuzzing round (one
 	// "batch" in the paper's Coverage Calculator semantics).
@@ -52,17 +52,6 @@ type Options struct {
 	TelemetryLabel string
 }
 
-// FeedbackFree is an optional Generator capability: a generator whose
-// Feedback is a no-op (random baselines, an LLM generator with online
-// learning off) returns true, telling the fuzzer that batch N+1 may be
-// generated before batch N's scores are committed. That is what lets
-// RunTests double-buffer — generation of the next round overlapping
-// DUT/ISS simulation of the current one — without perturbing the
-// generator's stream relative to the serial loop.
-type FeedbackFree interface {
-	FeedbackFree() bool
-}
-
 // Fuzzer drives the paper's fuzzing loop (Fig. 1a): the generator
 // produces a batch, each entry runs on the DUT (coverage + trace) and
 // the golden model (trace), the Coverage Calculator scores entries,
@@ -75,6 +64,9 @@ type FeedbackFree interface {
 // them in deterministic input order — and the pool's workers, if the
 // machine has cores to spare, run ahead of it. Options.Serial swaps in
 // the allocating reference loop the tests compare against.
+//
+// A Fuzzer is one shard's engine: internal/campaign builds one per
+// shard and drives it with RunBatches.
 type Fuzzer struct {
 	Gen  Generator
 	DUT  rtl.DUT
@@ -92,7 +84,7 @@ type Fuzzer struct {
 	closed bool
 }
 
-// NewFuzzer assembles a campaign.
+// NewFuzzer assembles a fuzzer.
 func NewFuzzer(gen Generator, dut rtl.DUT, opts Options) *Fuzzer {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = 16
@@ -148,13 +140,6 @@ func (f *Fuzzer) Close() {
 // Coverage returns the cumulative condition-coverage percentage.
 func (f *Fuzzer) Coverage() float64 { return f.Calc.Total().Percent() }
 
-// feedbackFree reports whether the generator declared its Feedback a
-// no-op, making cross-round generation prefetch safe.
-func (f *Fuzzer) feedbackFree() bool {
-	ff, ok := f.Gen.(FeedbackFree)
-	return ok && ff.FeedbackFree()
-}
-
 // commitOne performs the deterministic, in-order accounting of one
 // test: coverage scoring, differential analysis, virtual-clock charge
 // and the trajectory sample. buildErr marks a program the harness
@@ -209,36 +194,21 @@ func (f *Fuzzer) runOne(p prog.Program) (rtl.Result, []trace.Entry, error) {
 	return res, golden, nil
 }
 
-// runBatch executes one fuzzing round of k tests. pre, when non-nil,
-// is a batch of exactly k programs generated ahead of time; nextK > 0
-// asks for the following round's batch to be generated — overlapping
-// this round's simulation when the generator is feedback-free — and
-// returned for the next call.
-func (f *Fuzzer) runBatch(k int, pre []prog.Program, nextK int) ([]cov.Scores, []prog.Program) {
+// RunBatch executes one fuzzing round of BatchSize tests and returns
+// the per-entry scores.
+func (f *Fuzzer) RunBatch() []cov.Scores {
 	if f.closed {
 		// Fail loudly on production and oracle alike: without this, a
 		// closed engine fuzzer would silently fall back to the oracle.
 		panic("core: RunBatch after Close")
 	}
-	progs := pre
-	if progs == nil {
-		t := f.track.Start()
-		progs = f.Gen.GenerateBatch(k)
-		f.track.Span(telemetry.SpanGenerate, t)
-	}
+	t := f.track.Start()
+	progs := f.Gen.GenerateBatch(f.BatchSize)
+	f.track.Span(telemetry.SpanGenerate, t)
 	scores := make([]cov.Scores, len(progs))
-	var next []prog.Program
 
 	if f.eng != nil {
 		round := f.eng.Submit(progs)
-		if nextK > 0 && f.feedbackFree() {
-			// Double buffer: round N+1's generation overlaps round N's
-			// DUT/ISS simulation. Safe only when Feedback is a no-op,
-			// so the generator stream is identical to the serial order.
-			t := f.track.Start()
-			next = f.Gen.GenerateBatch(nextK)
-			f.track.Span(telemetry.SpanGenerate, t)
-		}
 		f.Calc.BeginBatch()
 		t := f.track.Start()
 		round.Each(func(i int, o *engine.Outcome) {
@@ -267,18 +237,6 @@ func (f *Fuzzer) runBatch(k int, pre []prog.Program, nextK int) ([]cov.Scores, [
 	}
 
 	f.Gen.Feedback(scores)
-	if nextK > 0 && next == nil {
-		t := f.track.Start()
-		next = f.Gen.GenerateBatch(nextK)
-		f.track.Span(telemetry.SpanGenerate, t)
-	}
-	return scores, next
-}
-
-// RunBatch executes one fuzzing round and returns the per-entry
-// scores.
-func (f *Fuzzer) RunBatch() []cov.Scores {
-	scores, _ := f.runBatch(f.BatchSize, nil, 0)
 	return scores
 }
 
@@ -293,75 +251,4 @@ func (f *Fuzzer) RunBatches(n int) {
 	for i := 0; i < n; i++ {
 		f.RunBatch()
 	}
-}
-
-// RunTests runs batches until exactly n tests have executed: the final
-// batch is clamped so campaigns with different batch sizes execute
-// identical test counts (RunTests(500) at BatchSize 16 used to run 512
-// tests, skewing equal-budget comparisons and checkpoints).
-//
-// On the engine path the loop is double-buffered: while round N
-// simulates, round N+1's programs are generated, provided the
-// generator declares itself FeedbackFree.
-func (f *Fuzzer) RunTests(n int) {
-	var pre []prog.Program
-	for f.Tests < n {
-		k := n - f.Tests
-		if k > f.BatchSize {
-			k = f.BatchSize
-		}
-		nextK := n - f.Tests - k
-		if nextK > f.BatchSize {
-			nextK = f.BatchSize
-		}
-		_, pre = f.runBatch(k, pre, nextK)
-	}
-}
-
-// RunVirtualHours runs until the virtual clock passes h hours or
-// maxTests tests have executed (a safety cap; 0 means no cap).
-// Whether another round runs depends on the committed clock, so this
-// loop cannot prefetch generation; rounds still execute on the engine.
-func (f *Fuzzer) RunVirtualHours(h float64, maxTests int) {
-	for f.Clk.Hours() < h {
-		if maxTests > 0 && f.Tests >= maxTests {
-			return
-		}
-		f.RunBatch()
-	}
-}
-
-// CoverageAt interpolates the campaign's coverage at a virtual time,
-// for time-series reporting.
-func (f *Fuzzer) CoverageAt(hours float64) float64 {
-	last := 0.0
-	for _, pt := range f.Progress {
-		if pt.Hours > hours {
-			break
-		}
-		last = pt.Coverage
-	}
-	return last
-}
-
-// TimeToCoverage returns the virtual hours at which cumulative
-// coverage first reached pct, or -1 if never.
-func (f *Fuzzer) TimeToCoverage(pct float64) float64 {
-	for _, pt := range f.Progress {
-		if pt.Coverage >= pct {
-			return pt.Hours
-		}
-	}
-	return -1
-}
-
-// TestsToCoverage returns the test count at which coverage first
-// reached pct, or -1.
-func (f *Fuzzer) TestsToCoverage(pct float64) int {
-	for _, pt := range f.Progress {
-		if pt.Coverage >= pct {
-			return pt.Tests
-		}
-	}
-	return -1
 }

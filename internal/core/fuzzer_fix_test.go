@@ -1,9 +1,9 @@
 package core
 
 // Regression tests for the hot-loop fixes that rode along with the
-// batch execution engine: silently ignored build errors, the
-// off-by-one detector test index, and RunTests overshooting its
-// budget — plus the engine/serial bit-identity guarantees.
+// batch execution engine: silently ignored build errors and the
+// off-by-one detector test index — plus the engine/serial bit-identity
+// guarantees.
 
 import (
 	"reflect"
@@ -42,24 +42,6 @@ func nopBody(n int) []uint32 {
 		body[i] = isa.NOP
 	}
 	return body
-}
-
-// TestRunTestsClampsFinalBatch: RunTests(n) must execute exactly n
-// tests — the seed loop ran a full final batch past n (512 tests for
-// RunTests(500) at BatchSize 16), so campaigns with different batch
-// sizes executed different budgets.
-func TestRunTestsClampsFinalBatch(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		f := NewFuzzer(randfuzz.New(1, 12), rocket.New(), Options{BatchSize: 16, Serial: serial})
-		f.RunTests(20)
-		f.Close()
-		if f.Tests != 20 {
-			t.Errorf("serial=%v: RunTests(20) at BatchSize 16 ran %d tests, want exactly 20", serial, f.Tests)
-		}
-		if got := len(f.Progress); got != 20 {
-			t.Errorf("serial=%v: %d trajectory points, want 20", serial, got)
-		}
-	}
 }
 
 // TestBuildErrorScoredInvalid: a program the harness cannot build must
@@ -145,10 +127,10 @@ func TestDetectorTestIndexMatchesTrajectory(t *testing.T) {
 // TestEngineMatchesSerialPath is the engine's determinism contract: a
 // fixed-seed campaign produces a bit-identical coverage trajectory and
 // detector state on the engine and the serial oracle, for both a
-// feedback-free generator (which exercises the generation/simulation
-// double buffer) and a feedback-consuming one (TheHuzz, whose pool
-// admission depends on scores) — with no spare core (GOMAXPROCS 1: the
-// committer runs every entry) and with three pool workers racing it.
+// feedback-free generator (random regression, which ignores scores) and
+// a feedback-consuming one (TheHuzz, whose pool admission depends on
+// scores) — with no spare core (GOMAXPROCS 1: the committer runs every
+// entry) and with three pool workers racing it.
 func TestEngineMatchesSerialPath(t *testing.T) {
 	type maker func() Generator
 	cases := []struct {
@@ -164,7 +146,7 @@ func TestEngineMatchesSerialPath(t *testing.T) {
 				f := NewFuzzer(c.gen(), rocket.New(), Options{
 					BatchSize: 8, Detect: true, Serial: serial,
 				})
-				f.RunTests(52) // deliberately not a multiple of the batch size
+				f.RunBatches(7)
 				f.Close()
 				return f
 			}

@@ -34,27 +34,25 @@ type RolloutSink interface {
 }
 
 // LLMGenerator is ChatFuzz's LLM-based Input Generator in the fuzzing
-// loop: it samples test vectors from the trained model and — when
-// Online or Sink is set — keeps improving the model from the Coverage
-// Calculator's scores, exactly as Fig. 1a's feedback arrow describes.
-// Only then does generation record what PPO needs (each sampled
-// token's log-probability and value, one rollout per generation): a
-// FeedbackFree generator records nothing and samples the same programs
-// from the same RNG draws.
+// loop: it samples test vectors from the trained model and — when Sink
+// is set — hands the Coverage Calculator's scores to a learner that
+// keeps improving the model, exactly as Fig. 1a's feedback arrow
+// describes. Only then does generation record what PPO needs (each
+// sampled token's log-probability and value, one rollout per
+// generation): a frozen generator records nothing and samples the same
+// programs from the same RNG draws.
 type LLMGenerator struct {
 	// Model is sampled through a sampler bound to it at construction;
-	// training updates its weights in place.
+	// a sink's learner updates its weights in place.
 	Model  *nn.GPT
 	Tok    *tok.Tokenizer
 	Corpus *corpus.Corpus
 
-	// Online, when non-nil, applies PPO updates from fuzzing feedback.
-	Online *ppo.Trainer
-	// Sink, when non-nil, receives the scored rollouts instead of
-	// Online: the generator samples from Model (a replica) and the sink
-	// decides how (and on which trainer) to learn from them.
+	// Sink, when non-nil, receives the scored rollouts: the generator
+	// samples from Model (a replica) and the sink decides how (and on
+	// which trainer) to learn from them.
 	Sink RolloutSink
-	// Weights shape the coverage reward for online updates.
+	// Weights shape the coverage reward handed to Sink.
 	Weights RewardWeights
 	// BodyInstrs bounds generation length (instructions).
 	BodyInstrs int
@@ -69,25 +67,10 @@ type LLMGenerator struct {
 	binsTotal int
 }
 
-// NewLLMGenerator wires a trained pipeline into a fuzzing generator.
-// online enables continued PPO updates during fuzzing.
-func NewLLMGenerator(p *Pipeline, binsTotal int, online bool, seed int64) *LLMGenerator {
-	g := &LLMGenerator{
-		Model:       p.Model,
-		Tok:         p.Tok,
-		Corpus:      p.Corpus,
-		Weights:     p.Cfg.Weights,
-		BodyInstrs:  p.Cfg.BodyInstrs,
-		Temperature: 1.0,
-		TopK:        16, // cut the low-probability tail: fewer illegal parcel pairings
-		rng:         rand.New(rand.NewSource(seed)),
-		sampler:     nn.NewSampler(p.Model),
-		binsTotal:   binsTotal,
-	}
-	if online {
-		g.Online = ppo.NewTrainer(p.Model, p.OnlinePPOConfig(), g.rng)
-	}
-	return g
+// NewLLMGenerator wires a trained pipeline into a frozen fuzzing
+// generator: it samples the pipeline's model and never updates it.
+func NewLLMGenerator(p *Pipeline, binsTotal int, seed int64) *LLMGenerator {
+	return NewReplicaGenerator(p, p.Model, nil, binsTotal, seed)
 }
 
 // NewReplicaGenerator wires a model replica into the fuzzing loop: the
@@ -97,7 +80,7 @@ func NewLLMGenerator(p *Pipeline, binsTotal int, online bool, seed int64) *LLMGe
 // and body budget still come from the trained pipeline, but the weights
 // being sampled (and updated, via the sink) are the replica's own.
 func NewReplicaGenerator(p *Pipeline, model *nn.GPT, sink RolloutSink, binsTotal int, seed int64) *LLMGenerator {
-	g := &LLMGenerator{
+	return &LLMGenerator{
 		Model:       model,
 		Tok:         p.Tok,
 		Corpus:      p.Corpus,
@@ -105,12 +88,11 @@ func NewReplicaGenerator(p *Pipeline, model *nn.GPT, sink RolloutSink, binsTotal
 		Weights:     p.Cfg.Weights,
 		BodyInstrs:  p.Cfg.BodyInstrs,
 		Temperature: 1.0,
-		TopK:        16,
+		TopK:        16, // cut the low-probability tail: fewer illegal parcel pairings
 		rng:         rand.New(rand.NewSource(seed)),
 		sampler:     nn.NewSampler(model),
 		binsTotal:   binsTotal,
 	}
-	return g
 }
 
 // Reseed restarts the generator's random stream at seed and forgets the
@@ -126,16 +108,6 @@ func (g *LLMGenerator) Reseed(seed int64) {
 // Name implements Generator.
 func (g *LLMGenerator) Name() string { return "chatfuzz" }
 
-// FeedbackFree implements the optional engine capability: with online
-// PPO off and no rollout sink, Feedback is a no-op and the execution
-// engine may generate the next batch while the current one simulates.
-// A learning generator must return false here — the next batch has to
-// be sampled from the post-update weights, exactly as the serial loop
-// would — which is how per-input scores reach feedback-driven
-// generators without perturbing the double-buffered engine path for
-// everyone else.
-func (g *LLMGenerator) FeedbackFree() bool { return g.Online == nil && g.Sink == nil }
-
 // GenerateBatch implements Generator. Each test vector is assembled
 // from one or more model generations: a corpus prompt is completed by
 // the model until EOS (one function-sized chunk), and chunks are
@@ -144,7 +116,7 @@ func (g *LLMGenerator) FeedbackFree() bool { return g.Online == nil && g.Sink ==
 // instructions per test, as the paper's comparison requires.
 func (g *LLMGenerator) GenerateBatch(n int) []prog.Program {
 	progs := make([]prog.Program, n)
-	record := !g.FeedbackFree()
+	record := g.Sink != nil
 	g.lastRolls = g.lastRolls[:0]
 	g.rollTest = g.rollTest[:0]
 	for i := 0; i < n; i++ {
@@ -173,11 +145,11 @@ func (g *LLMGenerator) GenerateBatch(n int) []prog.Program {
 	return progs
 }
 
-// Feedback implements Generator: scores become PPO rewards when online
-// learning is enabled (via the built-in trainer or an external sink).
-// Every generation chunk of a test inherits the test's coverage reward.
+// Feedback implements Generator: with a sink, scores become PPO
+// rewards; every generation chunk of a test inherits the test's
+// coverage reward. A frozen generator ignores them.
 func (g *LLMGenerator) Feedback(scores []cov.Scores) {
-	if g.FeedbackFree() {
+	if g.Sink == nil {
 		return
 	}
 	rolls := make([]*ppo.Rollout, 0, len(g.lastRolls))
@@ -189,9 +161,5 @@ func (g *LLMGenerator) Feedback(scores []cov.Scores) {
 		r.Score = CoverageReward(scores[ti], g.binsTotal, g.Weights)
 		rolls = append(rolls, r)
 	}
-	if g.Sink != nil {
-		g.Sink.StepRollouts(rolls)
-		return
-	}
-	g.Online.StepRollouts(rolls)
+	g.Sink.StepRollouts(rolls)
 }

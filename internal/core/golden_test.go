@@ -64,7 +64,7 @@ func goldenGenerators() (frozen, replica *LLMGenerator, sink *captureSink) {
 	p := pretrainedPipeline()
 	bins := rocket.New().Space().NumBins()
 	sink = &captureSink{}
-	return NewLLMGenerator(p, bins, false, 77), NewReplicaGenerator(p, p.Model, sink, bins, 77), sink
+	return NewLLMGenerator(p, bins, 77), NewReplicaGenerator(p, p.Model, sink, bins, 77), sink
 }
 
 // TestGoldenGenerateBatch pins the campaign's generation path bit for
@@ -102,7 +102,7 @@ func TestGoldenGenerateBatch(t *testing.T) {
 
 // TestFrozenGeneratorMatchesRecording: whether a generator records
 // rollout statistics changes neither the programs it emits nor where
-// it leaves its RNG, and a FeedbackFree generator holds no rollout.
+// it leaves its RNG, and a frozen generator holds no rollout.
 func TestFrozenGeneratorMatchesRecording(t *testing.T) {
 	frozen, replica, sink := goldenGenerators()
 	for round := 0; round < 2; round++ {

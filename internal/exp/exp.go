@@ -4,7 +4,9 @@
 // experiment id (E1–E8, A1–A3) it renders, and every rendered row
 // prints the paper's value (PAPER.md names the source) next to the
 // measured one; cmd/fuzz-bench/README.md lists the -exp names that
-// select them.
+// select them. Every experiment runs its generator as the one arm of a
+// one-shard internal/campaign fleet, the engine that campd and the
+// ledger run.
 //
 //chatfuzz:deterministic package
 package exp
@@ -14,8 +16,7 @@ import (
 	"io"
 	"os"
 
-	"chatfuzz/internal/baseline/randfuzz"
-	"chatfuzz/internal/baseline/thehuzz"
+	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/mismatch"
 	"chatfuzz/internal/rtl"
@@ -39,8 +40,6 @@ type Scale struct {
 	TestsLarge int
 	// E5: BOOM campaign test budget (paper: ~49 virtual minutes).
 	BoomTests int
-	// Online enables continued PPO updates during fuzzing.
-	Online bool
 }
 
 // Quick returns the laptop-scale configuration.
@@ -53,7 +52,6 @@ func Quick() Scale {
 		TestsEqual: 1200,
 		TestsLarge: 6000,
 		BoomTests:  1200,
-		Online:     true,
 	}
 }
 
@@ -73,38 +71,54 @@ func Paper() Scale {
 		TestsEqual: 1800,
 		TestsLarge: 199000,
 		BoomTests:  1800,
-		Online:     true,
 	}
 }
 
 // Campaign is one fuzzing run's full trajectory.
 type Campaign struct {
-	Name     string
+	// Progress has one point per test: the shard's trajectory.
 	Progress []core.ProgressPoint
 	Final    float64
 	Tests    int
 	Hours    float64
-	Findings map[mismatch.Finding]int
+	// Detector is the shard's mismatch detector (nil without detection).
 	Detector *mismatch.Detector
 }
 
-// runCampaign executes gen on dut for the given number of tests.
-func runCampaign(name string, gen core.Generator, dut rtl.DUT, tests, batch int, detect bool) Campaign {
-	f := core.NewFuzzer(gen, dut, core.Options{BatchSize: batch, Detect: detect})
-	defer f.Close()
-	f.RunTests(tests)
-	c := Campaign{
-		Name:     name,
+// shards is every experiment's fleet size. Fleet virtual time is the
+// maximum over shard clocks, so one shard keeps E4 and E5 in the
+// paper's one-simulator minutes and E6 on one detector; the fleet's
+// engine pool fills the cores that shard leaves idle.
+const shards = 1
+
+func newRocket() rtl.DUT { return rocket.New() }
+
+func newBoom() rtl.DUT { return boom.New() }
+
+// run fuzzes newDUT with arm for tests tests on a one-shard fleet whose
+// generator seeds derive from seed.
+func (s *Suite) run(arm campaign.ArmSpec, newDUT func() rtl.DUT, tests int, seed int64, detect bool) Campaign {
+	o, err := campaign.New(campaign.Config{
+		Shards:    shards,
+		BatchSize: s.Scale.BatchSize,
+		Seed:      seed,
+		Detect:    detect,
+	}, newDUT, arm)
+	if err != nil {
+		panic(err) // one named arm and one DUT: a fleet this shape always builds
+	}
+	defer o.Close()
+	if err := o.RunTests(tests); err != nil {
+		panic(err)
+	}
+	f := o.Shard(0)
+	return Campaign{
 		Progress: f.Progress,
-		Final:    f.Coverage(),
-		Tests:    f.Tests,
-		Hours:    f.Clk.Hours(),
+		Final:    o.Coverage(),
+		Tests:    o.Tests(),
+		Hours:    o.Hours(),
+		Detector: f.Det,
 	}
-	if detect {
-		c.Findings = f.Det.Findings()
-		c.Detector = f.Det
-	}
-	return c
 }
 
 // At returns the campaign coverage after n tests.
@@ -139,7 +153,6 @@ type Suite struct {
 	ChatFuzz Campaign // Rocket campaign (drives E1–E4, E6)
 	TheHuzz  Campaign
 	Boom     Campaign // E5
-	Random   Campaign // A3
 }
 
 // NewSuite prepares a suite (no work done yet).
@@ -175,17 +188,14 @@ func (s *Suite) TrainedPipeline() *core.Pipeline {
 // campaigns that experiments E1–E4 and E6 are derived from.
 func (s *Suite) RunRocketCampaigns() {
 	p := s.TrainedPipeline()
-	dut := rocket.New()
 
 	s.logf("== ChatFuzz campaign on Rocket (%d tests) ==", s.Scale.TestsLarge)
-	gen := core.NewLLMGenerator(p, dut.Space().NumBins(), s.Scale.Online, 101)
-	s.ChatFuzz = runCampaign("chatfuzz", gen, dut, s.Scale.TestsLarge, s.Scale.BatchSize, true)
+	s.ChatFuzz = s.run(campaign.LearningLLMArm(p), newRocket, s.Scale.TestsLarge, 101, true)
 	s.logf("  final %.2f%% after %d tests (%.2f virtual hours)",
 		s.ChatFuzz.Final, s.ChatFuzz.Tests, s.ChatFuzz.Hours)
 
 	s.logf("== TheHuzz campaign on Rocket (%d tests) ==", s.Scale.TestsLarge)
-	th := thehuzz.New(102, s.Pipeline.Cfg.BodyInstrs)
-	s.TheHuzz = runCampaign("thehuzz", th, rocket.New(), s.Scale.TestsLarge, s.Scale.BatchSize, false)
+	s.TheHuzz = s.run(campaign.TheHuzzArm(p.Cfg.BodyInstrs), newRocket, s.Scale.TestsLarge, 102, false)
 	s.logf("  final %.2f%% after %d tests (%.2f virtual hours)",
 		s.TheHuzz.Final, s.TheHuzz.Tests, s.TheHuzz.Hours)
 }
@@ -256,10 +266,8 @@ func (s *Suite) Speedup(w io.Writer) (factor float64) {
 // RunBoom executes experiment E5 (BOOM coverage).
 func (s *Suite) RunBoom(w io.Writer) {
 	p := s.TrainedPipeline()
-	dut := boom.New()
 	s.logf("== ChatFuzz campaign on BOOM (%d tests) ==", s.Scale.BoomTests)
-	gen := core.NewLLMGenerator(p, dut.Space().NumBins(), s.Scale.Online, 103)
-	s.Boom = runCampaign("chatfuzz-boom", gen, dut, s.Scale.BoomTests, s.Scale.BatchSize, false)
+	s.Boom = s.run(campaign.LearningLLMArm(p), newBoom, s.Scale.BoomTests, 103, false)
 	fmt.Fprintf(w, "\n-- BOOM condition coverage (paper E5) --\n")
 	fmt.Fprintf(w, "ChatFuzz on BOOM: %.2f%% after %d tests, %.0f virtual minutes (paper: 97.02%% in 49 min)\n",
 		s.Boom.Final, s.Boom.Tests, s.Boom.Hours*60)
@@ -311,48 +319,41 @@ func (s *Suite) AblationNoCleanup(w io.Writer, tests int) {
 
 	invFull, invNo := full.InvalidRate(30), noClean.InvalidRate(30)
 
-	dut := rocket.New()
-	gFull := core.NewLLMGenerator(full, dut.Space().NumBins(), false, 106)
-	cFull := runCampaign("with-cleanup", gFull, dut, tests, s.Scale.BatchSize, false)
-	gNo := core.NewLLMGenerator(noClean, dut.Space().NumBins(), false, 106)
-	cNo := runCampaign("no-cleanup", gNo, rocket.New(), tests, s.Scale.BatchSize, false)
+	cFull := s.run(campaign.LLMArm(full), newRocket, tests, 106, false)
+	cNo := s.run(campaign.LLMArm(noClean), newRocket, tests, 106, false)
 
 	fmt.Fprintf(w, "\n-- Ablation A1: dropping training step 2 (cleanup) --\n")
 	fmt.Fprintf(w, "%-18s %14s %16s\n", "variant", "invalid rate", "coverage@"+fmt.Sprint(tests))
-	fmt.Fprintf(w, "%-18s %13.1f%% %15.2f%%\n", "full pipeline", 100*invFull, cFull.Final)
-	fmt.Fprintf(w, "%-18s %13.1f%% %15.2f%%\n", "no cleanup", 100*invNo, cNo.Final)
+	fmt.Fprintf(w, "%-18s %13.1f%% %15.2f%%\n", "full pipeline", 100*invFull, cFull.At(tests))
+	fmt.Fprintf(w, "%-18s %13.1f%% %15.2f%%\n", "no cleanup", 100*invNo, cNo.At(tests))
 }
 
 // AblationReward executes ablation A2: the paper's three-term coverage
-// reward versus an incremental-only variant.
+// reward versus an incremental-only variant. Both learn from the same
+// trained weights, each on its own replica.
 func (s *Suite) AblationReward(w io.Writer, tests int) {
 	p := s.TrainedPipeline()
-	dut := rocket.New()
+	inc := *p // the learning arm reads its reward shaping from Cfg.Weights
+	inc.Cfg.Weights = core.IncrementalOnlyWeights()
 
-	gDefault := core.NewLLMGenerator(p, dut.Space().NumBins(), true, 107)
-	cDefault := runCampaign("reward-default", gDefault, dut, tests, s.Scale.BatchSize, false)
-
-	gInc := core.NewLLMGenerator(p, dut.Space().NumBins(), true, 107)
-	gInc.Weights = core.IncrementalOnlyWeights()
-	cInc := runCampaign("reward-incremental", gInc, rocket.New(), tests, s.Scale.BatchSize, false)
+	cDefault := s.run(campaign.LearningLLMArm(p), newRocket, tests, 107, false)
+	cInc := s.run(campaign.LearningLLMArm(&inc), newRocket, tests, 107, false)
 
 	fmt.Fprintf(w, "\n-- Ablation A2: coverage-reward shaping --\n")
-	fmt.Fprintf(w, "%-28s %8.2f%%\n", "paper reward (3 terms)", cDefault.Final)
-	fmt.Fprintf(w, "%-28s %8.2f%%\n", "incremental-only reward", cInc.Final)
+	fmt.Fprintf(w, "%-28s %8.2f%%\n", "paper reward (3 terms)", cDefault.At(tests))
+	fmt.Fprintf(w, "%-28s %8.2f%%\n", "incremental-only reward", cInc.At(tests))
 }
 
 // RunBaselines executes ablation A3: TheHuzz vs random regression vs
 // raw random at the equal budget.
 func (s *Suite) RunBaselines(w io.Writer) {
 	n := s.Scale.TestsEqual
-	rv := runCampaign("random-valid", randfuzz.New(104, s.Scale.Train.BodyInstrs), rocket.New(), n, s.Scale.BatchSize, false)
-	raw := randfuzz.New(105, s.Scale.Train.BodyInstrs)
-	raw.Raw = true
-	rr := runCampaign("random-raw", raw, rocket.New(), n, s.Scale.BatchSize, false)
-	s.Random = rv
+	body := s.Scale.Train.BodyInstrs
+	rv := s.run(campaign.RandInstArm(body), newRocket, n, 104, false)
+	rr := s.run(campaign.RandFuzzArm(body), newRocket, n, 105, false)
 	fmt.Fprintf(w, "\n-- Ablation A3: baseline generators at %d tests --\n", n)
 	fmt.Fprintf(w, "%-22s %8.2f%%\n", "ChatFuzz", s.ChatFuzz.At(n))
 	fmt.Fprintf(w, "%-22s %8.2f%%\n", "TheHuzz", s.TheHuzz.At(n))
-	fmt.Fprintf(w, "%-22s %8.2f%%\n", "random regression", rv.Final)
-	fmt.Fprintf(w, "%-22s %8.2f%%\n", "random raw words", rr.Final)
+	fmt.Fprintf(w, "%-22s %8.2f%%\n", "random regression", rv.At(n))
+	fmt.Fprintf(w, "%-22s %8.2f%%\n", "random raw words", rr.At(n))
 }

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -28,7 +30,6 @@ func tinyScale() Scale {
 		TestsEqual: 64,
 		TestsLarge: 128,
 		BoomTests:  64,
-		Online:     false,
 	}
 }
 
@@ -91,6 +92,49 @@ func TestSuiteEndToEnd(t *testing.T) {
 	out.Reset()
 	s.RunBaselines(&out)
 	wantRows(t, out.String(), "Ablation A3", "random regression", "random raw words")
+}
+
+// TestExperimentsBitExactAcrossOrder: an experiment's table does not
+// depend on which experiments ran before it in the suite. Learning arms
+// train replicas, so the Rocket campaigns leave the trained weights bit
+// for bit as they were, and E5 and A2 render the same bytes on a fresh
+// suite as after them. The second suite reuses the first one's trained
+// pipeline: a weight that E5 or A2 moved would change its tables too.
+// CI runs it under GOMAXPROCS=1 and 4.
+func TestExperimentsBitExactAcrossOrder(t *testing.T) {
+	boomAndA2 := func(s *Suite) (boom, a2 string) {
+		var out bytes.Buffer
+		s.RunBoom(&out)
+		boom = out.String()
+		out.Reset()
+		s.AblationReward(&out, 32)
+		return boom, out.String()
+	}
+	fresh := NewSuite(tinyScale(), io.Discard)
+	freshBoom, freshA2 := boomAndA2(fresh)
+
+	s := NewSuite(tinyScale(), io.Discard)
+	s.Pipeline = fresh.Pipeline // one training serves both suites
+	before := s.Pipeline.Model.FlattenParams(nil)
+	s.RunRocketCampaigns()
+	after := s.Pipeline.Model.FlattenParams(nil)
+	moved := 0
+	for i := range before {
+		if math.Float64bits(before[i]) != math.Float64bits(after[i]) {
+			moved++
+		}
+	}
+	if moved != 0 {
+		t.Errorf("RunRocketCampaigns moved %d of %d trained model weights", moved, len(before))
+	}
+
+	boom, a2 := boomAndA2(s)
+	if boom != freshBoom {
+		t.Errorf("E5 after the Rocket campaigns:\n%s\nfresh suite:\n%s", boom, freshBoom)
+	}
+	if a2 != freshA2 {
+		t.Errorf("A2 after the Rocket campaigns:\n%s\nfresh suite:\n%s", a2, freshA2)
+	}
 }
 
 // wantRows checks that out has the section header and, for each label,
