@@ -14,20 +14,29 @@
 // update never sits on a shard's critical path:
 //
 //   - Replica: each shard that schedules the LLM arm owns a sampling
-//     copy of the trained model plus a private training clone. During
-//     a round the shard samples programs from the sampling model and
+//     copy of the trained model and a frozen KL reference. During a
+//     round the shard samples programs from the sampling model and
 //     buffers the scored rollouts; no optimisation happens inside the
 //     round, so a shard-round costs generation + simulation only.
 //   - Fleet barrier: at every orchestrator barrier — single-threaded,
 //     replicas visited in fixed shard order — the fleet (1) joins the
 //     training launched at the previous barrier, (2) publishes that
 //     merge to every replica's sampling model, and (3) launches this
-//     round's training: each participant trains its private clone,
-//     starting from the weights its rollouts were sampled under, and
-//     the results are reduced by a fixed-order pairwise (tournament /
-//     hypercube) averaging schedule. Launched training may run on a
-//     background goroutine, overlapped with the next round's
-//     simulation, or inline — the bits are identical either way.
+//     round's training: each participant's buffer is replayed into a
+//     training model, starting from the weights its rollouts were
+//     sampled under, and the results are reduced by a fixed-order
+//     pairwise (tournament / hypercube) averaging schedule. Launched
+//     training may run on a background goroutine, overlapped with the
+//     next round's simulation, or inline — the bits are identical
+//     either way.
+//   - Workers: the training models belong to the fleet's workers, as
+//     many as there are cores or participants, whichever is fewer.
+//     A worker trains its participants one after another on one model
+//     and one trainer, whose arena (tensor.Arena) holds every tape, so
+//     a barrier's memory grows with the cores, not the shards. Before
+//     each participant it loads the start weights and resets the
+//     optimizer, so no participant's result depends on the worker
+//     count or on what its worker trained before.
 //
 // The one-round-late publication invariant: weights trained on round
 // N's rollouts are merged into the fleet at barrier N and published
@@ -46,14 +55,15 @@
 // after a publication, with the next merge still in flight — resumes
 // bit-identically: Sync joins any in-flight training first, and no
 // wall-clock, RNG or optimizer state needs to survive the pause
-// (training always starts from a fresh trainer over an explicit
-// start vector).
+// (training always starts from an explicit start vector with the
+// optimizer reset).
 //
 //chatfuzz:deterministic package
 package fleetlearn
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"chatfuzz/internal/ml/nn"
@@ -62,23 +72,21 @@ import (
 )
 
 // Replica is one shard's view of the policy model: a sampling model
-// the shard's generator reads, plus a private training clone its
-// buffered rollouts are replayed into at the fleet barrier. It
-// implements core.RolloutSink, so it plugs directly into an LLM
-// generator built with core.NewReplicaGenerator. A Replica is not
-// goroutine-safe; the owning shard is the only writer between
-// barriers, and the training clone is touched only by the fleet's
-// (possibly background) training task.
+// the shard's generator reads, a frozen KL reference, and the rollouts
+// it buffers for the fleet barrier, where one of the fleet's workers
+// replays them. It implements core.RolloutSink, so it plugs directly
+// into an LLM generator built with core.NewReplicaGenerator. A Replica
+// is not goroutine-safe; the owning shard is the only writer between
+// barriers.
 type Replica struct {
 	// Model is the replica's sampling model: read by the shard's
 	// generator during rounds, overwritten by barrier publication. It
-	// is never trained in place — updates land on the private clone
-	// and reach Model only through the published merge.
+	// is never trained in place — updates land on a worker's training
+	// model and reach Model only through the published merge.
 	Model *nn.GPT
 
-	ref   *nn.GPT // frozen KL reference (copy of the base model)
-	cfg   ppo.Config
-	train *nn.GPT // private training clone (lazily built)
+	ref *nn.GPT // frozen KL reference (copy of the base model)
+	cfg ppo.Config
 
 	// pending buffers the round's scored rollouts, one chunk per
 	// Feedback call, preserving the per-batch update cadence when the
@@ -121,27 +129,34 @@ func (r *Replica) takePending() [][]*ppo.Rollout {
 	return out
 }
 
-// trainOn replays the buffered chunks into the replica's private
-// training clone, starting from the weights the rollouts were sampled
-// under, and returns the resulting flat parameter vector. A fresh
-// trainer (fresh Adam state) is built per call, so the result is a
-// pure function of (start, chunks) — no optimizer moments survive
-// between barriers, which is what lets checkpoints carry weights
-// alone.
-func (r *Replica) trainOn(start []float64, chunks [][]*ppo.Rollout) []float64 {
-	if r.train == nil {
-		r.train = r.Model.Clone()
-	}
-	if err := r.train.SetFlatParams(start); err != nil {
+// newWorker builds a trainer for one of the fleet's workers: it trains
+// a clone of model under cfg, replica after replica, for the life of
+// the fleet, so a barrier's memory — the trainer's arena and Adam
+// state — grows with the number of workers, not of replicas.
+func newWorker(model *nn.GPT, cfg ppo.Config) *ppo.Trainer {
+	return ppo.NewTrainerWithRef(model.Clone(), nil, cfg, nil)
+}
+
+// trainOn replays r's buffered chunks into the worker trainer tr's
+// model, starting from the weights the rollouts were sampled under and
+// against r's frozen reference, and returns the resulting flat
+// parameter vector. Each call first resets the optimizer (zero moments,
+// step 0), so the result is a pure function of (start, chunks) — which
+// worker ran it and what it ran before do not reach it, and no
+// optimizer moments survive between barriers, which is what lets
+// checkpoints carry weights alone.
+func trainOn(tr *ppo.Trainer, r *Replica, start []float64, chunks [][]*ppo.Rollout) []float64 {
+	if err := tr.Policy.SetFlatParams(start); err != nil {
 		// Sizes were validated at fleet construction; a mismatch here
 		// is a programming error, not an input error.
 		panic("fleetlearn: train start: " + err.Error())
 	}
-	tr := ppo.NewTrainerWithRef(r.train, r.ref, r.cfg, nil)
+	tr.Opt.Reset()
+	tr.Ref = r.ref
 	for _, rolls := range chunks {
 		tr.StepRollouts(rolls)
 	}
-	return r.train.FlattenParams(nil)
+	return tr.Policy.FlattenParams(nil)
 }
 
 // setSampling assigns a flat weight vector to the sampling model.
@@ -160,6 +175,12 @@ type Fleet struct {
 	replicas []*Replica
 	n        int // parameter count, for resume-path validation
 
+	// workers are the trainers of a barrier's participants: as many
+	// as the largest min(GOMAXPROCS, participants) seen, built at the
+	// barrier and touched only by its (possibly background) training
+	// task.
+	workers []*ppo.Trainer
+
 	// Track, when non-nil, records one "train" span per barrier
 	// training pass — on the barrier or overlapped with the next
 	// round, wherever the task actually ran. Set it before the first
@@ -176,15 +197,19 @@ type Fleet struct {
 }
 
 // NewFleet builds a fleet over replicas in shard order. All replicas
-// must share one model configuration.
+// must share one model configuration and one PPO configuration: the
+// fleet's workers train any replica.
 func NewFleet(replicas ...*Replica) (*Fleet, error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("fleetlearn: a fleet needs at least one replica")
 	}
-	cfg := replicas[0].Model.Cfg
+	cfg, pcfg := replicas[0].Model.Cfg, replicas[0].cfg
 	for i, r := range replicas[1:] {
 		if r.Model.Cfg != cfg {
 			return nil, fmt.Errorf("fleetlearn: replica %d config %+v differs from replica 0 %+v", i+1, r.Model.Cfg, cfg)
+		}
+		if r.cfg != pcfg {
+			return nil, fmt.Errorf("fleetlearn: replica %d PPO config %+v differs from replica 0 %+v", i+1, r.cfg, pcfg)
 		}
 	}
 	return &Fleet{replicas: replicas, n: nn.NumParamsOf(cfg)}, nil
@@ -208,7 +233,11 @@ func (f *Fleet) Replica(i int) *Replica { return f.replicas[i] }
 //     late, per the package invariant).
 //  3. Unless skip is set or no replica participated, this round's
 //     training is launched: every participant replays its buffer from
-//     the snapshot and the results reduce under pairwiseMean. With
+//     the snapshot and the results reduce under pairwiseMean. W =
+//     min(GOMAXPROCS, participants) workers train in parallel, worker
+//     k the participants k, k+W, … in shard order; each result is a
+//     pure function of the snapshot and the buffer, so the merge does
+//     not depend on W. With
 //     async the task runs on a background goroutine, overlapped with
 //     the next round's simulation; otherwise it runs inline. The
 //     resulting bits are identical — only wall-clock placement
@@ -244,16 +273,19 @@ func (f *Fleet) Barrier(async, skip bool) int {
 	if skip || len(parts) == 0 {
 		return len(parts)
 	}
+	workers := f.workersFor(len(parts))
 	task := func() []float64 {
 		t := f.Track.Start()
 		outs := make([][]float64, len(parts))
 		var wg sync.WaitGroup
-		for i := range parts {
+		for k, tr := range workers {
 			wg.Add(1)
-			go func(i int) {
+			go func() {
 				defer wg.Done()
-				outs[i] = parts[i].trainOn(start, bufs[i])
-			}(i)
+				for i := k; i < len(parts); i += len(workers) {
+					outs[i] = trainOn(tr, parts[i], start, bufs[i])
+				}
+			}()
 		}
 		wg.Wait()
 		merged := pairwiseMean(outs)
@@ -267,6 +299,18 @@ func (f *Fleet) Barrier(async, skip bool) int {
 		f.staged = task()
 	}
 	return len(parts)
+}
+
+// workersFor returns the trainers of the min(GOMAXPROCS, participants)
+// workers that train a barrier's participants, building any the fleet
+// lacks. Runs on the barrier, before the training task it hands them
+// to.
+func (f *Fleet) workersFor(participants int) []*ppo.Trainer {
+	n := min(runtime.GOMAXPROCS(0), participants)
+	for len(f.workers) < n {
+		f.workers = append(f.workers, newWorker(f.replicas[0].Model, f.replicas[0].cfg))
+	}
+	return f.workers[:n]
 }
 
 // join blocks until any in-flight background training completes and

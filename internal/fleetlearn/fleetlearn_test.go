@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"chatfuzz/internal/ml/nn"
@@ -319,15 +320,18 @@ func TestNewFleetValidates(t *testing.T) {
 	if _, err := NewFleet(small, big); err == nil {
 		t.Error("NewFleet accepted replicas with different model configs")
 	}
+	other := tinyPPO()
+	other.LR *= 2
+	if _, err := NewFleet(small, NewReplica(tinyBase(1), other)); err == nil {
+		t.Error("NewFleet accepted replicas with different PPO configs")
+	}
 }
 
-// TestGoldenBarrier pins the barrier's training and merge bit for bit:
-// the SHA-256 of the staged merge of three replicas (one idle, one
-// with two buffered chunks) and of the following round's publication,
-// recorded on the full-row PPO formulation. CI runs it under
-// GOMAXPROCS=1 and 4.
-func TestGoldenBarrier(t *testing.T) {
-	const want = "f7cb4a5672d4723346d49301608380f8726033e01ce641165d8d8fd36655ad8b"
+// goldenBarrierSHA runs TestGoldenBarrier's two barriers — three
+// replicas, one idle, one with two buffered chunks — and returns the
+// SHA-256 of the published and the staged weights.
+func goldenBarrierSHA(t *testing.T) string {
+	t.Helper()
 	base := tinyBase(13)
 	a, b, c := NewReplica(base, tinyPPO()), NewReplica(base, tinyPPO()), NewReplica(base, tinyPPO())
 	f, err := NewFleet(a, b, c)
@@ -341,27 +345,57 @@ func TestGoldenBarrier(t *testing.T) {
 	b.StepRollouts([]*ppo.Rollout{roll(0.75)})
 	f.Barrier(false, false)
 	sum := sha256.Sum256([]byte(nn.EncodeWeights(f.Weights()) + nn.EncodeWeights(f.Staged())))
-	if got := hex.EncodeToString(sum[:]); got != want {
-		t.Errorf("published+staged weights: sha256 %s, want %s", got, want)
+	return hex.EncodeToString(sum[:])
+}
+
+// goldenBarrier is goldenBarrierSHA's hash recorded on the full-row PPO
+// formulation.
+const goldenBarrier = "f7cb4a5672d4723346d49301608380f8726033e01ce641165d8d8fd36655ad8b"
+
+// TestGoldenBarrier pins the barrier's training and merge bit for bit:
+// the SHA-256 of the staged merge of three replicas (one idle, one
+// with two buffered chunks) and of the following round's publication,
+// recorded on the full-row PPO formulation. CI runs it under
+// GOMAXPROCS=1 and 4.
+func TestGoldenBarrier(t *testing.T) {
+	if got := goldenBarrierSHA(t); got != goldenBarrier {
+		t.Errorf("published+staged weights: sha256 %s, want %s", got, goldenBarrier)
+	}
+}
+
+// TestBarrierBitExactAcrossWorkers: the barrier trains its participants
+// on min(GOMAXPROCS, participants) workers, so one worker trains both
+// participants of the first barrier under GOMAXPROCS 1 — reusing its
+// arena and resetting its optimizer in between — and each its own
+// under 2 and more. The merge must not tell them apart.
+func TestBarrierBitExactAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for procs := 1; procs <= 4; procs++ {
+		runtime.GOMAXPROCS(procs)
+		if got := goldenBarrierSHA(t); got != goldenBarrier {
+			t.Errorf("GOMAXPROCS %d: published+staged weights: sha256 %s, want %s", procs, got, goldenBarrier)
+		}
 	}
 }
 
 // TestReplicaRefStaysFrozen: the KL reference is detached at
-// construction and a training pass leaves it so — no parameter
-// requires gradients or grew a Grad buffer — while the private
-// training clone, cloned from the sampling model, stays trainable.
+// construction and a worker's training pass against it leaves it so —
+// no parameter requires gradients or grew a Grad buffer — while the
+// worker's training model, cloned from the sampling model, stays
+// trainable.
 func TestReplicaRefStaysFrozen(t *testing.T) {
 	base := tinyBase(17)
 	r := NewReplica(base, tinyPPO())
-	r.trainOn(base.FlattenParams(nil), [][]*ppo.Rollout{{roll(1.0), roll(-0.5)}})
+	tr := newWorker(r.Model, r.cfg)
+	trainOn(tr, r, base.FlattenParams(nil), [][]*ppo.Rollout{{roll(1.0), roll(-0.5)}})
 	for i, p := range r.ref.Params() {
 		if p.Requires() || p.Grad != nil {
 			t.Fatalf("ref parameter %d after trainOn: requires=%v, grad buffer=%v", i, p.Requires(), p.Grad != nil)
 		}
 	}
-	for i, p := range r.train.Params() {
+	for i, p := range tr.Policy.Params() {
 		if !p.Requires() {
-			t.Fatalf("training clone parameter %d does not require gradients", i)
+			t.Fatalf("training model parameter %d does not require gradients", i)
 		}
 	}
 	if !bitsEqual(r.ref.FlattenParams(nil), base.FlattenParams(nil)) {

@@ -30,6 +30,17 @@ func NewAdam(params []*tensor.Tensor, lr float64) *Adam {
 	return a
 }
 
+// Reset forgets every step taken: the moments are zeroed and the step
+// count is 0, so the next Step is bit for bit a fresh NewAdam's over
+// the same parameters.
+func (a *Adam) Reset() {
+	for i := range a.m {
+		clear(a.m[i])
+		clear(a.v[i])
+	}
+	a.t = 0
+}
+
 // ZeroGrad clears all parameter gradients.
 func (a *Adam) ZeroGrad() {
 	for _, p := range a.params {

@@ -236,7 +236,8 @@ func (m *GPT) SetFlatParams(w []float64) error {
 // read — rows, ascending packed-row indices; nil (not empty) means
 // every row — as [len(rows), D] in that order. Callers apply Head (and
 // VHead/VBias) to them: every row for the LM loss, the scored rows for
-// PPO.
+// PPO. The tape lives in a (nil: the heap), and so does everything
+// computed from its result; see tensor.Arena.
 //
 // Rows only matter from the last block's attention on: its keys and
 // values still come from every row (later queries of a sequence need
@@ -245,7 +246,7 @@ func (m *GPT) SetFlatParams(w []float64) error {
 // its gradient was an exact zero and the rows kept are bit for bit the
 // rows of the full computation, forward and backward
 // (TestPackedMatchesPaddedBitExact).
-func (m *GPT) Hidden(batchSeqs [][]int, rows []int) *tensor.Tensor {
+func (m *GPT) Hidden(a *tensor.Arena, batchSeqs [][]int, rows []int) *tensor.Tensor {
 	offs := make([]int, 1, len(batchSeqs)+1)
 	var ids, posIDs []int
 	for _, seq := range batchSeqs {
@@ -258,7 +259,7 @@ func (m *GPT) Hidden(batchSeqs [][]int, rows []int) *tensor.Tensor {
 		}
 		offs = append(offs, len(ids))
 	}
-	x := tensor.Add(tensor.Embedding(m.TokEmb, ids), tensor.Embedding(m.PosEmb, posIDs))
+	x := tensor.Add(tensor.Embedding(a, m.TokEmb, ids), tensor.Embedding(a, m.PosEmb, posIDs))
 	if rows != nil && len(m.Blocks) == 0 {
 		x = tensor.GatherRows(x, rows)
 	}
@@ -286,7 +287,7 @@ func (m *GPT) Hidden(batchSeqs [][]int, rows []int) *tensor.Tensor {
 // Logits runs the model over a packed batch (see Hidden) and returns
 // the logits [Σ len, V] of every row.
 func (m *GPT) Logits(batchSeqs [][]int) *tensor.Tensor {
-	return tensor.MatMul(m.Hidden(batchSeqs, nil), m.Head)
+	return tensor.MatMul(m.Hidden(nil, batchSeqs, nil), m.Head)
 }
 
 // Values applies the value head to hidden states h ([N, D], rows of

@@ -28,7 +28,7 @@ func TestModelShapesAndParams(t *testing.T) {
 	if logits.R != 5 || logits.C != 17 {
 		t.Errorf("logits shape %dx%d, want 5x17: one row per token", logits.R, logits.C)
 	}
-	h := m.Hidden([][]int{{1, 2, 3}}, nil)
+	h := m.Hidden(nil, [][]int{{1, 2, 3}}, nil)
 	values := m.Values(h)
 	if values.R != 3 || values.C != 1 {
 		t.Errorf("values shape %dx%d, want 3x1", values.R, values.C)
@@ -120,7 +120,7 @@ func TestSamplerValueMatchesBatchForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m := NewGPT(tinyConfig(), rng)
 	seq := []int{5, 11, 2}
-	h := m.Hidden([][]int{seq}, nil)
+	h := m.Hidden(nil, [][]int{seq}, nil)
 	values := m.Values(h)
 
 	s := NewSampler(m)
@@ -617,6 +617,35 @@ func TestAdamReducesLossOnQuadratic(t *testing.T) {
 	}
 }
 
+// TestAdamResetMatchesFresh: steps after Reset are bit for bit those
+// of a fresh optimizer over the same parameters from the same values.
+func TestAdamResetMatchesFresh(t *testing.T) {
+	steps := func(opt *Adam, p *tensor.Tensor, n int) {
+		for i := 0; i < n; i++ {
+			opt.ZeroGrad()
+			tensor.Backward(tensor.Mean(tensor.Square(tensor.AddConst(p, 0.5))))
+			opt.Step()
+		}
+	}
+	start := []float64{5, -3, 2, 8}
+	p := tensor.Param(1, 4)
+	copy(p.Data, start)
+	used := NewAdam([]*tensor.Tensor{p}, 0.1)
+	steps(used, p, 7)
+	copy(p.Data, start)
+	used.Reset()
+	steps(used, p, 5)
+
+	q := tensor.Param(1, 4)
+	copy(q.Data, start)
+	steps(NewAdam([]*tensor.Tensor{q}, 0.1), q, 5)
+	for i := range q.Data {
+		if math.Float64bits(p.Data[i]) != math.Float64bits(q.Data[i]) {
+			t.Fatalf("param %d after Reset: %v, fresh optimizer %v", i, p.Data[i], q.Data[i])
+		}
+	}
+}
+
 func TestGradNormClip(t *testing.T) {
 	p := tensor.Param(1, 2)
 	p.Grad[0], p.Grad[1] = 3, 4 // norm 5
@@ -768,7 +797,7 @@ func hiddenPaddedRef(m *GPT, seqs [][]int, padTok int) (*tensor.Tensor, int) {
 		}
 		offs = append(offs, len(ids))
 	}
-	x := tensor.Add(tensor.Embedding(m.TokEmb, ids), tensor.Embedding(m.PosEmb, posIDs))
+	x := tensor.Add(tensor.Embedding(nil, m.TokEmb, ids), tensor.Embedding(nil, m.PosEmb, posIDs))
 	for _, b := range m.Blocks {
 		h := tensor.LayerNorm(x, b.LN1g, b.LN1b)
 		qkv := tensor.AddBias(tensor.MatMul(h, b.Wqkv), b.Bqkv)
@@ -810,7 +839,7 @@ func paddedRows(seqs [][]int, rows []int, T int) []int {
 func packedVsPadded(t testing.TB, m *GPT, seqs [][]int, rows []int, padTok int, seed int64) []float64 {
 	t.Helper()
 	packedM, paddedM := m.Clone(), m.Clone()
-	packed := packedM.Hidden(seqs, rows)
+	packed := packedM.Hidden(nil, seqs, rows)
 	full, T := hiddenPaddedRef(paddedM, seqs, padTok)
 	padded := tensor.GatherRows(full, paddedRows(seqs, rows, T))
 	if packed.R != padded.R || packed.C != padded.C {
@@ -966,7 +995,7 @@ func TestHiddenRowsIsAGatherOfHidden(t *testing.T) {
 		cfg := tinyConfig()
 		cfg.Layers = layers
 		m := NewGPT(cfg, rand.New(rand.NewSource(45)))
-		all, some := m.Hidden(seqs, nil), m.Hidden(seqs, rows)
+		all, some := m.Hidden(nil, seqs, nil), m.Hidden(nil, seqs, rows)
 		if some.R != len(rows) || all.R != 16 {
 			t.Fatalf("%d layers: %d rows for %d asked, %d for all 16", layers, some.R, len(rows), all.R)
 		}
@@ -988,7 +1017,7 @@ func TestHiddenPanicsOnLongSequence(t *testing.T) {
 			t.Errorf("recovered %v, want the context panic", r)
 		}
 	}()
-	m.Hidden([][]int{{1, 2}, make([]int, cfg.Ctx+1)}, nil)
+	m.Hidden(nil, [][]int{{1, 2}, make([]int, cfg.Ctx+1)}, nil)
 	t.Fatal("no panic")
 }
 

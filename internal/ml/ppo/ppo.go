@@ -9,6 +9,10 @@
 // A step runs the reference and the policy over the rollouts' token
 // sequences as a packed batch (nn.GPT.Hidden: no padding) and asks each
 // for the rows that predict a generated token, the only ones it reads.
+// A rollout's last token predicts nothing and is left out of the batch.
+// Every tape a step builds lives in the trainer's arena, which the
+// step resets once the reference pass's rewards are computed and after
+// each epoch, so a step allocates little beyond its first.
 //
 //chatfuzz:deterministic package
 package ppo
@@ -68,7 +72,8 @@ type Trainer struct {
 	Opt    *nn.Adam
 	Cfg    Config
 
-	rng *rand.Rand
+	rng   *rand.Rand
+	arena tensor.Arena // the tapes of StepRollouts
 }
 
 // NewTrainer clones the policy as the frozen reference and sets up the
@@ -78,14 +83,15 @@ func NewTrainer(policy *nn.GPT, cfg Config, rng *rand.Rand) *Trainer {
 }
 
 // NewTrainerWithRef builds a trainer over an explicit policy/reference
-// pair instead of cloning the policy. Fleet learning uses it to
-// construct per-shard replicas: the policy is a shard's deep-copied
-// model and ref a copy of the offline-trained base, frozen (nn.GPT.Freeze)
-// so that the reference pass builds no tape; every replica's KL
-// penalty stays anchored to the same distribution no matter how the
-// replicas drift between averaging barriers. rng may be nil when the
-// caller only ever feeds externally collected rollouts through
-// StepRollouts (Step is the only sampler of the rng).
+// pair instead of cloning the policy. Fleet learning uses it for its
+// barrier workers: the policy is the worker's training model and ref,
+// nil at construction, is set before each StepRollouts to the replica
+// being trained's copy of the offline-trained base, frozen
+// (nn.GPT.Freeze) so that the reference pass builds no tape; every
+// replica's KL penalty stays anchored to the same distribution no
+// matter how the replicas drift between averaging barriers. rng may be
+// nil when the caller only ever feeds externally collected rollouts
+// through StepRollouts (Step is the only sampler of the rng).
 func NewTrainerWithRef(policy, ref *nn.GPT, cfg Config, rng *rand.Rand) *Trainer {
 	return &Trainer{
 		Policy: policy,
@@ -139,20 +145,32 @@ func (t *Trainer) Step(prompts [][]int, reward RewardFunc) Stats {
 	return t.StepRollouts(rolls)
 }
 
+// batchSeqs returns the token sequence each rollout contributes to
+// the packed batch: its tokens up to the one before its last generated
+// token, the last row that predicts one. The rows after it are read by
+// no query (attention is causal), so their gradient is an exact zero
+// and leaving them out moves no bit (see package tensor).
+func batchSeqs(rolls []*Rollout) [][]int {
+	seqs := make([][]int, len(rolls))
+	for i, r := range rolls {
+		seqs[i] = r.Tokens[:r.PromptN+len(r.LogpOld)-1]
+	}
+	return seqs
+}
+
 // scoredRows returns, in rollout then token order, the rows of the
-// packed batch of the rollouts' token sequences (nn.GPT.Hidden) that
-// predict a generated token: with rollout i starting at row off, row
-// off+pos-1 predicts its Tokens[pos]. PPO reads these rows only, so
-// the backbone's last block, the heads, the softmax and the loss run
-// on them alone.
-func scoredRows(rolls []*Rollout) []int {
+// packed batch of seqs (nn.GPT.Hidden) that predict a generated token:
+// with rollout i starting at row off, row off+pos-1 predicts its
+// Tokens[pos]. PPO reads these rows only, so the backbone's last
+// block, the heads, the softmax and the loss run on them alone.
+func scoredRows(rolls []*Rollout, seqs [][]int) []int {
 	var rows []int
 	off := 0
-	for _, r := range rolls {
+	for i, r := range rolls {
 		for g := range r.LogpOld {
 			rows = append(rows, off+r.PromptN+g-1)
 		}
-		off += len(r.Tokens)
+		off += len(seqs[i])
 	}
 	return rows
 }
@@ -183,12 +201,9 @@ func (t *Trainer) StepRollouts(rolls []*Rollout) Stats {
 	}
 
 	// --- Reference log-probs and per-token rewards ---
-	seqs := make([][]int, len(rolls))
-	for i, r := range rolls {
-		seqs[i] = r.Tokens
-	}
-	rows := scoredRows(rolls)
-	refLogits := tensor.MatMul(t.Ref.Hidden(seqs, rows), t.Ref.Head)
+	seqs := batchSeqs(rolls)
+	rows := scoredRows(rolls, seqs)
+	refLogits := tensor.MatMul(t.Ref.Hidden(&t.arena, seqs, rows), t.Ref.Head)
 	var klSum float64
 	var klCount int
 	for _, r := range rolls {
@@ -208,6 +223,7 @@ func (t *Trainer) StepRollouts(rolls []*Rollout) Stats {
 	stats.MeanReward /= float64(len(rolls))
 	stats.MeanLen /= float64(len(rolls))
 	stats.MeanKL = klSum / float64(klCount)
+	t.arena.Reset()
 
 	// --- GAE ---
 	var advMean, advVar float64
@@ -250,6 +266,7 @@ func (t *Trainer) StepRollouts(rolls []*Rollout) Stats {
 		if epoch == cfg.Epochs-1 {
 			stats.PolicyLoss, stats.ValueLoss, stats.ClipFrac = pLoss, vLoss, clipFrac
 		}
+		t.arena.Reset()
 	}
 	return stats
 }
@@ -262,7 +279,7 @@ func (t *Trainer) optimize(rolls []*Rollout, seqs [][]int, rows []int) (float64,
 	// Both heads read the same scored rows, so backward sums the value
 	// head's and the LM head's gradient into one row of h before that
 	// row reaches the backbone.
-	h := t.Policy.Hidden(seqs, rows)
+	h := t.Policy.Hidden(&t.arena, seqs, rows)
 	logits := tensor.MatMul(h, t.Policy.Head)
 	values := t.Policy.Values(h)
 	count := h.R

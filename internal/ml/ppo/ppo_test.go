@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -350,5 +351,43 @@ func TestStepRolloutsRejectsMalformedRollouts(t *testing.T) {
 			tr.StepRollouts([]*Rollout{good(), bad, good()})
 			t.Fatal("no panic")
 		})
+	}
+}
+
+// TestStepRolloutsReusesItsTape: every tape of a step lives in the
+// trainer's arena, so once a first step has sized it, a step on a batch
+// no larger allocates next to nothing — the Go values of the tape and
+// the rollouts' statistics, not its float64 buffers. The batch is
+// BenchmarkPPOStep's kind at the test-scale model's shape: sixteen
+// mixed-length rollouts over a 512-token vocabulary.
+func TestStepRolloutsReusesItsTape(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	m := nn.NewGPT(nn.Config{Vocab: 512, Ctx: 48, Dim: 32, Heads: 2, Layers: 2}, rng)
+	var rolls []*Rollout
+	for i := 0; i < 16; i++ {
+		prompt := []int{0}
+		for j := 0; j < 2+i%4; j++ {
+			prompt = append(prompt, 2+rng.Intn(510))
+		}
+		rolls = append(rolls, FromGeneration(m.Generate(rng, prompt, 8+2*i, 1.0, 0, 1), float64(i%3)-0.5))
+	}
+	batch := func() []*Rollout {
+		out := make([]*Rollout, len(rolls))
+		for i, r := range rolls {
+			out[i] = &Rollout{Tokens: r.Tokens, PromptN: r.PromptN, LogpOld: r.LogpOld, Values: r.Values, Score: r.Score}
+		}
+		return out
+	}
+	tr := NewTrainer(m, DefaultConfig(1), nil)
+	tr.StepRollouts(batch())
+	next := batch()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr.StepRollouts(next)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a step on a sized arena allocated %d bytes", got)
+	if got >= 1<<20 {
+		t.Errorf("a step on a sized arena allocated %d bytes, want under 1 MB", got)
 	}
 }

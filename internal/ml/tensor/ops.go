@@ -15,9 +15,12 @@ func LayerNorm(x, gamma, beta *Tensor) *Tensor {
 	}
 	out := child(x.R, x.C, x, gamma, beta)
 	n := float64(x.C)
-	// Cache normalised activations and inverse std-devs for backward.
-	xhat := make([]float64, len(x.Data))
-	rstd := make([]float64, x.R)
+	// Backward reads the normalised activations and inverse std-devs;
+	// a result that takes no part in gradients keeps neither.
+	var xhat, rstd []float64
+	if out.requires {
+		xhat, rstd = out.arena.floats(len(x.Data)), out.arena.floats(x.R)
+	}
 	for i := 0; i < x.R; i++ {
 		xr := x.Row(i)
 		mean := 0.0
@@ -32,16 +35,20 @@ func LayerNorm(x, gamma, beta *Tensor) *Tensor {
 		}
 		variance /= n
 		rs := 1 / math.Sqrt(variance+lnEps)
-		rstd[i] = rs
+		if rstd != nil {
+			rstd[i] = rs
+		}
 		or := out.Row(i)
 		for j, v := range xr {
 			h := (v - mean) * rs
-			xhat[i*x.C+j] = h
+			if xhat != nil {
+				xhat[i*x.C+j] = h
+			}
 			or[j] = gamma.Data[j]*h + beta.Data[j]
 		}
 	}
 	out.onBackward(func() {
-		dxh := make([]float64, x.C)
+		dxh := out.arena.floats(x.C)
 		for i := 0; i < x.R; i++ {
 			gr := out.Grad[i*x.C : (i+1)*x.C]
 			xh := xhat[i*x.C : (i+1)*x.C]
@@ -76,9 +83,11 @@ func LayerNorm(x, gamma, beta *Tensor) *Tensor {
 }
 
 // Embedding gathers rows of table ([V,D]) by ids, producing
-// [len(ids), D]. Backward scatter-adds into the table.
-func Embedding(table *Tensor, ids []int) *Tensor {
-	out := child(len(ids), table.C, table)
+// [len(ids), D] in a (nil: the heap). Backward scatter-adds into the
+// table. An embedding starts a tape, so it is where a tape names its
+// arena: every op downstream of it takes its memory from there.
+func Embedding(a *Arena, table *Tensor, ids []int) *Tensor {
+	out := childIn(a, len(ids), table.C, []*Tensor{table})
 	for i, id := range ids {
 		if id < 0 || id >= table.R {
 			panic(fmt.Sprintf("tensor: embedding id %d out of range %d", id, table.R))
@@ -168,9 +177,11 @@ func CausalSelfAttention(qkv *Tensor, heads int, offs, queries []int) *Tensor {
 	}
 	// Backward needs every query's post-softmax row; a forward that
 	// needs no gradients reuses one.
-	probs := make([]float64, longest)
+	var probs []float64
 	if out.requires {
-		probs = make([]float64, heads*kept)
+		probs = out.arena.floats(heads * kept)
+	} else {
+		probs = out.arena.floats(longest)
 	}
 	// each visits (sequence, head, query) in that nesting — the order
 	// backward adds K/V gradients in — and hands fn the sequence's first
@@ -218,7 +229,7 @@ func CausalSelfAttention(qkv *Tensor, heads int, offs, queries []int) *Tensor {
 	})
 
 	out.onBackward(func() {
-		dp := make([]float64, longest)
+		dp := out.arena.floats(longest)
 		each(func(lo, hc, t, o int, p []float64) {
 			do := out.Grad[o*d+hc : o*d+hc+dh]
 			// dV and dP.
@@ -267,7 +278,7 @@ func CrossEntropy(logits *Tensor, targets []int) *Tensor {
 	out := child(1, 1, logits)
 	count := 0
 	loss := 0.0
-	soft := make([]float64, len(logits.Data))
+	soft := out.arena.floats(len(logits.Data))
 	for i := 0; i < logits.R; i++ {
 		if targets[i] < 0 {
 			continue
@@ -309,7 +320,7 @@ func GatherLogSoftmax(logits *Tensor, ids []int) *Tensor {
 		panic("tensor: gather length")
 	}
 	out := child(logits.R, 1, logits)
-	soft := make([]float64, len(logits.Data))
+	soft := out.arena.floats(len(logits.Data))
 	for i := 0; i < logits.R; i++ {
 		row := logits.Row(i)
 		sm := soft[i*logits.C : (i+1)*logits.C]

@@ -12,6 +12,19 @@
 // gradients returns a plain value and records nothing, so a frozen
 // model's forward pass costs its arithmetic and nothing else.
 //
+// Memory: a result lives in the Arena of its first parent that has
+// one — its Data, its Grad and the scratch the op keeps for backward
+// (LayerNorm's normalised rows, attention's probabilities, the softmax
+// rows of the losses, the transposed weights of the input gradient).
+// Parameters live on the heap and never name an arena, so a tape names
+// one only where it starts: Embedding takes it. A tape that names none
+// lives on the heap, as pretraining, the tests and any forward outside
+// PPO training do. Arena memory is zeroed when handed out, so where a
+// result lives cannot move a bit of it. Reset the arena only once
+// nothing of the tape is read any more: after Backward and the
+// optimizer step, and after the loss and anything else wanted from the
+// tape have been read.
+//
 // Matrix products run as two forms: A×B (mulAB) for the forward pass
 // and, on a weight matrix transposed once per call, for the input
 // gradient dOut×Bᵀ; Aᵀ×dOut (mulAtB) for the weight gradient. Both share
@@ -84,6 +97,7 @@ type Tensor struct {
 	requires bool
 	back     func()
 	prev     []*Tensor
+	arena    *Arena // where Data and Grad live; nil for the heap
 }
 
 // New returns a zero tensor that does not require gradients.
@@ -146,17 +160,30 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // child creates the result tensor of an op over parents, inheriting
-// gradient participation. A result none of whose parents requires
-// gradients is a plain value: no Grad buffer, no link to its parents
-// and (onBackward) no backward step, so a forward pass over frozen
-// parameters leaves no tape behind and its intermediates are garbage
-// as soon as the next op has read them.
+// gradient participation and the arena of the first parent that has
+// one. A result none of whose parents requires gradients is a plain
+// value: no Grad buffer, no link to its parents and (onBackward) no
+// backward step, so a forward pass over frozen parameters leaves no
+// tape behind and its intermediates are garbage as soon as the next op
+// has read them.
 func child(r, c int, parents ...*Tensor) *Tensor {
-	t := New(r, c)
+	var a *Arena
+	for _, p := range parents {
+		if p.arena != nil {
+			a = p.arena
+			break
+		}
+	}
+	return childIn(a, r, c, parents)
+}
+
+// childIn is child with the result's arena named.
+func childIn(a *Arena, r, c int, parents []*Tensor) *Tensor {
+	t := &Tensor{R: r, C: c, Data: a.floats(r * c), arena: a}
 	for _, p := range parents {
 		if p.requires {
 			t.requires = true
-			t.Grad = make([]float64, r*c)
+			t.Grad = a.floats(r * c)
 			t.prev = parents
 			break
 		}
@@ -176,7 +203,7 @@ func (t *Tensor) onBackward(back func()) {
 // scalar [1,1] unless seed gradients were placed manually).
 func Backward(t *Tensor) {
 	if t.Grad == nil {
-		t.Grad = make([]float64, len(t.Data))
+		t.Grad = t.arena.floats(len(t.Data))
 	}
 	if t.R == 1 && t.C == 1 {
 		t.Grad[0] = 1
@@ -413,7 +440,7 @@ func MatMul(a, b *Tensor) *Tensor {
 	matmulInto(mulAB, out.Data, a.Data, b.Data, m, k, n)
 	out.onBackward(func() {
 		if a.requires {
-			matmulInto(mulAB, a.Grad, out.Grad, transpose(b.Data, k, n), m, n, k)
+			matmulInto(mulAB, a.Grad, out.Grad, transpose(out.arena, b.Data, k, n), m, n, k)
 		}
 		if b.requires {
 			matmulInto(mulAtB, b.Grad, a.Data, out.Grad, k, m, n)
@@ -510,11 +537,12 @@ func VecMatAdd(dst, x, w []float64, stride int) {
 	mulRow(dst, x, w, stride)
 }
 
-// transpose returns the [c,r] transpose of a [r,c]: the input gradient
-// dOut×Bᵀ is mulAB over it — element (i, j) still adds dOut[i][p]·B[j][p]
-// for ascending p — at O(rc) beside the product's O(m·rc).
-func transpose(a []float64, r, c int) []float64 {
-	t := make([]float64, len(a))
+// transpose returns the [c,r] transpose of a [r,c], taken from ar: the
+// input gradient dOut×Bᵀ is mulAB over it — element (i, j) still adds
+// dOut[i][p]·B[j][p] for ascending p — at O(rc) beside the product's
+// O(m·rc).
+func transpose(ar *Arena, a []float64, r, c int) []float64 {
+	t := ar.floats(len(a))
 	for i := 0; i < r; i++ {
 		for j, v := range a[i*c : (i+1)*c] {
 			t[j*r+i] = v

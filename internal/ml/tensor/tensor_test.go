@@ -102,7 +102,7 @@ func TestGradEmbedding(t *testing.T) {
 	table := randParam(rng, 7, 4)
 	ids := []int{0, 3, 3, 6, 1}
 	gradCheck(t, "embedding", []*Tensor{table},
-		func() *Tensor { return Mean(Embedding(table, ids)) }, 1e-6)
+		func() *Tensor { return Mean(Embedding(nil, table, ids)) }, 1e-6)
 }
 
 func TestGradCrossEntropy(t *testing.T) {
@@ -635,7 +635,7 @@ func testMatmulKernelsBitExact(t *testing.T) {
 	}{
 		{"A×B", mulAB, false, false},
 		{"A×Bᵀ", func(dst, a, b []float64, m, k, n, lo, hi int) {
-			mulAB(dst, a, transpose(b, n, k), m, k, n, lo, hi)
+			mulAB(dst, a, transpose(nil, b, n, k), m, k, n, lo, hi)
 		}, false, true},
 		{"Aᵀ×B", mulAtB, true, false},
 	}
@@ -807,7 +807,7 @@ func TestFrozenForwardBuildsNoTape(t *testing.T) {
 	}
 	outs := []*Tensor{
 		MatMul(x, w), AddBias(x, g), LayerNorm(x, g, b), GELU(x), Add(x, x), Sum(x), Mean(x),
-		Embedding(w, []int{0, 5}), GatherRows(x, []int{3, 3}), CausalSelfAttention(x, 1, []int{0, 2, 4}, []int{1, 3}),
+		Embedding(nil, w, []int{0, 5}), GatherRows(x, []int{3, 3}), CausalSelfAttention(x, 1, []int{0, 2, 4}, []int{1, 3}),
 		CrossEntropy(x, []int{0, 1, 2, 3}), GatherLogSoftmax(x, []int{0, 1, 2, 3}),
 	}
 	for i, o := range outs {
@@ -846,7 +846,7 @@ func BenchmarkMatmulKernels(b *testing.B) {
 			matmulInto(mulAB, dst, a, b, m, k, n)
 		}},
 		{"train-input-grad-256x512x32", rows, v, d, func(dst, a, b []float64, m, k, n int) {
-			matmulInto(mulAB, dst, a, transpose(b, n, k), m, k, n)
+			matmulInto(mulAB, dst, a, transpose(nil, b, n, k), m, k, n)
 		}},
 		{"train-weight-grad-32x256x512", d, rows, v, func(dst, a, b []float64, m, k, n int) {
 			matmulInto(mulAtB, dst, a, b, m, k, n)
