@@ -11,18 +11,16 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
-	"chatfuzz/internal/rtl"
-	"chatfuzz/internal/rtl/boom"
-	"chatfuzz/internal/rtl/rocket"
 )
 
 func main() {
 	var (
 		ckpt    = flag.String("model", "", "model checkpoint from train-lm (empty: train now)")
-		dutName = flag.String("dut", "rocket", "DUT: rocket or boom")
+		dutName = flag.String("dut", "rocket", "DUT: "+strings.Join(campaign.DesignNames, " or "))
 		tests   = flag.Int("tests", 2000, "number of test inputs to run")
 		batch   = flag.Int("batch", 16, "batch size per fuzzing round")
 		online  = flag.Bool("online", true, "continue PPO updates from coverage feedback")
@@ -32,14 +30,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var newDUT func() rtl.DUT
-	switch *dutName {
-	case "rocket":
-		newDUT = func() rtl.DUT { return rocket.New() }
-	case "boom":
-		newDUT = func() rtl.DUT { return boom.New() }
-	default:
-		log.Fatalf("unknown DUT %q", *dutName)
+	newDUT, err := campaign.Design(*dutName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	cfg := core.DefaultPipelineConfig()

@@ -20,14 +20,44 @@ import (
 
 const defaultFarmAddr = "127.0.0.1:8700"
 
-func splitList(s string) []string {
-	var out []string
+// listFlag is a comma-list flag; blanks around and between names are
+// dropped.
+type listFlag []string
+
+func (l *listFlag) String() string { return strings.Join(*l, ",") }
+
+func (l *listFlag) Set(s string) error {
+	*l = nil
 	for _, f := range strings.Split(s, ",") {
 		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
+			*l = append(*l, f)
 		}
 	}
-	return out
+	return nil
+}
+
+// fleetFlags registers the flags that name a fleet, which the campaign
+// and submit subcommands share. Once fs is parsed, fleet returns the
+// farm.JobSpec they name with the farm's defaults filled in, or the
+// error JobSpec.Validate gives, so both subcommands accept and refuse
+// exactly the same fleets.
+func fleetFlags(fs *flag.FlagSet) (fleet func() (farm.JobSpec, error)) {
+	s := &farm.JobSpec{DUTs: []string{"rocket"}, Arms: []string{"thehuzz", "randinst", "randfuzz"}}
+	fs.IntVar(&s.Tests, "tests", 2000, "total fleet test budget")
+	fs.IntVar(&s.Shards, "shards", 4, "concurrent campaigns")
+	fs.IntVar(&s.BatchSize, "batch", 16, "tests per round per shard")
+	fs.IntVar(&s.RoundBatches, "round-batches", 1, "batches per shard between aggregation barriers (amortises the barrier at coarser bandit feedback)")
+	fs.IntVar(&s.Body, "body", 24, "instructions per test")
+	fs.Int64Var(&s.Seed, "seed", 1, "campaign seed")
+	fs.Var((*listFlag)(&s.DUTs), "dut", "designs under test: comma list of "+strings.Join(campaign.DesignNames, "/")+"; shards alternate designs")
+	fs.Var((*listFlag)(&s.Arms), "arms", "generator arms: comma list of "+strings.Join(campaign.ArmNames, "/")+"; the chatfuzz arms sample a trained pipeline")
+	fs.BoolVar(&s.Detect, "detect", false, "enable differential testing in every shard")
+	fs.Float64Var(&s.MismatchWeight, "mismatch-weight", 0, "bandit reward weight of the mismatch-rate term, 0..1 (requires -detect)")
+	fs.IntVar(&s.UpdateBudget, "update-budget", 0, "skip learning-arm PPO updates after this many consecutive zero-new-coverage rounds, until coverage moves again (0 = never skip)")
+	return func() (farm.JobSpec, error) {
+		spec := s.WithDefaults()
+		return spec, spec.Validate()
+	}
 }
 
 func printJob(st farm.JobStatus) {
@@ -57,52 +87,43 @@ func watchReports(c *farm.Client, id string, from int) {
 	}
 }
 
+// submitOpts are the submit subcommand's flags beyond the fleet.
+type submitOpts struct {
+	addr, name string
+	ckptEvery  int
+	watch      bool
+}
+
+// submitFlags builds the submit subcommand's flag set: the fleet flags
+// campaign shares, then the subcommand's own.
+func submitFlags() (*flag.FlagSet, func() (farm.JobSpec, error), *submitOpts) {
+	fs := flag.NewFlagSet("submit", flag.ExitOnError)
+	fleet := fleetFlags(fs)
+	o := &submitOpts{}
+	fs.StringVar(&o.addr, "addr", defaultFarmAddr, "campd daemon address")
+	fs.StringVar(&o.name, "name", "", "optional job label")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 1, "durable checkpoint cadence in rounds (a crash re-simulates at most this many rounds)")
+	fs.BoolVar(&o.watch, "watch", false, "stream round reports until the job finishes")
+	return fs, fleet, o
+}
+
 // submitMain sends a campaign job to a campd daemon.
 func submitMain(args []string) {
-	fs := flag.NewFlagSet("submit", flag.ExitOnError)
-	var (
-		addr       = fs.String("addr", defaultFarmAddr, "campd daemon address")
-		name       = fs.String("name", "", "optional job label")
-		tests      = fs.Int("tests", 2000, "total fleet test budget")
-		shards     = fs.Int("shards", 4, "concurrent campaigns")
-		batch      = fs.Int("batch", 16, "tests per round per shard")
-		roundBatch = fs.Int("round-batches", 1, "batches per shard between aggregation barriers")
-		body       = fs.Int("body", 24, "instructions per test")
-		seed       = fs.Int64("seed", 1, "campaign seed")
-		dutNames   = fs.String("dut", "rocket", "designs under test: comma list of rocket/boom")
-		armNames   = fs.String("arms", "thehuzz,randinst,randfuzz", "generator arms: comma list of thehuzz/randinst/randfuzz/chatfuzz/chatfuzz-learn")
-		detect     = fs.Bool("detect", false, "enable differential testing in every shard")
-		mweight    = fs.Float64("mismatch-weight", 0, "bandit reward weight of the mismatch-rate term, 0..1 (requires -detect)")
-		budget     = fs.Int("update-budget", 0, "learning-arm PPO skip budget (0 = never skip)")
-		ckptEvery  = fs.Int("checkpoint-every", 1, "durable checkpoint cadence in rounds (a crash re-simulates at most this many rounds)")
-		watch      = fs.Bool("watch", false, "stream round reports until the job finishes")
-	)
+	fs, fleet, o := submitFlags()
 	fs.Parse(args)
-	if err := campaign.CheckMismatchWeight(*mweight, *detect); err != nil {
-		log.Fatalf("submit: -mismatch-weight: %v", err)
+	spec, err := fleet()
+	if err != nil {
+		log.Fatal(err)
 	}
+	spec.Name, spec.CheckpointEvery = o.name, o.ckptEvery
 
-	c := farm.NewClient(*addr)
-	st, err := c.Submit(farm.JobSpec{
-		Name:            *name,
-		DUTs:            splitList(*dutNames),
-		Arms:            splitList(*armNames),
-		Tests:           *tests,
-		Shards:          *shards,
-		BatchSize:       *batch,
-		RoundBatches:    *roundBatch,
-		Seed:            *seed,
-		Body:            *body,
-		Detect:          *detect,
-		MismatchWeight:  *mweight,
-		UpdateBudget:    *budget,
-		CheckpointEvery: *ckptEvery,
-	})
+	c := farm.NewClient(o.addr)
+	st, err := c.Submit(spec)
 	if err != nil {
 		log.Fatalf("submit: %v", err)
 	}
-	fmt.Printf("queued %s on %s\n", st.ID, *addr)
-	if *watch {
+	fmt.Printf("queued %s on %s\n", st.ID, o.addr)
+	if o.watch {
 		watchReports(c, st.ID, 0)
 	}
 }

@@ -11,8 +11,9 @@
 //	fuzz-bench campaign -shards 4 -tests 2000 -checkpoint fleet.json
 //	fuzz-bench campaign -resume -checkpoint fleet.json -tests 4000
 //
-// Campaign knobs of note: -dut takes a comma list (e.g.
-// "rocket,boom") to run a mixed fleet whose shards alternate designs.
+// Campaign knobs of note: -dut and -arms take comma lists (e.g.
+// "rocket,boom", "chatfuzz-learn,thehuzz"); shards alternate designs,
+// and a chatfuzz-learn run ends with a frozen-LLM twin fleet's delta.
 // There is one execution path and nothing to choose: every shard's
 // goroutine runs and commits its own rounds, a shared pool of workers
 // fills whatever cores the shards leave idle (GOMAXPROCS − shards,
@@ -29,7 +30,8 @@
 //
 // The submit, status and watch subcommands are the client side of the
 // campaign farm daemon (cmd/campd): submit a job spec to a daemon,
-// inspect its queue, and stream a job's round reports:
+// inspect its queue, and stream a job's round reports. submit takes
+// campaign's fleet flags (fleetFlags), naming the same fleets:
 //
 //	fuzz-bench submit -addr 127.0.0.1:8700 -tests 2000 -watch
 //	fuzz-bench status -addr 127.0.0.1:8700
@@ -52,100 +54,78 @@ import (
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/exp"
-	"chatfuzz/internal/rtl"
-	"chatfuzz/internal/rtl/boom"
-	"chatfuzz/internal/rtl/rocket"
+	"chatfuzz/internal/farm"
 	"chatfuzz/internal/telemetry"
 )
 
-// campaignMain runs the orchestrator subcommand with its own flag set.
-func campaignMain(args []string) {
-	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
-	var (
-		shards     = fs.Int("shards", 4, "concurrent campaigns")
-		tests      = fs.Int("tests", 2000, "total fleet test budget")
-		batch      = fs.Int("batch", 16, "tests per round per shard")
-		roundBatch = fs.Int("round-batches", 1, "batches per shard between aggregation barriers (amortises the barrier at coarser bandit feedback)")
-		body       = fs.Int("body", 24, "instructions per test")
-		seed       = fs.Int64("seed", 1, "campaign seed")
-		dutNames   = fs.String("dut", "rocket", "designs under test: comma list of rocket/boom; shards alternate designs")
-		probe      = fs.Bool("probe", false, "record and print per-round scheduler statistics: barrier wait, spread, committer-run entries, and the pool's worker-run entries")
-		llm        = fs.Bool("llm", false, "train a pipeline and schedule the frozen LLM arm")
-		learn      = fs.Bool("learn", false, "train a pipeline and schedule the online-learning LLM arm (per-shard replicas, staged pairwise weight averaging); reports the coverage delta over an identical frozen-LLM fleet")
-		budget     = fs.Int("update-budget", 0, "skip learning-arm PPO updates after this many consecutive zero-new-coverage rounds, until coverage moves again (0 = never skip)")
-		quickPipe  = fs.Bool("quickpipe", false, "train the tiny test-scale pipeline instead of the default one (smoke runs)")
-		mweight    = fs.Float64("mismatch-weight", 0, "bandit reward weight of the mismatch-rate term, 0..1 (enables -detect style steering; requires detection)")
-		detect     = fs.Bool("detect", false, "enable differential testing in every shard")
-		checkpoint = fs.String("checkpoint", "", "checkpoint file to write after the run")
-		resume     = fs.Bool("resume", false, "resume from -checkpoint instead of starting fresh")
-		traceFile  = fs.String("trace", "", "write a Chrome trace-event JSON file of the run's spans (open in Perfetto or chrome://tracing); execution-only, trajectories are unaffected")
-		metricsF   = fs.String("metrics", "", "write periodic JSONL metrics snapshots to this file (implies -probe); execution-only")
-		metricsDt  = fs.Duration("metrics-every", 5*time.Second, "snapshot interval for -metrics")
-		telemAddr  = fs.String("telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060, :0 picks a port)")
-		probeJSON  = fs.String("probe-json", "", "dump per-round scheduler probes as JSONL to this file after the run (implies -probe)")
-	)
-	fs.Parse(args)
+// campaignOpts are the campaign subcommand's flags beyond the fleet:
+// which pipeline its LLM arms train, where it checkpoints, and how this
+// process observes the run.
+type campaignOpts struct {
+	quickPipe, resume, probe                      bool
+	checkpoint, trace, metrics, telemAddr, probes string
+	metricsEvery                                  time.Duration
+}
 
-	var newDUTs []func() rtl.DUT
-	for _, name := range strings.Split(*dutNames, ",") {
-		switch strings.TrimSpace(name) {
-		case "rocket":
-			newDUTs = append(newDUTs, func() rtl.DUT { return rocket.New() })
-		case "boom":
-			newDUTs = append(newDUTs, func() rtl.DUT { return boom.New() })
-		default:
-			log.Fatalf("unknown dut %q", name)
-		}
+// campaignFlags builds the campaign subcommand's flag set: the fleet
+// flags submit shares, then the subcommand's own.
+func campaignFlags() (*flag.FlagSet, func() (farm.JobSpec, error), *campaignOpts) {
+	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
+	fleet := fleetFlags(fs)
+	c := &campaignOpts{}
+	fs.BoolVar(&c.quickPipe, "quickpipe", false, "train the tiny test-scale pipeline instead of the default one (smoke runs)")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "checkpoint file to write after the run")
+	fs.BoolVar(&c.resume, "resume", false, "resume from -checkpoint instead of starting fresh")
+	fs.BoolVar(&c.probe, "probe", false, "record and print per-round scheduler statistics: barrier wait, spread, committer-run entries, and the pool's worker-run entries")
+	fs.StringVar(&c.trace, "trace", "", "write a Chrome trace-event JSON file of the run's spans (open in Perfetto or chrome://tracing); execution-only, trajectories are unaffected")
+	fs.StringVar(&c.metrics, "metrics", "", "write periodic JSONL metrics snapshots to this file (implies -probe); execution-only")
+	fs.DurationVar(&c.metricsEvery, "metrics-every", 5*time.Second, "snapshot interval for -metrics")
+	fs.StringVar(&c.telemAddr, "telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060, :0 picks a port)")
+	fs.StringVar(&c.probes, "probe-json", "", "dump per-round scheduler probes as JSONL to this file after the run (implies -probe)")
+	return fs, fleet, c
+}
+
+// campaignMain runs the orchestrator subcommand.
+func campaignMain(args []string) {
+	fs, fleet, c := campaignFlags()
+	fs.Parse(args)
+	spec, err := fleet()
+	if err != nil {
+		log.Fatal(err)
 	}
-	newDUT := newDUTs[0]
-	// Fail fast on a bad checkpoint before any expensive work: with
-	// -llm the pipeline training below takes minutes, and discovering
-	// a missing file or mismatched arm set afterwards wastes all of it.
-	if err := campaign.CheckMismatchWeight(*mweight, *detect); err != nil {
-		log.Fatalf("-mismatch-weight: %v", err)
-	}
-	if *resume {
-		if *checkpoint == "" {
+	// Fail fast on a bad checkpoint before any expensive work: an LLM
+	// arm's pipeline trains for minutes, and discovering a missing file
+	// or mismatched arm set afterwards wastes all of it.
+	if c.resume {
+		if c.checkpoint == "" {
 			log.Fatal("-resume requires -checkpoint")
 		}
-		info, err := campaign.ReadCheckpointInfo(*checkpoint)
+		info, err := campaign.ReadCheckpointInfo(c.checkpoint)
 		if err != nil {
 			log.Fatalf("resume: %v", err)
 		}
-		wantArms := 3
-		if *llm {
-			wantArms++
+		have := make([]string, len(info.Arms))
+		for i, sig := range info.Arms {
+			have[i], _, _ = strings.Cut(sig, "/")
 		}
-		if *learn {
-			wantArms++
-		}
-		if len(info.Arms) != wantArms {
-			log.Fatalf("resume: checkpoint has %d arms but these flags build %d (add or drop -llm/-learn to match the original run: %v)",
-				len(info.Arms), wantArms, info.Arms)
+		if !slices.Equal(have, spec.Arms) {
+			log.Fatalf("resume: checkpoint has arms %s but -arms names %s (pass the original run's -arms)",
+				strings.Join(have, ","), strings.Join(spec.Arms, ","))
 		}
 	}
 
-	arms := []campaign.ArmSpec{
-		campaign.TheHuzzArm(*body),
-		campaign.RandInstArm(*body),
-		campaign.RandFuzzArm(*body),
+	pcfg := core.DefaultPipelineConfig()
+	if c.quickPipe {
+		pcfg = core.TestPipelineConfig()
 	}
-	var p *core.Pipeline
-	if *llm || *learn {
-		cfg := core.DefaultPipelineConfig()
-		if *quickPipe {
-			cfg = core.TestPipelineConfig()
-		}
-		fmt.Println("training pipeline for the LLM arm(s)...")
-		cfg.Log = os.Stdout
-		p = core.NewPipeline(cfg)
-		p.Run(newDUT())
-		if *llm {
-			arms = append([]campaign.ArmSpec{campaign.LLMArm(p)}, arms...)
-		}
-		if *learn {
-			arms = append([]campaign.ArmSpec{campaign.LearningLLMArm(p)}, arms...)
-		}
+	pcfg.Log = os.Stdout
+	p, err := spec.Pipeline(pcfg)
+	if err != nil {
+		log.Fatalf("campaign: %v", err)
+	}
+	cfg, newDUTs, arms, err := spec.Fleet(p)
+	if err != nil {
+		log.Fatalf("campaign: %v", err)
 	}
 
 	// Observability plumbing (execution-only: none of it can move a
@@ -156,8 +136,8 @@ func campaignMain(args []string) {
 	// the trace.
 	var rec *telemetry.Recorder
 	var reg *telemetry.Registry
-	if *traceFile != "" {
-		tf, err := os.Create(*traceFile)
+	if c.trace != "" {
+		tf, err := os.Create(c.trace)
 		if err != nil {
 			log.Fatalf("trace: %v", err)
 		}
@@ -170,28 +150,28 @@ func campaignMain(args []string) {
 				fmt.Printf("trace: %d events dropped to ring overwrites (rings drain per round; shorten rounds or expect gaps)\n", n)
 			}
 			tf.Close()
-			fmt.Printf("trace written to %s\n", *traceFile)
+			fmt.Printf("trace written to %s\n", c.trace)
 		}()
 	}
-	if *metricsF != "" || *telemAddr != "" {
+	if c.metrics != "" || c.telemAddr != "" {
 		reg = telemetry.NewRegistry()
 	}
-	if *metricsF != "" {
-		mf, err := os.Create(*metricsF)
+	if c.metrics != "" {
+		mf, err := os.Create(c.metrics)
 		if err != nil {
 			log.Fatalf("metrics: %v", err)
 		}
-		snap := telemetry.NewSnapshotter(mf, reg, *metricsDt)
+		snap := telemetry.NewSnapshotter(mf, reg, c.metricsEvery)
 		defer func() {
 			if err := snap.Stop(); err != nil {
 				log.Printf("metrics: %v", err)
 			}
 			mf.Close()
-			fmt.Printf("metrics snapshots written to %s\n", *metricsF)
+			fmt.Printf("metrics snapshots written to %s\n", c.metrics)
 		}()
 	}
-	if *telemAddr != "" {
-		addr, closeSrv, err := telemetry.Serve(*telemAddr, reg)
+	if c.telemAddr != "" {
+		addr, closeSrv, err := telemetry.Serve(c.telemAddr, reg)
 		if err != nil {
 			log.Fatalf("telemetry-addr: %v", err)
 		}
@@ -202,25 +182,15 @@ func campaignMain(args []string) {
 	// fresh and a resumed one. Probe-derived metrics and the probe dump
 	// both need the per-round probes recorded.
 	exec := campaign.Exec{
-		Probe:     *probe || *metricsF != "" || *probeJSON != "",
+		Probe:     c.probe || c.metrics != "" || c.probes != "",
 		Telemetry: rec,
 		Metrics:   reg,
 	}
-	// What the fleet is. On -resume the checkpoint's values win.
-	cfg := campaign.Config{
-		Shards:         *shards,
-		BatchSize:      *batch,
-		RoundBatches:   *roundBatch,
-		Seed:           *seed,
-		Detect:         *detect,
-		MismatchWeight: *mweight,
-		UpdateBudget:   *budget,
-		Exec:           exec,
-	}
+	// cfg is what the fleet is; on -resume the checkpoint's values win.
+	cfg.Exec = exec
 
 	var o *campaign.Orchestrator
-	var err error
-	if *resume {
+	if c.resume {
 		// Resume rebuilds the fleet from the checkpoint's Config; the
 		// scheduling flags below would otherwise be silently ignored.
 		fs.Visit(func(f *flag.Flag) {
@@ -229,7 +199,7 @@ func campaignMain(args []string) {
 				fmt.Printf("warning: -%s is ignored with -resume (the checkpoint's value is used)\n", f.Name)
 			}
 		})
-		f, ferr := os.Open(*checkpoint)
+		f, ferr := os.Open(c.checkpoint)
 		if ferr != nil {
 			log.Fatalf("resume: %v", ferr)
 		}
@@ -256,7 +226,7 @@ func campaignMain(args []string) {
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, os.Interrupt)
 	interrupted := false
-	for !interrupted && o.Tests() < *tests {
+	for !interrupted && o.Tests() < spec.Tests {
 		if err := o.RunRound(); err != nil {
 			log.Fatalf("campaign: %v", err)
 		}
@@ -265,23 +235,23 @@ func campaignMain(args []string) {
 			signal.Stop(sigC)
 			interrupted = true
 			fmt.Printf("\ninterrupted at round %d (%d of %d tests); flushing...\n",
-				o.Rounds(), o.Tests(), *tests)
+				o.Rounds(), o.Tests(), spec.Tests)
 		default:
 		}
 	}
 	signal.Stop(sigC)
 	fmt.Print(o.Report())
-	if *probe {
+	if c.probe {
 		fmt.Println(o.ProbeSummary())
 		st := o.PoolStats()
 		fmt.Printf("pool: %d workers, %d tests (%d run by workers, %d by the shards' own committers)\n",
 			st.Workers, st.Submitted, st.Executed, st.Helped)
 	}
-	if *probeJSON != "" {
-		if err := writeProbeJSON(*probeJSON, o.Probes()); err != nil {
+	if c.probes != "" {
+		if err := writeProbeJSON(c.probes, o.Probes()); err != nil {
 			log.Fatalf("probe-json: %v", err)
 		}
-		fmt.Printf("per-round probes written to %s\n", *probeJSON)
+		fmt.Printf("per-round probes written to %s\n", c.probes)
 	}
 	// Use the orchestrator's own config here, not the flags: on -resume
 	// the checkpoint's shard count and detect setting win.
@@ -296,30 +266,23 @@ func campaignMain(args []string) {
 		fmt.Printf("non-filtered raw mismatches across the fleet: %d\n", total)
 	}
 
-	// The -learn headline: the same fleet with the LLM arm frozen, at
+	// The learning headline: the same fleet with the LLM arm frozen, at
 	// the same budget, compared at equal virtual time. Skipped on
 	// resume (the frozen twin would not have lived the same history)
 	// and on interrupt (an equal-budget comparison needs the budget).
-	if *learn && !*resume && !interrupted {
+	if twin, ok := frozenTwin(spec); ok && !c.resume && !interrupted {
 		fmt.Println("running the frozen-LLM twin fleet for the learning delta...")
-		frozenArms := make([]campaign.ArmSpec, 0, len(arms))
-		for _, a := range arms {
-			if a.Name != "chatfuzz-learn" {
-				frozenArms = append(frozenArms, a)
-			}
-		}
-		if !*llm {
-			frozenArms = append([]campaign.ArmSpec{campaign.LLMArm(p)}, frozenArms...)
-		}
 		// Same fleet, observation cleared: the twin must not write into
 		// the main run's trace, metrics or probes.
-		fcfg := cfg
-		fcfg.Exec = campaign.Exec{}
+		fcfg, _, frozenArms, err := twin.Fleet(p)
+		if err != nil {
+			log.Fatalf("frozen twin: %v", err)
+		}
 		fo, err := campaign.NewMixed(fcfg, newDUTs, frozenArms...)
 		if err != nil {
 			log.Fatalf("frozen twin: %v", err)
 		}
-		if err := fo.RunTests(*tests); err != nil {
+		if err := fo.RunTests(spec.Tests); err != nil {
 			log.Fatalf("frozen twin: %v", err)
 		}
 		h := o.Hours()
@@ -332,12 +295,31 @@ func campaignMain(args []string) {
 		fo.Close()
 	}
 
-	if *checkpoint != "" {
-		if err := o.CheckpointFile(*checkpoint); err != nil {
+	if c.checkpoint != "" {
+		if err := o.CheckpointFile(c.checkpoint); err != nil {
 			log.Fatalf("checkpoint: %v", err)
 		}
-		fmt.Printf("checkpoint written to %s\n", *checkpoint)
+		fmt.Printf("checkpoint written to %s\n", c.checkpoint)
 	}
+}
+
+// frozenTwin names the fleet a learning run is measured against: spec
+// with its chatfuzz-learn arm swapped for the frozen chatfuzz arm, or
+// dropped when spec already schedules that one. ok is false when spec
+// has no learning arm.
+func frozenTwin(spec farm.JobSpec) (twin farm.JobSpec, ok bool) {
+	i := slices.Index(spec.Arms, "chatfuzz-learn")
+	if i < 0 {
+		return spec, false
+	}
+	arms := slices.Clone(spec.Arms)
+	if slices.Contains(arms, "chatfuzz") {
+		arms = slices.Delete(arms, i, i+1)
+	} else {
+		arms[i] = "chatfuzz"
+	}
+	spec.Arms = arms
+	return spec, true
 }
 
 // writeProbeJSON dumps per-round scheduler probes as JSON Lines: one

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"flag"
 	"maps"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"chatfuzz/internal/farm"
 )
 
 // TestParseExps: -exp is outside input — every name must be a known
@@ -38,5 +42,102 @@ func TestParseExps(t *testing.T) {
 				t.Errorf("parseExps(%q) selects %v, want %v", tc.list, names, tc.want)
 			}
 		})
+	}
+}
+
+// parseBoth parses args with the campaign and the submit flag sets.
+func parseBoth(t *testing.T, args []string) (campaign, submit farm.JobSpec, campaignErr, submitErr error) {
+	t.Helper()
+	cfs, cfleet, _ := campaignFlags()
+	sfs, sfleet, _ := submitFlags()
+	for _, fs := range []*flag.FlagSet{cfs, sfs} {
+		if err := fs.Parse(args); err != nil {
+			t.Fatalf("%s: parse %q: %v", fs.Name(), args, err)
+		}
+	}
+	campaign, campaignErr = cfleet()
+	submit, submitErr = sfleet()
+	return campaign, submit, campaignErr, submitErr
+}
+
+// TestCampaignAndSubmitNameOneFleet: the same fleet flags give the same
+// JobSpec whether the fleet runs in the CLI or on a daemon.
+func TestCampaignAndSubmitNameOneFleet(t *testing.T) {
+	for _, args := range [][]string{
+		nil,
+		{"-tests", "96", "-shards", "2", "-batch", "8", "-body", "8"},
+		{"-tests", "64", "-shards", "3", "-batch", "4", "-round-batches", "2", "-body", "12",
+			"-seed", "9", "-dut", "rocket, boom", "-arms", "chatfuzz-learn,thehuzz",
+			"-detect", "-mismatch-weight", "0.3", "-update-budget", "2"},
+	} {
+		c, s, cerr, serr := parseBoth(t, args)
+		if cerr != nil || serr != nil {
+			t.Fatalf("%q refused: campaign %v, submit %v", args, cerr, serr)
+		}
+		if !reflect.DeepEqual(c, s) {
+			t.Errorf("%q names two fleets:\ncampaign %+v\nsubmit   %+v", args, c, s)
+		}
+	}
+	c, _, _, _ := parseBoth(t, []string{"-dut", "rocket, boom", "-arms", "chatfuzz-learn,thehuzz", "-update-budget", "2"})
+	if want := []string{"rocket", "boom"}; !slices.Equal(c.DUTs, want) {
+		t.Errorf("-dut parsed as %q, want %q", c.DUTs, want)
+	}
+	if want := []string{"chatfuzz-learn", "thehuzz"}; !slices.Equal(c.Arms, want) {
+		t.Errorf("-arms parsed as %q, want %q", c.Arms, want)
+	}
+	if c.UpdateBudget != 2 {
+		t.Errorf("-update-budget parsed as %d", c.UpdateBudget)
+	}
+}
+
+// TestCampaignAndSubmitRefuseOneWay: a fleet the farm refuses is
+// refused by both subcommands, with the same error.
+func TestCampaignAndSubmitRefuseOneWay(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-arms", "thehuzz,nonsense"}, `unknown arm "nonsense"`},
+		{[]string{"-dut", "rocket,cray-1"}, `unknown design "cray-1"`},
+		{[]string{"-arms", "thehuzz,thehuzz"}, `duplicate arm "thehuzz"`},
+		{[]string{"-tests", "16", "-mismatch-weight", "0.5"}, "requires detection"},
+	} {
+		_, _, cerr, serr := parseBoth(t, tc.args)
+		if cerr == nil || serr == nil {
+			t.Errorf("%q accepted: campaign %v, submit %v", tc.args, cerr, serr)
+			continue
+		}
+		if cerr.Error() != serr.Error() {
+			t.Errorf("%q refused two ways:\ncampaign %v\nsubmit   %v", tc.args, cerr, serr)
+		}
+		if !strings.Contains(cerr.Error(), tc.want) {
+			t.Errorf("%q refused with %q, want %q", tc.args, cerr, tc.want)
+		}
+	}
+}
+
+// TestFrozenTwin: the twin swaps the learning arm for the frozen one in
+// place, or drops it when the frozen arm is already scheduled.
+func TestFrozenTwin(t *testing.T) {
+	for _, tc := range []struct {
+		arms, want []string // want nil: no twin
+	}{
+		{[]string{"thehuzz", "randinst", "randfuzz"}, nil},
+		{[]string{"chatfuzz", "thehuzz"}, nil},
+		{[]string{"chatfuzz-learn", "thehuzz", "randinst", "randfuzz"}, []string{"chatfuzz", "thehuzz", "randinst", "randfuzz"}},
+		{[]string{"thehuzz", "chatfuzz-learn"}, []string{"thehuzz", "chatfuzz"}},
+		{[]string{"chatfuzz-learn", "chatfuzz", "thehuzz"}, []string{"chatfuzz", "thehuzz"}},
+	} {
+		spec := farm.JobSpec{Arms: tc.arms, Tests: 64}
+		twin, ok := frozenTwin(spec)
+		if ok != (tc.want != nil) || (ok && !slices.Equal(twin.Arms, tc.want)) {
+			t.Errorf("frozenTwin(%q) = %q, %v; want %q", tc.arms, twin.Arms, ok, tc.want)
+		}
+		if twin.Tests != spec.Tests {
+			t.Errorf("frozenTwin(%q) changed the budget", tc.arms)
+		}
+		if !slices.Equal(spec.Arms, tc.arms) {
+			t.Errorf("frozenTwin(%q) changed the spec's arms to %q", tc.arms, spec.Arms)
+		}
 	}
 }

@@ -8,17 +8,16 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
+	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
-	"chatfuzz/internal/rtl"
-	"chatfuzz/internal/rtl/boom"
-	"chatfuzz/internal/rtl/rocket"
 )
 
 func main() {
 	var (
 		out       = flag.String("o", "chatfuzz-model.gob", "checkpoint output path")
-		dutName   = flag.String("dut", "rocket", "DUT for step 3: rocket or boom")
+		dutName   = flag.String("dut", "rocket", "DUT for step 3: "+strings.Join(campaign.DesignNames, " or "))
 		seed      = flag.Int64("seed", 1, "global random seed")
 		pretrain  = flag.Int("pretrain-steps", 0, "override step-1 steps")
 		cleanup   = flag.Int("cleanup-steps", 0, "override step-2 steps")
@@ -43,14 +42,9 @@ func main() {
 		cfg.Corpus.Functions = *functions
 	}
 
-	var dut rtl.DUT
-	switch *dutName {
-	case "rocket":
-		dut = rocket.New()
-	case "boom":
-		dut = boom.New()
-	default:
-		log.Fatalf("unknown DUT %q", *dutName)
+	newDUT, err := campaign.Design(*dutName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	p := core.NewPipeline(cfg)
@@ -61,7 +55,7 @@ func main() {
 	fmt.Printf("invalid-instruction rate after step 1: %.1f%%\n", 100*p.InvalidRate(30))
 	p.Cleanup()
 	fmt.Printf("invalid-instruction rate after step 2: %.1f%%\n", 100*p.InvalidRate(30))
-	p.CoverageTune(dut)
+	p.CoverageTune(newDUT())
 
 	if err := p.Model.SaveFile(*out); err != nil {
 		log.Fatalf("saving checkpoint: %v", err)

@@ -13,6 +13,7 @@ import (
 	"chatfuzz/internal/baseline/thehuzz"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/cov"
+	"chatfuzz/internal/engine/enginetest"
 	"chatfuzz/internal/ml/ppo"
 	"chatfuzz/internal/prog"
 	"chatfuzz/internal/rtl"
@@ -59,7 +60,7 @@ func TestFourShardsBeatSingleCampaignAtEqualBudget(t *testing.T) {
 
 	var singles []float64
 	for seed := int64(1); seed <= 5; seed++ {
-		single := core.NewFuzzer(thehuzz.New(seed, testBody), rocket.New(), core.Options{BatchSize: 16})
+		single := core.NewFuzzer(thehuzz.New(seed, testBody), rocket.New(), core.Options{Pool: enginetest.Pool(t), BatchSize: 16})
 		single.RunBatches(budget / 16)
 		singles = append(singles, single.Coverage())
 	}

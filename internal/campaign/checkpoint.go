@@ -515,8 +515,11 @@ type CheckpointInfo struct {
 	Designs []string
 	// Bins fingerprints each design's coverage space.
 	Bins map[string]int
-	// Arms holds the arm signatures (name + parameters).
+	// Arms holds the arm signatures: the arm's name, then "/" and its
+	// parameters.
 	Arms []string
+	// Merged is the fleet's merged trajectory, one point per round.
+	Merged []core.ProgressPoint
 }
 
 // ReadCheckpointInfo decodes a checkpoint's envelope without
@@ -532,7 +535,7 @@ func ReadCheckpointInfo(path string) (CheckpointInfo, error) {
 	if err != nil {
 		return CheckpointInfo{}, err
 	}
-	return CheckpointInfo{Config: cf.Config.config(Exec{}), Round: cf.Round, Tests: cf.Tests, Designs: cf.Designs, Bins: cf.Bins, Arms: cf.Arms}, nil
+	return CheckpointInfo{Config: cf.Config.config(Exec{}), Round: cf.Round, Tests: cf.Tests, Designs: cf.Designs, Bins: cf.Bins, Arms: cf.Arms, Merged: cf.Merged}, nil
 }
 
 // ResumeFile reads a checkpoint from path.

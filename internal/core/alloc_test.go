@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chatfuzz/internal/baseline/randfuzz"
+	"chatfuzz/internal/engine/enginetest"
 	"chatfuzz/internal/prog"
 	"chatfuzz/internal/rtl/rocket"
 	"chatfuzz/internal/trace"
@@ -18,7 +19,7 @@ import (
 // buffer sneaking back into cov or mismatch fails it.
 func TestSteadyStateCommitAllocFree(t *testing.T) {
 	dut := rocket.New()
-	f := NewFuzzer(randfuzz.New(3, 16), dut, Options{BatchSize: 4, Detect: true})
+	f := NewFuzzer(randfuzz.New(3, 16), dut, Options{Pool: enginetest.Pool(t), BatchSize: 4, Detect: true})
 	defer f.Close()
 
 	// Straight-line addi body: DUT and golden model agree, so the

@@ -8,6 +8,7 @@ import (
 	"chatfuzz/internal/baseline/randfuzz"
 	"chatfuzz/internal/baseline/thehuzz"
 	"chatfuzz/internal/cov"
+	"chatfuzz/internal/engine/enginetest"
 	"chatfuzz/internal/isa"
 	"chatfuzz/internal/ml/tok"
 	"chatfuzz/internal/prog"
@@ -113,7 +114,7 @@ func TestPipelineStep3RunsAgainstDUT(t *testing.T) {
 
 func TestFuzzerAccumulatesCoverageMonotonically(t *testing.T) {
 	g := randfuzz.New(1, 20)
-	f := NewFuzzer(g, rocket.New(), Options{BatchSize: 8})
+	f := NewFuzzer(g, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 8})
 	f.RunBatches(8)
 	if f.Tests != 64 {
 		t.Errorf("Tests = %d, want 64", f.Tests)
@@ -139,7 +140,7 @@ func TestFuzzerDetectsFindingsWithLLM(t *testing.T) {
 	// fire on at least Bug2 (any mul/div in a passing trace mismatches).
 	p := pretrainedPipeline()
 	g := NewLLMGenerator(p, rocket.New().Space().NumBins(), 7)
-	f := NewFuzzer(g, rocket.New(), Options{BatchSize: 8, Detect: true})
+	f := NewFuzzer(g, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 8, Detect: true})
 	f.RunBatches(10)
 	if f.Det.RawCount == 0 {
 		t.Error("no mismatches found by differential testing")
@@ -153,7 +154,7 @@ func TestFuzzerDetectsFindingsWithLLM(t *testing.T) {
 func TestFuzzerDeterminism(t *testing.T) {
 	run := func() (float64, int) {
 		g := randfuzz.New(3, 16)
-		f := NewFuzzer(g, rocket.New(), Options{BatchSize: 8})
+		f := NewFuzzer(g, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 8})
 		f.RunBatches(6)
 		return f.Coverage(), f.Tests
 	}
@@ -166,7 +167,7 @@ func TestFuzzerDeterminism(t *testing.T) {
 
 func TestTheHuzzPoolGrowsAndMutates(t *testing.T) {
 	g := thehuzz.New(1, 20)
-	f := NewFuzzer(g, rocket.New(), Options{BatchSize: 16})
+	f := NewFuzzer(g, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 16})
 	f.RunBatches(10)
 	if g.PoolSize() == 0 {
 		t.Error("TheHuzz pool never accumulated interesting inputs")
@@ -178,12 +179,12 @@ func TestCoverageGuidanceBeatsNoFeedback(t *testing.T) {
 	// illegal words) on an equal budget: feedback must win clearly.
 	const batches = 20 // 320 tests
 	th := thehuzz.New(5, 20)
-	fTH := NewFuzzer(th, rocket.New(), Options{BatchSize: 16})
+	fTH := NewFuzzer(th, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 16})
 	fTH.RunBatches(batches)
 
 	raw := randfuzz.New(5, 20)
 	raw.Raw = true
-	fRaw := NewFuzzer(raw, rocket.New(), Options{BatchSize: 16})
+	fRaw := NewFuzzer(raw, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 16})
 	fRaw.RunBatches(batches)
 
 	t.Logf("thehuzz %.2f%%  raw-random %.2f%%", fTH.Coverage(), fRaw.Coverage())

@@ -28,12 +28,9 @@ type Options struct {
 	// Detect enables differential testing against the golden model.
 	Detect bool
 	// Pool is the execution pool the fuzzer's engine submits its rounds
-	// to. Ownership does not transfer: Close never releases a pool that
-	// was handed in, which belongs to whoever built it (the campaign
-	// orchestrator, which closes it after every shard). When nil, the
-	// fuzzer builds a private pool filling the cores its own committer
-	// leaves idle (engine.SpareWorkers(1)) and closes it with Close.
-	// Ignored with Serial.
+	// to (required unless Serial). Ownership does not transfer: Close
+	// never releases it; it belongs to whoever built it (the campaign
+	// orchestrator, which closes it after every shard).
 	Pool *engine.FleetPool
 	// Serial replaces the engine with the reference oracle for tests: a
 	// plain loop that builds and simulates each program in turn with
@@ -79,8 +76,7 @@ type Fuzzer struct {
 	Progress  []ProgressPoint
 
 	eng    *engine.Engine
-	pool   *engine.FleetPool // private pool (Options.Pool was nil); closed by Close
-	track  *telemetry.Track  // generate/commit spans (nil = disabled)
+	track  *telemetry.Track // generate/commit spans (nil = disabled)
 	closed bool
 }
 
@@ -105,35 +101,22 @@ func NewFuzzer(gen Generator, dut rtl.DUT, opts Options) *Fuzzer {
 	}
 	f.track = opts.Telemetry.NewTrack(label)
 	if !opts.Serial {
-		pool := opts.Pool
-		if pool == nil {
-			f.pool = engine.NewFleetPool(engine.SpareWorkers(1), opts.Telemetry)
-			pool = f.pool
-		}
 		f.eng = engine.New(dut, engine.Config{
 			Detect:    opts.Detect,
-			Pool:      pool,
+			Pool:      opts.Pool,
 			Telemetry: opts.Telemetry,
 		})
 	}
 	return f
 }
 
-// Close releases the execution engine and, if the fuzzer built its
-// own, the pool's workers. The fuzzer's results (Progress, Det, Calc)
-// stay readable, but no further batches may run. Close is optional —
-// an abandoned private pool is reclaimed by a finalizer — but
-// deterministic release is cheaper than waiting on the garbage
-// collector.
+// Close releases the execution engine. The fuzzer's results
+// (Progress, Det, Calc) stay readable, but no further batches may run.
 func (f *Fuzzer) Close() {
 	f.closed = true
 	if f.eng != nil {
 		f.eng.Close()
 		f.eng = nil
-	}
-	if f.pool != nil {
-		f.pool.Close()
-		f.pool = nil
 	}
 }
 

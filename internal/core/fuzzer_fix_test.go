@@ -13,6 +13,7 @@ import (
 	"chatfuzz/internal/baseline/randfuzz"
 	"chatfuzz/internal/baseline/thehuzz"
 	"chatfuzz/internal/cov"
+	"chatfuzz/internal/engine/enginetest"
 	"chatfuzz/internal/isa"
 	"chatfuzz/internal/mismatch"
 	"chatfuzz/internal/prog"
@@ -55,7 +56,7 @@ func TestBuildErrorScoredInvalid(t *testing.T) {
 			{Body: make([]uint32, prog.MaxBodyInstructions+1)}, // unbuildable
 			{Body: nopBody(8)},
 		}}
-		f := NewFuzzer(gen, rocket.New(), Options{BatchSize: 3, Detect: true, Serial: serial})
+		f := NewFuzzer(gen, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 3, Detect: true, Serial: serial})
 		scores := f.RunBatch()
 		f.Close()
 
@@ -99,7 +100,7 @@ func TestDetectorTestIndexMatchesTrajectory(t *testing.T) {
 			{Body: mulBody},
 			{Body: nopBody(4)},
 		}}
-		f := NewFuzzer(gen, rocket.New(), Options{BatchSize: 3, Detect: true, Serial: serial})
+		f := NewFuzzer(gen, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 3, Detect: true, Serial: serial})
 		f.RunBatch()
 		f.Close()
 
@@ -144,7 +145,7 @@ func TestEngineMatchesSerialPath(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			run := func(serial bool) *Fuzzer {
 				f := NewFuzzer(c.gen(), rocket.New(), Options{
-					BatchSize: 8, Detect: true, Serial: serial,
+					Pool: enginetest.Pool(t), BatchSize: 8, Detect: true, Serial: serial,
 				})
 				f.RunBatches(7)
 				f.Close()
@@ -175,7 +176,7 @@ func TestEngineMatchesSerialPath(t *testing.T) {
 // fallback to the serial loop.
 func TestRunBatchAfterClosePanics(t *testing.T) {
 	for _, serial := range []bool{false, true} {
-		f := NewFuzzer(randfuzz.New(1, 8), rocket.New(), Options{BatchSize: 4, Serial: serial})
+		f := NewFuzzer(randfuzz.New(1, 8), rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 4, Serial: serial})
 		f.RunBatch()
 		f.Close()
 		func() {

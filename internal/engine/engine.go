@@ -5,8 +5,7 @@
 // strictly serial execution.
 //
 // There is one executor. An Engine submits rounds to a pool (the
-// campaign orchestrator's shared FleetPool, or the private one a
-// standalone core.Fuzzer builds and closes), and a Round carries one
+// campaign orchestrator's shared FleetPool), and a Round carries one
 // atomic next index that every executor claims from:
 //
 //   - the committer — the engine owner's goroutine inside Round.Each —

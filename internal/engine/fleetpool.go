@@ -2,8 +2,7 @@
 // engines.
 //
 // Every engine submits its rounds to a FleetPool — a sharded campaign
-// shares one across all shard engines, a standalone fuzzer owns a
-// private one. The committers (the goroutines inside Round.Each) are
+// shares one across all shard engines. The committers (the goroutines inside Round.Each) are
 // the pool's first executors and always run their own rounds; the
 // pool's worker goroutines only fill the cores the committers leave
 // idle, on whatever round still has unclaimed entries.

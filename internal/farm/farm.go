@@ -35,14 +35,13 @@
 package farm
 
 import (
+	"errors"
 	"fmt"
-	"strings"
+	"slices"
 
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/rtl"
-	"chatfuzz/internal/rtl/boom"
-	"chatfuzz/internal/rtl/rocket"
 )
 
 // JobState is a job's position in its lifecycle. Queued and Running
@@ -66,20 +65,19 @@ const (
 type JobSpec struct {
 	// Name is an optional human label; it has no semantics.
 	Name string `json:",omitempty"`
-	// DUTs lists the designs under test (rocket, boom); shards
-	// alternate designs round-robin as in `fuzz-bench campaign -dut`.
-	// Default: rocket.
+	// DUTs lists the designs under test (campaign.DesignNames); shards
+	// alternate designs round-robin. Default: rocket.
 	DUTs []string `json:",omitempty"`
-	// Arms lists the generator arms to schedule: thehuzz, randinst,
-	// randfuzz, chatfuzz, chatfuzz-learn. The LLM arms train the tiny
-	// deterministic test-scale pipeline at job start (and again at
-	// resume — training is a pure function of its seed, so the rebuilt
-	// weights are identical). Default: thehuzz,randinst,randfuzz.
+	// Arms lists the generator arms to schedule (campaign.ArmNames).
+	// The LLM arms train the tiny deterministic test-scale pipeline at
+	// job start (and again at resume — training is a pure function of
+	// its seed, so the rebuilt weights are identical). Default:
+	// thehuzz,randinst,randfuzz.
 	Arms []string `json:",omitempty"`
 	// Tests is the fleet's total test budget (default 2000).
 	Tests int
-	// Shards, BatchSize, RoundBatches, Seed, Body mirror the campaign
-	// flags of the same names.
+	// Shards, BatchSize, RoundBatches, Seed, Body are set by the fleet
+	// flags `fuzz-bench campaign` and `fuzz-bench submit` share.
 	Shards       int   `json:",omitempty"`
 	BatchSize    int   `json:",omitempty"`
 	RoundBatches int   `json:",omitempty"`
@@ -96,9 +94,9 @@ type JobSpec struct {
 	CheckpointEvery int `json:",omitempty"`
 }
 
-// withDefaults fills the zero-value knobs; it is applied at submit
-// time so the logged spec is explicit about what will run.
-func (s JobSpec) withDefaults() JobSpec {
+// WithDefaults fills the zero-value knobs. The farm applies it at
+// submit time so the logged spec is explicit about what will run.
+func (s JobSpec) WithDefaults() JobSpec {
 	if len(s.DUTs) == 0 {
 		s.DUTs = []string{"rocket"}
 	}
@@ -132,58 +130,47 @@ func (s JobSpec) Validate() error {
 		return err
 	}
 	for _, d := range s.DUTs {
-		if _, err := dutConstructor(d); err != nil {
+		if _, err := campaign.Design(d); err != nil {
 			return err
 		}
 	}
-	seen := map[string]bool{}
-	for _, a := range s.Arms {
-		if !validArm(a) {
-			return fmt.Errorf("farm: unknown arm %q (have thehuzz, randinst, randfuzz, chatfuzz, chatfuzz-learn)", a)
+	for i, a := range s.Arms {
+		if _, err := campaign.Arm(a, s.Body, nil); err != nil && !errors.Is(err, campaign.ErrNeedsPipeline) {
+			return err
 		}
-		if seen[a] {
+		if slices.Contains(s.Arms[:i], a) {
 			return fmt.Errorf("farm: duplicate arm %q", a)
 		}
-		seen[a] = true
 	}
 	return nil
 }
 
-func validArm(name string) bool {
-	switch name {
-	case "thehuzz", "randinst", "randfuzz", "chatfuzz", "chatfuzz-learn":
-		return true
+// Pipeline trains the pipeline the spec's LLM arms sample, on its
+// first design, from cfg; it returns nil when no arm samples one.
+// Training is a pure function of cfg, so a resume that retrains gets
+// the weights the original run had.
+func (s JobSpec) Pipeline(cfg core.PipelineConfig) (*core.Pipeline, error) {
+	if !slices.ContainsFunc(s.Arms, func(a string) bool {
+		_, err := campaign.Arm(a, s.Body, nil)
+		return errors.Is(err, campaign.ErrNeedsPipeline)
+	}) {
+		return nil, nil
 	}
-	return false
+	newDUT, err := campaign.Design(s.DUTs[0])
+	if err != nil {
+		return nil, err
+	}
+	p := core.NewPipeline(cfg)
+	p.Run(newDUT())
+	return p, nil
 }
 
-// needsPipeline reports whether any arm samples the LLM (and so needs
-// a trained pipeline before the fleet can be built).
-func (s JobSpec) needsPipeline() bool {
-	for _, a := range s.Arms {
-		if a == "chatfuzz" || a == "chatfuzz-learn" {
-			return true
-		}
-	}
-	return false
-}
-
-func dutConstructor(name string) (func() rtl.DUT, error) {
-	switch strings.TrimSpace(name) {
-	case "rocket":
-		return func() rtl.DUT { return rocket.New() }, nil
-	case "boom":
-		return func() rtl.DUT { return boom.New() }, nil
-	}
-	return nil, fmt.Errorf("farm: unknown design %q (have rocket, boom)", name)
-}
-
-// fleetArgs turns a spec into the orchestrator's construction inputs:
-// the campaign config (scheduling state only — execution details are
-// the server's), the DUT constructors and the arm specs. The same
-// arm specs are required for resume, which validates them against the
-// checkpoint's signatures.
-func (s JobSpec) fleetArgs(p *core.Pipeline) (campaign.Config, []func() rtl.DUT, []campaign.ArmSpec, error) {
+// Fleet turns a spec into the orchestrator's construction inputs: the
+// campaign config (scheduling state only — execution details are the
+// caller's), the DUT constructors and the arm specs, whose LLM arms
+// sample p. The same arm specs are required for resume, which
+// validates them against the checkpoint's signatures.
+func (s JobSpec) Fleet(p *core.Pipeline) (campaign.Config, []func() rtl.DUT, []campaign.ArmSpec, error) {
 	cfg := campaign.Config{
 		Shards:         s.Shards,
 		BatchSize:      s.BatchSize,
@@ -195,7 +182,7 @@ func (s JobSpec) fleetArgs(p *core.Pipeline) (campaign.Config, []func() rtl.DUT,
 	}
 	var duts []func() rtl.DUT
 	for _, d := range s.DUTs {
-		c, err := dutConstructor(d)
+		c, err := campaign.Design(d)
 		if err != nil {
 			return campaign.Config{}, nil, nil, err
 		}
@@ -203,26 +190,11 @@ func (s JobSpec) fleetArgs(p *core.Pipeline) (campaign.Config, []func() rtl.DUT,
 	}
 	var arms []campaign.ArmSpec
 	for _, a := range s.Arms {
-		switch a {
-		case "thehuzz":
-			arms = append(arms, campaign.TheHuzzArm(s.Body))
-		case "randinst":
-			arms = append(arms, campaign.RandInstArm(s.Body))
-		case "randfuzz":
-			arms = append(arms, campaign.RandFuzzArm(s.Body))
-		case "chatfuzz":
-			if p == nil {
-				return campaign.Config{}, nil, nil, fmt.Errorf("farm: arm %q needs a trained pipeline", a)
-			}
-			arms = append(arms, campaign.LLMArm(p))
-		case "chatfuzz-learn":
-			if p == nil {
-				return campaign.Config{}, nil, nil, fmt.Errorf("farm: arm %q needs a trained pipeline", a)
-			}
-			arms = append(arms, campaign.LearningLLMArm(p))
-		default:
-			return campaign.Config{}, nil, nil, fmt.Errorf("farm: unknown arm %q", a)
+		spec, err := campaign.Arm(a, s.Body, p)
+		if err != nil {
+			return campaign.Config{}, nil, nil, err
 		}
+		arms = append(arms, spec)
 	}
 	return cfg, duts, arms, nil
 }

@@ -60,19 +60,14 @@ func waitDone(t *testing.T, s *Server, id string) JobStatus {
 // bit for bit.
 func directRun(t *testing.T, spec JobSpec) ([]RoundReport, []byte) {
 	t.Helper()
-	spec = spec.withDefaults()
-	var p *core.Pipeline
-	if spec.needsPipeline() {
-		dutOf, err := dutConstructor(spec.DUTs[0])
-		if err != nil {
-			t.Fatalf("dutConstructor: %v", err)
-		}
-		p = core.NewPipeline(core.TestPipelineConfig())
-		p.Run(dutOf())
-	}
-	cfg, duts, arms, err := spec.fleetArgs(p)
+	spec = spec.WithDefaults()
+	p, err := spec.Pipeline(core.TestPipelineConfig())
 	if err != nil {
-		t.Fatalf("fleetArgs: %v", err)
+		t.Fatalf("Pipeline: %v", err)
+	}
+	cfg, duts, arms, err := spec.Fleet(p)
+	if err != nil {
+		t.Fatalf("Fleet: %v", err)
 	}
 	o, err := campaign.NewMixed(cfg, duts, arms...)
 	if err != nil {
@@ -92,11 +87,7 @@ func directRun(t *testing.T, spec JobSpec) ([]RoundReport, []byte) {
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	var reps []RoundReport
-	for i, pt := range o.Trajectory() {
-		reps = append(reps, RoundReport{Round: i + 1, Tests: pt.Tests, Hours: pt.Hours, Coverage: pt.Coverage})
-	}
-	return reps, b
+	return reports(o.Trajectory()), b
 }
 
 func readCheckpoint(t *testing.T, s *Server, id string) []byte {
@@ -470,7 +461,7 @@ func TestFarmHTTPRefusesMismatchWeightWithoutDetect(t *testing.T) {
 // replay runs it as logged instead of refusing to open.
 func TestFarmReplaysLoggedSpecWithoutValidating(t *testing.T) {
 	dir := t.TempDir()
-	spec := testSpec(48).withDefaults()
+	spec := testSpec(48).WithDefaults()
 	spec.MismatchWeight = 0.5 // without Detect: Submit would refuse it
 	if spec.Validate() == nil {
 		t.Fatal("the planted spec passes Validate; it tests nothing")
@@ -576,8 +567,9 @@ func TestFarmHTTPRoundTrip(t *testing.T) {
 }
 
 // TestFarmTrajectoryServedFromCheckpointAfterRestart: a restarted
-// daemon has no in-memory history for already-finished jobs; the
-// trajectory endpoint falls back to the durable checkpoint.
+// daemon has no in-memory history for already-finished jobs; the watch
+// stream and the trajectory endpoint both fall back to the durable
+// checkpoint.
 func TestFarmTrajectoryServedFromCheckpointAfterRestart(t *testing.T) {
 	cfg := Config{Dir: t.TempDir()}
 	s, err := Open(cfg)
@@ -604,7 +596,24 @@ func TestFarmTrajectoryServedFromCheckpointAfterRestart(t *testing.T) {
 	if !ok || st2.State != JobDone {
 		t.Fatalf("done job replayed as %+v", st2)
 	}
-	traj, err := NewClient(s2.Addr()).Trajectory(st.ID)
+	c := NewClient(s2.Addr())
+	// Watch first: the stream must not depend on the trajectory
+	// endpoint having loaded the history.
+	var watched []RoundReport
+	final, err := c.Watch(st.ID, 0, func(rep RoundReport) error {
+		watched = append(watched, rep)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Watch: %v", err)
+	}
+	if final.State != JobDone {
+		t.Fatalf("watched job ended %s", final.State)
+	}
+	if !reflect.DeepEqual(watched, want) {
+		t.Errorf("watch stream after restart %+v != live history %+v", watched, want)
+	}
+	traj, err := c.Trajectory(st.ID)
 	if err != nil {
 		t.Fatalf("Trajectory: %v", err)
 	}

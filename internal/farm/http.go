@@ -139,16 +139,9 @@ func (s *Server) waitRounds(ctx context.Context, id string, from int) (reps []Ro
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		j, okj := s.jobs[id]
-		if !okj {
-			return nil, false, false
-		}
-		if from > len(j.rounds) {
-			from = len(j.rounds)
-		}
-		terminal = j.status.State == JobDone || j.status.State == JobFailed
-		if len(j.rounds) > from || terminal {
-			return append([]RoundReport(nil), j.rounds[from:]...), terminal, true
+		reps, terminal, ok = s.roundsLocked(id, from)
+		if !ok || len(reps) > 0 || terminal {
+			return reps, terminal, ok
 		}
 		if s.stopping || ctx.Err() != nil {
 			return nil, false, false
@@ -158,45 +151,12 @@ func (s *Server) waitRounds(ctx context.Context, id string, from int) (reps []Ro
 }
 
 func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	reps, ok := s.Rounds(id, 0)
+	reps, ok := s.Rounds(r.PathValue("id"), 0)
 	if !ok {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
-	// After a restart a terminal job's in-memory history is empty; the
-	// durable checkpoint carries the full merged trajectory, so serve
-	// from there.
-	if len(reps) == 0 {
-		if info, err := s.trajectoryFromCheckpoint(id); err == nil {
-			reps = info
-		}
-	}
-	if reps == nil {
-		reps = []RoundReport{}
-	}
 	writeJSON(w, reps)
-}
-
-// trajectoryFromCheckpoint decodes a job's durable checkpoint into
-// round reports (the checkpoint's Merged trajectory is the same
-// series publishRound streams).
-func (s *Server) trajectoryFromCheckpoint(id string) ([]RoundReport, error) {
-	f, err := os.Open(s.checkpointPath(id))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var cf struct {
-		Merged []RoundReport
-	}
-	if err := json.NewDecoder(f).Decode(&cf); err != nil {
-		return nil, err
-	}
-	for i := range cf.Merged {
-		cf.Merged[i].Round = i + 1
-	}
-	return cf.Merged, nil
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

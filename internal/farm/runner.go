@@ -24,22 +24,14 @@ func (s *Server) runJob(id string) {
 	st, _ := s.Job(id)
 	spec := st.Spec
 
-	var p *core.Pipeline
-	if spec.needsPipeline() {
-		dutOf, err := dutConstructor(spec.DUTs[0])
-		if err != nil {
-			s.finishJob(id, nil, err)
-			return
-		}
-		// The tiny test-scale pipeline: training is a pure function of
-		// its config seed, so a resume that retrains gets bit-identical
-		// weights (the same requirement `fuzz-bench campaign -resume
-		// -llm` already carries). The default paper-scale pipeline
-		// trains for minutes and has no place inside a daemon worker.
-		p = core.NewPipeline(core.TestPipelineConfig())
-		p.Run(dutOf())
+	// The tiny test-scale pipeline: the default paper-scale one trains
+	// for minutes and has no place inside a daemon worker.
+	p, err := spec.Pipeline(core.TestPipelineConfig())
+	if err != nil {
+		s.finishJob(id, nil, err)
+		return
 	}
-	cfg, duts, arms, err := spec.fleetArgs(p)
+	cfg, duts, arms, err := spec.Fleet(p)
 	if err != nil {
 		s.finishJob(id, nil, err)
 		return
@@ -172,14 +164,21 @@ func (s *Server) publishRecovered(id string, traj []core.ProgressPoint) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.jobs[id]
-	j.rounds = j.rounds[:0]
-	for i, pt := range traj {
-		j.rounds = append(j.rounds, RoundReport{Round: i + 1, Tests: pt.Tests, Hours: pt.Hours, Coverage: pt.Coverage})
-	}
+	j.rounds = reports(traj)
 	if n := len(j.rounds); n > 0 {
 		j.status.Round = n
 		j.status.Tests = j.rounds[n-1].Tests
 		j.status.Coverage = j.rounds[n-1].Coverage
 	}
 	s.cond.Broadcast()
+}
+
+// reports turns a merged trajectory into the round reports watchers
+// see: point i is the fleet after round i+1.
+func reports(traj []core.ProgressPoint) []RoundReport {
+	out := make([]RoundReport, len(traj))
+	for i, pt := range traj {
+		out[i] = RoundReport{Round: i + 1, Tests: pt.Tests, Hours: pt.Hours, Coverage: pt.Coverage}
+	}
+	return out
 }

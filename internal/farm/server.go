@@ -50,7 +50,8 @@ type walRecord struct {
 type job struct {
 	status JobStatus
 	// rounds is the full per-round report history, rebuilt from the
-	// checkpoint's merged trajectory when a job is recovered.
+	// checkpoint's merged trajectory when a job is recovered or first
+	// read after a restart (roundsLocked).
 	rounds []RoundReport
 }
 
@@ -217,7 +218,7 @@ func (s *Server) Addr() string {
 // returned status is the job's initial queued state; the job is
 // recoverable the moment Submit returns.
 func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
-	spec = spec.withDefaults()
+	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
 	}
@@ -273,17 +274,28 @@ func (s *Server) Jobs() []JobStatus {
 func (s *Server) Rounds(id string, from int) (reps []RoundReport, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, okj := s.jobs[id]
-	if !okj {
-		return nil, false
+	reps, _, ok = s.roundsLocked(id, from)
+	return reps, ok
+}
+
+// roundsLocked is the one read of a job's report history, from index
+// `from` on, and whether the job is terminal. The history is what this
+// daemon published or, for a job that finished before the daemon
+// started (replay rebuilds no reports), its durable checkpoint's
+// trajectory, read once and kept. Called with s.mu held.
+func (s *Server) roundsLocked(id string, from int) (reps []RoundReport, terminal, ok bool) {
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil, false, false
 	}
-	if from < 0 {
-		from = 0
+	terminal = j.status.State == JobDone || j.status.State == JobFailed
+	if len(j.rounds) == 0 && terminal {
+		if info, err := campaign.ReadCheckpointInfo(s.checkpointPath(id)); err == nil {
+			j.rounds = reports(info.Merged)
+		}
 	}
-	if from > len(j.rounds) {
-		from = len(j.rounds)
-	}
-	return append([]RoundReport(nil), j.rounds[from:]...), true
+	from = max(0, min(from, len(j.rounds)))
+	return append([]RoundReport{}, j.rounds[from:]...), terminal, true
 }
 
 // popJob blocks until a job is available or the server stops,
