@@ -7,7 +7,12 @@
 //
 // A pooled body is immutable: mutate works on a copy and splice only
 // reads, so pools may share bodies (AdoptPool) while State and SetState
-// still hand over deep copies.
+// still hand over deep copies. Sharing is what SamePool and SameState
+// see: generators that adopted one pool in one round hold the same
+// state, which a fleet's barrier merge uses to skip a pool it already
+// gathered and its checkpoint writer to encode the pool once. A pool
+// restored by SetState shares nothing, so it is never the same as
+// another until the next adoption.
 //
 //chatfuzz:deterministic package
 package thehuzz
@@ -195,6 +200,13 @@ func (g *Gen) SamePool(h *Gen) bool {
 			(len(a.Body) == 0 || &a.Body[0] == &b.Body[0])
 	})
 }
+
+// SameState reports whether g and h checkpoint to the same bytes
+// because they hold the same state: the same round and SamePool. After
+// a fleet barrier hands every shard one merged pool (AdoptPool), all
+// their generators are in the same state, and a checkpoint writer may
+// copy the first one's encoding for the rest.
+func (g *Gen) SameState(h *Gen) bool { return g.round == h.round && g.SamePool(h) }
 
 // AdoptPool is SetState without the deep copy: the generator copies the
 // entries and shares their bodies, which nobody may write afterwards.

@@ -233,7 +233,8 @@ func TestReseedInPlaceMatchesFresh(t *testing.T) {
 
 // TestSamePool: pools adopted from one slice are the same; a deep copy
 // of equal contents, a different score or age, or one pool's own
-// admission is not.
+// admission is not. SameState also needs the same round: only then do
+// two generators encode to the same bytes.
 func TestSamePool(t *testing.T) {
 	src := New(1, 8)
 	batch := src.GenerateBatch(6)
@@ -250,6 +251,14 @@ func TestSamePool(t *testing.T) {
 	if !a.SamePool(b) || !b.SamePool(a) {
 		t.Fatal("pools adopted from one slice are not the same")
 	}
+	if a.SameState(b) {
+		t.Error("generators in rounds 4 and 5 count as the same state")
+	}
+	b.AdoptPool(4, pool)
+	if !a.SameState(b) || !bytes.Equal(a.AppendState(nil), b.AppendState(nil)) {
+		t.Fatal("generators that adopted one pool in one round are not the same state")
+	}
+	b.AdoptPool(5, pool)
 	c := New(4, 8)
 	c.SetState(State{Pool: pool})
 	if a.SamePool(c) {

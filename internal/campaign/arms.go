@@ -23,12 +23,11 @@ type arm interface {
 	Reseed(seed int64)
 }
 
-// statefulArm additionally carries checkpoint state beyond the rng
-// (e.g. TheHuzz's seed pool). appendArmState appends the state's JSON
-// encoding to dst — compact, one value — and armRestore reads it back.
+// statefulArm additionally carries checkpoint state beyond the rng:
+// TheHuzz's seed pool, which appendCheckpoint writes (each distinct
+// pool once) and armRestore reads back.
 type statefulArm interface {
 	arm
-	appendArmState(dst []byte) []byte
 	armRestore(json.RawMessage) error
 }
 
@@ -184,10 +183,8 @@ func (r *recorded) drain() []thehuzz.PoolEntry {
 	return out
 }
 
-// huzzArm adapts thehuzz.Gen, adding checkpoint marshalling.
+// huzzArm adapts thehuzz.Gen, adding checkpoint restore.
 type huzzArm struct{ *thehuzz.Gen }
-
-func (a *huzzArm) appendArmState(dst []byte) []byte { return a.Gen.AppendState(dst) }
 
 func (a *huzzArm) armRestore(raw json.RawMessage) error {
 	var st thehuzz.State

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"chatfuzz/internal/atomicio"
+	"chatfuzz/internal/baseline/thehuzz"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/mismatch"
 	"chatfuzz/internal/ml/nn"
@@ -171,15 +172,26 @@ type shardState struct {
 // The bytes are exactly what json.NewEncoder(w).Encode of a
 // checkpointFile would write — checkpointFile stays the decoder and the
 // tests keep that encoder as the oracle — but they are produced in one
-// pass by appendCheckpoint. Written by hand are only the fixed key
-// skeleton and integers in strconv's decimal digits, which is all the
-// bulk of a checkpoint is: the coverage bitmaps (cov.Set.AppendJSON)
-// and the TheHuzz seed pools (statefulArm.appendArmState), both read
-// from the live state without a copy. Everything whose spelling
-// encoding/json decides — floats, strings, map-key order, omitempty:
-// Config, Designs, Bins, Arms, Bandit, Learn, Merged, each shard's
-// Seconds and Det — is json.Marshal of the same wire structs, appended
-// verbatim: a nested value encodes to the bytes of its own Marshal.
+// pass by appendCheckpoint, and the bulk of them by hand, read from the
+// live state without a copy or a reflection walk: the key skeleton and
+// its integers, the coverage bitmaps (cov.Set.AppendJSON), the TheHuzz
+// seed pools (thehuzz.Gen.AppendState) and each shard's detector state
+// (mismatch.Detector.AppendState, whose two signature strings leave
+// for json.Marshal when a byte needs escaping). What encoding/json
+// still spells — floats, map-key order, omitempty: Config, Designs,
+// Bins, Arms, Bandit, Learn, Merged and each shard's Seconds — is
+// json.Marshal of the same wire structs, appended verbatim: a nested
+// value encodes to the bytes of its own Marshal. Together those are a
+// small part of the cost; Merged grows by one point a round.
+//
+// Each TheHuzz state is encoded once per checkpoint. After every
+// barrier all shards adopt one merged pool (syncPools), so between
+// rounds their generators are usually in the same state
+// (thehuzz.Gen.SameState: same round, same pool by body identity), and
+// a later shard's arm copies the bytes an earlier shard's wrote into
+// this very buffer. Nothing is cached from one checkpoint to the next:
+// a resumed fleet's pools are deep copies that share nothing, and are
+// encoded in full until the next barrier.
 //
 // The encoding lands in one buffer the orchestrator owns and reuses, so
 // the slice handed to w.Write is valid only during that call.
@@ -287,6 +299,8 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 	e.raw(`,"Merged":`)
 	e.marshal(o.merged)
 
+	// The TheHuzz states this checkpoint has encoded so far.
+	var huzz []huzzBytes
 	e.raw(`,"Shards":[`)
 	for si, s := range o.shards {
 		if si > 0 {
@@ -303,8 +317,8 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 			if i > 0 {
 				e.raw(`,`)
 			}
-			if sa, ok := a.(statefulArm); ok {
-				e.buf = sa.appendArmState(e.buf)
+			if ha, ok := a.(*huzzArm); ok {
+				e.buf, huzz = appendHuzzState(e.buf, ha.Gen, huzz)
 			} else {
 				e.raw(`null`)
 			}
@@ -312,12 +326,33 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 		e.raw(`]`)
 		if s.fuz.Det != nil {
 			e.raw(`,"Det":`)
-			e.marshal(s.fuz.Det.State())
+			e.buf = s.fuz.Det.AppendState(e.buf)
 		}
 		e.raw(`}`)
 	}
 	e.raw("]}\n")
 	return e.buf, e.err
+}
+
+// huzzBytes locates one TheHuzz generator's encoded state in the
+// checkpoint buffer: buf[start:end].
+type huzzBytes struct {
+	gen        *thehuzz.Gen
+	start, end int
+}
+
+// appendHuzzState appends g's state to buf. If a generator encoded
+// earlier in this buffer is in the same state, its bytes are copied;
+// otherwise g is encoded and added to done.
+func appendHuzzState(buf []byte, g *thehuzz.Gen, done []huzzBytes) ([]byte, []huzzBytes) {
+	for _, h := range done {
+		if h.gen.SameState(g) {
+			return append(buf, buf[h.start:h.end]...), done
+		}
+	}
+	start := len(buf)
+	buf = g.AppendState(buf)
+	return buf, append(done, huzzBytes{g, start, len(buf)})
 }
 
 // decodeCheckpoint reads a checkpoint, probing the version before the

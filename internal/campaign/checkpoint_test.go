@@ -8,9 +8,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"chatfuzz/internal/baseline/thehuzz"
 	"chatfuzz/internal/ml/nn"
 	"chatfuzz/internal/rtl"
 )
@@ -243,6 +245,73 @@ func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("200 rounds committed %d tests, want the farm job's 12800", o.Tests())
 		}
 	})
+
+	// A resumed fleet's pools are SetState's deep copies: no arm shares
+	// another's state, so every pool is encoded in full until the next
+	// barrier hands the shards one merged pool again.
+	t.Run("farm_jobs shape resumed", func(t *testing.T) {
+		o := farmJobsFleet(t)
+		defer o.Close()
+		if err := o.RunRounds(10); err != nil {
+			t.Fatalf("RunRounds: %v", err)
+		}
+		want := checkAppendCheckpoint(t, o)
+		if sameHuzzStates(o) == 0 {
+			t.Fatal("after a barrier no two shards share a TheHuzz state: the copy path is not exercised")
+		}
+		r, err := ResumeMixed(bytes.NewReader(want), []func() rtl.DUT{newRocket, newBoom},
+			TheHuzzArm(24), RandInstArm(24), RandFuzzArm(24))
+		if err != nil {
+			t.Fatalf("ResumeMixed: %v", err)
+		}
+		defer r.Close()
+		if n := sameHuzzStates(r); n != 0 {
+			t.Fatalf("%d TheHuzz arms of a resumed fleet share state", n)
+		}
+		if got := checkAppendCheckpoint(t, r); !bytes.Equal(got, want) {
+			t.Fatal("the resumed fleet checkpoints differently from the fleet it resumed")
+		}
+		if err := r.RunRounds(1); err != nil {
+			t.Fatalf("RunRounds: %v", err)
+		}
+		checkAppendCheckpoint(t, r)
+	})
+
+	// Pools adopted from one slice are the same pool; the round is not
+	// part of the pool, so two shards that adopted it in different rounds
+	// encode differently and neither may copy the other.
+	t.Run("adopted pool, two rounds", func(t *testing.T) {
+		o := mustNew(t, Config{Shards: 3, BatchSize: 8, Seed: 5, Detect: true})
+		defer o.Close()
+		if err := o.RunRounds(2); err != nil {
+			t.Fatalf("RunRounds: %v", err)
+		}
+		gens := huzzGens(o)
+		var pool []thehuzz.PoolEntry
+		gens[0].VisitPool(func(e thehuzz.PoolEntry) { pool = append(pool, e) })
+		if len(pool) == 0 {
+			t.Fatal("no pool to adopt")
+		}
+		gens[0].AdoptPool(7, pool)
+		gens[1].AdoptPool(8, pool)
+		gens[2].AdoptPool(7, pool)
+		if !gens[0].SamePool(gens[1]) || gens[0].SameState(gens[1]) || !gens[0].SameState(gens[2]) {
+			t.Fatal("SamePool/SameState do not see the adopted pools as built")
+		}
+		checkAppendCheckpoint(t, o)
+	})
+}
+
+// sameHuzzStates counts the TheHuzz generators whose state equals an
+// earlier shard's: the arms a checkpoint copies instead of encoding.
+func sameHuzzStates(o *Orchestrator) int {
+	gens, n := huzzGens(o), 0
+	for i, g := range gens {
+		if slices.ContainsFunc(gens[:i], g.SameState) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestCheckpointMarshalErrorSurfaces: a value encoding/json refuses is

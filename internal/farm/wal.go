@@ -21,17 +21,39 @@ import (
 // stops at the first frame that fails its length or checksum, and
 // truncates the file back to the last good frame so the next append
 // starts on a clean boundary. Everything before the torn tail is
-// acknowledged state and is never dropped.
+// acknowledged state and is never dropped. A running log keeps that
+// true: an append whose write or fsync fails is cut off again before
+// the next one (Append), so no acknowledged frame ever lands behind a
+// torn one.
 
 // walRecordMax bounds a single frame's payload. Real records are a
 // few hundred bytes of job-spec JSON; the cap keeps a corrupt length
 // field from asking replay to allocate gigabytes.
 const walRecordMax = 16 << 20
 
+// walFile is what a queue log writes through once it is open: frames go
+// out with Write and are made durable with Sync, and a failed append is
+// cut off again with Truncate and Seek. *os.File is the one
+// implementation outside tests, which inject short writes and failed
+// syncs through it.
+type walFile interface {
+	io.WriteCloser
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+}
+
 // wal is an append-only fsynced record log.
 type wal struct {
-	f    *os.File
+	f    walFile
 	path string
+	// end is the offset just past the last acknowledged frame: where
+	// the next frame goes, and where a failed append is cut back to.
+	end int64
+	// err, once set, refuses every later append: a failed append whose
+	// bytes could not be cut off would leave later frames behind a torn
+	// one, where replay never reaches them.
+	err error
 }
 
 // openWAL opens (creating if absent) the log at path, replays every
@@ -57,7 +79,7 @@ func openWAL(path string) (*wal, [][]byte, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("farm: seek queue log: %w", err)
 	}
-	return &wal{f: f, path: path}, recs, nil
+	return &wal{f: f, path: path, end: good}, recs, nil
 }
 
 // replayWAL scans frames from the start of f, returning the intact
@@ -95,8 +117,14 @@ func replayWAL(f *os.File) (recs [][]byte, good int64, err error) {
 
 // Append frames payload, writes it and fsyncs. The record is durable
 // when Append returns; on error the caller must treat the record as
-// unacknowledged (replay will discard any torn bytes).
+// unacknowledged. A write or sync that fails cuts the log back to its
+// last acknowledged frame, so the next append starts on a clean
+// boundary instead of behind the failed record's bytes; if the cut
+// fails too, the log refuses every later append.
 func (w *wal) Append(payload []byte) error {
+	if w.err != nil {
+		return w.err
+	}
 	if len(payload) > walRecordMax {
 		return fmt.Errorf("farm: queue-log record of %d bytes exceeds the %d cap", len(payload), walRecordMax)
 	}
@@ -105,12 +133,28 @@ func (w *wal) Append(payload []byte) error {
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[8:], payload)
 	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("farm: append queue log: %w", err)
+		return w.rollback(fmt.Errorf("farm: append queue log: %w", err))
 	}
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("farm: sync queue log: %w", err)
+		return w.rollback(fmt.Errorf("farm: sync queue log: %w", err))
 	}
+	w.end += int64(len(frame))
 	return nil
+}
+
+// rollback cuts the log back to its last acknowledged frame after the
+// failed append err, and returns err. A log that cannot be cut back is
+// refused from then on.
+func (w *wal) rollback(err error) error {
+	if terr := w.f.Truncate(w.end); terr != nil {
+		w.err = fmt.Errorf("%w; queue log refuses appends: truncate: %w", err, terr)
+		return w.err
+	}
+	if _, serr := w.f.Seek(w.end, io.SeekStart); serr != nil {
+		w.err = fmt.Errorf("%w; queue log refuses appends: seek: %w", err, serr)
+		return w.err
+	}
+	return err
 }
 
 // Close releases the log file, propagating the close error (a delayed

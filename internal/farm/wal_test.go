@@ -2,9 +2,11 @@ package farm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -188,5 +190,127 @@ func TestWALManyRecords(t *testing.T) {
 		if want := fmt.Sprintf("record-%03d", i); string(r) != want {
 			t.Fatalf("record %d = %q, want %q", i, r, want)
 		}
+	}
+}
+
+var errInjected = errors.New("injected fault")
+
+// faultFile is a queue log's file that fails on cue: a short write of
+// short bytes, a failed sync (the frame itself was written), or a
+// failed truncate.
+type faultFile struct {
+	walFile
+	short        int
+	failSync     bool
+	failTruncate bool
+}
+
+func (f *faultFile) Write(p []byte) (int, error) {
+	if f.short > 0 {
+		n, _ := f.walFile.Write(p[:min(f.short, len(p))])
+		f.short = 0
+		return n, errInjected
+	}
+	return f.walFile.Write(p)
+}
+
+func (f *faultFile) Sync() error {
+	if f.failSync {
+		f.failSync = false
+		return errInjected
+	}
+	return f.walFile.Sync()
+}
+
+func (f *faultFile) Truncate(size int64) error {
+	if f.failTruncate {
+		return errInjected
+	}
+	return f.walFile.Truncate(size)
+}
+
+// replayStrings reopens the log at path and returns its records.
+func replayStrings(t *testing.T, path string) []string {
+	t.Helper()
+	w, recs := openForTest(t, path)
+	defer w.Close()
+	var out []string
+	for _, r := range recs {
+		out = append(out, string(r))
+	}
+	return out
+}
+
+// TestWALFailedAppendLeavesLogClean: an append whose write stops short
+// or whose sync fails is not acknowledged, and is cut off again, so
+// every record acknowledged before or after it replays and it does not.
+func TestWALFailedAppendLeavesLogClean(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault faultFile
+	}{
+		{"short write", faultFile{short: 9}},
+		{"failed sync", faultFile{failSync: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "queue.log")
+			w, _ := openForTest(t, path)
+			ff := &faultFile{walFile: w.f}
+			w.f = ff
+			for _, r := range []string{"before-1", "before-2"} {
+				if err := w.Append([]byte(r)); err != nil {
+					t.Fatalf("Append %s: %v", r, err)
+				}
+			}
+			ff.short, ff.failSync = tc.fault.short, tc.fault.failSync
+			if err := w.Append([]byte("failed")); !errors.Is(err, errInjected) {
+				t.Fatalf("Append under an injected fault: %v", err)
+			}
+			if err := w.Append([]byte("after")); err != nil {
+				t.Fatalf("Append after a failed append: %v", err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			want := []string{"before-1", "before-2", "after"}
+			if got := replayStrings(t, path); !slices.Equal(got, want) {
+				t.Fatalf("replay = %q, want %q", got, want)
+			}
+		})
+	}
+}
+
+// TestWALRefusesAppendsWhenRollbackFails: a failed append that cannot
+// be cut off leaves torn bytes at the tail; the log then refuses every
+// later append rather than write a frame replay would never reach.
+func TestWALRefusesAppendsWhenRollbackFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "queue.log")
+	w, _ := openForTest(t, path)
+	ff := &faultFile{walFile: w.f}
+	w.f = ff
+	if err := w.Append([]byte("before")); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	ff.short, ff.failTruncate = 9, true
+	if err := w.Append([]byte("failed")); !errors.Is(err, errInjected) {
+		t.Fatalf("Append under an injected fault: %v", err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatalf("Stat: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := w.Append([]byte("refused")); err == nil {
+			t.Fatal("a log with torn bytes it could not cut off accepted an append")
+		}
+	}
+	if now, err := os.Stat(path); err != nil || now.Size() != st.Size() {
+		t.Fatalf("a refused append wrote to the log (%v)", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := replayStrings(t, path); !slices.Equal(got, []string{"before"}) {
+		t.Fatalf("replay = %q, want [before]", got)
 	}
 }
