@@ -57,11 +57,11 @@
 // observable: trajectories and checkpoints are bit-identical to the
 // allocating reference loop the tests use as their oracle.
 // CampaignConfig's embedded CampaignExec
-// carries what is left of the execution side — Probe (per-round
-// barrier wait, split into the sim-skew wait spare cores absorb and
-// the learning join, plus committer-run counts, via
-// Orchestrator.Probes and ProbeSummary),
-// Telemetry and Metrics — and ResumeCampaignExec takes the same value,
+// carries what is left of the execution side — Telemetry (the span
+// flight recorder) and Metrics (the registry the barrier updates each
+// round, including the probe/* histograms of barrier wait, split into
+// the sim-skew wait spare cores absorb and the learning join) — and
+// ResumeCampaignExec takes the same value,
 // so a resumed fleet runs and is observed exactly like a fresh one.
 // Call Orchestrator.Close when a campaign is finished to release the
 // pool's workers deterministically.

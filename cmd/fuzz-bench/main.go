@@ -20,12 +20,10 @@
 // computed), and learning-arm PPO training always runs on a
 // background goroutine overlapped with the next round's simulation.
 // -update-budget skips PPO steps while merged coverage is plateaued.
-// -probe records and prints per-round scheduler statistics (sim and
-// learn barrier waits, committer- and worker-run entries), the
-// scale-probe mode for runs like `fuzz-bench campaign -shards 32
-// -probe`. Observation flags (-probe
-// -probe-json -trace -metrics -telemetry-addr) apply to fresh and
-// resumed fleets alike.
+// Observation flags (-trace -metrics -telemetry-addr) apply to fresh
+// and resumed fleets alike; with -metrics or -telemetry-addr the
+// barrier is timed, and the probe/* histograms say where each round's
+// wall-clock went (sim skew, learning join).
 // See README.md in this directory for the full campaign flag guide.
 //
 // The submit, status and watch subcommands are the client side of the
@@ -39,10 +37,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -50,7 +46,6 @@ import (
 	"strings"
 	"time"
 
-	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/exp"
@@ -62,9 +57,9 @@ import (
 // which pipeline its LLM arms train, where it checkpoints, and how this
 // process observes the run.
 type campaignOpts struct {
-	quickPipe, resume, probe                      bool
-	checkpoint, trace, metrics, telemAddr, probes string
-	metricsEvery                                  time.Duration
+	quickPipe, resume                     bool
+	checkpoint, trace, metrics, telemAddr string
+	metricsEvery                          time.Duration
 }
 
 // campaignFlags builds the campaign subcommand's flag set: the fleet
@@ -76,12 +71,10 @@ func campaignFlags() (*flag.FlagSet, func() (farm.JobSpec, error), *campaignOpts
 	fs.BoolVar(&c.quickPipe, "quickpipe", false, "train the tiny test-scale pipeline instead of the default one (smoke runs)")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "checkpoint file to write after the run")
 	fs.BoolVar(&c.resume, "resume", false, "resume from -checkpoint instead of starting fresh")
-	fs.BoolVar(&c.probe, "probe", false, "record and print per-round scheduler statistics: barrier wait, spread, committer-run entries, and the pool's worker-run entries")
 	fs.StringVar(&c.trace, "trace", "", "write a Chrome trace-event JSON file of the run's spans (open in Perfetto or chrome://tracing); execution-only, trajectories are unaffected")
-	fs.StringVar(&c.metrics, "metrics", "", "write periodic JSONL metrics snapshots to this file (implies -probe); execution-only")
+	fs.StringVar(&c.metrics, "metrics", "", "write periodic JSONL metrics snapshots to this file; execution-only")
 	fs.DurationVar(&c.metricsEvery, "metrics-every", 5*time.Second, "snapshot interval for -metrics")
 	fs.StringVar(&c.telemAddr, "telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060, :0 picks a port)")
-	fs.StringVar(&c.probes, "probe-json", "", "dump per-round scheduler probes as JSONL to this file after the run (implies -probe)")
 	return fs, fleet, c
 }
 
@@ -179,13 +172,8 @@ func campaignMain(args []string) {
 		defer closeSrv()
 	}
 	// How this process runs and observes the fleet; the same value for a
-	// fresh and a resumed one. Probe-derived metrics and the probe dump
-	// both need the per-round probes recorded.
-	exec := campaign.Exec{
-		Probe:     c.probe || c.metrics != "" || c.probes != "",
-		Telemetry: rec,
-		Metrics:   reg,
-	}
+	// fresh and a resumed one.
+	exec := campaign.Exec{Telemetry: rec, Metrics: reg}
 	// cfg is what the fleet is; on -resume the checkpoint's values win.
 	cfg.Exec = exec
 
@@ -241,18 +229,6 @@ func campaignMain(args []string) {
 	}
 	signal.Stop(sigC)
 	fmt.Print(o.Report())
-	if c.probe {
-		fmt.Println(o.ProbeSummary())
-		st := o.PoolStats()
-		fmt.Printf("pool: %d workers, %d tests (%d run by workers, %d by the shards' own committers)\n",
-			st.Workers, st.Submitted, st.Executed, st.Helped)
-	}
-	if c.probes != "" {
-		if err := writeProbeJSON(c.probes, o.Probes()); err != nil {
-			log.Fatalf("probe-json: %v", err)
-		}
-		fmt.Printf("per-round probes written to %s\n", c.probes)
-	}
 	// Use the orchestrator's own config here, not the flags: on -resume
 	// the checkpoint's shard count and detect setting win.
 	if o.Cfg.Detect {
@@ -273,7 +249,7 @@ func campaignMain(args []string) {
 	if twin, ok := frozenTwin(spec); ok && !c.resume && !interrupted {
 		fmt.Println("running the frozen-LLM twin fleet for the learning delta...")
 		// Same fleet, observation cleared: the twin must not write into
-		// the main run's trace, metrics or probes.
+		// the main run's trace or metrics.
 		fcfg, _, frozenArms, err := twin.Fleet(p)
 		if err != nil {
 			log.Fatalf("frozen twin: %v", err)
@@ -320,23 +296,6 @@ func frozenTwin(spec farm.JobSpec) (twin farm.JobSpec, ok bool) {
 	}
 	spec.Arms = arms
 	return spec, true
-}
-
-// writeProbeJSON dumps per-round scheduler probes as JSON Lines: one
-// RoundProbe object per line (durations in nanoseconds, Go's
-// time.Duration serialization), consumable by jq without loading the
-// whole run. Written atomically so an interrupt mid-dump cannot leave
-// a torn file where a previous run's probes used to be.
-func writeProbeJSON(path string, probes []campaign.RoundProbe) error {
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		for _, p := range probes {
-			if err := enc.Encode(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // experiments are the names -exp accepts.

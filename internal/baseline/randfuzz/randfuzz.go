@@ -34,14 +34,6 @@ func New(seed int64, bodyInstrs int) *Gen {
 // place, so a reseed allocates nothing.
 func (g *Gen) Reseed(seed int64) { g.rng.Seed(seed) }
 
-// Name implements the Generator interface.
-func (g *Gen) Name() string {
-	if g.Raw {
-		return "random-raw"
-	}
-	return "random-regression"
-}
-
 // GenerateBatch implements Generator.
 func (g *Gen) GenerateBatch(n int) []prog.Program {
 	out := make([]prog.Program, n)

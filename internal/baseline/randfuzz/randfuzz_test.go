@@ -35,17 +35,6 @@ func TestRawModeEmitsMostlyInvalidWords(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	g := New(3, 8)
-	if g.Name() != "random-regression" {
-		t.Errorf("name = %q", g.Name())
-	}
-	g.Raw = true
-	if g.Name() != "random-raw" {
-		t.Errorf("raw name = %q", g.Name())
-	}
-}
-
 func TestFeedbackIsIgnored(t *testing.T) {
 	g := New(4, 8)
 	a := g.GenerateBatch(4)

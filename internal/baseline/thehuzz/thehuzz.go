@@ -61,9 +61,6 @@ func New(seed int64, bodyInstrs int) *Gen {
 	}
 }
 
-// Name implements the fuzzing loop's Generator interface.
-func (g *Gen) Name() string { return "thehuzz" }
-
 // GenerateBatch implements Generator.
 func (g *Gen) GenerateBatch(n int) []prog.Program {
 	out := make([]prog.Program, n)

@@ -202,8 +202,6 @@ type randInstArm struct {
 	rng  *rand.Rand
 }
 
-func (a *randInstArm) Name() string { return "randinst" }
-
 func (a *randInstArm) GenerateBatch(n int) []prog.Program {
 	out := make([]prog.Program, n)
 	for i := range out {
@@ -218,8 +216,6 @@ func (a *randInstArm) Reseed(seed int64) { a.rng.Seed(seed) }
 
 // randFuzzArm wraps randfuzz in raw mode.
 type randFuzzArm struct{ gen *randfuzz.Gen }
-
-func (a *randFuzzArm) Name() string { return "randfuzz" }
 
 func (a *randFuzzArm) GenerateBatch(n int) []prog.Program { return a.gen.GenerateBatch(n) }
 
@@ -241,5 +237,3 @@ type llmArm struct{ *core.LLMGenerator }
 // Learn section, since between rounds every shard's replica holds the
 // same merge.
 type learnArm struct{ *core.LLMGenerator }
-
-func (a *learnArm) Name() string { return "chatfuzz-learn" }

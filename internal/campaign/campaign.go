@@ -127,10 +127,6 @@ type Config struct {
 // Config.Exec) and ResumeExec accept the same value — a resumed fleet
 // runs and is observed exactly like a fresh one.
 type Exec struct {
-	// Probe records per-round scheduler statistics — barrier wait,
-	// finish-time spread, committer-run counts — retrievable via
-	// Probes(). Measurement only.
-	Probe bool
 	// Serial runs every shard on the reference oracle (core.Options.
 	// Serial) instead of the engine. It exists for the determinism
 	// tests, which assert the oracle and production write identical
@@ -146,10 +142,11 @@ type Exec struct {
 	// Metrics, when non-nil, receives a fleet-state metrics update at
 	// every round barrier (coverage, tests, virtual hours, per-design
 	// coverage, per-arm bandit pulls and rewards, mismatch cluster
-	// counts, pool scheduling counters, probe wait histograms; see
-	// README.md's Observability section for the series names).
-	// Implies nothing about Probe — but probe-derived series are only
-	// recorded when Probe is set.
+	// counts, pool scheduling counters, and the probe/* histograms of
+	// how long shards waited at the barrier; see README.md's
+	// Observability section for the series names). The barrier is
+	// timed only when it is set: a fleet without a registry reads no
+	// clock.
 	Metrics *telemetry.Registry
 }
 
@@ -229,7 +226,6 @@ type Orchestrator struct {
 	// track carries the orchestrator's round/barrier spans (nil when
 	// telemetry is off).
 	track  *telemetry.Track
-	probes []RoundProbe
 	merged []core.ProgressPoint
 	round  int
 	tests  int
@@ -405,13 +401,9 @@ func (o *Orchestrator) RunRound() error {
 		mis   int // new non-filtered mismatch signatures (Detect only)
 	}
 	deltas := make([]delta, n)
-	var probe *RoundProbe
-	var finished []time.Time
-	var helped0 int
-	if o.Cfg.Probe {
-		probe = &RoundProbe{Round: o.round}
+	var finished []time.Time // each shard's finish time (Metrics only)
+	if o.Cfg.Metrics != nil {
 		finished = make([]time.Time, n)
-		helped0 = o.pool.Stats().Helped
 	}
 	var wg sync.WaitGroup
 	for i, s := range o.shards {
@@ -433,35 +425,15 @@ func (o *Orchestrator) RunRound() error {
 				deltas[i].mis = d.NovelSignatures() - m0
 			}
 			if finished != nil {
-				// Execution-only: the timestamps become RoundProbe wait
-				// durations (Config.Probe), which are never checkpointed
+				// Execution-only: the timestamps become the probe/* wait
+				// histograms (Exec.Metrics), which are never checkpointed
 				// and never feed scheduling or trajectory state.
-				//lint:allow wallclock probe timing is execution-only measurement
+				//lint:allow wallclock barrier timing feeds only the metrics registry
 				finished[i] = time.Now()
 			}
 		}(i, s)
 	}
 	wg.Wait()
-	if probe != nil {
-		first, last := finished[0], finished[0]
-		for _, ts := range finished[1:] {
-			if ts.Before(first) {
-				first = ts
-			}
-			if ts.After(last) {
-				last = ts
-			}
-		}
-		// SimWait only: with learning buffered off the round path, a
-		// shard's finish timestamp marks the end of generation +
-		// simulation, so this is the idle skew spare-core workers can
-		// actually absorb. The learning pole lands in LearnWait below.
-		for _, ts := range finished {
-			probe.SimWait += last.Sub(ts)
-		}
-		probe.Spread = last.Sub(first)
-		probe.Helped = o.pool.Stats().Helped - helped0
-	}
 
 	// Barrier: merge bitmaps and credit the bandit in shard order.
 	barrierT := o.track.Start()
@@ -511,8 +483,8 @@ func (o *Orchestrator) RunRound() error {
 	}
 	skip := o.Cfg.UpdateBudget > 0 && o.plateau >= o.Cfg.UpdateBudget
 	var learn0 time.Time
-	if probe != nil {
-		//lint:allow wallclock probe timing is execution-only measurement
+	if finished != nil {
+		//lint:allow wallclock barrier timing feeds only the metrics registry
 		learn0 = time.Now()
 	}
 	for _, fl := range o.fleets {
@@ -520,11 +492,10 @@ func (o *Orchestrator) RunRound() error {
 			fl.Barrier(true, skip)
 		}
 	}
-	if probe != nil {
-		//lint:allow wallclock probe timing is execution-only measurement
-		probe.LearnWait = time.Since(learn0)
-		probe.BarrierWait = probe.SimWait + probe.LearnWait
-		o.probes = append(o.probes, *probe)
+	var learnWait time.Duration
+	if finished != nil {
+		//lint:allow wallclock barrier timing feeds only the metrics registry
+		learnWait = time.Since(learn0)
 	}
 	o.track.Span(telemetry.SpanBarrier, barrierT)
 	o.round++
@@ -536,7 +507,7 @@ func (o *Orchestrator) RunRound() error {
 	o.track.Span(telemetry.SpanRound, roundT)
 	// Round commit is the flight recorder's drain point: rings fill
 	// during the round, stream out here, off every shard's hot path.
-	o.recordMetrics(roundAdded, probe)
+	o.recordMetrics(roundAdded, finished, learnWait)
 	o.Cfg.Telemetry.Flush()
 	return nil
 }
@@ -547,7 +518,9 @@ var probeWaitBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
 // recordMetrics publishes the fleet's post-barrier state into
 // Cfg.Metrics. Pure observation: every value is read from state the
 // barrier already computed, and nothing here is ever read back.
-func (o *Orchestrator) recordMetrics(roundAdded int, probe *RoundProbe) {
+// finished holds each shard's finish time and learnWait the time spent
+// in the learning barrier; the probe/* histograms derive from them.
+func (o *Orchestrator) recordMetrics(roundAdded int, finished []time.Time, learnWait time.Duration) {
 	g := o.Cfg.Metrics
 	if g == nil {
 		return
@@ -583,13 +556,19 @@ func (o *Orchestrator) recordMetrics(roundAdded int, probe *RoundProbe) {
 	g.Gauge("pool/executed").Set(float64(st.Executed))
 	g.Gauge("pool/helped").Set(float64(st.Helped))
 	g.Gauge("pool/worker_busy_ms").Set(float64(st.WorkerBusy) / float64(time.Millisecond))
-	if probe != nil {
-		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-		g.Histogram("probe/sim_wait_ms", probeWaitBounds...).Observe(ms(probe.SimWait))
-		g.Histogram("probe/learn_wait_ms", probeWaitBounds...).Observe(ms(probe.LearnWait))
-		g.Histogram("probe/barrier_wait_ms", probeWaitBounds...).Observe(ms(probe.BarrierWait))
-		g.Histogram("probe/spread_ms", probeWaitBounds...).Observe(ms(probe.Spread))
+	// sim wait is the summed time shards sat finished while the slowest
+	// one generated and simulated: the skew pool workers can absorb.
+	// The learning join is the part no worker can take over.
+	first, last := slices.MinFunc(finished, time.Time.Compare), slices.MaxFunc(finished, time.Time.Compare)
+	var simWait time.Duration
+	for _, ts := range finished {
+		simWait += last.Sub(ts)
 	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	g.Histogram("probe/sim_wait_ms", probeWaitBounds...).Observe(ms(simWait))
+	g.Histogram("probe/learn_wait_ms", probeWaitBounds...).Observe(ms(learnWait))
+	g.Histogram("probe/barrier_wait_ms", probeWaitBounds...).Observe(ms(simWait + learnWait))
+	g.Histogram("probe/spread_ms", probeWaitBounds...).Observe(ms(last.Sub(first)))
 }
 
 // plateauOf recomputes the zero-new-coverage plateau counter from a

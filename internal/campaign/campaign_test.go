@@ -287,16 +287,18 @@ func TestLLMArmSchedules(t *testing.T) {
 // rollouts must match as well. A reseed allocates nothing.
 func TestArmReseedInPlaceMatchesFresh(t *testing.T) {
 	p := learnPipeline()
-	learner, rep := LearningLLMArm(p).newLearner(0)
+	inst, fuzz, llm, learn := RandInstArm(testBody), RandFuzzArm(testBody), LLMArm(p), LearningLLMArm(p)
+	learner, rep := learn.newLearner(0)
 	// The learning arm's rollouts go to a tap instead of its replica, so
 	// they can be held to a fresh generator's.
 	armTap, freshTap := &rolloutTap{}, &rolloutTap{}
 	learner.(*learnArm).Sink = armTap
 	cases := []struct {
+		name  string
 		arm   arm
 		fresh func(seed int64, n int) []prog.Program
 	}{
-		{RandInstArm(testBody).build(0), func(seed int64, n int) []prog.Program {
+		{inst.Name, inst.build(0), func(seed int64, n int) []prog.Program {
 			rng := rand.New(rand.NewSource(seed))
 			out := make([]prog.Program, n)
 			for i := range out {
@@ -304,15 +306,15 @@ func TestArmReseedInPlaceMatchesFresh(t *testing.T) {
 			}
 			return out
 		}},
-		{RandFuzzArm(testBody).build(0), func(seed int64, n int) []prog.Program {
+		{fuzz.Name, fuzz.build(0), func(seed int64, n int) []prog.Program {
 			g := randfuzz.New(seed, testBody)
 			g.Raw = true
 			return g.GenerateBatch(n)
 		}},
-		{LLMArm(p).build(0), func(seed int64, n int) []prog.Program {
+		{llm.Name, llm.build(0), func(seed int64, n int) []prog.Program {
 			return core.NewLLMGenerator(p, 0, seed).GenerateBatch(n)
 		}},
-		{learner, func(seed int64, n int) []prog.Program {
+		{learn.Name, learner, func(seed int64, n int) []prog.Program {
 			g := core.NewReplicaGenerator(p, rep.Model, freshTap, 0, seed)
 			progs := g.GenerateBatch(n)
 			g.Feedback(make([]cov.Scores, n))
@@ -327,11 +329,11 @@ func TestArmReseedInPlaceMatchesFresh(t *testing.T) {
 			got := a.GenerateBatch(5)
 			a.Feedback(make([]cov.Scores, 5))
 			if want := c.fresh(seed, 5); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s seed %d: reseeded arm diverges from a fresh generator", a.Name(), seed)
+				t.Fatalf("%s seed %d: reseeded arm diverges from a fresh generator", c.name, seed)
 			}
 		}
 		if n := testing.AllocsPerRun(10, func() { a.Reseed(9) }); n != 0 {
-			t.Errorf("%s: Reseed allocates %.0f times, want 0", a.Name(), n)
+			t.Errorf("%s: Reseed allocates %.0f times, want 0", c.name, n)
 		}
 	}
 	// The learning arm ran last: its final batch's rollouts.

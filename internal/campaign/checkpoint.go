@@ -409,7 +409,7 @@ func ResumeMixed(r io.Reader, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orch
 // ResumeExec is the general resume entry: it rebuilds a (possibly
 // heterogeneous) fleet from a checkpoint and runs it under ex — the
 // same Exec a fresh fleet takes through Config.Exec, so a resumed
-// fleet is probed and traced exactly like a new one. The
+// fleet is traced and metered exactly like a new one. The
 // caller supplies the same DUT constructors and arm specs as the
 // original run (functions cannot be serialized); newDUTs must
 // reproduce the original shard-to-design mapping (shard s gets

@@ -31,11 +31,11 @@ var production = []struct {
 	exec func() Exec
 }{
 	{"production", func() Exec { return Exec{} }},
-	// Full observability: flight recorder, metrics registry and probes
-	// all armed — the acceptance property of the telemetry plane.
+	// Full observability: flight recorder and metrics registry, so the
+	// barrier is timed too — the acceptance property of the telemetry
+	// plane.
 	{"observed", func() Exec {
 		return Exec{
-			Probe:     true,
 			Telemetry: telemetry.NewRecorder(io.Discard),
 			Metrics:   telemetry.NewRegistry(),
 		}
@@ -90,7 +90,7 @@ func TestFleetPoolDeterminismTable(t *testing.T) {
 						if err := o.Checkpoint(&buf); err != nil {
 							t.Fatalf("%s: Checkpoint: %v", label, err)
 						}
-						res := result{traj: o.Trajectory(), ckpt: buf.Bytes(), pool: o.PoolStats()}
+						res := result{traj: o.Trajectory(), ckpt: buf.Bytes(), pool: o.pool.Stats()}
 						if res.pool.Submitted != o.Tests() && !ex.Serial {
 							t.Errorf("%s: pool saw %d entries for %d tests", label, res.pool.Submitted, o.Tests())
 						}
@@ -164,39 +164,49 @@ func (s *slowDUT) Run(img mem.Image, maxInsts int) rtl.Result {
 func TestFleetPoolShrinksBarrierWait(t *testing.T) {
 	newSlow := func() rtl.DUT { return &slowDUT{DUT: newRocket(), delay: 2 * time.Millisecond} }
 	const shards, batch, rounds = 4, 8, 3
-	run := func(spare int) (ProbeSummary, []core.ProgressPoint) {
+	type probe struct {
+		simWaitMS float64 // the probe/sim_wait_ms sum over the rounds
+		helped    int     // entries the shards' own committers ran
+	}
+	run := func(spare int) (probe, []core.ProgressPoint) {
 		withProcs(t, shards+spare)
-		cfg := Config{Shards: shards, BatchSize: batch, Seed: 35, Exec: Exec{Probe: true}}
+		reg := telemetry.NewRegistry()
+		cfg := Config{Shards: shards, BatchSize: batch, Seed: 35, Exec: Exec{Metrics: reg}}
 		o, err := NewMixed(cfg, []func() rtl.DUT{newRocket, newSlow}, testArms()...)
 		if err != nil {
 			t.Fatalf("NewMixed: %v", err)
 		}
 		defer o.Close()
 		o.RunRounds(rounds)
-		return o.ProbeSummary(), o.Trajectory()
+		sim := reg.Snapshot().Histograms["probe/sim_wait_ms"]
+		if sim.Count != rounds {
+			t.Fatalf("probe/sim_wait_ms has %d samples for %d rounds", sim.Count, rounds)
+		}
+		return probe{simWaitMS: sim.Sum, helped: o.pool.Stats().Helped}, o.Trajectory()
 	}
 
 	none, noneTraj := run(0)
 	spare, spareTraj := run(4)
-	t.Logf("no spare cores:   %v", none)
-	t.Logf("four spare cores: %v", spare)
+	t.Logf("no spare cores:   %+v", none)
+	t.Logf("four spare cores: %+v", spare)
 
 	// The skew is real in both runs; spare cores must absorb it. The
 	// typical shrink is ~2x; asserting only a 25% cut keeps scheduler
-	// noise on loaded CI runners out of the verdict. SimWait is the
+	// noise on loaded CI runners out of the verdict. Sim wait is the
 	// pool's own metric — the sim-finish skew workers absorb — though with
-	// frozen arms LearnWait is zero and BarrierWait would read the same.
-	if spare.SimWait >= none.SimWait*3/4 {
-		t.Errorf("sim wait with spare cores %v did not shrink vs none %v (want < 3/4)",
-			spare.SimWait, none.SimWait)
+	// frozen arms the learn wait is zero and the barrier wait would read
+	// the same.
+	if spare.simWaitMS >= none.simWaitMS*3/4 {
+		t.Errorf("sim wait with spare cores %.2f ms did not shrink vs none %.2f ms (want < 3/4)",
+			spare.simWaitMS, none.simWaitMS)
 	}
-	if spare.Helped >= shards*batch*rounds {
+	if spare.helped >= shards*batch*rounds {
 		t.Error("committers ran every entry despite four pool workers; the pool was idle")
 	}
-	if none.Helped != shards*batch*rounds {
-		t.Errorf("empty pool: %d of %d entries committer-run", none.Helped, shards*batch*rounds)
+	if none.helped != shards*batch*rounds {
+		t.Errorf("empty pool: %d of %d entries committer-run", none.helped, shards*batch*rounds)
 	}
-	// Probing and pool size must not perturb the trajectory.
+	// Timing and pool size must not perturb the trajectory.
 	if len(noneTraj) != len(spareTraj) {
 		t.Fatalf("trajectories have %d vs %d points", len(noneTraj), len(spareTraj))
 	}
@@ -207,13 +217,13 @@ func TestFleetPoolShrinksBarrierWait(t *testing.T) {
 	}
 }
 
-// TestPoolStatsAccessor: every fleet has a pool, and it accounts for
-// every test the fleet ran.
-func TestPoolStatsAccessor(t *testing.T) {
+// TestFleetPoolCountsEveryTest: every fleet has a pool, and it
+// accounts for every test the fleet ran.
+func TestFleetPoolCountsEveryTest(t *testing.T) {
 	o := mustNew(t, Config{Shards: 2, BatchSize: 4, Seed: 37})
 	defer o.Close()
 	o.RunRounds(2)
-	st := o.PoolStats()
+	st := o.pool.Stats()
 	if st.Submitted != 2*2*4 {
 		t.Errorf("pool saw %d entries, want %d", st.Submitted, 2*2*4)
 	}

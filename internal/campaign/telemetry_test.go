@@ -2,7 +2,7 @@ package campaign
 
 // Tests for the observability plane: the flight-recorder trace an
 // instrumented fleet emits, the metrics registry the barrier updates,
-// and the independence of returned probes from orchestrator state.
+// and both under resume.
 
 import (
 	"bytes"
@@ -68,13 +68,14 @@ func TestTelemetryTraceCoversEveryLayer(t *testing.T) {
 
 // TestMetricsMatchOrchestratorState: the registry's post-run gauges
 // must agree with the orchestrator's own accessors — the metrics plane
-// observes, it does not recompute.
+// observes, it does not recompute — and a registry alone times the
+// barrier.
 func TestMetricsMatchOrchestratorState(t *testing.T) {
 	withProcs(t, 4+3)
 	reg := telemetry.NewRegistry()
 	cfg := Config{
 		Shards: 4, BatchSize: 4, Seed: 43, Detect: true,
-		Exec: Exec{Probe: true, Metrics: reg},
+		Exec: Exec{Metrics: reg},
 	}
 	o, err := NewMixed(cfg, []func() rtl.DUT{newRocket, newBoom}, testArms()...)
 	if err != nil {
@@ -103,11 +104,12 @@ func TestMetricsMatchOrchestratorState(t *testing.T) {
 		check("arm/"+a.Name+"/pulls", float64(a.Pulls))
 		check("arm/"+a.Name+"/mean_reward", a.MeanReward)
 	}
-	st := o.PoolStats()
+	st := o.pool.Stats()
 	check("pool/workers", 3)
 	check("pool/submitted", float64(st.Submitted))
 	check("pool/executed", float64(st.Executed))
-	// Probe was on, so the wait histograms must have one sample per round.
+	// The registry is the only observer, and the wait histograms still
+	// have one sample per round.
 	for _, h := range []string{"probe/sim_wait_ms", "probe/learn_wait_ms", "probe/barrier_wait_ms", "probe/spread_ms"} {
 		if got := s.Histograms[h].Count; got != int64(o.Rounds()) {
 			t.Errorf("%s has %d samples, want %d", h, got, o.Rounds())
@@ -118,26 +120,9 @@ func TestMetricsMatchOrchestratorState(t *testing.T) {
 	}
 }
 
-// TestProbeSummaryZeroRounds: a probed fleet that never ran a round
-// must summarise (and render) cleanly, not panic on empty state.
-func TestProbeSummaryZeroRounds(t *testing.T) {
-	o := mustNew(t, Config{Shards: 2, BatchSize: 4, Exec: Exec{Probe: true}})
-	defer o.Close()
-	s := o.ProbeSummary()
-	if s.Rounds != 0 || s.Helped != 0 || s.BarrierWait != 0 {
-		t.Errorf("zero-round summary is not zero: %+v", s)
-	}
-	if str := s.String(); str == "" {
-		t.Error("zero-round summary renders empty")
-	}
-	if probes := o.Probes(); len(probes) != 0 {
-		t.Errorf("zero rounds recorded %d probes", len(probes))
-	}
-}
-
 // TestResumeHonoursExec: Resume* takes the same Exec as New*. A fleet
-// resumed under a recorder, a registry and probes produces spans,
-// metrics and probes for the rounds it runs after the resume, and —
+// resumed under a recorder and a registry produces spans and metrics,
+// barrier waits included, for the rounds it runs after the resume, and —
 // observation being execution-only — ends on the checkpoint bytes of
 // the same fleet run unobserved and uninterrupted.
 func TestResumeHonoursExec(t *testing.T) {
@@ -174,7 +159,6 @@ func TestResumeHonoursExec(t *testing.T) {
 
 	var trace bytes.Buffer
 	ex := Exec{
-		Probe:     true,
 		Telemetry: telemetry.NewRecorder(&trace),
 		Metrics:   telemetry.NewRegistry(),
 	}
@@ -193,9 +177,6 @@ func TestResumeHonoursExec(t *testing.T) {
 
 	if !bytes.Equal(got, want) {
 		t.Error("observed resumed fleet's checkpoint differs from the unobserved uninterrupted one")
-	}
-	if n := len(resumed.Probes()); n != 2 {
-		t.Errorf("resumed fleet recorded %d probes for 2 rounds", n)
 	}
 	names := traceNames(t, trace.Bytes())
 	for _, span := range []string{telemetry.SpanGenerate, telemetry.SpanSim, telemetry.SpanCommit, telemetry.SpanRound, telemetry.SpanBarrier} {

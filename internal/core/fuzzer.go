@@ -40,9 +40,9 @@ type Options struct {
 	// assert; nothing else should set it.
 	Serial bool
 	// Telemetry, when non-nil, records the fuzzer's generate and
-	// commit spans on its own flight-recorder track (and is handed to
-	// the engine for per-worker build/sim/golden spans). Execution-
-	// only: never checkpointed, never read back.
+	// commit spans on its own flight-recorder track; the engine's
+	// build/sim/golden spans go to Pool's recorder. Execution-only:
+	// never checkpointed, never read back.
 	Telemetry *telemetry.Recorder
 	// TelemetryLabel names the fuzzer's track in the trace (default
 	// the DUT name; a sharded fleet passes "shard<N>/<design>").
@@ -101,11 +101,7 @@ func NewFuzzer(gen Generator, dut rtl.DUT, opts Options) *Fuzzer {
 	}
 	f.track = opts.Telemetry.NewTrack(label)
 	if !opts.Serial {
-		f.eng = engine.New(dut, engine.Config{
-			Detect:    opts.Detect,
-			Pool:      opts.Pool,
-			Telemetry: opts.Telemetry,
-		})
+		f.eng = engine.New(dut, engine.Config{Detect: opts.Detect, Pool: opts.Pool})
 	}
 	return f
 }

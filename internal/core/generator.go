@@ -18,7 +18,6 @@ func validWord(w uint32) bool { return isa.Decode(w).Valid() }
 // receives per-input coverage scores as feedback. Feedback always
 // refers to the most recent GenerateBatch call, in order.
 type Generator interface {
-	Name() string
 	GenerateBatch(n int) []prog.Program
 	Feedback(scores []cov.Scores)
 }
@@ -104,9 +103,6 @@ func (g *LLMGenerator) Reseed(seed int64) {
 	g.lastRolls = g.lastRolls[:0]
 	g.rollTest = g.rollTest[:0]
 }
-
-// Name implements Generator.
-func (g *LLMGenerator) Name() string { return "chatfuzz" }
 
 // GenerateBatch implements Generator. Each test vector is assembled
 // from one or more model generations: a corpus prompt is completed by

@@ -64,14 +64,10 @@ type Config struct {
 	// pool may have zero workers, and then the committer runs every
 	// entry itself). The pool is owned by whoever built it: Close
 	// releases only the engine. See the FleetPool documentation for the
-	// claim order, commit order and determinism contract.
+	// claim order, commit order and determinism contract. The engine's
+	// committer records its build/sim/golden spans on the pool's flight
+	// recorder, as the pool's workers do.
 	Pool *FleetPool
-	// Telemetry, when non-nil, records per-job build/sim/golden spans
-	// on per-executor flight-recorder tracks. Execution-only: spans
-	// observe the run and never reach scheduling or checkpointed
-	// state; nil disables recording at the cost of one branch per
-	// span. The pool's recorder is used when this one is nil.
-	Telemetry *telemetry.Recorder
 }
 
 // Outcome is the execution result of one program of a round.
@@ -132,7 +128,6 @@ type shared struct {
 	dut       rtl.DUT
 	design    string // dut.Name(), the key executors cache runners under
 	detect    bool
-	rec       *telemetry.Recorder // nil = telemetry disabled
 	pool      *poolState
 	committer *worker // the engine's own executor: scratch bound to
 	// design for life, touched only by the owner goroutine inside Each
@@ -294,11 +289,8 @@ type Engine struct {
 
 // New builds an engine over dut submitting to cfg.Pool.
 func New(dut rtl.DUT, cfg Config) *Engine {
-	sh := &shared{dut: dut, design: dut.Name(), detect: cfg.Detect, rec: cfg.Telemetry, pool: cfg.Pool.ps}
-	if sh.rec == nil {
-		sh.rec = sh.pool.rec
-	}
-	sh.committer = &worker{track: sh.rec.NewTrack(sh.design + "/committer")}
+	sh := &shared{dut: dut, design: dut.Name(), detect: cfg.Detect, pool: cfg.Pool.ps}
+	sh.committer = &worker{track: sh.pool.rec.NewTrack(sh.design + "/committer")}
 	sh.committer.bind(sh)
 	r := &Round{sh: sh}
 	r.cond = sync.NewCond(&r.mu)

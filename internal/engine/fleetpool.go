@@ -227,7 +227,7 @@ func (ps *poolState) workerLoop() {
 			r, i, ok = ps.claim()
 		}
 		ps.mu.Unlock()
-		// Execution-only: busy-time counters feed FleetStats/probes,
+		// Execution-only: busy-time counters feed FleetStats and its gauges,
 		// which are never checkpointed and never influence scheduling.
 		//lint:allow wallclock pool utilization timing is execution-only
 		t0 := time.Now()

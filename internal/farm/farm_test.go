@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -530,6 +531,29 @@ func TestFarmHTTPRoundTrip(t *testing.T) {
 	for i, rep := range seen {
 		if rep.Round != i+1 {
 			t.Fatalf("watch stream out of order at %d: %+v", i, rep)
+		}
+	}
+
+	// A resumed watch starts at the index it names, and an index that is
+	// not a whole non-negative decimal number is refused, not truncated.
+	var resumed []RoundReport
+	if _, err := c.Watch(st.ID, 2, func(rep RoundReport) error {
+		resumed = append(resumed, rep)
+		return nil
+	}); err != nil {
+		t.Fatalf("Watch from 2: %v", err)
+	}
+	if !reflect.DeepEqual(resumed, seen[2:]) {
+		t.Errorf("watch from 2 streamed %+v, want %+v", resumed, seen[2:])
+	}
+	for _, from := range []string{"5abc", "0x10", "3 7", "-1"} {
+		resp, err := http.Get("http://" + s.Addr() + "/api/v1/jobs/" + st.ID + "/rounds?from=" + url.QueryEscape(from))
+		if err != nil {
+			t.Fatalf("GET rounds?from=%q: %v", from, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("rounds?from=%q answered %s, want 400", from, resp.Status)
 		}
 	}
 

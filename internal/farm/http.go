@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"strconv"
 
 	"chatfuzz/internal/telemetry"
 )
@@ -93,7 +94,8 @@ func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request) {
 	}
 	from := 0
 	if q := r.URL.Query().Get("from"); q != "" {
-		if _, err := fmt.Sscanf(q, "%d", &from); err != nil || from < 0 {
+		var err error
+		if from, err = strconv.Atoi(q); err != nil || from < 0 {
 			http.Error(w, "bad from index", http.StatusBadRequest)
 			return
 		}

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -205,48 +204,4 @@ func (g *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Series returns every registered series name, sorted — the metric
-// name table a consumer can discover without parsing a snapshot.
-func (g *Registry) Series() []string {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	names := make([]string, 0, len(g.counters)+len(g.gauges)+len(g.hists))
-	for n := range g.counters {
-		names = append(names, n)
-	}
-	for n := range g.gauges {
-		names = append(names, n)
-	}
-	for n := range g.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// String renders a compact one-line-per-series dump, for debugging.
-func (g *Registry) String() string {
-	s := g.Snapshot()
-	names := make([]string, 0, len(s.Counters)+len(s.Gauges))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := ""
-	for _, n := range names {
-		if c, ok := s.Counters[n]; ok {
-			out += fmt.Sprintf("%s %d\n", n, c)
-		} else {
-			out += fmt.Sprintf("%s %g\n", n, s.Gauges[n])
-		}
-	}
-	return out
 }
