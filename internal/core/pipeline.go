@@ -141,9 +141,12 @@ func (p *Pipeline) logf(format string, args ...any) {
 }
 
 // Pretrain is training step 1: the model learns the machine language
-// by next-token prediction over tokenised corpus functions.
+// by next-token prediction over tokenised corpus functions. Every
+// step's tape lives in one arena, rewound once the step has updated the
+// weights, so a step after the first allocates little beyond its batch.
 func (p *Pipeline) Pretrain() []float64 {
 	opt := nn.NewAdam(p.Model.Params(), p.Cfg.PretrainLR)
+	var arena tensor.Arena
 	losses := make([]float64, 0, p.Cfg.PretrainSteps)
 	for step := 0; step < p.Cfg.PretrainSteps; step++ {
 		fns := p.Corpus.Sample(p.rng, p.Cfg.PretrainBatch)
@@ -156,10 +159,11 @@ func (p *Pipeline) Pretrain() []float64 {
 			batch[i] = seq
 		}
 		opt.ZeroGrad()
-		loss, val := p.Model.LMLoss(batch)
+		loss, val := p.Model.LMLoss(&arena, batch)
 		tensor.Backward(loss)
 		opt.ClipGradNorm(1)
 		opt.Step()
+		arena.Reset()
 		losses = append(losses, val)
 		if step%50 == 0 {
 			p.logf("step1 pretrain %4d/%d  loss %.4f", step, p.Cfg.PretrainSteps, val)
@@ -265,12 +269,14 @@ func (p *Pipeline) Run(dut rtl.DUT) {
 
 // InvalidRate measures the model's current rate of invalid
 // instructions over n sampled generations — the quantity step 2
-// minimises.
+// minimises. It reads only tokens, so nothing is recorded for a
+// learner.
 func (p *Pipeline) InvalidRate(n int) float64 {
+	s := nn.NewSampler(p.Model)
 	words, invalid := 0, 0
 	for i := 0; i < n; i++ {
 		pr := p.prompts(1)[0]
-		res := p.Model.Generate(p.rng, pr, 2*p.Cfg.BodyInstrs, 1.0, 0, tok.EOS)
+		res := s.Generate(p.rng, pr, 2*p.Cfg.BodyInstrs, 1.0, 0, tok.EOS, false)
 		ws := p.Tok.Decode(res.Tokens[res.PromptN:])
 		for _, w := range ws {
 			words++

@@ -590,6 +590,45 @@ func TestFarmHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFarmHTTPSubmitTakesOneSpec: a submission is one JSON spec and
+// nothing after it but whitespace, in a body of at most maxSpecBytes.
+// A second value or trailing garbage used to be ignored and the first
+// spec queued.
+func TestFarmHTTPSubmitTakesOneSpec(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir(), Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Stop()
+	spec, err := json.Marshal(testSpec(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"trailing object", string(spec) + `{"Tests":1}`, http.StatusBadRequest},
+		{"trailing garbage", string(spec) + " trailing garbage", http.StatusBadRequest},
+		{"trailing brace", string(spec) + "}", http.StatusBadRequest},
+		{"oversize", string(spec) + strings.Repeat(" ", maxSpecBytes), http.StatusBadRequest},
+		{"plain", string(spec) + "\n", http.StatusOK},
+	} {
+		resp, err := http.Post("http://"+s.Addr()+"/api/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: POST: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: answered %s, want %d", tc.name, resp.Status, tc.want)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 1 {
+		t.Errorf("%d jobs queued, want the plain spec's one", len(jobs))
+	}
+}
+
 // TestFarmTrajectoryServedFromCheckpointAfterRestart: a restarted
 // daemon has no in-memory history for already-finished jobs; the watch
 // stream and the trajectory endpoint both fall back to the durable

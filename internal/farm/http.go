@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -52,12 +53,23 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxSpecBytes bounds a submitted body; a JobSpec is a few hundred
+// bytes.
+const maxSpecBytes = 1 << 20
+
+// handleSubmit takes exactly one JSON JobSpec: a body that carries
+// anything but whitespace after it is refused, as is one over
+// maxSpecBytes.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		http.Error(w, fmt.Sprintf("bad job spec: %v", err), http.StatusBadRequest)
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		http.Error(w, "bad job spec: more than one JSON value, or over 1 MiB", http.StatusBadRequest)
 		return
 	}
 	st, err := s.Submit(spec)

@@ -18,7 +18,8 @@
 // The batch path pays per row for what the loss reads: a batch is
 // packed, one row per token and no padding, and from the last block's
 // attention on only the rows the caller names are computed (PPO reads
-// about a quarter of a batch). See Hidden.
+// about a quarter of a batch). A sequence's last token predicts
+// nothing, so neither PPO nor LMLoss feeds it. See Hidden.
 //
 // Generation pays per position for what is read there, as the batch
 // path pays per row. A prompt position costs the backbone: nobody
@@ -237,7 +238,9 @@ func (m *GPT) SetFlatParams(w []float64) error {
 // every row — as [len(rows), D] in that order. Callers apply Head (and
 // VHead/VBias) to them: every row for the LM loss, the scored rows for
 // PPO. The tape lives in a (nil: the heap), and so does everything
-// computed from its result; see tensor.Arena.
+// computed from its result; see tensor.Arena. PPO passes its
+// trainer's arena and pretraining (LMLoss) its stage's; everything
+// else passes nil.
 //
 // Rows only matter from the last block's attention on: its keys and
 // values still come from every row (later queries of a sequence need
@@ -296,17 +299,27 @@ func (m *GPT) Values(h *tensor.Tensor) *tensor.Tensor {
 	return tensor.AddBias(tensor.MatMul(h, m.VHead), m.VBias)
 }
 
-// LMLoss computes the next-token cross-entropy over a batch
-// (training step 1): every position but a sequence's last predicts its
-// successor. Returns the loss node and its scalar value.
-func (m *GPT) LMLoss(batchSeqs [][]int) (*tensor.Tensor, float64) {
-	logits := m.Logits(batchSeqs)
-	targets := make([]int, 0, logits.R)
+// LMLoss computes the next-token cross-entropy over a batch (training
+// step 1), its tape in a (nil: the heap): every position but a
+// sequence's last predicts its successor. Returns the loss node and its
+// scalar value.
+//
+// Each sequence is fed without its last token, and its targets are
+// seq[1:]. The last position predicts nothing and, attention being
+// causal, no query reads it, so its loss term and every gradient it
+// would send are exact zeros: leaving it out moves no bit, the argument
+// PPO's batches rest on too (FuzzLMLossMatchesMasked). A sequence of
+// one token or none predicts nothing and is dropped; a batch with no
+// predicting token has loss 0.
+func (m *GPT) LMLoss(a *tensor.Arena, batchSeqs [][]int) (*tensor.Tensor, float64) {
+	seqs := make([][]int, 0, len(batchSeqs))
+	var targets []int
 	for _, seq := range batchSeqs {
-		if len(seq) > 0 {
-			targets = append(append(targets, seq[1:]...), -1)
+		if len(seq) > 1 {
+			seqs = append(seqs, seq[:len(seq)-1])
+			targets = append(targets, seq[1:]...)
 		}
 	}
-	loss := tensor.CrossEntropy(logits, targets)
+	loss := tensor.CrossEntropy(tensor.MatMul(m.Hidden(a, seqs, nil), m.Head), targets)
 	return loss, loss.Data[0]
 }

@@ -51,7 +51,7 @@ func TestOverfitTinyCorpus(t *testing.T) {
 	var first, last float64
 	for step := 0; step < 150; step++ {
 		opt.ZeroGrad()
-		loss, val := m.LMLoss(batch)
+		loss, val := m.LMLoss(nil, batch)
 		if step == 0 {
 			first = val
 		}
@@ -741,7 +741,7 @@ func TestGoldenPretrain(t *testing.T) {
 	}
 	for step := 0; step < 20; step++ {
 		opt.ZeroGrad()
-		loss, _ := m.LMLoss(batch)
+		loss, _ := m.LMLoss(nil, batch)
 		tensor.Backward(loss)
 		opt.ClipGradNorm(1)
 		opt.Step()
@@ -986,6 +986,77 @@ func FuzzPackedMatchesPadded(f *testing.F) {
 	})
 }
 
+// lmLossMasked is LMLoss as it was before sequences were fed without
+// their last token, kept as its oracle: on the heap, every sequence
+// whole, each one's last row given target −1 so that CrossEntropy
+// skips it. It runs the backward pass and returns the loss.
+func lmLossMasked(m *GPT, batch [][]int) float64 {
+	logits := m.Logits(batch)
+	targets := make([]int, 0, logits.R)
+	for _, seq := range batch {
+		if len(seq) > 0 {
+			targets = append(append(targets, seq[1:]...), -1)
+		}
+	}
+	loss := tensor.CrossEntropy(logits, targets)
+	tensor.Backward(loss)
+	return loss.Data[0]
+}
+
+// FuzzLMLossMatchesMasked holds LMLoss, on an arena reused from input
+// to input, to lmLossMasked bit for bit: the loss and every parameter's
+// gradient, over up to eight sequences of 0..Ctx tokens (one byte of
+// lens each) with tokens drawn from seed.
+func FuzzLMLossMatchesMasked(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 0}, int64(1)) // no sequence predicts a token
+	f.Add([]byte{}, int64(2))
+	f.Add([]byte{3, 0, 11, 1}, int64(3))
+	f.Add([]byte{12, 12, 2}, int64(4))
+	f.Add([]byte{2, 5, 7, 12, 1, 9, 4, 6}, int64(5))
+	cfg := Config{Vocab: 19, Ctx: 12, Dim: 16, Heads: 2, Layers: 2}
+	m := NewGPT(cfg, rand.New(rand.NewSource(48)))
+	params := m.Params()
+	grads := func() [][]float64 {
+		out := make([][]float64, len(params))
+		for i, p := range params {
+			out[i] = slices.Clone(p.Grad)
+			p.ZeroGrad()
+		}
+		return out
+	}
+	var arena tensor.Arena
+	f.Fuzz(func(t *testing.T, lens []byte, seed int64) {
+		if len(lens) > 8 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		batch := make([][]int, len(lens))
+		for s, b := range lens {
+			batch[s] = make([]int, int(b)%(cfg.Ctx+1))
+			for i := range batch[s] {
+				batch[s][i] = rng.Intn(cfg.Vocab)
+			}
+		}
+		grads()
+		want := lmLossMasked(m, batch)
+		wantGrads := grads()
+		loss, got := m.LMLoss(&arena, batch)
+		tensor.Backward(loss)
+		gotGrads := grads()
+		arena.Reset()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("lengths %v: loss %v, masked oracle %v", lens, got, want)
+		}
+		for i := range params {
+			for j, g := range gotGrads[i] {
+				if math.Float64bits(g) != math.Float64bits(wantGrads[i][j]) {
+					t.Fatalf("lengths %v: parameter %d scalar %d gradient %v, masked oracle %v", lens, i, j, g, wantGrads[i][j])
+				}
+			}
+		}
+	})
+}
+
 // TestHiddenRowsIsAGatherOfHidden: asking Hidden for some rows returns
 // those rows of the call that asks for all, bit for bit.
 func TestHiddenRowsIsAGatherOfHidden(t *testing.T) {
@@ -1035,7 +1106,7 @@ func TestLMLossMatchesPaddedOracle(t *testing.T) {
 				seqs[s][i] = (3*s + 5*i) % cfg.Vocab
 			}
 		}
-		_, got := m.LMLoss(seqs)
+		_, got := m.LMLoss(nil, seqs)
 		h, T := hiddenPaddedRef(m, seqs, 0)
 		targets := make([]int, h.R)
 		for i := range targets {

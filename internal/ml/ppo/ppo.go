@@ -72,8 +72,9 @@ type Trainer struct {
 	Opt    *nn.Adam
 	Cfg    Config
 
-	rng   *rand.Rand
-	arena tensor.Arena // the tapes of StepRollouts
+	rng     *rand.Rand
+	arena   tensor.Arena // the tapes of StepRollouts
+	sampler *nn.Sampler  // Step's generations from Policy, made on first use
 }
 
 // NewTrainer clones the policy as the frozen reference and sets up the
@@ -134,9 +135,12 @@ func FromGeneration(res nn.GenerateResult, score float64) *Rollout {
 // clipped surrogate for Cfg.Epochs epochs.
 func (t *Trainer) Step(prompts [][]int, reward RewardFunc) Stats {
 	cfg := t.Cfg
+	if t.sampler == nil {
+		t.sampler = nn.NewSampler(t.Policy)
+	}
 	rolls := make([]*Rollout, 0, len(prompts))
 	for _, p := range prompts {
-		res := t.Policy.Generate(t.rng, p, cfg.MaxNewTokens, cfg.Temperature, cfg.TopK, cfg.EOS)
+		res := t.sampler.Generate(t.rng, p, cfg.MaxNewTokens, cfg.Temperature, cfg.TopK, cfg.EOS, true)
 		if len(res.Tokens) == res.PromptN {
 			continue // context exhausted; nothing generated
 		}

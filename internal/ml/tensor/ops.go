@@ -269,8 +269,7 @@ func CausalSelfAttention(qkv *Tensor, heads int, offs, queries []int) *Tensor {
 
 // CrossEntropy computes the mean negative log-likelihood of targets
 // under row-wise softmax of logits [N,V]. Rows with target < 0 are
-// ignored (a sequence's last position has no successor to predict).
-// Returns a scalar tensor.
+// ignored. Returns a scalar tensor.
 func CrossEntropy(logits *Tensor, targets []int) *Tensor {
 	if len(targets) != logits.R {
 		panic("tensor: cross-entropy target length")

@@ -17,6 +17,7 @@ targets='
 ./internal/mem:FuzzMemoryMatchesReference
 ./internal/simtest:FuzzResumeMatchesReset
 ./internal/ml/nn:FuzzPackedMatchesPadded
+./internal/ml/nn:FuzzLMLossMatchesMasked
 ./internal/ml/tensor:FuzzAxpy4MatchesScalar
 ./internal/ml/tensor:FuzzMulRowMatchesScalar
 ./internal/ml/tensor:FuzzTranscendentalRowsMatchMath
