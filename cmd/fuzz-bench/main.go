@@ -78,6 +78,22 @@ func campaignFlags() (*flag.FlagSet, func() (farm.JobSpec, error), *campaignOpts
 	return fs, fleet, c
 }
 
+// checkResume reads the checkpoint at path and checks its arm
+// signatures against the arms spec builds on an untrained pipeline of
+// pcfg, whose model shape and vocabulary are the trained one's: no
+// pipeline step runs.
+func checkResume(path string, spec farm.JobSpec, pcfg core.PipelineConfig) error {
+	info, err := campaign.ReadCheckpointInfo(path)
+	if err != nil {
+		return err
+	}
+	_, _, arms, err := spec.Fleet(core.NewPipeline(pcfg))
+	if err != nil {
+		return err
+	}
+	return info.CheckArms(arms...)
+}
+
 // campaignMain runs the orchestrator subcommand.
 func campaignMain(args []string) {
 	fs, fleet, c := campaignFlags()
@@ -86,6 +102,11 @@ func campaignMain(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	pcfg := core.DefaultPipelineConfig()
+	if c.quickPipe {
+		pcfg = core.TestPipelineConfig()
+	}
+	pcfg.Log = os.Stdout
 	// Fail fast on a bad checkpoint before any expensive work: an LLM
 	// arm's pipeline trains for minutes, and discovering a missing file
 	// or mismatched arm set afterwards wastes all of it.
@@ -93,25 +114,10 @@ func campaignMain(args []string) {
 		if c.checkpoint == "" {
 			log.Fatal("-resume requires -checkpoint")
 		}
-		info, err := campaign.ReadCheckpointInfo(c.checkpoint)
-		if err != nil {
+		if err := checkResume(c.checkpoint, spec, pcfg); err != nil {
 			log.Fatalf("resume: %v", err)
 		}
-		have := make([]string, len(info.Arms))
-		for i, sig := range info.Arms {
-			have[i], _, _ = strings.Cut(sig, "/")
-		}
-		if !slices.Equal(have, spec.Arms) {
-			log.Fatalf("resume: checkpoint has arms %s but -arms names %s (pass the original run's -arms)",
-				strings.Join(have, ","), strings.Join(spec.Arms, ","))
-		}
 	}
-
-	pcfg := core.DefaultPipelineConfig()
-	if c.quickPipe {
-		pcfg = core.TestPipelineConfig()
-	}
-	pcfg.Log = os.Stdout
 	p, err := spec.Pipeline(pcfg)
 	if err != nil {
 		log.Fatalf("campaign: %v", err)

@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"maps"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"chatfuzz/internal/campaign"
+	"chatfuzz/internal/core"
 	"chatfuzz/internal/farm"
 )
 
@@ -139,5 +143,51 @@ func TestFrozenTwin(t *testing.T) {
 		if !slices.Equal(spec.Arms, tc.arms) {
 			t.Errorf("frozenTwin(%q) changed the spec's arms to %q", tc.arms, spec.Arms)
 		}
+	}
+}
+
+// TestResumeRefusesPipelineShapeBeforeTraining: a checkpoint of a
+// test-scale pipeline's fleet, resumed with the default pipeline's
+// flags (no -quickpipe), is refused on its arm signatures before any
+// pipeline step runs — the untrained pipeline the check builds logs
+// nothing — and the same fleet's flags pass.
+func TestResumeRefusesPipelineShapeBeforeTraining(t *testing.T) {
+	fs, fleet, _ := campaignFlags()
+	if err := fs.Parse([]string{"-arms", "chatfuzz,thehuzz", "-shards", "1", "-batch", "4", "-body", "8", "-tests", "8"}); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := fleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, duts, arms, err := spec.Fleet(core.NewPipeline(core.TestPipelineConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := campaign.NewMixed(cfg, duts, arms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	err = o.CheckpointFile(path)
+	o.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var log bytes.Buffer
+	same := core.TestPipelineConfig()
+	same.Log = &log
+	if err := checkResume(path, spec, same); err != nil {
+		t.Errorf("the checkpoint's own fleet refused: %v", err)
+	}
+	other := core.DefaultPipelineConfig()
+	other.Log = &log
+	err = checkResume(path, spec, other)
+	if err == nil || !strings.Contains(err.Error(), `arm 0 is "chatfuzz/ctx=48,`) {
+		t.Errorf("default pipeline against a test-scale checkpoint: error %v, want arm 0's signatures", err)
+	}
+	if log.Len() > 0 {
+		t.Errorf("the check ran a pipeline step:\n%s", log.String())
 	}
 }

@@ -423,13 +423,8 @@ func ResumeExec(r io.Reader, ex Exec, newDUTs []func() rtl.DUT, specs ...ArmSpec
 	if err != nil {
 		return nil, err
 	}
-	if len(cf.Arms) != len(specs) {
-		return nil, fmt.Errorf("campaign: checkpoint has %d arms, got %d specs", len(cf.Arms), len(specs))
-	}
-	for i, sig := range cf.Arms {
-		if specs[i].sig != sig {
-			return nil, fmt.Errorf("campaign: arm %d is %q in checkpoint, %q in specs", i, sig, specs[i].sig)
-		}
+	if err := (CheckpointInfo{Arms: cf.Arms}).CheckArms(specs...); err != nil {
+		return nil, err
 	}
 	o, err := NewMixed(cf.Config.config(ex), newDUTs, specs...)
 	if err != nil {
@@ -555,6 +550,22 @@ type CheckpointInfo struct {
 	Arms []string
 	// Merged is the fleet's merged trajectory, one point per round.
 	Merged []core.ProgressPoint
+}
+
+// CheckArms reports whether specs are the checkpoint's arms, in order
+// and with the same signatures: the rule ResumeExec applies. An LLM
+// arm's signature reads only its pipeline's model shape, vocabulary and
+// body length, so an untrained pipeline of the same config will do.
+func (ci CheckpointInfo) CheckArms(specs ...ArmSpec) error {
+	if len(ci.Arms) != len(specs) {
+		return fmt.Errorf("campaign: checkpoint has %d arms, got %d specs", len(ci.Arms), len(specs))
+	}
+	for i, sig := range ci.Arms {
+		if specs[i].sig != sig {
+			return fmt.Errorf("campaign: arm %d is %q in checkpoint, %q in specs", i, sig, specs[i].sig)
+		}
+	}
+	return nil
 }
 
 // ReadCheckpointInfo decodes a checkpoint's envelope without

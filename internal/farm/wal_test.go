@@ -1,9 +1,11 @@
 package farm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -313,4 +315,65 @@ func TestWALRefusesAppendsWhenRollbackFails(t *testing.T) {
 	if got := replayStrings(t, path); !slices.Equal(got, []string{"before"}) {
 		t.Fatalf("replay = %q, want [before]", got)
 	}
+}
+
+// walFrame is one queue-log frame as the package comment lays it out:
+// payload length, CRC-32 (IEEE) of the payload, payload.
+func walFrame(payload string) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE([]byte(payload)))
+	return append(b, payload...)
+}
+
+// FuzzReplayWAL opens arbitrary bytes as a queue log. openWAL never
+// panics and replays only frames whose CRC holds, from the start of the
+// file: framed again, they are its first bytes, and the file is cut to
+// exactly their length. An Append after that replays as those frames
+// plus the new one.
+func FuzzReplayWAL(f *testing.F) {
+	one, two := walFrame("one"), walFrame(`{"op":"submit","id":"job-1"}`)
+	f.Add([]byte{})
+	f.Add(one)
+	f.Add(append(slices.Clone(one), two...))
+	f.Add(append(slices.Clone(one), two[:10]...)) // torn mid-payload
+	f.Add(append(slices.Clone(one), two[:3]...))  // torn mid-header
+	rotten := append(slices.Clone(one), two...)
+	rotten[len(rotten)-1] ^= 0xFF
+	f.Add(rotten)
+	f.Add(append(slices.Clone(one), 0, 0, 0, 0x80, 0, 0, 0, 0)) // a length past the cap
+	f.Add(walFrame(""))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "queue.log")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, recs := openForTest(t, path)
+		var framed []byte
+		for _, r := range recs {
+			framed = append(framed, walFrame(string(r))...)
+		}
+		if !bytes.HasPrefix(raw, framed) {
+			t.Fatalf("replayed %q, whose frames are not the start of the log", recs)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != int64(len(framed)) {
+			t.Fatalf("log of %d bytes after replaying %d bytes of frames", fi.Size(), len(framed))
+		}
+		if err := w.Append([]byte("appended")); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		var want []string
+		for _, r := range recs {
+			want = append(want, string(r))
+		}
+		if got := replayStrings(t, path); !slices.Equal(got, append(want, "appended")) {
+			t.Fatalf("after an append the log replays %q, want %q", got, append(want, "appended"))
+		}
+	})
 }

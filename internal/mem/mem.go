@@ -93,9 +93,6 @@ func New(ranges ...Range) *Memory {
 	return m
 }
 
-// Ranges returns the mapped ranges in ascending base order.
-func (m *Memory) Ranges() []Range { return m.ranges }
-
 // Mapped reports whether the whole access [addr, addr+size) targets
 // mapped memory.
 func (m *Memory) Mapped(addr uint64, size int) bool {

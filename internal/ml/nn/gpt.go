@@ -27,7 +27,8 @@
 // softmax over the top-k survivors. The sampled token's log-probability
 // under the untempered policy and the value are PPO's rollout-time
 // inputs, so they are taken only for a caller that trains on them
-// (GPT.Generate always; a core.LLMGenerator when it has a learner).
+// (Sampler.Generate with record set: ppo.Trainer.Step always, a
+// core.LLMGenerator when it has a learner).
 // A token that ends a generation — eos, the last of the budget, the
 // one that fills the context — is never fed forward. Each shortcut
 // drops work whose result was unread, so tokens, recorded statistics
@@ -285,12 +286,6 @@ func (m *GPT) Hidden(a *tensor.Arena, batchSeqs [][]int, rows []int) *tensor.Ten
 		x = tensor.Add(x, mlp)
 	}
 	return tensor.LayerNorm(x, m.LNfg, m.LNfb)
-}
-
-// Logits runs the model over a packed batch (see Hidden) and returns
-// the logits [Σ len, V] of every row.
-func (m *GPT) Logits(batchSeqs [][]int) *tensor.Tensor {
-	return tensor.MatMul(m.Hidden(nil, batchSeqs, nil), m.Head)
 }
 
 // Values applies the value head to hidden states h ([N, D], rows of

@@ -24,7 +24,7 @@ func TestModelShapesAndParams(t *testing.T) {
 	if got := m.NumParams(); got <= 0 {
 		t.Fatal("no parameters")
 	}
-	logits := m.Logits([][]int{{1, 2, 3}, {4, 5}})
+	logits := tensor.MatMul(m.Hidden(nil, [][]int{{1, 2, 3}, {4, 5}}, nil), m.Head)
 	if logits.R != 5 || logits.C != 17 {
 		t.Errorf("logits shape %dx%d, want 5x17: one row per token", logits.R, logits.C)
 	}
@@ -69,7 +69,7 @@ func TestOverfitTinyCorpus(t *testing.T) {
 	}
 
 	// Greedy sampling continues the pattern.
-	res := m.Generate(rng, []int{4, 5, 6}, 5, 0, 0, -1)
+	res := NewSampler(m).Generate(rng, []int{4, 5, 6}, 5, 0, 0, -1, true)
 	want := []int{7, 4, 5, 6, 7}
 	for i, id := range res.Tokens[3:] {
 		if id != want[i] {
@@ -85,7 +85,7 @@ func TestSamplerMatchesBatchForward(t *testing.T) {
 	m := NewGPT(tinyConfig(), rng)
 	seq := []int{3, 9, 1, 14, 7, 2}
 
-	logits := m.Logits([][]int{seq})
+	logits := tensor.MatMul(m.Hidden(nil, [][]int{seq}, nil), m.Head)
 
 	s := NewSampler(m)
 	// split runs the backbone alone up to a position and the heads only
@@ -335,8 +335,8 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 	// Both produce identical outputs until the original diverges.
 	m.TokEmb.Data[0] -= 42
-	a := m.Logits([][]int{{1, 2}})
-	b := c.Logits([][]int{{1, 2}})
+	a := tensor.MatMul(m.Hidden(nil, [][]int{{1, 2}}, nil), m.Head)
+	b := tensor.MatMul(c.Hidden(nil, [][]int{{1, 2}}, nil), c.Head)
 	for i := range a.Data {
 		if math.Abs(a.Data[i]-b.Data[i]) > 1e-12 {
 			t.Fatal("clone diverges from original")
@@ -348,7 +348,7 @@ func TestGenerateRespectsEOSAndContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	cfg := tinyConfig()
 	m := NewGPT(cfg, rng)
-	res := m.Generate(rng, []int{1}, 100, 1.0, 0, -1)
+	res := NewSampler(m).Generate(rng, []int{1}, 100, 1.0, 0, -1, true)
 	if len(res.Tokens) > cfg.Ctx {
 		t.Errorf("generated past context: %d tokens", len(res.Tokens))
 	}
@@ -544,7 +544,7 @@ func TestGeneratePromptEdges(t *testing.T) {
 						t.Errorf("recovered %v, want the sampler's context panic", r)
 					}
 				}()
-				m.Generate(rand.New(rand.NewSource(1)), c.prompt, c.maxNew, 0.9, 5, c.eos)
+				NewSampler(m).Generate(rand.New(rand.NewSource(1)), c.prompt, c.maxNew, 0.9, 5, c.eos, true)
 				t.Fatal("no panic")
 			}
 			for seed := int64(1); seed <= 20; seed++ {
@@ -761,7 +761,7 @@ func TestGoldenGenerate(t *testing.T) {
 	m := NewGPT(Config{Vocab: 29, Ctx: 24, Dim: 32, Heads: 4, Layers: 2}, rng)
 	var all []float64
 	for i, topK := range []int{0, 1, 5, 28, 29, 40} {
-		res := m.Generate(rng, []int{1, 2 + i}, 20, 0.7+0.2*float64(i), topK, 3)
+		res := NewSampler(m).Generate(rng, []int{1, 2 + i}, 20, 0.7+0.2*float64(i), topK, 3, true)
 		for _, id := range res.Tokens {
 			all = append(all, float64(id))
 		}
@@ -991,7 +991,7 @@ func FuzzPackedMatchesPadded(f *testing.F) {
 // whole, each one's last row given target −1 so that CrossEntropy
 // skips it. It runs the backward pass and returns the loss.
 func lmLossMasked(m *GPT, batch [][]int) float64 {
-	logits := m.Logits(batch)
+	logits := tensor.MatMul(m.Hidden(nil, batch, nil), m.Head)
 	targets := make([]int, 0, logits.R)
 	for _, seq := range batch {
 		if len(seq) > 0 {

@@ -310,22 +310,18 @@ type GenerateResult struct {
 }
 
 // Generate samples a continuation of prompt until maxNew tokens, the
-// eos token, or the context limit, recording every generated token's
-// log-probability and value for PPO. Temperature and topK control the
+// eos token, or the context limit. Temperature and topK control the
 // distribution. An empty prompt gives nothing to condition on and
 // returns with no generated token, which PPO treats as nothing to
 // learn from; a prompt longer than the context panics with the
 // sampler's "past model context".
-func (m *GPT) Generate(rng *rand.Rand, prompt []int, maxNew int, temperature float64, topK, eos int) GenerateResult {
-	return NewSampler(m).Generate(rng, prompt, maxNew, temperature, topK, eos, true)
-}
-
-// Generate is GPT.Generate on this sampler's scratch: it resets the
-// sampler, so one Sampler serves a generator's every generation and
-// nothing but the result is allocated. record says whether a learner
-// will read LogProbs and Values; without it they stay nil, the value
-// head never runs and no log-softmax is taken. The tokens and the
-// draws taken from rng are the same either way.
+//
+// It resets the sampler, so one Sampler serves a generator's every
+// generation and nothing but the result is allocated. record says
+// whether a learner will read every generated token's log-probability
+// and value for PPO (LogProbs and Values); without it they stay nil,
+// the value head never runs and no log-softmax is taken. The tokens and
+// the draws taken from rng are the same either way.
 //
 // The prompt runs through the backbone only, the LM head runs only at
 // a position about to be sampled from, and a sampled token is fed back

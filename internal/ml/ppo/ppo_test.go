@@ -177,7 +177,7 @@ func TestTrainerWithExplicitRef(t *testing.T) {
 
 	// Collect rollouts with a seeded rng, then feed them through the
 	// rng-free update path.
-	res := policy.Generate(rng, []int{0, 3}, 6, 1.0, 0, 1)
+	res := nn.NewSampler(policy).Generate(rng, []int{0, 3}, 6, 1.0, 0, 1, true)
 	if len(res.Tokens) == res.PromptN {
 		t.Skip("nothing generated")
 	}
@@ -212,7 +212,7 @@ func goldenRollouts(m *nn.GPT, rng *rand.Rand) []*Rollout {
 	budgets := []int{3, 14, 9, 12, 5, 14}
 	var rolls []*Rollout
 	for i, p := range prompts {
-		res := m.Generate(rng, p, budgets[i], 1.0, 0, 1)
+		res := nn.NewSampler(m).Generate(rng, p, budgets[i], 1.0, 0, 1, true)
 		rolls = append(rolls, FromGeneration(res, float64(i%3)-0.5))
 	}
 	return rolls
@@ -272,7 +272,7 @@ func TestStepRolloutsDropsEmptyRollouts(t *testing.T) {
 	}
 	var full []nn.GenerateResult
 	for _, p := range [][]int{{0, 3}, {0, 4, 5}} {
-		full = append(full, base.Generate(rng, p, 6, 1.0, 0, -1))
+		full = append(full, nn.NewSampler(base).Generate(rng, p, 6, 1.0, 0, -1, true))
 	}
 	train := func(withEmpty bool) (Stats, []float64) {
 		m := base.Clone()
@@ -321,7 +321,9 @@ func TestStepRolloutsDropsEmptyRollouts(t *testing.T) {
 // produce are refused by name before anything is computed.
 func TestStepRolloutsRejectsMalformedRollouts(t *testing.T) {
 	base, rng := tinyModel(23)
-	good := func() *Rollout { return FromGeneration(base.Generate(rng, []int{0, 3}, 4, 1.0, 0, -1), 1) }
+	good := func() *Rollout {
+		return FromGeneration(nn.NewSampler(base).Generate(rng, []int{0, 3}, 4, 1.0, 0, -1, true), 1)
+	}
 	for _, c := range []struct {
 		name   string
 		mangle func(r *Rollout)
@@ -369,7 +371,7 @@ func TestStepRolloutsReusesItsTape(t *testing.T) {
 		for j := 0; j < 2+i%4; j++ {
 			prompt = append(prompt, 2+rng.Intn(510))
 		}
-		rolls = append(rolls, FromGeneration(m.Generate(rng, prompt, 8+2*i, 1.0, 0, 1), float64(i%3)-0.5))
+		rolls = append(rolls, FromGeneration(nn.NewSampler(m).Generate(rng, prompt, 8+2*i, 1.0, 0, 1, true), float64(i%3)-0.5))
 	}
 	batch := func() []*Rollout {
 		out := make([]*Rollout, len(rolls))

@@ -2,9 +2,9 @@ package tensor
 
 import "math"
 
-// hasAVX2 selects the vector loops of axpy4 and mulRow. It is read once
-// at start-up from the CPU; only tests write it, to run the Go loops on
-// the same machine.
+// hasAVX2 selects mulRow's vector loop. It is read once at start-up
+// from the CPU; only tests write it, to run the Go loops on the same
+// machine.
 var hasAVX2, hasFMA = cpuFeatures()
 
 // hasExp selects the exp kernel (exp_amd64.s) under the softmax and
@@ -13,12 +13,6 @@ var hasAVX2, hasFMA = cpuFeatures()
 // such a CPU once it has left math.Exp's bits on every input of
 // expProbe. Elsewhere the rows are their Go loops, which call math.Exp.
 var hasExp = hasAVX2 && hasFMA && expKernelMatches()
-
-// axpy4avx is axpy4's loop four elements of dst at a time (axpy_amd64.s),
-// for non-zero factors and an x of four rows of len(dst): axpy4 checks both.
-//
-//go:noescape
-func axpy4avx(dst []float64, a0, a1, a2, a3 float64, x []float64)
 
 // mulRowAVX is mulRow's loop with dst in vector registers
 // (matvec_amd64.s), for a non-empty dst and x and a w holding len(x)

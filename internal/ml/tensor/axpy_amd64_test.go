@@ -20,8 +20,8 @@ func forceScalar() (restore func()) {
 }
 
 // axpyEdgeValues are the operands rounding, overflow and NaN handling
-// turn on: the differential test draws from them and the fuzz target's
-// seed corpus is built of them.
+// turn on: the differential test draws from them and the fuzz targets'
+// seed corpora are built of them.
 var axpyEdgeValues = []float64{
 	0, math.Copysign(0, -1), 1, -1,
 	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072009e-308, // denormals
@@ -29,74 +29,38 @@ var axpyEdgeValues = []float64{
 	1e308, -1e308, 1e-308, -1e-308,
 }
 
-// checkAxpy4 runs axpy4 as built and through the Go loop on copies of
-// one backing array each for dst and x, the operands at the given
-// element offsets, and compares every bit of the two dst arrays: the
-// n elements of dst and the ones around them, which neither may touch.
-// One NaN is as good as another: of two NaN operands x86 passes on the
-// one the instruction names first, and the compiler orders the Go
-// loop's operands as its register allocation falls out (a -race build
-// of this test orders them differently), so the payload of a NaN is
-// not a property of the loop.
+// checkAxpy4 runs axpy4 and, on a copy, the four axpy calls it stands
+// for, one row after another, on one backing array each for dst and x,
+// the operands at the given element offsets, and compares every bit of
+// the two dst arrays: the n elements of dst and the ones around them,
+// which neither may touch. axpy4 is mulRow's Go loop, the oracle of
+// mulRowAVX, so this holds the oracle itself to the plainest form of
+// the sum. One NaN is as good as another: of two NaN operands x86
+// passes on the one the instruction names first, and the compiler
+// orders a Go loop's operands as its register allocation falls out (a
+// -race build orders them differently), so the payload of a NaN is not
+// a property of the loop.
 func checkAxpy4(t *testing.T, dstBack, xBack []float64, dstOff, xOff, n int, a [4]float64) {
 	t.Helper()
 	got, want := append([]float64(nil), dstBack...), append([]float64(nil), dstBack...)
 	x := xBack[xOff : xOff+4*n]
 	axpy4(got[dstOff:dstOff+n], a[0], a[1], a[2], a[3], x, n)
-	restore := forceScalar()
-	axpy4(want[dstOff:dstOff+n], a[0], a[1], a[2], a[3], x, n)
-	restore()
+	for r, ar := range a {
+		axpy(want[dstOff:dstOff+n], ar, x[r*n:])
+	}
 	for i := range want {
 		if g, w := math.Float64bits(got[i]), math.Float64bits(want[i]); g != w && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-			t.Fatalf("n %d, dst at +%d, x at +%d, factors %v: element %d = %#x (%v), the Go loop leaves %#x (%v)",
+			t.Fatalf("n %d, dst at +%d, x at +%d, factors %v: element %d = %#x (%v), four axpys leave %#x (%v)",
 				n, dstOff, xOff, a, i-dstOff, g, got[i], w, want[i])
 		}
 	}
 }
 
-// TestAxpy4VectorMatchesScalar holds the assembly to the Go loop bit for
-// bit: every length around the vector width and its tail, operands that
-// start at odd elements (so no 32-byte alignment), factors and data from
-// axpyEdgeValues and at random, and a zero among the factors, which
-// must take the Go fallback that skips it — the kernel would multiply
-// it into an Inf and add the NaN.
-func TestAxpy4VectorMatchesScalar(t *testing.T) {
-	if !hasAVX2 {
-		t.Skip("no AVX2: axpy4 is the Go loop already")
-	}
-	rng := rand.New(rand.NewSource(20))
-	draw := func() float64 {
-		if rng.Intn(3) == 0 {
-			return axpyEdgeValues[rng.Intn(len(axpyEdgeValues))]
-		}
-		return rng.NormFloat64()
-	}
-	for n := 0; n <= 67; n++ {
-		for trial := 0; trial < 24; trial++ {
-			dstOff, xOff := 1+2*rng.Intn(2), 1+2*rng.Intn(2)
-			dstBack, xBack := make([]float64, dstOff+n+3), make([]float64, xOff+4*n+3)
-			for i := range dstBack {
-				dstBack[i] = draw()
-			}
-			for i := range xBack {
-				xBack[i] = draw()
-			}
-			var a [4]float64
-			for i := range a {
-				for a[i] = draw(); a[i] == 0; a[i] = draw() {
-				}
-			}
-			if trial%4 == 3 {
-				a[rng.Intn(4)] = axpyEdgeValues[rng.Intn(2)] // +0 or -0
-			}
-			checkAxpy4(t, dstBack, xBack, dstOff, xOff, n, a)
-		}
-	}
-}
-
-// FuzzAxpy4MatchesScalar is the same comparison over operands whose
-// every bit the fuzzer chooses: raw is read as float64 bit patterns —
-// the four factors, then dst and x, cycling when it runs out.
+// FuzzAxpy4MatchesScalar is checkAxpy4 over operands whose every bit
+// the fuzzer chooses: raw is read as float64 bit patterns — the four
+// factors, then dst and x, cycling when it runs out. A zero among the
+// factors must take the fallback that skips it: the one-pass loop
+// would multiply it into an Inf and add the NaN.
 func FuzzAxpy4MatchesScalar(f *testing.F) {
 	var edges []byte
 	for _, v := range axpyEdgeValues {
@@ -115,9 +79,6 @@ func FuzzAxpy4MatchesScalar(f *testing.F) {
 	f.Add(thirds, uint8(67), uint8(5))
 	f.Add(thirds[8:], uint8(6), uint8(15))
 	f.Fuzz(func(t *testing.T, raw []byte, length, offset uint8) {
-		if !hasAVX2 {
-			t.Skip("no AVX2: axpy4 is the Go loop already")
-		}
 		pos := 0
 		next := func() float64 {
 			var word [8]byte

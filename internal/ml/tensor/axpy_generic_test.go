@@ -2,5 +2,5 @@
 
 package tensor
 
-// forceScalar has nothing to switch off: axpy4 is its Go loop here.
+// forceScalar has nothing to switch off: every kernel is its Go loop here.
 func forceScalar() (restore func()) { return func() {} }

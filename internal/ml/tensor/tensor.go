@@ -25,11 +25,12 @@
 // optimizer step, and after the loss and anything else wanted from the
 // tape have been read.
 //
-// Matrix products run as two forms: A×B (mulAB) for the forward pass
-// and, on a weight matrix transposed once per call, for the input
-// gradient dOut×Bᵀ; Aᵀ×dOut (mulAtB) for the weight gradient. Both share
-// one guarantee, which the fleet's bit-identical trajectories rest on:
-// an output element is the sum of its k products added one at a time in
+// Matrix products run as one form, A×B (mulAB): the forward pass, and
+// the two gradients on an operand transposed once per call — the input
+// gradient dOut×Bᵀ over the weight matrix transposed, the weight
+// gradient Aᵀ×dOut over the activations transposed. It carries one
+// guarantee, which the fleet's bit-identical trajectories rest on: an
+// output element is the sum of its k products added one at a time in
 // ascending inner index, on top of what the destination held, with the
 // products of a zero left-hand factor skipped — exactly the order of the
 // naive triple loop (matmulRef in the tests). Blocking, the parallel row
@@ -38,20 +39,21 @@
 // nothing reads — its output gradient is +0 throughout — adds only ±0
 // terms to sums that start at +0, so leaving such rows out of a batch
 // (nn.GPT.Hidden: no padding, a last block on the rows read) cannot move
-// a bit of any gradient.
+// a bit of any gradient. That holds while the activations are finite;
+// an infinite one times a +0 gradient is a NaN, but it has already
+// poisoned the forward pass.
 //
-// Each form has its kernel. A row of A×B is one call of the row kernel
-// mulRow, dst += x×W, which the sampler also reaches for its matvecs
-// (VecMatInto) and its attention (VecMatAdd, over K/V caches read
-// narrower than they are stored). On amd64 with AVX2 it runs in
-// assembly (matvec_amd64.s): a block of up to 32 elements of dst stays
-// in registers while every row of W streams through it, so a product
-// pays one load and one store of dst instead of one per four rows. Aᵀ×B
-// runs on axpy4, dst += a0·x0 + a1·x1 + a2·x2 + a3·x3, four rows at a
-// time over a whole row of dst (axpy_amd64.s), which is also the Go
-// loop of mulRow.
+// A row of A×B is one call of the row kernel mulRow, dst += x×W, which
+// the sampler also reaches for its matvecs (VecMatInto) and its
+// attention (VecMatAdd, over K/V caches read narrower than they are
+// stored). On amd64 with AVX2 it runs in assembly (matvec_amd64.s): a
+// block of up to 32 elements of dst stays in registers while every row
+// of W streams through it, so a product pays one load and one store of
+// dst instead of one per row. Elsewhere, and as the oracle of the
+// assembly, it is axpy4's Go loop, dst += a0·x0 + a1·x1 + a2·x2 + a3·x3,
+// four rows at a time.
 //
-// The third kernel is math.Exp four lanes at a time (exp_amd64.s), under
+// The other kernel is math.Exp four lanes at a time (exp_amd64.s), under
 // every softmax row (SoftmaxInto, LogSoftmaxAt, so cross-entropy, the
 // PPO log-policy, attention and the sampler's scores) and every GELU row
 // (GELUInto, the GELU op's forward and backward), whose tanh is
@@ -60,9 +62,9 @@
 // In every kernel adjacent elements sit in the lanes of one register,
 // a lane does to its element exactly what the kernel's scalar reference
 // does, and lanes do not interact, so the bits are the reference's. For
-// the matrix kernels the reference is the Go loop — multiply, round,
-// add, round, one product after another — which stays as the path
-// everywhere else and as the oracle of the tests; they never fuse a
+// the row kernel the reference is the Go loop — multiply, round, add,
+// round, one product after another — which stays as the path
+// everywhere else and as the oracle of the tests; it never fuses a
 // multiply and an add, since a fused multiply-add rounds once where the
 // Go loop on amd64 rounds twice. The exp kernel's reference is
 // math.archExp, which fuses exactly where math.useFMA holds (a CPU with
@@ -443,7 +445,7 @@ func MatMul(a, b *Tensor) *Tensor {
 			matmulInto(mulAB, a.Grad, out.Grad, transpose(out.arena, b.Data, k, n), m, n, k)
 		}
 		if b.requires {
-			matmulInto(mulAtB, b.Grad, a.Data, out.Grad, k, m, n)
+			matmulInto(mulAB, b.Grad, transpose(out.arena, a.Data, m, k), out.Grad, k, m, n)
 		}
 	})
 	return out
@@ -537,10 +539,12 @@ func VecMatAdd(dst, x, w []float64, stride int) {
 	mulRow(dst, x, w, stride)
 }
 
-// transpose returns the [c,r] transpose of a [r,c], taken from ar: the
-// input gradient dOut×Bᵀ is mulAB over it — element (i, j) still adds
-// dOut[i][p]·B[j][p] for ascending p — at O(rc) beside the product's
-// O(m·rc).
+// transpose returns the [c,r] transpose of a [r,c], taken from ar, so
+// that both gradients of MatMul are mulAB: the input gradient dOut×Bᵀ
+// over B's transpose, element (i, j) adding dOut[i][p]·B[j][p] for
+// ascending p, and the weight gradient Aᵀ×dOut over A's, element (i, j)
+// adding A[p][i]·dOut[p][j] for ascending p and skipping the zero
+// activations. It costs O(rc) beside the product's O(m·rc).
 func transpose(ar *Arena, a []float64, r, c int) []float64 {
 	t := ar.floats(len(a))
 	for i := 0; i < r; i++ {
@@ -549,32 +553,6 @@ func transpose(ar *Arena, a []float64, r, c int) []float64 {
 		}
 	}
 	return t
-}
-
-// mulAtB is the weight-gradient kernel, dst += Aᵀ×B with A stored
-// [k,m] (the activations) and B [k,n] (the output gradient). p is the
-// outer loop, so B streams through once while the range's rows of dst
-// stay cached, and rows of B that are all zero (unscored or clipped
-// positions) are skipped once instead of being multiplied into every
-// row of dst: their ±0 products would leave every sum as it is.
-func mulAtB(dst, a, b []float64, m, k, n, lo, hi int) {
-	p := 0
-	for ; p+4 <= k; p += 4 {
-		bp := b[p*n : (p+4)*n]
-		if allZero(bp) {
-			continue
-		}
-		for i := lo; i < hi; i++ {
-			axpy4(dst[i*n:(i+1)*n], a[p*m+i], a[(p+1)*m+i], a[(p+2)*m+i], a[(p+3)*m+i], bp, n)
-		}
-	}
-	for ; p < k; p++ {
-		if bp := b[p*n : (p+1)*n]; !allZero(bp) {
-			for i := lo; i < hi; i++ {
-				axpy(dst[i*n:(i+1)*n], a[p*m+i], bp)
-			}
-		}
-	}
 }
 
 // axpy computes dst += a*x unless a is zero.
@@ -590,9 +568,8 @@ func axpy(dst []float64, a float64, x []float64) {
 
 // axpy4 is four axpys in a row, of the four rows of x that start stride
 // apart: when no factor is zero, in one pass that holds each element of
-// dst in a register while it takes its four products in order — in
-// axpy4avx's vector registers where the CPU has AVX2 and the rows are
-// contiguous, to the same bits.
+// dst in a register while it takes its four products in order. It is
+// mulRow's Go loop.
 func axpy4(dst []float64, a0, a1, a2, a3 float64, x []float64, stride int) {
 	n := len(dst)
 	x0, x1, x2, x3 := x[:n], x[stride:stride+n], x[2*stride:2*stride+n], x[3*stride:3*stride+n]
@@ -601,10 +578,6 @@ func axpy4(dst []float64, a0, a1, a2, a3 float64, x []float64, stride int) {
 		axpy(dst, a1, x1)
 		axpy(dst, a2, x2)
 		axpy(dst, a3, x3)
-		return
-	}
-	if hasAVX2 && stride == n {
-		axpy4avx(dst, a0, a1, a2, a3, x[:4*n])
 		return
 	}
 	for j := range dst {

@@ -572,9 +572,9 @@ func TestAttentionMatchesPaddedBitExact(t *testing.T) {
 	}
 }
 
-// eachAxpyPath runs f once per axpy4 implementation this machine has:
-// "vector" as built where the CPU has AVX2, and "scalar" on the Go loop,
-// which is every other machine's path.
+// eachAxpyPath runs f once per mulRow implementation this machine has:
+// "vector" as built where the CPU has AVX2, and "scalar" on axpy4's Go
+// loop, which is every other machine's path.
 func eachAxpyPath(t *testing.T, f func(t *testing.T)) {
 	if hasAVX2 {
 		t.Run("vector", f)
@@ -623,7 +623,7 @@ func matmulRef(dst, a, b []float64, m, k, n int, transA, transB bool) {
 // and whole zero rows, and a dst that already holds non-zero values.
 // VecMatInto, the sampler's entry to the forward kernel, runs on each
 // trial's k and n (most k are no multiple of 4) and must overwrite
-// what its dst held. It runs once per axpy4 path the machine has, so
+// what its dst held. It runs once per mulRow path the machine has, so
 // the vector kernel and the Go loop are pinned to the same reference.
 func TestMatmulKernelsBitExact(t *testing.T) { eachAxpyPath(t, testMatmulKernelsBitExact) }
 
@@ -637,7 +637,9 @@ func testMatmulKernelsBitExact(t *testing.T) {
 		{"A×Bᵀ", func(dst, a, b []float64, m, k, n, lo, hi int) {
 			mulAB(dst, a, transpose(nil, b, n, k), m, k, n, lo, hi)
 		}, false, true},
-		{"Aᵀ×B", mulAtB, true, false},
+		{"Aᵀ×B", func(dst, a, b []float64, m, k, n, lo, hi int) {
+			mulAB(dst, transpose(nil, a, k, m), b, m, k, n, lo, hi)
+		}, true, false},
 	}
 	rng := rand.New(rand.NewSource(14))
 	fill := func(rows, cols int) []float64 {
@@ -796,6 +798,89 @@ func TestInputGradientMatchesDotKernel(t *testing.T) {
 	})
 }
 
+// mulAtBRef is the weight-gradient kernel as it was before the gradient
+// moved onto the forward kernel, verbatim, kept as the oracle of the
+// transposed form: dst += Aᵀ×B with A stored [k,m] (the activations)
+// and B [k,n] (the output gradient), p the outer loop, and the rows of
+// B that are all zero skipped once instead of multiplied into every row
+// of dst.
+func mulAtBRef(dst, a, b []float64, m, k, n, lo, hi int) {
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		bp := b[p*n : (p+4)*n]
+		if allZero(bp) {
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			axpy4(dst[i*n:(i+1)*n], a[p*m+i], a[(p+1)*m+i], a[(p+2)*m+i], a[(p+3)*m+i], bp, n)
+		}
+	}
+	for ; p < k; p++ {
+		if bp := b[p*n : (p+1)*n]; !allZero(bp) {
+			for i := lo; i < hi; i++ {
+				axpy(dst[i*n:(i+1)*n], a[p*m+i], bp)
+			}
+		}
+	}
+}
+
+// TestWeightGradientMatchesAtBKernelBitExact differentiates MatMul with
+// respect to its right operand and holds the gradient — the forward
+// kernel over the transposed activations — to the Aᵀ×B kernel it
+// replaced, bit for bit: inner and outer sizes that are no multiple of
+// 4, shapes on both sides of matmulThreshold, output-gradient rows that
+// are all zero (the old kernel skipped them, the new one adds their ±0
+// products), zero activations, whole rows of them beside output
+// gradients of ±Inf (skipped, or the sum is NaN), and a gradient buffer
+// that starts at +0 or already holds a contribution.
+func TestWeightGradientMatchesAtBKernelBitExact(t *testing.T) {
+	eachAxpyPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(24))
+		for _, sh := range [][3]int{{1, 32, 96}, {2, 1, 1}, {3, 4, 4}, {5, 7, 9}, {6, 9, 2}, {9, 32, 67}, {40, 33, 50}, {64, 32, 128}, {257, 32, 13}} {
+			m, k, n := sh[0], sh[1], sh[2] // a [m,k] × w [k,n]
+			for trial := 0; trial < 8; trial++ {
+				a, w := New(m, k), randParam(rng, k, n)
+				for i := range a.Data {
+					if rng.Intn(4) > 0 {
+						a.Data[i] = rng.NormFloat64()
+					}
+				}
+				out := MatMul(a, w)
+				for i := range out.Grad {
+					if rng.Intn(5) > 0 {
+						out.Grad[i] = rng.NormFloat64()
+					}
+				}
+				for i := 0; i < m; i++ {
+					switch rng.Intn(4) {
+					case 0: // a row nothing reads
+						clear(out.Grad[i*n : (i+1)*n])
+					case 1: // a row of zero activations beside infinite gradients
+						clear(a.Data[i*k : (i+1)*k])
+						for j := 0; j < n; j++ {
+							out.Grad[i*n+j] = math.Inf(1 - 2*rng.Intn(2))
+						}
+					}
+				}
+				if trial%2 == 1 {
+					for i := range w.Grad {
+						w.Grad[i] = rng.NormFloat64()
+					}
+				}
+				want := append([]float64(nil), w.Grad...)
+				mulAtBRef(want, a.Data, out.Grad, k, m, n, 0, k)
+				Backward(out)
+				for i := range want {
+					if math.Float64bits(w.Grad[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("[%d,%d]×[%d,%d] trial %d: weight gradient %d = %x, the Aᵀ×B kernel gives %x",
+							m, k, k, n, trial, i, math.Float64bits(w.Grad[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestFrozenForwardBuildsNoTape: an op over inputs that require no
 // gradients returns a plain value — no Grad, no parents, no backward
 // closure keeping its inputs alive.
@@ -825,8 +910,9 @@ func TestFrozenForwardBuildsNoTape(t *testing.T) {
 // full context and its weighted sum of values — and the trainer's LM
 // head over a few hundred scored rows with its two gradients, each on
 // the vector kernel and on the Go loop. m, k, n are the logical shape
-// dst[m,n] += A[m,k]×B[k,n]; the input gradient stores B as [n,k] and
-// pays its transpose here as it does in MatMul.
+// dst[m,n] += A[m,k]×B[k,n]; the input gradient stores B as [n,k], the
+// weight gradient A as [k,m], and each pays its transpose here as it
+// does in MatMul.
 func BenchmarkMatmulKernels(b *testing.B) {
 	const d, dh, ctx, v, rows = 32, 16, 48, 512, 256
 	vecMat := func(dst, a, w []float64, m, k, n int) { VecMatInto(dst, a, FromSlice(k, n, w)) }
@@ -849,7 +935,7 @@ func BenchmarkMatmulKernels(b *testing.B) {
 			matmulInto(mulAB, dst, a, transpose(nil, b, n, k), m, k, n)
 		}},
 		{"train-weight-grad-32x256x512", d, rows, v, func(dst, a, b []float64, m, k, n int) {
-			matmulInto(mulAtB, dst, a, b, m, k, n)
+			matmulInto(mulAB, dst, transpose(nil, a, k, m), b, m, k, n)
 		}},
 	} {
 		rng := rand.New(rand.NewSource(22))

@@ -2,6 +2,7 @@ package prog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -228,4 +229,59 @@ func TestBuildSharesHarnessBytes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzBuild builds arbitrary body words: raw read as little-endian
+// words, or, when long is set, cycled into a body of a length around
+// MaxBodyInstructions that over picks. Build fails if and only if the
+// body is longer than MaxBodyInstructions; otherwise the segment at
+// BodyBase starts with the words in order and the epilogue follows them
+// at BodyBase+4·len.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte{}, false, uint8(0))
+	f.Add(binary.LittleEndian.AppendUint32(nil, isa.NOP), false, uint8(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x6f, 0, 0, 0, 1}, false, uint8(0))
+	for over := uint8(0); over < 5; over++ {
+		f.Add([]byte{0x13, 0, 0, 0, 0xef, 0xbe, 0xad, 0xde}, true, over)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, long bool, over uint8) {
+		n := len(raw) / 4
+		if long {
+			n = MaxBodyInstructions - 2 + int(over%5)
+		}
+		body := make([]uint32, n)
+		if words := len(raw) / 4; words > 0 {
+			for i := range body {
+				body[i] = binary.LittleEndian.Uint32(raw[4*(i%words):])
+			}
+		}
+		img, layout, err := Build(Program{Body: body})
+		if (err != nil) != (n > MaxBodyInstructions) {
+			t.Fatalf("body of %d words (limit %d): error %v", n, MaxBodyInstructions, err)
+		}
+		if err != nil {
+			return
+		}
+		if layout.Epilogue != layout.BodyBase+uint64(4*n) {
+			t.Fatalf("body of %d words: epilogue at %#x, body at %#x", n, layout.Epilogue, layout.BodyBase)
+		}
+		if img.Body != layout.BodyBase {
+			t.Fatalf("image body at %#x, layout at %#x", img.Body, layout.BodyBase)
+		}
+		for _, s := range img.Segments {
+			if s.Base != layout.BodyBase {
+				continue
+			}
+			if len(s.Data) < 4*n {
+				t.Fatalf("body segment of %d bytes for %d words", len(s.Data), n)
+			}
+			for i, w := range body {
+				if got := binary.LittleEndian.Uint32(s.Data[4*i:]); got != w {
+					t.Fatalf("body word %d = %#x, want %#x", i, got, w)
+				}
+			}
+			return
+		}
+		t.Fatalf("no segment at BodyBase %#x", layout.BodyBase)
+	})
 }

@@ -311,6 +311,3 @@ func (r *RAS) Pop() (addr uint64, ok bool) {
 	r.stack = r.stack[:len(r.stack)-1]
 	return addr, true
 }
-
-// Depth returns the current occupancy.
-func (r *RAS) Depth() int { return len(r.stack) }

@@ -15,6 +15,7 @@ budget=${1:-16s}
 targets='
 ./internal/isa:FuzzDecodeEncodeRoundTrip
 ./internal/mem:FuzzMemoryMatchesReference
+./internal/prog:FuzzBuild
 ./internal/simtest:FuzzResumeMatchesReset
 ./internal/ml/nn:FuzzPackedMatchesPadded
 ./internal/ml/nn:FuzzLMLossMatchesMasked
@@ -24,6 +25,7 @@ targets='
 ./internal/ml/tok:FuzzCorpusTokenRoundTrip
 ./internal/baseline/thehuzz:FuzzAppendStateMatchesMarshal
 ./internal/campaign:FuzzDecodeCheckpoint
+./internal/farm:FuzzReplayWAL
 ./internal/mismatch:FuzzAnalyzeSkipMatchesFull
 ./internal/mismatch:FuzzDetectorStateRoundTrip
 '
