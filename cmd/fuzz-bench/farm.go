@@ -47,7 +47,7 @@ func fleetFlags(fs *flag.FlagSet) (fleet func() (farm.JobSpec, error)) {
 	fs.IntVar(&s.Shards, "shards", 4, "concurrent campaigns")
 	fs.IntVar(&s.BatchSize, "batch", 16, "tests per round per shard")
 	fs.IntVar(&s.RoundBatches, "round-batches", 1, "batches per shard between aggregation barriers (amortises the barrier at coarser bandit feedback)")
-	fs.IntVar(&s.Body, "body", 24, "instructions per test")
+	fs.IntVar(&s.Body, "body", 24, "instructions per test of the mutation arms (thehuzz, randinst, randfuzz); the LLM arms take the pipeline's body length, shown as body= in their signature")
 	fs.Int64Var(&s.Seed, "seed", 1, "campaign seed")
 	fs.Var((*listFlag)(&s.DUTs), "dut", "designs under test: comma list of "+strings.Join(campaign.DesignNames, "/")+"; shards alternate designs")
 	fs.Var((*listFlag)(&s.Arms), "arms", "generator arms: comma list of "+strings.Join(campaign.ArmNames, "/")+"; the chatfuzz arms sample a trained pipeline")

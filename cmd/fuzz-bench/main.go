@@ -79,19 +79,20 @@ func campaignFlags() (*flag.FlagSet, func() (farm.JobSpec, error), *campaignOpts
 }
 
 // checkResume reads the checkpoint at path and checks its arm
-// signatures against the arms spec builds on an untrained pipeline of
-// pcfg, whose model shape and vocabulary are the trained one's: no
-// pipeline step runs.
+// signatures and shard designs against the fleet spec builds on an
+// untrained pipeline of pcfg, whose model shape and vocabulary are the
+// trained one's: no pipeline step runs. It is ResumeExec's rule
+// (campaign.CheckpointInfo.CheckFleet), applied before training.
 func checkResume(path string, spec farm.JobSpec, pcfg core.PipelineConfig) error {
 	info, err := campaign.ReadCheckpointInfo(path)
 	if err != nil {
 		return err
 	}
-	_, _, arms, err := spec.Fleet(core.NewPipeline(pcfg))
+	_, newDUTs, arms, err := spec.Fleet(core.NewPipeline(pcfg))
 	if err != nil {
 		return err
 	}
-	return info.CheckArms(arms...)
+	return info.CheckFleet(newDUTs, arms...)
 }
 
 // campaignMain runs the orchestrator subcommand.

@@ -191,3 +191,49 @@ func TestResumeRefusesPipelineShapeBeforeTraining(t *testing.T) {
 		t.Errorf("the check ran a pipeline step:\n%s", log.String())
 	}
 }
+
+// TestResumeRefusesDesignBeforeTraining: a rocket checkpoint of a fleet
+// with an LLM arm, resumed with -dut boom, is refused on its shard
+// designs before any pipeline step runs, and -dut rocket passes.
+func TestResumeRefusesDesignBeforeTraining(t *testing.T) {
+	spec := func(dut string) farm.JobSpec {
+		fs, fleet, _ := campaignFlags()
+		if err := fs.Parse([]string{"-arms", "chatfuzz,thehuzz", "-shards", "2", "-batch", "4", "-body", "8",
+			"-tests", "8", "-quickpipe", "-dut", dut}); err != nil {
+			t.Fatal(err)
+		}
+		s, err := fleet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	cfg, duts, arms, err := spec("rocket").Fleet(core.NewPipeline(core.TestPipelineConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := campaign.NewMixed(cfg, duts, arms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	err = o.CheckpointFile(path)
+	o.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var log bytes.Buffer
+	pcfg := core.TestPipelineConfig()
+	pcfg.Log = &log
+	if err := checkResume(path, spec("rocket"), pcfg); err != nil {
+		t.Errorf("the checkpoint's own fleet refused: %v", err)
+	}
+	err = checkResume(path, spec("boom"), pcfg)
+	if err == nil || !strings.Contains(err.Error(), `shard 0 is design "rocket" in checkpoint but "boom" here`) {
+		t.Errorf("-dut boom against a rocket checkpoint: error %v, want shard 0's design", err)
+	}
+	if log.Len() > 0 {
+		t.Errorf("the check ran a pipeline step:\n%s", log.String())
+	}
+}

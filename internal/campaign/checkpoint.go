@@ -414,7 +414,8 @@ func ResumeMixed(r io.Reader, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orch
 // original run (functions cannot be serialized); newDUTs must
 // reproduce the original shard-to-design mapping (shard s gets
 // newDUTs[s % len(newDUTs)]). ResumeExec validates the arm signatures
-// and per-shard design names against the checkpoint and restores
+// and per-shard design names against the checkpoint (CheckFleet) before
+// it builds anything, and restores
 // bandit state, per-shard coverage, clocks and arm state, so the
 // continued run's merged trajectory is bit-identical to an
 // uninterrupted one.
@@ -423,7 +424,7 @@ func ResumeExec(r io.Reader, ex Exec, newDUTs []func() rtl.DUT, specs ...ArmSpec
 	if err != nil {
 		return nil, err
 	}
-	if err := (CheckpointInfo{Arms: cf.Arms}).CheckArms(specs...); err != nil {
+	if err := (CheckpointInfo{Designs: cf.Designs, Arms: cf.Arms}).CheckFleet(newDUTs, specs...); err != nil {
 		return nil, err
 	}
 	o, err := NewMixed(cf.Config.config(ex), newDUTs, specs...)
@@ -440,11 +441,6 @@ func ResumeExec(r io.Reader, ex Exec, newDUTs []func() rtl.DUT, specs ...ArmSpec
 	}()
 	if len(cf.Designs) != len(o.designs) {
 		return nil, fmt.Errorf("campaign: checkpoint has %d shard designs, config builds %d", len(cf.Designs), len(o.designs))
-	}
-	for i, want := range cf.Designs {
-		if o.designs[i] != want {
-			return nil, fmt.Errorf("campaign: shard %d is design %q in checkpoint but %q here — resume with the original DUT constructors", i, want, o.designs[i])
-		}
 	}
 	for _, n := range o.names {
 		if bins := o.globals[n].Space().NumBins(); bins != cf.Bins[n] {
@@ -552,17 +548,34 @@ type CheckpointInfo struct {
 	Merged []core.ProgressPoint
 }
 
-// CheckArms reports whether specs are the checkpoint's arms, in order
-// and with the same signatures: the rule ResumeExec applies. An LLM
-// arm's signature reads only its pipeline's model shape, vocabulary and
-// body length, so an untrained pipeline of the same config will do.
-func (ci CheckpointInfo) CheckArms(specs ...ArmSpec) error {
+// CheckFleet reports whether a fleet of specs over newDUTs, shard s
+// running newDUTs[s % len(newDUTs)], is the checkpoint's: the same arms,
+// in order and with the same signatures, and the same design on every
+// checkpointed shard. It is the rule ResumeExec applies before building
+// the fleet. It builds one DUT per constructor to read its name, and
+// nothing else; an LLM arm's signature reads only its pipeline's model
+// shape, vocabulary and body length, so an untrained pipeline of the
+// same config will do.
+func (ci CheckpointInfo) CheckFleet(newDUTs []func() rtl.DUT, specs ...ArmSpec) error {
 	if len(ci.Arms) != len(specs) {
 		return fmt.Errorf("campaign: checkpoint has %d arms, got %d specs", len(ci.Arms), len(specs))
 	}
 	for i, sig := range ci.Arms {
 		if specs[i].sig != sig {
 			return fmt.Errorf("campaign: arm %d is %q in checkpoint, %q in specs", i, sig, specs[i].sig)
+		}
+	}
+	names := make([]string, len(newDUTs))
+	for s, want := range ci.Designs {
+		if len(newDUTs) == 0 {
+			return fmt.Errorf("campaign: at least one DUT constructor is required")
+		}
+		i := s % len(newDUTs)
+		if names[i] == "" {
+			names[i] = newDUTs[i]().Name()
+		}
+		if names[i] != want {
+			return fmt.Errorf("campaign: shard %d is design %q in checkpoint but %q here — resume with the original DUT constructors", s, want, names[i])
 		}
 	}
 	return nil

@@ -104,15 +104,5 @@ func goldenRun(m *mem.Memory, img mem.Image, budget int, buf []trace.Entry) ([]t
 	}
 	entries := append(buf[:0], pro.trace...)
 	s := iss.NewFromSnapshot(pro.snap, m)
-	for i := len(pro.trace); i < budget; i++ {
-		e, ok := s.Step()
-		if !ok {
-			break
-		}
-		entries = append(entries, e)
-		if s.Halted {
-			break
-		}
-	}
-	return entries, pro.trace
+	return s.Continue(entries, budget-len(pro.trace)), pro.trace
 }

@@ -82,7 +82,10 @@ type JobSpec struct {
 	BatchSize    int   `json:",omitempty"`
 	RoundBatches int   `json:",omitempty"`
 	Seed         int64 `json:",omitempty"`
-	Body         int   `json:",omitempty"`
+	// Body is the body length, in instructions, of the mutation arms
+	// (thehuzz, randinst, randfuzz) only. The LLM arms take their
+	// pipeline's Cfg.BodyInstrs, which their signature's body= shows.
+	Body int `json:",omitempty"`
 	// Detect, MismatchWeight, UpdateBudget mirror campaign.Config.
 	Detect         bool    `json:",omitempty"`
 	MismatchWeight float64 `json:",omitempty"`

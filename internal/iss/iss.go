@@ -6,6 +6,11 @@
 // The ISS produces one trace.Entry per retired instruction; the
 // Mismatch Detector compares this golden trace against the DUT trace.
 //
+// A run caught in an exact cycle — no memory written, no counter read,
+// the state back where it was some steps before, Cycle and Instret
+// aside — is completed by copy (hart.Marks): the trace, the registers
+// and the counters are the ones stepping it out to its budget gives.
+//
 //chatfuzz:deterministic package
 package iss
 
@@ -300,16 +305,39 @@ func (s *ISS) Run(maxSteps int) []trace.Entry {
 // workers that run one golden-model simulation per test reuse the same
 // buffer across tests, keeping the hot loop allocation-free.
 func (s *ISS) RunAppend(buf []trace.Entry, maxSteps int) []trace.Entry {
-	entries := buf[:0]
-	for i := 0; i < maxSteps; i++ {
+	return s.Continue(buf[:0], maxSteps)
+}
+
+// Continue executes until the program halts or maxSteps more
+// instructions have been attempted, appending their entries to tr.
+func (s *ISS) Continue(tr []trace.Entry, maxSteps int) []trace.Entry {
+	var marks hart.Marks
+	var was Snapshot
+	for i := 1; i <= maxSteps; i++ {
 		e, ok := s.Step()
 		if !ok {
 			break
 		}
-		entries = append(entries, e)
+		tr = append(tr, e)
 		if s.Halted {
 			break
 		}
+		if marks.Take(i) {
+			was = s.Snapshot()
+		} else if marks.Clean(&tr[len(tr)-1]) && s.same(&was) {
+			p := i - marks.At
+			n := (maxSteps - i) / p
+			tr = trace.Repeat(tr, p, n)
+			s.CSR.Repeat(&was.CSR, uint64(n))
+			i += n * p
+			marks.Drop()
+		}
 	}
-	return entries
+	return tr
+}
+
+// same reports whether s stands where it did at was, counters aside.
+func (s *ISS) same(was *Snapshot) bool {
+	return s.PC == was.PC && s.X == was.X && s.Priv == was.Priv && s.CSR.SameState(&was.CSR) &&
+		s.ResValid == was.ResValid && s.ResAddr == was.ResAddr
 }

@@ -257,5 +257,7 @@ func TrapExit(code uint64) (cause uint64, isTrap bool) {
 
 // InstructionBudget returns a step budget for simulating a body of n
 // instructions: generous enough for loops, bounded so trap storms and
-// infinite loops terminate.
+// infinite loops terminate. A run caught in an exact cycle (most trap
+// storms) is completed by copy out to this budget, and reports exactly
+// what stepping it out would (hart.Marks).
 func InstructionBudget(n int) int { return 2000 + 40*n }

@@ -212,6 +212,14 @@ func (r *ring[T]) pop() { r.head = (r.head + 1) % len(r.buf); r.n-- }
 
 func (r *ring[T]) reset() { r.head, r.n = 0, 0 }
 
+// appendTo appends r's elements, oldest first, to dst.
+func (r *ring[T]) appendTo(dst []T) []T {
+	for i := 0; i < r.n; i++ {
+		dst = append(dst, *r.at(i))
+	}
+	return dst
+}
+
 // onto returns a ring with r's contents over buf, which has r's
 // capacity.
 func (r ring[T]) onto(buf []T) ring[T] {
@@ -232,6 +240,9 @@ type pendingStore struct {
 	width int
 }
 
+// run is the per-test simulation state. A field a later step reads
+// goes into same, and one that only counts or stamps a cycle into
+// repeat: the cycle check (hart.Marks) relies on both.
 type run struct {
 	b   *Boom
 	m   *mem.Memory
@@ -287,7 +298,7 @@ func (b *Boom) Run(img mem.Image, maxInsts int) rtl.Result {
 	m := mem.Platform()
 	m.Load(img)
 	st := b.reset(m, img.Entry, newCore(), newRing[inflight](robSize), newRing[pendingStore](sqSize), b.space.NewSet(), nil)
-	return st.exec(maxInsts)
+	return st.exec(maxInsts, new(mark))
 }
 
 // reset returns the state of a core out of reset about to fetch entry,
@@ -308,12 +319,40 @@ func (b *Boom) reset(m *mem.Memory, entry uint64, core uarch.Core, rob ring[infl
 	}
 }
 
+// mark is the cycle check's scratch: the run, its blocks and the
+// contents of its ROB and store queue as they stood at the last mark.
+type mark struct {
+	hart.Marks
+	st      run
+	core    uarch.Mark
+	rob     []inflight
+	sq      []pendingStore
+	repeats int // runs completed by copy, for tests
+}
+
 // exec drives the timing model for up to maxInsts more instructions and
-// packages the result.
-func (st *run) exec(maxInsts int) rtl.Result {
-	for i := 0; i < maxInsts && !st.halted; i++ {
+// packages the result. A run caught in a cycle is completed by copy
+// (hart.Marks), which reports what stepping it out would.
+func (st *run) exec(maxInsts int, mk *mark) rtl.Result {
+	mk.Drop()
+	for i := 1; i <= maxInsts && !st.halted; i++ {
 		st.step()
+		if mk.Take(i) {
+			mk.st = *st
+			mk.core.Take(st.Core)
+			mk.rob = st.rob.appendTo(mk.rob[:0])
+			mk.sq = st.sq.appendTo(mk.sq[:0])
+		} else if mk.Clean(&st.tr[len(st.tr)-1]) && st.same(mk) && mk.core.Same(st.Core) {
+			i += st.repeat(&mk.st, i-mk.At, maxInsts-i)
+			mk.Drop()
+			mk.repeats++
+		}
 	}
+	return st.result()
+}
+
+// result finalizes the run's coverage and packages what it reports.
+func (st *run) result() rtl.Result {
 	st.finalize()
 	return rtl.Result{
 		Trace:    st.tr,
@@ -350,6 +389,8 @@ type runner struct {
 	ck      *uarch.Checkpoint // nil until an image with a Body has run
 	ckRun   run               // st at ck, over rings of its own
 	resumes int               // runs that started from ck
+
+	mk mark
 }
 
 // NewRunner implements rtl.ReusableDUT.
@@ -375,7 +416,7 @@ func (w *runner) RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr []trac
 		w.st.set, w.st.tr = set, w.ck.Restore(w.core, set, tr)
 		w.resumes++
 		n := len(w.st.tr)
-		res := w.st.exec(maxInsts - n)
+		res := w.st.exec(maxInsts-n, &w.mk)
 		res.Restored = n
 		return res
 	}
@@ -396,7 +437,72 @@ func (w *runner) RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr []trac
 		w.ckRun.rob = w.st.rob.onto(make([]inflight, robSize))
 		w.ckRun.sq = w.st.sq.onto(make([]pendingStore, sqSize))
 	}
-	return w.st.exec(maxInsts - n)
+	return w.st.exec(maxInsts-n, &w.mk)
+}
+
+// same reports whether st stands where the run did at mk, counters and
+// stamps aside: the timing model is compared relative to the cycle
+// count (a ROB entry's completion, a register's remaining busy time,
+// whether the last issue was this cycle). The blocks are uarch.Mark's
+// to compare, and amoRdVal is read only in the step that sets it.
+func (st *run) same(mk *mark) bool {
+	was := &mk.st
+	if st.pc != was.pc || st.x != was.x || st.prv != was.prv || !st.csr.SameState(&was.csr) ||
+		st.resValid != was.resValid || st.resAddr != was.resAddr || st.fetchBuf != was.fetchBuf ||
+		(st.lastIssue == st.cycles) != (was.lastIssue == was.cycles) ||
+		st.rob.n != len(mk.rob) || st.sq.n != len(mk.sq) {
+		return false
+	}
+	for r := range st.busyReg {
+		if busyFor(st.busyReg[r], st.cycles) != busyFor(was.busyReg[r], was.cycles) {
+			return false
+		}
+	}
+	for i, e := range mk.rob {
+		if f := st.rob.at(i); f.isStore != e.isStore || f.done-st.cycles != e.done-was.cycles {
+			return false
+		}
+	}
+	for i, e := range mk.sq {
+		if *st.sq.at(i) != e {
+			return false
+		}
+	}
+	return true
+}
+
+// busyFor is how many cycles after now a register becomes ready.
+func busyFor(ready, now uint64) uint64 {
+	if ready > now {
+		return ready - now
+	}
+	return 0
+}
+
+// repeat completes by copy the whole periods of a run that has come back
+// to was after p steps with left steps of budget to go: their entries
+// are appended, every counter moves on by as many periods, and so do the
+// cycle stamps of the ROB, the busy table and the last issue. It
+// returns the steps it accounted for.
+func (st *run) repeat(was *run, p, left int) int {
+	n := left / p
+	st.tr = trace.Repeat(st.tr, p, n)
+	k := uint64(n)
+	dc := k * (st.cycles - was.cycles)
+	st.cycles += dc
+	st.csr.Repeat(&was.csr, k)
+	st.decoded += k * (st.decoded - was.decoded)
+	for op := range st.opCount {
+		st.opCount[op] += uint32(k) * (st.opCount[op] - was.opCount[op])
+	}
+	for i := 0; i < st.rob.n; i++ {
+		st.rob.at(i).done += dc
+	}
+	for r := range st.busyReg {
+		st.busyReg[r] += dc
+	}
+	st.lastIssue += dc
+	return n * p
 }
 
 func (st *run) charge(c uint64) { st.cycles += c; st.csr.Cycle += c }

@@ -270,7 +270,9 @@ func (r *Rocket) Name() string { return "rocket" }
 // Space implements rtl.DUT.
 func (r *Rocket) Space() *cov.Space { return r.space }
 
-// run is the per-test simulation state.
+// run is the per-test simulation state. A field a later step reads
+// goes into same, and one that only counts into repeat: the cycle check
+// (hart.Marks) relies on both.
 type run struct {
 	r   *Rocket
 	m   *mem.Memory
@@ -329,7 +331,7 @@ func (r *Rocket) Run(img mem.Image, maxInsts int) rtl.Result {
 	m := mem.Platform()
 	m.Load(img)
 	st := r.reset(m, img.Entry, newCore(), r.space.NewSet(), nil)
-	return st.exec(maxInsts)
+	return st.exec(maxInsts, new(mark))
 }
 
 // reset returns the state of a core out of reset about to fetch entry.
@@ -346,12 +348,36 @@ func (r *Rocket) reset(m *mem.Memory, entry uint64, core uarch.Core, set *cov.Se
 	}
 }
 
+// mark is the cycle check's scratch: the run and its blocks as they
+// stood at the last mark.
+type mark struct {
+	hart.Marks
+	st      run
+	core    uarch.Mark
+	repeats int // runs completed by copy, for tests
+}
+
 // exec drives the pipeline model for up to maxInsts more instructions
-// and packages the result.
-func (st *run) exec(maxInsts int) rtl.Result {
-	for i := 0; i < maxInsts && !st.halted; i++ {
+// and packages the result. A run caught in a cycle is completed by copy
+// (hart.Marks), which reports what stepping it out would.
+func (st *run) exec(maxInsts int, mk *mark) rtl.Result {
+	mk.Drop()
+	for i := 1; i <= maxInsts && !st.halted; i++ {
 		st.step()
+		if mk.Take(i) {
+			mk.st = *st
+			mk.core.Take(st.Core)
+		} else if mk.Clean(&st.tr[len(st.tr)-1]) && st.same(&mk.st) && mk.core.Same(st.Core) {
+			i += st.repeat(&mk.st, i-mk.At, maxInsts-i)
+			mk.Drop()
+			mk.repeats++
+		}
 	}
+	return st.result()
+}
+
+// result finalizes the run's coverage and packages what it reports.
+func (st *run) result() rtl.Result {
 	st.finalize()
 	return rtl.Result{
 		Trace:    st.tr,
@@ -386,6 +412,8 @@ type runner struct {
 	ck      *uarch.Checkpoint // nil until an image with a Body has run
 	ckRun   run               // st at ck
 	resumes int               // runs that started from ck
+
+	mk mark
 }
 
 // NewRunner implements rtl.ReusableDUT.
@@ -404,7 +432,7 @@ func (w *runner) RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr []trac
 		w.st.set, w.st.tr = set, w.ck.Restore(w.core, set, tr)
 		w.resumes++
 		n := len(w.st.tr)
-		res := w.st.exec(maxInsts - n)
+		res := w.st.exec(maxInsts-n, &w.mk)
 		res.Restored = n
 		return res
 	}
@@ -423,7 +451,36 @@ func (w *runner) RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr []trac
 		w.ckRun = w.st
 		w.ckRun.set, w.ckRun.tr = nil, nil // the caller's
 	}
-	return w.st.exec(maxInsts - n)
+	return w.st.exec(maxInsts-n, &w.mk)
+}
+
+// same reports whether st stands where was did, counters aside. The
+// blocks are uarch.Mark's to compare, and amoRdVal is read only in the
+// step that sets it.
+func (st *run) same(was *run) bool {
+	return st.pc == was.pc && st.x == was.x && st.prv == was.prv && st.csr.SameState(&was.csr) &&
+		st.resValid == was.resValid && st.resAddr == was.resAddr &&
+		st.prevRd == was.prevRd && st.prevOp == was.prevOp && st.prevWasLoad == was.prevWasLoad &&
+		st.prev2Rd == was.prev2Rd && st.lastWasMulDiv == was.lastWasMulDiv
+}
+
+// repeat completes by copy the whole periods of a run that has come back
+// to was after p steps with left steps of budget to go: their entries
+// are appended and every counter moves on by as many periods. It
+// returns the steps it accounted for.
+func (st *run) repeat(was *run, p, left int) int {
+	n := left / p
+	st.tr = trace.Repeat(st.tr, p, n)
+	k := uint64(n)
+	st.cycles += k * (st.cycles - was.cycles)
+	st.csr.Repeat(&was.csr, k)
+	st.decoded += k * (st.decoded - was.decoded)
+	st.decodedU += k * (st.decodedU - was.decodedU)
+	for op := range st.opCount {
+		st.opCount[op] += uint32(k) * (st.opCount[op] - was.opCount[op])
+		st.opCountU[op] += uint32(k) * (st.opCountU[op] - was.opCountU[op])
+	}
+	return n * p
 }
 
 func (st *run) charge(c uint64) { st.cycles += c; st.csr.Cycle += c }

@@ -42,7 +42,9 @@ type DUT interface {
 	// Space is the DUT's condition-coverage space, fixed at build time.
 	Space() *cov.Space
 	// Run simulates the image from reset until the program halts or
-	// maxInsts instructions have been attempted.
+	// maxInsts instructions have been attempted. A run caught in an
+	// exact cycle (hart.Marks) is completed by copy; what it reports is
+	// identical to stepping it out.
 	Run(img mem.Image, maxInsts int) Result
 }
 

@@ -19,6 +19,12 @@
 // runner resumes from after the harness prologue, and holds, once for
 // both models, the conditions under which that is exact.
 //
+// The caches, BHT and BTB count their changes of content (gen): a line
+// filled, evicted, dirtied or flushed, a counter or target that
+// actually moved. An LRU stamp is not content; only the order of the
+// stamps within a set steers replacement. Mark uses both to tell that a
+// Core is back in a state it was in before (cycle.go).
+//
 //chatfuzz:deterministic package
 package uarch
 
@@ -53,6 +59,7 @@ type TimingCache struct {
 	cfg   CacheConfig
 	lines []line
 	tick  uint64
+	gen   uint64 // fills, evictions and clean-to-dirty changes
 }
 
 // NewTimingCache returns an empty timing cache.
@@ -64,11 +71,14 @@ func NewTimingCache(cfg CacheConfig) *TimingCache {
 // the freshly-constructed state without re-allocating the array.
 func (t *TimingCache) Reset() {
 	clear(t.lines)
-	t.tick = 0
+	t.tick, t.gen = 0, 0
 }
 
 // CopyFrom makes t an exact copy of a same-sized cache.
-func (t *TimingCache) CopyFrom(src *TimingCache) { t.tick = src.tick; copy(t.lines, src.lines) }
+func (t *TimingCache) CopyFrom(src *TimingCache) {
+	t.tick, t.gen = src.tick, src.gen
+	copy(t.lines, src.lines)
+}
 
 // AccessResult describes one cache access.
 type AccessResult struct {
@@ -86,13 +96,15 @@ func (t *TimingCache) Access(addr uint64, write bool) AccessResult {
 	for w := range ways {
 		if ln := &ways[w]; ln.valid && ln.tag == la {
 			ln.lru = t.tick
-			if write {
+			if write && !ln.dirty {
 				ln.dirty = true
+				t.gen++
 			}
 			return AccessResult{Hit: true}
 		}
 	}
 	// Miss: pick invalid way, else LRU.
+	t.gen++
 	for w := range ways {
 		if !ways[w].valid {
 			ways[w] = line{tag: la, lru: t.tick, valid: true, dirty: write}
@@ -127,7 +139,8 @@ type ICache struct {
 	lines []line
 	data  []byte // LineBytes per way, in lines order
 	tick  uint64
-	fills int // line fills since Reset
+	fills int    // line fills since Reset
+	gen   uint64 // fills and flushes
 }
 
 // NewICache returns an empty instruction cache.
@@ -165,6 +178,7 @@ func (c *ICache) Fetch(addr uint64, m MemReader) (word uint32, hit bool) {
 		m.ReadLine(la, c.lineData(base+way))
 		ways[way].tag, ways[way].valid = la, true
 		c.fills++
+		c.gen++
 	}
 	ways[way].lru = c.tick
 	return binary.LittleEndian.Uint32(c.lineData(base + way)[addr-la:]), hit
@@ -177,6 +191,7 @@ func (c *ICache) lineData(i int) []byte {
 
 // Flush invalidates every line (FENCE.I).
 func (c *ICache) Flush() {
+	c.gen++
 	for i := range c.lines {
 		c.lines[i].valid = false
 	}
@@ -187,7 +202,7 @@ func (c *ICache) Flush() {
 // invalid line is refilled before it is ever read.
 func (c *ICache) Reset() {
 	clear(c.lines)
-	c.tick, c.fills = 0, 0
+	c.tick, c.fills, c.gen = 0, 0, 0
 }
 
 // CopyFrom makes c observationally a copy of a same-sized cache whose
@@ -195,7 +210,7 @@ func (c *ICache) Reset() {
 // read, so only theirs is copied.
 func (c *ICache) CopyFrom(src *ICache, valid []int) {
 	copy(c.lines, src.lines)
-	c.tick, c.fills = src.tick, src.fills
+	c.tick, c.fills, c.gen = src.tick, src.fills, src.gen
 	for _, i := range valid {
 		copy(c.lineData(i), src.lineData(i))
 	}
@@ -204,16 +219,17 @@ func (c *ICache) CopyFrom(src *ICache, valid []int) {
 // BHT is a table of 2-bit saturating counters.
 type BHT struct {
 	counters []uint8
+	gen      uint64 // counter changes
 }
 
 // NewBHT returns a BHT with n entries (power of two), weakly not-taken.
 func NewBHT(n int) *BHT { return &BHT{counters: make([]uint8, n)} }
 
 // Reset returns every counter to weakly not-taken.
-func (b *BHT) Reset() { clear(b.counters) }
+func (b *BHT) Reset() { clear(b.counters); b.gen = 0 }
 
 // CopyFrom makes b an exact copy of a same-sized table.
-func (b *BHT) CopyFrom(src *BHT) { copy(b.counters, src.counters) }
+func (b *BHT) CopyFrom(src *BHT) { copy(b.counters, src.counters); b.gen = src.gen }
 
 func (b *BHT) index(pc uint64) int { return int(pc>>2) & (len(b.counters) - 1) }
 
@@ -226,9 +242,11 @@ func (b *BHT) Update(pc uint64, taken bool) {
 	if taken {
 		if b.counters[i] < 3 {
 			b.counters[i]++
+			b.gen++
 		}
 	} else if b.counters[i] > 0 {
 		b.counters[i]--
+		b.gen++
 	}
 }
 
@@ -237,6 +255,7 @@ type BTB struct {
 	tags    []uint64
 	targets []uint64
 	valid   []bool
+	gen     uint64 // entry changes
 }
 
 // NewBTB returns a BTB with n entries (power of two).
@@ -249,6 +268,7 @@ func (b *BTB) Reset() {
 	clear(b.valid)
 	clear(b.tags)
 	clear(b.targets)
+	b.gen = 0
 }
 
 // CopyFrom makes b an exact copy of a same-sized buffer.
@@ -256,6 +276,7 @@ func (b *BTB) CopyFrom(src *BTB) {
 	copy(b.valid, src.valid)
 	copy(b.tags, src.tags)
 	copy(b.targets, src.targets)
+	b.gen = src.gen
 }
 
 func (b *BTB) index(pc uint64) int { return int(pc>>2) & (len(b.tags) - 1) }
@@ -272,7 +293,10 @@ func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 // Update installs or refreshes the target for pc.
 func (b *BTB) Update(pc, target uint64) {
 	i := b.index(pc)
-	b.tags[i], b.targets[i], b.valid[i] = pc, target, true
+	if !b.valid[i] || b.tags[i] != pc || b.targets[i] != target {
+		b.tags[i], b.targets[i], b.valid[i] = pc, target, true
+		b.gen++
+	}
 }
 
 // RAS is a fixed-depth return address stack.

@@ -81,6 +81,25 @@ func (g *resumeRig) run(name string, img mem.Image, budget int, pre []uint64, wa
 	}
 }
 
+// appendFuzzerShaped appends at least n bodies the way the fuzzers
+// shape them, from seed: a randinst body, then a batch of three from a
+// TheHuzz generator whose pool some of them join, and again.
+func appendFuzzerShaped(bodies [][]uint32, seed int64, n int) [][]uint32 {
+	rng := rand.New(rand.NewSource(seed))
+	huzz := thehuzz.New(seed, 16)
+	for n += len(bodies); len(bodies) < n; {
+		bodies = append(bodies, randinst.Program(rng, 1+rng.Intn(32)))
+		batch := huzz.GenerateBatch(3)
+		scores := make([]cov.Scores, len(batch))
+		for i, p := range batch {
+			bodies = append(bodies, p.Body)
+			scores[i].Incremental = rng.Intn(3) // some join the pool and get mutated
+		}
+		huzz.Feedback(scores)
+	}
+	return bodies
+}
+
 // std builds a standard-harness image and its budget.
 func std(body []uint32) (mem.Image, int) {
 	img, _ := prog.MustBuild(prog.Program{Body: body})
@@ -117,19 +136,7 @@ func CheckResumeMatchesReset(t *testing.T, dut rtl.ReusableDUT, resumes func(rtl
 	// One runner over the golden set and 200 fuzzer-shaped bodies:
 	// every run but the first resumes, and each inherits the caches,
 	// predictors, rings and memory the previous one left behind.
-	bodies := Programs()
-	rng := rand.New(rand.NewSource(19))
-	huzz := thehuzz.New(19, 16)
-	for len(bodies) < 64+200 {
-		bodies = append(bodies, randinst.Program(rng, 1+rng.Intn(32)))
-		batch := huzz.GenerateBatch(3)
-		scores := make([]cov.Scores, len(batch))
-		for i, p := range batch {
-			bodies = append(bodies, p.Body)
-			scores[i].Incremental = rng.Intn(3) // some join the pool and get mutated
-		}
-		huzz.Feedback(scores)
-	}
+	bodies := appendFuzzerShaped(Programs(), 19, 200)
 	g := newResumeRig(t, dut, resumes)
 	for i, body := range bodies {
 		img, budget := std(body)

@@ -9,6 +9,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"chatfuzz/internal/isa"
@@ -95,4 +96,15 @@ func Diff(a, b Entry) string {
 		return fmt.Sprintf("priv %s vs %s", a.Priv, b.Priv)
 	}
 	return "entries differ"
+}
+
+// Repeat appends n more copies of the last p entries of tr, the
+// period of a run caught in a cycle, and returns the grown slice.
+func Repeat(tr []Entry, p, n int) []Entry {
+	start, total := len(tr)-p, p*(n+1)
+	tr = slices.Grow(tr, p*n)[:start+total]
+	for done := p; done < total; {
+		done += copy(tr[start+done:start+total], tr[start:start+done])
+	}
+	return tr
 }

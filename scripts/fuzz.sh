@@ -17,6 +17,9 @@ targets='
 ./internal/mem:FuzzMemoryMatchesReference
 ./internal/prog:FuzzBuild
 ./internal/simtest:FuzzResumeMatchesReset
+./internal/iss:FuzzCycleSkipMatchesStepwise
+./internal/rtl/rocket:FuzzCycleSkipMatchesStepwise
+./internal/rtl/boom:FuzzCycleSkipMatchesStepwise
 ./internal/ml/nn:FuzzPackedMatchesPadded
 ./internal/ml/nn:FuzzLMLossMatchesMasked
 ./internal/ml/tensor:FuzzAxpy4MatchesScalar
@@ -26,6 +29,7 @@ targets='
 ./internal/baseline/thehuzz:FuzzAppendStateMatchesMarshal
 ./internal/campaign:FuzzDecodeCheckpoint
 ./internal/farm:FuzzReplayWAL
+./internal/farm:FuzzSubmitSpec
 ./internal/mismatch:FuzzAnalyzeSkipMatchesFull
 ./internal/mismatch:FuzzDetectorStateRoundTrip
 '
