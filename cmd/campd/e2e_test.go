@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/farm"
 )
@@ -149,10 +150,13 @@ func TestCampdKillRestartBitIdentical(t *testing.T) {
 		t.Fatal("campd survived SIGKILL")
 	}
 
-	// Whatever instant the kill hit, the on-disk checkpoint must be a
-	// complete readable generation.
-	ckptPath := filepath.Join(data, "jobs", st.ID, "ckpt.json")
-	info, err := campaign.ReadCheckpointInfo(ckptPath)
+	// Whatever instant the kill hit, the job's checkpoint slot store
+	// must hold a complete readable generation.
+	payload, _, err := atomicio.ReadSlots(filepath.Join(data, "jobs", st.ID, "ckpt"))
+	if err != nil {
+		t.Fatalf("checkpoint unreadable after SIGKILL: %v", err)
+	}
+	info, err := campaign.DecodeCheckpointInfo(bytes.NewReader(payload))
 	if err != nil {
 		t.Fatalf("checkpoint unreadable after SIGKILL: %v", err)
 	}

@@ -1,16 +1,25 @@
-// Package atomicio writes files crash-safely: content lands in a
-// same-directory temporary file, is fsynced, and is renamed over the
-// destination, after which the directory itself is fsynced. At every
-// instant the destination path holds either the complete old contents
-// or the complete new contents — a crash, kill -9 or full disk
-// mid-write can delay an update but can never tear one. Close errors
-// are propagated, never dropped: on many filesystems a write error
-// only surfaces at Close or Sync, and a writer that ignores them
-// reports durable success for data that never reached the disk.
+// Package atomicio writes files crash-safely, in two ways.
 //
-// This is the write path under everything the repo promises to
-// replay: campaign checkpoints, model weights, and the benchmark
-// JSON the CI gates read back.
+// WriteFile replaces a file whole: content lands in a same-directory
+// temporary file, is fsynced, and is renamed over the destination,
+// after which the directory itself is fsynced. At every instant the
+// destination path holds either the complete old contents or the
+// complete new contents — a crash, kill -9 or full disk mid-write can
+// delay an update but can never tear one. This is the write path of
+// campaign checkpoints written once per run, model weights, and the
+// benchmark JSON the CI gates read back.
+//
+// A slot store (OpenSlots, Commit, ReadSlots) keeps the newest
+// generation of a payload that is rewritten many times — campd's
+// per-job checkpoint, every round — in two files overwritten in place
+// by turns and flushed with fdatasync: one data flush a generation
+// instead of WriteFile's two journal commits. A crash at any instant
+// leaves the previous or the new generation readable (slots.go).
+//
+// Close errors are propagated, never dropped: on many filesystems a
+// write error only surfaces at Close or Sync, and a writer that
+// ignores them reports durable success for data that never reached
+// the disk.
 //
 //chatfuzz:deterministic package
 package atomicio
@@ -35,7 +44,12 @@ const tempSuffix = ".tmp"
 // fsynced, renamed over path, and the directory entry is fsynced too.
 // If write or any durability step fails, the temporary file is
 // removed and path is left exactly as it was.
-func WriteFile(path string, write func(io.Writer) error) (err error) {
+func WriteFile(path string, write func(io.Writer) error) error {
+	return writeFile(path, write, os.Rename)
+}
+
+// writeFile is WriteFile with the rename injected, so tests can fail it.
+func writeFile(path string, write func(io.Writer) error, rename func(oldpath, newpath string) error) (err error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+tempSuffix+"*")
 	if err != nil {
@@ -64,7 +78,7 @@ func WriteFile(path string, write func(io.Writer) error) (err error) {
 	if err = f.Close(); err != nil {
 		return fmt.Errorf("atomicio: close %s: %w", tmp, err)
 	}
-	if err = os.Rename(tmp, path); err != nil {
+	if err = rename(tmp, path); err != nil {
 		return fmt.Errorf("atomicio: rename %s: %w", path, err)
 	}
 	// Durability of the rename itself: fsync the directory so the new

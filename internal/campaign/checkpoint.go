@@ -381,17 +381,33 @@ func decodeCheckpoint(r io.Reader) (checkpointFile, error) {
 
 // CheckpointFile writes a checkpoint to path, atomically and durably:
 // the bytes are staged in a same-directory temp file, fsynced, renamed
-// over path, and the directory entry is fsynced (internal/atomicio).
+// over path, and the directory entry is fsynced (atomicio.WriteFile).
 // A crash, kill -9 or full disk mid-write therefore leaves the
 // previous checkpoint generation intact — path never holds a torn
-// checkpoint — which is what lets the farm daemon resume any job from
-// its last durable checkpoint no matter when the process died.
+// checkpoint. It suits a checkpoint written once a run, as
+// `fuzz-bench campaign` writes one; a checkpoint rewritten every round
+// goes to a slot store (CheckpointSlots).
 func (o *Orchestrator) CheckpointFile(path string) error {
 	buf, err := o.encodeCheckpoint()
 	if err != nil {
 		return err
 	}
 	return atomicio.WriteFileBytes(path, buf)
+}
+
+// CheckpointSlots commits a checkpoint to the slot store s as its next
+// generation: the encoding is written, from the orchestrator's reused
+// buffer, over the older of s's two slots in place and flushed
+// (atomicio.Slots.Commit), so a crash at any instant leaves this
+// generation or the previous one readable. The payload is the bytes
+// Checkpoint writes. This is how the farm daemon checkpoints a job
+// every CheckpointEvery rounds.
+func (o *Orchestrator) CheckpointSlots(s *atomicio.Slots) error {
+	buf, err := o.encodeCheckpoint()
+	if err != nil {
+		return err
+	}
+	return s.Commit(buf)
 }
 
 // Resume rebuilds a homogeneous fleet from a checkpoint, with the zero
@@ -590,7 +606,13 @@ func ReadCheckpointInfo(path string) (CheckpointInfo, error) {
 		return CheckpointInfo{}, err
 	}
 	defer f.Close()
-	cf, err := decodeCheckpoint(f)
+	return DecodeCheckpointInfo(f)
+}
+
+// DecodeCheckpointInfo is ReadCheckpointInfo over a checkpoint's bytes
+// from r, such as a slot store's payload.
+func DecodeCheckpointInfo(r io.Reader) (CheckpointInfo, error) {
+	cf, err := decodeCheckpoint(r)
 	if err != nil {
 		return CheckpointInfo{}, err
 	}

@@ -2,16 +2,18 @@
 // daemon (cmd/campd) that accepts fuzzing-campaign submissions over
 // an HTTP/JSON API, persists each job in an on-disk write-ahead queue
 // log (append, fsync, checksum — replayed on startup), runs jobs on
-// the campaign orchestrator with a durable atomic checkpoint after
-// every CheckpointEvery rounds, and streams round reports to
-// watching clients.
+// the campaign orchestrator with a durable checkpoint committed to the
+// job's two-slot store after every CheckpointEvery rounds, and streams
+// round reports to watching clients.
 //
 // Crash safety is the design center, and it rests on two invariants
 // the rest of the repo already enforces:
 //
-//  1. Checkpoints are atomic and durable (internal/atomicio): at any
-//     instant a job's checkpoint file holds a complete generation,
-//     never a torn one, no matter when the process died.
+//  1. Checkpoints are durable and never lost to a tear
+//     (internal/atomicio Slots): a generation is flushed before the job
+//     goes on, written over the slot that does not hold the newest
+//     one, so at any instant the store holds the previous or the new
+//     generation intact, no matter when the process died.
 //  2. Resume is bit-exact (internal/campaign): a fleet rebuilt from a
 //     checkpoint replays the remaining rounds bit-identically to the
 //     uninterrupted run — trajectories and subsequent checkpoint

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/telemetry"
@@ -91,9 +92,16 @@ func directRun(t *testing.T, spec JobSpec) ([]RoundReport, []byte) {
 	return reports(o.Trajectory()), b
 }
 
+// jobOf returns the server's record of job id.
+func jobOf(s *Server, id string) *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.jobs[id]
+}
+
 func readCheckpoint(t *testing.T, s *Server, id string) []byte {
 	t.Helper()
-	b, err := os.ReadFile(s.checkpointPath(id))
+	b, _, err := s.loadCheckpoint(jobOf(s, id), id)
 	if err != nil {
 		t.Fatalf("read checkpoint: %v", err)
 	}
@@ -139,15 +147,30 @@ func TestFarmJobMatchesDirectRun(t *testing.T) {
 // returns the new server.
 func killAndReopen(t *testing.T, s *Server, cfg Config, id string) *Server {
 	t.Helper()
+	killPastRound2(t, s, id)
+	return reopenAfterKill(t, s, cfg, id)
+}
+
+// killPastRound2 crashes the farm once the job has passed at least two
+// round barriers: with the default cadence, two generations are
+// durable.
+func killPastRound2(t *testing.T, s *Server, id string) {
+	t.Helper()
 	waitUntil(t, id+" past round 2", func() bool {
 		reps, _ := s.Rounds(id, 0)
 		return len(reps) >= 2
 	})
 	s.Kill()
+}
 
+// reopenAfterKill verifies the on-disk state a crash leaves (readable
+// checkpoint, replayable queue log), reopens the same data dir and
+// returns the new server.
+func reopenAfterKill(t *testing.T, s *Server, cfg Config, id string) *Server {
+	t.Helper()
 	// No crash sequence may leave an unreadable checkpoint: whatever
-	// instant the kill hit, the file must hold a complete generation.
-	info, err := campaign.ReadCheckpointInfo(s.checkpointPath(id))
+	// instant the kill hit, the store must hold a complete generation.
+	info, err := s.checkpointInfo(jobOf(s, id), id)
 	if err != nil {
 		t.Fatalf("checkpoint unreadable after kill: %v", err)
 	}
@@ -236,6 +259,145 @@ func TestFarmKillRecoverLLMJob(t *testing.T) {
 	}
 	if got := readCheckpoint(t, s2, st.ID); !bytes.Equal(got, wantCkpt) {
 		t.Errorf("LLM job recovered checkpoint bytes differ from uninterrupted run")
+	}
+}
+
+// corruptSlot flips one payload byte of slot i of a job's checkpoint
+// store, and returns the slot file's new bytes.
+func corruptSlot(t *testing.T, s *Server, id string, i int) []byte {
+	t.Helper()
+	path := atomicio.SlotPath(s.checkpointPath(id), i)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read slot: %v", err)
+	}
+	b[40] ^= 0x20
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatalf("corrupt slot: %v", err)
+	}
+	return b
+}
+
+// TestFarmKillCorruptNewestSlotResumesPrevious: a crash that tore the
+// newest checkpoint slot — here, one flipped byte after the kill —
+// costs one generation: the reopened daemon resumes from the previous
+// one, in the other slot, and finishes bit-identical to a direct run.
+func TestFarmKillCorruptNewestSlotResumesPrevious(t *testing.T) {
+	spec := testSpec(240)
+	wantReps, wantCkpt := directRun(t, spec)
+
+	cfg := Config{Dir: t.TempDir()}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	killPastRound2(t, s, st.ID)
+	newest, gen, err := s.loadCheckpoint(jobOf(s, st.ID), st.ID)
+	if err != nil {
+		t.Fatalf("checkpoint after kill: %v", err)
+	}
+	before, err := campaign.DecodeCheckpointInfo(bytes.NewReader(newest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corruptSlot(t, s, st.ID, int(gen%2))
+	prev, prevGen, err := s.loadCheckpoint(jobOf(s, st.ID), st.ID)
+	if err != nil || prevGen != gen-1 {
+		t.Fatalf("with generation %d torn the store reads generation %d, %v; want %d", gen, prevGen, err, gen-1)
+	}
+	if info, err := campaign.DecodeCheckpointInfo(bytes.NewReader(prev)); err != nil || info.Round != before.Round-1 {
+		t.Fatalf("the previous generation holds round %d (%v), want %d", info.Round, err, before.Round-1)
+	}
+	s2 := reopenAfterKill(t, s, cfg, st.ID)
+	defer s2.Stop()
+	waitDone(t, s2, st.ID)
+
+	gotReps, _ := s2.Rounds(st.ID, 0)
+	if !reflect.DeepEqual(gotReps, wantReps) {
+		t.Errorf("trajectory resumed from the previous generation diverged:\n got %+v\nwant %+v", gotReps, wantReps)
+	}
+	if got := readCheckpoint(t, s2, st.ID); !bytes.Equal(got, wantCkpt) {
+		t.Errorf("checkpoint resumed from the previous generation differs from an uninterrupted run")
+	}
+}
+
+// TestFarmBothSlotsCorruptFailsJob: with neither slot valid the job
+// fails with an error naming its store, and the slot files are left as
+// found rather than overwritten by a restart from round 0.
+func TestFarmBothSlotsCorruptFailsJob(t *testing.T) {
+	cfg := Config{Dir: t.TempDir()}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	st, err := s.Submit(testSpec(240))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	killPastRound2(t, s, st.ID)
+	slots := [][]byte{corruptSlot(t, s, st.ID, 0), corruptSlot(t, s, st.ID, 1)}
+
+	s2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("re-Open: %v", err)
+	}
+	defer s2.Stop()
+	var got JobStatus
+	waitUntil(t, st.ID+" terminal", func() bool {
+		got, _ = s2.Job(st.ID)
+		return got.State == JobDone || got.State == JobFailed
+	})
+	if path := s.checkpointPath(st.ID); got.State != JobFailed || !strings.Contains(got.Error, path) {
+		t.Errorf("job ended %s (%q), want failed naming %s", got.State, got.Error, path)
+	}
+	for i, want := range slots {
+		if b, err := os.ReadFile(atomicio.SlotPath(s.checkpointPath(st.ID), i)); err != nil || !bytes.Equal(b, want) {
+			t.Errorf("slot %d was touched (%v)", i, err)
+		}
+	}
+}
+
+// TestFarmCheckpointReadsDuringCommits: the checkpoint endpoint's read
+// runs beside the runner's in-place commits and must only ever see a
+// whole generation, never a missing one once the first is durable, and
+// never an older one than it saw before.
+func TestFarmCheckpointReadsDuringCommits(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir(), Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Stop()
+	c := NewClient(s.Addr())
+	st, err := s.Submit(testSpec(240))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	round := 0
+	for done := false; !done; {
+		cur, _ := s.Job(st.ID)
+		done = cur.State == JobDone || cur.State == JobFailed
+		b, err := c.Checkpoint(st.ID)
+		if err != nil {
+			if round > 0 {
+				t.Fatalf("checkpoint unreadable after round %d was served: %v", round, err)
+			}
+			continue
+		}
+		info, err := campaign.DecodeCheckpointInfo(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("served checkpoint does not decode: %v", err)
+		}
+		if info.Round < round {
+			t.Fatalf("served round %d after round %d", info.Round, round)
+		}
+		round = info.Round
+	}
+	if final := waitDone(t, s, st.ID); round != final.Summary.Rounds {
+		t.Errorf("last served checkpoint is round %d, the job ran %d", round, final.Summary.Rounds)
 	}
 }
 
@@ -335,7 +497,7 @@ func TestFarmUnreadableCheckpointFailsJob(t *testing.T) {
 	}
 	s.Kill() // the job stays open in the queue log, started or not
 
-	ckpt := s.checkpointPath(st.ID)
+	ckpt := atomicio.SlotPath(s.checkpointPath(st.ID), 0)
 	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
 		t.Fatalf("MkdirAll: %v", err)
 	}
@@ -380,7 +542,8 @@ func TestFarmRemovesStaleCheckpointTemps(t *testing.T) {
 	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
 		t.Fatalf("MkdirAll: %v", err)
 	}
-	for _, name := range []string{ckpt + ".tmp123456", ckpt + ".tmp654321"} {
+	// The staging files of a slot growth (atomicio.WriteFile on a slot).
+	for _, name := range []string{atomicio.SlotPath(ckpt, 0) + ".tmp123456", atomicio.SlotPath(ckpt, 1) + ".tmp654321"} {
 		if err := os.WriteFile(name, wantCkpt[:len(wantCkpt)/2], 0o600); err != nil {
 			t.Fatalf("plant %s: %v", name, err)
 		}
@@ -398,8 +561,9 @@ func TestFarmRemovesStaleCheckpointTemps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadDir: %v", err)
 	}
-	if len(entries) != 1 || entries[0].Name() != filepath.Base(ckpt) {
-		t.Errorf("job directory holds %v, want only %s", entries, filepath.Base(ckpt))
+	if slots := []string{filepath.Base(atomicio.SlotPath(ckpt, 0)), filepath.Base(atomicio.SlotPath(ckpt, 1))}; len(entries) != 2 ||
+		entries[0].Name() != slots[0] || entries[1].Name() != slots[1] {
+		t.Errorf("job directory holds %v, want only %v", entries, slots)
 	}
 	if got := readCheckpoint(t, s, st.ID); !bytes.Equal(got, wantCkpt) {
 		t.Error("checkpoint differs from the undisturbed run")
@@ -613,6 +777,10 @@ func TestFarmHTTPSubmitTakesOneSpec(t *testing.T) {
 		{"trailing garbage", string(spec) + " trailing garbage", http.StatusBadRequest},
 		{"trailing brace", string(spec) + "}", http.StatusBadRequest},
 		{"oversize", string(spec) + strings.Repeat(" ", maxSpecBytes), http.StatusBadRequest},
+		{"null", "null", http.StatusBadRequest},
+		{"array", "[" + string(spec) + "]", http.StatusBadRequest},
+		{"number", "7", http.StatusBadRequest},
+		{"string", `"spec"`, http.StatusBadRequest},
 		{"plain", string(spec) + "\n", http.StatusOK},
 	} {
 		resp, err := http.Post("http://"+s.Addr()+"/api/v1/jobs", "application/json", strings.NewReader(tc.body))

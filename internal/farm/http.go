@@ -1,12 +1,14 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
-	"os"
 	"strconv"
 
 	"chatfuzz/internal/telemetry"
@@ -20,7 +22,7 @@ import (
 //	GET  /api/v1/jobs/{id}/rounds?from=N  stream RoundReports as JSONL
 //	                                    until the job is terminal
 //	GET  /api/v1/jobs/{id}/trajectory   full history      -> []RoundReport
-//	GET  /api/v1/jobs/{id}/checkpoint   the durable checkpoint bytes
+//	GET  /api/v1/jobs/{id}/checkpoint   the newest durable checkpoint's bytes
 //	GET  /healthz                       liveness
 //
 // With Config.Metrics set, the telemetry endpoint of the campaign CLI
@@ -57,14 +59,25 @@ func writeJSON(w http.ResponseWriter, v any) {
 // bytes.
 const maxSpecBytes = 1 << 20
 
-// handleSubmit takes exactly one JSON JobSpec: a body that carries
-// anything but whitespace after it is refused, as is one over
-// maxSpecBytes.
+// handleSubmit takes exactly one JSON JobSpec, which is an object: a
+// body that carries anything but whitespace after it is refused, as is
+// one over maxSpecBytes and any other JSON value (null, an array, a
+// number, a string), which would decode to the zero spec or fail late.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
+	var raw json.RawMessage
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := dec.Decode(&raw); err != nil {
+		http.Error(w, fmt.Sprintf("bad job spec: %v", err), http.StatusBadRequest)
+		return
+	}
+	if raw[0] != '{' {
+		http.Error(w, "bad job spec: not a JSON object", http.StatusBadRequest)
+		return
+	}
+	var spec JobSpec
+	strict := json.NewDecoder(bytes.NewReader(raw))
+	strict.DisallowUnknownFields()
+	if err := strict.Decode(&spec); err != nil {
 		http.Error(w, fmt.Sprintf("bad job spec: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -175,13 +188,20 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.Job(id); !ok {
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	s.mu.Unlock()
+	if !ok {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
-	b, err := os.ReadFile(s.checkpointPath(id))
-	if err != nil {
+	b, _, err := s.loadCheckpoint(j, id)
+	if errors.Is(err, fs.ErrNotExist) {
 		http.Error(w, "no checkpoint yet", http.StatusNotFound)
+		return
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

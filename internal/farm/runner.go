@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -12,9 +13,11 @@ import (
 )
 
 // runJob executes one job to completion (or until the server stops):
-// build or resume the fleet, run rounds with a durable atomic
-// checkpoint every CheckpointEvery barriers, publish each barrier's
-// numbers to watchers, and close the job durably in the queue log.
+// build the fleet or resume it from the newest valid generation of the
+// job's checkpoint slot store, run rounds, commit a checkpoint to the
+// store every CheckpointEvery barriers and at the end (one in-place
+// write and fdatasync, atomicio.Slots), publish each barrier's numbers
+// to watchers, and close the job durably in the queue log.
 //
 // Determinism contract: everything here that shapes the trajectory is
 // either in the job spec (logged) or in the checkpoint (durable), so
@@ -37,48 +40,56 @@ func (s *Server) runJob(id string) {
 		return
 	}
 
-	ckpt := s.checkpointPath(id)
 	if err := os.MkdirAll(s.jobDir(id), 0o755); err != nil {
 		s.finishJob(id, nil, fmt.Errorf("farm: job dir: %w", err))
 		return
 	}
-
-	// The worker is the only writer of the job directory, so a staging
-	// file in it is debris of a daemon killed mid-write, never a write
-	// in flight.
-	if err := atomicio.RemoveTemps(ckpt); err != nil {
-		s.finishJob(id, nil, fmt.Errorf("farm: %s: %w", id, err))
-		return
-	}
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
 
 	var o *campaign.Orchestrator
 	// durable is the round of the checkpoint generation on disk.
 	durable := -1
-	switch _, statErr := os.Stat(ckpt); {
-	case statErr == nil:
-		// Recovery: the checkpoint is atomic, so if the file exists it
-		// is a complete generation. ResumeMixedFile validates the spec
-		// against it (arm signatures, designs, coverage spaces).
-		o, err = campaign.ResumeMixedFile(ckpt, duts, arms...)
+	payload, gen, err := s.loadCheckpoint(j, id)
+	switch {
+	case err == nil:
+		// Recovery: the store's newest valid slot is a complete
+		// generation. ResumeMixed validates the spec against it (arm
+		// signatures, designs, coverage spaces).
+		o, err = campaign.ResumeMixed(bytes.NewReader(payload), duts, arms...)
 		if err != nil {
 			s.finishJob(id, nil, fmt.Errorf("farm: resume %s: %w", id, err))
 			return
 		}
 		durable = o.Rounds()
 		s.publishRecovered(id, o.Trajectory())
-	case errors.Is(statErr, fs.ErrNotExist):
+	case errors.Is(err, fs.ErrNotExist):
 		o, err = campaign.NewMixed(cfg, duts, arms...)
 		if err != nil {
 			s.finishJob(id, nil, err)
 			return
 		}
 	default:
-		// Something is at the path and cannot be read (ELOOP, EACCES,
-		// EIO): starting over would overwrite it with round 0's progress.
-		s.finishJob(id, nil, fmt.Errorf("farm: %s checkpoint: %w", id, statErr))
+		// Slot files exist but hold no valid generation, or cannot be
+		// read (ELOOP, EACCES, EIO): starting over would overwrite them
+		// with round 0's progress.
+		s.finishJob(id, nil, fmt.Errorf("farm: %s checkpoint: %w", id, err))
 		return
 	}
 	defer o.Close()
+
+	// The worker is the only writer of the job directory, so a staging
+	// file in it is debris of a daemon killed mid-growth, never a write
+	// in flight; OpenSlots removes it.
+	store, err := atomicio.OpenSlots(s.checkpointPath(id), gen)
+	if err != nil {
+		s.finishJob(id, nil, fmt.Errorf("farm: %s: %w", id, err))
+		return
+	}
+	// Every generation was flushed by its commit; the success path
+	// checks Close anyway, and a second Close is harmless.
+	defer store.Close()
 
 	// checkpoint makes the current barrier durable, unless it already
 	// is: the last round of a job is both a cadence and the final
@@ -87,7 +98,10 @@ func (s *Server) runJob(id string) {
 		if o.Rounds() == durable {
 			return nil
 		}
-		if err := o.CheckpointFile(ckpt); err != nil {
+		j.ckpt.Lock()
+		err := o.CheckpointSlots(store)
+		j.ckpt.Unlock()
+		if err != nil {
 			return err
 		}
 		durable = o.Rounds()
@@ -128,6 +142,10 @@ func (s *Server) runJob(id string) {
 	// trajectory endpoint reads it after restarts, and the e2e test
 	// byte-compares it against an uninterrupted run's).
 	if err := checkpoint(); err != nil {
+		s.finishJob(id, nil, fmt.Errorf("farm: final checkpoint: %w", err))
+		return
+	}
+	if err := store.Close(); err != nil {
 		s.finishJob(id, nil, fmt.Errorf("farm: final checkpoint: %w", err))
 		return
 	}

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/telemetry"
 )
@@ -17,8 +19,8 @@ import (
 // Config parameterises a farm server.
 type Config struct {
 	// Dir is the farm's data directory: the queue log lives at
-	// Dir/queue.log, job checkpoints under Dir/jobs/<id>/. Created if
-	// absent.
+	// Dir/queue.log, each job's checkpoint slot store at
+	// Dir/jobs/<id>/ckpt.{0,1}. Created if absent.
 	Dir string
 	// Addr, when non-empty, serves the HTTP API on this address
 	// (":0" picks a free port; Server.Addr reports it). Empty runs
@@ -53,6 +55,10 @@ type job struct {
 	// checkpoint's merged trajectory when a job is recovered or first
 	// read after a restart (roundsLocked).
 	rounds []RoundReport
+	// ckpt orders reads of the job's slot store (loadCheckpoint) after
+	// its runner's commits: a slot is overwritten in place, so a read
+	// racing two commits could find both slots mid-write.
+	ckpt sync.RWMutex
 }
 
 // Server is the campaign farm: a durable job queue, a worker pool
@@ -182,7 +188,7 @@ func (s *Server) replay(recs [][]byte) error {
 		if j.status.State != JobQueued {
 			continue
 		}
-		if info, err := campaign.ReadCheckpointInfo(s.checkpointPath(id)); err == nil {
+		if info, err := s.checkpointInfo(j, id); err == nil {
 			j.status.Round = info.Round
 			j.status.Tests = info.Tests
 			j.status.Resumes++
@@ -193,8 +199,31 @@ func (s *Server) replay(recs [][]byte) error {
 	return nil
 }
 
-func (s *Server) jobDir(id string) string         { return filepath.Join(s.cfg.Dir, "jobs", id) }
-func (s *Server) checkpointPath(id string) string { return filepath.Join(s.jobDir(id), "ckpt.json") }
+func (s *Server) jobDir(id string) string { return filepath.Join(s.cfg.Dir, "jobs", id) }
+
+// checkpointPath is the path of a job's checkpoint slot store
+// (atomicio.Slots): its slot files are checkpointPath + ".0" and ".1".
+func (s *Server) checkpointPath(id string) string { return filepath.Join(s.jobDir(id), "ckpt") }
+
+// loadCheckpoint is the one read of a job's durable checkpoint: the
+// payload and generation of its slot store's newest valid slot, read
+// between its runner's commits. The error wraps fs.ErrNotExist when
+// the job has no slot file yet. It takes no s.mu, and may be called
+// with it held.
+func (s *Server) loadCheckpoint(j *job, id string) ([]byte, uint64, error) {
+	j.ckpt.RLock()
+	defer j.ckpt.RUnlock()
+	return atomicio.ReadSlots(s.checkpointPath(id))
+}
+
+// checkpointInfo decodes the envelope of a job's durable checkpoint.
+func (s *Server) checkpointInfo(j *job, id string) (campaign.CheckpointInfo, error) {
+	b, _, err := s.loadCheckpoint(j, id)
+	if err != nil {
+		return campaign.CheckpointInfo{}, err
+	}
+	return campaign.DecodeCheckpointInfo(bytes.NewReader(b))
+}
 
 // shutdownWorkers stops the worker pool without touching the WAL
 // (Open's error path, before anything ran).
@@ -290,7 +319,7 @@ func (s *Server) roundsLocked(id string, from int) (reps []RoundReport, terminal
 	}
 	terminal = j.status.State == JobDone || j.status.State == JobFailed
 	if len(j.rounds) == 0 && terminal {
-		if info, err := campaign.ReadCheckpointInfo(s.checkpointPath(id)); err == nil {
+		if info, err := s.checkpointInfo(j, id); err == nil {
 			j.rounds = reports(info.Merged)
 		}
 	}

@@ -29,10 +29,11 @@ func openQueueOnly(t testing.TB) *Server {
 
 // FuzzSubmitSpec posts arbitrary bytes to the submit handler. It must
 // never panic, must answer 200 exactly when the body is one JobSpec
-// of at most 1 MiB, with no unknown field, that validates once its
-// defaults are filled in, followed by nothing but whitespace, and a
-// 200 must queue exactly that one job; anything else is a 400 that
-// queues none.
+// of at most 1 MiB — a JSON object, with no unknown field, that
+// validates once its defaults are filled in — followed by nothing but
+// whitespace, and a 200 must queue exactly that one job; anything else
+// (null, an array, a number or a string included) is a 400 that queues
+// none.
 func FuzzSubmitSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"Tests":100,"Shards":2,"BatchSize":8,"Seed":3,"Body":8}`,
@@ -45,7 +46,11 @@ func FuzzSubmitSpec(f *testing.F) {
 		`{"MismatchWeight":0.5}`,
 		`{"Tests":"many"}`,
 		`null`,
+		` null `,
 		`[]`,
+		`[{"Tests":1}]`,
+		`7`,
+		`"spec"`,
 		``,
 		`{"Tests":1}` + strings.Repeat(" ", maxSpecBytes-len(`{"Tests":1}`)),
 		`{"Tests":1}` + strings.Repeat(" ", maxSpecBytes),
@@ -56,11 +61,13 @@ func FuzzSubmitSpec(f *testing.F) {
 	h := s.handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// The oracle: Unmarshal requires the whole body to be one JSON
-		// value, a strict decoder refuses unknown fields.
+		// value, which is an object when its first byte past the
+		// whitespace opens one; a strict decoder refuses unknown fields.
 		var spec JobSpec
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
-		ok := len(body) <= maxSpecBytes && json.Unmarshal(body, new(JobSpec)) == nil &&
+		object := bytes.HasPrefix(bytes.TrimLeft(body, " \t\r\n"), []byte("{"))
+		ok := len(body) <= maxSpecBytes && object && json.Unmarshal(body, new(JobSpec)) == nil &&
 			dec.Decode(&spec) == nil && spec.WithDefaults().Validate() == nil
 
 		before := len(s.Jobs())
