@@ -12,8 +12,8 @@ import (
 	"chatfuzz/internal/vtime"
 )
 
-// ProgressPoint is one sample of the campaign's coverage trajectory
-// (the series behind Fig. 2).
+// ProgressPoint is one round's sample of a fleet's coverage trajectory
+// (campaign.Orchestrator.Trajectory, the series behind Fig. 2).
 type ProgressPoint struct {
 	Tests    int
 	Hours    float64 // virtual wall-clock hours
@@ -73,7 +73,6 @@ type Fuzzer struct {
 
 	BatchSize int
 	Tests     int
-	Progress  []ProgressPoint
 
 	eng    *engine.Engine
 	track  *telemetry.Track // generate/commit spans (nil = disabled)
@@ -107,7 +106,7 @@ func NewFuzzer(gen Generator, dut rtl.DUT, opts Options) *Fuzzer {
 }
 
 // Close releases the execution engine. The fuzzer's results
-// (Progress, Det, Calc) stay readable, but no further batches may run.
+// (Tests, Clk, Det, Calc) stay readable, but no further batches may run.
 func (f *Fuzzer) Close() {
 	f.closed = true
 	if f.eng != nil {
@@ -120,17 +119,15 @@ func (f *Fuzzer) Close() {
 func (f *Fuzzer) Coverage() float64 { return f.Calc.Total().Percent() }
 
 // commitOne performs the deterministic, in-order accounting of one
-// test: coverage scoring, differential analysis, virtual-clock charge
-// and the trajectory sample. buildErr marks a program the harness
-// refused to build — it is scored as invalid (zero standalone and
-// incremental coverage) and charged only the per-test overhead, never
-// run as an empty image that would pollute coverage and reward. The
-// first same entries of res.Trace and golden are known identical and
-// are not compared again (engine.Outcome.Same).
+// test: coverage scoring, differential analysis and the virtual-clock
+// charge. buildErr marks a program the harness refused to build — it
+// is scored as invalid (zero standalone and incremental coverage) and
+// charged only the per-test overhead, never run as an empty image that
+// would pollute coverage and reward. The first same entries of
+// res.Trace and golden are known identical and are not compared again
+// (engine.Outcome.Same).
 func (f *Fuzzer) commitOne(buildErr error, res *rtl.Result, golden []trace.Entry, same int) cov.Scores {
-	var sc cov.Scores
 	if buildErr != nil {
-		sc = f.Calc.ScoreInvalid()
 		f.Clk.ChargeTest(0)
 		f.Tests++
 		if f.Det != nil {
@@ -138,22 +135,16 @@ func (f *Fuzzer) commitOne(buildErr error, res *rtl.Result, golden []trace.Entry
 			// keep the detector's test count aligned with f.Tests.
 			f.Det.SkipTest()
 		}
-	} else {
-		sc = f.Calc.Score(res.Coverage)
-		f.Clk.ChargeTest(res.Cycles)
-		f.Tests++
-		if f.Det != nil {
-			// The detector is handed the post-increment test number so
-			// that a finding's Test field matches ProgressPoint.Tests
-			// for the test that produced it (they were off by one).
-			f.Det.Observe(f.Tests, res.Trace, golden, same)
-		}
+		return cov.Scores{}
 	}
-	f.Progress = append(f.Progress, ProgressPoint{
-		Tests:    f.Tests,
-		Hours:    f.Clk.Hours(),
-		Coverage: sc.TotalPercent,
-	})
+	sc := f.Calc.Score(res.Coverage)
+	f.Clk.ChargeTest(res.Cycles)
+	f.Tests++
+	if f.Det != nil {
+		// A finding's Test is f.Tests after the test that produced it:
+		// the detector is handed the post-increment number.
+		f.Det.Observe(f.Tests, res.Trace, golden, same)
+	}
 	return sc
 }
 

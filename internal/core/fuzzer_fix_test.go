@@ -20,9 +20,11 @@ import (
 	"chatfuzz/internal/rtl/rocket"
 )
 
-// fixedGen replays a fixed program list, cycling as needed.
+// fixedGen replays a fixed program list in order across batches,
+// cycling as needed.
 type fixedGen struct {
 	progs []prog.Program
+	next  int
 }
 
 func (g *fixedGen) Name() string { return "fixed" }
@@ -30,7 +32,8 @@ func (g *fixedGen) Name() string { return "fixed" }
 func (g *fixedGen) GenerateBatch(n int) []prog.Program {
 	out := make([]prog.Program, n)
 	for i := range out {
-		out[i] = g.progs[i%len(g.progs)]
+		out[i] = g.progs[g.next%len(g.progs)]
+		g.next++
 	}
 	return out
 }
@@ -48,7 +51,8 @@ func nopBody(n int) []uint32 {
 // TestBuildErrorScoredInvalid: a program the harness cannot build must
 // be scored as invalid (zero standalone/incremental coverage, total
 // unchanged) instead of running an all-zero image — and must not
-// panic, on either execution path.
+// panic, on either execution path. It still consumes a test number and
+// the per-test overhead.
 func TestBuildErrorScoredInvalid(t *testing.T) {
 	for _, serial := range []bool{false, true} {
 		gen := &fixedGen{progs: []prog.Program{
@@ -56,8 +60,21 @@ func TestBuildErrorScoredInvalid(t *testing.T) {
 			{Body: make([]uint32, prog.MaxBodyInstructions+1)}, // unbuildable
 			{Body: nopBody(8)},
 		}}
-		f := NewFuzzer(gen, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 3, Detect: true, Serial: serial})
-		scores := f.RunBatch()
+		// One test per batch: the total and the clock are read around
+		// the invalid one.
+		f := NewFuzzer(gen, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 1, Detect: true, Serial: serial})
+		f.RunBatch()
+		bins, secs := f.Calc.Total().Count(), f.Clk.Seconds()
+		if bad := f.RunBatch()[0]; bad != (cov.Scores{}) {
+			t.Errorf("serial=%v: invalid program scored %+v, want zero standalone/incremental", serial, bad)
+		}
+		if got := f.Calc.Total().Count(); got != bins {
+			t.Errorf("serial=%v: invalid program changed cumulative coverage: %d -> %d bins", serial, bins, got)
+		}
+		if f.Clk.Seconds() <= secs {
+			t.Errorf("serial=%v: invalid test charged no overhead", serial)
+		}
+		f.RunBatch()
 		f.Close()
 
 		if f.Tests != 3 {
@@ -66,33 +83,16 @@ func TestBuildErrorScoredInvalid(t *testing.T) {
 		if f.Det.Tests != 3 {
 			t.Errorf("serial=%v: detector counted %d tests, want 3 (invalid tests consume a test number)", serial, f.Det.Tests)
 		}
-		bad := scores[1]
-		if bad.Standalone != 0 || bad.Incremental != 0 {
-			t.Errorf("serial=%v: invalid program scored %+v, want zero standalone/incremental", serial, bad)
-		}
-		if bad.TotalBins != scores[0].TotalBins {
-			t.Errorf("serial=%v: invalid program changed cumulative coverage: %d -> %d",
-				serial, scores[0].TotalBins, bad.TotalBins)
-		}
-		// The invalid test still appears in the trajectory (it consumed
-		// a test slot and per-test overhead), with coverage flat.
-		if f.Progress[1].Coverage != f.Progress[0].Coverage {
-			t.Errorf("serial=%v: invalid test moved the coverage trajectory", serial)
-		}
-		if f.Progress[1].Hours <= f.Progress[0].Hours {
-			t.Errorf("serial=%v: invalid test charged no overhead", serial)
-		}
 	}
 }
 
-// TestDetectorTestIndexMatchesTrajectory: the detector used to be
-// handed the pre-increment test counter while ProgressPoint.Tests
-// recorded the post-increment value, so findings pointed one test
-// before the input that produced them. A MUL body deterministically
-// fires Bug2 (the Rocket tracer omits MUL/DIV writeback); placed as
-// the second of three tests, its findings must carry Test == 2, and
-// that number must exist in the trajectory.
-func TestDetectorTestIndexMatchesTrajectory(t *testing.T) {
+// TestDetectorTestIndexIsPostIncrement: the detector used to be handed
+// the pre-increment test counter, so findings pointed one test before
+// the input that produced them. A MUL body deterministically fires
+// Bug2 (the Rocket tracer omits MUL/DIV writeback); placed as the
+// second of three tests, its findings must carry Test == 2, the
+// fuzzer's Tests after that input.
+func TestDetectorTestIndexIsPostIncrement(t *testing.T) {
 	mulBody := []uint32{isa.Enc(isa.OpMUL, 5, 6, 7, 0)}
 	for _, serial := range []bool{false, true} {
 		gen := &fixedGen{progs: []prog.Program{
@@ -116,17 +116,12 @@ func TestDetectorTestIndexMatchesTrajectory(t *testing.T) {
 		if bug2Test != 2 {
 			t.Errorf("serial=%v: Bug2 recorded at test %d, want 2 (the input that produced it)", serial, bug2Test)
 		}
-		// Invariant: every finding's Test is a valid post-increment
-		// test number present in the trajectory.
-		if f.Progress[bug2Test-1].Tests != bug2Test {
-			t.Errorf("serial=%v: trajectory point %d has Tests=%d, finding claims %d",
-				serial, bug2Test-1, f.Progress[bug2Test-1].Tests, bug2Test)
-		}
 	}
 }
 
 // TestEngineMatchesSerialPath is the engine's determinism contract: a
-// fixed-seed campaign produces a bit-identical coverage trajectory and
+// fixed-seed campaign produces bit-identical per-test scores, and after
+// every batch the same cumulative coverage and clock, and the same
 // detector state on the engine and the serial oracle, for both a
 // feedback-free generator (random regression, which ignores scores) and
 // a feedback-consuming one (TheHuzz, whose pool admission depends on
@@ -143,21 +138,31 @@ func TestEngineMatchesSerialPath(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(serial bool) *Fuzzer {
+			// batch is what one RunBatch leaves observable.
+			type batch struct {
+				scores []cov.Scores
+				bins   int
+				secs   float64
+			}
+			run := func(serial bool) (*Fuzzer, []batch) {
 				f := NewFuzzer(c.gen(), rocket.New(), Options{
 					Pool: enginetest.Pool(t), BatchSize: 8, Detect: true, Serial: serial,
 				})
-				f.RunBatches(7)
+				var batches []batch
+				for i := 0; i < 7; i++ {
+					scores := f.RunBatch()
+					batches = append(batches, batch{scores, f.Calc.Total().Count(), f.Clk.Seconds()})
+				}
 				f.Close()
-				return f
+				return f, batches
 			}
-			want := run(true)
+			want, wantBatches := run(true)
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 			for _, procs := range []int{1, 4} {
 				runtime.GOMAXPROCS(procs)
-				got := run(false)
-				if !reflect.DeepEqual(got.Progress, want.Progress) {
-					t.Errorf("GOMAXPROCS=%d: engine trajectory diverged from serial path", procs)
+				got, gotBatches := run(false)
+				if !reflect.DeepEqual(gotBatches, wantBatches) {
+					t.Errorf("GOMAXPROCS=%d: engine scores, coverage or clock diverged from serial path", procs)
 				}
 				if got.Coverage() != want.Coverage() {
 					t.Errorf("GOMAXPROCS=%d: coverage %.6f vs serial %.6f", procs, got.Coverage(), want.Coverage())

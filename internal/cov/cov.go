@@ -1,6 +1,7 @@
 // Package cov implements VCS-style condition coverage for the DUT core
-// models, and the paper's Coverage Calculator (§IV-B): stand-alone,
-// incremental, and total coverage per generated test input.
+// models, and the paper's Coverage Calculator (§IV-B): stand-alone and
+// incremental coverage per generated test input, and the cumulative
+// total.
 //
 // A condition point corresponds to one boolean condition in the
 // (modelled) RTL. Like Synopsys VCS condition coverage, each point has
@@ -247,11 +248,6 @@ type Scores struct {
 	// Incremental is the number of bins this input hit that were not
 	// in the cumulative total at the start of the current batch.
 	Incremental int
-	// TotalBins is the cumulative number of hit bins after merging
-	// this input.
-	TotalBins int
-	// TotalPercent is the cumulative coverage percentage.
-	TotalPercent float64
 }
 
 // Calculator accumulates total coverage and scores each input against
@@ -283,28 +279,12 @@ func (c *Calculator) BeginBatch() {
 }
 
 // Score evaluates one input's run coverage: merges it into the total
-// and returns the three values the reward function consumes.
+// and returns the two values the reward function consumes.
 func (c *Calculator) Score(run *Set) Scores {
 	standalone := run.Count()
 	incremental := run.DiffCount(c.snapshot)
 	c.total.Merge(run)
-	return Scores{
-		Standalone:   standalone,
-		Incremental:  incremental,
-		TotalBins:    c.total.Count(),
-		TotalPercent: c.total.Percent(),
-	}
-}
-
-// ScoreInvalid scores a test that executed nothing — e.g. a program
-// the harness refused to build. Nothing is merged; the cumulative
-// totals are reported unchanged, so an invalid input reads as zero
-// standalone and zero incremental coverage to the reward function.
-func (c *Calculator) ScoreInvalid() Scores {
-	return Scores{
-		TotalBins:    c.total.Count(),
-		TotalPercent: c.total.Percent(),
-	}
+	return Scores{Standalone: standalone, Incremental: incremental}
 }
 
 // RestoreTotal loads a checkpointed cumulative bitmap, replacing the

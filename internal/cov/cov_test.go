@@ -104,7 +104,7 @@ func TestCalculatorBatchSemantics(t *testing.T) {
 	r1.Cond(ids[0], true)
 	r1.Cond(ids[1], true)
 	sc1 := calc.Score(r1)
-	if sc1.Standalone != 2 || sc1.Incremental != 2 || sc1.TotalBins != 2 {
+	if sc1.Standalone != 2 || sc1.Incremental != 2 || calc.Total().Count() != 2 {
 		t.Errorf("sc1 = %+v", sc1)
 	}
 
@@ -118,8 +118,8 @@ func TestCalculatorBatchSemantics(t *testing.T) {
 	if sc2.Incremental != 2 {
 		t.Errorf("sc2.Incremental = %d, want 2 (vs batch snapshot)", sc2.Incremental)
 	}
-	if sc2.TotalBins != 3 {
-		t.Errorf("sc2.TotalBins = %d, want 3", sc2.TotalBins)
+	if got := calc.Total().Count(); got != 3 {
+		t.Errorf("total after sc2 = %d bins, want 3", got)
 	}
 
 	// New batch: the snapshot advances.

@@ -76,11 +76,9 @@ func Paper() Scale {
 
 // Campaign is one fuzzing run's full trajectory.
 type Campaign struct {
-	// Progress has one point per test: the shard's trajectory.
-	Progress []core.ProgressPoint
-	Final    float64
-	Tests    int
-	Hours    float64
+	// Trajectory has one point per round: the fleet's merged
+	// trajectory (campaign.Orchestrator.Trajectory).
+	Trajectory []core.ProgressPoint
 	// Detector is the shard's mismatch detector (nil without detection).
 	Detector *mismatch.Detector
 }
@@ -111,20 +109,22 @@ func (s *Suite) run(arm campaign.ArmSpec, newDUT func() rtl.DUT, tests int, seed
 	if err := o.RunTests(tests); err != nil {
 		panic(err)
 	}
-	f := o.Shard(0)
-	return Campaign{
-		Progress: f.Progress,
-		Final:    o.Coverage(),
-		Tests:    o.Tests(),
-		Hours:    o.Hours(),
-		Detector: f.Det,
+	return Campaign{Trajectory: o.Trajectory(), Detector: o.Shard(0).Det}
+}
+
+// Final returns the campaign's last trajectory point: its final
+// coverage, test count and virtual hours (zero before any round).
+func (c Campaign) Final() core.ProgressPoint {
+	if len(c.Trajectory) == 0 {
+		return core.ProgressPoint{}
 	}
+	return c.Trajectory[len(c.Trajectory)-1]
 }
 
 // At returns the campaign coverage after n tests.
 func (c Campaign) At(n int) float64 {
 	last := 0.0
-	for _, pt := range c.Progress {
+	for _, pt := range c.Trajectory {
 		if pt.Tests > n {
 			break
 		}
@@ -136,7 +136,7 @@ func (c Campaign) At(n int) float64 {
 // HoursTo returns the virtual hours at which coverage first reached
 // pct (-1 if never).
 func (c Campaign) HoursTo(pct float64) float64 {
-	for _, pt := range c.Progress {
+	for _, pt := range c.Trajectory {
 		if pt.Coverage >= pct {
 			return pt.Hours
 		}
@@ -191,23 +191,23 @@ func (s *Suite) RunRocketCampaigns() {
 
 	s.logf("== ChatFuzz campaign on Rocket (%d tests) ==", s.Scale.TestsLarge)
 	s.ChatFuzz = s.run(campaign.LearningLLMArm(p), newRocket, s.Scale.TestsLarge, 101, true)
-	s.logf("  final %.2f%% after %d tests (%.2f virtual hours)",
-		s.ChatFuzz.Final, s.ChatFuzz.Tests, s.ChatFuzz.Hours)
+	s.logFinal(s.ChatFuzz)
 
 	s.logf("== TheHuzz campaign on Rocket (%d tests) ==", s.Scale.TestsLarge)
 	s.TheHuzz = s.run(campaign.TheHuzzArm(p.Cfg.BodyInstrs), newRocket, s.Scale.TestsLarge, 102, false)
-	s.logf("  final %.2f%% after %d tests (%.2f virtual hours)",
-		s.TheHuzz.Final, s.TheHuzz.Tests, s.TheHuzz.Hours)
+	s.logFinal(s.TheHuzz)
+}
+
+func (s *Suite) logFinal(c Campaign) {
+	end := c.Final()
+	s.logf("  final %.2f%% after %d tests (%.2f virtual hours)", end.Coverage, end.Tests, end.Hours)
 }
 
 // Fig2 renders the coverage-over-time series (experiment E1).
 func (s *Suite) Fig2(w io.Writer) {
 	fmt.Fprintf(w, "\n-- Figure 2: condition coverage over time, RocketCore --\n")
 	fmt.Fprintf(w, "%-10s %12s %12s\n", "hours", "TheHuzz %", "ChatFuzz %")
-	maxH := s.ChatFuzz.Hours
-	if s.TheHuzz.Hours > maxH {
-		maxH = s.TheHuzz.Hours
-	}
+	maxH := max(s.ChatFuzz.Final().Hours, s.TheHuzz.Final().Hours)
 	steps := 16
 	for i := 0; i <= steps; i++ {
 		h := maxH * float64(i) / float64(steps)
@@ -217,7 +217,7 @@ func (s *Suite) Fig2(w io.Writer) {
 
 func coverageAtHours(c Campaign, h float64) float64 {
 	last := 0.0
-	for _, pt := range c.Progress {
+	for _, pt := range c.Trajectory {
 		if pt.Hours > h {
 			break
 		}
@@ -230,13 +230,13 @@ func coverageAtHours(c Campaign, h float64) float64 {
 // budget) and E3 (coverage at the large budget).
 func (s *Suite) EqualBudget(w io.Writer) (chatEq, huzzEq, chatLg, huzzLg float64) {
 	chatEq, huzzEq = s.ChatFuzz.At(s.Scale.TestsEqual), s.TheHuzz.At(s.Scale.TestsEqual)
-	chatLg, huzzLg = s.ChatFuzz.Final, s.TheHuzz.Final
+	chatLg, huzzLg = s.ChatFuzz.Final().Coverage, s.TheHuzz.Final().Coverage
 	fmt.Fprintf(w, "\n-- Coverage at equal test budgets (paper §V-A) --\n")
 	fmt.Fprintf(w, "%-24s %10s %10s\n", "budget", "ChatFuzz", "TheHuzz")
 	fmt.Fprintf(w, "%-24s %9.2f%% %9.2f%%   (paper: 74.96%% vs 67.4%% @1.8K)\n",
 		fmt.Sprintf("%d tests", s.Scale.TestsEqual), chatEq, huzzEq)
 	fmt.Fprintf(w, "%-24s %9.2f%% %9.2f%%   (paper: 79.14%% vs 76.7%% @199K)\n",
-		fmt.Sprintf("%d tests", s.ChatFuzz.Tests), chatLg, huzzLg)
+		fmt.Sprintf("%d tests", s.ChatFuzz.Final().Tests), chatLg, huzzLg)
 	return
 }
 
@@ -256,9 +256,10 @@ func (s *Suite) Speedup(w io.Writer) (factor float64) {
 		factor = tHuzz / tChat
 		fmt.Fprintf(w, "speedup:  %.1fx   (paper: 34.6x)\n", factor)
 	} else {
+		end := s.TheHuzz.Final()
+		factor = end.Hours / tChat
 		fmt.Fprintf(w, "TheHuzz:  never within its %d-test budget (> %.2f h) -> speedup > %.1fx (paper: 34.6x)\n",
-			s.TheHuzz.Tests, s.TheHuzz.Hours, s.TheHuzz.Hours/tChat)
-		factor = s.TheHuzz.Hours / tChat
+			end.Tests, end.Hours, factor)
 	}
 	return factor
 }
@@ -268,9 +269,10 @@ func (s *Suite) RunBoom(w io.Writer) {
 	p := s.TrainedPipeline()
 	s.logf("== ChatFuzz campaign on BOOM (%d tests) ==", s.Scale.BoomTests)
 	s.Boom = s.run(campaign.LearningLLMArm(p), newBoom, s.Scale.BoomTests, 103, false)
+	end := s.Boom.Final()
 	fmt.Fprintf(w, "\n-- BOOM condition coverage (paper E5) --\n")
 	fmt.Fprintf(w, "ChatFuzz on BOOM: %.2f%% after %d tests, %.0f virtual minutes (paper: 97.02%% in 49 min)\n",
-		s.Boom.Final, s.Boom.Tests, s.Boom.Hours*60)
+		end.Coverage, end.Tests, end.Hours*60)
 }
 
 // Findings renders experiment E6 from the ChatFuzz campaign's

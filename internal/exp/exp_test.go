@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"math"
 	"strconv"
@@ -33,65 +35,66 @@ func tinyScale() Scale {
 	}
 }
 
-func TestSuiteEndToEnd(t *testing.T) {
+// goldenSuiteTables is the SHA-256 of every table the tiny suite
+// renders, in TestGoldenSuiteTables' order. Any change to an
+// experiment's numbers moves it: a seed, a budget, a trained weight, a
+// simulated bin.
+const goldenSuiteTables = "62eb420a47f8e9ec5ee48d9d66cce6024e4d43c56a0d4d03e308f80ad4fa3a60"
+
+// TestGoldenSuiteTables runs the whole suite once at tiny scale, checks
+// that each table is well formed, and pins the bytes of all of them.
+// CI runs it under GOMAXPROCS=1 and 4.
+func TestGoldenSuiteTables(t *testing.T) {
 	var log bytes.Buffer
 	s := NewSuite(tinyScale(), &log)
 	s.RunRocketCampaigns()
 
-	if s.ChatFuzz.Tests < 128 || s.TheHuzz.Tests < 128 {
-		t.Fatalf("campaigns too short: %d / %d", s.ChatFuzz.Tests, s.TheHuzz.Tests)
+	if s.ChatFuzz.Final().Tests < 128 || s.TheHuzz.Final().Tests < 128 {
+		t.Fatalf("campaigns too short: %d / %d", s.ChatFuzz.Final().Tests, s.TheHuzz.Final().Tests)
 	}
-	if s.ChatFuzz.Final <= 0 || s.TheHuzz.Final <= 0 {
+	if s.ChatFuzz.Final().Coverage <= 0 || s.TheHuzz.Final().Coverage <= 0 {
 		t.Fatal("campaigns recorded no coverage")
 	}
 
-	var out bytes.Buffer
-	s.Fig2(&out)
-	if !strings.Contains(out.String(), "Figure 2") {
+	// table renders one experiment and appends it to all.
+	var all bytes.Buffer
+	table := func(render func(io.Writer)) string {
+		var out bytes.Buffer
+		render(&out)
+		all.Write(out.Bytes())
+		return out.String()
+	}
+
+	if !strings.Contains(table(s.Fig2), "Figure 2") {
 		t.Error("Fig2 output missing header")
 	}
 
-	out.Reset()
-	chatEq, huzzEq, chatLg, huzzLg := s.EqualBudget(&out)
+	var chatEq, huzzEq, chatLg, huzzLg float64
+	table(func(w io.Writer) { chatEq, huzzEq, chatLg, huzzLg = s.EqualBudget(w) })
 	if chatEq <= 0 || huzzEq <= 0 || chatLg < chatEq || huzzLg < huzzEq {
 		t.Errorf("budget table inconsistent: %v %v %v %v", chatEq, huzzEq, chatLg, huzzLg)
 	}
 
-	out.Reset()
-	s.Speedup(&out)
-	if !strings.Contains(out.String(), "speedup") {
-		t.Errorf("speedup output: %q", out.String())
+	if out := table(func(w io.Writer) { s.Speedup(w) }); !strings.Contains(out, "speedup") {
+		t.Errorf("speedup output: %q", out)
 	}
-
-	out.Reset()
-	s.FindingsReport(&out)
-	if !strings.Contains(out.String(), "mismatch detection") {
+	if !strings.Contains(table(s.FindingsReport), "mismatch detection") {
 		t.Error("findings report missing")
 	}
-
-	out.Reset()
-	s.TrainingCurves(&out)
-	if !strings.Contains(out.String(), "Eq. 1") {
+	if !strings.Contains(table(s.TrainingCurves), "Eq. 1") {
 		t.Error("training curves missing")
 	}
-
-	out.Reset()
-	s.RunBoom(&out)
-	if !strings.Contains(out.String(), "BOOM condition coverage") || s.Boom.Final <= 0 {
-		t.Errorf("BOOM campaign: %.2f%%, output %q", s.Boom.Final, out.String())
+	if out := table(s.RunBoom); !strings.Contains(out, "BOOM condition coverage") || s.Boom.Final().Coverage <= 0 {
+		t.Errorf("BOOM campaign: %.2f%%, output %q", s.Boom.Final().Coverage, out)
 	}
+	wantRows(t, table(func(w io.Writer) { s.AblationNoCleanup(w, 32) }), "Ablation A1", "full pipeline", "no cleanup")
+	wantRows(t, table(func(w io.Writer) { s.AblationReward(w, 32) }), "Ablation A2", "paper reward", "incremental-only reward")
+	wantRows(t, table(s.RunBaselines), "Ablation A3", "random regression", "random raw words")
 
-	out.Reset()
-	s.AblationNoCleanup(&out, 32)
-	wantRows(t, out.String(), "Ablation A1", "full pipeline", "no cleanup")
-
-	out.Reset()
-	s.AblationReward(&out, 32)
-	wantRows(t, out.String(), "Ablation A2", "paper reward", "incremental-only reward")
-
-	out.Reset()
-	s.RunBaselines(&out)
-	wantRows(t, out.String(), "Ablation A3", "random regression", "random raw words")
+	sum := sha256.Sum256(all.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenSuiteTables {
+		t.Errorf("suite tables sha256 = %s, want %s; the tables:\n%s", got, goldenSuiteTables, all.String())
+	}
 }
 
 // TestExperimentsBitExactAcrossOrder: an experiment's table does not
@@ -158,7 +161,7 @@ func wantRows(t *testing.T, out, header string, labels ...string) {
 }
 
 func TestCampaignQueries(t *testing.T) {
-	c := Campaign{Progress: []core.ProgressPoint{
+	c := Campaign{Trajectory: []core.ProgressPoint{
 		{Tests: 10, Hours: 0.1, Coverage: 30},
 		{Tests: 20, Hours: 0.2, Coverage: 50},
 		{Tests: 30, Hours: 0.3, Coverage: 60},
@@ -171,6 +174,12 @@ func TestCampaignQueries(t *testing.T) {
 	}
 	if got := c.HoursTo(99); got != -1 {
 		t.Errorf("HoursTo(99) = %v, want -1", got)
+	}
+	if got := c.Final(); got != c.Trajectory[2] {
+		t.Errorf("Final() = %+v, want the last point", got)
+	}
+	if got := (Campaign{}).Final(); got != (core.ProgressPoint{}) {
+		t.Errorf("Final() of an empty campaign = %+v, want the zero point", got)
 	}
 }
 
@@ -185,7 +194,7 @@ func TestScalesDiffer(t *testing.T) {
 }
 
 func TestCoverageAtHours(t *testing.T) {
-	c := Campaign{Progress: []core.ProgressPoint{
+	c := Campaign{Trajectory: []core.ProgressPoint{
 		{Hours: 0.1, Coverage: 10},
 		{Hours: 0.5, Coverage: 40},
 	}}

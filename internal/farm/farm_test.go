@@ -231,6 +231,67 @@ func TestFarmKillRecoverBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFarmRecoveredQueuedJobReportsCheckpoint: a job that replay
+// re-queues behind another reads its checkpoint's progress and round
+// history before any worker resumes it — status and watchers see the
+// last durable barrier, not coverage 0 and an empty stream — and it
+// then finishes bit-identical to an uninterrupted run.
+func TestFarmRecoveredQueuedJobReportsCheckpoint(t *testing.T) {
+	// Long enough that neither finishes before the kill, nor the first
+	// before the second is read back.
+	first, second := testSpec(1600), testSpec(1600)
+	second.Seed = 12
+	wantReps, wantCkpt := directRun(t, second)
+
+	cfg := Config{Dir: t.TempDir(), Workers: 2}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	var ids []string
+	for _, spec := range []JobSpec{first, second} {
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		ids = append(ids, st.ID)
+	}
+	waitUntil(t, "both jobs past round 2", func() bool {
+		a, _ := s.Rounds(ids[0], 0)
+		b, _ := s.Rounds(ids[1], 0)
+		return len(a) >= 2 && len(b) >= 2
+	})
+	s.Kill()
+
+	// One worker: the first job resumes, the second waits in the queue.
+	cfg.Workers = 1
+	s2 := reopenAfterKill(t, s, cfg, ids[1])
+	defer s2.Stop()
+	id := ids[1]
+	st, _ := s2.Job(id)
+	info, err := s2.checkpointInfo(jobOf(s2, id), id)
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	last := info.Merged[len(info.Merged)-1]
+	if st.State != JobQueued || st.Round != info.Round || st.Tests != last.Tests || st.Coverage != last.Coverage {
+		t.Errorf("queued recovered job reads %s round=%d tests=%d coverage=%v, want queued round=%d tests=%d coverage=%v",
+			st.State, st.Round, st.Tests, st.Coverage, info.Round, last.Tests, last.Coverage)
+	}
+	if got, _ := s2.Rounds(id, 0); !reflect.DeepEqual(got, reports(info.Merged)) {
+		t.Errorf("queued recovered job's history:\n got %+v\nwant %+v", got, reports(info.Merged))
+	}
+
+	waitDone(t, s2, ids[0])
+	waitDone(t, s2, id)
+	if got, _ := s2.Rounds(id, 0); !reflect.DeepEqual(got, wantReps) {
+		t.Errorf("recovered trajectory diverged:\n got %+v\nwant %+v", got, wantReps)
+	}
+	if got := readCheckpoint(t, s2, id); !bytes.Equal(got, wantCkpt) {
+		t.Errorf("recovered checkpoint bytes differ from uninterrupted run")
+	}
+}
+
 // TestFarmKillRecoverLLMJob runs the same crash drill with a learning
 // LLM arm: resume retrains the deterministic test pipeline and carries
 // the checkpoint's published+staged learner weights, so even the

@@ -63,7 +63,6 @@ func (s *Server) runJob(id string) {
 			return
 		}
 		durable = o.Rounds()
-		s.publishRecovered(id, o.Trajectory())
 	case errors.Is(err, fs.ErrNotExist):
 		o, err = campaign.NewMixed(cfg, duts, arms...)
 		if err != nil {
@@ -174,25 +173,11 @@ func (s *Server) publishRound(id string, o *campaign.Orchestrator) {
 	s.cond.Broadcast()
 }
 
-// publishRecovered rebuilds the report history of a resumed job from
-// its checkpointed merged trajectory, so a watcher reconnecting after
-// a daemon restart replays the full history — the stream is
-// continuous across crashes because the trajectory is.
-func (s *Server) publishRecovered(id string, traj []core.ProgressPoint) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := s.jobs[id]
-	j.rounds = reports(traj)
-	if n := len(j.rounds); n > 0 {
-		j.status.Round = n
-		j.status.Tests = j.rounds[n-1].Tests
-		j.status.Coverage = j.rounds[n-1].Coverage
-	}
-	s.cond.Broadcast()
-}
-
 // reports turns a merged trajectory into the round reports watchers
-// see: point i is the fleet after round i+1.
+// see: point i is the fleet after round i+1. Replay rebuilds a
+// re-queued job's history with it, so a watcher reconnecting after a
+// daemon restart replays the full history — the stream is continuous
+// across crashes because the trajectory is.
 func reports(traj []core.ProgressPoint) []RoundReport {
 	out := make([]RoundReport, len(traj))
 	for i, pt := range traj {

@@ -52,8 +52,9 @@ type walRecord struct {
 type job struct {
 	status JobStatus
 	// rounds is the full per-round report history, rebuilt from the
-	// checkpoint's merged trajectory when a job is recovered or first
-	// read after a restart (roundsLocked).
+	// checkpoint's merged trajectory when replay re-queues the job, or
+	// when a job that finished before a restart is first read
+	// (roundsLocked).
 	rounds []RoundReport
 	// ckpt orders reads of the job's slot store (loadCheckpoint) after
 	// its runner's commits: a slot is overwritten in place, so a read
@@ -181,16 +182,21 @@ func (s *Server) replay(recs [][]byte) error {
 			return fmt.Errorf("farm: queue-log record %d has unknown op %q", i, r.Op)
 		}
 	}
-	// Re-queue survivors in submission order; note recovered progress
-	// so status reads sensibly before a worker picks the job up.
+	// Re-queue survivors in submission order; restore recovered
+	// progress and round history, so status and watchers read the
+	// checkpoint's numbers before a worker picks the job up.
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if j.status.State != JobQueued {
 			continue
 		}
 		if info, err := s.checkpointInfo(j, id); err == nil {
+			j.rounds = reports(info.Merged)
 			j.status.Round = info.Round
 			j.status.Tests = info.Tests
+			if n := len(info.Merged); n > 0 {
+				j.status.Coverage = info.Merged[n-1].Coverage
+			}
 			j.status.Resumes++
 		}
 		s.queue = append(s.queue, id)
@@ -309,9 +315,10 @@ func (s *Server) Rounds(id string, from int) (reps []RoundReport, ok bool) {
 
 // roundsLocked is the one read of a job's report history, from index
 // `from` on, and whether the job is terminal. The history is what this
-// daemon published or, for a job that finished before the daemon
-// started (replay rebuilds no reports), its durable checkpoint's
-// trajectory, read once and kept. Called with s.mu held.
+// daemon published or replay rebuilt or, for a job that finished
+// before the daemon started (replay decodes no finished job's
+// checkpoint), its durable checkpoint's trajectory, read once and
+// kept. Called with s.mu held.
 func (s *Server) roundsLocked(id string, from int) (reps []RoundReport, terminal, ok bool) {
 	j, ok := s.jobs[id]
 	if !ok {
