@@ -56,7 +56,7 @@ func simImages(seed int64) []mem.Image {
 // post-prologue checkpoint: insts/s counts trace entries, the harness
 // prologue's replayed by copy included, and executed-insts/run is what
 // a run really steps through — the entries past the prologue.
-func benchRunScratch(b *testing.B, dut rtl.ReusableDUT, imgs []mem.Image) {
+func benchRunScratch(b *testing.B, dut rtl.DUT, imgs []mem.Image) {
 	runner := dut.NewRunner()
 	set := dut.Space().NewSet()
 	tr := runner.RunScratch(imgs[0], 2000, set, nil).Trace

@@ -41,9 +41,11 @@
 // and all scheduling state is serialized:
 //
 //	o.CheckpointFile("fleet.json")
-//	o2, err := chatfuzz.ResumeCampaignFile("fleet.json", chatfuzz.NewRocket,
+//	f, err := os.Open("fleet.json")
+//	o2, err := chatfuzz.ResumeCampaign(f, chatfuzz.NewRocket,
 //	    chatfuzz.LLMArm(p), chatfuzz.TheHuzzArm(24),
 //	    chatfuzz.RandInstArm(24), chatfuzz.RandFuzzArm(24))
+//	f.Close()
 //	o2.RunTests(4000)
 //
 // Execution: there is one production path. Each shard's goroutine is
@@ -213,11 +215,6 @@ func NewMixedOrchestrator(cfg CampaignConfig, newDUTs []func() DUT, arms ...ArmS
 // bit-identical to an uninterrupted run.
 func ResumeCampaign(r io.Reader, newDUT func() DUT, arms ...ArmSpec) (*Orchestrator, error) {
 	return campaign.Resume(r, newDUT, arms...)
-}
-
-// ResumeCampaignFile rebuilds a fleet from a checkpoint file.
-func ResumeCampaignFile(path string, newDUT func() DUT, arms ...ArmSpec) (*Orchestrator, error) {
-	return campaign.ResumeFile(path, newDUT, arms...)
 }
 
 // ResumeMixedCampaign rebuilds a heterogeneous fleet from a checkpoint;

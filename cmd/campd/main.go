@@ -23,8 +23,10 @@
 // last checkpoint, re-simulated on restart, never diverged.
 //
 // The bound address is written to <data>/campd.addr (useful with
-// -addr :0, and how the end-to-end tests find a free port). /metrics,
-// /debug/vars and /debug/pprof are served on the same listener.
+// -addr :0, and how the end-to-end tests find a free port). The same
+// listener serves the farm's metrics registry at /metrics (its one
+// URL), Go's own expvars at /debug/vars and the profiles at
+// /debug/pprof.
 package main
 
 import (

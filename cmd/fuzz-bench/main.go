@@ -74,7 +74,7 @@ func campaignFlags() (*flag.FlagSet, func() (farm.JobSpec, error), *campaignOpts
 	fs.StringVar(&c.trace, "trace", "", "write a Chrome trace-event JSON file of the run's spans (open in Perfetto or chrome://tracing); execution-only, trajectories are unaffected")
 	fs.StringVar(&c.metrics, "metrics", "", "write periodic JSONL metrics snapshots to this file; execution-only")
 	fs.DurationVar(&c.metricsEvery, "metrics-every", 5*time.Second, "snapshot interval for -metrics")
-	fs.StringVar(&c.telemAddr, "telemetry-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:6060, :0 picks a port)")
+	fs.StringVar(&c.telemAddr, "telemetry-addr", "", "serve the metrics registry at /metrics, Go's expvars at /debug/vars and /debug/pprof on this address (e.g. localhost:6060, :0 picks a port)")
 	return fs, fleet, c
 }
 

@@ -75,8 +75,13 @@ func main() {
 	w1 := learning.LearnedWeights("chatfuzz-learn")
 	learning.Close()
 
-	resumed, err := chatfuzz.ResumeCampaignFile(path, chatfuzz.NewRocket,
+	f, err := os.Open(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	resumed, err := chatfuzz.ResumeCampaign(f, chatfuzz.NewRocket,
 		chatfuzz.LearningLLMArm(p), chatfuzz.TheHuzzArm(cfg.BodyInstrs))
+	f.Close()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -219,18 +219,61 @@ func shortWrite(err error) error {
 
 // Close releases the slot files. Every committed generation was
 // flushed by its Commit; Close adds no durability. Closing twice is
-// harmless.
+// harmless, and a later Commit reopens the slot it writes.
 func (s *Slots) Close() error {
 	var errs []error
 	for i, f := range s.f {
 		if f != nil {
-			s.f[i] = nil
+			s.f[i], s.size[i] = nil, 0
 			if err := f.Close(); err != nil {
 				errs = append(errs, fmt.Errorf("atomicio: close %s: %w", SlotPath(s.path, i), err))
 			}
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// Trim closes the store and leaves it holding only its newest
+// generation, unpadded: once that generation reads back whole, it
+// deletes the other slot's file, then cuts the newest slot's file to
+// its header and payload. It is for a store that is done. A crash
+// between the two steps, or during either, leaves a store ReadSlots
+// reads; a later Commit recreates the deleted slot and regrows the cut
+// one as it needs.
+func (s *Slots) Trim() error {
+	if err := s.Close(); err != nil {
+		return err
+	}
+	if s.err != nil {
+		return s.err
+	}
+	if s.gen == 0 {
+		return nil
+	}
+	i := int(s.gen % 2)
+	path := SlotPath(s.path, i)
+	h, err := readSlotHead(path, i)
+	if err != nil {
+		return err
+	}
+	var payload []byte
+	if h.gen == s.gen {
+		payload, err = h.payload()
+	}
+	h.close()
+	if err != nil {
+		return err
+	}
+	if payload == nil {
+		return fmt.Errorf("atomicio: %s does not hold generation %d whole; both slots kept", path, s.gen)
+	}
+	if err := os.Remove(SlotPath(s.path, 1-i)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("atomicio: %w", err)
+	}
+	if err := os.Truncate(path, slotHeader+h.n); err != nil {
+		return fmt.Errorf("atomicio: %w", err)
+	}
+	return nil
 }
 
 func putSlotHeader(h *[slotHeader]byte, gen uint64, payload []byte) {

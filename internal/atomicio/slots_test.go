@@ -135,6 +135,84 @@ func TestSlotsCommitReadBack(t *testing.T) {
 	}
 }
 
+// TestSlotsTrimKeepsNewest: a trimmed store is one slot file of header
+// plus payload that reads back the same payload and generation, both
+// on the store that trimmed and on one reopened after it; trimming
+// again changes nothing, and later commits recreate the deleted slot
+// and regrow the cut one.
+func TestSlotsTrimKeepsNewest(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt")
+	s, err := OpenSlots(path, 0)
+	if err != nil {
+		t.Fatalf("OpenSlots: %v", err)
+	}
+	for g := 1; g <= 3; g++ {
+		commit(t, s, genPayload(g, 3000))
+	}
+	newest := genPayload(3, 3000)
+	for range 2 {
+		if err := s.Trim(); err != nil {
+			t.Fatalf("Trim: %v", err)
+		}
+		wantRead(t, path, newest, 3)
+		if _, err := os.Stat(SlotPath(path, 0)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("the older slot survived the trim: %v", err)
+		}
+		if st, err := os.Stat(SlotPath(path, 1)); err != nil || st.Size() != int64(slotHeader+len(newest)) {
+			t.Fatalf("the newest slot is %v (%v), want %d bytes", st, err, slotHeader+len(newest))
+		}
+	}
+	commit(t, s, genPayload(4, 3000))
+	wantSlot(t, path, 0, genPayload(4, 3000), 4)
+	wantRead(t, path, genPayload(4, 3000), 4)
+
+	_, gen, err := ReadSlots(path)
+	if err != nil {
+		t.Fatalf("ReadSlots: %v", err)
+	}
+	if err := s.Trim(); err != nil {
+		t.Fatalf("Trim: %v", err)
+	}
+	r, err := OpenSlots(path, gen)
+	if err != nil {
+		t.Fatalf("OpenSlots: %v", err)
+	}
+	defer r.Close()
+	commit(t, r, genPayload(5, 5000))
+	commit(t, r, genPayload(6, 5000))
+	wantSlot(t, path, 1, genPayload(5, 5000), 5)
+	wantRead(t, path, genPayload(6, 5000), 6)
+}
+
+// TestSlotsTrimKeepsBothWhenNewestIsTorn: a newest slot that no longer
+// reads back whole is not trimmed to; both slot files stay, and the
+// reader still finds the previous generation.
+func TestSlotsTrimKeepsBothWhenNewestIsTorn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt")
+	s, err := OpenSlots(path, 0)
+	if err != nil {
+		t.Fatalf("OpenSlots: %v", err)
+	}
+	commit(t, s, genPayload(1, 3000))
+	commit(t, s, genPayload(2, 3000))
+	newest := SlotPath(path, 0)
+	b, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[slotHeader+10] ^= 1
+	if err := os.WriteFile(newest, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Trim(); err == nil {
+		t.Fatal("Trim cut the store to a torn generation")
+	}
+	if st, err := os.Stat(newest); err != nil || st.Size() != int64(len(b)) {
+		t.Errorf("the torn slot was changed: %v, %v", st, err)
+	}
+	wantRead(t, path, genPayload(1, 3000), 1)
+}
+
 // TestOpenSlotsRemovesStagingFiles: a writer killed mid-growth leaves a
 // slot's staging file; the next writer's open removes it, and nothing
 // else.

@@ -85,7 +85,7 @@ func RandFuzzArm(bodyInstrs int) ArmSpec {
 		build: func(int) arm {
 			g := randfuzz.New(0, bodyInstrs)
 			g.Raw = true
-			return &randFuzzArm{g}
+			return g
 		},
 	}
 }
@@ -98,7 +98,8 @@ func RandFuzzArm(bodyInstrs int) ArmSpec {
 // model replica and keeps learning through deterministic barrier
 // averaging; the frozen arm remains the cheaper choice (and the
 // baseline the learning arm is measured against in the ledger's
-// frozen_lm_fleet and learn_fleet).
+// frozen_lm_fleet and learn_fleet). A reseed restarts the generator's
+// random stream in place around the (static) weights.
 func LLMArm(p *core.Pipeline) ArmSpec {
 	m := p.Model.Cfg
 	return ArmSpec{
@@ -106,7 +107,7 @@ func LLMArm(p *core.Pipeline) ArmSpec {
 		sig: fmt.Sprintf("chatfuzz/ctx=%d,dim=%d,heads=%d,layers=%d,vocab=%d,body=%d",
 			m.Ctx, m.Dim, m.Heads, m.Layers, m.Vocab, p.Cfg.BodyInstrs),
 		build: func(binsTotal int) arm {
-			return &llmArm{core.NewLLMGenerator(p, binsTotal, 0)}
+			return core.NewLLMGenerator(p, binsTotal, 0)
 		},
 	}
 }
@@ -124,6 +125,12 @@ func LLMArm(p *core.Pipeline) ArmSpec {
 // replay bit-identically; the KL reference model is not checkpointed —
 // Resume must be given the same trained pipeline the original run used
 // (the same requirement LLMArm already has for its sampling weights).
+// The replica's weights are not part of the arm's own checkpoint state:
+// between rounds every shard's replica holds the same merge, so they
+// live once, in the checkpoint's fleet-level Learn section. The arm's
+// generator owns one reusable sampler bound to the replica's model,
+// which barrier publication overwrites in place, so a reseed restarts
+// the random stream and nothing else.
 func LearningLLMArm(p *core.Pipeline) ArmSpec {
 	m := p.Model.Cfg
 	return ArmSpec{
@@ -132,7 +139,7 @@ func LearningLLMArm(p *core.Pipeline) ArmSpec {
 			m.Ctx, m.Dim, m.Heads, m.Layers, m.Vocab, p.Cfg.BodyInstrs),
 		newLearner: func(binsTotal int) (arm, *fleetlearn.Replica) {
 			rep := fleetlearn.NewReplica(p.Model, p.OnlinePPOConfig())
-			return &learnArm{core.NewReplicaGenerator(p, rep.Model, rep, binsTotal, 0)}, rep
+			return core.NewReplicaGenerator(p, rep.Model, rep, binsTotal, 0), rep
 		},
 	}
 }
@@ -213,27 +220,3 @@ func (a *randInstArm) GenerateBatch(n int) []prog.Program {
 func (a *randInstArm) Feedback([]cov.Scores) {}
 
 func (a *randInstArm) Reseed(seed int64) { a.rng.Seed(seed) }
-
-// randFuzzArm wraps randfuzz in raw mode.
-type randFuzzArm struct{ gen *randfuzz.Gen }
-
-func (a *randFuzzArm) GenerateBatch(n int) []prog.Program { return a.gen.GenerateBatch(n) }
-
-func (a *randFuzzArm) Feedback(s []cov.Scores) { a.gen.Feedback(s) }
-
-func (a *randFuzzArm) Reseed(seed int64) { a.gen.Reseed(seed) }
-
-// llmArm samples from the shared trained model. Its generator owns one
-// reusable sampler; a reseed restarts the generator's random stream in
-// place around the (static) weights.
-type llmArm struct{ *core.LLMGenerator }
-
-// learnArm samples from the shard's replica model and routes scored
-// rollouts back into the replica's PPO trainer. Its generator owns one
-// reusable sampler bound to the replica's model, which barrier
-// publication overwrites in place, so a reseed restarts the random
-// stream and nothing else. The replica's weights are not part of the
-// arm's checkpoint state — they live in the checkpoint's fleet-level
-// Learn section, since between rounds every shard's replica holds the
-// same merge.
-type learnArm struct{ *core.LLMGenerator }

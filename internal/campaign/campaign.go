@@ -33,13 +33,13 @@
 // at least as many shards as cores there are no workers and every
 // shard is an inline loop; a shard that finishes early then idles at
 // the barrier. Everything is bit-identical to the reference oracle
-// (Exec.Serial, for tests), because in-order commit per shard is
-// preserved and all randomness stays in the per-shard armSeed
-// streams. Fleets may be heterogeneous: NewMixed assigns designs to
-// shards round-robin (e.g. Rocket+BOOM), each design keeping its own
-// fleet-merged coverage bitmap while the bandit, virtual clock and
-// TheHuzz pool sync span the whole fleet. Call Close when done to
-// release the shard engines and the pool.
+// (core.Options.Serial, which only this package's tests select),
+// because in-order commit per shard is preserved and all randomness
+// stays in the per-shard armSeed streams. Fleets may be heterogeneous:
+// NewMixed assigns designs to shards round-robin (e.g. Rocket+BOOM),
+// each design keeping its own fleet-merged coverage bitmap while the
+// bandit, virtual clock and TheHuzz pool sync span the whole fleet.
+// Call Close when done to release the shard engines and the pool.
 //
 // Learning arms ride an off-barrier learning plane (internal/
 // fleetlearn): shards buffer their PPO rollouts during the round, and
@@ -127,11 +127,6 @@ type Config struct {
 // Config.Exec) and ResumeExec accept the same value — a resumed fleet
 // runs and is observed exactly like a fresh one.
 type Exec struct {
-	// Serial runs every shard on the reference oracle (core.Options.
-	// Serial) instead of the engine. It exists for the determinism
-	// tests, which assert the oracle and production write identical
-	// checkpoint bytes; it is not a user-facing mode.
-	Serial bool
 	// Telemetry, when non-nil, wires a span flight recorder through
 	// every layer of the fleet: per-executor build/sim/golden spans in
 	// the engines and the pool, generate/commit spans per shard,
@@ -148,6 +143,12 @@ type Exec struct {
 	// timed only when it is set: a fleet without a registry reads no
 	// clock.
 	Metrics *telemetry.Registry
+
+	// serial runs every shard on the reference oracle (core.Options.
+	// Serial) instead of the engine. Only this package's determinism
+	// tests set it, to assert the oracle and production write identical
+	// checkpoint bytes.
+	serial bool
 }
 
 func (c Config) withDefaults() Config {
@@ -309,7 +310,7 @@ func NewMixed(cfg Config, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestr
 		fuz := core.NewFuzzer(rec[0], dut, core.Options{
 			BatchSize:      cfg.BatchSize,
 			Detect:         cfg.Detect,
-			Serial:         cfg.Serial,
+			Serial:         cfg.serial,
 			Pool:           o.pool,
 			Telemetry:      cfg.Telemetry,
 			TelemetryLabel: fmt.Sprintf("shard%d/%s", s, dut.Name()),
@@ -735,23 +736,6 @@ func (o *Orchestrator) Coverage() float64 {
 		return 0
 	}
 	return 100 * float64(hit) / float64(total)
-}
-
-// DesignCoverage returns one design's merged coverage percentage, or
-// -1 if no shard simulates that design.
-func (o *Orchestrator) DesignCoverage(name string) float64 {
-	g, ok := o.globals[name]
-	if !ok {
-		return -1
-	}
-	return g.Percent()
-}
-
-// Designs returns the sorted design names the fleet simulates.
-func (o *Orchestrator) Designs() []string {
-	out := make([]string, len(o.names))
-	copy(out, o.names)
-	return out
 }
 
 // CoverageAt returns the fleet's merged coverage at a virtual time

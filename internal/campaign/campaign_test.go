@@ -62,7 +62,7 @@ func TestFourShardsBeatSingleCampaignAtEqualBudget(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		single := core.NewFuzzer(thehuzz.New(seed, testBody), rocket.New(), core.Options{Pool: enginetest.Pool(t), BatchSize: 16})
 		single.RunBatches(budget / 16)
-		singles = append(singles, single.Coverage())
+		singles = append(singles, single.Calc.Total().Percent())
 	}
 	sort.Float64s(singles)
 	median := singles[len(singles)/2]
@@ -292,7 +292,7 @@ func TestArmReseedInPlaceMatchesFresh(t *testing.T) {
 	// The learning arm's rollouts go to a tap instead of its replica, so
 	// they can be held to a fresh generator's.
 	armTap, freshTap := &rolloutTap{}, &rolloutTap{}
-	learner.(*learnArm).Sink = armTap
+	learner.(*core.LLMGenerator).Sink = armTap
 	cases := []struct {
 		name  string
 		arm   arm

@@ -618,18 +618,3 @@ func DecodeCheckpointInfo(r io.Reader) (CheckpointInfo, error) {
 	}
 	return CheckpointInfo{Config: cf.Config.config(Exec{}), Round: cf.Round, Tests: cf.Tests, Designs: cf.Designs, Bins: cf.Bins, Arms: cf.Arms, Merged: cf.Merged}, nil
 }
-
-// ResumeFile reads a checkpoint from path.
-func ResumeFile(path string, newDUT func() rtl.DUT, specs ...ArmSpec) (*Orchestrator, error) {
-	return ResumeMixedFile(path, []func() rtl.DUT{newDUT}, specs...)
-}
-
-// ResumeMixedFile reads a heterogeneous-fleet checkpoint from path.
-func ResumeMixedFile(path string, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestrator, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ResumeMixed(f, newDUTs, specs...)
-}

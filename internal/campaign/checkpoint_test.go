@@ -415,8 +415,8 @@ func TestDecodeCheckpointCorruptInputs(t *testing.T) {
 }
 
 // TestResumeFileCorruptVariants exercises the same corruptions through
-// the public file-based entry points, the path the farm daemon and
-// `fuzz-bench campaign -resume` actually take.
+// checkpoint files, opened and resumed the way `fuzz-bench campaign
+// -resume` does.
 func TestResumeFileCorruptVariants(t *testing.T) {
 	good := checkpointBytes(t)
 	dir := t.TempDir()
@@ -433,17 +433,28 @@ func TestResumeFileCorruptVariants(t *testing.T) {
 			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 				t.Fatalf("WriteFile: %v", err)
 			}
-			if _, err := ResumeFile(path, newRocket, testArms()...); err == nil {
-				t.Error("ResumeFile accepted a corrupt checkpoint")
+			if _, err := resumeFile(path); err == nil {
+				t.Error("Resume accepted a corrupt checkpoint file")
 			}
 			if _, err := ReadCheckpointInfo(path); err == nil {
 				t.Error("ReadCheckpointInfo accepted a corrupt checkpoint")
 			}
 		})
 	}
-	if _, err := ResumeFile(filepath.Join(dir, "missing.json"), newRocket, testArms()...); err == nil {
-		t.Error("ResumeFile invented a checkpoint from a missing file")
+	if _, err := resumeFile(filepath.Join(dir, "missing.json")); err == nil {
+		t.Error("a missing checkpoint file resumed")
 	}
+}
+
+// resumeFile resumes a single-design test fleet from the checkpoint
+// file at path.
+func resumeFile(path string) (*Orchestrator, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Resume(f, newRocket, testArms()...)
 }
 
 // TestCheckpointFileSurvivesKillDuringWrite simulates dying mid-
@@ -484,7 +495,7 @@ func TestCheckpointFileSurvivesKillDuringWrite(t *testing.T) {
 	if info.Round != 2 {
 		t.Fatalf("generation 1 decodes to round %d, want 2", info.Round)
 	}
-	resumed, err := ResumeFile(path, newRocket, testArms()...)
+	resumed, err := resumeFile(path)
 	if err != nil {
 		t.Fatalf("resume from generation 1: %v", err)
 	}

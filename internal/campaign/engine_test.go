@@ -22,7 +22,7 @@ func newBoom() rtl.DUT { return boom.New() }
 // reference oracle.
 func TestEngineFleetCheckpointMatchesSerial(t *testing.T) {
 	checkpoint := func(serial bool) []byte {
-		o, err := New(Config{Shards: 3, BatchSize: 8, Seed: 21, Detect: true, Exec: Exec{Serial: serial}},
+		o, err := New(Config{Shards: 3, BatchSize: 8, Seed: 21, Detect: true, Exec: Exec{serial: serial}},
 			newRocket, testArms()...)
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -85,21 +85,19 @@ func TestMixedFleetTracksPerDesignCoverage(t *testing.T) {
 	defer o.Close()
 	o.RunRounds(4)
 
-	if got := o.Designs(); len(got) != 2 || got[0] != "boom" || got[1] != "rocket" {
-		t.Fatalf("Designs() = %v, want [boom rocket]", got)
+	rep := o.Report()
+	if len(rep.Designs) != 2 || rep.Designs[0].Name != "boom" || rep.Designs[1].Name != "rocket" {
+		t.Fatalf("report designs = %+v, want [boom rocket]", rep.Designs)
 	}
-	cr, cb := o.DesignCoverage("rocket"), o.DesignCoverage("boom")
-	if cr <= 0 || cb <= 0 {
-		t.Errorf("per-design coverage rocket=%.2f boom=%.2f, want both > 0", cr, cb)
-	}
-	if o.DesignCoverage("nonesuch") != -1 {
-		t.Error("unknown design did not report -1")
+	for _, d := range rep.Designs {
+		if d.Coverage <= 0 {
+			t.Errorf("%s merged coverage %.2f, want > 0", d.Name, d.Coverage)
+		}
 	}
 	if c := o.Coverage(); c <= 0 || c >= 100 {
 		t.Errorf("aggregate coverage %.2f out of range", c)
 	}
-	rep := o.Report()
-	if len(rep.Designs) != 2 || rep.Designs[0].Shards != 2 || rep.Designs[1].Shards != 2 {
+	if rep.Designs[0].Shards != 2 || rep.Designs[1].Shards != 2 {
 		t.Errorf("report designs = %+v, want two designs with two shards each", rep.Designs)
 	}
 }

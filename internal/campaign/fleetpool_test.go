@@ -8,10 +8,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"chatfuzz/internal/core"
+	"chatfuzz/internal/cov"
 	"chatfuzz/internal/engine"
 	"chatfuzz/internal/isa"
 	"chatfuzz/internal/mem"
@@ -22,7 +24,7 @@ import (
 )
 
 // oracle is the reference every production run is compared against.
-var oracle = Exec{Serial: true}
+var oracle = Exec{serial: true}
 
 // production lists the ways the one production path can be run and
 // watched. None of it may move a trajectory bit or a checkpoint byte.
@@ -91,7 +93,7 @@ func TestFleetPoolDeterminismTable(t *testing.T) {
 							t.Fatalf("%s: Checkpoint: %v", label, err)
 						}
 						res := result{traj: o.Trajectory(), ckpt: buf.Bytes(), pool: o.pool.Stats()}
-						if res.pool.Submitted != o.Tests() && !ex.Serial {
+						if res.pool.Submitted != o.Tests() && !ex.serial {
 							t.Errorf("%s: pool saw %d entries for %d tests", label, res.pool.Submitted, o.Tests())
 						}
 						return res
@@ -136,10 +138,9 @@ func TestFleetPoolDeterminismTable(t *testing.T) {
 	}
 }
 
-// slowDUT wraps a DUT under a distinct design name and sleeps before
-// every run, modelling a rig whose simulator is slower than its
-// siblings'. It deliberately does not implement rtl.ReusableDUT, so
-// the engine falls back to DUT.Run — the conservative path.
+// slowDUT wraps a DUT under a distinct design name and vends runners
+// that sleep before every run, modelling a rig whose simulator is
+// slower than its siblings'.
 type slowDUT struct {
 	rtl.DUT
 	delay time.Duration
@@ -147,9 +148,16 @@ type slowDUT struct {
 
 func (s *slowDUT) Name() string { return s.DUT.Name() + "-slow" }
 
-func (s *slowDUT) Run(img mem.Image, maxInsts int) rtl.Result {
-	time.Sleep(s.delay)
-	return s.DUT.Run(img, maxInsts)
+func (s *slowDUT) NewRunner() rtl.Runner { return &slowRunner{s.DUT.NewRunner(), s.delay} }
+
+type slowRunner struct {
+	rtl.Runner
+	delay time.Duration
+}
+
+func (r *slowRunner) RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr []trace.Entry) rtl.Result {
+	time.Sleep(r.delay)
+	return r.Runner.RunScratch(img, maxInsts, set, tr)
 }
 
 // TestFleetPoolShrinksBarrierWait is the skew probe, and the sizing
@@ -229,6 +237,72 @@ func TestFleetPoolCountsEveryTest(t *testing.T) {
 	}
 	if st.Executed+st.Helped != st.Submitted {
 		t.Errorf("executed %d + committer-run %d != submitted %d", st.Executed, st.Helped, st.Submitted)
+	}
+}
+
+// countingDUT is Rocket with its from-reset Run and its runners'
+// RunScratch counted.
+type countingDUT struct {
+	rtl.DUT
+	runs, scratch *atomic.Int64
+}
+
+func (d countingDUT) Run(img mem.Image, maxInsts int) rtl.Result {
+	d.runs.Add(1)
+	return d.DUT.Run(img, maxInsts)
+}
+
+func (d countingDUT) NewRunner() rtl.Runner { return countingRunner{d.DUT.NewRunner(), d.scratch} }
+
+type countingRunner struct {
+	rtl.Runner
+	n *atomic.Int64
+}
+
+func (r countingRunner) RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr []trace.Entry) rtl.Result {
+	r.n.Add(1)
+	return r.Runner.RunScratch(img, maxInsts, set, tr)
+}
+
+// TestFleetRunsEveryTestOnARunner pins the one execution path: a
+// production fleet, with and without pool workers, simulates every
+// test on a runner and never calls DUT.Run; the serial oracle calls
+// DUT.Run once per test and never a runner.
+func TestFleetRunsEveryTestOnARunner(t *testing.T) {
+	const shards, batch, rounds = 2, 4, 2
+	for _, tc := range []struct {
+		name  string
+		procs int
+		ex    Exec
+	}{
+		{"production/no-workers", shards, Exec{}},
+		{"production/workers", shards + 2, Exec{}},
+		{"oracle", shards, oracle},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			withProcs(t, tc.procs)
+			var runs, scratch atomic.Int64
+			newDUT := func() rtl.DUT { return countingDUT{newRocket(), &runs, &scratch} }
+			o, err := New(Config{Shards: shards, BatchSize: batch, Seed: 39, Detect: true, Exec: tc.ex}, newDUT, testArms()...)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer o.Close()
+			if err := o.RunRounds(rounds); err != nil {
+				t.Fatalf("RunRounds: %v", err)
+			}
+			if o.Tests() != shards*batch*rounds {
+				t.Fatalf("fleet ran %d tests, want %d", o.Tests(), shards*batch*rounds)
+			}
+			wantRuns, wantScratch := int64(0), int64(o.Tests())
+			if tc.ex.serial {
+				wantRuns, wantScratch = wantScratch, wantRuns
+			}
+			if runs.Load() != wantRuns || scratch.Load() != wantScratch {
+				t.Errorf("DUT.Run ran %d times and RunScratch %d, want %d and %d",
+					runs.Load(), scratch.Load(), wantRuns, wantScratch)
+			}
+		})
 	}
 }
 

@@ -150,9 +150,14 @@ func TestCheckpointScheduleConstants(t *testing.T) {
 // resumes, and the continued run writes the bytes the parent's own
 // continuation wrote.
 func TestParentCheckpointResumes(t *testing.T) {
-	o, err := ResumeMixedFile(parentFixture, []func() rtl.DUT{newRocket, newBoom}, testArms()...)
+	f, err := os.Open(parentFixture)
 	if err != nil {
-		t.Fatalf("ResumeMixedFile: %v", err)
+		t.Fatal(err)
+	}
+	o, err := ResumeMixed(f, []func() rtl.DUT{newRocket, newBoom}, testArms()...)
+	f.Close()
+	if err != nil {
+		t.Fatalf("ResumeMixed: %v", err)
 	}
 	defer o.Close()
 	if o.Rounds() != 2 || o.Cfg.UpdateBudget != 2 || o.Cfg.MismatchWeight != 0.25 {

@@ -126,7 +126,7 @@ func TestOffBarrierResumeUnderLag(t *testing.T) {
 
 				// Reference: uninterrupted run on the oracle.
 				ocfg := cfg
-				ocfg.Serial = true
+				ocfg.serial = true
 				full, err := New(ocfg, newRocket, arms()...)
 				if err != nil {
 					t.Fatalf("New full: %v", err)

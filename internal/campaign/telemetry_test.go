@@ -96,10 +96,10 @@ func TestMetricsMatchOrchestratorState(t *testing.T) {
 	check("fleet/rounds", float64(o.Rounds()))
 	check("fleet/tests", float64(o.Tests()))
 	check("fleet/coverage_pct", o.Coverage())
-	for _, d := range o.Designs() {
-		check("coverage/"+d+"_pct", o.DesignCoverage(d))
-	}
 	rep := o.Report()
+	for _, d := range rep.Designs {
+		check("coverage/"+d.Name+"_pct", d.Coverage)
+	}
 	for _, a := range rep.Arms {
 		check("arm/"+a.Name+"/pulls", float64(a.Pulls))
 		check("arm/"+a.Name+"/mean_reward", a.MeanReward)

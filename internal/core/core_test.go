@@ -130,7 +130,7 @@ func TestFuzzerAccumulatesCoverageMonotonically(t *testing.T) {
 	if f.Tests != 64 {
 		t.Errorf("Tests = %d, want 64", f.Tests)
 	}
-	if f.Coverage() <= 0 {
+	if f.Calc.Total().Percent() <= 0 {
 		t.Error("no coverage accumulated")
 	}
 }
@@ -157,7 +157,7 @@ func TestFuzzerDeterminism(t *testing.T) {
 		g := randfuzz.New(3, 16)
 		f := NewFuzzer(g, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 8})
 		f.RunBatches(6)
-		return f.Coverage(), f.Tests
+		return f.Calc.Total().Percent(), f.Tests
 	}
 	c1, n1 := run()
 	c2, n2 := run()
@@ -188,10 +188,10 @@ func TestCoverageGuidanceBeatsNoFeedback(t *testing.T) {
 	fRaw := NewFuzzer(raw, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 16})
 	fRaw.RunBatches(batches)
 
-	t.Logf("thehuzz %.2f%%  raw-random %.2f%%", fTH.Coverage(), fRaw.Coverage())
-	if fTH.Coverage() <= fRaw.Coverage() {
+	t.Logf("thehuzz %.2f%%  raw-random %.2f%%", fTH.Calc.Total().Percent(), fRaw.Calc.Total().Percent())
+	if fTH.Calc.Total().Percent() <= fRaw.Calc.Total().Percent() {
 		t.Errorf("coverage feedback (%.2f%%) should beat raw random (%.2f%%)",
-			fTH.Coverage(), fRaw.Coverage())
+			fTH.Calc.Total().Percent(), fRaw.Calc.Total().Percent())
 	}
 }
 

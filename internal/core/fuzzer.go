@@ -115,9 +115,6 @@ func (f *Fuzzer) Close() {
 	}
 }
 
-// Coverage returns the cumulative condition-coverage percentage.
-func (f *Fuzzer) Coverage() float64 { return f.Calc.Total().Percent() }
-
 // commitOne performs the deterministic, in-order accounting of one
 // test: coverage scoring, differential analysis and the virtual-clock
 // charge. buildErr marks a program the harness refused to build — it

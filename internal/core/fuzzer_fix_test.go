@@ -164,8 +164,8 @@ func TestEngineMatchesSerialPath(t *testing.T) {
 				if !reflect.DeepEqual(gotBatches, wantBatches) {
 					t.Errorf("GOMAXPROCS=%d: engine scores, coverage or clock diverged from serial path", procs)
 				}
-				if got.Coverage() != want.Coverage() {
-					t.Errorf("GOMAXPROCS=%d: coverage %.6f vs serial %.6f", procs, got.Coverage(), want.Coverage())
+				if got.Calc.Total().Percent() != want.Calc.Total().Percent() {
+					t.Errorf("GOMAXPROCS=%d: coverage %.6f vs serial %.6f", procs, got.Calc.Total().Percent(), want.Calc.Total().Percent())
 				}
 				if got.Det.RawCount != want.Det.RawCount || got.Det.FilteredRaw != want.Det.FilteredRaw {
 					t.Errorf("GOMAXPROCS=%d: detector counts (%d,%d) vs serial (%d,%d)",

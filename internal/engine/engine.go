@@ -24,13 +24,14 @@
 // run ahead of the committers inside the rounds already submitted.
 //
 // Scratch is reusable everywhere: a platform memory for the golden
-// model, a private rtl.Runner per (executor, design) when the DUT
-// implements rtl.ReusableDUT, and pooled coverage sets and trace
-// buffers recycled at commit, so the steady-state loop is
-// allocation-free. Round.Each hands outcomes to the caller in input
-// order as soon as each becomes ready, so scoring, mismatch detection
-// and virtual-clock accounting overlap the simulation of later
-// entries.
+// model, a private rtl.Runner per (executor, design), and pooled
+// coverage sets and trace buffers recycled at commit, so the
+// steady-state loop is allocation-free. Every test runs on a runner
+// (rtl.Runner.RunScratch); the engine never calls DUT.Run, which stays
+// the from-reset oracle the runners are tested against. Round.Each
+// hands outcomes to the caller in input order as soon as each becomes
+// ready, so scoring, mismatch detection and virtual-clock accounting
+// overlap the simulation of later entries.
 //
 // Determinism: executors only compute; every stateful side effect
 // (coverage merge, detector, clock, trajectory) happens in the
@@ -83,9 +84,6 @@ type Outcome struct {
 	// Err reports a program the harness refused to build; the program
 	// executed nothing and must be scored as invalid.
 	Err error
-
-	pooledRes    bool // Res.Coverage/Res.Trace are engine-pooled scratch
-	pooledGolden bool // Golden is engine-pooled scratch
 }
 
 // pool is a tiny free-list. The engine prefers it over sync.Pool: no
@@ -158,7 +156,7 @@ type worker struct {
 
 // binding is a worker's scratch for one design.
 type binding struct {
-	runner rtl.Runner // nil when the design's DUT is not reusable
+	runner rtl.Runner
 	// prefix is the once-made verdict on whether the entries runner
 	// restores from its checkpoint are the golden prologue's: 0 not
 	// yet checked, 1 they are, -1 they are not (final).
@@ -177,10 +175,7 @@ func (w *worker) bind(sh *shared) {
 	}
 	b, ok := w.binds[sh.design]
 	if !ok {
-		b = &binding{}
-		if rd, reusable := sh.dut.(rtl.ReusableDUT); reusable {
-			b.runner = rd.NewRunner()
-		}
+		b = &binding{runner: sh.dut.NewRunner()}
 		w.binds[sh.design] = b
 	}
 	w.bound, w.b = sh.design, b
@@ -233,27 +228,22 @@ func (w *worker) exec(r *Round, i int) {
 		defer ck.useEnd(w)
 	}
 	t = w.track.Start()
-	if w.b.runner != nil {
-		set, ok := sh.sets.get()
-		if ok {
-			set.Reset()
-			if ck := scratchCheck.Load(); ck != nil {
-				ck.checkOut(set, "cov set")
-			}
-		} else {
-			set = sh.dut.Space().NewSet()
+	set, ok := sh.sets.get()
+	if ok {
+		set.Reset()
+		if ck := scratchCheck.Load(); ck != nil {
+			ck.checkOut(set, "cov set")
 		}
-		tr, ok := sh.traces.get()
-		if ok {
-			if ck := scratchCheck.Load(); ck != nil {
-				ck.checkOut(sliceKey(tr), "trace buffer")
-			}
-		}
-		o.Res = w.b.runner.RunScratch(img, budget, set, tr)
-		o.pooledRes = true
 	} else {
-		o.Res = sh.dut.Run(img, budget)
+		set = sh.dut.Space().NewSet()
 	}
+	tr, ok := sh.traces.get()
+	if ok {
+		if ck := scratchCheck.Load(); ck != nil {
+			ck.checkOut(sliceKey(tr), "trace buffer")
+		}
+	}
+	o.Res = w.b.runner.RunScratch(img, budget, set, tr)
 	w.track.Span(telemetry.SpanSim, t)
 	if sh.detect {
 		t = w.track.Start()
@@ -270,7 +260,6 @@ func (w *worker) exec(r *Round, i int) {
 		var pro []trace.Entry
 		o.Golden, pro = goldenRun(w.gmem, img, budget, buf)
 		o.Same = w.b.samePrefix(&o.Res, pro)
-		o.pooledGolden = true
 		w.track.Span(telemetry.SpanGolden, t)
 	}
 	r.markReady(i)
@@ -410,26 +399,24 @@ func (r *Round) Each(fn func(i int, o *Outcome)) {
 	r.live = false
 }
 
-// recycle returns an outcome's pooled scratch to the free lists.
+// recycle returns an outcome's pooled scratch to the free lists: the
+// run's coverage set and trace buffers unless the program failed to
+// build (and so ran nothing), and the golden buffer when detecting.
 func (sh *shared) recycle(o *Outcome) {
 	ck := scratchCheck.Load()
-	if o.pooledRes {
-		if o.Res.Coverage != nil {
-			if ck != nil {
-				ck.checkIn(o.Res.Coverage, "cov set")
-			}
-			sh.sets.put(o.Res.Coverage)
-		}
+	if o.Err == nil {
 		if ck != nil {
+			ck.checkIn(o.Res.Coverage, "cov set")
 			ck.checkIn(sliceKey(o.Res.Trace), "trace buffer")
 		}
+		sh.sets.put(o.Res.Coverage)
 		sh.traces.put(o.Res.Trace[:0])
-	}
-	if o.pooledGolden {
-		if ck != nil {
-			ck.checkIn(sliceKey(o.Golden), "golden buffer")
+		if sh.detect {
+			if ck != nil {
+				ck.checkIn(sliceKey(o.Golden), "golden buffer")
+			}
+			sh.goldens.put(o.Golden[:0])
 		}
-		sh.goldens.put(o.Golden[:0])
 	}
 	*o = Outcome{}
 }

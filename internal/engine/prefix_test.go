@@ -23,11 +23,11 @@ import (
 // in length but alter entry bad of it — a checkpoint that disagrees
 // with the golden prologue.
 type corruptDUT struct {
-	rtl.ReusableDUT
+	rtl.DUT
 	bad int
 }
 
-func (d corruptDUT) NewRunner() rtl.Runner { return corruptRunner{d.ReusableDUT.NewRunner(), d.bad} }
+func (d corruptDUT) NewRunner() rtl.Runner { return corruptRunner{d.DUT.NewRunner(), d.bad} }
 
 type corruptRunner struct {
 	rtl.Runner
@@ -43,7 +43,7 @@ func (r corruptRunner) RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr 
 }
 
 // resetDUT vends runners that always simulate from reset.
-type resetDUT struct{ rtl.ReusableDUT }
+type resetDUT struct{ rtl.DUT }
 
 func (d resetDUT) NewRunner() rtl.Runner { return resetRunner{d} }
 

@@ -3,8 +3,9 @@
 // an HTTP/JSON API, persists each job in an on-disk write-ahead queue
 // log (append, fsync, checksum — replayed on startup), runs jobs on
 // the campaign orchestrator with a durable checkpoint committed to the
-// job's two-slot store after every CheckpointEvery rounds, and streams
-// round reports to watching clients.
+// job's two-slot store after every CheckpointEvery rounds (trimmed to
+// its one newest slot when the job finishes), and streams round
+// reports to watching clients.
 //
 // Crash safety is the design center, and it rests on two invariants
 // the rest of the repo already enforces:

@@ -160,7 +160,7 @@ func killPastRound2(t *testing.T, s *Server, id string) {
 		reps, _ := s.Rounds(id, 0)
 		return len(reps) >= 2
 	})
-	s.Kill()
+	s.kill()
 }
 
 // reopenAfterKill verifies the on-disk state a crash leaves (readable
@@ -261,7 +261,7 @@ func TestFarmRecoveredQueuedJobReportsCheckpoint(t *testing.T) {
 		b, _ := s.Rounds(ids[1], 0)
 		return len(a) >= 2 && len(b) >= 2
 	})
-	s.Kill()
+	s.kill()
 
 	// One worker: the first job resumes, the second waits in the queue.
 	cfg.Workers = 1
@@ -556,7 +556,7 @@ func TestFarmUnreadableCheckpointFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	s.Kill() // the job stays open in the queue log, started or not
+	s.kill() // the job stays open in the queue log, started or not
 
 	ckpt := atomicio.SlotPath(s.checkpointPath(st.ID), 0)
 	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
@@ -622,13 +622,94 @@ func TestFarmRemovesStaleCheckpointTemps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadDir: %v", err)
 	}
-	if slots := []string{filepath.Base(atomicio.SlotPath(ckpt, 0)), filepath.Base(atomicio.SlotPath(ckpt, 1))}; len(entries) != 2 ||
-		entries[0].Name() != slots[0] || entries[1].Name() != slots[1] {
-		t.Errorf("job directory holds %v, want only %v", entries, slots)
+	if len(entries) != 1 || !isSlotFile(ckpt, entries[0].Name()) {
+		t.Errorf("job directory holds %v, want only one slot file", entries)
 	}
 	if got := readCheckpoint(t, s, st.ID); !bytes.Equal(got, wantCkpt) {
 		t.Error("checkpoint differs from the undisturbed run")
 	}
+}
+
+// isSlotFile reports whether name is one of the store at ckpt's slot
+// files.
+func isSlotFile(ckpt, name string) bool {
+	return name == filepath.Base(atomicio.SlotPath(ckpt, 0)) || name == filepath.Base(atomicio.SlotPath(ckpt, 1))
+}
+
+// wantOneSlot checks that a finished job's directory holds exactly one
+// slot file, of a header's 28 bytes plus the payload want, and that the
+// checkpoint endpoint serves want.
+func wantOneSlot(t *testing.T, s *Server, c *Client, id string, want []byte) {
+	t.Helper()
+	ckpt := s.checkpointPath(id)
+	entries, err := os.ReadDir(filepath.Dir(ckpt))
+	if err != nil {
+		t.Fatalf("ReadDir: %v", err)
+	}
+	if len(entries) != 1 || !isSlotFile(ckpt, entries[0].Name()) {
+		t.Fatalf("finished job directory holds %v, want one slot file", entries)
+	}
+	if fi, err := entries[0].Info(); err != nil || fi.Size() != int64(28+len(want)) {
+		t.Errorf("slot file is %v (%v), want %d bytes", fi, err, 28+len(want))
+	}
+	got, err := c.Checkpoint(id)
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("served checkpoint differs from a direct run's")
+	}
+}
+
+// TestFarmFinishedJobKeepsOneSlot: a finished job keeps only its newest
+// checkpoint generation, unpadded, and serves it unchanged. A job whose
+// done record never landed runs again from that one slot and finishes
+// the same way.
+func TestFarmFinishedJobKeepsOneSlot(t *testing.T) {
+	spec := testSpec(96)
+	_, wantCkpt := directRun(t, spec)
+	s, err := Open(Config{Dir: t.TempDir(), Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Stop()
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitDone(t, s, st.ID)
+	wantOneSlot(t, s, NewClient(s.Addr()), st.ID, wantCkpt)
+
+	// The same job in a data directory whose queue log lost the done
+	// record: its submit record and its trimmed store.
+	dir := t.TempDir()
+	w, _, err := openWAL(filepath.Join(dir, "queue.log"))
+	if err != nil {
+		t.Fatalf("openWAL: %v", err)
+	}
+	logged := spec.WithDefaults()
+	raw, err := json.Marshal(walRecord{Op: "submit", ID: st.ID, Spec: &logged})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(raw); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := os.CopyFS(filepath.Join(dir, "jobs"), os.DirFS(filepath.Join(s.cfg.Dir, "jobs"))); err != nil {
+		t.Fatalf("copy the job directory: %v", err)
+	}
+	s2, err := Open(Config{Dir: dir, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s2.Stop()
+	if again := waitDone(t, s2, st.ID); again.Resumes != 1 {
+		t.Errorf("re-run job resumed %d times, want once from its one slot", again.Resumes)
+	}
+	wantOneSlot(t, s2, NewClient(s2.Addr()), st.ID, wantCkpt)
 }
 
 func TestFarmSubmitValidation(t *testing.T) {

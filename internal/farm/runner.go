@@ -17,7 +17,8 @@ import (
 // job's checkpoint slot store, run rounds, commit a checkpoint to the
 // store every CheckpointEvery barriers and at the end (one in-place
 // write and fdatasync, atomicio.Slots), publish each barrier's numbers
-// to watchers, and close the job durably in the queue log.
+// to watchers, trim the finished store to its one newest slot, and
+// close the job durably in the queue log.
 //
 // Determinism contract: everything here that shapes the trajectory is
 // either in the job spec (logged) or in the checkpoint (durable), so
@@ -87,7 +88,8 @@ func (s *Server) runJob(id string) {
 		return
 	}
 	// Every generation was flushed by its commit; the success path
-	// checks Close anyway, and a second Close is harmless.
+	// checks Close anyway (through Trim), and a second Close is
+	// harmless.
 	defer store.Close()
 
 	// checkpoint makes the current barrier durable, unless it already
@@ -144,7 +146,12 @@ func (s *Server) runJob(id string) {
 		s.finishJob(id, nil, fmt.Errorf("farm: final checkpoint: %w", err))
 		return
 	}
-	if err := store.Close(); err != nil {
+	// Only the newest generation is ever read again: a finished job
+	// keeps one slot file, cut to its header and payload.
+	j.ckpt.Lock()
+	err = store.Trim()
+	j.ckpt.Unlock()
+	if err != nil {
 		s.finishJob(id, nil, fmt.Errorf("farm: final checkpoint: %w", err))
 		return
 	}

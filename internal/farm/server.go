@@ -20,7 +20,8 @@ import (
 type Config struct {
 	// Dir is the farm's data directory: the queue log lives at
 	// Dir/queue.log, each job's checkpoint slot store at
-	// Dir/jobs/<id>/ckpt.{0,1}. Created if absent.
+	// Dir/jobs/<id>/ckpt.{0,1} (one of the two once the job is done).
+	// Created if absent.
 	Dir string
 	// Addr, when non-empty, serves the HTTP API on this address
 	// (":0" picks a free port; Server.Addr reports it). Empty runs
@@ -373,7 +374,7 @@ func (s *Server) stopRequested() bool {
 	return s.stopping
 }
 
-// isKilled reports crash-simulation mode (see Kill).
+// isKilled reports crash-simulation mode (see kill).
 func (s *Server) isKilled() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -452,12 +453,12 @@ func (s *Server) Stop() error {
 	return s.wal.Close()
 }
 
-// Kill is the crash lever for recovery tests: it behaves like Stop
-// except that runners abandon their jobs without a final checkpoint
-// or terminal record — exactly the on-disk state a kill -9 between
-// durable writes leaves behind. (A real kill -9 is exercised by the
-// cmd/campd end-to-end test; Kill covers the in-process suite.)
-func (s *Server) Kill() {
+// kill is the crash lever for this package's recovery tests: it
+// behaves like Stop except that runners abandon their jobs without a
+// final checkpoint or terminal record — exactly the on-disk state a
+// kill -9 between durable writes leaves behind. (A real SIGKILL is
+// exercised by the cmd/campd end-to-end test.)
+func (s *Server) kill() {
 	s.mu.Lock()
 	s.stopping = true
 	s.killed = true

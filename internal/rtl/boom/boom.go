@@ -393,7 +393,7 @@ type runner struct {
 	mk mark
 }
 
-// NewRunner implements rtl.ReusableDUT.
+// NewRunner implements rtl.DUT.
 func (b *Boom) NewRunner() rtl.Runner {
 	return &runner{
 		b:    b,

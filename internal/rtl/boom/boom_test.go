@@ -211,11 +211,7 @@ func TestBoomDeterminism(t *testing.T) {
 // queue that Reset must clear.
 func TestRunnerMatchesRun(t *testing.T) {
 	b := New()
-	rd, ok := interface{}(b).(rtl.ReusableDUT)
-	if !ok {
-		t.Fatal("Boom does not implement rtl.ReusableDUT")
-	}
-	runner := rd.NewRunner()
+	runner := b.NewRunner()
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 6; i++ {
 		body := wildBody(rng, 40)

@@ -416,7 +416,7 @@ type runner struct {
 	mk mark
 }
 
-// NewRunner implements rtl.ReusableDUT.
+// NewRunner implements rtl.DUT.
 func (r *Rocket) NewRunner() rtl.Runner {
 	return &runner{r: r, m: mem.Platform(), core: newCore()}
 }

@@ -441,11 +441,7 @@ func TestMicroarchEventsCostCycles(t *testing.T) {
 // Reset must clear.
 func TestRunnerMatchesRun(t *testing.T) {
 	r := New()
-	rd, ok := interface{}(r).(rtl.ReusableDUT)
-	if !ok {
-		t.Fatal("Rocket does not implement rtl.ReusableDUT")
-	}
-	runner := rd.NewRunner()
+	runner := r.NewRunner()
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 6; i++ {
 		body := cleanBody(rng, 40)

@@ -1,8 +1,10 @@
 // Package rtl defines the interface between the fuzzers and the
 // simulated designs under test (the paper's Synopsys VCS + Chipyard
 // substitute). A DUT executes a test image cycle-by-cycle, emits a
-// commit trace, and records condition coverage into a fresh set per
-// run.
+// commit trace, and records condition coverage. The fuzzing loop runs
+// every test on a worker-private Runner that reuses its scratch;
+// DUT.Run, which builds fresh state per call, is the from-reset oracle
+// the runners are held to.
 //
 //chatfuzz:deterministic package
 package rtl
@@ -44,8 +46,11 @@ type DUT interface {
 	// Run simulates the image from reset until the program halts or
 	// maxInsts instructions have been attempted. A run caught in an
 	// exact cycle (hart.Marks) is completed by copy; what it reports is
-	// identical to stepping it out.
+	// identical to stepping it out. Run is the from-reset oracle: the
+	// fuzzing loop runs every test on a Runner and is tested against it.
 	Run(img mem.Image, maxInsts int) Result
+	// NewRunner returns a fresh worker-private execution context.
+	NewRunner() Runner
 }
 
 // Runner is a reusable execution context over one DUT, owned by a
@@ -72,12 +77,7 @@ type Runner interface {
 	RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr []trace.Entry) Result
 }
 
-// ReusableDUT is implemented by designs that can vend Runners. The
-// batch execution engine upgrades to RunScratch when the DUT supports
-// it and falls back to plain Run otherwise, so the capability is
-// strictly an optimisation: results are bit-identical either way.
-type ReusableDUT interface {
-	DUT
-	// NewRunner returns a fresh worker-private execution context.
-	NewRunner() Runner
-}
+// ReusableDUT is DUT under its former name. It stays only because the
+// benchmark harness (bench/fleet.go, bench/trace.go) still spells it,
+// and leaves with that harness's next revision.
+type ReusableDUT = DUT

@@ -117,7 +117,7 @@ func CycleBodies() [][]uint32 {
 // stepwise oracle; repeats reads the runner's count of runs completed
 // by copy (the owner's package-private counter).
 type cycleRig struct {
-	dut      rtl.ReusableDUT
+	dut      rtl.DUT
 	stepwise func(img mem.Image, budget int) rtl.Result
 	repeats  func(rtl.Runner) int
 	runner   rtl.Runner
@@ -144,7 +144,7 @@ func (g *cycleRig) check(t *testing.T, name string, img mem.Image, budget int) b
 // CheckCycleSkipMatchesStepwise holds a DUT's completion by copy to
 // stepwise, its Run with every step simulated, over CycleBodies, and
 // requires each cycle seed to be completed by copy exactly when it says.
-func CheckCycleSkipMatchesStepwise(t *testing.T, dut rtl.ReusableDUT,
+func CheckCycleSkipMatchesStepwise(t *testing.T, dut rtl.DUT,
 	stepwise func(mem.Image, int) rtl.Result, repeats func(rtl.Runner) int) {
 	t.Helper()
 	g := &cycleRig{dut: dut, stepwise: stepwise, repeats: repeats, runner: dut.NewRunner()}
@@ -162,7 +162,7 @@ func CheckCycleSkipMatchesStepwise(t *testing.T, dut rtl.ReusableDUT,
 
 // FuzzDUTCycleSkip is FuzzCycleSkip over a DUT's Run and one
 // long-lived runner, each against stepwise.
-func FuzzDUTCycleSkip(f *testing.F, dut rtl.ReusableDUT,
+func FuzzDUTCycleSkip(f *testing.F, dut rtl.DUT,
 	stepwise func(mem.Image, int) rtl.Result, repeats func(rtl.Runner) int) {
 	g := &cycleRig{dut: dut, stepwise: stepwise, repeats: repeats, runner: dut.NewRunner()}
 	FuzzCycleSkip(f, func(t *testing.T, img mem.Image, budget int) {

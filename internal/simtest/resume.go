@@ -44,14 +44,14 @@ func Diff(got, want rtl.Result) string {
 // with the package-private resume counter its owner exposes.
 type resumeRig struct {
 	t       *testing.T
-	dut     rtl.ReusableDUT
+	dut     rtl.DUT
 	runner  rtl.Runner
 	resumes func(rtl.Runner) int
 	set     *cov.Set
 	buf     []trace.Entry
 }
 
-func newResumeRig(t *testing.T, dut rtl.ReusableDUT, resumes func(rtl.Runner) int) *resumeRig {
+func newResumeRig(t *testing.T, dut rtl.DUT, resumes func(rtl.Runner) int) *resumeRig {
 	return &resumeRig{t: t, dut: dut, runner: dut.NewRunner(), resumes: resumes, set: dut.Space().NewSet()}
 }
 
@@ -130,7 +130,7 @@ func patched(img mem.Image, base uint64, data ...byte) mem.Image {
 // from the checkpoint or not, and must resume exactly when the runner's
 // doc comment says it may. resumes reads the runner's count of resumed
 // runs (the owner's package-private counter).
-func CheckResumeMatchesReset(t *testing.T, dut rtl.ReusableDUT, resumes func(rtl.Runner) int) {
+func CheckResumeMatchesReset(t *testing.T, dut rtl.DUT, resumes func(rtl.Runner) int) {
 	t.Helper()
 
 	// One runner over the golden set and 200 fuzzer-shaped bodies:

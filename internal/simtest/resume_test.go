@@ -42,7 +42,7 @@ func FuzzResumeMatchesReset(f *testing.F) {
 	f.Add(clean, uint16(0xFFFF), uint32(0), uint16(110))    // and one just past it
 
 	type rig struct {
-		dut    rtl.ReusableDUT
+		dut    rtl.DUT
 		runner rtl.Runner
 		buf    []trace.Entry
 	}

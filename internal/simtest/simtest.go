@@ -275,7 +275,7 @@ func (d *Digest) Sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
 // CheckGoldenDUT runs the golden set through dut.Run and through one
 // reused runner, coverage set and trace buffer, and requires both
 // digests to equal want.
-func CheckGoldenDUT(t *testing.T, dut rtl.ReusableDUT, want string) {
+func CheckGoldenDUT(t *testing.T, dut rtl.DUT, want string) {
 	t.Helper()
 	runner := dut.NewRunner()
 	set := dut.Space().NewSet()
@@ -301,7 +301,7 @@ func CheckGoldenDUT(t *testing.T, dut rtl.ReusableDUT, want string) {
 // trace buffer to run the whole golden set — bodies that trap, miss
 // both caches, evict dirty lines and keep the ROB and store queue
 // turning over — without allocating.
-func CheckRunScratchAllocFree(t *testing.T, dut rtl.ReusableDUT) {
+func CheckRunScratchAllocFree(t *testing.T, dut rtl.DUT) {
 	t.Helper()
 	bodies := Programs()
 	imgs := make([]mem.Image, len(bodies))

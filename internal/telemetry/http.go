@@ -7,23 +7,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
-// The HTTP endpoint for long soak runs: a JSON metrics snapshot at
-// /metrics, the expvar dump at /debug/vars (including this package's
-// registry, published once as "chatfuzz"), and the stock pprof
-// handlers at /debug/pprof/ for profiling a live fleet. Serving is
-// strictly read-only observation; nothing a client does can reach
-// scheduling or checkpointed state.
-
-// expvarOnce guards the process-global expvar publication (expvar
-// panics on duplicate names, and tests serve more than one registry).
-var (
-	expvarOnce sync.Once
-	expvarReg  *Registry
-	expvarMu   sync.Mutex
-)
+// The HTTP endpoint for long soak runs: the registry's JSON snapshot
+// at /metrics (its one URL), Go's own expvars (memstats, cmdline) at
+// /debug/vars, and the stock pprof handlers at /debug/pprof/ for
+// profiling a live fleet. Serving is strictly read-only observation;
+// nothing a client does can reach scheduling or checkpointed state.
 
 // Handler returns the telemetry endpoint's routes for the registry.
 func Handler(g *Registry) http.Handler {
@@ -44,23 +34,12 @@ func Handler(g *Registry) http.Handler {
 	return mux
 }
 
-// Serve publishes the registry under the expvar name "chatfuzz" and
-// serves Handler on addr (":0" picks a free port). It returns the
-// bound address and a closer that shuts the listener down.
+// Serve serves Handler on addr (":0" picks a free port). It returns
+// the bound address and a closer that shuts the listener down.
 func Serve(addr string, g *Registry) (boundAddr string, closer func() error, err error) {
 	if g == nil {
 		return "", nil, fmt.Errorf("telemetry: Serve needs a registry")
 	}
-	expvarMu.Lock()
-	expvarReg = g
-	expvarMu.Unlock()
-	expvarOnce.Do(func() {
-		expvar.Publish("chatfuzz", expvar.Func(func() any {
-			expvarMu.Lock()
-			defer expvarMu.Unlock()
-			return expvarReg.Snapshot()
-		}))
-	})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err

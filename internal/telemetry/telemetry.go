@@ -1,7 +1,7 @@
 // Package telemetry is the fleet's observability plane: a span flight
 // recorder exporting Chrome trace-event JSON (viewable in Perfetto or
 // chrome://tracing) and a metrics registry with a JSONL snapshot sink
-// and an optional expvar/pprof HTTP endpoint.
+// and an optional HTTP endpoint (/metrics, expvar, pprof).
 //
 // # Flight recorder
 //
