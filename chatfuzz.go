@@ -131,7 +131,7 @@ type (
 	// PipelineConfig parameterises training.
 	PipelineConfig = core.PipelineConfig
 	// ProgressPoint samples the coverage trajectory.
-	ProgressPoint = core.ProgressPoint
+	ProgressPoint = campaign.ProgressPoint
 	// RewardWeights shapes the coverage reward.
 	RewardWeights = core.RewardWeights
 

@@ -3,15 +3,11 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 
 	"chatfuzz/internal/baseline/randfuzz"
-	"chatfuzz/internal/baseline/randinst"
 	"chatfuzz/internal/baseline/thehuzz"
 	"chatfuzz/internal/core"
-	"chatfuzz/internal/cov"
 	"chatfuzz/internal/fleetlearn"
-	"chatfuzz/internal/prog"
 )
 
 // arm is one schedulable generator: a core.Generator the orchestrator
@@ -65,14 +61,13 @@ func TheHuzzArm(bodyInstrs int) ArmSpec {
 }
 
 // RandInstArm schedules the ISA-aware random-instruction generator
-// (the seed generator both baselines share) as a stateless arm.
+// (the seed generator both baselines share: randfuzz in its valid
+// mode) as a stateless arm.
 func RandInstArm(bodyInstrs int) ArmSpec {
 	return ArmSpec{
-		Name: "randinst",
-		sig:  fmt.Sprintf("randinst/body=%d", bodyInstrs),
-		build: func(int) arm {
-			return &randInstArm{body: bodyInstrs, rng: rand.New(rand.NewSource(0))}
-		},
+		Name:  "randinst",
+		sig:   fmt.Sprintf("randinst/body=%d", bodyInstrs),
+		build: func(int) arm { return randfuzz.New(0, bodyInstrs) },
 	}
 }
 
@@ -144,52 +139,6 @@ func LearningLLMArm(p *core.Pipeline) ArmSpec {
 	}
 }
 
-// recorded wraps a shard's arm to capture, per round, the programs
-// that achieved incremental coverage (fleet-new coverage when global
-// sync is on). The orchestrator drains them into the shared mutation
-// pool at the barrier — EnFuzz-style seed synchronization, so an LLM
-// or random discovery becomes mutation fodder for every shard's
-// TheHuzz arm. capture stays false when no arm consumes the pool
-// (no TheHuzz arm, or sync disabled) and for the TheHuzz arm itself,
-// which admits its own discoveries; otherwise found would grow
-// unboundedly with nothing ever draining it.
-//
-// A shard's round is a loop of RunBatch, so the scores Feedback
-// receives are always those of the last batch generated.
-type recorded struct {
-	arm
-	capture bool
-	last    []prog.Program
-	found   []thehuzz.PoolEntry
-}
-
-func (r *recorded) GenerateBatch(n int) []prog.Program {
-	batch := r.arm.GenerateBatch(n)
-	r.last = batch
-	return batch
-}
-
-func (r *recorded) Feedback(scores []cov.Scores) {
-	batch := r.last
-	if r.capture {
-		for i, sc := range scores {
-			if sc.Incremental > 0 && i < len(batch) {
-				body := make([]uint32, len(batch[i].Body))
-				copy(body, batch[i].Body)
-				r.found = append(r.found, thehuzz.PoolEntry{Body: body, Score: sc.Incremental})
-			}
-		}
-	}
-	r.arm.Feedback(scores)
-}
-
-// drain returns and clears the round's coverage-advancing programs.
-func (r *recorded) drain() []thehuzz.PoolEntry {
-	out := r.found
-	r.found = nil
-	return out
-}
-
 // huzzArm adapts thehuzz.Gen, adding checkpoint restore.
 type huzzArm struct{ *thehuzz.Gen }
 
@@ -201,22 +150,3 @@ func (a *huzzArm) armRestore(raw json.RawMessage) error {
 	a.Gen.SetState(st)
 	return nil
 }
-
-// randInstArm generates batches of valid random instructions with no
-// feedback loop.
-type randInstArm struct {
-	body int
-	rng  *rand.Rand
-}
-
-func (a *randInstArm) GenerateBatch(n int) []prog.Program {
-	out := make([]prog.Program, n)
-	for i := range out {
-		out[i] = prog.Program{Body: randinst.Program(a.rng, a.body)}
-	}
-	return out
-}
-
-func (a *randInstArm) Feedback([]cov.Scores) {}
-
-func (a *randInstArm) Reseed(seed int64) { a.rng.Seed(seed) }

@@ -1,12 +1,12 @@
 // Package campaign implements a sharded multi-campaign fuzzing
 // orchestrator on top of the paper's single fuzzing loop (Fig. 1a).
 //
-// N shards each run an independent core.Fuzzer — own DUT instance, own
-// virtual clock, own generator instances — and a global UCB1 bandit
-// allocates each round's batches among the generator arms (the trained
-// LLM, TheHuzz, ISA-aware random, raw random), rewarded by the
-// incremental merged coverage each batch buys per virtual hour, the
-// multi-armed-bandit strategy scheduling MABFuzz showed beats any
+// N shards each run an independent copy of that loop (Shard) — own DUT
+// instance, own virtual clock, own generator instances — and a global
+// UCB1 bandit allocates each round's batches among the generator arms
+// (the trained LLM, TheHuzz, ISA-aware random, raw random), rewarded
+// by the incremental merged coverage each batch buys per virtual hour,
+// the multi-armed-bandit strategy scheduling MABFuzz showed beats any
 // fixed strategy.
 //
 // A round is: select one arm per shard (sequentially, in shard order) →
@@ -33,7 +33,7 @@
 // at least as many shards as cores there are no workers and every
 // shard is an inline loop; a shard that finishes early then idles at
 // the barrier. Everything is bit-identical to the reference oracle
-// (core.Options.Serial, which only this package's tests select),
+// (Exec.serial, which only this package's tests select),
 // because in-order commit per shard is preserved and all randomness
 // stays in the per-shard armSeed streams. Fleets may be heterogeneous:
 // NewMixed assigns designs to shards round-robin (e.g. Rocket+BOOM),
@@ -70,7 +70,6 @@ import (
 	"time"
 
 	"chatfuzz/internal/baseline/thehuzz"
-	"chatfuzz/internal/core"
 	"chatfuzz/internal/cov"
 	"chatfuzz/internal/engine"
 	"chatfuzz/internal/fleetlearn"
@@ -144,10 +143,11 @@ type Exec struct {
 	// clock.
 	Metrics *telemetry.Registry
 
-	// serial runs every shard on the reference oracle (core.Options.
-	// Serial) instead of the engine. Only this package's determinism
-	// tests set it, to assert the oracle and production write identical
-	// checkpoint bytes.
+	// serial runs every shard on the reference oracle instead of the
+	// engine: a plain loop that builds and simulates each program from
+	// reset with freshly allocated scratch, then commits in order. Only
+	// this package's determinism tests set it, to assert the oracle and
+	// production write identical checkpoint bytes.
 	serial bool
 }
 
@@ -199,22 +199,13 @@ func CheckMismatchWeight(weight float64, detect bool) error {
 	return nil
 }
 
-// shard is one independent campaign.
-type shard struct {
-	fuz  *core.Fuzzer
-	arms []arm
-	// rec[i] wraps arms[i] to capture coverage-advancing programs for
-	// cross-shard pool seeding; it is what the fuzzer actually drives.
-	rec []*recorded
-}
-
 // Orchestrator runs N sharded campaigns under bandit scheduling.
 type Orchestrator struct {
 	Cfg Config
 
 	specs   []ArmSpec
 	bandit  *UCB1
-	shards  []*shard
+	shards  []*Shard
 	designs []string            // per-shard DUT name, in shard order
 	names   []string            // sorted unique design names
 	globals map[string]*cov.Set // fleet-merged coverage, per design
@@ -227,7 +218,7 @@ type Orchestrator struct {
 	// track carries the orchestrator's round/barrier spans (nil when
 	// telemetry is off).
 	track  *telemetry.Track
-	merged []core.ProgressPoint
+	merged []ProgressPoint
 	round  int
 	tests  int
 	// plateau counts consecutive rounds whose barrier merged zero new
@@ -284,7 +275,7 @@ func NewMixed(cfg Config, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestr
 	for s := 0; s < cfg.Shards; s++ {
 		dut := newDUTs[s%len(newDUTs)]()
 		arms := make([]arm, len(specs))
-		rec := make([]*recorded, len(specs))
+		hasHuzz := false
 		for i, sp := range specs {
 			if sp.newLearner != nil {
 				a, rep := sp.newLearner(dut.Space().NumBins())
@@ -293,34 +284,18 @@ func NewMixed(cfg Config, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestr
 			} else {
 				arms[i] = sp.build(dut.Space().NumBins())
 			}
-			rec[i] = &recorded{arm: arms[i]}
-		}
-		hasHuzz := false
-		for _, a := range arms {
-			if _, ok := a.(*huzzArm); ok {
+			if _, ok := arms[i].(*huzzArm); ok {
 				hasHuzz = true
-				break
 			}
 		}
-		for i, a := range arms {
-			if _, ok := a.(*huzzArm); !ok {
-				rec[i].capture = hasHuzz
-			}
-		}
-		fuz := core.NewFuzzer(rec[0], dut, core.Options{
-			BatchSize:      cfg.BatchSize,
-			Detect:         cfg.Detect,
-			Serial:         cfg.serial,
-			Pool:           o.pool,
-			Telemetry:      cfg.Telemetry,
-			TelemetryLabel: fmt.Sprintf("shard%d/%s", s, dut.Name()),
-		})
+		sh := newShard(dut, cfg, o.pool, fmt.Sprintf("shard%d/%s", s, dut.Name()))
+		sh.arms, sh.capture = arms, hasHuzz
 		name := dut.Name()
 		if g, ok := o.globals[name]; ok {
 			if g.Space().NumBins() != dut.Space().NumBins() {
 				// Release this shard's just-built engine, the earlier
 				// shards' engines and the fleet pool before failing.
-				fuz.Close()
+				sh.close()
 				o.Close()
 				return nil, fmt.Errorf("campaign: DUTs named %q disagree on coverage bins (%d vs %d)",
 					name, g.Space().NumBins(), dut.Space().NumBins())
@@ -330,7 +305,7 @@ func NewMixed(cfg Config, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestr
 			o.names = append(o.names, name)
 		}
 		o.designs = append(o.designs, name)
-		o.shards = append(o.shards, &shard{fuz: fuz, arms: arms, rec: rec})
+		o.shards = append(o.shards, sh)
 	}
 	sort.Strings(o.names)
 	o.fleets = make([]*fleetlearn.Fleet, len(specs))
@@ -360,7 +335,7 @@ func (o *Orchestrator) Close() {
 		}
 	}
 	for _, s := range o.shards {
-		s.fuz.Close()
+		s.close()
 	}
 	o.pool.Close()
 }
@@ -409,20 +384,22 @@ func (o *Orchestrator) RunRound() error {
 	var wg sync.WaitGroup
 	for i, s := range o.shards {
 		wg.Add(1)
-		go func(i int, s *shard) {
+		go func(i int, s *Shard) {
 			defer wg.Done()
-			s.arms[picks[i]].Reseed(armSeed(o.Cfg.Seed, i, o.round))
-			s.fuz.Gen = s.rec[picks[i]]
-			t0, h0 := s.fuz.Tests, s.fuz.Clk.Hours()
+			a := s.arms[picks[i]]
+			a.Reseed(armSeed(o.Cfg.Seed, i, o.round))
+			t0, h0 := s.Tests, s.Clk.Hours()
 			m0 := 0
-			if d := s.fuz.Det; d != nil {
+			if d := s.Det; d != nil {
 				// Novelty, not volume: reward only cluster growth, so a
 				// noisy divergence repeating one signature pays once.
 				m0 = d.NovelSignatures()
 			}
-			s.fuz.RunBatches(o.Cfg.RoundBatches)
-			deltas[i] = delta{tests: s.fuz.Tests - t0, hours: s.fuz.Clk.Hours() - h0}
-			if d := s.fuz.Det; d != nil {
+			for b := 0; b < o.Cfg.RoundBatches; b++ {
+				s.runBatch(a)
+			}
+			deltas[i] = delta{tests: s.Tests - t0, hours: s.Clk.Hours() - h0}
+			if d := s.Det; d != nil {
 				deltas[i].mis = d.NovelSignatures() - m0
 			}
 			if finished != nil {
@@ -440,7 +417,7 @@ func (o *Orchestrator) RunRound() error {
 	barrierT := o.track.Start()
 	roundAdded := 0
 	for i, s := range o.shards {
-		added, err := o.globals[o.designs[i]].MergeWords(s.fuz.Calc.Total().Snapshot())
+		added, err := o.globals[o.designs[i]].MergeWords(s.Calc.Total().Snapshot())
 		if err != nil {
 			o.err = fmt.Errorf("campaign: shard %d (%s) coverage space diverged: %w", i, o.designs[i], err)
 			return o.err
@@ -464,7 +441,7 @@ func (o *Orchestrator) RunRound() error {
 		snaps[n] = o.globals[n].Snapshot()
 	}
 	for i, s := range o.shards {
-		if _, err := s.fuz.Calc.Total().MergeWords(snaps[o.designs[i]]); err != nil {
+		if _, err := s.Calc.Total().MergeWords(snaps[o.designs[i]]); err != nil {
 			o.err = fmt.Errorf("campaign: global sync to shard %d (%s): %w", i, o.designs[i], err)
 			return o.err
 		}
@@ -500,7 +477,7 @@ func (o *Orchestrator) RunRound() error {
 	}
 	o.track.Span(telemetry.SpanBarrier, barrierT)
 	o.round++
-	o.merged = append(o.merged, core.ProgressPoint{
+	o.merged = append(o.merged, ProgressPoint{
 		Tests:    o.tests,
 		Hours:    o.Hours(),
 		Coverage: o.Coverage(),
@@ -541,7 +518,7 @@ func (o *Orchestrator) recordMetrics(roundAdded int, finished []time.Time, learn
 	if o.Cfg.Detect {
 		novel, raw, filtered := 0, 0, 0
 		for _, s := range o.shards {
-			if d := s.fuz.Det; d != nil {
+			if d := s.Det; d != nil {
 				novel += d.NovelSignatures()
 				raw += d.RawCount
 				filtered += d.FilteredRaw
@@ -578,7 +555,7 @@ func (o *Orchestrator) recordMetrics(roundAdded int, finished []time.Time, learn
 // previous round's (round 0 compares against zero). Resume uses this
 // so Config.UpdateBudget decisions replay bit-identically without
 // checkpointing the counter.
-func plateauOf(merged []core.ProgressPoint) int {
+func plateauOf(merged []ProgressPoint) int {
 	p := 0
 	for i := len(merged) - 1; i >= 0; i-- {
 		prev := 0.0
@@ -619,7 +596,7 @@ func (c Config) reward(covRate, misRate float64) float64 {
 // plus EnFuzz-style cross-generator seeding: the pool merges (a) every
 // shard's existing TheHuzz pool and (b) every program any arm produced
 // this round that bought fleet-new coverage (drained from the
-// recorders). A lone shard only deepens its pool on the rounds the
+// shards' captures, Shard.found). A lone shard only deepens its pool on the rounds the
 // bandit assigns it TheHuzz; after syncing, every shard mutates from a
 // pool fed by the full fleet throughput and by every generator's
 // discoveries. Deterministic: shards are visited in order and the
@@ -667,12 +644,12 @@ func (o *Orchestrator) syncPools() {
 		return
 	}
 	for _, s := range o.shards {
-		for _, r := range s.rec {
-			for _, e := range r.drain() {
-				e.Age = o.round + 1
-				add(e)
-			}
+		for _, e := range s.found {
+			e.Age = o.round + 1
+			add(e)
 		}
+		// add copied each entry out: the backing array is free again.
+		s.found = s.found[:0]
 	}
 	if len(ps.all) == 0 {
 		return
@@ -775,24 +752,31 @@ func (o *Orchestrator) Rounds() int { return o.round }
 func (o *Orchestrator) Hours() float64 {
 	h := 0.0
 	for _, s := range o.shards {
-		if sh := s.fuz.Clk.Hours(); sh > h {
+		if sh := s.Clk.Hours(); sh > h {
 			h = sh
 		}
 	}
 	return h
 }
 
+// ProgressPoint is one round's sample of a fleet's coverage trajectory.
+type ProgressPoint struct {
+	Tests    int
+	Hours    float64 // virtual wall-clock hours
+	Coverage float64 // cumulative condition coverage %
+}
+
 // Trajectory returns the merged coverage trajectory, one point per
 // round (the fleet-level series behind Fig. 2-style curves).
-func (o *Orchestrator) Trajectory() []core.ProgressPoint {
-	out := make([]core.ProgressPoint, len(o.merged))
+func (o *Orchestrator) Trajectory() []ProgressPoint {
+	out := make([]ProgressPoint, len(o.merged))
 	copy(out, o.merged)
 	return out
 }
 
-// Shard returns shard i's fuzzer, for inspection (mismatch reports,
-// per-shard coverage). Mutating it mid-campaign voids determinism.
-func (o *Orchestrator) Shard(i int) *core.Fuzzer { return o.shards[i].fuz }
+// Shard returns shard i, for inspection (mismatch reports, per-shard
+// coverage). Mutating it mid-campaign voids determinism.
+func (o *Orchestrator) Shard(i int) *Shard { return o.shards[i] }
 
 // ArmReport is one arm's scheduling statistics.
 type ArmReport struct {

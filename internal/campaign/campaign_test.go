@@ -13,7 +13,6 @@ import (
 	"chatfuzz/internal/baseline/thehuzz"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/cov"
-	"chatfuzz/internal/engine/enginetest"
 	"chatfuzz/internal/ml/ppo"
 	"chatfuzz/internal/prog"
 	"chatfuzz/internal/rtl"
@@ -60,8 +59,8 @@ func TestFourShardsBeatSingleCampaignAtEqualBudget(t *testing.T) {
 
 	var singles []float64
 	for seed := int64(1); seed <= 5; seed++ {
-		single := core.NewFuzzer(thehuzz.New(seed, testBody), rocket.New(), core.Options{Pool: enginetest.Pool(t), BatchSize: 16})
-		single.RunBatches(budget / 16)
+		single := testShard(t, rocket.New(), 16, false, false)
+		runBatches(single, thehuzz.New(seed, testBody), budget/16)
 		singles = append(singles, single.Calc.Total().Percent())
 	}
 	sort.Float64s(singles)

@@ -9,7 +9,6 @@ import (
 
 	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/baseline/thehuzz"
-	"chatfuzz/internal/core"
 	"chatfuzz/internal/mismatch"
 	"chatfuzz/internal/ml/nn"
 	"chatfuzz/internal/rtl"
@@ -60,7 +59,7 @@ type checkpointFile struct {
 	// needed. Any in-flight off-barrier training is joined before
 	// encoding, so the bytes do not depend on how far it had got.
 	Learn  map[string]learnState `json:",omitempty"`
-	Merged []core.ProgressPoint
+	Merged []ProgressPoint
 	Shards []shardState
 }
 
@@ -307,11 +306,11 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 			e.raw(`,`)
 		}
 		e.raw(`{"Tests":`)
-		e.num(s.fuz.Tests)
+		e.num(s.Tests)
 		e.raw(`,"Seconds":`)
-		e.marshal(s.fuz.Clk.Seconds())
+		e.marshal(s.Clk.Seconds())
 		e.raw(`,"Cov":`)
-		e.buf = s.fuz.Calc.Total().AppendJSON(e.buf)
+		e.buf = s.Calc.Total().AppendJSON(e.buf)
 		e.raw(`,"Arms":[`)
 		for i, a := range s.arms {
 			if i > 0 {
@@ -324,9 +323,9 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 			}
 		}
 		e.raw(`]`)
-		if s.fuz.Det != nil {
+		if s.Det != nil {
 			e.raw(`,"Det":`)
-			e.buf = s.fuz.Det.AppendState(e.buf)
+			e.buf = s.Det.AppendState(e.buf)
 		}
 		e.raw(`}`)
 	}
@@ -484,9 +483,9 @@ func ResumeExec(r io.Reader, ex Exec, newDUTs []func() rtl.DUT, specs ...ArmSpec
 	}
 	for si, st := range cf.Shards {
 		s := o.shards[si]
-		s.fuz.Tests = st.Tests
-		s.fuz.Clk.SetSeconds(st.Seconds)
-		if err := s.fuz.Calc.RestoreTotal(st.Cov); err != nil {
+		s.Tests = st.Tests
+		s.Clk.SetSeconds(st.Seconds)
+		if err := s.Calc.RestoreTotal(st.Cov); err != nil {
 			return nil, fmt.Errorf("campaign: shard %d coverage: %w", si, err)
 		}
 		if len(st.Arms) != len(s.arms) {
@@ -506,10 +505,10 @@ func ResumeExec(r io.Reader, ex Exec, newDUTs []func() rtl.DUT, specs ...ArmSpec
 			}
 		}
 		if st.Det != nil {
-			if s.fuz.Det == nil {
+			if s.Det == nil {
 				return nil, fmt.Errorf("campaign: shard %d checkpointed detector state but detection is off", si)
 			}
-			s.fuz.Det.SetState(*st.Det)
+			s.Det.SetState(*st.Det)
 		}
 	}
 	for i, sp := range o.specs {
@@ -561,7 +560,7 @@ type CheckpointInfo struct {
 	// parameters.
 	Arms []string
 	// Merged is the fleet's merged trajectory, one point per round.
-	Merged []core.ProgressPoint
+	Merged []ProgressPoint
 }
 
 // CheckFleet reports whether a fleet of specs over newDUTs, shard s

@@ -52,13 +52,13 @@ func checkpointRef(o *Orchestrator) ([]byte, error) {
 	}
 	for _, s := range o.shards {
 		st := shardState{
-			Tests:   s.fuz.Tests,
-			Seconds: s.fuz.Clk.Seconds(),
-			Cov:     s.fuz.Calc.Total().Snapshot(),
+			Tests:   s.Tests,
+			Seconds: s.Clk.Seconds(),
+			Cov:     s.Calc.Total().Snapshot(),
 			Arms:    make([]json.RawMessage, len(s.arms)),
 		}
-		if s.fuz.Det != nil {
-			det := s.fuz.Det.State()
+		if s.Det != nil {
+			det := s.Det.State()
 			st.Det = &det
 		}
 		for i, a := range s.arms {

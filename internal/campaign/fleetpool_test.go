@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"chatfuzz/internal/core"
 	"chatfuzz/internal/cov"
 	"chatfuzz/internal/engine"
 	"chatfuzz/internal/isa"
@@ -68,7 +67,7 @@ func TestFleetPoolDeterminismTable(t *testing.T) {
 						rounds = 2 // keep the big fleets cheap
 					}
 					type result struct {
-						traj []core.ProgressPoint
+						traj []ProgressPoint
 						ckpt []byte
 						pool engine.FleetStats
 					}
@@ -176,7 +175,7 @@ func TestFleetPoolShrinksBarrierWait(t *testing.T) {
 		simWaitMS float64 // the probe/sim_wait_ms sum over the rounds
 		helped    int     // entries the shards' own committers ran
 	}
-	run := func(spare int) (probe, []core.ProgressPoint) {
+	run := func(spare int) (probe, []ProgressPoint) {
 		withProcs(t, shards+spare)
 		reg := telemetry.NewRegistry()
 		cfg := Config{Shards: shards, BatchSize: batch, Seed: 35, Exec: Exec{Metrics: reg}}

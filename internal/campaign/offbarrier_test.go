@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"chatfuzz/internal/core"
 	"chatfuzz/internal/cov"
 )
 
@@ -59,16 +58,16 @@ func TestBarrierMergeErrorPropagates(t *testing.T) {
 // monotone in hit bins, so consecutive equal points mark zero-added
 // rounds exactly (round 0 compares against zero coverage).
 func TestPlateauOf(t *testing.T) {
-	pts := func(cov ...float64) []core.ProgressPoint {
-		out := make([]core.ProgressPoint, len(cov))
+	pts := func(cov ...float64) []ProgressPoint {
+		out := make([]ProgressPoint, len(cov))
 		for i, c := range cov {
-			out[i] = core.ProgressPoint{Coverage: c}
+			out[i] = ProgressPoint{Coverage: c}
 		}
 		return out
 	}
 	cases := []struct {
 		name string
-		in   []core.ProgressPoint
+		in   []ProgressPoint
 		want int
 	}{
 		{"no rounds", nil, 0},

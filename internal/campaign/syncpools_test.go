@@ -40,12 +40,11 @@ func referenceSyncPools(o *Orchestrator) {
 		return
 	}
 	for _, s := range o.shards {
-		for _, r := range s.rec {
-			for _, e := range r.drain() {
-				e.Age = o.round + 1
-				add(e)
-			}
+		for _, e := range s.found {
+			e.Age = o.round + 1
+			add(e)
 		}
+		s.found = nil
 	}
 	if len(all) == 0 {
 		return
@@ -89,8 +88,8 @@ func huzzGens(o *Orchestrator) []*thehuzz.Gen {
 }
 
 // seedBarrier puts a fleet in a pre-barrier state drawn from rng: every
-// TheHuzz pool grown by n entries of its own, a recorder on every shard
-// holding n captured programs, with bodies repeated across shards, low
+// TheHuzz pool grown by n entries of its own, every shard holding n
+// captured programs, with bodies repeated across shards, low
 // and tied scores, and the odd empty body.
 func seedBarrier(o *Orchestrator, rng *rand.Rand, n int) {
 	shared := make([][]uint32, 8)
@@ -114,15 +113,14 @@ func seedBarrier(o *Orchestrator, rng *rand.Rand, n int) {
 		g.SetState(st)
 	}
 	for _, s := range o.shards {
-		r := s.rec[1+rng.Intn(len(s.rec)-1)] // a capturing arm, never TheHuzz's own
 		for i := 0; i < n; i++ {
-			r.found = append(r.found, thehuzz.PoolEntry{Body: body(), Score: 1 + rng.Intn(4)})
+			s.found = append(s.found, thehuzz.PoolEntry{Body: body(), Score: 1 + rng.Intn(4)})
 		}
 	}
 }
 
 // TestSyncPoolsMatchesReference: over seeded fleets whose shards hold
-// duplicate bodies, recorder-drained entries and more entries than
+// duplicate bodies, captured entries and more entries than
 // PoolCap, the barrier leaves every generator with the pool — order,
 // scores, ages, body words — the copying implementation left, barrier
 // after barrier; and since generators now share pooled bodies, whatever
@@ -178,7 +176,7 @@ func TestSyncPoolsMatchesReference(t *testing.T) {
 }
 
 // warmBarrier returns a 4-shard fleet whose TheHuzz pools are full and
-// a function that refills the recorders the way a round does.
+// a function that refills the shards' captures the way a round does.
 func warmBarrier(tb testing.TB) (*Orchestrator, func()) {
 	o, err := New(Config{Shards: 4, BatchSize: 16, Seed: 1}, newRocket, testArms()...)
 	if err != nil {
@@ -195,7 +193,7 @@ func warmBarrier(tb testing.TB) (*Orchestrator, func()) {
 	return o, func() {
 		for _, s := range o.shards {
 			for i := 0; i < 2; i++ { // two discoveries a shard a round
-				s.rec[1].found = append(s.rec[1].found, thehuzz.PoolEntry{Body: fresh[k%len(fresh)], Score: 1 + k%3})
+				s.found = append(s.found, thehuzz.PoolEntry{Body: fresh[k%len(fresh)], Score: 1 + k%3})
 				k++
 			}
 		}
@@ -213,8 +211,7 @@ func TestSyncPoolsAllocs(t *testing.T) {
 		refill()
 		o.syncPools()
 	})
-	// 128 pooled bodies + at most 8 new ones + the closure, and the
-	// recorders' found slices regrowing after each drain.
+	// 128 pooled bodies + at most 8 new ones + the closure.
 	if n > 160 {
 		t.Errorf("a warm barrier allocates %.0f times, want at most 160", n)
 	}
@@ -232,4 +229,58 @@ func BenchmarkCampaignBarrier(b *testing.B) {
 		refill()
 		o.syncPools()
 	}
+}
+
+// TestCaptureStaysBounded: a shard keeps the coverage-advancing bodies
+// of a batch only for syncPools to drain into the TheHuzz pools. A
+// fleet with no TheHuzz arm never drains, so it must capture nothing;
+// and TheHuzz admits its own discoveries, so its batches add nothing
+// to the capture either. Either leak would grow a shard's capture for
+// as long as the campaign runs.
+func TestCaptureStaysBounded(t *testing.T) {
+	t.Run("no-thehuzz-arm", func(t *testing.T) {
+		o, err := New(Config{Shards: 2, BatchSize: 8, Seed: 5}, newRocket, RandInstArm(testBody), RandFuzzArm(testBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		if err := o.RunRounds(6); err != nil {
+			t.Fatal(err)
+		}
+		if o.Coverage() == 0 {
+			t.Fatal("the fleet covered nothing; no batch had a body to capture")
+		}
+		for i, s := range o.shards {
+			if len(s.found) != 0 {
+				t.Errorf("shard %d holds %d captured bodies after 6 rounds, want none", i, len(s.found))
+			}
+		}
+	})
+	t.Run("thehuzz-batches", func(t *testing.T) {
+		o := mustNew(t, Config{Shards: 2, BatchSize: 8, Seed: 5})
+		defer o.Close()
+		if err := o.RunRounds(2); err != nil {
+			t.Fatal(err)
+		}
+		others := 0 // bodies the non-TheHuzz arms captured
+		for i, s := range o.shards {
+			for _, a := range s.arms {
+				_, huzz := a.(*huzzArm)
+				for b := int64(0); b < 4; b++ {
+					a.Reseed(b)
+					n := len(s.found)
+					s.runBatch(a)
+					if huzz && len(s.found) != n {
+						t.Errorf("shard %d: a TheHuzz batch captured %d bodies, want none", i, len(s.found)-n)
+					}
+					if !huzz {
+						others += len(s.found) - n
+					}
+				}
+			}
+		}
+		if others == 0 {
+			t.Fatal("no other arm's batch captured a body; the check shows nothing")
+		}
+	})
 }

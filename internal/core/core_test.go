@@ -5,10 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"chatfuzz/internal/baseline/randfuzz"
-	"chatfuzz/internal/baseline/thehuzz"
 	"chatfuzz/internal/cov"
-	"chatfuzz/internal/engine/enginetest"
 	"chatfuzz/internal/isa"
 	"chatfuzz/internal/ml/tok"
 	"chatfuzz/internal/prog"
@@ -109,89 +106,6 @@ func TestPipelineStep3RunsAgainstDUT(t *testing.T) {
 		if st.MeanLen <= 0 {
 			t.Errorf("step %d generated nothing", i)
 		}
-	}
-}
-
-func TestFuzzerAccumulatesCoverageMonotonically(t *testing.T) {
-	g := randfuzz.New(1, 20)
-	f := NewFuzzer(g, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 8})
-	prevBins, prevSecs := 0, 0.0
-	for i := 0; i < 8; i++ {
-		f.RunBatch()
-		bins, secs := f.Calc.Total().Count(), f.Clk.Seconds()
-		if bins < prevBins {
-			t.Fatalf("coverage decreased at batch %d: %d -> %d bins", i, prevBins, bins)
-		}
-		if secs <= prevSecs {
-			t.Fatalf("virtual clock did not advance at batch %d", i)
-		}
-		prevBins, prevSecs = bins, secs
-	}
-	if f.Tests != 64 {
-		t.Errorf("Tests = %d, want 64", f.Tests)
-	}
-	if f.Calc.Total().Percent() <= 0 {
-		t.Error("no coverage accumulated")
-	}
-}
-
-func TestFuzzerDetectsFindingsWithLLM(t *testing.T) {
-	// A short campaign with the trained model over a corpus that
-	// includes self-modifying code, MUL/DIV, AMOs: the detector should
-	// fire on at least Bug2 (any mul/div in a passing trace mismatches).
-	p := pretrainedPipeline()
-	g := NewLLMGenerator(p, rocket.New().Space().NumBins(), 7)
-	f := NewFuzzer(g, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 8, Detect: true})
-	f.RunBatches(10)
-	if f.Det.RawCount == 0 {
-		t.Error("no mismatches found by differential testing")
-	}
-	found := f.Det.Findings()
-	if len(found) == 0 {
-		t.Error("no classified findings")
-	}
-}
-
-func TestFuzzerDeterminism(t *testing.T) {
-	run := func() (float64, int) {
-		g := randfuzz.New(3, 16)
-		f := NewFuzzer(g, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 8})
-		f.RunBatches(6)
-		return f.Calc.Total().Percent(), f.Tests
-	}
-	c1, n1 := run()
-	c2, n2 := run()
-	if c1 != c2 || n1 != n2 {
-		t.Errorf("campaign not deterministic: (%.4f,%d) vs (%.4f,%d)", c1, n1, c2, n2)
-	}
-}
-
-func TestTheHuzzPoolGrowsAndMutates(t *testing.T) {
-	g := thehuzz.New(1, 20)
-	f := NewFuzzer(g, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 16})
-	f.RunBatches(10)
-	if g.PoolSize() == 0 {
-		t.Error("TheHuzz pool never accumulated interesting inputs")
-	}
-}
-
-func TestCoverageGuidanceBeatsNoFeedback(t *testing.T) {
-	// TheHuzz (coverage feedback) vs raw-random (no feedback, mostly
-	// illegal words) on an equal budget: feedback must win clearly.
-	const batches = 20 // 320 tests
-	th := thehuzz.New(5, 20)
-	fTH := NewFuzzer(th, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 16})
-	fTH.RunBatches(batches)
-
-	raw := randfuzz.New(5, 20)
-	raw.Raw = true
-	fRaw := NewFuzzer(raw, rocket.New(), Options{Pool: enginetest.Pool(t), BatchSize: 16})
-	fRaw.RunBatches(batches)
-
-	t.Logf("thehuzz %.2f%%  raw-random %.2f%%", fTH.Calc.Total().Percent(), fRaw.Calc.Total().Percent())
-	if fTH.Calc.Total().Percent() <= fRaw.Calc.Total().Percent() {
-		t.Errorf("coverage feedback (%.2f%%) should beat raw random (%.2f%%)",
-			fTH.Calc.Total().Percent(), fRaw.Calc.Total().Percent())
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"chatfuzz/internal/ml/tok"
 	"chatfuzz/internal/prog"
 	"chatfuzz/internal/rtl"
+	"chatfuzz/internal/trace"
 )
 
 // PipelineConfig parameterises the three-step training pipeline. The
@@ -225,11 +226,15 @@ func (p *Pipeline) Cleanup() []ppo.Stats {
 
 // CoverageTune is training step 3: PPO where the reward embeds the
 // Coverage Calculator's scores from simulating each generation on the
-// DUT.
+// DUT. Every generation runs on one runner of the DUT, into one
+// coverage set and trace buffer reused across calls (the runner
+// contract makes that the result DUT.Run would return).
 func (p *Pipeline) CoverageTune(dut rtl.DUT) []ppo.Stats {
 	tr := ppo.NewTrainer(p.Model, p.ppoConfig(), p.rng)
 	calc := cov.NewCalculator(dut.Space())
 	bins := dut.Space().NumBins()
+	runner, set := dut.NewRunner(), dut.Space().NewSet()
+	var traceBuf []trace.Entry
 	reward := func(tokens []int, promptN int) float64 {
 		words := p.Tok.Decode(tokens)
 		if len(words) == 0 {
@@ -241,7 +246,9 @@ func (p *Pipeline) CoverageTune(dut rtl.DUT) []ppo.Stats {
 			// an all-zero image whose empty run would still be scored.
 			return p.Cfg.Weights.NoImprovePenalty
 		}
-		res := dut.Run(img, prog.InstructionBudget(len(words)))
+		set.Reset()
+		res := runner.RunScratch(img, prog.InstructionBudget(len(words)), set, traceBuf)
+		traceBuf = res.Trace
 		return CoverageReward(calc.Score(res.Coverage), bins, p.Cfg.Weights)
 	}
 	stats := make([]ppo.Stats, 0, p.Cfg.CoverageSteps)

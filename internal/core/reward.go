@@ -1,8 +1,10 @@
-// Package core implements ChatFuzz itself: the three-step training
-// pipeline (unsupervised pre-training, PPO language cleanup against
-// the disassembler, PPO coverage optimisation against the DUT), the
-// LLM-based input generator, and the coverage-guided fuzzing loop with
-// differential mismatch detection — the paper's primary contribution.
+// Package core implements ChatFuzz's generator side, the paper's
+// primary contribution: the three-step training pipeline (unsupervised
+// pre-training, PPO language cleanup against the disassembler, PPO
+// coverage optimisation against the DUT), the LLM-based input
+// generator and the rewards both train on. The fuzzing loop that runs
+// a generator against a DUT and the golden model is a campaign shard
+// (internal/campaign).
 //
 //chatfuzz:deterministic package
 package core

@@ -136,8 +136,8 @@ type shared struct {
 }
 
 // PipeStats is a shim: the snapshot tree it counted is gone, and only
-// bench/fleet.go (fenced) still reads these two fields, as zeros. It
-// leaves with core.Fuzzer.EngineStats in the follow-up benchmark PR.
+// bench/fleet.go still reads these two fields, as zeros. It leaves with
+// campaign.Shard.EngineStats in the benchmark harness's next revision.
 type PipeStats struct{ SnapHits, SnapMisses int64 }
 
 // worker is one executor's simulation context — a pool worker's or a
@@ -266,9 +266,9 @@ func (w *worker) exec(r *Round, i int) {
 }
 
 // Engine executes rounds of programs against one DUT. One engine
-// serves one fuzzing campaign (a core.Fuzzer or a campaign shard) for
-// its whole lifetime; its committer scratch and free lists persist
-// across rounds. An engine owns no goroutines — those belong to the
+// serves one fuzzing campaign (a campaign shard) for its whole
+// lifetime; its committer scratch and free lists persist across
+// rounds. An engine owns no goroutines — those belong to the
 // pool it submits to.
 type Engine struct {
 	sh     *shared

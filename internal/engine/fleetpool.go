@@ -85,7 +85,7 @@ type FleetStats struct {
 // FleetPool is the owner's handle on an execution pool. Construct with
 // NewFleetPool, hand it to each engine via Config.Pool, and Close it
 // after the engines: the pool is owned by whoever built it (the
-// campaign orchestrator, or a standalone core.Fuzzer), never by an
+// campaign orchestrator, or a test driving a lone shard), never by an
 // engine.
 //
 // FleetPool is only the handle; the scheduler state workers reference

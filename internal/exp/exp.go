@@ -78,7 +78,7 @@ func Paper() Scale {
 type Campaign struct {
 	// Trajectory has one point per round: the fleet's merged
 	// trajectory (campaign.Orchestrator.Trajectory).
-	Trajectory []core.ProgressPoint
+	Trajectory []campaign.ProgressPoint
 	// Detector is the shard's mismatch detector (nil without detection).
 	Detector *mismatch.Detector
 }
@@ -114,9 +114,9 @@ func (s *Suite) run(arm campaign.ArmSpec, newDUT func() rtl.DUT, tests int, seed
 
 // Final returns the campaign's last trajectory point: its final
 // coverage, test count and virtual hours (zero before any round).
-func (c Campaign) Final() core.ProgressPoint {
+func (c Campaign) Final() campaign.ProgressPoint {
 	if len(c.Trajectory) == 0 {
-		return core.ProgressPoint{}
+		return campaign.ProgressPoint{}
 	}
 	return c.Trajectory[len(c.Trajectory)-1]
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/ml/nn"
 )
@@ -161,7 +162,7 @@ func wantRows(t *testing.T, out, header string, labels ...string) {
 }
 
 func TestCampaignQueries(t *testing.T) {
-	c := Campaign{Trajectory: []core.ProgressPoint{
+	c := Campaign{Trajectory: []campaign.ProgressPoint{
 		{Tests: 10, Hours: 0.1, Coverage: 30},
 		{Tests: 20, Hours: 0.2, Coverage: 50},
 		{Tests: 30, Hours: 0.3, Coverage: 60},
@@ -178,7 +179,7 @@ func TestCampaignQueries(t *testing.T) {
 	if got := c.Final(); got != c.Trajectory[2] {
 		t.Errorf("Final() = %+v, want the last point", got)
 	}
-	if got := (Campaign{}).Final(); got != (core.ProgressPoint{}) {
+	if got := (Campaign{}).Final(); got != (campaign.ProgressPoint{}) {
 		t.Errorf("Final() of an empty campaign = %+v, want the zero point", got)
 	}
 }
@@ -194,7 +195,7 @@ func TestScalesDiffer(t *testing.T) {
 }
 
 func TestCoverageAtHours(t *testing.T) {
-	c := Campaign{Trajectory: []core.ProgressPoint{
+	c := Campaign{Trajectory: []campaign.ProgressPoint{
 		{Hours: 0.1, Coverage: 10},
 		{Hours: 0.5, Coverage: 40},
 	}}

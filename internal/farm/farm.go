@@ -44,6 +44,7 @@ import (
 
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
+	"chatfuzz/internal/prog"
 	"chatfuzz/internal/rtl"
 )
 
@@ -127,11 +128,26 @@ func (s JobSpec) WithDefaults() JobSpec {
 	return s
 }
 
+// The ceilings on a job's size. They are constants, not options: far
+// above any fleet the farm runs (the ledger's 4 shards of 16 tests, an
+// 8-shard CI smoke), and low enough that one submission can neither
+// allocate the daemon to death, per shard or per test, nor make a round
+// that a graceful stop waits on for good.
+const (
+	maxShards       = 64
+	maxBatchSize    = 1024
+	maxRoundBatches = 64
+)
+
 // Validate rejects specs the farm cannot run, before anything is
-// logged: unknown designs or arms, duplicate arms, a mismatch weight
-// campaign.CheckMismatchWeight refuses. Queue-log replay never calls
-// it: a logged spec was accepted once and runs as logged.
+// logged: sizes checkSizes refuses, unknown designs or arms, duplicate
+// arms, a mismatch weight campaign.CheckMismatchWeight refuses.
+// Queue-log replay applies checkSizes alone (runJob): a logged spec was
+// accepted once and otherwise runs as logged.
 func (s JobSpec) Validate() error {
+	if err := s.checkSizes(); err != nil {
+		return err
+	}
 	if err := campaign.CheckMismatchWeight(s.MismatchWeight, s.Detect); err != nil {
 		return err
 	}
@@ -147,6 +163,25 @@ func (s JobSpec) Validate() error {
 		if slices.Contains(s.Arms[:i], a) {
 			return fmt.Errorf("farm: duplicate arm %q", a)
 		}
+	}
+	return nil
+}
+
+// checkSizes refuses a body no program builds with and more shards,
+// tests per batch or batches per round than the ceilings allow.
+func (s JobSpec) checkSizes() error {
+	bad := func(what string, n, limit int) error {
+		return fmt.Errorf("farm: %s %d is over the limit of %d", what, n, limit)
+	}
+	switch {
+	case s.Body > prog.MaxBodyInstructions:
+		return bad("body length", s.Body, prog.MaxBodyInstructions)
+	case s.Shards > maxShards:
+		return bad("shard count", s.Shards, maxShards)
+	case s.BatchSize > maxBatchSize:
+		return bad("batch size", s.BatchSize, maxBatchSize)
+	case s.RoundBatches > maxRoundBatches:
+		return bad("batches per round", s.RoundBatches, maxRoundBatches)
 	}
 	return nil
 }

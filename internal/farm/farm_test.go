@@ -3,6 +3,7 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/url"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
+	"chatfuzz/internal/prog"
 	"chatfuzz/internal/telemetry"
 )
 
@@ -794,6 +796,89 @@ func TestFarmReplaysLoggedSpecWithoutValidating(t *testing.T) {
 	}
 	defer s.Stop()
 	waitDone(t, s, "job-1")
+}
+
+// oversizedSpecs are specs sized past Validate's ceilings, each a
+// fleet that would allocate per shard or per test until the daemon
+// died, or run a round no graceful stop could wait out.
+func oversizedSpecs() []JobSpec {
+	var out []JobSpec
+	for _, grow := range []func(*JobSpec){
+		func(s *JobSpec) { s.Body = 1_000_000_000 },
+		func(s *JobSpec) { s.Body = prog.MaxBodyInstructions + 1 },
+		func(s *JobSpec) { s.BatchSize = 1 << 30 },
+		func(s *JobSpec) { s.Shards = 1_000_000 },
+		func(s *JobSpec) { s.RoundBatches = 1 << 40 },
+	} {
+		spec := testSpec(48)
+		grow(&spec)
+		out = append(out, spec.WithDefaults())
+	}
+	return out
+}
+
+// TestFarmFailsLoggedOversizedSpec: a queue log written before the
+// size ceilings may hold a spec they refuse. Replay queues it, and its
+// worker refuses it before building anything: the job ends in a
+// durable fail record, so a restart does not run it again.
+func TestFarmFailsLoggedOversizedSpec(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "queue.log")
+	w, _, err := openWAL(path)
+	if err != nil {
+		t.Fatalf("openWAL: %v", err)
+	}
+	specs := oversizedSpecs()
+	for i := range specs {
+		if specs[i].Validate() == nil {
+			t.Fatalf("spec %d passes Validate; it tests nothing", i)
+		}
+		raw, err := json.Marshal(walRecord{Op: "submit", ID: fmt.Sprintf("job-%d", i+1), Spec: &specs[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(raw); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i := range specs {
+		id := fmt.Sprintf("job-%d", i+1)
+		waitUntil(t, id+" terminal", func() bool {
+			st, _ := s.Job(id)
+			return st.State == JobDone || st.State == JobFailed
+		})
+		if st, _ := s.Job(id); st.State != JobFailed || !strings.Contains(st.Error, "over the limit") {
+			t.Errorf("%s ended %s (%q), want failed over a size limit", id, st.State, st.Error)
+		}
+	}
+	s.Stop()
+
+	w, recs, err := openWAL(path)
+	if err != nil {
+		t.Fatalf("reopen queue log: %v", err)
+	}
+	defer w.Close()
+	failed := map[string]bool{}
+	for _, raw := range recs {
+		var r walRecord
+		if err := json.Unmarshal(raw, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Op == "fail" {
+			failed[r.ID] = true
+		}
+	}
+	if len(failed) != len(specs) {
+		t.Errorf("queue log holds fail records for %v, want all %d jobs", failed, len(specs))
+	}
 }
 
 // TestFarmHTTPRoundTrip drives the whole client surface against a real

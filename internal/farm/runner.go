@@ -27,6 +27,13 @@ import (
 func (s *Server) runJob(id string) {
 	st, _ := s.Job(id)
 	spec := st.Spec
+	// A logged spec may predate the size ceilings: refuse it before
+	// building anything, with a durable fail record, instead of letting
+	// it take the daemon down on every replay.
+	if err := spec.checkSizes(); err != nil {
+		s.finishJob(id, nil, err)
+		return
+	}
 
 	// The tiny test-scale pipeline: the default paper-scale one trains
 	// for minutes and has no place inside a daemon worker.
@@ -185,7 +192,7 @@ func (s *Server) publishRound(id string, o *campaign.Orchestrator) {
 // re-queued job's history with it, so a watcher reconnecting after a
 // daemon restart replays the full history — the stream is continuous
 // across crashes because the trajectory is.
-func reports(traj []core.ProgressPoint) []RoundReport {
+func reports(traj []campaign.ProgressPoint) []RoundReport {
 	out := make([]RoundReport, len(traj))
 	for i, pt := range traj {
 		out[i] = RoundReport{Round: i + 1, Tests: pt.Tests, Hours: pt.Hours, Coverage: pt.Coverage}

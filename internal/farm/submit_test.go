@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -25,6 +26,30 @@ func openQueueOnly(t testing.TB) *Server {
 	s := &Server{cfg: Config{Dir: dir, Log: io.Discard}, wal: w, jobs: map[string]*job{}}
 	s.cond = sync.NewCond(&s.mu)
 	return s
+}
+
+// TestSubmitRefusesOversizedSpecs: a spec past a size ceiling is
+// answered 400 over HTTP, and the queue log stays empty.
+func TestSubmitRefusesOversizedSpecs(t *testing.T) {
+	s := openQueueOnly(t)
+	h := s.handler()
+	for _, spec := range oversizedSpecs() {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, rec.Code)
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("%d jobs queued, want none", n)
+	}
+	if fi, err := os.Stat(filepath.Join(s.cfg.Dir, "queue.log")); err != nil || fi.Size() != 0 {
+		t.Errorf("queue log after refused submissions: %v, %v; want it empty", fi.Size(), err)
+	}
 }
 
 // FuzzSubmitSpec posts arbitrary bytes to the submit handler. It must
@@ -54,6 +79,10 @@ func FuzzSubmitSpec(f *testing.F) {
 		``,
 		`{"Tests":1}` + strings.Repeat(" ", maxSpecBytes-len(`{"Tests":1}`)),
 		`{"Tests":1}` + strings.Repeat(" ", maxSpecBytes),
+		`{"Body":1000000000}`,
+		`{"BatchSize":1073741824}`,
+		`{"Shards":1000000}`,
+		`{"RoundBatches":65}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -104,15 +104,12 @@ type Mismatch struct {
 	Filtered  bool
 }
 
-// Filter flags a divergence as a known false positive. Verification
-// engineers add filters to suppress expected ISS-vs-RTL differences
-// (paper §IV-A).
-type Filter func(dut, golden trace.Entry) bool
-
-// CycleCSRFilter suppresses rd-value differences on reads of the
-// cycle, time and mcycle CSRs: the ISS counts instructions while the
-// DUT counts real cycles, so these legitimately differ.
-func CycleCSRFilter(dut, golden trace.Entry) bool {
+// cycleCSRRead is the detector's false-positive filter (paper §IV-A:
+// verification engineers suppress expected ISS-vs-RTL differences): it
+// flags divergences on reads of the cycle, time and mcycle CSRs, which
+// the ISS counts in instructions and the DUT in real cycles, so they
+// legitimately differ. Only the golden entry is read.
+func cycleCSRRead(golden *trace.Entry) bool {
 	if !golden.Op.Is(isa.ClassCSR) {
 		return false
 	}
@@ -136,22 +133,18 @@ type Record struct {
 
 // Detector accumulates differential results across a fuzzing campaign.
 type Detector struct {
-	filters []Filter
-	unique  map[string]*Record
-	novel   int    // non-filtered records in unique (NovelSignatures)
-	sig     []byte // scratch: the signature being looked up
+	unique map[string]*Record
+	novel  int    // non-filtered records in unique (NovelSignatures)
+	sig    []byte // scratch: the signature being looked up
 
 	Tests       int
 	RawCount    int
 	FilteredRaw int
 }
 
-// NewDetector returns a detector with the default filter set.
-func NewDetector(filters ...Filter) *Detector {
-	if len(filters) == 0 {
-		filters = []Filter{CycleCSRFilter}
-	}
-	return &Detector{filters: filters, unique: make(map[string]*Record)}
+// NewDetector returns an empty detector.
+func NewDetector() *Detector {
+	return &Detector{unique: make(map[string]*Record)}
 }
 
 // appendSignature appends the clustering key to b: mismatches with the
@@ -270,13 +263,8 @@ func (d *Detector) compare(test int, dut, golden []trace.Entry, i int, out *[]Mi
 		if k == KindNone {
 			continue
 		}
-		if !tainted {
-			for _, f := range d.filters {
-				if f(*dv, *gv) {
-					tainted = true
-					break
-				}
-			}
+		if !tainted && cycleCSRRead(gv) {
+			tainted = true
 		}
 		d.record(test, i, k, dv, gv, tainted, out)
 		found = true
@@ -466,8 +454,7 @@ func appendJSONString(dst []byte, s string) []byte {
 }
 
 // SetState restores a checkpointed detector: counters and clustered
-// records replace the current contents (filters are construction-time
-// configuration and are kept). A resumed fleet therefore reports
+// records replace the current contents. A resumed fleet therefore reports
 // cumulative findings across the pause instead of restarting at zero.
 func (d *Detector) SetState(st State) {
 	d.Tests = st.Tests

@@ -1,10 +1,12 @@
 // Package rtl defines the interface between the fuzzers and the
 // simulated designs under test (the paper's Synopsys VCS + Chipyard
 // substitute). A DUT executes a test image cycle-by-cycle, emits a
-// commit trace, and records condition coverage. The fuzzing loop runs
-// every test on a worker-private Runner that reuses its scratch;
-// DUT.Run, which builds fresh state per call, is the from-reset oracle
-// the runners are held to.
+// commit trace, and records condition coverage. The fuzzing loop and
+// the pipeline's coverage training run every test on a Runner that
+// reuses its scratch; DUT.Run, which builds fresh state per call, is
+// the from-reset oracle the runners are held to: the campaign's serial
+// reference loop, internal/simtest and the tests call it, and so does
+// examples/mismatch_triage for its handful of trigger programs.
 //
 //chatfuzz:deterministic package
 package rtl

@@ -49,7 +49,8 @@ import (
 // One vocabulary across engine, campaign and fleetlearn keeps traces
 // and the CI validator in agreement.
 const (
-	// SpanGenerate covers one batch's program generation (core.Fuzzer).
+	// SpanGenerate covers one batch's program generation (campaign
+	// shard).
 	SpanGenerate = "generate"
 	// SpanBuild covers one program's harness build (engine worker).
 	SpanBuild = "build"
