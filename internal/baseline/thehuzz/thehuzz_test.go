@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"chatfuzz/internal/cov"
@@ -121,21 +122,26 @@ func TestStateRoundTripPreservesPool(t *testing.T) {
 
 // checkAppendState holds AppendState to its contract on g's current
 // pool: the bytes of json.Marshal(State()), appended without touching
-// what dst already held.
-func checkAppendState(t *testing.T, g *Gen) {
+// what dst already held, with no cache and with c, twice (the second
+// time from what the first left in c). It ends the checkpoint with
+// c.Rotate, as the campaign's writer does.
+func checkAppendState(t *testing.T, g *Gen, c *EntryCache) {
 	t.Helper()
 	want, err := json.Marshal(g.State())
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	if got := g.AppendState(nil); !bytes.Equal(got, want) {
-		t.Fatalf("AppendState(nil) = %s\nwant json.Marshal(State()) = %s", got, want)
+	if got := g.AppendState(nil, nil); !bytes.Equal(got, want) {
+		t.Fatalf("AppendState(nil, nil) = %s\nwant json.Marshal(State()) = %s", got, want)
 	}
 	prefix := []byte(`{"x":`)
-	got := g.AppendState(append(make([]byte, 0, 8), prefix...))
-	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
-		t.Fatalf("AppendState onto %q = %s\nwant the prefix, then %s", prefix, got, want)
+	for call := 1; call <= 2; call++ {
+		got := g.AppendState(append(make([]byte, 0, 8), prefix...), c)
+		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("call %d: AppendState onto %q = %s\nwant the prefix, then %s", call, prefix, got, want)
+		}
 	}
+	c.Rotate()
 }
 
 func TestAppendStateMatchesMarshal(t *testing.T) {
@@ -153,40 +159,73 @@ func TestAppendStateMatchesMarshal(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := New(1, 8)
 			g.round, g.pool = tc.round, tc.pool
-			checkAppendState(t, g)
+			checkAppendState(t, g, new(EntryCache))
 		})
 	}
 
-	// And on a pool the generator grew itself.
-	g := New(3, 24)
+	// And on a pool the generator grows itself, checkpointed every
+	// round through one cache.
+	g, c := New(3, 24), new(EntryCache)
 	for r := 0; r < 6; r++ {
 		scores := make([]cov.Scores, len(g.GenerateBatch(16)))
 		for i := range scores {
 			scores[i].Incremental = (i + r) % 3
 		}
 		g.Feedback(scores)
+		checkAppendState(t, g, c)
 	}
 	if g.PoolSize() == 0 {
 		t.Fatal("feedback left the pool empty")
 	}
-	checkAppendState(t, g)
+}
+
+// TestEntryCacheHoldsLiveEntriesOnly: once a checkpoint is written, the
+// cache holds exactly the entries of the pools it encoded, however many
+// generators shared them, and no entry of an earlier checkpoint.
+func TestEntryCacheHoldsLiveEntriesOnly(t *testing.T) {
+	g, h, c := New(5, 12), New(6, 12), new(EntryCache)
+	for r := 0; r < 8; r++ {
+		scores := make([]cov.Scores, len(g.GenerateBatch(16)))
+		for i := range scores {
+			scores[i].Incremental = 1 + (i+r)%4
+		}
+		g.Feedback(scores)
+		pool := g.State().Pool
+		h.AdoptPool(r, pool[:len(pool)/2])
+		g.AdoptPool(r, pool)
+		g.AppendState(nil, c)
+		h.AppendState(nil, c)
+		c.Rotate()
+		if len(c.m) != len(pool) {
+			t.Fatalf("round %d: the cache holds %d entries, want the live pool's %d", r, len(c.m), len(pool))
+		}
+	}
+	if g.PoolSize() == 0 {
+		t.Fatal("feedback left the pool empty")
+	}
 }
 
 // FuzzAppendStateMatchesMarshal turns the input into a pool — a round,
 // then entries of a score, an age, a body length and that many words,
-// for as long as bytes last — and holds AppendState to encoding/json on it.
+// for as long as bytes last — and holds AppendState to encoding/json on
+// it. Then it edits the pool the way the cache must notice, keeping
+// every body's identity — a score, an age, a body cut short, two entries
+// sharing one body, a new round and order, a dropped entry — and holds
+// the cached encoding to encoding/json again.
 func FuzzAppendStateMatchesMarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(bytes.Repeat([]byte{0xff}, 8+17+3*4))
 	f.Add(append(make([]byte, 8+16), 0, 2, 0, 0, 0, 0, 0, 0, 0, 1))
+	entry := append(make([]byte, 16), 4, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0) // a body of three words
+	f.Add(append(make([]byte, 8), bytes.Repeat(entry, 5)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func(n int) []byte {
 			chunk := make([]byte, n)
 			data = data[copy(chunk, data):]
 			return chunk
 		}
-		g := New(1, 8)
+		g, c := New(1, 8), new(EntryCache)
 		g.round = int(int64(binary.LittleEndian.Uint64(next(8))))
 		for len(data) > 0 {
 			e := PoolEntry{
@@ -201,7 +240,29 @@ func FuzzAppendStateMatchesMarshal(f *testing.F) {
 			}
 			g.pool = append(g.pool, e)
 		}
-		checkAppendState(t, g)
+		checkAppendState(t, g, c)
+
+		var pool []PoolEntry
+		for i, e := range g.pool {
+			switch i % 5 {
+			case 1:
+				e.Score++
+			case 2:
+				e.Age--
+			case 3:
+				e.Body = e.Body[:len(e.Body)/2]
+			case 4:
+				continue
+			}
+			pool = append(pool, e)
+			if i%5 == 0 {
+				e.Score--
+				pool = append(pool, e)
+			}
+		}
+		slices.Reverse(pool)
+		g.AdoptPool(g.round+1, pool)
+		checkAppendState(t, g, c)
 	})
 }
 
@@ -255,7 +316,7 @@ func TestSamePool(t *testing.T) {
 		t.Error("generators in rounds 4 and 5 count as the same state")
 	}
 	b.AdoptPool(4, pool)
-	if !a.SameState(b) || !bytes.Equal(a.AppendState(nil), b.AppendState(nil)) {
+	if !a.SameState(b) || !bytes.Equal(a.AppendState(nil, nil), b.AppendState(nil, nil)) {
 		t.Fatal("generators that adopted one pool in one round are not the same state")
 	}
 	b.AdoptPool(5, pool)

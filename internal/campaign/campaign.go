@@ -229,9 +229,8 @@ type Orchestrator struct {
 	// Run* call returns it instead of running on inconsistent state.
 	err   error
 	pools poolSync
-	// ckptBuf is the checkpoint encoder's buffer, kept between
-	// checkpoints so a durable round does not regrow it.
-	ckptBuf []byte
+	// ckpt is what the checkpoint encoder keeps between checkpoints.
+	ckpt ckptCache
 }
 
 // New builds a homogeneous fleet: one DUT per shard via newDUT, one

@@ -181,16 +181,31 @@ type shardState struct {
 // Bins, Arms, Bandit, Learn, Merged and each shard's Seconds — is
 // json.Marshal of the same wire structs, appended verbatim: a nested
 // value encodes to the bytes of its own Marshal. Together those are a
-// small part of the cost; Merged grows by one point a round.
+// small part of the cost.
 //
-// Each TheHuzz state is encoded once per checkpoint. After every
-// barrier all shards adopt one merged pool (syncPools), so between
-// rounds their generators are usually in the same state
+// A farm job checkpoints every round, and from one round to the next
+// most of the state is unchanged, so the orchestrator keeps encodings
+// from one checkpoint to the next (ckptCache) and copies what has not
+// changed:
+//   - Config, Designs, Bins and Arms, fixed when the fleet is built;
+//   - each TheHuzz pool entry, by body identity (thehuzz.EntryCache):
+//     a pooled body is immutable and the barrier hands the same bodies
+//     on round after round. Once a checkpoint is written the cache
+//     drops the entries it did not encode, so it holds the live pools'
+//     entries only;
+//   - each detector record but for its count, held by the record
+//     itself (mismatch.Detector.AppendState);
+//   - the trajectory, Merged, which only grows: the points of the last
+//     checkpoint are kept encoded and only the new ones are marshalled.
+//
+// A resumed fleet starts with nothing kept, and its pools are deep
+// copies that share nothing, so its first checkpoint encodes in full.
+// Within one checkpoint, each TheHuzz state is written once: after
+// every barrier all shards adopt one merged pool (syncPools), so
+// between rounds their generators are usually in the same state
 // (thehuzz.Gen.SameState: same round, same pool by body identity), and
 // a later shard's arm copies the bytes an earlier shard's wrote into
-// this very buffer. Nothing is cached from one checkpoint to the next:
-// a resumed fleet's pools are deep copies that share nothing, and are
-// encoded in full until the next barrier.
+// this very buffer.
 //
 // The encoding lands in one buffer the orchestrator owns and reuses, so
 // the slice handed to w.Write is valid only during that call.
@@ -206,12 +221,54 @@ func (o *Orchestrator) Checkpoint(w io.Writer) error {
 // encodeCheckpoint encodes the fleet into the orchestrator's checkpoint
 // buffer; the result is overwritten by the next call.
 func (o *Orchestrator) encodeCheckpoint() ([]byte, error) {
-	buf, err := o.appendCheckpoint(o.ckptBuf[:0])
-	o.ckptBuf = buf[:0]
+	buf, err := o.appendCheckpoint(o.ckpt.buf[:0])
+	o.ckpt.buf = buf[:0]
 	if err != nil {
 		return nil, fmt.Errorf("campaign: encode checkpoint: %w", err)
 	}
 	return buf, nil
+}
+
+// ckptCache is what the checkpoint encoder keeps from one checkpoint to
+// the next: its buffer, so a durable round does not regrow it, and the
+// encodings of the state that has not changed since (see Checkpoint).
+type ckptCache struct {
+	buf []byte
+	// config encodes wire, the Config of the last checkpoint; fleet
+	// encodes the keys that hold what the fleet was built with
+	// (appendFleetKeys).
+	wire          wireConfig
+	config, fleet []byte
+	pool          thehuzz.EntryCache
+	// merged is the encoding of the trajectory's first mergedN points,
+	// comma-separated, without the brackets.
+	merged  []byte
+	mergedN int
+}
+
+// appendMerged appends json.Marshal(merged), marshalling only the points
+// past those c holds. merged must extend the trajectory c last saw,
+// which holds while the fleet runs: the trajectory only grows.
+func (c *ckptCache) appendMerged(e *ckptEncoder, merged []ProgressPoint) {
+	if merged == nil || e.err != nil {
+		e.marshal(merged)
+		return
+	}
+	if len(merged) > c.mergedN {
+		b, err := json.Marshal(merged[c.mergedN:])
+		if err != nil {
+			e.err = err
+			return
+		}
+		if c.mergedN > 0 {
+			c.merged = append(c.merged, ',')
+		}
+		c.merged = append(c.merged, b[1:len(b)-1]...)
+		c.mergedN = len(merged)
+	}
+	e.raw("[")
+	e.buf = append(e.buf, c.merged...)
+	e.raw("]")
 }
 
 // ckptEncoder appends a checkpoint piece by piece. The first Marshal
@@ -244,25 +301,23 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 	e.raw(`{"Version":`)
 	e.num(checkpointVersion)
 	e.raw(`,"Config":`)
-	e.marshal(o.Cfg.wire())
+	c := &o.ckpt
+	if w := o.Cfg.wire(); c.config == nil || w != c.wire {
+		c.wire = w
+		c.config, e.err = json.Marshal(w)
+	}
+	e.buf = append(e.buf, c.config...)
 	e.raw(`,"Round":`)
 	e.num(o.round)
 	e.raw(`,"Tests":`)
 	e.num(o.tests)
-	e.raw(`,"Designs":`)
-	e.marshal(o.designs)
-
-	bins := make(map[string]int, len(o.names))
-	for _, n := range o.names {
-		bins[n] = o.globals[n].Space().NumBins()
+	if c.fleet == nil {
+		c.fleet = o.appendFleetKeys(nil)
 	}
-	e.raw(`,"Bins":`)
-	e.marshal(bins)
+	e.buf = append(e.buf, c.fleet...)
 
-	var sigs []string
 	learn := make(map[string]learnState)
 	for i, sp := range o.specs {
-		sigs = append(sigs, sp.sig)
 		if fl := o.fleets[i]; fl != nil {
 			// Join any in-flight off-barrier training first, so the
 			// staged half is final and the encoded bytes match what the
@@ -275,8 +330,6 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 			learn[sp.Name] = st
 		}
 	}
-	e.raw(`,"Arms":`)
-	e.marshal(sigs)
 	e.raw(`,"Bandit":`)
 	e.marshal(banditState{Pulls: o.bandit.Pulls, W: o.bandit.W, Sums: o.bandit.Sums, T: o.bandit.T})
 
@@ -296,7 +349,7 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 		e.marshal(learn)
 	}
 	e.raw(`,"Merged":`)
-	e.marshal(o.merged)
+	c.appendMerged(&e, o.merged)
 
 	// The TheHuzz states this checkpoint has encoded so far.
 	var huzz []huzzBytes
@@ -317,7 +370,7 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 				e.raw(`,`)
 			}
 			if ha, ok := a.(*huzzArm); ok {
-				e.buf, huzz = appendHuzzState(e.buf, ha.Gen, huzz)
+				e.buf, huzz = appendHuzzState(e.buf, ha.Gen, huzz, &c.pool)
 			} else {
 				e.raw(`null`)
 			}
@@ -330,7 +383,30 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 		e.raw(`}`)
 	}
 	e.raw("]}\n")
+	c.pool.Rotate()
 	return e.buf, e.err
+}
+
+// appendFleetKeys appends the checkpoint's Designs, Bins and Arms keys,
+// which hold what the fleet was built with.
+func (o *Orchestrator) appendFleetKeys(dst []byte) []byte {
+	// Strings and integers: these marshals cannot fail.
+	e := ckptEncoder{buf: dst}
+	e.raw(`,"Designs":`)
+	e.marshal(o.designs)
+	bins := make(map[string]int, len(o.names))
+	for _, n := range o.names {
+		bins[n] = o.globals[n].Space().NumBins()
+	}
+	e.raw(`,"Bins":`)
+	e.marshal(bins)
+	var sigs []string
+	for _, sp := range o.specs {
+		sigs = append(sigs, sp.sig)
+	}
+	e.raw(`,"Arms":`)
+	e.marshal(sigs)
+	return e.buf
 }
 
 // huzzBytes locates one TheHuzz generator's encoded state in the
@@ -342,15 +418,16 @@ type huzzBytes struct {
 
 // appendHuzzState appends g's state to buf. If a generator encoded
 // earlier in this buffer is in the same state, its bytes are copied;
-// otherwise g is encoded and added to done.
-func appendHuzzState(buf []byte, g *thehuzz.Gen, done []huzzBytes) ([]byte, []huzzBytes) {
+// otherwise g is encoded, reusing the entries cache holds, and added to
+// done.
+func appendHuzzState(buf []byte, g *thehuzz.Gen, done []huzzBytes, cache *thehuzz.EntryCache) ([]byte, []huzzBytes) {
 	for _, h := range done {
 		if h.gen.SameState(g) {
 			return append(buf, buf[h.start:h.end]...), done
 		}
 	}
 	start := len(buf)
-	buf = g.AppendState(buf)
+	buf = g.AppendState(buf, cache)
 	return buf, append(done, huzzBytes{g, start, len(buf)})
 }
 

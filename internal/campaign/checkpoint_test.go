@@ -143,12 +143,25 @@ func around(b []byte, i int) []byte { return b[max(0, i-40):min(len(b), i+40)] }
 // at body 24 — 200 rounds to its 12 800-test budget.
 func farmJobsFleet(tb testing.TB) *Orchestrator {
 	tb.Helper()
-	o, err := NewMixed(Config{Shards: 4, BatchSize: 16, Seed: 1, Detect: true}, []func() rtl.DUT{newRocket, newBoom},
-		TheHuzzArm(24), RandInstArm(24), RandFuzzArm(24))
+	o, err := NewMixed(Config{Shards: 4, BatchSize: 16, Seed: 1, Detect: true}, farmJobsDUTs, farmJobsArms()...)
 	if err != nil {
 		tb.Fatalf("NewMixed: %v", err)
 	}
 	return o
+}
+
+var farmJobsDUTs = []func() rtl.DUT{newRocket, newBoom}
+
+func farmJobsArms() []ArmSpec { return []ArmSpec{TheHuzzArm(24), RandInstArm(24), RandFuzzArm(24)} }
+
+// resumeFarmJob resumes farmJobsFleet from its checkpoint bytes.
+func resumeFarmJob(t *testing.T, ckpt []byte) *Orchestrator {
+	t.Helper()
+	r, err := ResumeMixed(bytes.NewReader(ckpt), farmJobsDUTs, farmJobsArms()...)
+	if err != nil {
+		t.Fatalf("ResumeMixed: %v", err)
+	}
+	return r
 }
 
 // TestAppendCheckpointMatchesEncodingJSON: the single-pass writer is
@@ -259,11 +272,7 @@ func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
 		if sameHuzzStates(o) == 0 {
 			t.Fatal("after a barrier no two shards share a TheHuzz state: the copy path is not exercised")
 		}
-		r, err := ResumeMixed(bytes.NewReader(want), []func() rtl.DUT{newRocket, newBoom},
-			TheHuzzArm(24), RandInstArm(24), RandFuzzArm(24))
-		if err != nil {
-			t.Fatalf("ResumeMixed: %v", err)
-		}
+		r := resumeFarmJob(t, want)
 		defer r.Close()
 		if n := sameHuzzStates(r); n != 0 {
 			t.Fatalf("%d TheHuzz arms of a resumed fleet share state", n)
@@ -302,6 +311,42 @@ func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
 	})
 }
 
+// TestAppendCheckpointEveryRound: a farm job checkpoints after every
+// round, and the encoder reuses what it encoded the round before (pool
+// entries, detector records, the trajectory so far); every round's
+// bytes must still be the oracle's. A fleet resumed from a mid-run
+// round's bytes starts with nothing kept and must write the
+// uninterrupted fleet's bytes at every later round.
+func TestAppendCheckpointEveryRound(t *testing.T) {
+	const rounds, resumeAt = 60, 25
+	o := farmJobsFleet(t)
+	defer o.Close()
+	var resumed *Orchestrator
+	for round := 1; round <= rounds; round++ {
+		if err := o.RunRound(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		want := checkAppendCheckpoint(t, o)
+		if resumed != nil {
+			if err := resumed.RunRound(); err != nil {
+				t.Fatalf("resumed, round %d: %v", round, err)
+			}
+			if got := checkAppendCheckpoint(t, resumed); !bytes.Equal(got, want) {
+				at := firstDiff(got, want)
+				t.Fatalf("round %d: the fleet resumed at round %d checkpoints differently at byte %d:\n got …%s\nwant …%s",
+					round, resumeAt, at, around(got, at), around(want, at))
+			}
+		}
+		if round == resumeAt {
+			resumed = resumeFarmJob(t, want)
+			defer resumed.Close()
+		}
+	}
+	if sameHuzzStates(o) == 0 || o.Shard(0).Det.NovelSignatures() == 0 {
+		t.Fatal("the fleet shares no TheHuzz state or found no mismatch: the kept encodings go unexercised")
+	}
+}
+
 // sameHuzzStates counts the TheHuzz generators whose state equals an
 // earlier shard's: the arms a checkpoint copies instead of encoding.
 func sameHuzzStates(o *Orchestrator) int {
@@ -332,13 +377,43 @@ func TestCheckpointMarshalErrorSurfaces(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckpoint encodes a farm_jobs-shaped fleet 200 rounds in —
-// what a CheckpointEvery 1 job pays per round before the file write —
-// with the writer in use and with the encoding/json writer it replaced.
+// BenchmarkCheckpoint times the checkpoint encoder on the farm_jobs
+// fleet. per-round is the cadence a CheckpointEvery 1 job runs: a fresh
+// fleet encodes after each of its 200 rounds, and only the encodes are
+// timed; ns/round is the mean encode. Each of its ops simulates 200
+// rounds untimed, so give it a count (-benchtime 5x): the default one
+// second of encodes takes tens of seconds of simulation. append and
+// encodingjson encode the finished fleet again and again, with the
+// writer in use and with the encoding/json writer it replaced: with
+// nothing changing between encodes, append is the kept encodings' best
+// case.
 func BenchmarkCheckpoint(b *testing.B) {
+	const rounds = 200
+	b.Run("per-round", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			o := farmJobsFleet(b)
+			for r := 0; r < rounds; r++ {
+				b.StopTimer()
+				if err := o.RunRound(); err != nil {
+					b.Fatalf("RunRound: %v", err)
+				}
+				b.StartTimer()
+				if err := o.Checkpoint(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			o.Close()
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds), "ns/round")
+	})
+
 	o := farmJobsFleet(b)
 	defer o.Close()
-	if err := o.RunRounds(200); err != nil {
+	if err := o.RunRounds(rounds); err != nil {
 		b.Fatalf("RunRounds: %v", err)
 	}
 	ref, err := checkpointRef(o)

@@ -165,11 +165,13 @@ func (r *slowRunner) RunScratch(img mem.Image, maxInsts int, set *cov.Set, tr []
 // idle at the aggregation barrier, because the pool's workers run the
 // slow design's entries alongside its committers — while with no more
 // cores than shards the pool is empty and the fast shards simply wait.
-// The test observes wall-clock, but the sleep-based skew (2ms per slow
+// The test observes wall-clock, but the sleep-based skew (8ms per slow
 // test, 8 tests per shard-round) keeps scheduling noise far below the
-// signal, and sleeps overlap even on a single-core runner.
+// signal, and sleeps overlap even on a single-core runner. At 2ms the
+// skew was not far enough above the noise of a 2-core runner busy with
+// other packages' tests.
 func TestFleetPoolShrinksBarrierWait(t *testing.T) {
-	newSlow := func() rtl.DUT { return &slowDUT{DUT: newRocket(), delay: 2 * time.Millisecond} }
+	newSlow := func() rtl.DUT { return &slowDUT{DUT: newRocket(), delay: 8 * time.Millisecond} }
 	const shards, batch, rounds = 4, 8, 3
 	type probe struct {
 		simWaitMS float64 // the probe/sim_wait_ms sum over the rounds

@@ -10,9 +10,10 @@
 package mismatch
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -133,18 +134,32 @@ type Record struct {
 
 // Detector accumulates differential results across a fuzzing campaign.
 type Detector struct {
-	unique map[string]*Record
-	novel  int    // non-filtered records in unique (NovelSignatures)
-	sig    []byte // scratch: the signature being looked up
+	unique map[string]*cluster // every cluster, by signature
+	// recs holds the same clusters in a list, which AppendState sorts
+	// in place into Unique() order: from one checkpoint to the next
+	// only counts move, so the list stays nearly sorted.
+	recs  []*cluster
+	novel int    // non-filtered records in unique (NovelSignatures)
+	sig   []byte // scratch: the signature being looked up
 
 	Tests       int
 	RawCount    int
 	FilteredRaw int
 }
 
+// cluster is one Record and its encoding, which AppendState keeps from
+// one checkpoint to the next: a record's JSON is enc[:cut], then its
+// Count, then enc[cut:]. Only the Count moves while a record lives, but
+// for the upgrade of a filtered record, which drops enc.
+type cluster struct {
+	Record
+	enc []byte
+	cut int
+}
+
 // NewDetector returns an empty detector.
 func NewDetector() *Detector {
-	return &Detector{unique: make(map[string]*Record)}
+	return &Detector{unique: make(map[string]*cluster)}
 }
 
 // appendSignature appends the clustering key to b: mismatches with the
@@ -303,14 +318,16 @@ func (d *Detector) record(test, index int, k Kind, dut, golden *trace.Entry, fil
 		switch {
 		case r == nil:
 			m.Signature = string(d.sig)
-			r = &Record{Signature: m.Signature, Kind: k, Finding: m.Finding, Filtered: filtered, Example: m}
+			r = &cluster{Record: Record{Signature: m.Signature, Kind: k, Finding: m.Finding, Filtered: filtered, Example: m}}
 			d.unique[m.Signature] = r
+			d.recs = append(d.recs, r)
 			if !filtered {
 				d.novel++
 			}
 		case upgrade:
 			m.Signature = r.Signature
 			r.Filtered, r.Finding, r.Example = false, m.Finding, m
+			r.enc = nil
 			d.novel++
 		default:
 			m.Signature = r.Signature
@@ -349,7 +366,10 @@ func (d *Detector) State() State {
 // the live records in Unique() order: a checkpoint writer pays neither
 // the record copies nor the reflection walk. Everything but the two
 // signature strings is an integer or a bool; a detector with no records
-// writes "Records":null, as State's nil slice marshals.
+// writes "Records":null, as State's nil slice marshals. A record's bytes
+// but its Count are encoded once and kept (see cluster), and the order
+// is the detector's own list sorted in place, so AppendState must not
+// run alongside another call on the detector.
 func (d *Detector) AppendState(dst []byte) []byte {
 	dst = append(dst, `{"Tests":`...)
 	dst = strconv.AppendInt(dst, int64(d.Tests), 10)
@@ -358,29 +378,39 @@ func (d *Detector) AppendState(dst []byte) []byte {
 	dst = append(dst, `,"FilteredRaw":`...)
 	dst = strconv.AppendInt(dst, int64(d.FilteredRaw), 10)
 	dst = append(dst, `,"Records":`...)
-	if len(d.unique) == 0 {
+	if len(d.recs) == 0 {
 		return append(dst, "null}"...)
 	}
+	slices.SortFunc(d.recs, uniqueOrder)
 	dst = append(dst, '[')
-	for i, r := range d.Unique() {
+	for i, r := range d.recs {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, `{"Signature":`...)
-		dst = appendJSONString(dst, r.Signature)
-		dst = append(dst, `,"Kind":`...)
-		dst = strconv.AppendInt(dst, int64(r.Kind), 10)
-		dst = append(dst, `,"Finding":`...)
-		dst = strconv.AppendInt(dst, int64(r.Finding), 10)
-		dst = append(dst, `,"Count":`...)
+		if r.enc == nil {
+			r.encode()
+		}
+		dst = append(dst, r.enc[:r.cut]...)
 		dst = strconv.AppendInt(dst, int64(r.Count), 10)
-		dst = append(dst, `,"Filtered":`...)
-		dst = strconv.AppendBool(dst, r.Filtered)
-		dst = append(dst, `,"Example":`...)
-		dst = appendMismatch(dst, &r.Example)
-		dst = append(dst, '}')
+		dst = append(dst, r.enc[r.cut:]...)
 	}
 	return append(dst, "]}"...)
+}
+
+// encode builds r's encoding: json.Marshal(r.Record) without its Count.
+func (r *cluster) encode() {
+	b := appendJSONString([]byte(`{"Signature":`), r.Signature)
+	b = append(b, `,"Kind":`...)
+	b = strconv.AppendInt(b, int64(r.Kind), 10)
+	b = append(b, `,"Finding":`...)
+	b = strconv.AppendInt(b, int64(r.Finding), 10)
+	b = append(b, `,"Count":`...)
+	r.cut = len(b)
+	b = append(b, `,"Filtered":`...)
+	b = strconv.AppendBool(b, r.Filtered)
+	b = append(b, `,"Example":`...)
+	b = appendMismatch(b, &r.Example)
+	r.enc = append(b, '}')
 }
 
 // appendMismatch appends json.Marshal(*m).
@@ -460,11 +490,18 @@ func (d *Detector) SetState(st State) {
 	d.Tests = st.Tests
 	d.RawCount = st.RawCount
 	d.FilteredRaw = st.FilteredRaw
-	d.unique = make(map[string]*Record, len(st.Records))
+	d.unique = make(map[string]*cluster, len(st.Records))
+	d.recs = d.recs[:0]
 	d.novel = 0
-	for i := range st.Records {
-		r := st.Records[i]
-		d.unique[r.Signature] = &r
+	for _, r := range st.Records {
+		// A signature listed twice keeps its last record.
+		if c := d.unique[r.Signature]; c != nil {
+			c.Record = r
+		} else {
+			c = &cluster{Record: r}
+			d.unique[r.Signature] = c
+			d.recs = append(d.recs, c)
+		}
 		if !r.Filtered {
 			d.novel++
 		}
@@ -484,27 +521,28 @@ func (d *Detector) NovelSignatures() int { return d.novel }
 
 // Unique returns the clustered mismatch records, most frequent first.
 func (d *Detector) Unique() []*Record {
-	out := make([]*Record, 0, len(d.unique))
-	for _, r := range d.unique {
-		out = append(out, r)
+	recs := slices.SortedFunc(slices.Values(d.recs), uniqueOrder)
+	out := make([]*Record, len(recs))
+	for i, r := range recs {
+		out[i] = &r.Record
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Signature < out[j].Signature
-	})
 	return out
+}
+
+// uniqueOrder is Unique's order: most frequent first, then by
+// signature. Signatures are unique, so no two clusters tie.
+func uniqueOrder(a, b *cluster) int {
+	if c := cmp.Compare(b.Count, a.Count); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Signature, b.Signature)
 }
 
 // Findings returns the set of classified findings that have at least
 // one non-filtered record.
 func (d *Detector) Findings() map[Finding]int {
 	out := make(map[Finding]int)
-	// Commutative integer sums bucketed by finding: iteration order
-	// cannot reach the totals.
-	//lint:allow mapiter order-insensitive commutative sum
-	for _, r := range d.unique {
+	for _, r := range d.recs {
 		if !r.Filtered && r.Finding != FindingUnknown {
 			out[r.Finding] += r.Count
 		}

@@ -103,6 +103,31 @@ func TestAppendStateMatchesMarshal(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { checkAppendState(t, c.d()) })
 	}
+
+	// A record's bytes but its count are kept from one encoding to the
+	// next; the upgrade of a filtered record rewrites the rest, and the
+	// next encoding must see it.
+	t.Run("encoded, upgraded, encoded", func(t *testing.T) {
+		d := NewDetector()
+		d.Analyze(1, []trace.Entry{csrDiff, mulNoWrite}, []trace.Entry{csr, mul})
+		before := checkAppendState(t, d)
+		d.Analyze(2, []trace.Entry{mulNoWrite}, []trace.Entry{mul})
+		if after := checkAppendState(t, d); bytes.Equal(after, before) || d.NovelSignatures() != 1 {
+			t.Fatalf("the second analysis upgraded no record (%d novel)", d.NovelSignatures())
+		}
+	})
+}
+
+// rerecord records every clustered example of d once more, unfiltered:
+// the examples the comparison loop built rebuild their own signature, so
+// a filtered one is upgraded and any other counted again, and a
+// restored record whose signature the loop would not build opens a new
+// cluster.
+func rerecord(d *Detector) {
+	for _, r := range d.Unique() {
+		ex := r.Example
+		d.record(ex.Test, ex.Index, ex.Kind, &ex.DUT, &ex.Golden, false, nil)
+	}
 }
 
 // detectorFrom builds a detector from fuzz bytes: the first half is
@@ -153,7 +178,9 @@ func detectorFrom(data []byte) *Detector {
 
 // FuzzDetectorStateRoundTrip: for any detector state, AppendState is
 // json.Marshal(State()), and decoding those bytes, restoring them with
-// SetState and encoding again is the identity.
+// SetState and encoding again is the identity. AppendState is held to
+// json.Marshal again after the state moves under the kept encodings:
+// counts, upgrades and new clusters (rerecord).
 func FuzzDetectorStateRoundTrip(f *testing.F) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 8; i++ {
@@ -164,7 +191,10 @@ func FuzzDetectorStateRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x00\x00\x00\x00\x05\x01\x02\x03a<b&c"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		raw := checkAppendState(t, detectorFrom(data))
+		first := detectorFrom(data)
+		raw := checkAppendState(t, first)
+		rerecord(first)
+		checkAppendState(t, first)
 		var st State
 		if err := json.Unmarshal(raw, &st); err != nil {
 			t.Fatalf("Unmarshal: %v", err)
