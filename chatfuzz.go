@@ -5,18 +5,11 @@
 // RTL condition coverage, fuzzing simulated RocketCore/BOOM designs
 // with differential mismatch detection against a golden-model ISS.
 //
-// Every campaign runs on the orchestrator. Quickstart (one campaign:
-// a one-shard fleet with one arm, the model learning as it fuzzes):
-//
-//	cfg := chatfuzz.DefaultPipelineConfig()
-//	p := chatfuzz.NewPipeline(cfg)
-//	p.Run(chatfuzz.NewRocket())                      // 3-step training
-//	o, err := chatfuzz.NewOrchestrator(
-//	    chatfuzz.CampaignConfig{Shards: 1, BatchSize: 16, Seed: 1, Detect: true},
-//	    chatfuzz.NewRocket, chatfuzz.LearningLLMArm(p))
-//	defer o.Close()
-//	err = o.RunTests(512)
-//	fmt.Println(o.Coverage(), o.Shard(0).Det.Report())
+// Every campaign runs on the orchestrator. The package Example is the
+// quickstart: it trains a test-scale pipeline and fuzzes Rocket as one
+// campaign (a one-shard fleet with one arm, the model learning as it
+// fuzzes); ExamplePipeline shows the three training steps and the
+// metrics they monitor.
 //
 // Sharded fleet: run N concurrent campaigns — each with its own DUT
 // instance and virtual clock — and let a discounted UCB1 bandit
@@ -38,15 +31,11 @@
 // Fleets checkpoint and resume deterministically: a resumed run's
 // merged trajectory is bit-identical to an uninterrupted one, because
 // generator seeds are a pure function of (campaign seed, shard, round)
-// and all scheduling state is serialized:
+// and all scheduling state is serialized. ExampleResumeCampaign
+// resumes a learning fleet, merged weights included:
 //
-//	o.CheckpointFile("fleet.json")
-//	f, err := os.Open("fleet.json")
-//	o2, err := chatfuzz.ResumeCampaign(f, chatfuzz.NewRocket,
-//	    chatfuzz.LLMArm(p), chatfuzz.TheHuzzArm(24),
-//	    chatfuzz.RandInstArm(24), chatfuzz.RandFuzzArm(24))
-//	f.Close()
-//	o2.RunTests(4000)
+//	err := o.Checkpoint(w) // any io.Writer
+//	o2, err := chatfuzz.ResumeCampaign(r, chatfuzz.NewRocket, arms...) // the same arms, in order
 //
 // Execution: there is one production path. Each shard's goroutine is
 // the committer of a persistent engine — it runs its own round's
@@ -184,6 +173,11 @@ const (
 
 // DefaultPipelineConfig returns the default training configuration.
 func DefaultPipelineConfig() PipelineConfig { return core.DefaultPipelineConfig() }
+
+// TestPipelineConfig returns the tiny test-scale training
+// configuration: a pipeline trains in about a second. `fuzz-bench
+// campaign -quickpipe` trains it.
+func TestPipelineConfig() PipelineConfig { return core.TestPipelineConfig() }
 
 // NewPipeline builds corpus, tokenizer and model.
 func NewPipeline(cfg PipelineConfig) *Pipeline { return core.NewPipeline(cfg) }

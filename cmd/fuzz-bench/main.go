@@ -14,6 +14,12 @@
 // Campaign knobs of note: -dut and -arms take comma lists (e.g.
 // "rocket,boom", "chatfuzz-learn,thehuzz"); shards alternate designs,
 // and a chatfuzz-learn run ends with a frozen-LLM twin fleet's delta.
+// -model loads the LLM arms' model from a train-lm file instead of
+// training one; with -shards 1 -detect that is one campaign, ending
+// with the detector's findings table:
+//
+//	fuzz-bench campaign -shards 1 -arms chatfuzz-learn -detect -model model.gob
+//
 // There is one execution path and nothing to choose: every shard's
 // goroutine runs and commits its own rounds, a shared pool of workers
 // fills whatever cores the shards leave idle (GOMAXPROCS − shards,
@@ -37,6 +43,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -54,12 +61,12 @@ import (
 )
 
 // campaignOpts are the campaign subcommand's flags beyond the fleet:
-// which pipeline its LLM arms train, where it checkpoints, and how this
-// process observes the run.
+// which pipeline its LLM arms train or load, where it checkpoints, and
+// how this process observes the run.
 type campaignOpts struct {
-	quickPipe, resume                     bool
-	checkpoint, trace, metrics, telemAddr string
-	metricsEvery                          time.Duration
+	quickPipe, resume                            bool
+	model, checkpoint, trace, metrics, telemAddr string
+	metricsEvery                                 time.Duration
 }
 
 // campaignFlags builds the campaign subcommand's flag set: the fleet
@@ -69,6 +76,7 @@ func campaignFlags() (*flag.FlagSet, func() (farm.JobSpec, error), *campaignOpts
 	fleet := fleetFlags(fs)
 	c := &campaignOpts{}
 	fs.BoolVar(&c.quickPipe, "quickpipe", false, "train the tiny test-scale pipeline instead of the default one (smoke runs)")
+	fs.StringVar(&c.model, "model", "", "load the chatfuzz arms' model from this train-lm file instead of training one")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "checkpoint file to write after the run")
 	fs.BoolVar(&c.resume, "resume", false, "resume from -checkpoint instead of starting fresh")
 	fs.StringVar(&c.trace, "trace", "", "write a Chrome trace-event JSON file of the run's spans (open in Perfetto or chrome://tracing); execution-only, trajectories are unaffected")
@@ -95,6 +103,22 @@ func checkResume(path string, spec farm.JobSpec, pcfg core.PipelineConfig) error
 	return info.CheckFleet(newDUTs, arms...)
 }
 
+// loadModel builds the pipeline of pcfg untrained and fills its model
+// from the train-lm file at path: no pipeline step runs. It refuses a
+// spec whose arms sample no pipeline, and a file whose model shape is
+// not pcfg's (a default model under -quickpipe).
+func loadModel(path string, spec farm.JobSpec, pcfg core.PipelineConfig) (*core.Pipeline, error) {
+	// Only an arm that samples a pipeline fails without one.
+	if _, _, _, err := spec.Fleet(nil); !errors.Is(err, campaign.ErrNeedsPipeline) {
+		return nil, fmt.Errorf("-arms %s has no chatfuzz arm to sample it", strings.Join(spec.Arms, ","))
+	}
+	p := core.NewPipeline(pcfg)
+	if err := p.Model.LoadFile(path); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // campaignMain runs the orchestrator subcommand.
 func campaignMain(args []string) {
 	fs, fleet, c := campaignFlags()
@@ -108,9 +132,16 @@ func campaignMain(args []string) {
 		pcfg = core.TestPipelineConfig()
 	}
 	pcfg.Log = os.Stdout
-	// Fail fast on a bad checkpoint before any expensive work: an LLM
-	// arm's pipeline trains for minutes, and discovering a missing file
-	// or mismatched arm set afterwards wastes all of it.
+	// Fail fast on a bad model or checkpoint before any expensive work:
+	// an LLM arm's pipeline trains for minutes, and discovering a missing
+	// file or mismatched arm set afterwards wastes all of it.
+	var p *core.Pipeline
+	if c.model != "" {
+		if p, err = loadModel(c.model, spec, pcfg); err != nil {
+			log.Fatalf("model: %v", err)
+		}
+		fmt.Printf("model loaded from %s\n", c.model)
+	}
 	if c.resume {
 		if c.checkpoint == "" {
 			log.Fatal("-resume requires -checkpoint")
@@ -119,9 +150,10 @@ func campaignMain(args []string) {
 			log.Fatalf("resume: %v", err)
 		}
 	}
-	p, err := spec.Pipeline(pcfg)
-	if err != nil {
-		log.Fatalf("campaign: %v", err)
+	if p == nil {
+		if p, err = spec.Pipeline(pcfg); err != nil {
+			log.Fatalf("campaign: %v", err)
+		}
 	}
 	cfg, newDUTs, arms, err := spec.Fleet(p)
 	if err != nil {
@@ -243,6 +275,7 @@ func campaignMain(args []string) {
 		for s := 0; s < o.Cfg.Shards; s++ {
 			d := o.Shard(s).Det
 			if d != nil {
+				fmt.Printf("shard %d: %s", s, d.Report())
 				total += d.RawCount - d.FilteredRaw
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"maps"
+	"math"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -152,14 +153,7 @@ func TestFrozenTwin(t *testing.T) {
 // pipeline step runs — the untrained pipeline the check builds logs
 // nothing — and the same fleet's flags pass.
 func TestResumeRefusesPipelineShapeBeforeTraining(t *testing.T) {
-	fs, fleet, _ := campaignFlags()
-	if err := fs.Parse([]string{"-arms", "chatfuzz,thehuzz", "-shards", "1", "-batch", "4", "-body", "8", "-tests", "8"}); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := fleet()
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := campaignSpec(t, "-arms", "chatfuzz,thehuzz", "-shards", "1", "-batch", "4", "-body", "8", "-tests", "8")
 	cfg, duts, arms, err := spec.Fleet(core.NewPipeline(core.TestPipelineConfig()))
 	if err != nil {
 		t.Fatal(err)
@@ -192,21 +186,28 @@ func TestResumeRefusesPipelineShapeBeforeTraining(t *testing.T) {
 	}
 }
 
+// campaignSpec parses args with the campaign flag set and returns the
+// fleet they name.
+func campaignSpec(t *testing.T, args ...string) farm.JobSpec {
+	t.Helper()
+	fs, fleet, _ := campaignFlags()
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := fleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
 // TestResumeRefusesDesignBeforeTraining: a rocket checkpoint of a fleet
 // with an LLM arm, resumed with -dut boom, is refused on its shard
 // designs before any pipeline step runs, and -dut rocket passes.
 func TestResumeRefusesDesignBeforeTraining(t *testing.T) {
 	spec := func(dut string) farm.JobSpec {
-		fs, fleet, _ := campaignFlags()
-		if err := fs.Parse([]string{"-arms", "chatfuzz,thehuzz", "-shards", "2", "-batch", "4", "-body", "8",
-			"-tests", "8", "-quickpipe", "-dut", dut}); err != nil {
-			t.Fatal(err)
-		}
-		s, err := fleet()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+		return campaignSpec(t, "-arms", "chatfuzz,thehuzz", "-shards", "2", "-batch", "4", "-body", "8",
+			"-tests", "8", "-quickpipe", "-dut", dut)
 	}
 	cfg, duts, arms, err := spec("rocket").Fleet(core.NewPipeline(core.TestPipelineConfig()))
 	if err != nil {
@@ -235,5 +236,53 @@ func TestResumeRefusesDesignBeforeTraining(t *testing.T) {
 	}
 	if log.Len() > 0 {
 		t.Errorf("the check ran a pipeline step:\n%s", log.String())
+	}
+}
+
+// TestModelLoadsWithoutTraining: -model fills an untrained pipeline of
+// the campaign's config from a train-lm file, bit for bit and without
+// running a pipeline step. A -quickpipe pipeline refuses a default
+// model, and a fleet with no chatfuzz arm refuses -model.
+func TestModelLoadsWithoutTraining(t *testing.T) {
+	cfg := core.DefaultPipelineConfig()
+	cfg.PretrainSteps = 1
+	trained := core.NewPipeline(cfg)
+	trained.Pretrain()
+	path := filepath.Join(t.TempDir(), "model.gob")
+	if err := trained.Model.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	var log bytes.Buffer
+	pcfg := core.DefaultPipelineConfig()
+	pcfg.Log = &log
+	p, err := loadModel(path, campaignSpec(t, "-arms", "chatfuzz,thehuzz"), pcfg)
+	if err != nil {
+		t.Fatalf("the default pipeline refused a default model: %v", err)
+	}
+	want, got := trained.Model.Params(), p.Model.Params()
+	for i := range want {
+		for j, w := range want[i].Data {
+			if math.Float64bits(got[i].Data[j]) != math.Float64bits(w) {
+				t.Fatalf("tensor %d element %d loaded as %v, saved as %v", i, j, got[i].Data[j], w)
+			}
+		}
+	}
+	if log.Len() > 0 {
+		t.Errorf("loading ran a pipeline step:\n%s", log.String())
+	}
+
+	quick := core.TestPipelineConfig()
+	quick.Log = &log
+	if _, err := loadModel(path, campaignSpec(t, "-arms", "chatfuzz-learn", "-quickpipe"), quick); err == nil ||
+		!strings.Contains(err.Error(), "does not match model") {
+		t.Errorf("-quickpipe with a default model: error %v, want a shape mismatch", err)
+	}
+	if _, err := loadModel(path, campaignSpec(t), pcfg); err == nil ||
+		!strings.Contains(err.Error(), "-arms thehuzz,randinst,randfuzz has no chatfuzz arm") {
+		t.Errorf("-model with the mutation arms only: error %v, want a refusal", err)
+	}
+	if log.Len() > 0 {
+		t.Errorf("a refused load ran a pipeline step:\n%s", log.String())
 	}
 }

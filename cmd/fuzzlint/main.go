@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,16 +32,20 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fuzzlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list     = flag.Bool("list", false, "list the analyzers and exit")
-		asJSON   = flag.Bool("json", false, "emit findings as JSON")
-		analyzes = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
+		list     = fs.Bool("list", false, "list the analyzers and exit")
+		asJSON   = fs.Bool("json", false, "emit findings as JSON")
+		analyzes = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, a := range lint.All() {
@@ -48,7 +53,7 @@ func run() int {
 			if a.Scoped {
 				scope = "deterministic scope"
 			}
-			fmt.Printf("%-12s (%s)  %s\n", a.Name, scope, a.Doc)
+			fmt.Fprintf(stdout, "%-12s (%s)  %s\n", a.Name, scope, a.Doc)
 		}
 		return 0
 	}
@@ -59,31 +64,31 @@ func run() int {
 		var ok bool
 		analyzers, unknown, ok = lint.ByName(strings.Split(*analyzes, ","))
 		if !ok {
-			fmt.Fprintf(os.Stderr, "fuzzlint: unknown analyzer %q (see -list)\n", unknown)
+			fmt.Fprintf(stderr, "fuzzlint: unknown analyzer %q (see -list)\n", unknown)
 			return 2
 		}
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzzlint: %v\n", err)
+		fmt.Fprintf(stderr, "fuzzlint: %v\n", err)
 		return 2
 	}
 	root, err := lint.FindModuleRoot(cwd)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzzlint: %v\n", err)
+		fmt.Fprintf(stderr, "fuzzlint: %v\n", err)
 		return 2
 	}
 	// Patterns are relative to the invoking directory, the loader's to
 	// the module root; rebase.
 	rel, err := filepath.Rel(root, cwd)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzzlint: %v\n", err)
+		fmt.Fprintf(stderr, "fuzzlint: %v\n", err)
 		return 2
 	}
 	for i, p := range patterns {
@@ -92,21 +97,21 @@ func run() int {
 
 	loader, err := lint.NewLoader(root)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzzlint: %v\n", err)
+		fmt.Fprintf(stderr, "fuzzlint: %v\n", err)
 		return 2
 	}
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fuzzlint: %v\n", err)
+		fmt.Fprintf(stderr, "fuzzlint: %v\n", err)
 		return 2
 	}
 
 	diags := lint.Run(pkgs, analyzers)
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(os.Stderr, "fuzzlint: %v\n", err)
+			fmt.Fprintf(stderr, "fuzzlint: %v\n", err)
 			return 2
 		}
 	} else {
@@ -117,11 +122,11 @@ func run() int {
 			if r, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
 				line = fmt.Sprintf("%s:%d:%d: [%s] %s", r, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 			}
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "fuzzlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
+		fmt.Fprintf(stderr, "fuzzlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1
 	}
 	return 0

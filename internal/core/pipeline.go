@@ -55,9 +55,10 @@ type PipelineConfig struct {
 	Log io.Writer
 }
 
-// DefaultPipelineConfig returns the scaled-down default configuration
-// (sized for a single-core machine; cmd/train-lm exposes every knob
-// for larger runs).
+// DefaultPipelineConfig returns the scaled-down default configuration,
+// sized for a single-core machine. cmd/train-lm trains it with its step
+// counts and seed overridable; a model file holds no tokenizer, so its
+// loader must build the same corpus.
 func DefaultPipelineConfig() PipelineConfig {
 	return PipelineConfig{
 		Seed:          1,

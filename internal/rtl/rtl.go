@@ -6,7 +6,7 @@
 // reuses its scratch; DUT.Run, which builds fresh state per call, is
 // the from-reset oracle the runners are held to: the campaign's serial
 // reference loop, internal/simtest and the tests call it, and so does
-// examples/mismatch_triage for its handful of trigger programs.
+// internal/mismatch's ExampleDetector for its five trigger programs.
 //
 //chatfuzz:deterministic package
 package rtl
