@@ -102,7 +102,7 @@ func submitFlags() (*flag.FlagSet, func() (farm.JobSpec, error), *submitOpts) {
 	o := &submitOpts{}
 	fs.StringVar(&o.addr, "addr", defaultFarmAddr, "campd daemon address")
 	fs.StringVar(&o.name, "name", "", "optional job label")
-	fs.IntVar(&o.ckptEvery, "checkpoint-every", 1, "durable checkpoint cadence in rounds (a crash re-simulates at most this many rounds)")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 1, "durable checkpoint floor in rounds: campd commits only on a multiple of it, at most once per 100 ms (a crash re-simulates at most max(this many rounds, 100 ms plus a round))")
 	fs.BoolVar(&o.watch, "watch", false, "stream round reports until the job finishes")
 	return fs, fleet, o
 }

@@ -3,9 +3,12 @@
 // an HTTP/JSON API, persists each job in an on-disk write-ahead queue
 // log (append, fsync, checksum — replayed on startup), runs jobs on
 // the campaign orchestrator with a durable checkpoint committed to the
-// job's two-slot store after every CheckpointEvery rounds (trimmed to
-// its one newest slot when the job finishes), and streams round
-// reports to watching clients.
+// job's two-slot store (trimmed to its one newest slot when the job
+// finishes), and streams round reports to watching clients. A job
+// commits its first CheckpointEvery round, then each CheckpointEvery
+// round that comes at least checkpointGap (100 ms) of wall-clock time
+// after the previous commit, and its last round: the clock picks which
+// rounds are made durable, never what any of them holds.
 //
 // Crash safety is the design center, and it rests on two invariants
 // the rest of the repo already enforces:
@@ -26,8 +29,9 @@
 // resumes from it, a job without one starts over from its seed; and
 // in both cases the completed job is indistinguishable — bit for bit
 // — from one whose daemon never died. Losing a kill -9 costs at most
-// the rounds since the last durable checkpoint, re-simulated, never
-// diverged.
+// the rounds since the last durable checkpoint (max(CheckpointEvery
+// rounds, checkpointGap plus one round) of wall-clock work),
+// re-simulated, never diverged.
 //
 // Scheduling state (everything in the checkpoint) is durable;
 // execution details (worker counts, pools) are the daemon's own
@@ -94,9 +98,12 @@ type JobSpec struct {
 	Detect         bool    `json:",omitempty"`
 	MismatchWeight float64 `json:",omitempty"`
 	UpdateBudget   int     `json:",omitempty"`
-	// CheckpointEvery is the durable-checkpoint cadence in rounds
-	// (default 1: every round barrier writes one). A crash loses at
-	// most this many rounds of wall-clock work and zero bits of
+	// CheckpointEvery is the durable-checkpoint floor in rounds
+	// (default 1): only a multiple of it is committed, and only once
+	// checkpointGap has passed since the previous commit; the first
+	// such round of a run and the last round are committed always. A
+	// crash loses at most max(CheckpointEvery rounds, checkpointGap
+	// plus one round) of wall-clock work, and zero bits of
 	// correctness.
 	CheckpointEvery int `json:",omitempty"`
 }

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -94,6 +96,17 @@ func directRun(t *testing.T, spec JobSpec) ([]RoundReport, []byte) {
 	return reports(o.Trajectory()), b
 }
 
+// pastGapClock is a cadence clock that moves checkpointGap on every
+// read, so every CheckpointEvery round is committed: one generation per
+// round at the default cadence, the schedule the crash drills below
+// count and corrupt.
+func pastGapClock() func() time.Time {
+	var reads atomic.Int64
+	return func() time.Time {
+		return time.Unix(0, 0).Add(time.Duration(reads.Add(1)) * checkpointGap)
+	}
+}
+
 // jobOf returns the server's record of job id.
 func jobOf(s *Server, id string) *job {
 	s.mu.Lock()
@@ -154,8 +167,8 @@ func killAndReopen(t *testing.T, s *Server, cfg Config, id string) *Server {
 }
 
 // killPastRound2 crashes the farm once the job has passed at least two
-// round barriers: with the default cadence, two generations are
-// durable.
+// round barriers: on pastGapClock at the default cadence, two
+// generations are durable.
 func killPastRound2(t *testing.T, s *Server, id string) {
 	t.Helper()
 	waitUntil(t, id+" past round 2", func() bool {
@@ -205,7 +218,7 @@ func TestFarmKillRecoverBitIdentical(t *testing.T) {
 	spec := testSpec(240)
 	wantReps, wantCkpt := directRun(t, spec)
 
-	cfg := Config{Dir: t.TempDir(), Metrics: telemetry.NewRegistry()}
+	cfg := Config{Dir: t.TempDir(), Metrics: telemetry.NewRegistry(), now: pastGapClock()}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -349,7 +362,7 @@ func TestFarmKillCorruptNewestSlotResumesPrevious(t *testing.T) {
 	spec := testSpec(240)
 	wantReps, wantCkpt := directRun(t, spec)
 
-	cfg := Config{Dir: t.TempDir()}
+	cfg := Config{Dir: t.TempDir(), now: pastGapClock()}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -392,7 +405,7 @@ func TestFarmKillCorruptNewestSlotResumesPrevious(t *testing.T) {
 // fails with an error naming its store, and the slot files are left as
 // found rather than overwritten by a restart from round 0.
 func TestFarmBothSlotsCorruptFailsJob(t *testing.T) {
-	cfg := Config{Dir: t.TempDir()}
+	cfg := Config{Dir: t.TempDir(), now: pastGapClock()}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -470,7 +483,7 @@ func TestFarmGracefulStopParksAndResumes(t *testing.T) {
 	spec := testSpec(240)
 	wantReps, wantCkpt := directRun(t, spec)
 
-	cfg := Config{Dir: t.TempDir(), Metrics: telemetry.NewRegistry()}
+	cfg := Config{Dir: t.TempDir(), Metrics: telemetry.NewRegistry(), now: pastGapClock()}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -520,7 +533,7 @@ func TestFarmWritesEachGenerationOnce(t *testing.T) {
 		_, wantCkpt := directRun(t, spec)
 
 		reg := telemetry.NewRegistry()
-		s, err := Open(Config{Dir: t.TempDir(), Metrics: reg})
+		s, err := Open(Config{Dir: t.TempDir(), Metrics: reg, now: pastGapClock()})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -541,6 +554,149 @@ func TestFarmWritesEachGenerationOnce(t *testing.T) {
 		if err := s.Stop(); err != nil {
 			t.Fatalf("Stop: %v", err)
 		}
+	}
+}
+
+// TestFarmCheckpointCadence pins which rounds a job commits when each
+// round takes a third of checkpointGap: the first cadence round, then
+// each cadence round at least checkpointGap after the previous commit,
+// then the last round. Skipped commits change no byte of the result.
+func TestFarmCheckpointCadence(t *testing.T) {
+	for _, tc := range []struct {
+		every int
+		want  []int64
+	}{
+		{1, []int64{1, 4, 7, 10, 13, 15}},
+		{2, []int64{2, 6, 10, 14, 15}}, // the gap skips every other cadence round
+		{4, []int64{4, 8, 12, 15}},     // the cadence floor holds past the gap
+		{5, []int64{5, 10, 15}},        // the last round is a cadence round, written once
+	} {
+		spec := testSpec(240) // 15 rounds
+		spec.CheckpointEvery = tc.every
+		wantReps, wantCkpt := directRun(t, spec)
+
+		// The clock reads a third of the gap per published round, and
+		// notes the round of each commit: checkpoint reads it right
+		// after every commit it counts.
+		reg := telemetry.NewRegistry()
+		var got []int64
+		clock := func() time.Time {
+			round := reg.Counter("farm/rounds").Value()
+			if n := reg.Counter("farm/checkpoints").Value(); n > int64(len(got)) {
+				got = append(got, round)
+			}
+			return time.Unix(0, 0).Add(time.Duration(round) * checkpointGap / 3)
+		}
+		s, err := Open(Config{Dir: t.TempDir(), Metrics: reg, now: clock})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		final := waitDone(t, s, st.ID)
+		if final.Summary.Rounds != len(wantReps) {
+			t.Fatalf("job ran %d rounds, want %d", final.Summary.Rounds, len(wantReps))
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("CheckpointEvery %d: committed rounds %v, want %v", tc.every, got, tc.want)
+		}
+		if n := reg.Counter("farm/checkpoints").Value(); n != int64(len(tc.want)) {
+			t.Errorf("CheckpointEvery %d: farm/checkpoints %d, want %d", tc.every, n, len(tc.want))
+		}
+		if reps, _ := s.Rounds(st.ID, 0); !reflect.DeepEqual(reps, wantReps) {
+			t.Errorf("CheckpointEvery %d: trajectory differs from direct run", tc.every)
+		}
+		if got := readCheckpoint(t, s, st.ID); !bytes.Equal(got, wantCkpt) {
+			t.Errorf("CheckpointEvery %d: final checkpoint differs from direct run", tc.every)
+		}
+		if err := s.Stop(); err != nil {
+			t.Fatalf("Stop: %v", err)
+		}
+	}
+}
+
+// TestFarmWatchAcrossKillBehindDurableRound: a kill lands after round 5
+// was published but only round 1 is durable. The reopened daemon reads
+// round 1 until its re-run catches up, a watcher that saw rounds 1-5
+// and reconnects with from=5 gets round 6 next (the re-run's rounds 2-5
+// are neither repeated to it nor skipped past), and the history ends
+// equal to a direct run's.
+func TestFarmWatchAcrossKillBehindDurableRound(t *testing.T) {
+	spec := testSpec(1600) // 100 rounds: the kill lands mid-run
+	wantReps, wantCkpt := directRun(t, spec)
+
+	// A clock that never moves commits only the first cadence round.
+	frozen := time.Unix(0, 0)
+	cfg := Config{Dir: t.TempDir(), Addr: "127.0.0.1:0", now: func() time.Time { return frozen }}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	id := st.ID
+	waitUntil(t, id+" past round 5", func() bool {
+		reps, _ := s.Rounds(id, 0)
+		return len(reps) >= 5
+	})
+	s.kill()
+	if info, err := s.checkpointInfo(jobOf(s, id), id); err != nil || info.Round != 1 {
+		t.Fatalf("durable round after the kill is %d (%v), want 1", info.Round, err)
+	}
+
+	// The reopened runner waits at its first clock read, after the
+	// resume and before any round, until the test lets it go.
+	release := make(chan struct{})
+	var once sync.Once
+	cfg.now = func() time.Time {
+		<-release
+		return frozen
+	}
+	s2 := reopenAfterKill(t, s, cfg, id)
+	defer s2.Stop()
+	defer once.Do(func() { close(release) })
+	c := NewClient(s2.Addr())
+	if got, err := c.Job(id); err != nil || got.Round != 1 {
+		t.Errorf("GET /jobs/%s before the re-run reads round %d (%v), want the durable round 1", id, got.Round, err)
+	}
+	if got, _ := s2.Rounds(id, 0); !reflect.DeepEqual(got, wantReps[:1]) {
+		t.Errorf("history before the re-run:\n got %+v\nwant %+v", got, wantReps[:1])
+	}
+
+	var seen []RoundReport
+	watched := make(chan error, 1)
+	go func() {
+		_, err := c.Watch(id, 5, func(rep RoundReport) error {
+			seen = append(seen, rep)
+			return nil
+		})
+		watched <- err
+	}()
+	// Give the watcher time to connect while the history is one round
+	// long; the assertions hold whenever it does.
+	time.Sleep(100 * time.Millisecond)
+	once.Do(func() { close(release) })
+	if err := <-watched; err != nil {
+		t.Fatalf("Watch: %v", err)
+	}
+	if !reflect.DeepEqual(seen, wantReps[5:]) {
+		first := RoundReport{}
+		if len(seen) > 0 {
+			first = seen[0]
+		}
+		t.Errorf("watch from 5 got %d reports starting at round %d, want %d starting at round 6",
+			len(seen), first.Round, len(wantReps)-5)
+	}
+	waitDone(t, s2, id)
+	if got, _ := s2.Rounds(id, 0); !reflect.DeepEqual(got, wantReps) {
+		t.Errorf("history after the re-run diverged from the direct run")
+	}
+	if got := readCheckpoint(t, s2, id); !bytes.Equal(got, wantCkpt) {
+		t.Errorf("checkpoint after the re-run differs from the direct run")
 	}
 }
 

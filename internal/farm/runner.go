@@ -6,19 +6,35 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"time"
 
 	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
 )
 
+// checkpointGap is the least wall-clock time between two cadence
+// commits of a job: a round is committed when it is a CheckpointEvery
+// multiple and this long has passed since the previous commit finished;
+// a run's first cadence round is always committed. A farm job's rounds
+// take about a millisecond, and a commit (encode, pwrite, fdatasync)
+// about as long again, so committing every round would spend half the
+// worker's time making rounds durable that resume re-simulates
+// bit-exactly anyway.
+const checkpointGap = 100 * time.Millisecond
+
 // runJob executes one job to completion (or until the server stops):
 // build the fleet or resume it from the newest valid generation of the
-// job's checkpoint slot store, run rounds, commit a checkpoint to the
-// store every CheckpointEvery barriers and at the end (one in-place
-// write and fdatasync, atomicio.Slots), publish each barrier's numbers
-// to watchers, trim the finished store to its one newest slot, and
-// close the job durably in the queue log.
+// job's checkpoint slot store, run rounds, publish each barrier's
+// numbers to watchers, commit a checkpoint to the store (one in-place
+// write and fdatasync, atomicio.Slots) on the CheckpointEvery rounds
+// that come checkpointGap after the previous commit, trim the finished
+// store to its one newest slot, and close the job durably in the queue
+// log. The first cadence round of every run, fresh or resumed, the
+// park and the end are committed whatever the clock says: from round
+// one on the store holds a generation, and a crash re-simulates at
+// most max(CheckpointEvery rounds, checkpointGap plus one round) of
+// wall-clock work.
 //
 // Determinism contract: everything here that shapes the trajectory is
 // either in the job spec (logged) or in the checkpoint (durable), so
@@ -99,6 +115,10 @@ func (s *Server) runJob(id string) {
 	// harmless.
 	defer store.Close()
 
+	// committed is when the previous commit finished. The run's start
+	// counts as a commit checkpointGap before it, so the run's first
+	// cadence round, fresh or resumed, is always committed.
+	committed := s.now().Add(-checkpointGap)
 	// checkpoint makes the current barrier durable, unless it already
 	// is: the last round of a job is both a cadence and the final
 	// write, and a job parked or resumed on a barrier has it on disk.
@@ -114,6 +134,7 @@ func (s *Server) runJob(id string) {
 		}
 		durable = o.Rounds()
 		s.cfg.Metrics.Counter("farm/checkpoints").Add(1)
+		committed = s.now()
 		return nil
 	}
 
@@ -139,7 +160,7 @@ func (s *Server) runJob(id string) {
 			return
 		}
 		s.publishRound(id, o)
-		if o.Rounds()%spec.CheckpointEvery == 0 {
+		if o.Rounds()%spec.CheckpointEvery == 0 && s.now().Sub(committed) >= checkpointGap {
 			if err := checkpoint(); err != nil {
 				s.finishJob(id, nil, fmt.Errorf("farm: checkpoint: %w", err))
 				return
@@ -168,6 +189,16 @@ func (s *Server) runJob(id string) {
 		Hours:    o.Hours(),
 		Coverage: o.Coverage(),
 	}, nil)
+}
+
+// now reads the clock that paces a job's cadence commits: Config.now
+// when a test set it, else the wall clock.
+func (s *Server) now() time.Time {
+	if s.cfg.now != nil {
+		return s.cfg.now()
+	}
+	//lint:allow wallclock the clock picks only which rounds are committed, never a trajectory or checkpoint byte
+	return time.Now()
 }
 
 // publishRound appends the just-committed barrier's report and wakes

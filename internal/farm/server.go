@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/campaign"
@@ -37,6 +38,10 @@ type Config struct {
 	Metrics *telemetry.Registry
 	// Log receives daemon progress lines (default: discarded).
 	Log io.Writer
+
+	// now, when non-nil, replaces the wall clock that paces cadence
+	// commits (Server.now), so tests can choose which rounds commit.
+	now func() time.Time
 }
 
 // walRecord is one queue-log entry. Op submit carries Spec; op done
