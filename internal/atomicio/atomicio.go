@@ -11,10 +11,11 @@
 //
 // A slot store (OpenSlots, Commit, ReadSlots) keeps the newest
 // generation of a payload that is rewritten many times — campd's
-// per-job checkpoint, every round — in two files overwritten in place
-// by turns and flushed with fdatasync: one data flush a generation
-// instead of WriteFile's two journal commits. A crash at any instant
-// leaves the previous or the new generation readable (slots.go).
+// per-job checkpoint, at most once per 100 ms — in two files
+// overwritten in place by turns and flushed with fdatasync: one data
+// flush a generation instead of WriteFile's two journal commits. A crash
+// at any instant leaves the previous or the new generation readable
+// (slots.go).
 //
 // Close errors are propagated, never dropped: on many filesystems a
 // write error only surfaces at Close or Sync, and a writer that

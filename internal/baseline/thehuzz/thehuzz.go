@@ -7,13 +7,10 @@
 //
 // A pooled body is immutable: mutate works on a copy and splice only
 // reads, so pools may share bodies (AdoptPool) while State and SetState
-// still hand over deep copies. Sharing is what SamePool and SameState
-// see: generators that adopted one pool in one round hold the same
-// state, which a fleet's barrier merge uses to skip a pool it already
-// gathered and its checkpoint writer to encode the pool once; and an
-// entry's encoding can be kept from one checkpoint to the next by body
-// identity (EntryCache). A pool restored by SetState shares nothing, so
-// it is never the same as another until the next adoption.
+// still hand over deep copies. Sharing is what SamePool sees: a fleet's
+// barrier merge uses it to skip a pool it already gathered. A pool
+// restored by SetState shares nothing, so it is never the same as
+// another until the next adoption.
 //
 //chatfuzz:deterministic package
 package thehuzz
@@ -137,10 +134,8 @@ func (g *Gen) State() State {
 // the live pool: a checkpoint writer pays neither the deep copy nor the
 // reflection walk. State holds nothing but integers, so the encoding is
 // strconv's decimal digits between fixed keys; a nil pool or body is
-// written [] because State never hands one out nil. With a non-nil
-// cache, an entry the cache holds is copied instead of encoded (see
-// EntryCache).
-func (g *Gen) AppendState(dst []byte, c *EntryCache) []byte {
+// written [] because State never hands one out nil.
+func (g *Gen) AppendState(dst []byte) []byte {
 	dst = append(dst, `{"Round":`...)
 	dst = strconv.AppendInt(dst, int64(g.round), 10)
 	dst = append(dst, `,"Pool":[`...)
@@ -148,73 +143,20 @@ func (g *Gen) AppendState(dst []byte, c *EntryCache) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = c.appendEntry(dst, e)
+		dst = append(dst, `{"Body":[`...)
+		for j, w := range e.Body {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendUint(dst, uint64(w), 10)
+		}
+		dst = append(dst, `],"Score":`...)
+		dst = strconv.AppendInt(dst, int64(e.Score), 10)
+		dst = append(dst, `,"Age":`...)
+		dst = strconv.AppendInt(dst, int64(e.Age), 10)
+		dst = append(dst, '}')
 	}
 	return append(dst, "]}"...)
-}
-
-// appendEntry appends json.Marshal(e).
-func appendEntry(dst []byte, e PoolEntry) []byte {
-	dst = append(dst, `{"Body":[`...)
-	for j, w := range e.Body {
-		if j > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendUint(dst, uint64(w), 10)
-	}
-	dst = append(dst, `],"Score":`...)
-	dst = strconv.AppendInt(dst, int64(e.Score), 10)
-	dst = append(dst, `,"Age":`...)
-	dst = strconv.AppendInt(dst, int64(e.Age), 10)
-	return append(dst, '}')
-}
-
-// EntryCache keeps the encoding of pool entries from one checkpoint to
-// the next. An entry's bytes are a function of its body, score and age,
-// and a pooled body is immutable, so an entry is keyed by its body's
-// identity (its first word's address and its length) and reused while
-// its score and age are those it was encoded with. Rotate, called once
-// a checkpoint is written, drops every entry that checkpoint did not
-// encode: the cache holds the live pools' entries only. The zero
-// EntryCache is ready to use; a nil one caches nothing.
-type EntryCache struct {
-	m   map[*uint32]*cachedEntry
-	gen int // the checkpoint being written; an entry it used carries it
-}
-
-type cachedEntry struct {
-	n, score, age, gen int
-	enc                []byte
-}
-
-func (c *EntryCache) appendEntry(dst []byte, e PoolEntry) []byte {
-	if c == nil || len(e.Body) == 0 {
-		return appendEntry(dst, e)
-	}
-	ce := c.m[&e.Body[0]]
-	if ce != nil && ce.n == len(e.Body) && ce.score == e.Score && ce.age == e.Age {
-		ce.gen = c.gen
-		return append(dst, ce.enc...)
-	}
-	start := len(dst)
-	dst = appendEntry(dst, e)
-	if c.m == nil {
-		c.m = make(map[*uint32]*cachedEntry)
-	}
-	c.m[&e.Body[0]] = &cachedEntry{len(e.Body), e.Score, e.Age, c.gen, slices.Clone(dst[start:])}
-	return dst
-}
-
-// Rotate ends a checkpoint: the entries it encoded or reused are kept
-// for the next one, and every other entry is dropped.
-func (c *EntryCache) Rotate() {
-	//lint:allow mapiter deleting the entries of other checkpoints is order-insensitive
-	for k, ce := range c.m {
-		if ce.gen != c.gen {
-			delete(c.m, k)
-		}
-	}
-	c.gen++
 }
 
 // SetState restores a snapshot taken with State.
@@ -253,13 +195,6 @@ func (g *Gen) SamePool(h *Gen) bool {
 			(len(a.Body) == 0 || &a.Body[0] == &b.Body[0])
 	})
 }
-
-// SameState reports whether g and h checkpoint to the same bytes
-// because they hold the same state: the same round and SamePool. After
-// a fleet barrier hands every shard one merged pool (AdoptPool), all
-// their generators are in the same state, and a checkpoint writer may
-// copy the first one's encoding for the rest.
-func (g *Gen) SameState(h *Gen) bool { return g.round == h.round && g.SamePool(h) }
 
 // AdoptPool is SetState without the deep copy: the generator copies the
 // entries and shares their bodies, which nobody may write afterwards.

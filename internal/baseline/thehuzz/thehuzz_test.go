@@ -122,26 +122,23 @@ func TestStateRoundTripPreservesPool(t *testing.T) {
 
 // checkAppendState holds AppendState to its contract on g's current
 // pool: the bytes of json.Marshal(State()), appended without touching
-// what dst already held, with no cache and with c, twice (the second
-// time from what the first left in c). It ends the checkpoint with
-// c.Rotate, as the campaign's writer does.
-func checkAppendState(t *testing.T, g *Gen, c *EntryCache) {
+// what dst already held, twice.
+func checkAppendState(t *testing.T, g *Gen) {
 	t.Helper()
 	want, err := json.Marshal(g.State())
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	if got := g.AppendState(nil, nil); !bytes.Equal(got, want) {
-		t.Fatalf("AppendState(nil, nil) = %s\nwant json.Marshal(State()) = %s", got, want)
+	if got := g.AppendState(nil); !bytes.Equal(got, want) {
+		t.Fatalf("AppendState(nil) = %s\nwant json.Marshal(State()) = %s", got, want)
 	}
 	prefix := []byte(`{"x":`)
 	for call := 1; call <= 2; call++ {
-		got := g.AppendState(append(make([]byte, 0, 8), prefix...), c)
+		got := g.AppendState(append(make([]byte, 0, 8), prefix...))
 		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
 			t.Fatalf("call %d: AppendState onto %q = %s\nwant the prefix, then %s", call, prefix, got, want)
 		}
 	}
-	c.Rotate()
 }
 
 func TestAppendStateMatchesMarshal(t *testing.T) {
@@ -159,46 +156,20 @@ func TestAppendStateMatchesMarshal(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := New(1, 8)
 			g.round, g.pool = tc.round, tc.pool
-			checkAppendState(t, g, new(EntryCache))
+			checkAppendState(t, g)
 		})
 	}
 
 	// And on a pool the generator grows itself, checkpointed every
-	// round through one cache.
-	g, c := New(3, 24), new(EntryCache)
+	// round.
+	g := New(3, 24)
 	for r := 0; r < 6; r++ {
 		scores := make([]cov.Scores, len(g.GenerateBatch(16)))
 		for i := range scores {
 			scores[i].Incremental = (i + r) % 3
 		}
 		g.Feedback(scores)
-		checkAppendState(t, g, c)
-	}
-	if g.PoolSize() == 0 {
-		t.Fatal("feedback left the pool empty")
-	}
-}
-
-// TestEntryCacheHoldsLiveEntriesOnly: once a checkpoint is written, the
-// cache holds exactly the entries of the pools it encoded, however many
-// generators shared them, and no entry of an earlier checkpoint.
-func TestEntryCacheHoldsLiveEntriesOnly(t *testing.T) {
-	g, h, c := New(5, 12), New(6, 12), new(EntryCache)
-	for r := 0; r < 8; r++ {
-		scores := make([]cov.Scores, len(g.GenerateBatch(16)))
-		for i := range scores {
-			scores[i].Incremental = 1 + (i+r)%4
-		}
-		g.Feedback(scores)
-		pool := g.State().Pool
-		h.AdoptPool(r, pool[:len(pool)/2])
-		g.AdoptPool(r, pool)
-		g.AppendState(nil, c)
-		h.AppendState(nil, c)
-		c.Rotate()
-		if len(c.m) != len(pool) {
-			t.Fatalf("round %d: the cache holds %d entries, want the live pool's %d", r, len(c.m), len(pool))
-		}
+		checkAppendState(t, g)
 	}
 	if g.PoolSize() == 0 {
 		t.Fatal("feedback left the pool empty")
@@ -208,10 +179,9 @@ func TestEntryCacheHoldsLiveEntriesOnly(t *testing.T) {
 // FuzzAppendStateMatchesMarshal turns the input into a pool — a round,
 // then entries of a score, an age, a body length and that many words,
 // for as long as bytes last — and holds AppendState to encoding/json on
-// it. Then it edits the pool the way the cache must notice, keeping
-// every body's identity — a score, an age, a body cut short, two entries
-// sharing one body, a new round and order, a dropped entry — and holds
-// the cached encoding to encoding/json again.
+// it. Then it adopts an edit of that pool — a score, an age, a body cut
+// short, two entries sharing one body, a new round and order, a dropped
+// entry — and holds the encoding to encoding/json again.
 func FuzzAppendStateMatchesMarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -225,7 +195,7 @@ func FuzzAppendStateMatchesMarshal(f *testing.F) {
 			data = data[copy(chunk, data):]
 			return chunk
 		}
-		g, c := New(1, 8), new(EntryCache)
+		g := New(1, 8)
 		g.round = int(int64(binary.LittleEndian.Uint64(next(8))))
 		for len(data) > 0 {
 			e := PoolEntry{
@@ -240,7 +210,7 @@ func FuzzAppendStateMatchesMarshal(f *testing.F) {
 			}
 			g.pool = append(g.pool, e)
 		}
-		checkAppendState(t, g, c)
+		checkAppendState(t, g)
 
 		var pool []PoolEntry
 		for i, e := range g.pool {
@@ -262,7 +232,7 @@ func FuzzAppendStateMatchesMarshal(f *testing.F) {
 		}
 		slices.Reverse(pool)
 		g.AdoptPool(g.round+1, pool)
-		checkAppendState(t, g, c)
+		checkAppendState(t, g)
 	})
 }
 
@@ -294,8 +264,8 @@ func TestReseedInPlaceMatchesFresh(t *testing.T) {
 
 // TestSamePool: pools adopted from one slice are the same; a deep copy
 // of equal contents, a different score or age, or one pool's own
-// admission is not. SameState also needs the same round: only then do
-// two generators encode to the same bytes.
+// admission is not. Only generators with the same pool in the same
+// round encode to the same bytes.
 func TestSamePool(t *testing.T) {
 	src := New(1, 8)
 	batch := src.GenerateBatch(6)
@@ -312,12 +282,12 @@ func TestSamePool(t *testing.T) {
 	if !a.SamePool(b) || !b.SamePool(a) {
 		t.Fatal("pools adopted from one slice are not the same")
 	}
-	if a.SameState(b) {
-		t.Error("generators in rounds 4 and 5 count as the same state")
+	if bytes.Equal(a.AppendState(nil), b.AppendState(nil)) {
+		t.Error("generators in rounds 4 and 5 encode the same bytes")
 	}
 	b.AdoptPool(4, pool)
-	if !a.SameState(b) || !bytes.Equal(a.AppendState(nil, nil), b.AppendState(nil, nil)) {
-		t.Fatal("generators that adopted one pool in one round are not the same state")
+	if !bytes.Equal(a.AppendState(nil), b.AppendState(nil)) {
+		t.Fatal("generators that adopted one pool in one round encode different bytes")
 	}
 	b.AdoptPool(5, pool)
 	c := New(4, 8)

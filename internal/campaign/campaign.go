@@ -229,8 +229,9 @@ type Orchestrator struct {
 	// Run* call returns it instead of running on inconsistent state.
 	err   error
 	pools poolSync
-	// ckpt is what the checkpoint encoder keeps between checkpoints.
-	ckpt ckptCache
+	// ckptBuf is the checkpoint encoder's buffer, kept between
+	// checkpoints so the next one does not regrow it.
+	ckptBuf []byte
 }
 
 // New builds a homogeneous fleet: one DUT per shard via newDUT, one

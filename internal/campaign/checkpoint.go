@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"chatfuzz/internal/atomicio"
-	"chatfuzz/internal/baseline/thehuzz"
 	"chatfuzz/internal/mismatch"
 	"chatfuzz/internal/ml/nn"
 	"chatfuzz/internal/rtl"
@@ -183,32 +182,12 @@ type shardState struct {
 // value encodes to the bytes of its own Marshal. Together those are a
 // small part of the cost.
 //
-// A farm job checkpoints every round, and from one round to the next
-// most of the state is unchanged, so the orchestrator keeps encodings
-// from one checkpoint to the next (ckptCache) and copies what has not
-// changed:
-//   - Config, Designs, Bins and Arms, fixed when the fleet is built;
-//   - each TheHuzz pool entry, by body identity (thehuzz.EntryCache):
-//     a pooled body is immutable and the barrier hands the same bodies
-//     on round after round. Once a checkpoint is written the cache
-//     drops the entries it did not encode, so it holds the live pools'
-//     entries only;
-//   - each detector record but for its count, held by the record
-//     itself (mismatch.Detector.AppendState);
-//   - the trajectory, Merged, which only grows: the points of the last
-//     checkpoint are kept encoded and only the new ones are marshalled.
-//
-// A resumed fleet starts with nothing kept, and its pools are deep
-// copies that share nothing, so its first checkpoint encodes in full.
-// Within one checkpoint, each TheHuzz state is written once: after
-// every barrier all shards adopt one merged pool (syncPools), so
-// between rounds their generators are usually in the same state
-// (thehuzz.Gen.SameState: same round, same pool by body identity), and
-// a later shard's arm copies the bytes an earlier shard's wrote into
-// this very buffer.
-//
-// The encoding lands in one buffer the orchestrator owns and reuses, so
-// the slice handed to w.Write is valid only during that call.
+// Every call encodes the live state in full, each shard's TheHuzz arm
+// from its own generator: the farm daemon commits a job at most once
+// per 100 ms, so the encode is a small share of a job's work. Only the
+// buffer is kept from one call to the next: the orchestrator owns and
+// reuses it, so the slice handed to w.Write is valid only during that
+// call.
 func (o *Orchestrator) Checkpoint(w io.Writer) error {
 	buf, err := o.encodeCheckpoint()
 	if err != nil {
@@ -221,54 +200,12 @@ func (o *Orchestrator) Checkpoint(w io.Writer) error {
 // encodeCheckpoint encodes the fleet into the orchestrator's checkpoint
 // buffer; the result is overwritten by the next call.
 func (o *Orchestrator) encodeCheckpoint() ([]byte, error) {
-	buf, err := o.appendCheckpoint(o.ckpt.buf[:0])
-	o.ckpt.buf = buf[:0]
+	buf, err := o.appendCheckpoint(o.ckptBuf[:0])
+	o.ckptBuf = buf[:0]
 	if err != nil {
 		return nil, fmt.Errorf("campaign: encode checkpoint: %w", err)
 	}
 	return buf, nil
-}
-
-// ckptCache is what the checkpoint encoder keeps from one checkpoint to
-// the next: its buffer, so a durable round does not regrow it, and the
-// encodings of the state that has not changed since (see Checkpoint).
-type ckptCache struct {
-	buf []byte
-	// config encodes wire, the Config of the last checkpoint; fleet
-	// encodes the keys that hold what the fleet was built with
-	// (appendFleetKeys).
-	wire          wireConfig
-	config, fleet []byte
-	pool          thehuzz.EntryCache
-	// merged is the encoding of the trajectory's first mergedN points,
-	// comma-separated, without the brackets.
-	merged  []byte
-	mergedN int
-}
-
-// appendMerged appends json.Marshal(merged), marshalling only the points
-// past those c holds. merged must extend the trajectory c last saw,
-// which holds while the fleet runs: the trajectory only grows.
-func (c *ckptCache) appendMerged(e *ckptEncoder, merged []ProgressPoint) {
-	if merged == nil || e.err != nil {
-		e.marshal(merged)
-		return
-	}
-	if len(merged) > c.mergedN {
-		b, err := json.Marshal(merged[c.mergedN:])
-		if err != nil {
-			e.err = err
-			return
-		}
-		if c.mergedN > 0 {
-			c.merged = append(c.merged, ',')
-		}
-		c.merged = append(c.merged, b[1:len(b)-1]...)
-		c.mergedN = len(merged)
-	}
-	e.raw("[")
-	e.buf = append(e.buf, c.merged...)
-	e.raw("]")
 }
 
 // ckptEncoder appends a checkpoint piece by piece. The first Marshal
@@ -301,20 +238,12 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 	e.raw(`{"Version":`)
 	e.num(checkpointVersion)
 	e.raw(`,"Config":`)
-	c := &o.ckpt
-	if w := o.Cfg.wire(); c.config == nil || w != c.wire {
-		c.wire = w
-		c.config, e.err = json.Marshal(w)
-	}
-	e.buf = append(e.buf, c.config...)
+	e.marshal(o.Cfg.wire())
 	e.raw(`,"Round":`)
 	e.num(o.round)
 	e.raw(`,"Tests":`)
 	e.num(o.tests)
-	if c.fleet == nil {
-		c.fleet = o.appendFleetKeys(nil)
-	}
-	e.buf = append(e.buf, c.fleet...)
+	e.buf = o.appendFleetKeys(e.buf)
 
 	learn := make(map[string]learnState)
 	for i, sp := range o.specs {
@@ -349,10 +278,8 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 		e.marshal(learn)
 	}
 	e.raw(`,"Merged":`)
-	c.appendMerged(&e, o.merged)
+	e.marshal(o.merged)
 
-	// The TheHuzz states this checkpoint has encoded so far.
-	var huzz []huzzBytes
 	e.raw(`,"Shards":[`)
 	for si, s := range o.shards {
 		if si > 0 {
@@ -370,7 +297,7 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 				e.raw(`,`)
 			}
 			if ha, ok := a.(*huzzArm); ok {
-				e.buf, huzz = appendHuzzState(e.buf, ha.Gen, huzz, &c.pool)
+				e.buf = ha.Gen.AppendState(e.buf)
 			} else {
 				e.raw(`null`)
 			}
@@ -383,7 +310,6 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 		e.raw(`}`)
 	}
 	e.raw("]}\n")
-	c.pool.Rotate()
 	return e.buf, e.err
 }
 
@@ -407,28 +333,6 @@ func (o *Orchestrator) appendFleetKeys(dst []byte) []byte {
 	e.raw(`,"Arms":`)
 	e.marshal(sigs)
 	return e.buf
-}
-
-// huzzBytes locates one TheHuzz generator's encoded state in the
-// checkpoint buffer: buf[start:end].
-type huzzBytes struct {
-	gen        *thehuzz.Gen
-	start, end int
-}
-
-// appendHuzzState appends g's state to buf. If a generator encoded
-// earlier in this buffer is in the same state, its bytes are copied;
-// otherwise g is encoded, reusing the entries cache holds, and added to
-// done.
-func appendHuzzState(buf []byte, g *thehuzz.Gen, done []huzzBytes, cache *thehuzz.EntryCache) ([]byte, []huzzBytes) {
-	for _, h := range done {
-		if h.gen.SameState(g) {
-			return append(buf, buf[h.start:h.end]...), done
-		}
-	}
-	start := len(buf)
-	buf = g.AppendState(buf, cache)
-	return buf, append(done, huzzBytes{g, start, len(buf)})
 }
 
 // decodeCheckpoint reads a checkpoint, probing the version before the
@@ -461,8 +365,8 @@ func decodeCheckpoint(r io.Reader) (checkpointFile, error) {
 // A crash, kill -9 or full disk mid-write therefore leaves the
 // previous checkpoint generation intact — path never holds a torn
 // checkpoint. It suits a checkpoint written once a run, as
-// `fuzz-bench campaign` writes one; a checkpoint rewritten every round
-// goes to a slot store (CheckpointSlots).
+// `fuzz-bench campaign` writes one; a checkpoint rewritten many times a
+// run goes to a slot store (CheckpointSlots).
 func (o *Orchestrator) CheckpointFile(path string) error {
 	buf, err := o.encodeCheckpoint()
 	if err != nil {
@@ -476,8 +380,9 @@ func (o *Orchestrator) CheckpointFile(path string) error {
 // buffer, over the older of s's two slots in place and flushed
 // (atomicio.Slots.Commit), so a crash at any instant leaves this
 // generation or the previous one readable. The payload is the bytes
-// Checkpoint writes. This is how the farm daemon checkpoints a job
-// every CheckpointEvery rounds.
+// Checkpoint writes. This is how the farm daemon commits a job: on a
+// CheckpointEvery multiple at most once per 100 ms, and always on a
+// run's first cadence round, a park and the last round.
 func (o *Orchestrator) CheckpointSlots(s *atomicio.Slots) error {
 	buf, err := o.encodeCheckpoint()
 	if err != nil {

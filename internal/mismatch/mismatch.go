@@ -134,11 +134,11 @@ type Record struct {
 
 // Detector accumulates differential results across a fuzzing campaign.
 type Detector struct {
-	unique map[string]*cluster // every cluster, by signature
-	// recs holds the same clusters in a list, which AppendState sorts
+	unique map[string]*Record // every record, by signature
+	// recs holds the same records in a list, which AppendState sorts
 	// in place into Unique() order: from one checkpoint to the next
 	// only counts move, so the list stays nearly sorted.
-	recs  []*cluster
+	recs  []*Record
 	novel int    // non-filtered records in unique (NovelSignatures)
 	sig   []byte // scratch: the signature being looked up
 
@@ -147,19 +147,9 @@ type Detector struct {
 	FilteredRaw int
 }
 
-// cluster is one Record and its encoding, which AppendState keeps from
-// one checkpoint to the next: a record's JSON is enc[:cut], then its
-// Count, then enc[cut:]. Only the Count moves while a record lives, but
-// for the upgrade of a filtered record, which drops enc.
-type cluster struct {
-	Record
-	enc []byte
-	cut int
-}
-
 // NewDetector returns an empty detector.
 func NewDetector() *Detector {
-	return &Detector{unique: make(map[string]*cluster)}
+	return &Detector{unique: make(map[string]*Record)}
 }
 
 // appendSignature appends the clustering key to b: mismatches with the
@@ -318,7 +308,7 @@ func (d *Detector) record(test, index int, k Kind, dut, golden *trace.Entry, fil
 		switch {
 		case r == nil:
 			m.Signature = string(d.sig)
-			r = &cluster{Record: Record{Signature: m.Signature, Kind: k, Finding: m.Finding, Filtered: filtered, Example: m}}
+			r = &Record{Signature: m.Signature, Kind: k, Finding: m.Finding, Filtered: filtered, Example: m}
 			d.unique[m.Signature] = r
 			d.recs = append(d.recs, r)
 			if !filtered {
@@ -327,7 +317,6 @@ func (d *Detector) record(test, index int, k Kind, dut, golden *trace.Entry, fil
 		case upgrade:
 			m.Signature = r.Signature
 			r.Filtered, r.Finding, r.Example = false, m.Finding, m
-			r.enc = nil
 			d.novel++
 		default:
 			m.Signature = r.Signature
@@ -366,10 +355,9 @@ func (d *Detector) State() State {
 // the live records in Unique() order: a checkpoint writer pays neither
 // the record copies nor the reflection walk. Everything but the two
 // signature strings is an integer or a bool; a detector with no records
-// writes "Records":null, as State's nil slice marshals. A record's bytes
-// but its Count are encoded once and kept (see cluster), and the order
-// is the detector's own list sorted in place, so AppendState must not
-// run alongside another call on the detector.
+// writes "Records":null, as State's nil slice marshals. The order is
+// the detector's own list sorted in place, so AppendState must not run
+// alongside another call on the detector.
 func (d *Detector) AppendState(dst []byte) []byte {
 	dst = append(dst, `{"Tests":`...)
 	dst = strconv.AppendInt(dst, int64(d.Tests), 10)
@@ -387,30 +375,21 @@ func (d *Detector) AppendState(dst []byte) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		if r.enc == nil {
-			r.encode()
-		}
-		dst = append(dst, r.enc[:r.cut]...)
+		dst = append(dst, `{"Signature":`...)
+		dst = appendJSONString(dst, r.Signature)
+		dst = append(dst, `,"Kind":`...)
+		dst = strconv.AppendInt(dst, int64(r.Kind), 10)
+		dst = append(dst, `,"Finding":`...)
+		dst = strconv.AppendInt(dst, int64(r.Finding), 10)
+		dst = append(dst, `,"Count":`...)
 		dst = strconv.AppendInt(dst, int64(r.Count), 10)
-		dst = append(dst, r.enc[r.cut:]...)
+		dst = append(dst, `,"Filtered":`...)
+		dst = strconv.AppendBool(dst, r.Filtered)
+		dst = append(dst, `,"Example":`...)
+		dst = appendMismatch(dst, &r.Example)
+		dst = append(dst, '}')
 	}
 	return append(dst, "]}"...)
-}
-
-// encode builds r's encoding: json.Marshal(r.Record) without its Count.
-func (r *cluster) encode() {
-	b := appendJSONString([]byte(`{"Signature":`), r.Signature)
-	b = append(b, `,"Kind":`...)
-	b = strconv.AppendInt(b, int64(r.Kind), 10)
-	b = append(b, `,"Finding":`...)
-	b = strconv.AppendInt(b, int64(r.Finding), 10)
-	b = append(b, `,"Count":`...)
-	r.cut = len(b)
-	b = append(b, `,"Filtered":`...)
-	b = strconv.AppendBool(b, r.Filtered)
-	b = append(b, `,"Example":`...)
-	b = appendMismatch(b, &r.Example)
-	r.enc = append(b, '}')
 }
 
 // appendMismatch appends json.Marshal(*m).
@@ -490,17 +469,16 @@ func (d *Detector) SetState(st State) {
 	d.Tests = st.Tests
 	d.RawCount = st.RawCount
 	d.FilteredRaw = st.FilteredRaw
-	d.unique = make(map[string]*cluster, len(st.Records))
+	d.unique = make(map[string]*Record, len(st.Records))
 	d.recs = d.recs[:0]
 	d.novel = 0
 	for _, r := range st.Records {
 		// A signature listed twice keeps its last record.
 		if c := d.unique[r.Signature]; c != nil {
-			c.Record = r
+			*c = r
 		} else {
-			c = &cluster{Record: r}
-			d.unique[r.Signature] = c
-			d.recs = append(d.recs, c)
+			d.unique[r.Signature] = &r
+			d.recs = append(d.recs, &r)
 		}
 		if !r.Filtered {
 			d.novel++
@@ -521,17 +499,12 @@ func (d *Detector) NovelSignatures() int { return d.novel }
 
 // Unique returns the clustered mismatch records, most frequent first.
 func (d *Detector) Unique() []*Record {
-	recs := slices.SortedFunc(slices.Values(d.recs), uniqueOrder)
-	out := make([]*Record, len(recs))
-	for i, r := range recs {
-		out[i] = &r.Record
-	}
-	return out
+	return slices.SortedFunc(slices.Values(d.recs), uniqueOrder)
 }
 
 // uniqueOrder is Unique's order: most frequent first, then by
-// signature. Signatures are unique, so no two clusters tie.
-func uniqueOrder(a, b *cluster) int {
+// signature. Signatures are unique, so no two records tie.
+func uniqueOrder(a, b *Record) int {
 	if c := cmp.Compare(b.Count, a.Count); c != 0 {
 		return c
 	}

@@ -104,9 +104,8 @@ func TestAppendStateMatchesMarshal(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) { checkAppendState(t, c.d()) })
 	}
 
-	// A record's bytes but its count are kept from one encoding to the
-	// next; the upgrade of a filtered record rewrites the rest, and the
-	// next encoding must see it.
+	// The upgrade of a filtered record rewrites all of it but its count,
+	// and the next encoding must see it.
 	t.Run("encoded, upgraded, encoded", func(t *testing.T) {
 		d := NewDetector()
 		d.Analyze(1, []trace.Entry{csrDiff, mulNoWrite}, []trace.Entry{csr, mul})
@@ -179,8 +178,8 @@ func detectorFrom(data []byte) *Detector {
 // FuzzDetectorStateRoundTrip: for any detector state, AppendState is
 // json.Marshal(State()), and decoding those bytes, restoring them with
 // SetState and encoding again is the identity. AppendState is held to
-// json.Marshal again after the state moves under the kept encodings:
-// counts, upgrades and new clusters (rerecord).
+// json.Marshal again after the state moves: counts, upgrades and new
+// clusters (rerecord).
 func FuzzDetectorStateRoundTrip(f *testing.F) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 8; i++ {
