@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strconv"
 
 	"chatfuzz/internal/baseline/randinst"
 	"chatfuzz/internal/cov"
@@ -117,9 +116,10 @@ type PoolEntry struct {
 	Age   int
 }
 
-// State is the generator's checkpointable state: everything except the
-// rng (see Reseed) and the transient last-batch buffer, which is only
-// meaningful between a GenerateBatch and its Feedback.
+// State is the generator's checkpointable state, which a campaign
+// checkpoint encodes with encoding/json: everything except the rng (see
+// Reseed) and the transient last-batch buffer, which is only meaningful
+// between a GenerateBatch and its Feedback.
 type State struct {
 	Round int
 	Pool  []PoolEntry
@@ -128,35 +128,6 @@ type State struct {
 // State snapshots the seed pool for checkpointing.
 func (g *Gen) State() State {
 	return State{Round: g.round, Pool: clonePool(g.pool)}
-}
-
-// AppendState appends json.Marshal(g.State()) to dst, read straight off
-// the live pool: a checkpoint writer pays neither the deep copy nor the
-// reflection walk. State holds nothing but integers, so the encoding is
-// strconv's decimal digits between fixed keys; a nil pool or body is
-// written [] because State never hands one out nil.
-func (g *Gen) AppendState(dst []byte) []byte {
-	dst = append(dst, `{"Round":`...)
-	dst = strconv.AppendInt(dst, int64(g.round), 10)
-	dst = append(dst, `,"Pool":[`...)
-	for i, e := range g.pool {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"Body":[`...)
-		for j, w := range e.Body {
-			if j > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendUint(dst, uint64(w), 10)
-		}
-		dst = append(dst, `],"Score":`...)
-		dst = strconv.AppendInt(dst, int64(e.Score), 10)
-		dst = append(dst, `,"Age":`...)
-		dst = strconv.AppendInt(dst, int64(e.Age), 10)
-		dst = append(dst, '}')
-	}
-	return append(dst, "]}"...)
 }
 
 // SetState restores a snapshot taken with State.

@@ -1,12 +1,7 @@
 package thehuzz
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"math"
 	"reflect"
-	"slices"
 	"testing"
 
 	"chatfuzz/internal/cov"
@@ -120,122 +115,6 @@ func TestStateRoundTripPreservesPool(t *testing.T) {
 	}
 }
 
-// checkAppendState holds AppendState to its contract on g's current
-// pool: the bytes of json.Marshal(State()), appended without touching
-// what dst already held, twice.
-func checkAppendState(t *testing.T, g *Gen) {
-	t.Helper()
-	want, err := json.Marshal(g.State())
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	if got := g.AppendState(nil); !bytes.Equal(got, want) {
-		t.Fatalf("AppendState(nil) = %s\nwant json.Marshal(State()) = %s", got, want)
-	}
-	prefix := []byte(`{"x":`)
-	for call := 1; call <= 2; call++ {
-		got := g.AppendState(append(make([]byte, 0, 8), prefix...))
-		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
-			t.Fatalf("call %d: AppendState onto %q = %s\nwant the prefix, then %s", call, prefix, got, want)
-		}
-	}
-}
-
-func TestAppendStateMatchesMarshal(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		round int
-		pool  []PoolEntry
-	}{
-		{"fresh generator", 0, nil},
-		{"emptied pool", 7, []PoolEntry{}},
-		{"nil and empty bodies", 3, []PoolEntry{{Body: nil, Score: 1, Age: 1}, {Body: []uint32{}, Score: 2, Age: 2}}},
-		{"word extremes", 1, []PoolEntry{{Body: []uint32{0, math.MaxUint32, 0x80000000, 19}, Score: math.MaxInt, Age: math.MaxInt32}}},
-		{"negative fields", -4, []PoolEntry{{Body: []uint32{1}, Score: -1, Age: -9}, {Body: []uint32{2, 3}, Score: math.MinInt, Age: 0}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g := New(1, 8)
-			g.round, g.pool = tc.round, tc.pool
-			checkAppendState(t, g)
-		})
-	}
-
-	// And on a pool the generator grows itself, checkpointed every
-	// round.
-	g := New(3, 24)
-	for r := 0; r < 6; r++ {
-		scores := make([]cov.Scores, len(g.GenerateBatch(16)))
-		for i := range scores {
-			scores[i].Incremental = (i + r) % 3
-		}
-		g.Feedback(scores)
-		checkAppendState(t, g)
-	}
-	if g.PoolSize() == 0 {
-		t.Fatal("feedback left the pool empty")
-	}
-}
-
-// FuzzAppendStateMatchesMarshal turns the input into a pool — a round,
-// then entries of a score, an age, a body length and that many words,
-// for as long as bytes last — and holds AppendState to encoding/json on
-// it. Then it adopts an edit of that pool — a score, an age, a body cut
-// short, two entries sharing one body, a new round and order, a dropped
-// entry — and holds the encoding to encoding/json again.
-func FuzzAppendStateMatchesMarshal(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(bytes.Repeat([]byte{0xff}, 8+17+3*4))
-	f.Add(append(make([]byte, 8+16), 0, 2, 0, 0, 0, 0, 0, 0, 0, 1))
-	entry := append(make([]byte, 16), 4, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0) // a body of three words
-	f.Add(append(make([]byte, 8), bytes.Repeat(entry, 5)...))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func(n int) []byte {
-			chunk := make([]byte, n)
-			data = data[copy(chunk, data):]
-			return chunk
-		}
-		g := New(1, 8)
-		g.round = int(int64(binary.LittleEndian.Uint64(next(8))))
-		for len(data) > 0 {
-			e := PoolEntry{
-				Score: int(int64(binary.LittleEndian.Uint64(next(8)))),
-				Age:   int(int64(binary.LittleEndian.Uint64(next(8)))),
-			}
-			if n := int(next(1)[0]) % 34; n > 0 { // 0: a nil body
-				e.Body = make([]uint32, n-1)
-				for i := range e.Body {
-					e.Body[i] = binary.LittleEndian.Uint32(next(4))
-				}
-			}
-			g.pool = append(g.pool, e)
-		}
-		checkAppendState(t, g)
-
-		var pool []PoolEntry
-		for i, e := range g.pool {
-			switch i % 5 {
-			case 1:
-				e.Score++
-			case 2:
-				e.Age--
-			case 3:
-				e.Body = e.Body[:len(e.Body)/2]
-			case 4:
-				continue
-			}
-			pool = append(pool, e)
-			if i%5 == 0 {
-				e.Score--
-				pool = append(pool, e)
-			}
-		}
-		slices.Reverse(pool)
-		g.AdoptPool(g.round+1, pool)
-		checkAppendState(t, g)
-	})
-}
-
 // TestReseedInPlaceMatchesFresh: a used generator, once reseeded, emits
 // what a fresh generator of that seed and the same pool emits, for
 // several seeds and while its pool grows; a reseed allocates nothing.
@@ -265,7 +144,7 @@ func TestReseedInPlaceMatchesFresh(t *testing.T) {
 // TestSamePool: pools adopted from one slice are the same; a deep copy
 // of equal contents, a different score or age, or one pool's own
 // admission is not. Only generators with the same pool in the same
-// round encode to the same bytes.
+// round hold the same state.
 func TestSamePool(t *testing.T) {
 	src := New(1, 8)
 	batch := src.GenerateBatch(6)
@@ -282,12 +161,12 @@ func TestSamePool(t *testing.T) {
 	if !a.SamePool(b) || !b.SamePool(a) {
 		t.Fatal("pools adopted from one slice are not the same")
 	}
-	if bytes.Equal(a.AppendState(nil), b.AppendState(nil)) {
-		t.Error("generators in rounds 4 and 5 encode the same bytes")
+	if reflect.DeepEqual(a.State(), b.State()) {
+		t.Error("generators in rounds 4 and 5 hold the same state")
 	}
 	b.AdoptPool(4, pool)
-	if !bytes.Equal(a.AppendState(nil), b.AppendState(nil)) {
-		t.Fatal("generators that adopted one pool in one round encode different bytes")
+	if !reflect.DeepEqual(a.State(), b.State()) {
+		t.Fatal("generators that adopted one pool in one round hold different states")
 	}
 	b.AdoptPool(5, pool)
 	c := New(4, 8)

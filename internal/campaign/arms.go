@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"chatfuzz/internal/baseline/randfuzz"
@@ -13,18 +12,12 @@ import (
 // arm is one schedulable generator: a core.Generator the orchestrator
 // reseeds deterministically before every round. Because the seed is a
 // pure function of (campaign seed, shard, round), no rng state has to
-// survive a checkpoint for resumed runs to replay exactly.
+// survive a checkpoint for resumed runs to replay exactly. The one arm
+// state a checkpoint carries is a *thehuzz.Gen's seed pool
+// (shardState.Arms).
 type arm interface {
 	core.Generator
 	Reseed(seed int64)
-}
-
-// statefulArm additionally carries checkpoint state beyond the rng:
-// TheHuzz's seed pool, which appendCheckpoint writes (each distinct
-// pool once) and armRestore reads back.
-type statefulArm interface {
-	arm
-	armRestore(json.RawMessage) error
 }
 
 // ArmSpec names a generator arm and builds per-shard instances of it.
@@ -56,7 +49,7 @@ func TheHuzzArm(bodyInstrs int) ArmSpec {
 	return ArmSpec{
 		Name:  "thehuzz",
 		sig:   fmt.Sprintf("thehuzz/body=%d", bodyInstrs),
-		build: func(int) arm { return &huzzArm{thehuzz.New(0, bodyInstrs)} },
+		build: func(int) arm { return thehuzz.New(0, bodyInstrs) },
 	}
 }
 
@@ -137,16 +130,4 @@ func LearningLLMArm(p *core.Pipeline) ArmSpec {
 			return core.NewReplicaGenerator(p, rep.Model, rep, binsTotal, 0), rep
 		},
 	}
-}
-
-// huzzArm adapts thehuzz.Gen, adding checkpoint restore.
-type huzzArm struct{ *thehuzz.Gen }
-
-func (a *huzzArm) armRestore(raw json.RawMessage) error {
-	var st thehuzz.State
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return err
-	}
-	a.Gen.SetState(st)
-	return nil
 }

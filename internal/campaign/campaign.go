@@ -56,6 +56,11 @@
 // observes it; Exec never reaches the wire format, and New* and
 // Resume* accept the same one.
 //
+// A checkpoint (Checkpoint, CheckpointFile, CheckpointSlots) is
+// encoding/json of the wire structs in checkpoint.go (checkpointFile),
+// filled from the live fleet; Resume* decodes the same structs. They are
+// the one place the checkpoint's byte layout is spelled.
+//
 //chatfuzz:deterministic package
 package campaign
 
@@ -229,9 +234,6 @@ type Orchestrator struct {
 	// Run* call returns it instead of running on inconsistent state.
 	err   error
 	pools poolSync
-	// ckptBuf is the checkpoint encoder's buffer, kept between
-	// checkpoints so the next one does not regrow it.
-	ckptBuf []byte
 }
 
 // New builds a homogeneous fleet: one DUT per shard via newDUT, one
@@ -284,7 +286,7 @@ func NewMixed(cfg Config, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestr
 			} else {
 				arms[i] = sp.build(dut.Space().NumBins())
 			}
-			if _, ok := arms[i].(*huzzArm); ok {
+			if _, ok := arms[i].(*thehuzz.Gen); ok {
 				hasHuzz = true
 			}
 		}
@@ -629,14 +631,14 @@ func (o *Orchestrator) syncPools() {
 	}
 	for _, s := range o.shards {
 		for _, a := range s.arms {
-			if ha, ok := a.(*huzzArm); ok {
+			if g, ok := a.(*thehuzz.Gen); ok {
 				// A pool that is an earlier one's entry for entry — after a
 				// sync, usually every pool but the first — adds nothing: each
 				// of its bodies would be a dedupe hit.
-				if !slices.ContainsFunc(ps.gens, func(g *huzzArm) bool { return g.Gen.SamePool(ha.Gen) }) {
-					ha.Gen.VisitPool(add)
+				if !slices.ContainsFunc(ps.gens, g.SamePool) {
+					g.VisitPool(add)
 				}
-				ps.gens = append(ps.gens, ha)
+				ps.gens = append(ps.gens, g)
 			}
 		}
 	}
@@ -661,17 +663,17 @@ func (o *Orchestrator) syncPools() {
 		return b.Age - a.Age
 	})
 	all := ps.all
-	if cap := ps.gens[0].Gen.PoolCap; len(all) > cap {
+	if cap := ps.gens[0].PoolCap; len(all) > cap {
 		all = all[:cap]
 	}
 	for _, g := range ps.gens {
-		g.Gen.AdoptPool(o.round+1, all)
+		g.AdoptPool(o.round+1, all)
 	}
 }
 
 // poolSync is syncPools' scratch, kept across barriers.
 type poolSync struct {
-	gens []*huzzArm
+	gens []*thehuzz.Gen
 	all  []thehuzz.PoolEntry
 	seen map[string]bool
 	key  []byte

@@ -1,13 +1,14 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"chatfuzz/internal/atomicio"
+	"chatfuzz/internal/baseline/thehuzz"
 	"chatfuzz/internal/mismatch"
 	"chatfuzz/internal/ml/nn"
 	"chatfuzz/internal/rtl"
@@ -154,9 +155,9 @@ type shardState struct {
 	Tests   int
 	Seconds float64
 	Cov     []uint64
-	// Arms holds per-arm checkpoint state, indexed like the specs;
-	// nil for stateless arms.
-	Arms []json.RawMessage
+	// Arms holds per-arm checkpoint state, indexed like the specs:
+	// TheHuzz's seed pool, nil (written null) for a stateless arm.
+	Arms []*thehuzz.State
 	// Det is the shard's mismatch-detector state (Detect fleets only),
 	// so resumed fleets report cumulative findings.
 	Det *mismatch.State `json:",omitempty"`
@@ -167,87 +168,52 @@ type shardState struct {
 // fields round-trip exactly (Go marshals the shortest representation
 // that parses back to the same value).
 //
-// The bytes are exactly what json.NewEncoder(w).Encode of a
-// checkpointFile would write — checkpointFile stays the decoder and the
-// tests keep that encoder as the oracle — but they are produced in one
-// pass by appendCheckpoint, and the bulk of them by hand, read from the
-// live state without a copy or a reflection walk: the key skeleton and
-// its integers, the coverage bitmaps (cov.Set.AppendJSON), the TheHuzz
-// seed pools (thehuzz.Gen.AppendState) and each shard's detector state
-// (mismatch.Detector.AppendState, whose two signature strings leave
-// for json.Marshal when a byte needs escaping). What encoding/json
-// still spells — floats, map-key order, omitempty: Config, Designs,
-// Bins, Arms, Bandit, Learn, Merged and each shard's Seconds — is
-// json.Marshal of the same wire structs, appended verbatim: a nested
-// value encodes to the bytes of its own Marshal. Together those are a
-// small part of the cost.
-//
-// Every call encodes the live state in full, each shard's TheHuzz arm
-// from its own generator: the farm daemon commits a job at most once
-// per 100 ms, so the encode is a small share of a job's work. Only the
-// buffer is kept from one call to the next: the orchestrator owns and
-// reuses it, so the slice handed to w.Write is valid only during that
-// call.
+// The bytes are json.NewEncoder(w).Encode of a checkpointFile filled
+// from the live fleet (checkpoint), the struct decodeCheckpoint reads
+// back: the wire structs are the only place the layout is spelled. A
+// value encoding/json refuses fails the call before anything reaches w.
+// Every call encodes the live state in full, copying each shard's
+// TheHuzz pool and detector records: the farm daemon commits a job at
+// most once per 100 ms, so the encode is a small share of a job's work.
 func (o *Orchestrator) Checkpoint(w io.Writer) error {
-	buf, err := o.encodeCheckpoint()
-	if err != nil {
-		return err
+	if err := json.NewEncoder(w).Encode(o.checkpoint()); err != nil {
+		return fmt.Errorf("campaign: encode checkpoint: %w", err)
 	}
-	_, err = w.Write(buf)
-	return err
+	return nil
 }
 
-// encodeCheckpoint encodes the fleet into the orchestrator's checkpoint
-// buffer; the result is overwritten by the next call.
+// encodeCheckpoint returns the bytes Checkpoint writes.
 func (o *Orchestrator) encodeCheckpoint() ([]byte, error) {
-	buf, err := o.appendCheckpoint(o.ckptBuf[:0])
-	o.ckptBuf = buf[:0]
-	if err != nil {
-		return nil, fmt.Errorf("campaign: encode checkpoint: %w", err)
+	var buf bytes.Buffer
+	if err := o.Checkpoint(&buf); err != nil {
+		return nil, err
 	}
-	return buf, nil
+	return buf.Bytes(), nil
 }
 
-// ckptEncoder appends a checkpoint piece by piece. The first Marshal
-// error sticks and turns the later marshals into no-ops.
-type ckptEncoder struct {
-	buf []byte
-	err error
-}
-
-func (e *ckptEncoder) raw(s string) { e.buf = append(e.buf, s...) }
-
-func (e *ckptEncoder) num(n int) { e.buf = strconv.AppendInt(e.buf, int64(n), 10) }
-
-func (e *ckptEncoder) marshal(v any) {
-	if e.err != nil {
-		return
+// checkpoint fills the wire form of the paused fleet.
+func (o *Orchestrator) checkpoint() *checkpointFile {
+	cf := &checkpointFile{
+		Version: checkpointVersion,
+		Config:  o.Cfg.wire(),
+		Round:   o.round,
+		Tests:   o.tests,
+		Designs: o.designs,
+		Bins:    make(map[string]int, len(o.names)),
+		Bandit:  banditState{Pulls: o.bandit.Pulls, W: o.bandit.W, Sums: o.bandit.Sums, T: o.bandit.T},
+		Globals: make(map[string][]uint64, len(o.names)),
+		Merged:  o.merged,
 	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		e.err = err
-		return
+	for _, n := range o.names {
+		cf.Bins[n] = o.globals[n].Space().NumBins()
+		cf.Globals[n] = o.globals[n].Snapshot()
 	}
-	e.buf = append(e.buf, b...)
-}
-
-// appendCheckpoint appends the fleet's v4 checkpoint to dst, trailing
-// newline included, in checkpointFile's field order.
-func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
-	e := ckptEncoder{buf: dst}
-	e.raw(`{"Version":`)
-	e.num(checkpointVersion)
-	e.raw(`,"Config":`)
-	e.marshal(o.Cfg.wire())
-	e.raw(`,"Round":`)
-	e.num(o.round)
-	e.raw(`,"Tests":`)
-	e.num(o.tests)
-	e.buf = o.appendFleetKeys(e.buf)
-
-	learn := make(map[string]learnState)
 	for i, sp := range o.specs {
+		cf.Arms = append(cf.Arms, sp.sig)
 		if fl := o.fleets[i]; fl != nil {
+			if cf.Learn == nil {
+				cf.Learn = make(map[string]learnState)
+			}
 			// Join any in-flight off-barrier training first, so the
 			// staged half is final and the encoded bytes match what the
 			// synchronous path would have written.
@@ -256,83 +222,29 @@ func (o *Orchestrator) appendCheckpoint(dst []byte) ([]byte, error) {
 			if staged := fl.Staged(); staged != nil {
 				st.Staged = nn.EncodeWeights(staged)
 			}
-			learn[sp.Name] = st
+			cf.Learn[sp.Name] = st
 		}
 	}
-	e.raw(`,"Bandit":`)
-	e.marshal(banditState{Pulls: o.bandit.Pulls, W: o.bandit.W, Sums: o.bandit.Sums, T: o.bandit.T})
-
-	// o.names is sorted, which is the order encoding/json writes map keys in.
-	e.raw(`,"Globals":{`)
-	for i, n := range o.names {
-		if i > 0 {
-			e.raw(`,`)
+	for _, s := range o.shards {
+		st := shardState{
+			Tests:   s.Tests,
+			Seconds: s.Clk.Seconds(),
+			Cov:     s.Calc.Total().Snapshot(),
+			Arms:    make([]*thehuzz.State, len(s.arms)),
 		}
-		e.marshal(n)
-		e.raw(`:`)
-		e.buf = o.globals[n].AppendJSON(e.buf)
-	}
-	e.raw(`}`)
-	if len(learn) > 0 {
-		e.raw(`,"Learn":`)
-		e.marshal(learn)
-	}
-	e.raw(`,"Merged":`)
-	e.marshal(o.merged)
-
-	e.raw(`,"Shards":[`)
-	for si, s := range o.shards {
-		if si > 0 {
-			e.raw(`,`)
-		}
-		e.raw(`{"Tests":`)
-		e.num(s.Tests)
-		e.raw(`,"Seconds":`)
-		e.marshal(s.Clk.Seconds())
-		e.raw(`,"Cov":`)
-		e.buf = s.Calc.Total().AppendJSON(e.buf)
-		e.raw(`,"Arms":[`)
 		for i, a := range s.arms {
-			if i > 0 {
-				e.raw(`,`)
-			}
-			if ha, ok := a.(*huzzArm); ok {
-				e.buf = ha.Gen.AppendState(e.buf)
-			} else {
-				e.raw(`null`)
+			if g, ok := a.(*thehuzz.Gen); ok {
+				hs := g.State()
+				st.Arms[i] = &hs
 			}
 		}
-		e.raw(`]`)
 		if s.Det != nil {
-			e.raw(`,"Det":`)
-			e.buf = s.Det.AppendState(e.buf)
+			det := s.Det.State()
+			st.Det = &det
 		}
-		e.raw(`}`)
+		cf.Shards = append(cf.Shards, st)
 	}
-	e.raw("]}\n")
-	return e.buf, e.err
-}
-
-// appendFleetKeys appends the checkpoint's Designs, Bins and Arms keys,
-// which hold what the fleet was built with.
-func (o *Orchestrator) appendFleetKeys(dst []byte) []byte {
-	// Strings and integers: these marshals cannot fail.
-	e := ckptEncoder{buf: dst}
-	e.raw(`,"Designs":`)
-	e.marshal(o.designs)
-	bins := make(map[string]int, len(o.names))
-	for _, n := range o.names {
-		bins[n] = o.globals[n].Space().NumBins()
-	}
-	e.raw(`,"Bins":`)
-	e.marshal(bins)
-	var sigs []string
-	for _, sp := range o.specs {
-		sigs = append(sigs, sp.sig)
-	}
-	e.raw(`,"Arms":`)
-	e.marshal(sigs)
-	return e.buf
+	return cf
 }
 
 // decodeCheckpoint reads a checkpoint, probing the version before the
@@ -376,13 +288,12 @@ func (o *Orchestrator) CheckpointFile(path string) error {
 }
 
 // CheckpointSlots commits a checkpoint to the slot store s as its next
-// generation: the encoding is written, from the orchestrator's reused
-// buffer, over the older of s's two slots in place and flushed
-// (atomicio.Slots.Commit), so a crash at any instant leaves this
-// generation or the previous one readable. The payload is the bytes
-// Checkpoint writes. This is how the farm daemon commits a job: on a
-// CheckpointEvery multiple at most once per 100 ms, and always on a
-// run's first cadence round, a park and the last round.
+// generation: the encoding is written over the older of s's two slots
+// in place and flushed (atomicio.Slots.Commit), so a crash at any
+// instant leaves this generation or the previous one readable. The
+// payload is the bytes Checkpoint writes. This is how the farm daemon
+// commits a job: on a CheckpointEvery multiple at most once per 100 ms,
+// and always on a run's first cadence round, a park and the last round.
 func (o *Orchestrator) CheckpointSlots(s *atomicio.Slots) error {
 	buf, err := o.encodeCheckpoint()
 	if err != nil {
@@ -473,18 +384,16 @@ func ResumeExec(r io.Reader, ex Exec, newDUTs []func() rtl.DUT, specs ...ArmSpec
 		if len(st.Arms) != len(s.arms) {
 			return nil, fmt.Errorf("campaign: shard %d has %d arm states, want %d", si, len(st.Arms), len(s.arms))
 		}
-		for ai, raw := range st.Arms {
+		for ai, hs := range st.Arms {
 			// Stateless arms checkpoint as JSON null.
-			if len(raw) == 0 || string(raw) == "null" {
+			if hs == nil {
 				continue
 			}
-			sa, ok := s.arms[ai].(statefulArm)
+			g, ok := s.arms[ai].(*thehuzz.Gen)
 			if !ok {
 				return nil, fmt.Errorf("campaign: arm %q carries state but is stateless", specs[ai].Name)
 			}
-			if err := sa.armRestore(raw); err != nil {
-				return nil, fmt.Errorf("campaign: restore arm %q: %w", specs[ai].Name, err)
-			}
+			g.SetState(*hs)
 		}
 		if st.Det != nil {
 			if s.Det == nil {

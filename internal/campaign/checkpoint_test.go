@@ -13,105 +13,27 @@ import (
 	"testing"
 
 	"chatfuzz/internal/baseline/thehuzz"
-	"chatfuzz/internal/ml/nn"
 	"chatfuzz/internal/rtl"
 )
 
-// checkpointRef is the checkpoint writer appendCheckpoint replaced,
-// kept as its oracle: fill a checkpointFile from copies of the fleet's
-// state and let encoding/json write it.
-func checkpointRef(o *Orchestrator) ([]byte, error) {
-	cf := checkpointFile{
-		Version: checkpointVersion,
-		Config:  o.Cfg.wire(),
-		Round:   o.round,
-		Tests:   o.tests,
-		Designs: o.designs,
-		Bins:    make(map[string]int, len(o.names)),
-		Bandit:  banditState{Pulls: o.bandit.Pulls, W: o.bandit.W, Sums: o.bandit.Sums, T: o.bandit.T},
-		Globals: make(map[string][]uint64, len(o.names)),
-		Merged:  o.merged,
-	}
-	for _, n := range o.names {
-		cf.Bins[n] = o.globals[n].Space().NumBins()
-		cf.Globals[n] = o.globals[n].Snapshot()
-	}
-	for i, sp := range o.specs {
-		cf.Arms = append(cf.Arms, sp.sig)
-		if fl := o.fleets[i]; fl != nil {
-			if cf.Learn == nil {
-				cf.Learn = make(map[string]learnState)
-			}
-			fl.Sync()
-			st := learnState{Pub: nn.EncodeWeights(fl.Weights())}
-			if staged := fl.Staged(); staged != nil {
-				st.Staged = nn.EncodeWeights(staged)
-			}
-			cf.Learn[sp.Name] = st
-		}
-	}
-	for _, s := range o.shards {
-		st := shardState{
-			Tests:   s.Tests,
-			Seconds: s.Clk.Seconds(),
-			Cov:     s.Calc.Total().Snapshot(),
-			Arms:    make([]json.RawMessage, len(s.arms)),
-		}
-		if s.Det != nil {
-			det := s.Det.State()
-			st.Det = &det
-		}
-		for i, a := range s.arms {
-			switch a := a.(type) {
-			case *huzzArm:
-				raw, err := json.Marshal(a.Gen.State())
-				if err != nil {
-					return nil, err
-				}
-				st.Arms[i] = raw
-			case statefulArm:
-				return nil, fmt.Errorf("checkpointRef does not know stateful arm %T", a)
-			}
-		}
-		cf.Shards = append(cf.Shards, st)
-	}
-	var buf bytes.Buffer
-	err := json.NewEncoder(&buf).Encode(&cf)
-	return buf.Bytes(), err
-}
-
-// checkAppendCheckpoint holds the paused fleet's checkpoint to the
-// oracle's bytes through every way of asking for it, and returns them.
+// checkAppendCheckpoint checkpoints the paused fleet twice, which must
+// write the same bytes, and returns them. Decoding them and encoding the
+// wire structs again is the identity: resume reads back every byte.
 func checkAppendCheckpoint(t *testing.T, o *Orchestrator) []byte {
 	t.Helper()
-	want, err := checkpointRef(o)
-	if err != nil {
-		t.Fatalf("checkpointRef: %v", err)
+	var first, second bytes.Buffer
+	if err := o.Checkpoint(&first); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
-	got, err := o.appendCheckpoint(nil)
-	if err != nil {
-		t.Fatalf("appendCheckpoint: %v", err)
+	if err := o.Checkpoint(&second); err != nil {
+		t.Fatalf("Checkpoint again: %v", err)
 	}
-	if !bytes.Equal(got, want) {
-		at := firstDiff(got, want)
-		t.Fatalf("appendCheckpoint differs from encoding/json at byte %d of %d/%d:\n got …%s\nwant …%s",
-			at, len(got), len(want), around(got, at), around(want, at))
+	got, again := first.Bytes(), second.Bytes()
+	if !bytes.Equal(got, again) {
+		at := firstDiff(got, again)
+		t.Fatalf("two checkpoints of one paused fleet differ at byte %d of %d/%d:\nfirst …%s\nthen  …%s",
+			at, len(got), len(again), around(got, at), around(again, at))
 	}
-	prefix := []byte("keep\n")
-	if onto, err := o.appendCheckpoint(append([]byte(nil), prefix...)); err != nil || !bytes.Equal(onto, append(prefix, want...)) {
-		t.Fatalf("appendCheckpoint onto a prefix (err %v) did not leave it alone", err)
-	}
-	// The public writer, twice: the second call runs in the reused buffer.
-	for call := 1; call <= 2; call++ {
-		var buf bytes.Buffer
-		if err := o.Checkpoint(&buf); err != nil {
-			t.Fatalf("Checkpoint: %v", err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("Checkpoint call %d differs from encoding/json", call)
-		}
-	}
-	// Decoding the new bytes and encoding them the old way is the identity.
 	cf, err := decodeCheckpoint(bytes.NewReader(got))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -121,7 +43,7 @@ func checkAppendCheckpoint(t *testing.T, o *Orchestrator) []byte {
 		t.Fatalf("re-encode: %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), got) {
-		t.Fatal("decode then encoding/json is not the identity on the new bytes")
+		t.Fatal("decode then encode is not the identity on the checkpoint")
 	}
 	return got
 }
@@ -164,9 +86,10 @@ func resumeFarmJob(t *testing.T, ckpt []byte) *Orchestrator {
 	return r
 }
 
-// TestAppendCheckpointMatchesEncodingJSON: the single-pass writer is
-// byte for byte the encoding/json writer it replaced, on every shape of
-// fleet state the format has a spelling for.
+// TestAppendCheckpointMatchesEncodingJSON: the encoding/json writer is
+// stable and reads back to itself (checkAppendCheckpoint) on every shape
+// of fleet state the format has a spelling for, and the golden cells
+// still write their pinned bytes.
 func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
 	for _, c := range goldenCells {
 		t.Run(fmt.Sprintf("golden/shards=%d/mixed=%v/learn=%v", c.shards, c.mixed, c.learn), func(t *testing.T) {
@@ -312,8 +235,8 @@ func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
 }
 
 // TestAppendCheckpointEveryRound: every round of a farm-job fleet
-// checkpoints to the oracle's bytes, with the pools the shards share
-// after each barrier and the detector records as they grow. A fleet
+// checkpoints stably (checkAppendCheckpoint), with the pools the shards
+// share after each barrier and the detector records as they grow. A fleet
 // resumed from a mid-run round's bytes must write the uninterrupted
 // fleet's bytes at every later round.
 func TestAppendCheckpointEveryRound(t *testing.T) {
@@ -366,7 +289,7 @@ func sameHuzzState(g, h *thehuzz.Gen) bool {
 }
 
 // TestCheckpointMarshalErrorSurfaces: a value encoding/json refuses is
-// an error from both writers, not a truncated file.
+// an error from every writer, not a truncated file.
 func TestCheckpointMarshalErrorSurfaces(t *testing.T) {
 	o := mustNew(t, Config{Shards: 1, BatchSize: 8, Seed: 5})
 	defer o.Close()
@@ -389,9 +312,9 @@ func TestCheckpointMarshalErrorSurfaces(t *testing.T) {
 // every round takes 100 ms or more — and only the encodes are timed;
 // ns/round is the mean encode. Each of its ops simulates 200 rounds
 // untimed, so give it a count (-benchtime 5x): the default one second
-// of encodes takes tens of seconds of simulation. append and
-// encodingjson encode the finished fleet again and again, with the
-// writer in use and with the encoding/json writer it replaced.
+// of encodes takes tens of seconds of simulation. encode encodes the
+// finished fleet again and again, as the ledger's
+// campaign.checkpoint_encode_ms does.
 func BenchmarkCheckpoint(b *testing.B) {
 	const rounds = 200
 	b.Run("per-round", func(b *testing.B) {
@@ -421,24 +344,15 @@ func BenchmarkCheckpoint(b *testing.B) {
 	if err := o.RunRounds(rounds); err != nil {
 		b.Fatalf("RunRounds: %v", err)
 	}
-	ref, err := checkpointRef(o)
-	if err != nil {
-		b.Fatalf("checkpointRef: %v", err)
+	var ckpt bytes.Buffer
+	if err := o.Checkpoint(&ckpt); err != nil {
+		b.Fatal(err)
 	}
-	b.Run("append", func(b *testing.B) {
+	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
-		b.SetBytes(int64(len(ref)))
+		b.SetBytes(int64(ckpt.Len()))
 		for b.Loop() {
 			if err := o.Checkpoint(io.Discard); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("encodingjson", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(ref)))
-		for b.Loop() {
-			if _, err := checkpointRef(o); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -480,6 +394,8 @@ func TestDecodeCheckpointCorruptInputs(t *testing.T) {
 		{"future-version", []byte(`{"Version":99}`), "checkpoint version 99"},
 		{"no-version", []byte(`{"Round":3}`), "checkpoint version 0"},
 		{"mangled-body", []byte(`{"Version":4,"Bandit":"nope"}`), "decode checkpoint"},
+		// A shard's arm state is a TheHuzz state object or null.
+		{"arm-state-not-an-object", bytes.Replace(good, []byte(`,null,null]`), []byte(`,7,null]`), 1), "decode checkpoint"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -491,6 +407,28 @@ func TestDecodeCheckpointCorruptInputs(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestResumeRefusesStateOnStatelessArm: a checkpoint that gives a
+// stateless arm a TheHuzz state decodes, but resume refuses it, naming
+// the arm, rather than drop the state.
+func TestResumeRefusesStateOnStatelessArm(t *testing.T) {
+	good := checkpointBytes(t)
+	bad := bytes.Replace(good, []byte(`,null,null]`), []byte(`,{"Round":1,"Pool":[]},null]`), 1)
+	if bytes.Equal(bad, good) {
+		t.Fatal("the checkpoint has no stateless arm state to replace")
+	}
+	if _, err := decodeCheckpoint(bytes.NewReader(bad)); err != nil {
+		t.Fatalf("decodeCheckpoint: %v", err)
+	}
+	r, err := Resume(bytes.NewReader(bad), newRocket, testArms()...)
+	if err == nil {
+		r.Close()
+		t.Fatal("Resume accepted state on the stateless randinst arm")
+	}
+	if want := `arm "randinst" carries state but is stateless`; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not say %q", err, want)
 	}
 }
 

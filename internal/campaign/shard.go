@@ -118,7 +118,7 @@ func (s *Shard) runBatch(g core.Generator) []cov.Scores {
 		}
 	}
 
-	if _, huzz := g.(*huzzArm); s.capture && !huzz {
+	if _, huzz := g.(*thehuzz.Gen); s.capture && !huzz {
 		for i, sc := range scores {
 			if sc.Incremental > 0 {
 				body := make([]uint32, len(progs[i].Body))

@@ -16,7 +16,7 @@ import (
 // a fresh map and a []byte + string per dedupe key, sort.SliceStable,
 // and a deep copy back in through SetState.
 func referenceSyncPools(o *Orchestrator) {
-	var gens []*huzzArm
+	var gens []*thehuzz.Gen
 	var all []thehuzz.PoolEntry
 	seen := make(map[string]bool)
 	add := func(e thehuzz.PoolEntry) {
@@ -28,9 +28,9 @@ func referenceSyncPools(o *Orchestrator) {
 	}
 	for _, s := range o.shards {
 		for _, a := range s.arms {
-			if ha, ok := a.(*huzzArm); ok {
-				gens = append(gens, ha)
-				for _, e := range ha.Gen.State().Pool {
+			if g, ok := a.(*thehuzz.Gen); ok {
+				gens = append(gens, g)
+				for _, e := range g.State().Pool {
 					add(e)
 				}
 			}
@@ -55,11 +55,11 @@ func referenceSyncPools(o *Orchestrator) {
 		}
 		return all[a].Age > all[b].Age
 	})
-	if cap := gens[0].Gen.PoolCap; len(all) > cap {
+	if cap := gens[0].PoolCap; len(all) > cap {
 		all = all[:cap]
 	}
 	for _, g := range gens {
-		g.Gen.SetState(thehuzz.State{Round: o.round + 1, Pool: all})
+		g.SetState(thehuzz.State{Round: o.round + 1, Pool: all})
 	}
 }
 
@@ -79,8 +79,8 @@ func huzzGens(o *Orchestrator) []*thehuzz.Gen {
 	var out []*thehuzz.Gen
 	for _, s := range o.shards {
 		for _, a := range s.arms {
-			if ha, ok := a.(*huzzArm); ok {
-				out = append(out, ha.Gen)
+			if g, ok := a.(*thehuzz.Gen); ok {
+				out = append(out, g)
 			}
 		}
 	}
@@ -265,7 +265,7 @@ func TestCaptureStaysBounded(t *testing.T) {
 		others := 0 // bodies the non-TheHuzz arms captured
 		for i, s := range o.shards {
 			for _, a := range s.arms {
-				_, huzz := a.(*huzzArm)
+				_, huzz := a.(*thehuzz.Gen)
 				for b := int64(0); b < 4; b++ {
 					a.Reseed(b)
 					n := len(s.found)

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -137,27 +136,12 @@ func (c *Set) Merge(other *Set) int {
 // Snapshot returns a copy of the raw hit-bitmap words. Snapshots are
 // the checkpoint/aggregation currency of the campaign orchestrator:
 // they carry no Space pointer, so they can cross shard boundaries
-// (every shard builds its own DUT and therefore its own Space) and
-// serialize to JSON directly.
+// (every shard builds its own DUT and therefore its own Space), and a
+// campaign checkpoint encodes them with encoding/json as they are.
 func (c *Set) Snapshot() []uint64 {
 	out := make([]uint64, len(c.bits))
 	copy(out, c.bits)
 	return out
-}
-
-// AppendJSON appends the JSON encoding of Snapshot() — an array of
-// decimal words, [] when the space has no bins — straight from the live
-// bitmap, for checkpoint writers that would only encode the copy and
-// drop it.
-func (c *Set) AppendJSON(dst []byte) []byte {
-	dst = append(dst, '[')
-	for i, w := range c.bits {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendUint(dst, w, 10)
-	}
-	return append(dst, ']')
 }
 
 // LoadSnapshot replaces the set's bits with a snapshot taken from a

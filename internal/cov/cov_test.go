@@ -1,8 +1,6 @@
 package cov
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -231,30 +229,6 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 
 	if err := b.LoadSnapshot([]uint64{1}); err == nil {
 		t.Error("LoadSnapshot accepted wrong-length snapshot")
-	}
-}
-
-// TestAppendJSONMatchesMarshal: AppendJSON is json.Marshal(Snapshot())
-// — an empty space as [], a word with its top bit set in full — appended
-// after whatever dst held.
-func TestAppendJSONMatchesMarshal(t *testing.T) {
-	for _, points := range []int{0, 1, 32, 70} {
-		s, ids := newTestSpace(points)
-		set := s.NewSet()
-		for _, id := range ids {
-			set.Cond(id, true)
-			set.Cond(id, int(id)%3 != 0)
-		}
-		want, err := json.Marshal(set.Snapshot())
-		if err != nil {
-			t.Fatalf("Marshal: %v", err)
-		}
-		if got := set.AppendJSON(nil); !bytes.Equal(got, want) {
-			t.Errorf("%d points: AppendJSON(nil) = %s, want %s", points, got, want)
-		}
-		if got := set.AppendJSON([]byte(`"k":`)); string(got) != `"k":`+string(want) {
-			t.Errorf("%d points: AppendJSON onto a prefix = %s", points, got)
-		}
 	}
 }
 

@@ -117,10 +117,6 @@ func (r *Replica) StepRollouts(rolls []*ppo.Rollout) ppo.Stats {
 	return ppo.Stats{}
 }
 
-// Dirty reports whether the replica has buffered rollouts since the
-// last collection.
-func (r *Replica) Dirty() bool { return r.dirty }
-
 // takePending returns and clears the buffered rollout chunks.
 func (r *Replica) takePending() [][]*ppo.Rollout {
 	out := r.pending

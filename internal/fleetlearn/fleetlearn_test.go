@@ -129,10 +129,10 @@ func TestStepRolloutsBuffers(t *testing.T) {
 
 	a.StepRollouts([]*ppo.Rollout{roll(1.0)})
 	a.StepRollouts([]*ppo.Rollout{roll(-0.5)})
-	if !a.Dirty() {
+	if !a.dirty {
 		t.Fatal("stepped replica not marked dirty")
 	}
-	if b.Dirty() {
+	if b.dirty {
 		t.Fatal("sibling replica marked dirty")
 	}
 	if got := len(a.pending); got != 2 {
@@ -246,7 +246,7 @@ func TestSkipDiscardsBuffers(t *testing.T) {
 	if n := f.Barrier(false, true); n != 1 {
 		t.Fatalf("skipped barrier participants = %d, want 1", n)
 	}
-	if a.Dirty() || b.Dirty() || len(b.pending) != 0 {
+	if a.dirty || b.dirty || len(b.pending) != 0 {
 		t.Fatal("skipped barrier left buffered rollouts behind")
 	}
 	if f.Staged() != nil {
@@ -282,7 +282,7 @@ func TestSetWeightsRoundTrip(t *testing.T) {
 	if err := f2.SetWeights(dec(want)); err != nil {
 		t.Fatalf("SetWeights: %v", err)
 	}
-	if f2.Replica(0).Dirty() {
+	if f2.Replica(0).dirty {
 		t.Fatal("SetWeights kept buffered rollouts")
 	}
 	for i := 0; i < f2.Replicas(); i++ {

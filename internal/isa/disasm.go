@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Disassemble renders a 32-bit instruction word as assembler text. It
 // never panics; illegal encodings render as ".word 0x…". This is the
@@ -59,16 +56,6 @@ func DisassembleInst(i Inst) string {
 		return name
 	}
 	return fmt.Sprintf(".word 0x%08x", i.Raw)
-}
-
-// DisassembleProgram renders a sequence of instruction words, one per
-// line, with pc-relative addresses starting at base.
-func DisassembleProgram(words []uint32, base uint64) string {
-	var b strings.Builder
-	for idx, w := range words {
-		fmt.Fprintf(&b, "%08x:  %08x  %s\n", base+uint64(idx)*4, w, Disassemble(w))
-	}
-	return b.String()
 }
 
 // CountInvalid reports how many of the given instruction words fail to

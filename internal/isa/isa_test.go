@@ -2,7 +2,6 @@ package isa
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -374,17 +373,6 @@ func TestMemWidth(t *testing.T) {
 		if b != c.bytes || s != c.signed {
 			t.Errorf("MemWidth(%v) = (%d, %v), want (%d, %v)", c.op, b, s, c.bytes, c.signed)
 		}
-	}
-}
-
-func TestDisassembleProgram(t *testing.T) {
-	words := []uint32{NOP, Enc(OpADD, 10, 11, 12, 0)}
-	out := DisassembleProgram(words, 0x80000000)
-	if !strings.Contains(out, "80000000") || !strings.Contains(out, "add") {
-		t.Errorf("unexpected listing:\n%s", out)
-	}
-	if lines := strings.Count(out, "\n"); lines != 2 {
-		t.Errorf("want 2 lines, got %d", lines)
 	}
 }
 

@@ -11,7 +11,6 @@ package mismatch
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"strconv"
@@ -135,9 +134,9 @@ type Record struct {
 // Detector accumulates differential results across a fuzzing campaign.
 type Detector struct {
 	unique map[string]*Record // every record, by signature
-	// recs holds the same records in a list, which AppendState sorts
-	// in place into Unique() order: from one checkpoint to the next
-	// only counts move, so the list stays nearly sorted.
+	// recs holds the same records in a list, in the order they were
+	// found or restored; Unique sorts a copy, and nothing sorts the
+	// list in place.
 	recs  []*Record
 	novel int    // non-filtered records in unique (NovelSignatures)
 	sig   []byte // scratch: the signature being looked up
@@ -332,9 +331,8 @@ func (d *Detector) record(test, index int, k Kind, dut, golden *trace.Entry, fil
 // clustered records in Unique() order (deterministic, so identical
 // detectors checkpoint to identical bytes). Every field of a Record —
 // including the trace entries of its example — is plain data, so State
-// marshals directly to JSON and round-trips exactly. A campaign
-// checkpoint writes it with AppendState and reads it back as a State;
-// json.Marshal of a State is the oracle AppendState is held to.
+// marshals directly to JSON and round-trips exactly: a campaign
+// checkpoint encodes it with encoding/json and reads it back as a State.
 type State struct {
 	Tests       int
 	RawCount    int
@@ -345,121 +343,15 @@ type State struct {
 // State captures the detector for a campaign checkpoint.
 func (d *Detector) State() State {
 	st := State{Tests: d.Tests, RawCount: d.RawCount, FilteredRaw: d.FilteredRaw}
+	if len(d.recs) > 0 {
+		// Sized once. With no records Records stays nil, which a
+		// checkpoint writes as null.
+		st.Records = make([]Record, 0, len(d.recs))
+	}
 	for _, r := range d.Unique() {
 		st.Records = append(st.Records, *r)
 	}
 	return st
-}
-
-// AppendState appends json.Marshal(d.State()) to dst, read straight off
-// the live records in Unique() order: a checkpoint writer pays neither
-// the record copies nor the reflection walk. Everything but the two
-// signature strings is an integer or a bool; a detector with no records
-// writes "Records":null, as State's nil slice marshals. The order is
-// the detector's own list sorted in place, so AppendState must not run
-// alongside another call on the detector.
-func (d *Detector) AppendState(dst []byte) []byte {
-	dst = append(dst, `{"Tests":`...)
-	dst = strconv.AppendInt(dst, int64(d.Tests), 10)
-	dst = append(dst, `,"RawCount":`...)
-	dst = strconv.AppendInt(dst, int64(d.RawCount), 10)
-	dst = append(dst, `,"FilteredRaw":`...)
-	dst = strconv.AppendInt(dst, int64(d.FilteredRaw), 10)
-	dst = append(dst, `,"Records":`...)
-	if len(d.recs) == 0 {
-		return append(dst, "null}"...)
-	}
-	slices.SortFunc(d.recs, uniqueOrder)
-	dst = append(dst, '[')
-	for i, r := range d.recs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"Signature":`...)
-		dst = appendJSONString(dst, r.Signature)
-		dst = append(dst, `,"Kind":`...)
-		dst = strconv.AppendInt(dst, int64(r.Kind), 10)
-		dst = append(dst, `,"Finding":`...)
-		dst = strconv.AppendInt(dst, int64(r.Finding), 10)
-		dst = append(dst, `,"Count":`...)
-		dst = strconv.AppendInt(dst, int64(r.Count), 10)
-		dst = append(dst, `,"Filtered":`...)
-		dst = strconv.AppendBool(dst, r.Filtered)
-		dst = append(dst, `,"Example":`...)
-		dst = appendMismatch(dst, &r.Example)
-		dst = append(dst, '}')
-	}
-	return append(dst, "]}"...)
-}
-
-// appendMismatch appends json.Marshal(*m).
-func appendMismatch(dst []byte, m *Mismatch) []byte {
-	dst = append(dst, `{"Test":`...)
-	dst = strconv.AppendInt(dst, int64(m.Test), 10)
-	dst = append(dst, `,"Index":`...)
-	dst = strconv.AppendInt(dst, int64(m.Index), 10)
-	dst = append(dst, `,"Kind":`...)
-	dst = strconv.AppendInt(dst, int64(m.Kind), 10)
-	dst = append(dst, `,"DUT":`...)
-	dst = appendEntry(dst, &m.DUT)
-	dst = append(dst, `,"Golden":`...)
-	dst = appendEntry(dst, &m.Golden)
-	dst = append(dst, `,"Signature":`...)
-	dst = appendJSONString(dst, m.Signature)
-	dst = append(dst, `,"Finding":`...)
-	dst = strconv.AppendInt(dst, int64(m.Finding), 10)
-	dst = append(dst, `,"Filtered":`...)
-	dst = strconv.AppendBool(dst, m.Filtered)
-	return append(dst, '}')
-}
-
-// appendEntry appends json.Marshal(*e): trace.Entry's fields in
-// declaration order, none of whose types has a JSON method of its own.
-func appendEntry(dst []byte, e *trace.Entry) []byte {
-	dst = append(dst, `{"PC":`...)
-	dst = strconv.AppendUint(dst, e.PC, 10)
-	dst = append(dst, `,"Raw":`...)
-	dst = strconv.AppendUint(dst, uint64(e.Raw), 10)
-	dst = append(dst, `,"Op":`...)
-	dst = strconv.AppendUint(dst, uint64(e.Op), 10)
-	dst = append(dst, `,"RdValid":`...)
-	dst = strconv.AppendBool(dst, e.RdValid)
-	dst = append(dst, `,"Rd":`...)
-	dst = strconv.AppendUint(dst, uint64(e.Rd), 10)
-	dst = append(dst, `,"RdVal":`...)
-	dst = strconv.AppendUint(dst, e.RdVal, 10)
-	dst = append(dst, `,"MemValid":`...)
-	dst = strconv.AppendBool(dst, e.MemValid)
-	dst = append(dst, `,"MemAddr":`...)
-	dst = strconv.AppendUint(dst, e.MemAddr, 10)
-	dst = append(dst, `,"MemWrite":`...)
-	dst = strconv.AppendBool(dst, e.MemWrite)
-	dst = append(dst, `,"Trap":`...)
-	dst = strconv.AppendBool(dst, e.Trap)
-	dst = append(dst, `,"Cause":`...)
-	dst = strconv.AppendUint(dst, e.Cause, 10)
-	dst = append(dst, `,"TVal":`...)
-	dst = strconv.AppendUint(dst, e.TVal, 10)
-	dst = append(dst, `,"Priv":`...)
-	dst = strconv.AppendUint(dst, uint64(e.Priv), 10)
-	return append(dst, '}')
-}
-
-// appendJSONString appends json.Marshal(s). A string of bytes that
-// encoding/json writes verbatim — printable ASCII other than '"', '\\'
-// and the HTML-escaped '<', '>' and '&' — is quoted as it is, which is
-// every signature the detector builds; anything else goes through
-// json.Marshal itself.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, _ := json.Marshal(s) // a string always marshals
-			return append(dst, b...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
 // SetState restores a checkpointed detector: counters and clustered

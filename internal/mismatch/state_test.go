@@ -4,117 +4,31 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
-	"chatfuzz/internal/isa"
 	"chatfuzz/internal/trace"
 )
 
-// checkAppendState holds AppendState to its oracle, json.Marshal of
-// State, both on an empty buffer and after a prefix that must survive,
-// and returns the encoding.
-func checkAppendState(t testing.TB, d *Detector) []byte {
+// checkStateRoundTrip holds the detector's checkpoint form to an
+// identity: json.Marshal of State, decoded and restored with SetState,
+// is the same State again, with the same novel-signature count.
+func checkStateRoundTrip(t *testing.T, d *Detector) {
 	t.Helper()
-	want := stateBytes(t, d)
-	if got := d.AppendState(nil); !bytes.Equal(got, want) {
-		t.Fatalf("AppendState differs from json.Marshal(State()):\n got %s\nwant %s", got, want)
+	raw := stateBytes(t, d)
+	var st State
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
 	}
-	prefix := []byte(`{"keep":1,"Det":`)
-	if got := d.AppendState(bytes.Clone(prefix)); !bytes.Equal(got, append(prefix, want...)) {
-		t.Fatalf("AppendState onto a prefix:\n got %s\nwant %s%s", got, prefix, want)
+	r := NewDetector()
+	r.SetState(st)
+	if again := stateBytes(t, r); !bytes.Equal(again, raw) {
+		t.Fatalf("Marshal, Unmarshal, SetState, State is not the identity:\nfirst %s\nthen  %s", raw, again)
 	}
-	return want
-}
-
-// withRecords is a detector restored from counters and records given as
-// they are, which is the only way to hold signatures the comparison
-// loop never builds.
-func withRecords(recs ...Record) *Detector {
-	d := NewDetector()
-	d.SetState(State{Tests: 9, RawCount: 7, FilteredRaw: 3, Records: recs})
-	return d
-}
-
-// TestAppendStateMatchesMarshal: the hand-written detector encoder is
-// byte for byte json.Marshal(d.State()) on every kind of state.
-func TestAppendStateMatchesMarshal(t *testing.T) {
-	csr := entry(0x100, isa.OpCSRRS, isa.EncCSR(isa.OpCSRRS, isa.A0, 0, isa.CSRMCycle))
-	csr.RdValid, csr.Rd, csr.RdVal = true, isa.A0, 10
-	mul := entry(0x108, isa.OpMUL, 0x02B50533)
-	mul.RdValid, mul.Rd, mul.RdVal = true, isa.A0, 42
-	csrDiff, mulNoWrite := csr, mul
-	csrDiff.RdVal = 99
-	mulNoWrite.RdValid, mulNoWrite.Rd, mulNoWrite.RdVal = false, 0, 0
-	wide := trace.Entry{PC: math.MaxUint64, Raw: math.MaxUint32, Op: isa.Op(math.MaxUint16), RdValid: true,
-		Rd: 31, RdVal: 1 << 63, MemValid: true, MemAddr: math.MaxUint64 - 1, MemWrite: true, Trap: true,
-		Cause: math.MaxUint64, TVal: 12345, Priv: isa.PrivM}
-
-	cases := []struct {
-		name string
-		d    func() *Detector
-	}{
-		{"empty", func() *Detector { return NewDetector() }}, // "Records":null
-		{"counters only", func() *Detector {
-			d := NewDetector()
-			d.SkipTest()
-			d.SkipTest()
-			return d
-		}},
-		{"filtered", func() *Detector {
-			d := NewDetector()
-			d.Analyze(1, []trace.Entry{csrDiff, mulNoWrite}, []trace.Entry{csr, mul})
-			return d
-		}},
-		{"filtered then upgraded", func() *Detector {
-			d := NewDetector()
-			d.Analyze(1, []trace.Entry{csrDiff, mulNoWrite}, []trace.Entry{csr, mul})
-			d.Analyze(2, []trace.Entry{mulNoWrite}, []trace.Entry{mul})
-			return d
-		}},
-		{"random analyses", func() *Detector {
-			d, rng := NewDetector(), rand.New(rand.NewSource(5))
-			for i := 0; i < 80; i++ {
-				data := make([]byte, 200)
-				rng.Read(data)
-				dut, golden, _ := tracePair(data, 0)
-				d.Observe(d.Tests+1, dut, golden, 0)
-			}
-			return d
-		}},
-		{"extreme fields", func() *Detector {
-			return withRecords(Record{Signature: "rd-value|mul", Kind: KindRdValue, Finding: Finding(-3), Count: math.MaxInt64,
-				Example: Mismatch{Test: math.MinInt64, Index: -1, Kind: Kind(99), DUT: wide, Golden: trace.Entry{}, Signature: "x"}})
-		}},
-		// Each of these leaves the fast path for json.Marshal; "&" alone
-		// is what encoding/json's HTML escaping adds over the JSON grammar.
-		{"signatures that need escaping", func() *Detector {
-			var recs []Record
-			for i, s := range []string{`a<b`, `a>b`, `amp&`, `q"uote`, `back\slash`, "café", "ctl\x01",
-				"tab\t", "del\x7f", "line\u2028sep", "bad\xffutf8", ""} {
-				recs = append(recs, Record{Signature: s, Count: i + 1, Filtered: i%2 == 0,
-					Example: Mismatch{Signature: s, DUT: wide}})
-			}
-			return withRecords(recs...)
-		}},
+	if r.NovelSignatures() != d.NovelSignatures() {
+		t.Fatalf("restored detector counts %d novel signatures, want %d", r.NovelSignatures(), d.NovelSignatures())
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) { checkAppendState(t, c.d()) })
-	}
-
-	// The upgrade of a filtered record rewrites all of it but its count,
-	// and the next encoding must see it.
-	t.Run("encoded, upgraded, encoded", func(t *testing.T) {
-		d := NewDetector()
-		d.Analyze(1, []trace.Entry{csrDiff, mulNoWrite}, []trace.Entry{csr, mul})
-		before := checkAppendState(t, d)
-		d.Analyze(2, []trace.Entry{mulNoWrite}, []trace.Entry{mul})
-		if after := checkAppendState(t, d); bytes.Equal(after, before) || d.NovelSignatures() != 1 {
-			t.Fatalf("the second analysis upgraded no record (%d novel)", d.NovelSignatures())
-		}
-	})
 }
 
 // rerecord records every clustered example of d once more, unfiltered:
@@ -175,11 +89,10 @@ func detectorFrom(data []byte) *Detector {
 	return d
 }
 
-// FuzzDetectorStateRoundTrip: for any detector state, AppendState is
-// json.Marshal(State()), and decoding those bytes, restoring them with
-// SetState and encoding again is the identity. AppendState is held to
-// json.Marshal again after the state moves: counts, upgrades and new
-// clusters (rerecord).
+// FuzzDetectorStateRoundTrip: for any detector state, json.Marshal of
+// State, decoded and restored with SetState, gives back that State; and
+// again after the state moves: counts, upgrades and new clusters
+// (rerecord).
 func FuzzDetectorStateRoundTrip(f *testing.F) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 8; i++ {
@@ -190,18 +103,9 @@ func FuzzDetectorStateRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x00\x00\x00\x00\x05\x01\x02\x03a<b&c"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		first := detectorFrom(data)
-		raw := checkAppendState(t, first)
-		rerecord(first)
-		checkAppendState(t, first)
-		var st State
-		if err := json.Unmarshal(raw, &st); err != nil {
-			t.Fatalf("Unmarshal: %v", err)
-		}
-		d := NewDetector()
-		d.SetState(st)
-		if again := d.AppendState(nil); !bytes.Equal(again, raw) {
-			t.Fatalf("decode, SetState, AppendState is not the identity:\nfirst %s\nthen  %s", raw, again)
-		}
+		d := detectorFrom(data)
+		checkStateRoundTrip(t, d)
+		rerecord(d)
+		checkStateRoundTrip(t, d)
 	})
 }

@@ -47,9 +47,6 @@ func (c *Clock) ChargeTest(cycles uint64) {
 	c.elapsed += (c.OverheadPerTest + float64(cycles)*c.SecondsPerCycle) / float64(inst)
 }
 
-// ChargeSeconds adds raw aggregate seconds (e.g. PPO update cost).
-func (c *Clock) ChargeSeconds(s float64) { c.elapsed += s }
-
 // Elapsed returns the virtual wall-clock time so far.
 func (c *Clock) Elapsed() time.Duration {
 	return time.Duration(c.elapsed * float64(time.Second))

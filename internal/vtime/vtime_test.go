@@ -39,9 +39,9 @@ func TestVCSCalibration(t *testing.T) {
 	}
 }
 
-func TestResetAndChargeSeconds(t *testing.T) {
+func TestReset(t *testing.T) {
 	c := NewVCS()
-	c.ChargeSeconds(36)
+	c.SetSeconds(36)
 	if c.Hours() != 0.01 {
 		t.Errorf("Hours = %v, want 0.01", c.Hours())
 	}

@@ -27,7 +27,6 @@ targets='
 ./internal/ml/tensor:FuzzMulRowMatchesScalar
 ./internal/ml/tensor:FuzzTranscendentalRowsMatchMath
 ./internal/ml/tok:FuzzCorpusTokenRoundTrip
-./internal/baseline/thehuzz:FuzzAppendStateMatchesMarshal
 ./internal/campaign:FuzzDecodeCheckpoint
 ./internal/farm:FuzzReplayWAL
 ./internal/farm:FuzzSubmitSpec
