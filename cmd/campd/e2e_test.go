@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/farm"
 )
@@ -150,9 +149,9 @@ func TestCampdKillRestartBitIdentical(t *testing.T) {
 		t.Fatal("campd survived SIGKILL")
 	}
 
-	// Whatever instant the kill hit, the job's checkpoint slot store
-	// must hold a complete readable generation.
-	payload, _, err := atomicio.ReadSlots(filepath.Join(data, "jobs", st.ID, "ckpt"))
+	// Whatever instant the kill hit, the job's checkpoint file must hold
+	// a complete readable commit.
+	payload, err := os.ReadFile(filepath.Join(data, "jobs", st.ID, "ckpt.json"))
 	if err != nil {
 		t.Fatalf("checkpoint unreadable after SIGKILL: %v", err)
 	}

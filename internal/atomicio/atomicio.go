@@ -1,21 +1,15 @@
-// Package atomicio writes files crash-safely, in two ways.
+// Package atomicio writes files crash-safely.
 //
 // WriteFile replaces a file whole: content lands in a same-directory
 // temporary file, is fsynced, and is renamed over the destination,
 // after which the directory itself is fsynced. At every instant the
 // destination path holds either the complete old contents or the
 // complete new contents — a crash, kill -9 or full disk mid-write can
-// delay an update but can never tear one. This is the write path of
-// campaign checkpoints written once per run, model weights, and the
+// delay an update but can never tear one, and a reader that opens the
+// path while a write is in flight gets the old file or the new one
+// whole. This is the write path of every campaign checkpoint (the
+// CLI's and campd's per-job one alike), model weights, and the
 // benchmark JSON the CI gates read back.
-//
-// A slot store (OpenSlots, Commit, ReadSlots) keeps the newest
-// generation of a payload that is rewritten many times — campd's
-// per-job checkpoint, at most once per 100 ms — in two files
-// overwritten in place by turns and flushed with fdatasync: one data
-// flush a generation instead of WriteFile's two journal commits. A crash
-// at any instant leaves the previous or the new generation readable
-// (slots.go).
 //
 // Close errors are propagated, never dropped: on many filesystems a
 // write error only surfaces at Close or Sync, and a writer that

@@ -56,7 +56,7 @@
 // observes it; Exec never reaches the wire format, and New* and
 // Resume* accept the same one.
 //
-// A checkpoint (Checkpoint, CheckpointFile, CheckpointSlots) is
+// A checkpoint (Checkpoint, CheckpointFile) is
 // encoding/json of the wire structs in checkpoint.go (checkpointFile),
 // filled from the live fleet; Resume* decodes the same structs. They are
 // the one place the checkpoint's byte layout is spelled.

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -182,15 +181,6 @@ func (o *Orchestrator) Checkpoint(w io.Writer) error {
 	return nil
 }
 
-// encodeCheckpoint returns the bytes Checkpoint writes.
-func (o *Orchestrator) encodeCheckpoint() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := o.Checkpoint(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // checkpoint fills the wire form of the paused fleet.
 func (o *Orchestrator) checkpoint() *checkpointFile {
 	cf := &checkpointFile{
@@ -272,34 +262,17 @@ func decodeCheckpoint(r io.Reader) (checkpointFile, error) {
 }
 
 // CheckpointFile writes a checkpoint to path, atomically and durably:
-// the bytes are staged in a same-directory temp file, fsynced, renamed
-// over path, and the directory entry is fsynced (atomicio.WriteFile).
-// A crash, kill -9 or full disk mid-write therefore leaves the
-// previous checkpoint generation intact — path never holds a torn
-// checkpoint. It suits a checkpoint written once a run, as
-// `fuzz-bench campaign` writes one; a checkpoint rewritten many times a
-// run goes to a slot store (CheckpointSlots).
+// the bytes Checkpoint writes are staged in a same-directory temp file,
+// fsynced, renamed over path, and the directory entry is fsynced
+// (atomicio.WriteFile). A crash, kill -9 or full disk mid-write
+// therefore leaves the previous checkpoint intact — path never holds a
+// torn checkpoint — and a concurrent reader of path sees the previous
+// checkpoint or this one whole. `fuzz-bench campaign` writes one a
+// run; the farm daemon commits a job through it on a CheckpointEvery
+// multiple at most once per 100 ms, and always on a run's first
+// cadence round, a park and the last round.
 func (o *Orchestrator) CheckpointFile(path string) error {
-	buf, err := o.encodeCheckpoint()
-	if err != nil {
-		return err
-	}
-	return atomicio.WriteFileBytes(path, buf)
-}
-
-// CheckpointSlots commits a checkpoint to the slot store s as its next
-// generation: the encoding is written over the older of s's two slots
-// in place and flushed (atomicio.Slots.Commit), so a crash at any
-// instant leaves this generation or the previous one readable. The
-// payload is the bytes Checkpoint writes. This is how the farm daemon
-// commits a job: on a CheckpointEvery multiple at most once per 100 ms,
-// and always on a run's first cadence round, a park and the last round.
-func (o *Orchestrator) CheckpointSlots(s *atomicio.Slots) error {
-	buf, err := o.encodeCheckpoint()
-	if err != nil {
-		return err
-	}
-	return s.Commit(buf)
+	return atomicio.WriteFile(path, o.Checkpoint)
 }
 
 // Resume rebuilds a homogeneous fleet from a checkpoint, with the zero
@@ -500,7 +473,7 @@ func ReadCheckpointInfo(path string) (CheckpointInfo, error) {
 }
 
 // DecodeCheckpointInfo is ReadCheckpointInfo over a checkpoint's bytes
-// from r, such as a slot store's payload.
+// from r, such as the body campd serves for a job's checkpoint.
 func DecodeCheckpointInfo(r io.Reader) (CheckpointInfo, error) {
 	cf, err := decodeCheckpoint(r)
 	if err != nil {

@@ -3,21 +3,23 @@
 // an HTTP/JSON API, persists each job in an on-disk write-ahead queue
 // log (append, fsync, checksum — replayed on startup), runs jobs on
 // the campaign orchestrator with a durable checkpoint committed to the
-// job's two-slot store (trimmed to its one newest slot when the job
-// finishes), and streams round reports to watching clients. A job
-// commits its first CheckpointEvery round, then each CheckpointEvery
-// round that comes at least checkpointGap (100 ms) of wall-clock time
-// after the previous commit, and its last round: the clock picks which
-// rounds are made durable, never what any of them holds.
+// job's one checkpoint file, and streams round reports to watching
+// clients. A job commits its first CheckpointEvery round, then each
+// CheckpointEvery round that comes at least checkpointGap (100 ms) of
+// wall-clock time after the previous commit, and its last round: the
+// clock picks which rounds are made durable, never what any of them
+// holds.
 //
 // Crash safety is the design center, and it rests on two invariants
 // the rest of the repo already enforces:
 //
 //  1. Checkpoints are durable and never lost to a tear
-//     (internal/atomicio Slots): a generation is flushed before the job
-//     goes on, written over the slot that does not hold the newest
-//     one, so at any instant the store holds the previous or the new
-//     generation intact, no matter when the process died.
+//     (Orchestrator.CheckpointFile, internal/atomicio WriteFile): a
+//     commit is staged in a temp file, fsynced and renamed over the
+//     job's checkpoint before the job goes on, so at any instant the
+//     file holds the previous or the new checkpoint whole, no matter
+//     when the process died, and a reader never sees a half-written
+//     one.
 //  2. Resume is bit-exact (internal/campaign): a fleet rebuilt from a
 //     checkpoint replays the remaining rounds bit-identically to the
 //     uninterrupted run — trajectories and subsequent checkpoint

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/prog"
@@ -97,7 +96,7 @@ func directRun(t *testing.T, spec JobSpec) ([]RoundReport, []byte) {
 }
 
 // pastGapClock is a cadence clock that moves checkpointGap on every
-// read, so every CheckpointEvery round is committed: one generation per
+// read, so every CheckpointEvery round is committed: one commit per
 // round at the default cadence, the schedule the crash drills below
 // count and corrupt.
 func pastGapClock() func() time.Time {
@@ -107,16 +106,9 @@ func pastGapClock() func() time.Time {
 	}
 }
 
-// jobOf returns the server's record of job id.
-func jobOf(s *Server, id string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}
-
 func readCheckpoint(t *testing.T, s *Server, id string) []byte {
 	t.Helper()
-	b, _, err := s.loadCheckpoint(jobOf(s, id), id)
+	b, err := os.ReadFile(s.checkpointPath(id))
 	if err != nil {
 		t.Fatalf("read checkpoint: %v", err)
 	}
@@ -167,8 +159,8 @@ func killAndReopen(t *testing.T, s *Server, cfg Config, id string) *Server {
 }
 
 // killPastRound2 crashes the farm once the job has passed at least two
-// round barriers: on pastGapClock at the default cadence, two
-// generations are durable.
+// round barriers: on pastGapClock at the default cadence, round 1 at
+// least is durable.
 func killPastRound2(t *testing.T, s *Server, id string) {
 	t.Helper()
 	waitUntil(t, id+" past round 2", func() bool {
@@ -184,8 +176,8 @@ func killPastRound2(t *testing.T, s *Server, id string) {
 func reopenAfterKill(t *testing.T, s *Server, cfg Config, id string) *Server {
 	t.Helper()
 	// No crash sequence may leave an unreadable checkpoint: whatever
-	// instant the kill hit, the store must hold a complete generation.
-	info, err := s.checkpointInfo(jobOf(s, id), id)
+	// instant the kill hit, the file must hold a complete commit.
+	info, err := s.checkpointInfo(id)
 	if err != nil {
 		t.Fatalf("checkpoint unreadable after kill: %v", err)
 	}
@@ -240,7 +232,7 @@ func TestFarmKillRecoverBitIdentical(t *testing.T) {
 	}
 	// Both daemons count into cfg.Metrics. A round the kill caught
 	// between its barrier and its checkpoint is run twice; every
-	// generation is still written once.
+	// round is still committed once.
 	if got := cfg.Metrics.Counter("farm/checkpoints").Value(); got != int64(len(wantReps)) {
 		t.Errorf("%d checkpoints across the crash for %d rounds", got, len(wantReps))
 	}
@@ -284,7 +276,7 @@ func TestFarmRecoveredQueuedJobReportsCheckpoint(t *testing.T) {
 	defer s2.Stop()
 	id := ids[1]
 	st, _ := s2.Job(id)
-	info, err := s2.checkpointInfo(jobOf(s2, id), id)
+	info, err := s2.checkpointInfo(id)
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
@@ -338,73 +330,12 @@ func TestFarmKillRecoverLLMJob(t *testing.T) {
 	}
 }
 
-// corruptSlot flips one payload byte of slot i of a job's checkpoint
-// store, and returns the slot file's new bytes.
-func corruptSlot(t *testing.T, s *Server, id string, i int) []byte {
-	t.Helper()
-	path := atomicio.SlotPath(s.checkpointPath(id), i)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read slot: %v", err)
-	}
-	b[40] ^= 0x20
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatalf("corrupt slot: %v", err)
-	}
-	return b
-}
-
-// TestFarmKillCorruptNewestSlotResumesPrevious: a crash that tore the
-// newest checkpoint slot — here, one flipped byte after the kill —
-// costs one generation: the reopened daemon resumes from the previous
-// one, in the other slot, and finishes bit-identical to a direct run.
-func TestFarmKillCorruptNewestSlotResumesPrevious(t *testing.T) {
-	spec := testSpec(240)
-	wantReps, wantCkpt := directRun(t, spec)
-
-	cfg := Config{Dir: t.TempDir(), now: pastGapClock()}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	st, err := s.Submit(spec)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	killPastRound2(t, s, st.ID)
-	newest, gen, err := s.loadCheckpoint(jobOf(s, st.ID), st.ID)
-	if err != nil {
-		t.Fatalf("checkpoint after kill: %v", err)
-	}
-	before, err := campaign.DecodeCheckpointInfo(bytes.NewReader(newest))
-	if err != nil {
-		t.Fatal(err)
-	}
-	corruptSlot(t, s, st.ID, int(gen%2))
-	prev, prevGen, err := s.loadCheckpoint(jobOf(s, st.ID), st.ID)
-	if err != nil || prevGen != gen-1 {
-		t.Fatalf("with generation %d torn the store reads generation %d, %v; want %d", gen, prevGen, err, gen-1)
-	}
-	if info, err := campaign.DecodeCheckpointInfo(bytes.NewReader(prev)); err != nil || info.Round != before.Round-1 {
-		t.Fatalf("the previous generation holds round %d (%v), want %d", info.Round, err, before.Round-1)
-	}
-	s2 := reopenAfterKill(t, s, cfg, st.ID)
-	defer s2.Stop()
-	waitDone(t, s2, st.ID)
-
-	gotReps, _ := s2.Rounds(st.ID, 0)
-	if !reflect.DeepEqual(gotReps, wantReps) {
-		t.Errorf("trajectory resumed from the previous generation diverged:\n got %+v\nwant %+v", gotReps, wantReps)
-	}
-	if got := readCheckpoint(t, s2, st.ID); !bytes.Equal(got, wantCkpt) {
-		t.Errorf("checkpoint resumed from the previous generation differs from an uninterrupted run")
-	}
-}
-
-// TestFarmBothSlotsCorruptFailsJob: with neither slot valid the job
-// fails with an error naming its store, and the slot files are left as
-// found rather than overwritten by a restart from round 0.
-func TestFarmBothSlotsCorruptFailsJob(t *testing.T) {
+// TestFarmUndecodableCheckpointFailsJob: a checkpoint file that exists
+// but does not decode — here, its first half, as a writer that did not
+// rename into place could leave it — fails the job with an error naming
+// the file, and the file is left as found rather than overwritten by a
+// restart from round 0.
+func TestFarmUndecodableCheckpointFailsJob(t *testing.T) {
 	cfg := Config{Dir: t.TempDir(), now: pastGapClock()}
 	s, err := Open(cfg)
 	if err != nil {
@@ -415,7 +346,12 @@ func TestFarmBothSlotsCorruptFailsJob(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	killPastRound2(t, s, st.ID)
-	slots := [][]byte{corruptSlot(t, s, st.ID, 0), corruptSlot(t, s, st.ID, 1)}
+	path := s.checkpointPath(st.ID)
+	torn := readCheckpoint(t, s, st.ID)
+	torn = torn[:len(torn)/2]
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatalf("tear the checkpoint: %v", err)
+	}
 
 	s2, err := Open(cfg)
 	if err != nil {
@@ -427,32 +363,31 @@ func TestFarmBothSlotsCorruptFailsJob(t *testing.T) {
 		got, _ = s2.Job(st.ID)
 		return got.State == JobDone || got.State == JobFailed
 	})
-	if path := s.checkpointPath(st.ID); got.State != JobFailed || !strings.Contains(got.Error, path) {
+	if got.State != JobFailed || !strings.Contains(got.Error, path) {
 		t.Errorf("job ended %s (%q), want failed naming %s", got.State, got.Error, path)
 	}
-	for i, want := range slots {
-		if b, err := os.ReadFile(atomicio.SlotPath(s.checkpointPath(st.ID), i)); err != nil || !bytes.Equal(b, want) {
-			t.Errorf("slot %d was touched (%v)", i, err)
-		}
+	if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, torn) {
+		t.Errorf("the checkpoint file was touched (%v)", err)
 	}
 }
 
-// TestFarmCheckpointReadsDuringCommits: the checkpoint endpoint's read
-// runs beside the runner's in-place commits and must only ever see a
-// whole generation, never a missing one once the first is durable, and
-// never an older one than it saw before.
+// TestFarmCheckpointReadsDuringCommits: GET /checkpoint polls, under
+// no lock, while the runner commits every round. Each read must decode
+// (campaign.DecodeCheckpointInfo) — a renamed file is the old commit or
+// the new one whole — and it must never miss the file once a commit was
+// served, nor go back to an older round than it saw before.
 func TestFarmCheckpointReadsDuringCommits(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir(), Addr: "127.0.0.1:0"})
+	s, err := Open(Config{Dir: t.TempDir(), Addr: "127.0.0.1:0", now: pastGapClock()})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer s.Stop()
 	c := NewClient(s.Addr())
-	st, err := s.Submit(testSpec(240))
+	st, err := s.Submit(testSpec(1600)) // 100 rounds, each one a commit
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	round := 0
+	round, served := 0, 0 // served counts the distinct rounds read
 	for done := false; !done; {
 		cur, _ := s.Job(st.ID)
 		done = cur.State == JobDone || cur.State == JobFailed
@@ -470,10 +405,17 @@ func TestFarmCheckpointReadsDuringCommits(t *testing.T) {
 		if info.Round < round {
 			t.Fatalf("served round %d after round %d", info.Round, round)
 		}
+		if info.Round > round {
+			served++
+		}
 		round = info.Round
 	}
 	if final := waitDone(t, s, st.ID); round != final.Summary.Rounds {
 		t.Errorf("last served checkpoint is round %d, the job ran %d", round, final.Summary.Rounds)
+	}
+	// The reads ran beside the commits, not only after the last one.
+	if served < 2 {
+		t.Errorf("the poll saw %d committed rounds, want reads between commits", served)
 	}
 }
 
@@ -644,7 +586,7 @@ func TestFarmWatchAcrossKillBehindDurableRound(t *testing.T) {
 		return len(reps) >= 5
 	})
 	s.kill()
-	if info, err := s.checkpointInfo(jobOf(s, id), id); err != nil || info.Round != 1 {
+	if info, err := s.checkpointInfo(id); err != nil || info.Round != 1 {
 		t.Fatalf("durable round after the kill is %d (%v), want 1", info.Round, err)
 	}
 
@@ -716,7 +658,7 @@ func TestFarmUnreadableCheckpointFailsJob(t *testing.T) {
 	}
 	s.kill() // the job stays open in the queue log, started or not
 
-	ckpt := atomicio.SlotPath(s.checkpointPath(st.ID), 0)
+	ckpt := s.checkpointPath(st.ID)
 	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
 		t.Fatalf("MkdirAll: %v", err)
 	}
@@ -761,8 +703,8 @@ func TestFarmRemovesStaleCheckpointTemps(t *testing.T) {
 	if err := os.MkdirAll(filepath.Dir(ckpt), 0o755); err != nil {
 		t.Fatalf("MkdirAll: %v", err)
 	}
-	// The staging files of a slot growth (atomicio.WriteFile on a slot).
-	for _, name := range []string{atomicio.SlotPath(ckpt, 0) + ".tmp123456", atomicio.SlotPath(ckpt, 1) + ".tmp654321"} {
+	// The staging files of two killed commits (CheckpointFile).
+	for _, name := range []string{ckpt + ".tmp123456", ckpt + ".tmp654321"} {
 		if err := os.WriteFile(name, wantCkpt[:len(wantCkpt)/2], 0o600); err != nil {
 			t.Fatalf("plant %s: %v", name, err)
 		}
@@ -780,35 +722,29 @@ func TestFarmRemovesStaleCheckpointTemps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadDir: %v", err)
 	}
-	if len(entries) != 1 || !isSlotFile(ckpt, entries[0].Name()) {
-		t.Errorf("job directory holds %v, want only one slot file", entries)
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(ckpt) {
+		t.Errorf("job directory holds %v, want only %s", entries, filepath.Base(ckpt))
 	}
 	if got := readCheckpoint(t, s, st.ID); !bytes.Equal(got, wantCkpt) {
 		t.Error("checkpoint differs from the undisturbed run")
 	}
 }
 
-// isSlotFile reports whether name is one of the store at ckpt's slot
-// files.
-func isSlotFile(ckpt, name string) bool {
-	return name == filepath.Base(atomicio.SlotPath(ckpt, 0)) || name == filepath.Base(atomicio.SlotPath(ckpt, 1))
-}
-
-// wantOneSlot checks that a finished job's directory holds exactly one
-// slot file, of a header's 28 bytes plus the payload want, and that the
+// wantOneCheckpoint checks that a finished job's directory holds
+// exactly ckpt.json, that it is want byte for byte, and that the
 // checkpoint endpoint serves want.
-func wantOneSlot(t *testing.T, s *Server, c *Client, id string, want []byte) {
+func wantOneCheckpoint(t *testing.T, s *Server, c *Client, id string, want []byte) {
 	t.Helper()
 	ckpt := s.checkpointPath(id)
 	entries, err := os.ReadDir(filepath.Dir(ckpt))
 	if err != nil {
 		t.Fatalf("ReadDir: %v", err)
 	}
-	if len(entries) != 1 || !isSlotFile(ckpt, entries[0].Name()) {
-		t.Fatalf("finished job directory holds %v, want one slot file", entries)
+	if len(entries) != 1 || entries[0].Name() != "ckpt.json" {
+		t.Fatalf("finished job directory holds %v, want only ckpt.json", entries)
 	}
-	if fi, err := entries[0].Info(); err != nil || fi.Size() != int64(28+len(want)) {
-		t.Errorf("slot file is %v (%v), want %d bytes", fi, err, 28+len(want))
+	if got := readCheckpoint(t, s, id); !bytes.Equal(got, want) {
+		t.Error("checkpoint file differs from a direct run's")
 	}
 	got, err := c.Checkpoint(id)
 	if err != nil {
@@ -819,11 +755,11 @@ func wantOneSlot(t *testing.T, s *Server, c *Client, id string, want []byte) {
 	}
 }
 
-// TestFarmFinishedJobKeepsOneSlot: a finished job keeps only its newest
-// checkpoint generation, unpadded, and serves it unchanged. A job whose
-// done record never landed runs again from that one slot and finishes
-// the same way.
-func TestFarmFinishedJobKeepsOneSlot(t *testing.T) {
+// TestFarmFinishedJobKeepsOneCheckpoint: a finished job's directory
+// holds its one checkpoint file, the bytes a direct run's CheckpointFile
+// writes, and serves it unchanged. A job whose done record never landed
+// runs again from that file and finishes the same way.
+func TestFarmFinishedJobKeepsOneCheckpoint(t *testing.T) {
 	spec := testSpec(96)
 	_, wantCkpt := directRun(t, spec)
 	s, err := Open(Config{Dir: t.TempDir(), Addr: "127.0.0.1:0"})
@@ -836,10 +772,10 @@ func TestFarmFinishedJobKeepsOneSlot(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	waitDone(t, s, st.ID)
-	wantOneSlot(t, s, NewClient(s.Addr()), st.ID, wantCkpt)
+	wantOneCheckpoint(t, s, NewClient(s.Addr()), st.ID, wantCkpt)
 
 	// The same job in a data directory whose queue log lost the done
-	// record: its submit record and its trimmed store.
+	// record: its submit record and its checkpoint.
 	dir := t.TempDir()
 	w, _, err := openWAL(filepath.Join(dir, "queue.log"))
 	if err != nil {
@@ -865,9 +801,9 @@ func TestFarmFinishedJobKeepsOneSlot(t *testing.T) {
 	}
 	defer s2.Stop()
 	if again := waitDone(t, s2, st.ID); again.Resumes != 1 {
-		t.Errorf("re-run job resumed %d times, want once from its one slot", again.Resumes)
+		t.Errorf("re-run job resumed %d times, want once from its checkpoint", again.Resumes)
 	}
-	wantOneSlot(t, s2, NewClient(s2.Addr()), st.ID, wantCkpt)
+	wantOneCheckpoint(t, s2, NewClient(s2.Addr()), st.ID, wantCkpt)
 }
 
 func TestFarmSubmitValidation(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"io/fs"
 	"net/http"
+	"os"
 	"strconv"
 
 	"chatfuzz/internal/telemetry"
@@ -188,14 +189,11 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+	if _, ok := s.Job(id); !ok {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
-	b, _, err := s.loadCheckpoint(j, id)
+	b, err := os.ReadFile(s.checkpointPath(id))
 	if errors.Is(err, fs.ErrNotExist) {
 		http.Error(w, "no checkpoint yet", http.StatusNotFound)
 		return

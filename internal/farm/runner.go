@@ -17,23 +17,22 @@ import (
 // commits of a job: a round is committed when it is a CheckpointEvery
 // multiple and this long has passed since the previous commit finished;
 // a run's first cadence round is always committed. A farm job's rounds
-// take about a millisecond, and a commit (encode, pwrite, fdatasync)
-// about as long again, so committing every round would spend half the
-// worker's time making rounds durable that resume re-simulates
-// bit-exactly anyway.
+// take about a millisecond, and a commit (encode, write, fsync, rename,
+// directory fsync) as long or longer, so committing every round would
+// spend half the worker's time or more making rounds durable that
+// resume re-simulates bit-exactly anyway.
 const checkpointGap = 100 * time.Millisecond
 
 // runJob executes one job to completion (or until the server stops):
-// build the fleet or resume it from the newest valid generation of the
-// job's checkpoint slot store, run rounds, publish each barrier's
-// numbers to watchers, commit a checkpoint to the store (one in-place
-// write and fdatasync, atomicio.Slots) on the CheckpointEvery rounds
-// that come checkpointGap after the previous commit, trim the finished
-// store to its one newest slot, and close the job durably in the queue
-// log. The first cadence round of every run, fresh or resumed, the
-// park and the end are committed whatever the clock says: from round
-// one on the store holds a generation, and a crash re-simulates at
-// most max(CheckpointEvery rounds, checkpointGap plus one round) of
+// build the fleet or resume it from the job's checkpoint file, run
+// rounds, publish each barrier's numbers to watchers, commit a
+// checkpoint (CheckpointFile: temp file, fsync, rename, directory
+// fsync) on the CheckpointEvery rounds that come checkpointGap after
+// the previous commit, and close the job durably in the queue log. The
+// first cadence round of every run, fresh or resumed, the park and the
+// end are committed whatever the clock says: from round one on the
+// file holds a whole checkpoint, and a crash re-simulates at most
+// max(CheckpointEvery rounds, checkpointGap plus one round) of
 // wall-clock work.
 //
 // Determinism contract: everything here that shapes the trajectory is
@@ -64,26 +63,32 @@ func (s *Server) runJob(id string) {
 		return
 	}
 
+	ckpt := s.checkpointPath(id)
 	if err := os.MkdirAll(s.jobDir(id), 0o755); err != nil {
 		s.finishJob(id, nil, fmt.Errorf("farm: job dir: %w", err))
 		return
 	}
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
+	// The worker is the only writer of the job directory, so a staging
+	// file in it is debris of a daemon killed mid-write, never a write
+	// in flight.
+	if err := atomicio.RemoveTemps(ckpt); err != nil {
+		s.finishJob(id, nil, fmt.Errorf("farm: %s: %w", id, err))
+		return
+	}
 
 	var o *campaign.Orchestrator
-	// durable is the round of the checkpoint generation on disk.
+	// durable is the round of the checkpoint on disk.
 	durable := -1
-	payload, gen, err := s.loadCheckpoint(j, id)
+	payload, err := os.ReadFile(ckpt)
 	switch {
 	case err == nil:
-		// Recovery: the store's newest valid slot is a complete
-		// generation. ResumeMixed validates the spec against it (arm
-		// signatures, designs, coverage spaces).
+		// Recovery: the checkpoint is renamed into place whole, so if
+		// the file exists it is a complete commit. ResumeMixed
+		// validates the spec against it (arm signatures, designs,
+		// coverage spaces).
 		o, err = campaign.ResumeMixed(bytes.NewReader(payload), duts, arms...)
 		if err != nil {
-			s.finishJob(id, nil, fmt.Errorf("farm: resume %s: %w", id, err))
+			s.finishJob(id, nil, fmt.Errorf("farm: resume %s from %s: %w", id, ckpt, err))
 			return
 		}
 		durable = o.Rounds()
@@ -94,26 +99,12 @@ func (s *Server) runJob(id string) {
 			return
 		}
 	default:
-		// Slot files exist but hold no valid generation, or cannot be
-		// read (ELOOP, EACCES, EIO): starting over would overwrite them
-		// with round 0's progress.
+		// Something is at the path and cannot be read (ELOOP, EACCES,
+		// EIO): starting over would overwrite it with round 0's progress.
 		s.finishJob(id, nil, fmt.Errorf("farm: %s checkpoint: %w", id, err))
 		return
 	}
 	defer o.Close()
-
-	// The worker is the only writer of the job directory, so a staging
-	// file in it is debris of a daemon killed mid-growth, never a write
-	// in flight; OpenSlots removes it.
-	store, err := atomicio.OpenSlots(s.checkpointPath(id), gen)
-	if err != nil {
-		s.finishJob(id, nil, fmt.Errorf("farm: %s: %w", id, err))
-		return
-	}
-	// Every generation was flushed by its commit; the success path
-	// checks Close anyway (through Trim), and a second Close is
-	// harmless.
-	defer store.Close()
 
 	// committed is when the previous commit finished. The run's start
 	// counts as a commit checkpointGap before it, so the run's first
@@ -126,10 +117,7 @@ func (s *Server) runJob(id string) {
 		if o.Rounds() == durable {
 			return nil
 		}
-		j.ckpt.Lock()
-		err := o.CheckpointSlots(store)
-		j.ckpt.Unlock()
-		if err != nil {
+		if err := o.CheckpointFile(ckpt); err != nil {
 			return err
 		}
 		durable = o.Rounds()
@@ -171,15 +159,6 @@ func (s *Server) runJob(id string) {
 	// trajectory endpoint reads it after restarts, and the e2e test
 	// byte-compares it against an uninterrupted run's).
 	if err := checkpoint(); err != nil {
-		s.finishJob(id, nil, fmt.Errorf("farm: final checkpoint: %w", err))
-		return
-	}
-	// Only the newest generation is ever read again: a finished job
-	// keeps one slot file, cut to its header and payload.
-	j.ckpt.Lock()
-	err = store.Trim()
-	j.ckpt.Unlock()
-	if err != nil {
 		s.finishJob(id, nil, fmt.Errorf("farm: final checkpoint: %w", err))
 		return
 	}

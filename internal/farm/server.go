@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/telemetry"
 )
@@ -20,8 +18,7 @@ import (
 // Config parameterises a farm server.
 type Config struct {
 	// Dir is the farm's data directory: the queue log lives at
-	// Dir/queue.log, each job's checkpoint slot store at
-	// Dir/jobs/<id>/ckpt.{0,1} (one of the two once the job is done).
+	// Dir/queue.log, each job's checkpoint at Dir/jobs/<id>/ckpt.json.
 	// Created if absent.
 	Dir string
 	// Addr, when non-empty, serves the HTTP API on this address
@@ -62,10 +59,6 @@ type job struct {
 	// when a job that finished before a restart is first read
 	// (roundsLocked).
 	rounds []RoundReport
-	// ckpt orders reads of the job's slot store (loadCheckpoint) after
-	// its runner's commits: a slot is overwritten in place, so a read
-	// racing two commits could find both slots mid-write.
-	ckpt sync.RWMutex
 }
 
 // Server is the campaign farm: a durable job queue, a worker pool
@@ -196,7 +189,7 @@ func (s *Server) replay(recs [][]byte) error {
 		if j.status.State != JobQueued {
 			continue
 		}
-		if info, err := s.checkpointInfo(j, id); err == nil {
+		if info, err := s.checkpointInfo(id); err == nil {
 			j.rounds = reports(info.Merged)
 			j.status.Round = info.Round
 			j.status.Tests = info.Tests
@@ -213,28 +206,14 @@ func (s *Server) replay(recs [][]byte) error {
 
 func (s *Server) jobDir(id string) string { return filepath.Join(s.cfg.Dir, "jobs", id) }
 
-// checkpointPath is the path of a job's checkpoint slot store
-// (atomicio.Slots): its slot files are checkpointPath + ".0" and ".1".
-func (s *Server) checkpointPath(id string) string { return filepath.Join(s.jobDir(id), "ckpt") }
-
-// loadCheckpoint is the one read of a job's durable checkpoint: the
-// payload and generation of its slot store's newest valid slot, read
-// between its runner's commits. The error wraps fs.ErrNotExist when
-// the job has no slot file yet. It takes no s.mu, and may be called
-// with it held.
-func (s *Server) loadCheckpoint(j *job, id string) ([]byte, uint64, error) {
-	j.ckpt.RLock()
-	defer j.ckpt.RUnlock()
-	return atomicio.ReadSlots(s.checkpointPath(id))
-}
+// checkpointPath is the path of a job's durable checkpoint. Its runner
+// is the one writer and replaces it whole (CheckpointFile), so any
+// reader, at any time and under no lock, reads a complete commit.
+func (s *Server) checkpointPath(id string) string { return filepath.Join(s.jobDir(id), "ckpt.json") }
 
 // checkpointInfo decodes the envelope of a job's durable checkpoint.
-func (s *Server) checkpointInfo(j *job, id string) (campaign.CheckpointInfo, error) {
-	b, _, err := s.loadCheckpoint(j, id)
-	if err != nil {
-		return campaign.CheckpointInfo{}, err
-	}
-	return campaign.DecodeCheckpointInfo(bytes.NewReader(b))
+func (s *Server) checkpointInfo(id string) (campaign.CheckpointInfo, error) {
+	return campaign.ReadCheckpointInfo(s.checkpointPath(id))
 }
 
 // shutdownWorkers stops the worker pool without touching the WAL
@@ -332,7 +311,7 @@ func (s *Server) roundsLocked(id string, from int) (reps []RoundReport, terminal
 	}
 	terminal = j.status.State == JobDone || j.status.State == JobFailed
 	if len(j.rounds) == 0 && terminal {
-		if info, err := s.checkpointInfo(j, id); err == nil {
+		if info, err := s.checkpointInfo(id); err == nil {
 			j.rounds = reports(info.Merged)
 		}
 	}

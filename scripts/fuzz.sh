@@ -13,7 +13,6 @@ set -eu
 budget=${1:-16s}
 
 targets='
-./internal/atomicio:FuzzReadSlots
 ./internal/isa:FuzzDecodeEncodeRoundTrip
 ./internal/mem:FuzzMemoryMatchesReference
 ./internal/prog:FuzzBuild
