@@ -21,7 +21,7 @@
 //
 //	o, err := chatfuzz.NewOrchestrator(
 //	    chatfuzz.CampaignConfig{Shards: 4, BatchSize: 16, Seed: 1},
-//	    chatfuzz.NewRocket,
+//	    []func() chatfuzz.DUT{chatfuzz.NewRocket},
 //	    chatfuzz.LLMArm(p), chatfuzz.TheHuzzArm(24),
 //	    chatfuzz.RandInstArm(24), chatfuzz.RandFuzzArm(24))
 //	o.RunTests(2000)
@@ -35,7 +35,8 @@
 // resumes a learning fleet, merged weights included:
 //
 //	err := o.Checkpoint(w) // any io.Writer
-//	o2, err := chatfuzz.ResumeCampaign(r, chatfuzz.NewRocket, arms...) // the same arms, in order
+//	o2, err := chatfuzz.ResumeCampaign(r, chatfuzz.CampaignExec{},
+//	    []func() chatfuzz.DUT{chatfuzz.NewRocket}, arms...) // the same arms, in order
 //
 // Execution: there is one production path. Each shard's goroutine is
 // the committer of a persistent engine — it runs its own round's
@@ -52,17 +53,17 @@
 // flight recorder) and Metrics (the registry the barrier updates each
 // round, including the probe/* histograms of barrier wait, split into
 // the sim-skew wait spare cores absorb and the learning join) — and
-// ResumeCampaignExec takes the same value,
-// so a resumed fleet runs and is observed exactly like a fresh one.
+// ResumeCampaign takes the same value, so a resumed fleet runs and is
+// observed exactly like a fresh one.
 // Call Orchestrator.Close when a campaign is finished to release the
 // pool's workers deterministically.
 //
-// Mixed fleets: NewMixedOrchestrator runs heterogeneous designs in
-// one fleet — shard s simulates newDUTs[s%len(newDUTs)], each design
-// keeps its own merged coverage bitmap, and the bandit schedules arms
-// across the whole fleet:
+// Mixed fleets: with more than one DUT constructor, NewOrchestrator
+// runs heterogeneous designs in one fleet — shard s simulates
+// newDUTs[s%len(newDUTs)], each design keeps its own merged coverage
+// bitmap, and the bandit schedules arms across the whole fleet:
 //
-//	o, err := chatfuzz.NewMixedOrchestrator(
+//	o, err := chatfuzz.NewOrchestrator(
 //	    chatfuzz.CampaignConfig{Shards: 4, Seed: 1},
 //	    []func() chatfuzz.DUT{chatfuzz.NewRocket, chatfuzz.NewBoom},
 //	    chatfuzz.TheHuzzArm(24), chatfuzz.RandInstArm(24))
@@ -78,7 +79,8 @@
 // pure function of seeds and shard order. The training always overlaps
 // the next round's simulation on a background goroutine, and
 // CampaignConfig.UpdateBudget skips updates while merged coverage is
-// plateaued to buy virtual time for detection fleets. Checkpoints
+// plateaued. A skip saves host wall-clock, not virtual time: the
+// virtual clock charges only simulated tests. Checkpoints
 // (v4) carry the published and staged weight vectors and each shard's
 // clustered mismatch-detector state, so a learning campaign resumed
 // even mid-lag replays bit-identically and reports cumulative
@@ -86,7 +88,7 @@
 //
 //	o, err := chatfuzz.NewOrchestrator(
 //	    chatfuzz.CampaignConfig{Shards: 4, Seed: 1, Detect: true},
-//	    chatfuzz.NewRocket,
+//	    []func() chatfuzz.DUT{chatfuzz.NewRocket},
 //	    chatfuzz.LearningLLMArm(p), chatfuzz.TheHuzzArm(24))
 //	o.RunTests(2000)
 //	w := o.LearnedWeights("chatfuzz-learn") // merged policy weights
@@ -105,7 +107,6 @@ import (
 	"chatfuzz/internal/campaign"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/cov"
-	"chatfuzz/internal/exp"
 	"chatfuzz/internal/mismatch"
 	"chatfuzz/internal/prog"
 	"chatfuzz/internal/rtl"
@@ -138,11 +139,6 @@ type (
 
 	// CoverageScores are the Coverage Calculator's per-input values.
 	CoverageScores = cov.Scores
-
-	// Suite runs the paper's full experiment set.
-	Suite = exp.Suite
-	// Scale sizes an experiment run.
-	Scale = exp.Scale
 
 	// Orchestrator runs sharded multi-campaign fleets under bandit
 	// generator scheduling.
@@ -189,38 +185,21 @@ func NewRocket() DUT { return rocket.New() }
 // NewBoom returns the BOOM DUT model.
 func NewBoom() DUT { return boom.New() }
 
-// NewOrchestrator builds a sharded fleet: one DUT per shard via
-// newDUT, one instance of every arm per shard, and a shared discounted
-// UCB1 bandit allocating rounds among the arms.
-func NewOrchestrator(cfg CampaignConfig, newDUT func() DUT, arms ...ArmSpec) (*Orchestrator, error) {
-	return campaign.New(cfg, newDUT, arms...)
-}
-
-// NewMixedOrchestrator builds a heterogeneous fleet: shard s simulates
-// the design built by newDUTs[s % len(newDUTs)] (e.g. an alternating
-// Rocket+BOOM fleet), with per-design merged coverage bitmaps and a
-// fleet-wide bandit.
-func NewMixedOrchestrator(cfg CampaignConfig, newDUTs []func() DUT, arms ...ArmSpec) (*Orchestrator, error) {
+// NewOrchestrator builds a sharded fleet: shard s simulates the design
+// built by newDUTs[s % len(newDUTs)] (one constructor for a homogeneous
+// fleet; two for, e.g., an alternating Rocket+BOOM fleet), with one
+// instance of every arm per shard, per-design merged coverage bitmaps
+// and a shared discounted UCB1 bandit allocating rounds among the arms.
+func NewOrchestrator(cfg CampaignConfig, newDUTs []func() DUT, arms ...ArmSpec) (*Orchestrator, error) {
 	return campaign.NewMixed(cfg, newDUTs, arms...)
 }
 
 // ResumeCampaign rebuilds a fleet from a checkpoint written by
-// Orchestrator.Checkpoint; the continued merged trajectory is
+// Orchestrator.Checkpoint and runs it under ex, the same value a fresh
+// fleet takes through CampaignConfig. newDUTs and arms must be the
+// original run's, in order; the continued merged trajectory is
 // bit-identical to an uninterrupted run.
-func ResumeCampaign(r io.Reader, newDUT func() DUT, arms ...ArmSpec) (*Orchestrator, error) {
-	return campaign.Resume(r, newDUT, arms...)
-}
-
-// ResumeMixedCampaign rebuilds a heterogeneous fleet from a checkpoint;
-// newDUTs must reproduce the original shard-to-design mapping.
-func ResumeMixedCampaign(r io.Reader, newDUTs []func() DUT, arms ...ArmSpec) (*Orchestrator, error) {
-	return campaign.ResumeMixed(r, newDUTs, arms...)
-}
-
-// ResumeCampaignExec is the general resume entry: it rebuilds a
-// (possibly heterogeneous) fleet from a checkpoint and runs it under
-// ex, the same value a fresh fleet takes through CampaignConfig.
-func ResumeCampaignExec(r io.Reader, ex CampaignExec, newDUTs []func() DUT, arms ...ArmSpec) (*Orchestrator, error) {
+func ResumeCampaign(r io.Reader, ex CampaignExec, newDUTs []func() DUT, arms ...ArmSpec) (*Orchestrator, error) {
 	return campaign.ResumeExec(r, ex, newDUTs, arms...)
 }
 
@@ -242,9 +221,3 @@ func RandInstArm(bodyInstrs int) ArmSpec { return campaign.RandInstArm(bodyInstr
 
 // RandFuzzArm schedules the raw random-word generator as an arm.
 func RandFuzzArm(bodyInstrs int) ArmSpec { return campaign.RandFuzzArm(bodyInstrs) }
-
-// QuickScale returns the laptop-sized experiment scale.
-func QuickScale() Scale { return exp.Quick() }
-
-// PaperScale returns the full-scale experiment configuration.
-func PaperScale() Scale { return exp.Paper() }

@@ -22,9 +22,10 @@ func Example() {
 	fmt.Printf("invalid-instruction rate: %.1f%%\n", 100*p.InvalidRate(20))
 
 	// Swap in chatfuzz.NewBoom to fuzz the out-of-order core instead.
+	rocket := []func() chatfuzz.DUT{chatfuzz.NewRocket}
 	o, err := chatfuzz.NewOrchestrator(
 		chatfuzz.CampaignConfig{Shards: 1, BatchSize: 16, Seed: 1, Detect: true},
-		chatfuzz.NewRocket, chatfuzz.LearningLLMArm(p))
+		rocket, chatfuzz.LearningLLMArm(p))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,8 +65,9 @@ func ExampleResumeCampaign() {
 	body := p.Cfg.BodyInstrs
 
 	ccfg := chatfuzz.CampaignConfig{Shards: 2, BatchSize: 8, Seed: 1, Detect: true}
+	rocket := []func() chatfuzz.DUT{chatfuzz.NewRocket}
 	const budget = 192
-	learning, err := chatfuzz.NewOrchestrator(ccfg, chatfuzz.NewRocket,
+	learning, err := chatfuzz.NewOrchestrator(ccfg, rocket,
 		chatfuzz.LearningLLMArm(p), chatfuzz.TheHuzzArm(body))
 	if err != nil {
 		log.Fatal(err)
@@ -73,7 +75,7 @@ func ExampleResumeCampaign() {
 	if err := learning.RunTests(budget); err != nil {
 		log.Fatal(err)
 	}
-	frozen, err := chatfuzz.NewOrchestrator(ccfg, chatfuzz.NewRocket,
+	frozen, err := chatfuzz.NewOrchestrator(ccfg, rocket,
 		chatfuzz.LLMArm(p), chatfuzz.TheHuzzArm(body))
 	if err != nil {
 		log.Fatal(err)
@@ -93,7 +95,7 @@ func ExampleResumeCampaign() {
 	w1 := learning.LearnedWeights("chatfuzz-learn")
 	learning.Close()
 
-	resumed, err := chatfuzz.ResumeCampaign(&ckpt, chatfuzz.NewRocket,
+	resumed, err := chatfuzz.ResumeCampaign(&ckpt, ccfg.Exec, rocket,
 		chatfuzz.LearningLLMArm(p), chatfuzz.TheHuzzArm(body))
 	if err != nil {
 		log.Fatal(err)

@@ -31,14 +31,6 @@ type Gen struct {
 	// BodyInstrs is the instruction count per test (matched to
 	// ChatFuzz for the paper's "same number of instructions" setup).
 	BodyInstrs int
-	// SeedFrac is the fraction of each batch drawn as fresh seeds once
-	// the pool is non-empty.
-	SeedFrac float64
-	// PoolCap bounds the seed pool.
-	PoolCap int
-	// MutationsPerInput is the number of mutation operators applied to
-	// each pool entry when deriving a new input.
-	MutationsPerInput int
 
 	rng   *rand.Rand
 	pool  []PoolEntry
@@ -46,23 +38,28 @@ type Gen struct {
 	round int
 }
 
-// New returns a generator with the configuration used in the
-// evaluation.
+// The generator's configuration, as used in the evaluation.
+const (
+	// PoolCap bounds the seed pool.
+	PoolCap = 128
+	// seedFrac is the fraction of each batch drawn as fresh seeds once
+	// the pool is non-empty.
+	seedFrac = 0.5
+	// mutationsPerInput is the number of mutation operators applied to
+	// each pool entry when deriving a new input.
+	mutationsPerInput = 3
+)
+
+// New returns a generator.
 func New(seed int64, bodyInstrs int) *Gen {
-	return &Gen{
-		BodyInstrs:        bodyInstrs,
-		SeedFrac:          0.5,
-		PoolCap:           128,
-		MutationsPerInput: 3,
-		rng:               rand.New(rand.NewSource(seed)),
-	}
+	return &Gen{BodyInstrs: bodyInstrs, rng: rand.New(rand.NewSource(seed))}
 }
 
 // GenerateBatch implements Generator.
 func (g *Gen) GenerateBatch(n int) []prog.Program {
 	out := make([]prog.Program, n)
 	for i := range out {
-		if len(g.pool) == 0 || g.rng.Float64() < g.SeedFrac {
+		if len(g.pool) == 0 || g.rng.Float64() < seedFrac {
 			out[i] = prog.Program{Body: randinst.Program(g.rng, g.BodyInstrs)}
 			continue
 		}
@@ -93,13 +90,10 @@ func (g *Gen) Feedback(scores []cov.Scores) {
 		}
 		return g.pool[a].Age > g.pool[b].Age // prefer recent on ties
 	})
-	if len(g.pool) > g.PoolCap {
-		g.pool = g.pool[:g.PoolCap]
+	if len(g.pool) > PoolCap {
+		g.pool = g.pool[:PoolCap]
 	}
 }
-
-// PoolSize reports the current seed-pool occupancy.
-func (g *Gen) PoolSize() int { return len(g.pool) }
 
 // Reseed replaces the generator's random stream. The campaign
 // orchestrator reseeds arms deterministically before every scheduling
@@ -175,7 +169,7 @@ func (g *Gen) AdoptPool(round int, pool []PoolEntry) {
 	g.last = nil
 }
 
-// mutate derives a new body by applying MutationsPerInput random
+// mutate derives a new body by applying mutationsPerInput random
 // mutation operators to a copy. The operator mix is validity-biased,
 // as in TheHuzz: most mutations stay at instruction granularity
 // (operand/opcode rewrites, swaps, clones, splices), with occasional
@@ -183,7 +177,7 @@ func (g *Gen) AdoptPool(round int, pool []PoolEntry) {
 func (g *Gen) mutate(body []uint32) []uint32 {
 	out := make([]uint32, len(body))
 	copy(out, body)
-	for k := 0; k < g.MutationsPerInput; k++ {
+	for k := 0; k < mutationsPerInput; k++ {
 		if len(out) == 0 {
 			out = append(out, randinst.Random(g.rng))
 			continue

@@ -33,31 +33,35 @@ func TestFeedbackGrowsPool(t *testing.T) {
 		{Incremental: 3}, {Incremental: 0}, {Incremental: 7}, {Incremental: 0},
 	}
 	g.Feedback(scores)
-	if g.PoolSize() != 2 {
-		t.Errorf("pool = %d, want 2 (only improving inputs)", g.PoolSize())
+	if len(g.pool) != 2 {
+		t.Errorf("pool = %d, want 2 (only improving inputs)", len(g.pool))
 	}
 }
 
+// TestPoolBounded: 40 rounds of four improving inputs offer 160
+// entries, past PoolCap.
 func TestPoolBounded(t *testing.T) {
 	g := New(3, 8)
-	g.PoolCap = 10
-	for round := 0; round < 30; round++ {
+	for round := 0; round < 40; round++ {
 		g.GenerateBatch(4)
 		g.Feedback([]cov.Scores{{Incremental: 1}, {Incremental: 2}, {Incremental: 3}, {Incremental: 4}})
 	}
-	if g.PoolSize() > 10 {
-		t.Errorf("pool %d exceeds cap", g.PoolSize())
+	if len(g.pool) != PoolCap {
+		t.Errorf("pool %d after 160 admissions, want the cap %d", len(g.pool), PoolCap)
 	}
 }
 
+// TestMutantsDeriveFromPool drives mutate on every pool entry, since a
+// batch draws fresh seeds as well as mutants.
 func TestMutantsDeriveFromPool(t *testing.T) {
 	g := New(4, 16)
-	g.SeedFrac = 0 // force mutants once the pool is non-empty
 	g.GenerateBatch(2)
 	g.Feedback([]cov.Scores{{Incremental: 5}, {Incremental: 5}})
-	progs := g.GenerateBatch(16)
-	for _, p := range progs {
-		if len(p.Body) == 0 {
+	if len(g.pool) != 2 {
+		t.Fatalf("pool = %d, want 2", len(g.pool))
+	}
+	for i := 0; i < 16; i++ {
+		if body := g.mutate(g.pool[i%2].Body); len(body) == 0 {
 			t.Error("mutant has empty body")
 		}
 	}
@@ -67,7 +71,7 @@ func TestFeedbackLengthMismatchIgnored(t *testing.T) {
 	g := New(5, 8)
 	g.GenerateBatch(4)
 	g.Feedback([]cov.Scores{{Incremental: 1}}) // wrong length: ignored
-	if g.PoolSize() != 0 {
+	if len(g.pool) != 0 {
 		t.Error("mismatched feedback must be ignored")
 	}
 }
@@ -80,15 +84,15 @@ func TestStateRoundTripPreservesPool(t *testing.T) {
 		scores[i] = cov.Scores{Incremental: i} // entries 1..7 join the pool
 	}
 	g.Feedback(scores)
-	if g.PoolSize() == 0 {
+	if len(g.pool) == 0 {
 		t.Fatal("pool empty after positive feedback")
 	}
 
 	st := g.State()
 	g2 := New(99, 12)
 	g2.SetState(st)
-	if g2.PoolSize() != g.PoolSize() {
-		t.Fatalf("restored pool size %d, want %d", g2.PoolSize(), g.PoolSize())
+	if len(g2.pool) != len(g.pool) {
+		t.Fatalf("restored pool size %d, want %d", len(g2.pool), len(g.pool))
 	}
 
 	// The snapshot must be a deep copy: mutating the restored pool's
@@ -130,10 +134,10 @@ func TestReseedInPlaceMatchesFresh(t *testing.T) {
 		fresh := New(seed, 12)
 		fresh.SetState(used.State())
 		if got, want := used.GenerateBatch(8), fresh.GenerateBatch(8); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d (pool %d): reseeded generator diverges from a fresh one", seed, used.PoolSize())
+			t.Fatalf("seed %d (pool %d): reseeded generator diverges from a fresh one", seed, len(used.pool))
 		}
 	}
-	if used.PoolSize() == 0 {
+	if len(used.pool) == 0 {
 		t.Fatal("the pool never grew; the mutation path went untested")
 	}
 	if n := testing.AllocsPerRun(10, func() { used.Reseed(9) }); n != 0 {

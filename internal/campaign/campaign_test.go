@@ -152,7 +152,7 @@ func TestCheckpointResumeReproducesTrajectory(t *testing.T) {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 
-	resumed, err := Resume(&buf, newRocket, testArms()...)
+	resumed, err := ResumeMixed(&buf, []func() rtl.DUT{newRocket}, testArms()...)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -191,14 +191,14 @@ func TestResumeValidatesArmSpecs(t *testing.T) {
 	if err := o.Checkpoint(&buf); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	if _, err := Resume(bytes.NewReader(buf.Bytes()), newRocket, RandInstArm(testBody)); err == nil {
+	if _, err := ResumeMixed(bytes.NewReader(buf.Bytes()), []func() rtl.DUT{newRocket}, RandInstArm(testBody)); err == nil {
 		t.Error("Resume accepted a mismatched arm count")
 	}
-	if _, err := Resume(bytes.NewReader(buf.Bytes()), newRocket,
+	if _, err := ResumeMixed(bytes.NewReader(buf.Bytes()), []func() rtl.DUT{newRocket},
 		RandInstArm(testBody), TheHuzzArm(testBody), RandFuzzArm(testBody)); err == nil {
 		t.Error("Resume accepted reordered arm names")
 	}
-	if _, err := Resume(bytes.NewReader(buf.Bytes()), newRocket,
+	if _, err := ResumeMixed(bytes.NewReader(buf.Bytes()), []func() rtl.DUT{newRocket},
 		TheHuzzArm(testBody+1), RandInstArm(testBody), RandFuzzArm(testBody)); err == nil {
 		t.Error("Resume accepted an arm with a different body length: the resumed trajectory would silently diverge")
 	}
@@ -211,7 +211,7 @@ func TestResumeRejectsDifferentDUT(t *testing.T) {
 	if err := o.Checkpoint(&buf); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	_, err := Resume(&buf, func() rtl.DUT { return boom.New() }, testArms()...)
+	_, err := ResumeMixed(&buf, []func() rtl.DUT{func() rtl.DUT { return boom.New() }}, testArms()...)
 	if err == nil || !strings.Contains(err.Error(), "design") {
 		t.Errorf("Resume against a different DUT: err = %v, want per-shard design mismatch", err)
 	}
@@ -267,7 +267,7 @@ func TestLLMArmSchedules(t *testing.T) {
 	if err := o.Checkpoint(&buf); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	resumed, err := Resume(&buf, newRocket, arms...)
+	resumed, err := ResumeMixed(&buf, []func() rtl.DUT{newRocket}, arms...)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}

@@ -275,12 +275,6 @@ func (o *Orchestrator) CheckpointFile(path string) error {
 	return atomicio.WriteFile(path, o.Checkpoint)
 }
 
-// Resume rebuilds a homogeneous fleet from a checkpoint, with the zero
-// Exec; see ResumeExec.
-func Resume(r io.Reader, newDUT func() rtl.DUT, specs ...ArmSpec) (*Orchestrator, error) {
-	return ResumeExec(r, Exec{}, []func() rtl.DUT{newDUT}, specs...)
-}
-
 // ResumeMixed rebuilds a (possibly heterogeneous) fleet from a
 // checkpoint, with the zero Exec; see ResumeExec.
 func ResumeMixed(r io.Reader, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestrator, error) {

@@ -422,7 +422,7 @@ func TestResumeRefusesStateOnStatelessArm(t *testing.T) {
 	if _, err := decodeCheckpoint(bytes.NewReader(bad)); err != nil {
 		t.Fatalf("decodeCheckpoint: %v", err)
 	}
-	r, err := Resume(bytes.NewReader(bad), newRocket, testArms()...)
+	r, err := ResumeMixed(bytes.NewReader(bad), []func() rtl.DUT{newRocket}, testArms()...)
 	if err == nil {
 		r.Close()
 		t.Fatal("Resume accepted state on the stateless randinst arm")
@@ -472,7 +472,7 @@ func resumeFile(path string) (*Orchestrator, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Resume(f, newRocket, testArms()...)
+	return ResumeMixed(f, []func() rtl.DUT{newRocket}, testArms()...)
 }
 
 // TestCheckpointFileSurvivesKillDuringWrite simulates dying mid-

@@ -160,7 +160,7 @@ func TestMixedFleetCheckpointResume(t *testing.T) {
 // not a raw JSON type error from the layout difference.
 func TestResumeReportsVersionMismatchCleanly(t *testing.T) {
 	v1 := []byte(`{"Version":1,"Config":{},"Round":3,"Tests":24,"Bins":1234,"Arms":[],"Global":[0]}`)
-	_, err := Resume(bytes.NewReader(v1), newRocket, testArms()...)
+	_, err := ResumeMixed(bytes.NewReader(v1), []func() rtl.DUT{newRocket}, testArms()...)
 	if err == nil || !strings.Contains(err.Error(), "version 1, want 4") {
 		t.Errorf("v1 checkpoint: err = %v, want a version-mismatch message", err)
 	}

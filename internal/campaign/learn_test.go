@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chatfuzz/internal/core"
+	"chatfuzz/internal/rtl"
 )
 
 // learnPipeline builds the tiny untrained pipeline the learning-arm
@@ -43,7 +44,7 @@ func TestBarrierAveragingSynchronizesReplicas(t *testing.T) {
 		t.Fatal("learning arm has no fleet")
 	}
 	w0 := fl.Replica(0).Model.FlattenParams(nil)
-	for ri := 1; ri < fl.Replicas(); ri++ {
+	for ri := 1; ri < o.Cfg.Shards; ri++ {
 		w := fl.Replica(ri).Model.FlattenParams(nil)
 		for i := range w0 {
 			if math.Float64bits(w[i]) != math.Float64bits(w0[i]) {
@@ -103,7 +104,7 @@ func TestLearningResumeBitIdentity(t *testing.T) {
 	half.Close()
 
 	pRes := learnPipeline() // a new process: same training, new memory
-	resumed, err := Resume(&buf, newRocket, learnArms(pRes)...)
+	resumed, err := ResumeMixed(&buf, []func() rtl.DUT{newRocket}, learnArms(pRes)...)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -193,7 +194,7 @@ func TestResumeRejectsCheckpointWithoutLearnWeights(t *testing.T) {
 	if bytes.Equal(mangled, buf.Bytes()) {
 		t.Fatal("checkpoint has no Learn section to mangle")
 	}
-	if _, err := Resume(bytes.NewReader(mangled), newRocket, learnArms(learnPipeline())...); err == nil {
+	if _, err := ResumeMixed(bytes.NewReader(mangled), []func() rtl.DUT{newRocket}, learnArms(learnPipeline())...); err == nil {
 		t.Error("Resume accepted a learning-arm checkpoint without weights")
 	}
 }

@@ -9,10 +9,12 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"chatfuzz/internal/cov"
+	"chatfuzz/internal/rtl"
 )
 
 // TestBarrierMergeErrorPropagates: a shard whose coverage space has
@@ -156,7 +158,7 @@ func TestOffBarrierResumeUnderLag(t *testing.T) {
 					t.Fatal("mid-lag checkpoint carries no staged weights; the lag was empty")
 				}
 
-				resumed, err := Resume(bytes.NewReader(ckpt.Bytes()), newRocket, arms()...)
+				resumed, err := ResumeMixed(bytes.NewReader(ckpt.Bytes()), []func() rtl.DUT{newRocket}, arms()...)
 				if err != nil {
 					t.Fatalf("Resume: %v", err)
 				}
@@ -228,7 +230,7 @@ func TestUpdateBudgetResumeBitIdentity(t *testing.T) {
 		t.Error("checkpoint does not carry UpdateBudget")
 	}
 
-	resumed, err := Resume(bytes.NewReader(buf.Bytes()), newRocket, learnArms(learnPipeline())...)
+	resumed, err := ResumeMixed(bytes.NewReader(buf.Bytes()), []func() rtl.DUT{newRocket}, learnArms(learnPipeline())...)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -255,4 +257,56 @@ func TestUpdateBudgetResumeBitIdentity(t *testing.T) {
 			t.Fatalf("weight scalar %d not bit-identical after budgeted resume", i)
 		}
 	}
+}
+
+// TestUpdateBudgetSkipsTraining: with UpdateBudget 1 a learning fleet
+// runs as its unbudgeted twin up to its first round that merged no new
+// coverage. That round's barrier trains nothing, so the next barrier
+// has nothing to publish: the budgeted fleet's weights hold still
+// across it while the twin's, trained on the plateau round's rollouts,
+// move.
+func TestUpdateBudgetSkipsTraining(t *testing.T) {
+	fleet := func(budget int) *Orchestrator {
+		o, err := New(Config{Shards: 1, BatchSize: 4, Seed: 43, UpdateBudget: budget}, newRocket,
+			LearningLLMArm(learnPipeline()))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		t.Cleanup(o.Close)
+		return o
+	}
+	budgeted, twin := fleet(1), fleet(0)
+	round := func() ([]float64, []float64) {
+		t.Helper()
+		if err := budgeted.RunRound(); err != nil {
+			t.Fatalf("budgeted round: %v", err)
+		}
+		if err := twin.RunRound(); err != nil {
+			t.Fatalf("twin round: %v", err)
+		}
+		return budgeted.LearnedWeights("chatfuzz-learn"), twin.LearnedWeights("chatfuzz-learn")
+	}
+	for r := 0; r < 20; r++ {
+		bw, tw := round()
+		if !slices.Equal(bw, tw) {
+			t.Fatalf("round %d: weights differ from the unbudgeted twin before any plateau", r)
+		}
+		got, want := budgeted.Trajectory(), twin.Trajectory()
+		if got[r] != want[r] {
+			t.Fatalf("round %d: point %+v, twin %+v, before any plateau", r, got[r], want[r])
+		}
+		if r == 0 || got[r].Coverage != got[r-1].Coverage {
+			continue
+		}
+		// Round r merged nothing: its barrier skipped training.
+		bNext, tNext := round()
+		if !slices.Equal(bNext, bw) {
+			t.Errorf("round %d: weights moved across the barrier after the skipped one", r+1)
+		}
+		if slices.Equal(tNext, tw) {
+			t.Fatalf("round %d: the twin's weights did not move either; the check cannot tell a skip", r+1)
+		}
+		return
+	}
+	t.Fatal("no round in 20 merged zero new bins; the skip went untested")
 }

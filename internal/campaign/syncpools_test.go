@@ -55,8 +55,8 @@ func referenceSyncPools(o *Orchestrator) {
 		}
 		return all[a].Age > all[b].Age
 	})
-	if cap := gens[0].PoolCap; len(all) > cap {
-		all = all[:cap]
+	if len(all) > thehuzz.PoolCap {
+		all = all[:thehuzz.PoolCap]
 	}
 	for _, g := range gens {
 		g.SetState(thehuzz.State{Round: o.round + 1, Pool: all})
@@ -146,9 +146,9 @@ func TestSyncPoolsMatchesReference(t *testing.T) {
 						seed, round, i, len(g.Pool), g.Round, len(w.Pool), w.Round)
 				}
 			}
-			if round == 0 && len(wg[0].State().Pool) != wg[0].PoolCap {
+			if round == 0 && len(wg[0].State().Pool) != thehuzz.PoolCap {
 				t.Fatalf("seed %d: the reference pool holds %d entries, want an overflow truncated to %d",
-					seed, len(wg[0].State().Pool), wg[0].PoolCap)
+					seed, len(wg[0].State().Pool), thehuzz.PoolCap)
 			}
 
 			// Generator 0 mutates, splices and admits; the rest must

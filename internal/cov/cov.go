@@ -180,16 +180,8 @@ func (c *Set) DiffCount(other *Set) int {
 	return n
 }
 
-// Clone returns a copy of the set.
-func (c *Set) Clone() *Set {
-	out := c.space.NewSet()
-	copy(out.bits, c.bits)
-	return out
-}
-
-// CopyFrom overwrites c's bits with src's (same space required). The
-// allocation-free counterpart of Clone for callers that own a
-// destination set already.
+// CopyFrom overwrites c's bits with src's (same space required). It
+// allocates nothing, for callers that own a destination set already.
 func (c *Set) CopyFrom(src *Set) {
 	if c.space != src.space {
 		panic("cov: copying sets from different spaces")

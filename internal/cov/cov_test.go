@@ -277,7 +277,7 @@ func TestCalculatorRestoreTotal(t *testing.T) {
 	}
 	// A re-scored identical run must show zero incremental coverage:
 	// the restore also reset the batch snapshot.
-	sc := c2.Score(run.Clone())
+	sc := c2.Score(run)
 	if sc.Incremental != 0 {
 		t.Errorf("incremental after restore = %d, want 0", sc.Incremental)
 	}

@@ -210,8 +210,8 @@ func TestFleetPoolCloseSemantics(t *testing.T) {
 func TestFleetPoolUtilizationStats(t *testing.T) {
 	pool := engine.NewFleetPool(2, nil)
 	defer pool.Close()
-	if pool.Workers() != 2 {
-		t.Fatalf("Workers() = %d, want 2", pool.Workers())
+	if w := pool.Stats().Workers; w != 2 {
+		t.Fatalf("Stats().Workers = %d, want 2", w)
 	}
 	e := engine.New(rocket.New(), engine.Config{Pool: pool})
 	defer e.Close()

@@ -139,9 +139,6 @@ func NewFleetPool(workers int, rec *telemetry.Recorder) *FleetPool {
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *FleetPool) Workers() int { return p.ps.workers }
-
 // Close stops the workers. No engine may have a round in flight, and
 // no further Submits may race with Close. Close is idempotent.
 func (p *FleetPool) Close() {

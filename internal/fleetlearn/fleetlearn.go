@@ -211,9 +211,6 @@ func NewFleet(replicas ...*Replica) (*Fleet, error) {
 	return &Fleet{replicas: replicas, n: nn.NumParamsOf(cfg)}, nil
 }
 
-// Replicas returns the fleet size.
-func (f *Fleet) Replicas() int { return len(f.replicas) }
-
 // Replica returns the i-th replica (shard order).
 func (f *Fleet) Replica(i int) *Replica { return f.replicas[i] }
 
@@ -240,10 +237,10 @@ func (f *Fleet) Replica(i int) *Replica { return f.replicas[i] }
 //     differs.
 //
 // skip implements adaptive update budgets: the round's buffers are
-// discarded without training (the bandit's coverage rate has
-// plateaued, so the virtual time a PPO step buys is better spent on
-// simulation), while joining and publication still advance so earlier
-// training is never lost. Returns the number of participating
+// discarded without training (the fleet's coverage has plateaued, and
+// a skipped step saves its host wall-clock; the virtual clock charges
+// simulated tests only), while joining and publication still advance
+// so earlier training is never lost. Returns the number of participating
 // replicas whose buffers were collected.
 func (f *Fleet) Barrier(async, skip bool) int {
 	var parts []*Replica

@@ -186,7 +186,7 @@ func TestOneRoundLatePublication(t *testing.T) {
 	if f.Staged() != nil {
 		t.Fatal("staged merge not cleared after publication")
 	}
-	for i := 0; i < f.Replicas(); i++ {
+	for i := 0; i < len(f.replicas); i++ {
 		if !bitsEqual(f.Replica(i).Model.FlattenParams(nil), staged) {
 			t.Fatalf("replica %d sampling model differs from the published merge", i)
 		}
@@ -285,7 +285,7 @@ func TestSetWeightsRoundTrip(t *testing.T) {
 	if f2.Replica(0).dirty {
 		t.Fatal("SetWeights kept buffered rollouts")
 	}
-	for i := 0; i < f2.Replicas(); i++ {
+	for i := 0; i < len(f2.replicas); i++ {
 		if !bitsEqual(f2.Replica(i).Model.FlattenParams(nil), want) {
 			t.Fatalf("replica %d not bit-exact after round trip", i)
 		}

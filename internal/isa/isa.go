@@ -353,9 +353,6 @@ func (o Op) String() string {
 // Format returns the encoding format of the opcode.
 func (o Op) Format() Format { return opTable[o].fmt }
 
-// Class returns the behavioural class bitmask of the opcode.
-func (o Op) Class() Class { return opTable[o].class }
-
 // Is reports whether the opcode belongs to every class in mask.
 func (o Op) Is(mask Class) bool { return opTable[o].class&mask == mask }
 

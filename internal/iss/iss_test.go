@@ -429,7 +429,7 @@ func TestTraceDeterminism(t *testing.T) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(t1), len(t2))
 	}
 	for i := range t1 {
-		if !trace.Equal(t1[i], t2[i]) {
+		if t1[i] != t2[i] {
 			t.Fatalf("entry %d differs:\n%s\n%s", i, t1[i], t2[i])
 		}
 	}

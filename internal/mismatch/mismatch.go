@@ -403,18 +403,6 @@ func uniqueOrder(a, b *Record) int {
 	return strings.Compare(a.Signature, b.Signature)
 }
 
-// Findings returns the set of classified findings that have at least
-// one non-filtered record.
-func (d *Detector) Findings() map[Finding]int {
-	out := make(map[Finding]int)
-	for _, r := range d.recs {
-		if !r.Filtered && r.Finding != FindingUnknown {
-			out[r.Finding] += r.Count
-		}
-	}
-	return out
-}
-
 // Report renders the campaign summary in the shape of the paper's
 // §V-B: raw disparities, unique mismatches after automated filtration,
 // and the classified findings.

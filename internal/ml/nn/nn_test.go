@@ -623,7 +623,7 @@ func TestAdamResetMatchesFresh(t *testing.T) {
 	steps := func(opt *Adam, p *tensor.Tensor, n int) {
 		for i := 0; i < n; i++ {
 			opt.ZeroGrad()
-			tensor.Backward(tensor.Mean(tensor.Square(tensor.AddConst(p, 0.5))))
+			tensor.Backward(tensor.Mean(tensor.Square(tensor.Scale(p, 0.5))))
 			opt.Step()
 		}
 	}

@@ -34,7 +34,7 @@ func arenaTape(a *Arena, frozen bool) [][]float64 {
 	ce := CrossEntropy(logits, []int{3, -1, 4, 0})
 	lp := GatherLogSoftmax(logits, []int{2, 5, 5, 8})
 	e := Exp(Clamp(lp, -3, 0))
-	s := Sub(Mul(e, Square(lp)), Neg(AddConst(Scale(lp, 0.5), 1)))
+	s := Sub(Mul(e, Square(lp)), Scale(lp, -0.5))
 	m := Min(s, lp)
 	loss := Add(Add(ce, Mean(m)), Scale(Sum(Square(y)), 1e-3))
 	nodes := []*Tensor{x, h, qkv, att, y, z, logits, ce, lp, e, s, m, loss}

@@ -116,14 +116,6 @@ func Param(r, c int) *Tensor {
 	return t
 }
 
-// FromSlice wraps data (not copied) as an [r, c] tensor.
-func FromSlice(r, c int, data []float64) *Tensor {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("tensor: FromSlice %dx%d with %d elements", r, c, len(data)))
-	}
-	return &Tensor{R: r, C: c, Data: data}
-}
-
 // Requires reports whether the tensor participates in gradients.
 func (t *Tensor) Requires() bool { return t.requires }
 
@@ -330,20 +322,10 @@ func Scale(a *Tensor, k float64) *Tensor {
 		func(x float64) float64 { return k })
 }
 
-// AddConst returns a + k.
-func AddConst(a *Tensor, k float64) *Tensor {
-	return unOp(a,
-		func(x float64) float64 { return x + k },
-		func(x float64) float64 { return 1 })
-}
-
 // Exp returns e^a.
 func Exp(a *Tensor) *Tensor {
 	return unOp(a, math.Exp, math.Exp)
 }
-
-// Neg returns -a.
-func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
 
 // Square returns a².
 func Square(a *Tensor) *Tensor {

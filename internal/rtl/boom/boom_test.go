@@ -94,7 +94,7 @@ func TestBoomTraceMatchesGoldenOnWildPrograms(t *testing.T) {
 			t.Fatalf("trial %d: trace length %d vs %d", trial, len(res.Trace), len(gt))
 		}
 		for i := range gt {
-			if !trace.Equal(res.Trace[i], gt[i]) {
+			if res.Trace[i] != gt[i] {
 				t.Fatalf("trial %d entry %d:\nboom:   %s\ngolden: %s\ndiff: %s",
 					trial, i, res.Trace[i], gt[i], trace.Diff(res.Trace[i], gt[i]))
 			}
@@ -116,7 +116,7 @@ func TestBoomNoFinding1(t *testing.T) {
 	}
 	res, gt, _ := runBoth(body)
 	for i := range gt {
-		if !trace.Equal(res.Trace[i], gt[i]) {
+		if res.Trace[i] != gt[i] {
 			t.Fatalf("entry %d diverges: %s", i, trace.Diff(res.Trace[i], gt[i]))
 		}
 	}

@@ -89,7 +89,7 @@ func TestRocketTraceMatchesGoldenOnCleanPrograms(t *testing.T) {
 			t.Fatalf("trial %d: trace length %d vs %d", trial, len(res.Trace), len(gt))
 		}
 		for i := range gt {
-			if !trace.Equal(res.Trace[i], gt[i]) {
+			if res.Trace[i] != gt[i] {
 				t.Fatalf("trial %d entry %d:\nrocket: %s\ngolden: %s\ndiff: %s",
 					trial, i, res.Trace[i], gt[i], trace.Diff(res.Trace[i], gt[i]))
 			}

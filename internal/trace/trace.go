@@ -64,10 +64,6 @@ func (e Entry) String() string {
 	return b.String()
 }
 
-// Equal reports whether two entries describe the identical
-// architectural event.
-func Equal(a, b Entry) bool { return a == b }
-
 // Diff returns a human-readable description of the first field in
 // which the entries differ, or "" if they are equal.
 func Diff(a, b Entry) string {

@@ -9,58 +9,39 @@
 //chatfuzz:deterministic package
 package vtime
 
-import "time"
+// The rig's calibration: ~1.8 K tests in ~52 minutes of aggregate
+// wall-clock on ten instances (≈1.73 s per test), with the RTL
+// simulator running at roughly 1 kHz.
+const (
+	// instances is the number of parallel simulator instances the
+	// aggregate throughput is divided by (the paper uses ten VCS
+	// instances).
+	instances = 10
+	// secondsPerCycle is the RTL simulation cost of one core cycle.
+	secondsPerCycle = 1.0 / 1000.0
+	// overheadPerTest is the fixed per-test cost (simulator setup,
+	// image load, coverage-database write).
+	overheadPerTest = 12.0
+)
 
 // Clock accumulates virtual seconds across simulated tests.
 type Clock struct {
-	// Instances is the number of parallel simulator instances the
-	// aggregate throughput is divided by (the paper uses ten VCS
-	// instances).
-	Instances int
-	// SecondsPerCycle is the RTL simulation cost of one core cycle.
-	SecondsPerCycle float64
-	// OverheadPerTest is the fixed per-test cost (simulator setup,
-	// image load, coverage-database write).
-	OverheadPerTest float64
-
 	elapsed float64
 }
 
-// NewVCS returns a clock calibrated to the paper's observed
-// throughput: ~1.8 K tests in ~52 minutes of aggregate wall-clock on
-// ten instances (≈1.73 s per test), with the RTL simulator running at
-// roughly 1 kHz.
-func NewVCS() *Clock {
-	return &Clock{
-		Instances:       10,
-		SecondsPerCycle: 1.0 / 1000.0,
-		OverheadPerTest: 12.0,
-	}
-}
+// NewVCS returns a clock at zero, calibrated to the paper's rig.
+func NewVCS() *Clock { return &Clock{} }
 
 // ChargeTest accounts one simulated test of the given cycle count.
 func (c *Clock) ChargeTest(cycles uint64) {
-	inst := c.Instances
-	if inst <= 0 {
-		inst = 1
-	}
-	c.elapsed += (c.OverheadPerTest + float64(cycles)*c.SecondsPerCycle) / float64(inst)
-}
-
-// Elapsed returns the virtual wall-clock time so far.
-func (c *Clock) Elapsed() time.Duration {
-	return time.Duration(c.elapsed * float64(time.Second))
+	c.elapsed += (overheadPerTest + float64(cycles)*secondsPerCycle) / instances
 }
 
 // Hours returns the elapsed virtual time in hours.
 func (c *Clock) Hours() float64 { return c.elapsed / 3600 }
 
-// Reset zeroes the clock.
-func (c *Clock) Reset() { c.elapsed = 0 }
-
 // Seconds returns the exact elapsed virtual seconds, for checkpoint
-// serialization (Elapsed rounds through time.Duration's nanosecond
-// grid, which would perturb resumed trajectories in the last bits).
+// serialization.
 func (c *Clock) Seconds() float64 { return c.elapsed }
 
 // SetSeconds restores the clock to an exact elapsed value.

@@ -3,26 +3,36 @@ package vtime
 import (
 	"math"
 	"testing"
-	"time"
 )
 
+// TestChargeTestAccumulates: each charge adds (overhead + cycles ×
+// seconds per cycle) / instances, in the order charged.
 func TestChargeTestAccumulates(t *testing.T) {
-	c := &Clock{Instances: 1, SecondsPerCycle: 0.001, OverheadPerTest: 10}
-	c.ChargeTest(5000) // 10 + 5 = 15 s
-	if got := c.Elapsed(); got != 15*time.Second {
-		t.Errorf("Elapsed = %v, want 15s", got)
+	c := NewVCS()
+	c.ChargeTest(5000)
+	if got := c.Seconds(); math.Abs(got-1.7) > 1e-12 {
+		t.Fatalf("a 5000-cycle test costs %v s, want 1.7 (12 s + 5 s on ten instances)", got)
+	}
+	want := c.Seconds()
+	for _, cycles := range []uint64{0, 1, 123456} {
+		c.ChargeTest(cycles)
+		want += (overheadPerTest + float64(cycles)*secondsPerCycle) / instances
+		if c.Seconds() != want {
+			t.Fatalf("after %d cycles: Seconds = %v, want %v", cycles, c.Seconds(), want)
+		}
 	}
 }
 
+// TestInstancesDivideThroughput: the rig's instances share the load, so
+// 100 tests of 2000 cycles, 100 × 14 s = 1400 s on one simulator, read
+// 140 s on the ten-instance clock.
 func TestInstancesDivideThroughput(t *testing.T) {
-	one := &Clock{Instances: 1, SecondsPerCycle: 0.001, OverheadPerTest: 10}
-	ten := &Clock{Instances: 10, SecondsPerCycle: 0.001, OverheadPerTest: 10}
+	c := NewVCS()
 	for i := 0; i < 100; i++ {
-		one.ChargeTest(2000)
-		ten.ChargeTest(2000)
+		c.ChargeTest(2000)
 	}
-	if math.Abs(one.Hours()-10*ten.Hours()) > 1e-9 {
-		t.Errorf("ten instances must be 10x faster: %v vs %v", one.Hours(), ten.Hours())
+	if got := c.Hours() * 3600; math.Abs(got-140) > 1e-9 {
+		t.Errorf("100 tests of 2000 cycles read %v s, want 140 (1400 s on one simulator / 10 instances)", got)
 	}
 }
 
@@ -39,23 +49,14 @@ func TestVCSCalibration(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
+func TestHours(t *testing.T) {
 	c := NewVCS()
+	if c.Seconds() != 0 || c.Hours() != 0 {
+		t.Errorf("a new clock reads %v s, %v h, want 0", c.Seconds(), c.Hours())
+	}
 	c.SetSeconds(36)
 	if c.Hours() != 0.01 {
 		t.Errorf("Hours = %v, want 0.01", c.Hours())
-	}
-	c.Reset()
-	if c.Elapsed() != 0 {
-		t.Error("Reset did not zero the clock")
-	}
-}
-
-func TestZeroInstancesDefaultsToOne(t *testing.T) {
-	c := &Clock{SecondsPerCycle: 0.001, OverheadPerTest: 1}
-	c.ChargeTest(1000)
-	if c.Elapsed() != 2*time.Second {
-		t.Errorf("Elapsed = %v, want 2s", c.Elapsed())
 	}
 }
 
@@ -70,7 +71,6 @@ func TestSecondsRoundTripExact(t *testing.T) {
 	if c2.Hours() != c.Hours() {
 		t.Errorf("Hours after SetSeconds = %v, want exactly %v", c2.Hours(), c.Hours())
 	}
-	// Elapsed() would round through nanoseconds; Seconds must not.
 	if c2.Seconds() != s {
 		t.Errorf("Seconds round trip changed the value")
 	}
