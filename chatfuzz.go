@@ -81,7 +81,7 @@
 // CampaignConfig.UpdateBudget skips updates while merged coverage is
 // plateaued. A skip saves host wall-clock, not virtual time: the
 // virtual clock charges only simulated tests. Checkpoints
-// (v4) carry the published and staged weight vectors and each shard's
+// (v5) carry the published and staged weight vectors and each shard's
 // clustered mismatch-detector state, so a learning campaign resumed
 // even mid-lag replays bit-identically and reports cumulative
 // findings:

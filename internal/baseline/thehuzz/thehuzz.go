@@ -6,11 +6,10 @@
 // coverage points enter the seed pool and are mutated further.
 //
 // A pooled body is immutable: mutate works on a copy and splice only
-// reads, so pools may share bodies (AdoptPool) while State and SetState
-// still hand over deep copies. Sharing is what SamePool sees: a fleet's
-// barrier merge uses it to skip a pool it already gathered. A pool
-// restored by SetState shares nothing, so it is never the same as
-// another until the next adoption.
+// reads, so pools may share bodies (AdoptPool), and State hands out the
+// live pool itself, which its reader must not write. Sharing is what
+// SamePool sees: a fleet's barrier merge uses it to skip a pool it
+// already gathered.
 //
 //chatfuzz:deterministic package
 package thehuzz
@@ -110,47 +109,22 @@ type PoolEntry struct {
 	Age   int
 }
 
-// State is the generator's checkpointable state, which a campaign
-// checkpoint encodes with encoding/json: everything except the rng (see
-// Reseed) and the transient last-batch buffer, which is only meaningful
-// between a GenerateBatch and its Feedback.
+// State is the generator's checkpointable state: everything except the
+// rng (see Reseed) and the transient last-batch buffer, which is only
+// meaningful between a GenerateBatch and its Feedback.
 type State struct {
 	Round int
 	Pool  []PoolEntry
 }
 
-// State snapshots the seed pool for checkpointing.
+// State is a view of the generator's state, best entry first: Pool is
+// the live pool, whose entries and bodies must not be written. AdoptPool
+// restores it.
 func (g *Gen) State() State {
-	return State{Round: g.round, Pool: clonePool(g.pool)}
-}
-
-// SetState restores a snapshot taken with State.
-func (g *Gen) SetState(st State) {
-	g.round = st.Round
-	g.pool = clonePool(st.Pool)
-	g.last = nil
-}
-
-// clonePool deep-copies a pool. Neither the pool nor a body comes out
-// nil, so an empty one still encodes as [] in a checkpoint.
-func clonePool(pool []PoolEntry) []PoolEntry {
-	out := make([]PoolEntry, len(pool))
-	for i, e := range pool {
-		e.Body = cloneBody(e.Body)
-		out[i] = e
-	}
-	return out
+	return State{Round: g.round, Pool: g.pool}
 }
 
 func cloneBody(b []uint32) []uint32 { return append(make([]uint32, 0, len(b)), b...) }
-
-// VisitPool calls f on every pool entry, best first. The bodies are the
-// pool's own and must not be written.
-func (g *Gen) VisitPool(f func(PoolEntry)) {
-	for _, e := range g.pool {
-		f(e)
-	}
-}
 
 // SamePool reports whether g's pool is h's entry for entry: the same
 // bodies (by identity, as AdoptPool shares them), scores and ages.
@@ -161,8 +135,8 @@ func (g *Gen) SamePool(h *Gen) bool {
 	})
 }
 
-// AdoptPool is SetState without the deep copy: the generator copies the
-// entries and shares their bodies, which nobody may write afterwards.
+// AdoptPool sets the generator's round and pool: the generator copies
+// the entries and shares their bodies, which nobody may write afterwards.
 func (g *Gen) AdoptPool(round int, pool []PoolEntry) {
 	g.round = round
 	g.pool = append(g.pool[:0], pool...)

@@ -1,7 +1,9 @@
 package thehuzz
 
 import (
+	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"chatfuzz/internal/cov"
@@ -88,34 +90,28 @@ func TestStateRoundTripPreservesPool(t *testing.T) {
 		t.Fatal("pool empty after positive feedback")
 	}
 
-	st := g.State()
-	g2 := New(99, 12)
-	g2.SetState(st)
-	if len(g2.pool) != len(g.pool) {
-		t.Fatalf("restored pool size %d, want %d", len(g2.pool), len(g.pool))
+	// A checkpoint encodes the State view and restores it through
+	// AdoptPool.
+	raw, err := json.Marshal(g.State())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The snapshot must be a deep copy: mutating the restored pool's
-	// bodies through further fuzzing must not corrupt the original.
-	st.Pool[0].Body[0] = 0xDEADBEEF
-	if g.State().Pool[0].Body[0] == 0xDEADBEEF {
-		t.Error("State shares body storage with the live pool")
+	var st State
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	g2 := New(99, 12)
+	g2.AdoptPool(st.Round, st.Pool)
+	if !reflect.DeepEqual(g2.State(), g.State()) {
+		t.Fatalf("restored state differs: %d entries at round %d, want %d at round %d",
+			len(g2.pool), g2.round, len(g.pool), g.round)
 	}
 
 	// Reseeded generators with identical state produce identical batches.
 	g.Reseed(7)
 	g2.Reseed(7)
-	a := g.GenerateBatch(6)
-	b := g2.GenerateBatch(6)
-	for i := range a {
-		if len(a[i].Body) != len(b[i].Body) {
-			t.Fatalf("batch %d length mismatch", i)
-		}
-		for j := range a[i].Body {
-			if a[i].Body[j] != b[i].Body[j] {
-				t.Fatalf("batch %d word %d differs after identical reseed", i, j)
-			}
-		}
+	if a, b := g.GenerateBatch(6), g2.GenerateBatch(6); !reflect.DeepEqual(a, b) {
+		t.Fatal("batches differ after identical reseed")
 	}
 }
 
@@ -132,7 +128,8 @@ func TestReseedInPlaceMatchesFresh(t *testing.T) {
 
 		used.Reseed(seed)
 		fresh := New(seed, 12)
-		fresh.SetState(used.State())
+		st := used.State()
+		fresh.AdoptPool(st.Round, st.Pool)
 		if got, want := used.GenerateBatch(8), fresh.GenerateBatch(8); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d (pool %d): reseeded generator diverges from a fresh one", seed, len(used.pool))
 		}
@@ -157,8 +154,7 @@ func TestSamePool(t *testing.T) {
 		scores[i].Incremental = 1 + i%2
 	}
 	src.Feedback(scores)
-	pool := src.State().Pool
-	pool = append(pool, PoolEntry{Body: []uint32{}, Score: 1})
+	pool := append(slices.Clone(src.State().Pool), PoolEntry{Body: []uint32{}, Score: 1})
 	a, b := New(2, 8), New(3, 8)
 	a.AdoptPool(4, pool)
 	b.AdoptPool(5, pool)
@@ -174,7 +170,11 @@ func TestSamePool(t *testing.T) {
 	}
 	b.AdoptPool(5, pool)
 	c := New(4, 8)
-	c.SetState(State{Pool: pool})
+	deep := slices.Clone(pool)
+	for i := range deep {
+		deep[i].Body = slices.Clone(deep[i].Body)
+	}
+	c.AdoptPool(5, deep)
 	if a.SamePool(c) {
 		t.Error("a deep copy shares no body, yet counts as the same pool")
 	}

@@ -1,20 +1,25 @@
 package campaign
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math"
 
 	"chatfuzz/internal/baseline/randfuzz"
 	"chatfuzz/internal/baseline/thehuzz"
 	"chatfuzz/internal/core"
 	"chatfuzz/internal/fleetlearn"
+	"chatfuzz/internal/ml/nn"
 )
 
 // arm is one schedulable generator: a core.Generator the orchestrator
 // reseeds deterministically before every round. Because the seed is a
 // pure function of (campaign seed, shard, round), no rng state has to
 // survive a checkpoint for resumed runs to replay exactly. The one arm
-// state a checkpoint carries is a *thehuzz.Gen's seed pool
-// (shardState.Arms).
+// state a checkpoint carries is the *thehuzz.Gen seed pool every shard
+// shares (checkpointFile.Pool).
 type arm interface {
 	core.Generator
 	Reseed(seed int64)
@@ -41,6 +46,27 @@ type ArmSpec struct {
 	// averaged and redistributed at each round barrier, and checkpoints
 	// the merged weights (checkpoint v3).
 	newLearner func(binsTotal int) (arm, *fleetlearn.Replica)
+
+	// model is the pipeline model an LLM arm samples, or starts from and
+	// keeps as its KL reference; nil for the mutation arms. Checkpoints
+	// record its digest (checkpointFile.Models) outside sig, which
+	// CheckFleet compares on an untrained pipeline.
+	model *nn.GPT
+}
+
+// modelDigest is the SHA-256, in hex, of m's weights: the little-endian
+// IEEE-754 bits of every parameter, in Params order.
+func modelDigest(m *nn.GPT) string {
+	h := sha256.New()
+	var buf []byte
+	for _, p := range m.Params() {
+		buf = buf[:0]
+		for _, v := range p.Data {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TheHuzzArm schedules the TheHuzz mutation baseline as an arm. Its
@@ -97,6 +123,7 @@ func LLMArm(p *core.Pipeline) ArmSpec {
 		build: func(binsTotal int) arm {
 			return core.NewLLMGenerator(p, binsTotal, 0)
 		},
+		model: p.Model,
 	}
 }
 
@@ -109,10 +136,12 @@ func LLMArm(p *core.Pipeline) ArmSpec {
 // orchestrator averages the stepped replicas' weights deterministically
 // and redistributes the merge to the whole fleet (internal/fleetlearn).
 //
-// Checkpoints (v3) carry the merged weights, so resumed campaigns
-// replay bit-identically; the KL reference model is not checkpointed —
-// Resume must be given the same trained pipeline the original run used
-// (the same requirement LLMArm already has for its sampling weights).
+// Checkpoints carry the merged weights, so resumed campaigns replay
+// bit-identically; the KL reference model is not checkpointed, only
+// the digest of the pipeline model it copies — Resume must be given
+// the same trained pipeline the original run used (the same
+// requirement LLMArm already has for its sampling weights), and
+// refuses another.
 // The replica's weights are not part of the arm's own checkpoint state:
 // between rounds every shard's replica holds the same merge, so they
 // live once, in the checkpoint's fleet-level Learn section. The arm's
@@ -129,5 +158,6 @@ func LearningLLMArm(p *core.Pipeline) ArmSpec {
 			rep := fleetlearn.NewReplica(p.Model, p.OnlinePPOConfig())
 			return core.NewReplicaGenerator(p, rep.Model, rep, binsTotal, 0), rep
 		},
+		model: p.Model,
 	}
 }

@@ -48,7 +48,7 @@
 // overlapped with the next round's simulation — so PPO never sits on
 // a shard's critical path. Config.UpdateBudget adaptively skips
 // updates while merged coverage is plateaued, which saves host
-// wall-clock (never virtual time). Checkpoints (v4) carry
+// wall-clock (never virtual time). Checkpoints (v5) carry
 // the published and staged weight vectors, making resume bit-exact
 // even mid-lag.
 //
@@ -221,6 +221,12 @@ type Orchestrator struct {
 	// fleets[i] aggregates spec i's per-shard model replicas for
 	// barrier weight averaging; nil for non-learning arms.
 	fleets []*fleetlearn.Fleet
+	// models holds each LLM arm's model digest, keyed by arm name, taken
+	// when the fleet is built (checkpointFile.Models).
+	models map[string]string
+	// huzz holds every shard's TheHuzz generator, in shard order; each
+	// barrier hands them one merged pool (syncPools).
+	huzz []*thehuzz.Gen
 	// pool is the execution pool every shard engine submits to; the
 	// orchestrator owns it and closes it after the shard engines.
 	pool *engine.FleetPool
@@ -276,6 +282,12 @@ func NewMixed(cfg Config, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestr
 		globals: make(map[string]*cov.Set),
 		track:   cfg.Telemetry.NewTrack("orchestrator"),
 		pool:    engine.NewFleetPool(engine.SpareWorkers(cfg.Shards), cfg.Telemetry),
+		models:  make(map[string]string),
+	}
+	for _, sp := range specs {
+		if sp.model != nil {
+			o.models[sp.Name] = modelDigest(sp.model)
+		}
 	}
 	replicas := make([][]*fleetlearn.Replica, len(specs))
 	for s := 0; s < cfg.Shards; s++ {
@@ -290,8 +302,9 @@ func NewMixed(cfg Config, newDUTs []func() rtl.DUT, specs ...ArmSpec) (*Orchestr
 			} else {
 				arms[i] = sp.build(dut.Space().NumBins())
 			}
-			if _, ok := arms[i].(*thehuzz.Gen); ok {
+			if g, ok := arms[i].(*thehuzz.Gen); ok {
 				hasHuzz = true
+				o.huzz = append(o.huzz, g)
 			}
 		}
 		sh := newShard(dut, cfg, o.pool, fmt.Sprintf("shard%d/%s", s, dut.Name()))
@@ -606,15 +619,20 @@ func (c Config) reward(covRate, misRate float64) float64 {
 // bandit assigns it TheHuzz; after syncing, every shard mutates from a
 // pool fed by the full fleet throughput and by every generator's
 // discoveries. Deterministic: shards are visited in order and the
-// merge reuses TheHuzz's own (score, age) ordering.
+// merge reuses TheHuzz's own (score, age) ordering. Every generator
+// adopts the merged pool at the next round, also when it is empty, so
+// between rounds they all hold one state (the checkpoint's Pool).
 //
 // The barrier copies no body: pooled bodies are immutable (see package
 // thehuzz), so the merged pool's entries are handed to every generator
 // as they are, and the gather buffers, the dedupe map and its key
 // buffer are the orchestrator's, reused every round.
 func (o *Orchestrator) syncPools() {
+	if len(o.huzz) == 0 {
+		return
+	}
 	ps := &o.pools
-	ps.gens, ps.all = ps.gens[:0], ps.all[:0]
+	ps.all = ps.all[:0]
 	if ps.seen == nil {
 		ps.seen = make(map[string]bool)
 	}
@@ -633,21 +651,15 @@ func (o *Orchestrator) syncPools() {
 			ps.all = append(ps.all, e)
 		}
 	}
-	for _, s := range o.shards {
-		for _, a := range s.arms {
-			if g, ok := a.(*thehuzz.Gen); ok {
-				// A pool that is an earlier one's entry for entry — after a
-				// sync, usually every pool but the first — adds nothing: each
-				// of its bodies would be a dedupe hit.
-				if !slices.ContainsFunc(ps.gens, g.SamePool) {
-					g.VisitPool(add)
-				}
-				ps.gens = append(ps.gens, g)
+	for i, g := range o.huzz {
+		// A pool that is an earlier one's entry for entry — after a sync,
+		// usually every pool but the first — adds nothing: each of its
+		// bodies would be a dedupe hit.
+		if !slices.ContainsFunc(o.huzz[:i], g.SamePool) {
+			for _, e := range g.State().Pool {
+				add(e)
 			}
 		}
-	}
-	if len(ps.gens) == 0 {
-		return
 	}
 	for _, s := range o.shards {
 		for _, e := range s.found {
@@ -656,9 +668,6 @@ func (o *Orchestrator) syncPools() {
 		}
 		// add copied each entry out: the backing array is free again.
 		s.found = s.found[:0]
-	}
-	if len(ps.all) == 0 {
-		return
 	}
 	slices.SortStableFunc(ps.all, func(a, b thehuzz.PoolEntry) int {
 		if a.Score != b.Score {
@@ -670,14 +679,13 @@ func (o *Orchestrator) syncPools() {
 	if len(all) > thehuzz.PoolCap {
 		all = all[:thehuzz.PoolCap]
 	}
-	for _, g := range ps.gens {
+	for _, g := range o.huzz {
 		g.AdoptPool(o.round+1, all)
 	}
 }
 
 // poolSync is syncPools' scratch, kept across barriers.
 type poolSync struct {
-	gens []*thehuzz.Gen
 	all  []thehuzz.PoolEntry
 	seen map[string]bool
 	key  []byte

@@ -277,6 +277,55 @@ func TestLLMArmSchedules(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesAnotherModel: an LLM arm's checkpoint records the
+// digest of the pipeline model it samples (or, learning, keeps as its
+// KL reference). Resume accepts the same pipeline and refuses one
+// trained with another seed, although the arm signatures match, naming
+// both digests.
+func TestResumeRefusesAnotherModel(t *testing.T) {
+	trained := func(seed int64) *core.Pipeline {
+		cfg := core.TestPipelineConfig()
+		cfg.Seed = seed
+		cfg.PretrainSteps = 5
+		p := core.NewPipeline(cfg)
+		p.Pretrain()
+		return p
+	}
+	p, other := trained(1), trained(2)
+	for _, arm := range []func(*core.Pipeline) ArmSpec{LLMArm, LearningLLMArm} {
+		name := arm(p).Name
+		t.Run(name, func(t *testing.T) {
+			o, err := New(Config{Shards: 2, BatchSize: 4, Seed: 13}, newRocket, arm(p), RandInstArm(testBody))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer o.Close()
+			if err := o.RunRounds(1); err != nil {
+				t.Fatalf("RunRounds: %v", err)
+			}
+			var buf bytes.Buffer
+			if err := o.Checkpoint(&buf); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			r, err := ResumeMixed(bytes.NewReader(buf.Bytes()), []func() rtl.DUT{newRocket}, arm(p), RandInstArm(testBody))
+			if err != nil {
+				t.Fatalf("Resume under the same pipeline: %v", err)
+			}
+			r.Close()
+			r, err = ResumeMixed(bytes.NewReader(buf.Bytes()), []func() rtl.DUT{newRocket}, arm(other), RandInstArm(testBody))
+			if err == nil {
+				r.Close()
+				t.Fatal("Resume accepted a pipeline trained with another seed")
+			}
+			for _, want := range []string{modelDigest(p.Model), modelDigest(other.Model)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name digest %s", err, want)
+				}
+			}
+		})
+	}
+}
+
 // TestArmReseedInPlaceMatchesFresh: every arm without checkpoint state
 // reseeds in place, and a used arm, once reseeded, emits what a
 // generator freshly seeded alike gives: randinst programs for

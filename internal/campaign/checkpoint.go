@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"chatfuzz/internal/atomicio"
 	"chatfuzz/internal/baseline/thehuzz"
@@ -23,8 +24,13 @@ import (
 // learning off the barrier: Learn becomes a published/staged weight
 // pair per arm — the sampling weights every replica holds plus the
 // trained-but-unpublished merge in the one-round publication lag — so
-// a fleet paused mid-lag resumes bit-exactly.
-const checkpointVersion = 4
+// a fleet paused mid-lag resumes bit-exactly. Version 5 holds each
+// thing once: the TheHuzz pool every shard's generator holds after a
+// barrier is written once (Pool), each shard's coverage is its
+// design's Globals bitmap instead of a copy of its own, and each LLM
+// arm's model digest (Models) is recorded. Version 4 files still
+// resume (checkpointV4).
+const checkpointVersion = 5
 
 // checkpointFile is the serialized form of a paused fleet. Arms holds
 // the arm signatures (name + parameters), which Resume validates so a
@@ -46,11 +52,23 @@ type checkpointFile struct {
 	// Bins fingerprints each design's coverage space: the bitmap word
 	// count alone cannot distinguish spaces whose bin counts round to
 	// the same number of 64-bit words.
-	Bins   map[string]int
-	Arms   []string
+	Bins map[string]int
+	Arms []string
+	// Models holds the digest of each LLM arm's pipeline model
+	// (modelDigest), keyed by arm name; Resume refuses a fleet whose
+	// model differs. It is not part of the arm signature, so
+	// CheckFleet can still run on an untrained pipeline.
+	Models map[string]string `json:",omitempty"`
 	Bandit banditState
 	// Globals holds the fleet-merged coverage bitmap of every design.
+	// Every barrier merges it back into each shard, so it is also each
+	// shard's coverage.
 	Globals map[string][]uint64
+	// Pool is the TheHuzz seed pool. Every barrier hands each shard's
+	// generator the one merged pool at the round the checkpoint records,
+	// so it is written once (omitted when empty or there is no thehuzz
+	// arm).
+	Pool []thehuzz.PoolEntry `json:",omitempty"`
 	// Learn holds each learning arm's weight state, keyed by arm name.
 	// Between rounds an arm's entire learning state collapses to the
 	// learnState vector pair: training always restarts from a fresh
@@ -62,8 +80,8 @@ type checkpointFile struct {
 	Shards []shardState
 }
 
-// wireConfig is Config as checkpoint v4 spells it: exactly these keys
-// in exactly this order. It is its own struct so that reshaping Config
+// wireConfig is Config as checkpoints v4 and v5 spell it: exactly these
+// keys in exactly this order. It is its own struct so that reshaping Config
 // cannot move checkpoint bytes. Parallel is a format constant: v4 files
 // carried a per-shard worker count (default 1) that no longer exists;
 // it is written as 1 and ignored when read. ExploreC, RewardHalf,
@@ -153,13 +171,58 @@ type banditState struct {
 type shardState struct {
 	Tests   int
 	Seconds float64
-	Cov     []uint64
-	// Arms holds per-arm checkpoint state, indexed like the specs:
-	// TheHuzz's seed pool, nil (written null) for a stateless arm.
-	Arms []*thehuzz.State
 	// Det is the shard's mismatch-detector state (Detect fleets only),
 	// so resumed fleets report cumulative findings.
 	Det *mismatch.State `json:",omitempty"`
+}
+
+// checkpointV4 is the version 4 layout: checkpointFile with each
+// shard's coverage bitmap and TheHuzz state written per shard.
+type checkpointV4 struct {
+	checkpointFile
+	Shards []struct {
+		shardState
+		Cov []uint64
+		// Arms holds per-arm state, indexed like the specs: TheHuzz's
+		// seed pool, null for a stateless arm.
+		Arms []*thehuzz.State
+	}
+}
+
+// v5 converts a version 4 checkpoint into the version 5 struct. It
+// accepts the file only if it holds what every barrier leaves behind:
+// one TheHuzz state, at the checkpoint's round, in every shard, and
+// each shard's coverage equal to its design's merged bitmap.
+func (v checkpointV4) v5() (checkpointFile, error) {
+	cf := v.checkpointFile
+	cf.Version = checkpointVersion
+	if len(v.Shards) != len(cf.Designs) {
+		return cf, fmt.Errorf("campaign: v4 checkpoint has %d shards and %d shard designs", len(v.Shards), len(cf.Designs))
+	}
+	var pool *thehuzz.State
+	for si, st := range v.Shards {
+		cf.Shards = append(cf.Shards, st.shardState)
+		if !slices.Equal(st.Cov, cf.Globals[cf.Designs[si]]) {
+			return cf, fmt.Errorf("campaign: v4 checkpoint shard %d coverage differs from its design's merged coverage", si)
+		}
+		for _, hs := range st.Arms {
+			switch {
+			case hs == nil:
+			case hs.Round != cf.Round:
+				return cf, fmt.Errorf("campaign: v4 checkpoint shard %d TheHuzz pool is at round %d, the checkpoint at %d", si, hs.Round, cf.Round)
+			case pool == nil:
+				pool = hs
+			case !slices.EqualFunc(hs.Pool, pool.Pool, func(a, b thehuzz.PoolEntry) bool {
+				return a.Score == b.Score && a.Age == b.Age && slices.Equal(a.Body, b.Body)
+			}):
+				return cf, fmt.Errorf("campaign: v4 checkpoint shard %d TheHuzz pool differs from the first one", si)
+			}
+		}
+	}
+	if pool != nil {
+		cf.Pool = pool.Pool
+	}
+	return cf, nil
 }
 
 // Checkpoint serializes the fleet between rounds. The caller provides
@@ -171,9 +234,7 @@ type shardState struct {
 // from the live fleet (checkpoint), the struct decodeCheckpoint reads
 // back: the wire structs are the only place the layout is spelled. A
 // value encoding/json refuses fails the call before anything reaches w.
-// Every call encodes the live state in full, copying each shard's
-// TheHuzz pool and detector records: the farm daemon commits a job at
-// most once per 100 ms, so the encode is a small share of a job's work.
+// The TheHuzz pool is encoded from the live pool, uncopied.
 func (o *Orchestrator) Checkpoint(w io.Writer) error {
 	if err := json.NewEncoder(w).Encode(o.checkpoint()); err != nil {
 		return fmt.Errorf("campaign: encode checkpoint: %w", err)
@@ -190,6 +251,7 @@ func (o *Orchestrator) checkpoint() *checkpointFile {
 		Tests:   o.tests,
 		Designs: o.designs,
 		Bins:    make(map[string]int, len(o.names)),
+		Models:  o.models,
 		Bandit:  banditState{Pulls: o.bandit.Pulls, W: o.bandit.W, Sums: o.bandit.Sums, T: o.bandit.T},
 		Globals: make(map[string][]uint64, len(o.names)),
 		Merged:  o.merged,
@@ -215,19 +277,12 @@ func (o *Orchestrator) checkpoint() *checkpointFile {
 			cf.Learn[sp.Name] = st
 		}
 	}
+	// After a barrier every TheHuzz generator holds the one merged pool.
+	if len(o.huzz) > 0 {
+		cf.Pool = o.huzz[0].State().Pool
+	}
 	for _, s := range o.shards {
-		st := shardState{
-			Tests:   s.Tests,
-			Seconds: s.Clk.Seconds(),
-			Cov:     s.Calc.Total().Snapshot(),
-			Arms:    make([]*thehuzz.State, len(s.arms)),
-		}
-		for i, a := range s.arms {
-			if g, ok := a.(*thehuzz.Gen); ok {
-				hs := g.State()
-				st.Arms[i] = &hs
-			}
-		}
+		st := shardState{Tests: s.Tests, Seconds: s.Clk.Seconds()}
 		if s.Det != nil {
 			det := s.Det.State()
 			st.Det = &det
@@ -241,7 +296,9 @@ func (o *Orchestrator) checkpoint() *checkpointFile {
 // full strict decode: field layouts differ across versions (v1's Bins
 // was an int, v2's is a map), so decoding the v2 struct directly
 // against an old file would fail with a raw JSON type error and the
-// helpful version-mismatch message would be unreachable.
+// helpful version-mismatch message would be unreachable. A version 4
+// file decodes as checkpointV4 and converts to the version 5 struct, so
+// everything downstream reads one layout.
 func decodeCheckpoint(r io.Reader) (checkpointFile, error) {
 	var cf checkpointFile
 	raw, err := io.ReadAll(r)
@@ -252,11 +309,21 @@ func decodeCheckpoint(r io.Reader) (checkpointFile, error) {
 	if err := json.Unmarshal(raw, &probe); err != nil {
 		return cf, fmt.Errorf("campaign: decode checkpoint: %w", err)
 	}
-	if probe.Version != checkpointVersion {
-		return cf, fmt.Errorf("campaign: checkpoint version %d, want %d", probe.Version, checkpointVersion)
-	}
-	if err := json.Unmarshal(raw, &cf); err != nil {
-		return cf, fmt.Errorf("campaign: decode checkpoint: %w", err)
+	switch probe.Version {
+	case checkpointVersion:
+		if err := json.Unmarshal(raw, &cf); err != nil {
+			return cf, fmt.Errorf("campaign: decode checkpoint: %w", err)
+		}
+	case 4:
+		var v4 checkpointV4
+		if err := json.Unmarshal(raw, &v4); err != nil {
+			return cf, fmt.Errorf("campaign: decode checkpoint: %w", err)
+		}
+		if cf, err = v4.v5(); err != nil {
+			return cf, err
+		}
+	default:
+		return cf, fmt.Errorf("campaign: checkpoint version %d, want 4 or %d", probe.Version, checkpointVersion)
 	}
 	return cf, cf.Config.check()
 }
@@ -317,6 +384,11 @@ func ResumeExec(r io.Reader, ex Exec, newDUTs []func() rtl.DUT, specs ...ArmSpec
 	if len(cf.Designs) != len(o.designs) {
 		return nil, fmt.Errorf("campaign: checkpoint has %d shard designs, config builds %d", len(cf.Designs), len(o.designs))
 	}
+	for _, sp := range o.specs { // a v4 file carries no Models
+		if want, got := cf.Models[sp.Name], o.models[sp.Name]; cf.Models != nil && want != got {
+			return nil, fmt.Errorf("campaign: arm %q was checkpointed under model %s, this pipeline's model is %s", sp.Name, want, got)
+		}
+	}
 	for _, n := range o.names {
 		if bins := o.globals[n].Space().NumBins(); bins != cf.Bins[n] {
 			return nil, fmt.Errorf("campaign: checkpoint was taken against a %q DUT with %d coverage bins, this one has %d — resume with the original DUT constructor", n, cf.Bins[n], bins)
@@ -345,22 +417,8 @@ func ResumeExec(r io.Reader, ex Exec, newDUTs []func() rtl.DUT, specs ...ArmSpec
 		s := o.shards[si]
 		s.Tests = st.Tests
 		s.Clk.SetSeconds(st.Seconds)
-		if err := s.Calc.RestoreTotal(st.Cov); err != nil {
+		if err := s.Calc.RestoreTotal(cf.Globals[o.designs[si]]); err != nil {
 			return nil, fmt.Errorf("campaign: shard %d coverage: %w", si, err)
-		}
-		if len(st.Arms) != len(s.arms) {
-			return nil, fmt.Errorf("campaign: shard %d has %d arm states, want %d", si, len(st.Arms), len(s.arms))
-		}
-		for ai, hs := range st.Arms {
-			// Stateless arms checkpoint as JSON null.
-			if hs == nil {
-				continue
-			}
-			g, ok := s.arms[ai].(*thehuzz.Gen)
-			if !ok {
-				return nil, fmt.Errorf("campaign: arm %q carries state but is stateless", specs[ai].Name)
-			}
-			g.SetState(*hs)
 		}
 		if st.Det != nil {
 			if s.Det == nil {
@@ -368,6 +426,14 @@ func ResumeExec(r io.Reader, ex Exec, newDUTs []func() rtl.DUT, specs ...ArmSpec
 			}
 			s.Det.SetState(*st.Det)
 		}
+	}
+	if len(o.huzz) == 0 && len(cf.Pool) > 0 {
+		return nil, fmt.Errorf("campaign: checkpoint carries a TheHuzz pool but the fleet has no thehuzz arm")
+	}
+	// Bodies are immutable: every generator shares the decoded pool's,
+	// as after a barrier.
+	for _, g := range o.huzz {
+		g.AdoptPool(cf.Round, cf.Pool)
 	}
 	for i, sp := range o.specs {
 		if o.fleets[i] == nil {

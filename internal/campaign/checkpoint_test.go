@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -110,7 +111,7 @@ func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
 				t.Fatalf("RunRounds: %v", err)
 			}
 			if got := sha256Hex(checkAppendCheckpoint(t, o)); got != c.sha {
-				t.Errorf("checkpoint sha256 = %s, want the parent's %s", got, c.sha)
+				t.Errorf("checkpoint sha256 = %s, want the pinned %s", got, c.sha)
 			}
 		})
 	}
@@ -119,10 +120,13 @@ func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
 		o := mustNew(t, Config{Shards: 2, BatchSize: 8, Seed: 5, Detect: true})
 		defer o.Close()
 		got := checkAppendCheckpoint(t, o)
-		for _, want := range []string{`"Merged":null`, `"Pool":[]`, `"Records":null`} {
+		for _, want := range []string{`"Merged":null`, `"Records":null`} {
 			if !bytes.Contains(got, []byte(want)) {
 				t.Errorf("a fleet that has not run carries no %s", want)
 			}
+		}
+		if bytes.Contains(got, []byte(`"Pool"`)) {
+			t.Error("a fleet that has not run wrote its empty TheHuzz pool")
 		}
 	})
 
@@ -146,8 +150,8 @@ func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
 		if err := o.RunRounds(2); err != nil {
 			t.Fatalf("RunRounds: %v", err)
 		}
-		if got := checkAppendCheckpoint(t, o); !bytes.Contains(got, []byte(`"Arms":[null,null]`)) {
-			t.Error("stateless arms are not written as null")
+		if got := checkAppendCheckpoint(t, o); bytes.Contains(got, []byte(`"Pool"`)) {
+			t.Error("a fleet without a thehuzz arm wrote a TheHuzz pool")
 		}
 	})
 
@@ -182,9 +186,9 @@ func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
 		}
 	})
 
-	// A resumed fleet's pools are SetState's deep copies: no arm shares
-	// another's state until the next barrier hands the shards one merged
-	// pool again.
+	// A resumed fleet's generators adopt the one decoded pool, so they
+	// share one state, as after a barrier; the checkpoint writes it once
+	// and carries no per-shard pool or coverage.
 	t.Run("farm_jobs shape resumed", func(t *testing.T) {
 		o := farmJobsFleet(t)
 		defer o.Close()
@@ -192,13 +196,17 @@ func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
 			t.Fatalf("RunRounds: %v", err)
 		}
 		want := checkAppendCheckpoint(t, o)
-		if sameHuzzStates(o) == 0 {
-			t.Fatal("after a barrier no two shards share a TheHuzz state: shared pools go unexercised")
+		shared := len(huzzGens(o)) - 1
+		if n := sameHuzzStates(o); n != shared {
+			t.Fatalf("after a barrier %d TheHuzz arms share an earlier one's state, want %d", n, shared)
+		}
+		if n := bytes.Count(want, []byte(`"Pool"`)); n != 1 || bytes.Contains(want, []byte(`"Cov"`)) || bytes.Contains(want, []byte(`"Arms":[null`)) {
+			t.Fatalf("the checkpoint writes %d pools, or per-shard coverage or arm state", n)
 		}
 		r := resumeFarmJob(t, want)
 		defer r.Close()
-		if n := sameHuzzStates(r); n != 0 {
-			t.Fatalf("%d TheHuzz arms of a resumed fleet share state", n)
+		if n := sameHuzzStates(r); n != shared {
+			t.Fatalf("%d TheHuzz arms of a resumed fleet share an earlier one's state, want %d", n, shared)
 		}
 		if got := checkAppendCheckpoint(t, r); !bytes.Equal(got, want) {
 			t.Fatal("the resumed fleet checkpoints differently from the fleet it resumed")
@@ -209,9 +217,9 @@ func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
 		checkAppendCheckpoint(t, r)
 	})
 
-	// Pools adopted from one slice are the same pool; the round is not
-	// part of the pool, so two shards that adopted it in different rounds
-	// encode differently.
+	// Pools adopted from one slice are the same pool, and the round is
+	// not part of the pool; adopted as a barrier does, at the fleet's
+	// round, the checkpoint writes the pool once.
 	t.Run("adopted pool, two rounds", func(t *testing.T) {
 		o := mustNew(t, Config{Shards: 3, BatchSize: 8, Seed: 5, Detect: true})
 		defer o.Close()
@@ -219,8 +227,7 @@ func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
 			t.Fatalf("RunRounds: %v", err)
 		}
 		gens := huzzGens(o)
-		var pool []thehuzz.PoolEntry
-		gens[0].VisitPool(func(e thehuzz.PoolEntry) { pool = append(pool, e) })
+		pool := clonePool(gens[0].State().Pool)
 		if len(pool) == 0 {
 			t.Fatal("no pool to adopt")
 		}
@@ -230,7 +237,16 @@ func TestAppendCheckpointMatchesEncodingJSON(t *testing.T) {
 		if !gens[0].SamePool(gens[1]) || sameHuzzState(gens[0], gens[1]) || !sameHuzzState(gens[0], gens[2]) {
 			t.Fatal("SamePool/sameHuzzState do not see the adopted pools as built")
 		}
-		checkAppendCheckpoint(t, o)
+		for _, g := range gens {
+			g.AdoptPool(o.Rounds(), pool)
+		}
+		cf, err := decodeCheckpoint(bytes.NewReader(checkAppendCheckpoint(t, o)))
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !reflect.DeepEqual(cf.Pool, pool) {
+			t.Fatal("the checkpoint does not hold the adopted pool")
+		}
 	})
 }
 
@@ -394,8 +410,9 @@ func TestDecodeCheckpointCorruptInputs(t *testing.T) {
 		{"future-version", []byte(`{"Version":99}`), "checkpoint version 99"},
 		{"no-version", []byte(`{"Round":3}`), "checkpoint version 0"},
 		{"mangled-body", []byte(`{"Version":4,"Bandit":"nope"}`), "decode checkpoint"},
-		// A shard's arm state is a TheHuzz state object or null.
-		{"arm-state-not-an-object", bytes.Replace(good, []byte(`,null,null]`), []byte(`,7,null]`), 1), "decode checkpoint"},
+		{"mangled-v5-body", []byte(`{"Version":5,"Pool":{}}`), "decode checkpoint"},
+		// A pool entry is an object.
+		{"arm-state-not-an-object", bytes.Replace(good, []byte(`"Pool":[`), []byte(`"Pool":[7,`), 1), "decode checkpoint"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -411,23 +428,35 @@ func TestDecodeCheckpointCorruptInputs(t *testing.T) {
 }
 
 // TestResumeRefusesStateOnStatelessArm: a checkpoint that gives a
-// stateless arm a TheHuzz state decodes, but resume refuses it, naming
-// the arm, rather than drop the state.
+// fleet without a thehuzz arm a TheHuzz pool decodes, but resume
+// refuses it rather than drop the pool.
 func TestResumeRefusesStateOnStatelessArm(t *testing.T) {
-	good := checkpointBytes(t)
-	bad := bytes.Replace(good, []byte(`,null,null]`), []byte(`,{"Round":1,"Pool":[]},null]`), 1)
-	if bytes.Equal(bad, good) {
-		t.Fatal("the checkpoint has no stateless arm state to replace")
+	arms := []ArmSpec{RandInstArm(testBody), RandFuzzArm(testBody)}
+	o, err := New(Config{Shards: 2, BatchSize: 8, Seed: 5}, newRocket, arms...)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer o.Close()
+	if err := o.RunRounds(2); err != nil {
+		t.Fatalf("RunRounds: %v", err)
+	}
+	var good bytes.Buffer
+	if err := o.Checkpoint(&good); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	bad := bytes.Replace(good.Bytes(), []byte(`"Merged":`), []byte(`"Pool":[{"Body":[19],"Score":1,"Age":1}],"Merged":`), 1)
+	if bytes.Equal(bad, good.Bytes()) {
+		t.Fatal("the checkpoint has no Merged key to put a pool before")
 	}
 	if _, err := decodeCheckpoint(bytes.NewReader(bad)); err != nil {
 		t.Fatalf("decodeCheckpoint: %v", err)
 	}
-	r, err := ResumeMixed(bytes.NewReader(bad), []func() rtl.DUT{newRocket}, testArms()...)
+	r, err := ResumeMixed(bytes.NewReader(bad), []func() rtl.DUT{newRocket}, arms...)
 	if err == nil {
 		r.Close()
-		t.Fatal("Resume accepted state on the stateless randinst arm")
+		t.Fatal("Resume accepted a TheHuzz pool on a fleet without a thehuzz arm")
 	}
-	if want := `arm "randinst" carries state but is stateless`; !strings.Contains(err.Error(), want) {
+	if want := "carries a TheHuzz pool but the fleet has no thehuzz arm"; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not say %q", err, want)
 	}
 }
@@ -556,6 +585,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add([]byte(`{"Version":4}`))
 	f.Add([]byte(`{"Version":4,"Shards":[{}],"Globals":{"rocket":[1]}}`))
 	f.Add([]byte{})
+	f.Add([]byte(`{"Version":5,"Designs":["rocket"],"Pool":[{"Body":[1],"Score":1}],"Shards":[{}],"Globals":{"rocket":[1]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode must return; errors are the expected outcome for
 		// almost every input.

@@ -1,11 +1,11 @@
 package campaign
 
-// Golden contract tests: checkpoint bytes recorded on the commit
-// before the executor collapse (PR 14's parent, 9626362). They pin
-// what no refactor of the execution side may move — the trajectory,
-// the scheduling state and the v4 wire format — independently of the
+// Golden contract tests: checkpoint bytes of fixed-seed fleets. They
+// pin what no refactor of the execution side may move — the trajectory,
+// the scheduling state and the v5 wire format — independently of the
 // oracle-vs-production table, which only proves the two agree with
-// each other.
+// each other; and a version 4 file written by an earlier build still
+// resumes bit-exactly.
 
 import (
 	"bytes"
@@ -24,19 +24,20 @@ import (
 
 // goldenCells are determinism-table cells (BatchSize 4, RoundBatches 2,
 // Seed 33, Detect, 3 rounds) with the SHA-256 of their checkpoint
-// bytes as written by the parent commit on every execution path.
+// bytes on every execution path. The v4 bytes each cell wrote before
+// convert (checkpointV4.v5) to exactly these v5 bytes.
 var goldenCells = []struct {
 	shards int
 	mixed  bool
 	learn  bool
 	sha    string
 }{
-	{1, false, false, "58ccdf6980591a97244005fc86176cc6195016d9f6c13894b58c3ce13e788bb8"},
-	{1, false, true, "879fb16f2d3dee055abf440cbf12aa6d4d02a21846b43e26d9a85326fbed1a2a"},
-	{4, false, false, "dff4c99e1bce91ee94a25d30dfc24ea91260b54d67adbf365413971d36650f04"},
-	{4, false, true, "4342a47fa55eeabe8e128ed9230a250e6fe4d27831d648f1f06308399a1f846e"},
-	{4, true, false, "524e39de56a2eaf42c2c9d7bc797bf95161b3f682390c093aeca03d1478ddeff"},
-	{4, true, true, "19a6b4b1cc2a0ee4a7d635bc1e125c5b534601dd4ff28d3764de289547b36e32"},
+	{1, false, false, "b03c3fb84a897ca7347488495d76a8a78a02ee71b7758ab3664a7fd2e7f282d7"},
+	{1, false, true, "43705942d591fb64d8e723bb563ae3337a4a6a59b5e7ab6532ff784dfa0fbdff"},
+	{4, false, false, "08448906cd4164c70849062421c42d91198a8468a44bd83f52832094040fa0b5"},
+	{4, false, true, "4de88428540bbf7b1503f27c2a35221d85abc7d2ab7ce7852975facb3011475f"},
+	{4, true, false, "fac92e0f9278022bc80a3ebae15684748c29d87bf3c797a602ef6b76e835e379"},
+	{4, true, true, "9e4962a707984c0703546d20308a8d6a8a0443b3f4e8e7f554a7d0a022421b82"},
 }
 
 func sha256Hex(b []byte) string {
@@ -45,7 +46,7 @@ func sha256Hex(b []byte) string {
 }
 
 // TestGoldenCheckpointHashes: the production path still writes the
-// parent's checkpoint bytes for fixed seeds.
+// pinned checkpoint bytes for fixed seeds.
 func TestGoldenCheckpointHashes(t *testing.T) {
 	for _, c := range goldenCells {
 		t.Run(fmt.Sprintf("shards=%d/mixed=%v/learn=%v", c.shards, c.mixed, c.learn), func(t *testing.T) {
@@ -70,23 +71,43 @@ func TestGoldenCheckpointHashes(t *testing.T) {
 				t.Fatalf("Checkpoint: %v", err)
 			}
 			if got := sha256Hex(buf.Bytes()); got != c.sha {
-				t.Errorf("checkpoint sha256 = %s, want the parent's %s", got, c.sha)
+				t.Errorf("checkpoint sha256 = %s, want the pinned %s", got, c.sha)
 			}
 		})
 	}
 }
 
-// parentFixture is a v4 checkpoint written by the parent commit: a
-// rocket+boom fleet, 2 shards x 4, Seed 51, Detect, UpdateBudget 2,
-// MismatchWeight 0.25, paused after 2 rounds. parentFixtureNext is the
-// SHA-256 of the parent's own checkpoint 2 rounds later.
-const (
-	parentFixture     = "testdata/v4_parent_mixed.ckpt.json"
-	parentFixtureNext = "2511c61cfb5efc77ef8214452f0e54c78b927483a398c5422f3b3736857e61f4"
+// parentFixture is a v4 checkpoint written by an earlier build: a
+// rocket+boom fleet of fixtureConfig, paused after 2 rounds.
+const parentFixture = "testdata/v4_parent_mixed.ckpt.json"
+
+var (
+	fixtureConfig = Config{Shards: 2, BatchSize: 4, Seed: 51, Detect: true, UpdateBudget: 2, MismatchWeight: 0.25}
+	fixtureDUTs   = []func() rtl.DUT{newRocket, newBoom}
 )
 
-// TestParentCheckpointRoundTrips: the wire format did not move — a
-// parent-written v4 file decodes and re-encodes byte-identically.
+// fixtureRun returns the checkpoint of a fresh fixtureConfig fleet after
+// rounds rounds.
+func fixtureRun(t *testing.T, rounds int) []byte {
+	t.Helper()
+	o, err := NewMixed(fixtureConfig, fixtureDUTs, testArms()...)
+	if err != nil {
+		t.Fatalf("NewMixed: %v", err)
+	}
+	defer o.Close()
+	if err := o.RunRounds(rounds); err != nil {
+		t.Fatalf("RunRounds: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := o.Checkpoint(&buf); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestParentCheckpointRoundTrips: the v4 fixture converts to the v5
+// struct, which encodes as the v5 checkpoint a fresh fleet writes at
+// the fixture's round.
 func TestParentCheckpointRoundTrips(t *testing.T) {
 	raw, err := os.ReadFile(parentFixture)
 	if err != nil {
@@ -96,12 +117,57 @@ func TestParentCheckpointRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	if cf.Version != checkpointVersion || cf.Round != 2 {
+		t.Fatalf("the fixture converts to version %d at round %d, want %d at round 2", cf.Version, cf.Round, checkpointVersion)
+	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(&cf); err != nil {
 		t.Fatalf("re-encode: %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), raw) {
-		t.Errorf("re-encoded checkpoint differs from the parent's bytes (%d vs %d bytes)", buf.Len(), len(raw))
+	if want := fixtureRun(t, 2); !bytes.Equal(buf.Bytes(), want) {
+		at := firstDiff(buf.Bytes(), want)
+		t.Errorf("the converted fixture encodes differently from a fresh fleet's v5 checkpoint at byte %d:\n got …%s\nwant …%s",
+			at, around(buf.Bytes(), at), around(want, at))
+	}
+}
+
+// TestParentCheckpointRefusesDivergentShards: a v4 file converts only
+// if its shards hold what a barrier leaves — one TheHuzz state at the
+// checkpoint's round, and each shard's coverage its design's merged
+// bitmap — and otherwise is refused with an error naming the shard.
+func TestParentCheckpointRefusesDivergentShards(t *testing.T) {
+	raw, err := os.ReadFile(parentFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*checkpointV4)
+		want string
+	}{
+		{"as written", func(*checkpointV4) {}, ""},
+		{"pools differ", func(v *checkpointV4) { v.Shards[1].Arms[0].Pool[0].Score++ }, "shard 1 TheHuzz pool differs"},
+		{"pool round", func(v *checkpointV4) { v.Shards[0].Arms[0].Round = v.Round + 1 }, "shard 0 TheHuzz pool is at round 3"},
+		{"coverage", func(v *checkpointV4) { v.Shards[1].Cov[0] ^= 1 }, "shard 1 coverage differs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var v checkpointV4
+			if err := json.Unmarshal(raw, &v); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&v)
+			edited, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = decodeCheckpoint(bytes.NewReader(edited))
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("the re-marshalled fixture is refused: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("err = %v, want a refusal saying %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -146,15 +212,15 @@ func TestCheckpointScheduleConstants(t *testing.T) {
 	}
 }
 
-// TestParentCheckpointResumes: a checkpoint written by the parent
-// resumes, and the continued run writes the bytes the parent's own
-// continuation wrote.
+// TestParentCheckpointResumes: a v4 checkpoint written by an earlier
+// build resumes, and 2 rounds later the fleet writes the bytes of a
+// fresh 4-round run of the fixture's config.
 func TestParentCheckpointResumes(t *testing.T) {
 	f, err := os.Open(parentFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := ResumeMixed(f, []func() rtl.DUT{newRocket, newBoom}, testArms()...)
+	o, err := ResumeMixed(f, fixtureDUTs, testArms()...)
 	f.Close()
 	if err != nil {
 		t.Fatalf("ResumeMixed: %v", err)
@@ -170,7 +236,9 @@ func TestParentCheckpointResumes(t *testing.T) {
 	if err := o.Checkpoint(&buf); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	if got := sha256Hex(buf.Bytes()); got != parentFixtureNext {
-		t.Errorf("continued checkpoint sha256 = %s, want the parent's %s", got, parentFixtureNext)
+	if want := fixtureRun(t, 4); !bytes.Equal(buf.Bytes(), want) {
+		at := firstDiff(buf.Bytes(), want)
+		t.Errorf("the resumed fixture checkpoints differently from a fresh 4-round run at byte %d:\n got …%s\nwant …%s",
+			at, around(buf.Bytes(), at), around(want, at))
 	}
 }

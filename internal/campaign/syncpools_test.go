@@ -12,9 +12,9 @@ import (
 )
 
 // referenceSyncPools is syncPools as it stood before the barrier
-// stopped copying, verbatim: every pool deep-copied out through State,
-// a fresh map and a []byte + string per dedupe key, sort.SliceStable,
-// and a deep copy back in through SetState.
+// stopped copying: every pool deep-copied out, a fresh map and a
+// []byte + string per dedupe key, sort.SliceStable, and a deep copy
+// adopted by every generator, also when the merged pool is empty.
 func referenceSyncPools(o *Orchestrator) {
 	var gens []*thehuzz.Gen
 	var all []thehuzz.PoolEntry
@@ -30,7 +30,7 @@ func referenceSyncPools(o *Orchestrator) {
 		for _, a := range s.arms {
 			if g, ok := a.(*thehuzz.Gen); ok {
 				gens = append(gens, g)
-				for _, e := range g.State().Pool {
+				for _, e := range clonePool(g.State().Pool) {
 					add(e)
 				}
 			}
@@ -46,9 +46,6 @@ func referenceSyncPools(o *Orchestrator) {
 		}
 		s.found = nil
 	}
-	if len(all) == 0 {
-		return
-	}
 	sort.SliceStable(all, func(a, b int) bool {
 		if all[a].Score != all[b].Score {
 			return all[a].Score > all[b].Score
@@ -59,8 +56,19 @@ func referenceSyncPools(o *Orchestrator) {
 		all = all[:thehuzz.PoolCap]
 	}
 	for _, g := range gens {
-		g.SetState(thehuzz.State{Round: o.round + 1, Pool: all})
+		g.AdoptPool(o.round+1, clonePool(all))
 	}
+}
+
+// clonePool deep-copies a pool. Neither the pool nor a body comes out
+// nil.
+func clonePool(pool []thehuzz.PoolEntry) []thehuzz.PoolEntry {
+	out := make([]thehuzz.PoolEntry, len(pool))
+	for i, e := range pool {
+		e.Body = append(make([]uint32, 0, len(e.Body)), e.Body...)
+		out[i] = e
+	}
+	return out
 }
 
 func referenceBodyKey(body []uint32) string {
@@ -107,10 +115,11 @@ func seedBarrier(o *Orchestrator, rng *rand.Rand, n int) {
 	}
 	for _, g := range huzzGens(o) {
 		st := g.State()
+		pool := clonePool(st.Pool)
 		for i := 0; i < n; i++ {
-			st.Pool = append(st.Pool, thehuzz.PoolEntry{Body: body(), Score: 1 + rng.Intn(4), Age: rng.Intn(o.round + 1)})
+			pool = append(pool, thehuzz.PoolEntry{Body: body(), Score: 1 + rng.Intn(4), Age: rng.Intn(o.round + 1)})
 		}
-		g.SetState(st)
+		g.AdoptPool(st.Round, pool)
 	}
 	for _, s := range o.shards {
 		for i := 0; i < n; i++ {
@@ -153,7 +162,7 @@ func TestSyncPoolsMatchesReference(t *testing.T) {
 
 			// Generator 0 mutates, splices and admits; the rest must
 			// still hold what the barrier handed them.
-			before := gg[1].State()
+			before := thehuzz.State{Round: gg[1].State().Round, Pool: clonePool(gg[1].State().Pool)}
 			gg[0].Reseed(seed)
 			batch := gg[0].GenerateBatch(64)
 			scores := make([]cov.Scores, len(batch))
